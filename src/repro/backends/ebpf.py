@@ -12,19 +12,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fuzzy import FuzzyTree
 from repro.core.mapping import CompiledModel
 
 
-def _emit_tree(node, table_name: str, depth: int, lines: list[str]) -> None:
-    pad = "    " * depth
-    if isinstance(node, int):
-        lines.append(f"{pad}idx = {node};")
-        return
-    lines.append(f"{pad}if (seg[{node.feature}] <= {int(node.threshold)}) {{")
-    _emit_tree(node.left, table_name, depth + 1, lines)
-    lines.append(f"{pad}}} else {{")
-    _emit_tree(node.right, table_name, depth + 1, lines)
-    lines.append(f"{pad}}}")
+def _emit_tree(tree: FuzzyTree, indent: int, lines: list[str]) -> None:
+    """The tree as nested if/else, pre-order. The stack holds nodes still to
+    open and the closing lines that follow their subtrees."""
+    k = tree.n_internal
+    stack: list = [(0, indent)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, depth = item
+        pad = "    " * depth
+        if node >= k:
+            lines.append(f"{pad}idx = {node - k};")
+            continue
+        lines.append(f"{pad}if (seg[{tree.feature[node]}] <= "
+                     f"{int(tree.threshold[node])}) {{")
+        stack += [f"{pad}}}", (tree.child[2 * node + 1], depth + 1),
+                  f"{pad}}} else {{", (tree.child[2 * node], depth + 1)]
 
 
 def emit_ebpf(model: CompiledModel, program_name: str | None = None) -> str:
@@ -71,9 +81,7 @@ def emit_ebpf(model: CompiledModel, program_name: str | None = None) -> str:
                 lines.append(f"        if (idx >= {table.n_entries}) "
                              f"idx = {table.n_entries - 1};")
             else:
-                tree_lines: list[str] = []
-                _emit_tree(table.tree.root, f"l{li}_s{ti}", 2, tree_lines)
-                lines.extend(tree_lines)
+                _emit_tree(table.tree, 2, lines)
             for j in range(table.out_dim):
                 lines.append(f"        out{li}[{j}] += "
                              f"values_l{li}_s{ti}[idx * {table.out_dim} + {j}];")

@@ -81,14 +81,11 @@ class LeoModel(TrafficModel):
                 product *= len(range_to_prefixes(lo_i, hi_i, 8))
             flat += product
 
-        def levelwise(node) -> int:
-            if isinstance(node, int):
-                return 0
-            t = int(np.clip(np.floor(node.threshold), 0, 255))
-            return (len(range_to_prefixes(0, t, 8)) + 1
-                    + levelwise(node.left) + levelwise(node.right))
-
-        return min(flat, levelwise(self.tree.root))
+        boundaries = np.clip(
+            np.floor(self.tree.threshold[:self.tree.n_leaves - 1]), 0, 255)
+        levelwise = sum(len(range_to_prefixes(0, int(t), 8)) + 1
+                        for t in boundaries)
+        return min(flat, levelwise)
 
     def tcam_bits(self) -> int:
         return self.tcam_entries() * 2 * N_STAT_FEATURES * 8

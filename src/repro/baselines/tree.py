@@ -3,6 +3,8 @@
 Best-first growth: the leaf whose best Gini split yields the largest
 impurity reduction is split next, until ``max_nodes`` is reached — matching
 how Leo sizes trees by node budget (the paper deploys a 1024-node tree).
+The fitted tree is held in the flat node arrays of :mod:`repro.core.fuzzy`
+and predicts through the same level-synchronous traversal.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fuzzy import grow_tree, leaf_boxes, traverse, tree_depth
 from repro.errors import ShapeError, TrainingError
 
 
@@ -62,30 +65,22 @@ def _best_gini_split(x: np.ndarray, y: np.ndarray, n_classes: int
 
 
 @dataclass
-class TreeNode:
-    feature: int
-    threshold: float
-    left: "TreeNode | int"
-    right: "TreeNode | int"
-
-
-@dataclass
 class DecisionTree:
     """CART classifier with a node budget."""
 
     max_nodes: int = 1024
     min_leaf: int = 2
     n_classes: int = 0
-    root: TreeNode | int = 0
+    # Node arrays in the repro.core.fuzzy layout; a single leaf until fitted.
+    feature: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    threshold: np.ndarray = field(default_factory=lambda: np.full(1, np.inf))
+    child: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
+    depth: int = 0
     leaf_classes: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     @property
     def n_nodes(self) -> int:
-        def count(node):
-            if isinstance(node, int):
-                return 1
-            return 1 + count(node.left) + count(node.right)
-        return count(self.root)
+        return len(self.feature)
 
     @property
     def n_leaves(self) -> int:
@@ -100,83 +95,26 @@ class DecisionTree:
             raise TrainingError("cannot fit a tree on no data")
         self.n_classes = int(y.max()) + 1
 
-        members: list[np.ndarray] = [np.arange(len(x))]
-        splits = [_best_gini_split(x, y, self.n_classes)]
-        root: TreeNode | int = 0
-        parent_of: dict[int, tuple[TreeNode, str]] = {}
-
         # Each split adds 2 nodes; stop before exceeding the budget.
-        while True:
-            if self.n_nodes_estimate(len(members)) + 2 > self.max_nodes:
-                break
-            candidates = [(s[0], i) for i, s in enumerate(splits)
-                          if s is not None and len(members[i]) >= 2 * self.min_leaf]
-            if not candidates:
-                break
-            _, leaf = max(candidates)
-            _, feature, threshold = splits[leaf]
-            rows = members[leaf]
-            mask = x[rows, feature] <= threshold
-            l_rows, r_rows = rows[mask], rows[~mask]
-            if len(l_rows) == 0 or len(r_rows) == 0:
-                splits[leaf] = None
-                continue
-            right_slot = len(members)
-            members[leaf] = l_rows
-            members.append(r_rows)
-            splits[leaf] = _best_gini_split(x[l_rows], y[l_rows], self.n_classes)
-            splits.append(_best_gini_split(x[r_rows], y[r_rows], self.n_classes))
-            node = TreeNode(feature, threshold, left=leaf, right=right_slot)
-            if leaf in parent_of:
-                parent, side = parent_of[leaf]
-                setattr(parent, side, node)
-            else:
-                root = node
-            parent_of[leaf] = (node, "left")
-            parent_of[right_slot] = (node, "right")
-
-        self.root = root
+        members, self.feature, self.threshold, self.child = grow_tree(
+            x, (self.max_nodes + 1) // 2, 2 * self.min_leaf,
+            lambda rows: _best_gini_split(x[rows], y[rows], self.n_classes))
+        self.depth = tree_depth(self.child)
         self.leaf_classes = np.array(
             [np.bincount(y[m], minlength=self.n_classes).argmax() for m in members],
             dtype=np.int64)
         return self
 
-    @staticmethod
-    def n_nodes_estimate(n_leaves: int) -> int:
-        return 2 * n_leaves - 1
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
-        out = np.empty(len(x), dtype=np.int64)
-        self._assign(self.root, np.arange(len(x)), x, out)
-        return out
+        return self.leaf_classes[traverse(self.feature, self.threshold,
+                                          self.child, self.depth, x)]
 
-    def _assign(self, node, rows, x, out) -> None:
-        if isinstance(node, int):
-            out[rows] = self.leaf_classes[node]
-            return
-        mask = x[rows, node.feature] <= node.threshold
-        self._assign(node.left, rows[mask], x, out)
-        self._assign(node.right, rows[~mask], x, out)
-
-    def leaf_boxes(self, dim: int, lo: float = 0.0, hi: float = 255.0):
-        """Per-leaf axis-aligned boxes, for MAT encoding (Leo)."""
-        boxes = [None] * self.n_leaves
-        start = [(lo, hi)] * dim
-
-        def walk(node, bounds):
-            if isinstance(node, int):
-                boxes[node] = list(bounds)
-                return
-            f, t = node.feature, node.threshold
-            left_b = list(bounds)
-            left_b[f] = (bounds[f][0], min(bounds[f][1], t))
-            right_b = list(bounds)
-            right_b[f] = (max(bounds[f][0], t + 1), bounds[f][1])
-            walk(node.left, left_b)
-            walk(node.right, right_b)
-
-        walk(self.root, start)
-        return boxes
+    def leaf_boxes(self, dim: int, lo: float = 0.0, hi: float = 255.0) -> np.ndarray:
+        """Per-leaf axis-aligned boxes, for MAT encoding (Leo): an
+        ``(n_leaves, dim, 2)`` array of inclusive (lo, hi) pairs."""
+        box_lo, box_hi = leaf_boxes(self.feature, self.threshold,
+                                    self.threshold + 1, self.child, dim)
+        return np.stack([np.maximum(box_lo, lo), np.minimum(box_hi, hi)], axis=-1)

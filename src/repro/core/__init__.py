@@ -24,7 +24,7 @@ from repro.core.primitives import (
     compose,
     even_partition,
 )
-from repro.core.fuzzy import FuzzyTree, FuzzyNode
+from repro.core.fuzzy import FuzzyTree
 from repro.core.crc import (
     TernaryMatch,
     PrioritizedEntry,
@@ -57,7 +57,6 @@ __all__ = [
     "compose",
     "even_partition",
     "FuzzyTree",
-    "FuzzyNode",
     "TernaryMatch",
     "PrioritizedEntry",
     "range_to_prefixes",

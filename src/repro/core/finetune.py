@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompilationError
-from repro.core.fuzzy import FuzzyNode, FuzzyTree
+from repro.core.fuzzy import FuzzyTree
 from repro.core.mapping import LookupLayer
 
 
@@ -64,19 +64,21 @@ def refine_values_least_squares(layer: LookupLayer, calib_int: np.ndarray,
         table.values_int = fmt.quantize(solution[start:stop])
 
 
-def _leaf_paths(tree: FuzzyTree) -> list[list[tuple[FuzzyNode, bool]]]:
+def _leaf_paths(tree: FuzzyTree) -> list[list[tuple[int, bool]]]:
     """Per-leaf list of (node, went_left) along the root-to-leaf path."""
-    paths: list[list[tuple[FuzzyNode, bool]] | None] = [None] * tree.n_leaves
-
-    def walk(node, path):
-        if isinstance(node, int):
-            paths[node] = path
-            return
-        walk(node.left, path + [(node, True)])
-        walk(node.right, path + [(node, False)])
-
-    walk(tree.root, [])
-    return paths  # type: ignore[return-value]
+    k = tree.n_internal
+    # The entry of ``child`` that points at each node: 2 * parent + side.
+    link_to = np.zeros(len(tree.feature), dtype=np.int64)
+    link_to[tree.child[:2 * k]] = np.arange(2 * k)
+    paths = []
+    for node in range(k, len(link_to)):
+        path = []
+        while node != 0:
+            link = int(link_to[node])
+            node = link // 2
+            path.append((node, link % 2 == 0))
+        paths.append(path[::-1])
+    return paths
 
 
 @dataclass
@@ -94,17 +96,20 @@ class SoftTreeFineTuner:
     lr_values: float = 0.1
     lr_thresholds: float = 0.5
 
-    def _soft_assign(self, table, seg: np.ndarray) -> tuple[np.ndarray, list]:
-        """Soft leaf probabilities (N, L) and the per-leaf paths."""
-        paths = _leaf_paths(table.tree)
-        n = len(seg)
-        probs = np.ones((n, table.n_entries))
+    def _soft_assign(self, table, seg: np.ndarray) -> tuple:
+        """Soft leaf probabilities (N, L), per-node left gates (N, n_internal)
+        and the per-leaf paths."""
+        tree = table.tree
+        k = tree.n_internal
+        paths = _leaf_paths(tree)
+        gates = 1.0 / (1.0 + np.exp(-(tree.threshold[:k] - seg[:, tree.feature[:k]])
+                                    / self.temperature))
+        probs = np.ones((len(seg), table.n_entries))
         for leaf, path in enumerate(paths):
             for node, went_left in path:
-                s = 1.0 / (1.0 + np.exp(-(node.threshold - seg[:, node.feature])
-                                        / self.temperature))
+                s = gates[:, node]
                 probs[:, leaf] *= s if went_left else (1.0 - s)
-        return probs, paths
+        return probs, gates, paths
 
     def fit(self, calib_int: np.ndarray, targets: np.ndarray,
             epochs: int = 30, tune_thresholds: bool = True) -> list[float]:
@@ -127,8 +132,8 @@ class SoftTreeFineTuner:
             for table in self.layer.tables:
                 seg = calib_int[:, table.segment[0]:table.segment[1]]
                 if table.kind == "fuzzy":
-                    probs, paths = self._soft_assign(table, seg)
-                    cache[id(table)] = (probs, paths, seg)
+                    cache[id(table)] = self._soft_assign(table, seg)
+                    probs = cache[id(table)][0]
                     pred += probs @ values[id(table)]
                 else:
                     idx = np.clip(seg[:, 0].astype(np.int64) - table.exact_lo,
@@ -139,7 +144,7 @@ class SoftTreeFineTuner:
             grad_out = 2.0 * err / (n * max(targets.shape[-1], 1))
 
             for table in fuzzy_tables:
-                probs, paths, seg = cache[id(table)]
+                probs, gates, paths = cache[id(table)]
                 v = values[id(table)]
                 # Value gradient: dL/dV = P^T grad.
                 v -= self.lr_values * (probs.T @ grad_out)
@@ -147,30 +152,23 @@ class SoftTreeFineTuner:
                     continue
                 # Threshold gradient via the path-product derivative.
                 per_leaf = grad_out @ v.T           # (N, L) dL/dP
-                node_grads: dict[int, float] = {}
+                node_grads = np.zeros(table.tree.n_internal)
                 for leaf, path in enumerate(paths):
                     for node, went_left in path:
-                        s = 1.0 / (1.0 + np.exp(
-                            -(node.threshold - seg[:, node.feature]) / self.temperature))
+                        s = gates[:, node]
                         ds_dt = s * (1.0 - s) / self.temperature
                         if went_left:
                             factor = probs[:, leaf] / np.maximum(s, 1e-12)
                         else:
                             factor = -probs[:, leaf] / np.maximum(1.0 - s, 1e-12)
-                        g = float(np.sum(per_leaf[:, leaf] * factor * ds_dt))
-                        node_grads[id(node)] = node_grads.get(id(node), 0.0) + g
-                self._apply_threshold_grads(table.tree.root, node_grads)
+                        node_grads[node] += float(
+                            np.sum(per_leaf[:, leaf] * factor * ds_dt))
+                # Drops the table's compiled TCAM forms with the old thresholds.
+                table.set_thresholds(np.floor(
+                    table.tree.threshold[:table.tree.n_internal]
+                    - self.lr_thresholds * node_grads))
 
         # Write back quantized values; recompute hard centroids' results.
         for table in self.layer.tables:
             table.values_int = fmt.quantize(values[id(table)])
         return losses
-
-    def _apply_threshold_grads(self, node, node_grads) -> None:
-        if isinstance(node, int):
-            return
-        g = node_grads.get(id(node))
-        if g is not None:
-            node.threshold = float(np.floor(node.threshold - self.lr_thresholds * g))
-        self._apply_threshold_grads(node.left, node_grads)
-        self._apply_threshold_grads(node.right, node_grads)

@@ -7,11 +7,21 @@ index* — whose centroid stands in for the exact input when results are
 precomputed. The tree is grown greedily: at each step the leaf whose best
 axis-aligned split yields the largest reduction in total within-cluster SSE
 is split, exactly the procedure of the paper's Figure 3.
+
+A fitted tree is three flat arrays and an integer, and nothing else
+(ARCHITECTURE.md, "Fuzzy index"): ``feature``, ``threshold`` and ``child``
+over all ``2 * n_leaves - 1`` nodes, plus ``depth``. Internal nodes come first, parents before
+children, the root is node 0; leaf *i* is node ``n_internal + i`` and loops
+to itself (``threshold = +inf``, both children itself), so a batch reaches
+its leaves in exactly ``depth`` rounds of one vectorized comparison —
+:func:`traverse` — whatever the shape of the tree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -65,14 +75,116 @@ def _best_split(x: np.ndarray) -> tuple[float, int, float] | None:
     return best
 
 
-@dataclass
-class FuzzyNode:
-    """Internal node: go left iff ``x[feature] <= threshold``."""
+Split = tuple[float, int, float]      # (gain, feature, threshold)
 
-    feature: int
-    threshold: float
-    left: "FuzzyNode | int"
-    right: "FuzzyNode | int"
+
+def key_domain(key_bits: int, signed: bool) -> tuple[int, int]:
+    """Inclusive integer range of a ``key_bits``-wide (two's-complement) key."""
+    lo = -(1 << (key_bits - 1)) if signed else 0
+    return lo, lo + (1 << key_bits) - 1
+
+
+def grow_tree(x: np.ndarray, max_leaves: int, min_rows: int,
+              best_split: Callable[[np.ndarray], Split | None],
+              ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Best-first growth: split the leaf with the largest gain until
+    ``max_leaves`` (or no leaf of ``min_rows`` rows has a helpful split).
+
+    ``best_split(rows)`` scores one leaf's member rows. Returns the per-leaf
+    member rows and the ``(feature, threshold, child)`` node arrays.
+    """
+    members: list[np.ndarray] = [np.arange(len(x))]
+    splits: list[Split | None] = [best_split(members[0])]
+    feature: list[int] = []
+    threshold: list[float] = []
+    # Two entries per internal node; a leaf is held as ~slot until the node
+    # count is known. ``points_at`` finds the entry to re-point when a leaf
+    # splits later.
+    child: list[int] = []
+    points_at: dict[int, int] = {}
+
+    while len(members) < max_leaves:
+        candidates = [(s[0], i) for i, s in enumerate(splits)
+                      if s is not None and len(members[i]) >= min_rows]
+        if not candidates:
+            break
+        _, leaf = max(candidates)
+        _, f, t = splits[leaf]
+        rows = members[leaf]
+        mask = x[rows, f] <= t
+        left_rows, right_rows = rows[mask], rows[~mask]
+        if len(left_rows) == 0 or len(right_rows) == 0:
+            splits[leaf] = None
+            continue
+        # Left child reuses the slot; right child gets a fresh slot.
+        right_slot = len(members)
+        members[leaf] = left_rows
+        members.append(right_rows)
+        splits[leaf] = best_split(left_rows)
+        splits.append(best_split(right_rows))
+        if leaf in points_at:
+            child[points_at[leaf]] = len(feature)
+        feature.append(f)
+        threshold.append(t)
+        points_at[leaf] = len(child)
+        points_at[right_slot] = len(child) + 1
+        child += [~leaf, ~right_slot]
+
+    n_internal, n_leaves = len(feature), len(members)
+    links = np.asarray(child, dtype=np.int64)
+    leaves = np.arange(n_internal, n_internal + n_leaves)
+    return (members,
+            np.concatenate([np.asarray(feature, dtype=np.int64),
+                            np.zeros(n_leaves, dtype=np.int64)]),
+            np.concatenate([np.asarray(threshold, dtype=np.float64),
+                            np.full(n_leaves, np.inf)]),
+            np.concatenate([np.where(links < 0, n_internal + ~links, links),
+                            np.repeat(leaves, 2)]))
+
+
+def tree_depth(child: np.ndarray) -> int:
+    """Comparisons on the longest root-to-leaf path."""
+    level = np.zeros(len(child) // 2, dtype=np.int64)
+    for k in range(len(level) // 2):            # internal nodes, parents first
+        level[child[2 * k:2 * k + 2]] = level[k] + 1
+    return int(level.max())
+
+
+def traverse(feature: np.ndarray, threshold: np.ndarray, child: np.ndarray,
+             depth: int, x: np.ndarray) -> np.ndarray:
+    """Leaf index per row of a float ``(N, d)`` batch, level-synchronously.
+
+    A row goes right when ``x <= t`` is False, so NaN goes right. Rows that
+    reach their leaf early spin on its self-loop until round ``depth``.
+    """
+    n, d = x.shape
+    flat = x.ravel()
+    base = np.arange(0, n * d, d)
+    node = np.zeros(n, dtype=np.int64)
+    for _ in range(depth):
+        right = ~(flat[base + feature[node]] <= threshold[node])
+        node = child[2 * node + right]
+    return node - len(feature) // 2
+
+
+def leaf_boxes(feature: np.ndarray, threshold: np.ndarray, right_lo: np.ndarray,
+               child: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unbounded per-leaf boxes as inclusive ``(n_leaves, dim)`` lo/hi arrays.
+
+    Going left at node k caps dimension ``feature[k]`` at ``threshold[k]``;
+    going right raises its floor to ``right_lo[k]``.
+    """
+    n_nodes = len(feature)
+    n_internal = n_nodes // 2
+    lo = np.full((n_nodes, dim), -np.inf)
+    hi = np.full((n_nodes, dim), np.inf)
+    for k in range(n_internal):                 # parents before children
+        f, left, right = feature[k], child[2 * k], child[2 * k + 1]
+        lo[left] = lo[right] = lo[k]
+        hi[left] = hi[right] = hi[k]
+        hi[left, f] = min(hi[k, f], threshold[k])
+        lo[right, f] = max(lo[k, f], right_lo[k])
+    return lo[n_internal:], hi[n_internal:]
 
 
 @dataclass
@@ -80,16 +192,58 @@ class FuzzyTree:
     """A fitted clustering tree with per-leaf centroids.
 
     ``predict_index`` returns the fuzzy index; ``centroids[idx]`` is the
-    cluster centre used to precompute Map results.
+    cluster centre used to precompute Map results. The node arrays follow
+    the layout in the module docstring; ``depth`` and the leaf boxes are
+    derived from them on construction — never lazily, so no serve pays for
+    them — and thresholds move only through :meth:`set_thresholds`.
     """
 
     dim: int
-    root: FuzzyNode | int = 0
-    centroids: np.ndarray = field(default_factory=lambda: np.zeros((1, 1)))
+    centroids: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    depth: int = field(init=False)
+    _box_lo: np.ndarray = field(init=False, repr=False)
+    _box_hi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.child = np.asarray(self.child, dtype=np.int64)
+        n_nodes, k = 2 * self.n_leaves - 1, self.n_internal
+        if not (len(self.feature) == len(self.threshold) == n_nodes
+                and len(self.child) == 2 * n_nodes):
+            raise ShapeError(f"{self.n_leaves} leaves need {n_nodes} nodes, got "
+                             f"{len(self.feature)} features, {len(self.threshold)} "
+                             f"thresholds, {len(self.child)} child links")
+        if not (np.all(self.child[:2 * k] > np.repeat(np.arange(k), 2))
+                and np.all(self.child[:2 * k] < n_nodes)
+                and np.array_equal(self.child[2 * k:],
+                                   np.repeat(np.arange(k, n_nodes), 2))
+                and np.all((self.feature >= 0) & (self.feature < self.dim))):
+            raise ShapeError("malformed tree arrays: children must follow their "
+                             "parent, leaves loop to themselves, features index "
+                             f"a {self.dim}-dim input")
+        self.depth = tree_depth(self.child)
+        self._refresh_boxes()
+
+    def _refresh_boxes(self) -> None:
+        # An integer key fails ``x <= t`` exactly when ``x >= floor(t) + 1``
+        # (for the integer thresholds ``fit`` produces this equals ``t + 1``;
+        # for trees fitted on float data ``t + 1`` would leave the integers
+        # in ``(t, t + 1)`` covered by no box).
+        self._box_lo, self._box_hi = leaf_boxes(
+            self.feature, self.threshold, np.floor(self.threshold) + 1,
+            self.child, self.dim)
 
     @property
     def n_leaves(self) -> int:
         return self.centroids.shape[0]
+
+    @property
+    def n_internal(self) -> int:
+        return self.n_leaves - 1
 
     @classmethod
     def fit(cls, x: np.ndarray, n_leaves: int,
@@ -102,45 +256,18 @@ class FuzzyTree:
             raise ShapeError("cannot fit a FuzzyTree on empty data")
         if n_leaves < 1:
             raise ValueError(f"n_leaves must be >= 1, got {n_leaves}")
-
-        # Leaves are integer slots; grafting replaces a slot with a FuzzyNode.
-        # Parent links let us re-point the tree when a leaf splits later.
-        members: list[np.ndarray] = [np.arange(len(x))]
-        splits: list[tuple[float, int, float] | None] = [_best_split(x)]
-        root: FuzzyNode | int = 0
-        parent_of: dict[int, tuple[FuzzyNode, str]] = {}  # leaf slot -> (node, side)
-
-        while len(members) < n_leaves:
-            candidates = [(s[0], i) for i, s in enumerate(splits)
-                          if s is not None and len(members[i]) >= 2 * min_cluster]
-            if not candidates:
-                break
-            _, leaf = max(candidates)
-            _, feature, threshold = splits[leaf]
-            rows = members[leaf]
-            mask = x[rows, feature] <= threshold
-            left_rows, right_rows = rows[mask], rows[~mask]
-            if len(left_rows) == 0 or len(right_rows) == 0:
-                splits[leaf] = None
-                continue
-            # Left child reuses the slot; right child gets a fresh slot.
-            right_slot = len(members)
-            members[leaf] = left_rows
-            members.append(right_rows)
-            splits[leaf] = _best_split(x[left_rows])
-            splits.append(_best_split(x[right_rows]))
-            node = FuzzyNode(feature=feature, threshold=threshold,
-                             left=leaf, right=right_slot)
-            if leaf in parent_of:
-                parent, side = parent_of[leaf]
-                setattr(parent, side, node)
-            else:
-                root = node
-            parent_of[leaf] = (node, "left")
-            parent_of[right_slot] = (node, "right")
-
+        members, feature, threshold, child = grow_tree(
+            x, n_leaves, 2 * min_cluster, lambda rows: _best_split(x[rows]))
         centroids = np.stack([x[m].mean(axis=0) for m in members])
-        return cls(dim=x.shape[1], root=root, centroids=centroids)
+        return cls(dim=x.shape[1], centroids=centroids, feature=feature,
+                   threshold=threshold, child=child)
+
+    def set_thresholds(self, thresholds: np.ndarray) -> None:
+        """Move the internal nodes' thresholds (fine-tuning); the leaf boxes
+        follow. Forms compiled from the old thresholds are the caller's to
+        drop (:meth:`repro.core.mapping.SegmentTable.set_thresholds`)."""
+        self.threshold[:self.n_internal] = thresholds
+        self._refresh_boxes()
 
     def predict_index(self, x: np.ndarray) -> np.ndarray:
         """Fuzzy indices for a batch ``(N, d)`` (or a single vector)."""
@@ -150,18 +277,8 @@ class FuzzyTree:
             x = x[None, :]
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected dim {self.dim}, got {x.shape[1]}")
-        out = np.empty(len(x), dtype=np.int64)
-        self._assign(self.root, np.arange(len(x)), x, out)
+        out = traverse(self.feature, self.threshold, self.child, self.depth, x)
         return out[0] if single else out
-
-    def _assign(self, node: FuzzyNode | int, rows: np.ndarray,
-                x: np.ndarray, out: np.ndarray) -> None:
-        if isinstance(node, int):
-            out[rows] = node
-            return
-        mask = x[rows, node.feature] <= node.threshold
-        self._assign(node.left, rows[mask], x, out)
-        self._assign(node.right, rows[~mask], x, out)
 
     def lookup_centroid(self, x: np.ndarray) -> np.ndarray:
         """The centroid standing in for each input — the fuzzy approximation."""
@@ -172,35 +289,27 @@ class FuzzyTree:
         approx = self.lookup_centroid(x)
         return float(((np.asarray(x, dtype=np.float64) - approx) ** 2).sum())
 
-    def leaf_boxes(self, lo: float = 0.0, hi: float = 255.0) -> list[list[tuple[float, float]]]:
-        """Per-leaf axis-aligned boxes [ (lo, hi) per dim ], inclusive bounds.
+    def leaf_boxes(self, lo: float = 0.0,
+                   hi: float = 255.0) -> tuple[np.ndarray, np.ndarray]:
+        """Per-leaf axis-aligned boxes inside the key domain ``[lo, hi]``, as
+        inclusive ``(n_leaves, dim)`` lo/hi arrays.
 
         Box of leaf i is the region of *integer* input space routed to fuzzy
-        index i, needed to encode the tree as TCAM range rules: an integer
-        key fails ``x <= t`` exactly when ``x >= floor(t) + 1``, so the right
-        child's lower bound is ``floor(t) + 1`` (for the integer thresholds
-        ``fit`` produces this equals ``t + 1``; for non-integer thresholds —
-        trees fitted on float data — ``t + 1`` would leave the integers in
-        ``(t, t + 1)`` covered by no box).
+        index i, needed to encode the tree as TCAM range rules; a leaf no
+        in-domain key reaches has ``lo > hi`` somewhere.
         """
-        boxes: list[list[tuple[float, float]] | None] = [None] * self.n_leaves
-        start = [(lo, hi)] * self.dim
+        return np.maximum(self._box_lo, lo), np.minimum(self._box_hi, hi)
 
-        def walk(node, bounds):
-            if isinstance(node, int):
-                boxes[node] = list(bounds)
-                return
-            f, t = node.feature, node.threshold
-            left_bounds = list(bounds)
-            left_bounds[f] = (bounds[f][0], min(bounds[f][1], t))
-            right_bounds = list(bounds)
-            right_bounds[f] = (max(bounds[f][0], float(np.floor(t)) + 1),
-                               bounds[f][1])
-            walk(node.left, left_bounds)
-            walk(node.right, right_bounds)
-
-        walk(self.root, start)
-        return boxes  # type: ignore[return-value]
+    def leaf_prefix_covers(self, key_bits: int, signed: bool) -> list[list | None]:
+        """Per leaf, the prefix cover of its box on every dimension in the
+        excess-K key domain — or None for a leaf that holds no key."""
+        lo, hi = key_domain(key_bits, signed)
+        box_lo, box_hi = self.leaf_boxes(lo=lo, hi=hi)
+        first = np.clip(np.ceil(box_lo), lo, hi).astype(np.int64) - lo
+        last = np.clip(np.floor(box_hi), lo, hi).astype(np.int64) - lo
+        return [None if (a > b).any() else
+                [range_to_prefixes(int(p), int(q), key_bits) for p, q in zip(a, b)]
+                for a, b in zip(first, last)]
 
     def tcam_entries(self, key_bits: int = 8, signed: bool = False) -> int:
         """TCAM entry count to implement this tree as range rules.
@@ -222,38 +331,18 @@ class FuzzyTree:
                    self._tcam_entries_levelwise(key_bits, signed))
 
     def _tcam_entries_flat(self, key_bits: int, signed: bool) -> int:
-        lo = -(1 << (key_bits - 1)) if signed else 0
-        hi = lo + (1 << key_bits) - 1
-        total = 0
-        for box in self.leaf_boxes(lo=lo, hi=hi):
-            product = 1
-            for (b_lo, b_hi) in box:
-                b_lo_i = int(np.clip(np.ceil(b_lo), lo, hi))
-                b_hi_i = int(np.clip(np.floor(b_hi), lo, hi))
-                if b_lo_i > b_hi_i:
-                    product = 0
-                    break
-                product *= len(range_to_prefixes(b_lo_i - lo, b_hi_i - lo, key_bits))
-            total += product
-        return total
+        return sum(math.prod(len(cover) for cover in covers)
+                   for covers in self.leaf_prefix_covers(key_bits, signed)
+                   if covers is not None)
+
+    def levelwise_boundaries(self, key_bits: int, signed: bool) -> np.ndarray:
+        """Per internal node, the last excess-K key that still goes left:
+        integer keys route left iff ``key <= floor(threshold)``."""
+        lo, hi = key_domain(key_bits, signed)
+        return np.clip(np.floor(self.threshold[:self.n_internal]),
+                       lo, hi).astype(np.int64) - lo
 
     def _tcam_entries_levelwise(self, key_bits: int, signed: bool) -> int:
-        lo = -(1 << (key_bits - 1)) if signed else 0
-        hi = lo + (1 << key_bits) - 1
-
-        def walk(node) -> int:
-            if isinstance(node, int):
-                return 0
-            t = int(np.clip(np.floor(node.threshold), lo, hi))
-            # One CRC-coded "x <= t" rule set plus a catch-all per node.
-            return (len(range_to_prefixes(0, t - lo, key_bits)) + 1
-                    + walk(node.left) + walk(node.right))
-
-        return walk(self.root)
-
-    def depth(self) -> int:
-        def walk(node):
-            if isinstance(node, int):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
+        # One CRC-coded "x <= t" rule set plus a catch-all per node.
+        return sum(len(range_to_prefixes(0, int(b), key_bits)) + 1
+                   for b in self.levelwise_boundaries(key_bits, signed))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import CompilationError, ConfigError, ShapeError
-from repro.core.fuzzy import FuzzyTree
+from repro.core.fuzzy import FuzzyTree, key_domain
 from repro.core.primitives import MapStep, PrimitiveProgram, SumReduceStep
 from repro.utils.fixed_point import QFormat, choose_qformat
 
@@ -67,10 +67,6 @@ class SegmentTable:
     # compilation once per table, not per batch.
     _tcam: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    # Lazily built per-leaf integer boxes (fuzzy tables): the cell-box
-    # certificates the two-level decision cache verifies hits against.
-    _leaf_boxes_int: tuple | None = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     @property
     def out_dim(self) -> int:
@@ -115,6 +111,12 @@ class SegmentTable:
         return self.tcam_segment(pruned=pruned).lookup_indices(x_seg,
                                                                pruned=pruned)
 
+    def set_thresholds(self, thresholds: np.ndarray) -> None:
+        """Move the tree's thresholds and drop the TCAM forms compiled from
+        the old ones (fuzzy tables; the fine-tuner's only way in)."""
+        self.tree.set_thresholds(thresholds)
+        self._tcam.clear()
+
     def fuzzy_indices(self, x_seg: np.ndarray) -> np.ndarray:
         """The raw fuzzy index (used when per-flow state stores indexes)."""
         if self.kind != "fuzzy":
@@ -134,16 +136,8 @@ class SegmentTable:
         """
         if self.kind != "fuzzy":
             raise CompilationError("only fuzzy tables have leaf boxes")
-        if self._leaf_boxes_int is None:
-            key_lo = -(1 << (self.in_bits - 1)) if self.in_signed else 0
-            key_hi = key_lo + (1 << self.in_bits) - 1
-            boxes = self.tree.leaf_boxes(lo=key_lo, hi=key_hi)
-            lo = np.asarray([[int(np.ceil(b_lo)) for (b_lo, _) in box]
-                             for box in boxes], dtype=np.int64)
-            hi = np.asarray([[int(np.floor(b_hi)) for (_, b_hi) in box]
-                             for box in boxes], dtype=np.int64)
-            self._leaf_boxes_int = (lo, hi)
-        return self._leaf_boxes_int
+        lo, hi = self.tree.leaf_boxes(*key_domain(self.in_bits, self.in_signed))
+        return np.ceil(lo).astype(np.int64), np.floor(hi).astype(np.int64)
 
     def cell_box(self, x_seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive (lo, hi) box per row on which this table is constant.

@@ -14,7 +14,6 @@ from itertools import product
 
 import numpy as np
 
-from repro.core.crc import range_to_prefixes
 from repro.core.fuzzy import FuzzyTree
 
 
@@ -38,20 +37,9 @@ def ternary_entries_for_tree(tree: FuzzyTree, key_bits: int = 8,
     Signed keys use excess-K encoding: the dataplane matches
     ``key + 2^(bits-1)`` so numeric order maps to unsigned order.
     """
-    lo = -(1 << (key_bits - 1)) if signed else 0
-    hi = lo + (1 << key_bits) - 1
     entries: list[TernaryTableEntry] = []
-    for leaf, box in enumerate(tree.leaf_boxes(lo=lo, hi=hi)):
-        per_dim = []
-        empty = False
-        for b_lo, b_hi in box:
-            lo_i = int(np.clip(np.ceil(b_lo), lo, hi))
-            hi_i = int(np.clip(np.floor(b_hi), lo, hi))
-            if lo_i > hi_i:
-                empty = True
-                break
-            per_dim.append(range_to_prefixes(lo_i - lo, hi_i - lo, key_bits))
-        if empty:
+    for leaf, per_dim in enumerate(tree.leaf_prefix_covers(key_bits, signed)):
+        if per_dim is None:
             continue
         for combo in product(*per_dim):
             entries.append(TernaryTableEntry(

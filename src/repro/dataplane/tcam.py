@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.crc import PrioritizedEntry, TernaryMatch, consecutive_range_coding
-from repro.core.fuzzy import FuzzyNode, FuzzyTree
+from repro.core.fuzzy import FuzzyTree, key_domain
 from repro.errors import CompilationError, ShapeError
 from repro.dataplane.tables import ternary_entries_for_tree
 
@@ -51,11 +51,6 @@ TCAM_ENCODINGS = ("auto", "flat", "levelwise", "pruned")
 # two-stage 60-dim extractor), in which case it keeps levelwise and pruning
 # is a no-op. Decisions are unaffected either way.
 PRUNED_MAX_FLAT_ENTRIES = 1 << 14
-
-
-def _domain(key_bits: int, signed: bool) -> tuple[int, int]:
-    lo = -(1 << (key_bits - 1)) if signed else 0
-    return lo, lo + (1 << key_bits) - 1
 
 
 def encode_keys(x: np.ndarray, key_bits: int, signed: bool) -> np.ndarray:
@@ -70,7 +65,7 @@ def encode_keys(x: np.ndarray, key_bits: int, signed: bool) -> np.ndarray:
         if not np.all(np.floor(x) == x):
             raise ShapeError("TCAM keys must be integral")
     x = x.astype(np.int64)
-    lo, hi = _domain(key_bits, signed)
+    lo, hi = key_domain(key_bits, signed)
     return np.clip(x, lo, hi) - lo
 
 
@@ -349,16 +344,6 @@ class PackedTernaryTable:
 
 
 @dataclass
-class LevelwiseNode:
-    """One internal tree node as a single-field CRC table (0=left, 1=right)."""
-
-    feature: int
-    table: PackedTernaryTable
-    left: "LevelwiseNode | int"
-    right: "LevelwiseNode | int"
-
-
-@dataclass
 class TcamSegment:
     """One fuzzy segment compiled to its prioritized-TCAM execution form.
 
@@ -375,7 +360,12 @@ class TcamSegment:
     n_leaves: int
     dim: int
     flat: PackedTernaryTable | None = None
-    root: "LevelwiseNode | int | None" = None
+    # Levelwise: one single-field CRC table (0 = left, 1 = right) per internal
+    # node, in the tree's node order, walked over the tree's own
+    # ``feature`` / ``child`` arrays.
+    levels: list[PackedTernaryTable] = field(default_factory=list)
+    feature: np.ndarray | None = None
+    child: np.ndarray | None = None
     _flat_count: int = field(default=0, repr=False)
     _levelwise_count: int = field(default=0, repr=False)
 
@@ -392,7 +382,6 @@ class TcamSegment:
         if encoding not in TCAM_ENCODINGS:
             msg = f"unknown TCAM encoding {encoding!r}; expected one of {TCAM_ENCODINGS}"
             raise CompilationError(msg)
-        lo, hi = _domain(key_bits, signed)
         flat_count = tree._tcam_entries_flat(key_bits, signed)
         levelwise_count = tree._tcam_entries_levelwise(key_bits, signed)
         if encoding == "auto":
@@ -426,27 +415,15 @@ class TcamSegment:
                 signed=signed,
             )
         else:
-            seg.root = cls._compile_levelwise(tree.root, key_bits, signed, lo, hi)
+            # CRC codes each node's left/right boundary in the encoded
+            # (excess-K) domain.
+            seg.levels = [
+                PackedTernaryTable.from_prioritized(
+                    consecutive_range_coding([int(b)], key_bits), key_bits,
+                    signed=signed)
+                for b in tree.levelwise_boundaries(key_bits, signed)]
+            seg.feature, seg.child = tree.feature, tree.child
         return seg
-
-    @staticmethod
-    def _compile_levelwise(
-        node: FuzzyNode | int, key_bits: int, signed: bool, lo: int, hi: int
-    ) -> "LevelwiseNode | int":
-        if isinstance(node, int):
-            return node
-        # Integer keys route left iff key <= floor(threshold); CRC codes
-        # exactly that boundary in the encoded (excess-K) domain.
-        boundary = int(np.clip(np.floor(node.threshold), lo, hi)) - lo
-        table = PackedTernaryTable.from_prioritized(
-            consecutive_range_coding([boundary], key_bits), key_bits, signed=signed
-        )
-        return LevelwiseNode(
-            feature=node.feature,
-            table=table,
-            left=TcamSegment._compile_levelwise(node.left, key_bits, signed, lo, hi),
-            right=TcamSegment._compile_levelwise(node.right, key_bits, signed, lo, hi),
-        )
 
     @property
     def n_entries(self) -> int:
@@ -471,35 +448,22 @@ class TcamSegment:
         if self.encoding == "flat":
             return self.flat.lookup_encoded(enc, pruned=pruned)
         out = np.empty(len(enc), dtype=np.int64)
-        self._walk(self.root, np.arange(len(enc)), enc, out)
+        n_internal = len(self.levels)
+        pending = [(0, np.arange(len(enc)))]
+        while pending:
+            node, rows = pending.pop()
+            if node >= n_internal:
+                out[rows] = node - n_internal
+            elif len(rows):
+                side = self.levels[node].lookup_encoded(
+                    enc[rows, self.feature[node]])
+                pending.append((self.child[2 * node + 1], rows[side == 1]))
+                pending.append((self.child[2 * node], rows[side == 0]))
         return out
-
-    def _walk(
-        self, node: "LevelwiseNode | int", rows: np.ndarray, enc: np.ndarray, out: np.ndarray
-    ) -> None:
-        if isinstance(node, int):
-            out[rows] = node
-            return
-        if len(rows) == 0:
-            return
-        side = node.table.lookup_encoded(enc[rows, node.feature])
-        self._walk(node.left, rows[side == 0], enc, out)
-        self._walk(node.right, rows[side == 1], enc, out)
 
     def node_tables(self) -> list[PackedTernaryTable]:
         """Every materialized table (one for flat, one per node otherwise)."""
-        if self.encoding == "flat":
-            return [self.flat]
-        tables: list[PackedTernaryTable] = []
-
-        def walk(node):
-            if isinstance(node, LevelwiseNode):
-                tables.append(node.table)
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return tables
+        return [self.flat] if self.encoding == "flat" else self.levels
 
 
 def compile_segment_table(table, encoding: str = "auto") -> TcamSegment:

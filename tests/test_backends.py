@@ -110,3 +110,35 @@ class TestEbpfEmission:
         compiled, _ = compiled_and_data
         source = emit_ebpf(compiled)
         assert source.count("{") == source.count("}")
+
+    def test_source_and_accounting_pinned(self, compiled_and_data):
+        """The emitted program and the resource accounting are functions of
+        the fitted trees alone: byte-identical across tree representations
+        (digest and counts taken from the node-object trees of PR 11)."""
+        import hashlib
+        compiled, _ = compiled_and_data
+        digest = hashlib.sha256(emit_ebpf(compiled).encode()).hexdigest()
+        assert digest == ("3aab32eb1ef24354df384687feed032e"
+                          "2ec10b24421efad5eb5568230029d3cc")
+        assert (compiled.sram_bits(), compiled.tcam_bits()) == (960, 5056)
+
+    def test_comparison_tree_is_preorder_nesting(self, compiled_and_data):
+        """The stack-driven emitter against the obvious recursive one."""
+        from repro.backends.ebpf import _emit_tree
+        compiled, _ = compiled_and_data
+        tree = next(t.tree for t in compiled.layers[0].tables if t.kind == "fuzzy")
+
+        def nested(node, depth):
+            pad = "    " * depth
+            if node >= tree.n_internal:
+                return [f"{pad}idx = {node - tree.n_internal};"]
+            return ([f"{pad}if (seg[{tree.feature[node]}] <= "
+                     f"{int(tree.threshold[node])}) {{"]
+                    + nested(tree.child[2 * node], depth + 1)
+                    + [f"{pad}}} else {{"]
+                    + nested(tree.child[2 * node + 1], depth + 1)
+                    + [f"{pad}}}"])
+
+        lines: list[str] = []
+        _emit_tree(tree, 2, lines)
+        assert lines == nested(0, 2)

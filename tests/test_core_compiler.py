@@ -152,3 +152,30 @@ class TestRefinement:
         tuner.fit(x, targets, epochs=20, tune_thresholds=False)
         after = self._mean_err(model, x, targets)
         assert after < before * 1.5  # must not blow up; usually improves
+
+    def test_moved_thresholds_reach_every_compiled_form(self):
+        """Regression: fine-tuning moves thresholds in place, so the TCAM
+        entries and the certificate boxes compiled from the old thresholds
+        must not survive it. After the fit the tree, both TCAM kernels and
+        the leaf boxes agree on every integer key of each 2-D table."""
+        model, x, targets = self._materialized_matmul(leaves=8)
+        layer = model.layers[0]
+        before = [t.tree.threshold.copy() for t in layer.tables]
+        for table in layer.tables:          # warm every form on the old thresholds
+            table.tcam_indices(x[:4, :2])
+            table.tcam_indices(x[:4, :2], pruned=True)
+            table.leaf_box_arrays()
+        SoftTreeFineTuner(layer, lr_values=0.05, lr_thresholds=0.2).fit(
+            x, targets, epochs=15, tune_thresholds=True)
+        assert any(not np.array_equal(t.tree.threshold, b)
+                   for t, b in zip(layer.tables, before))   # premise: they moved
+        keys = np.stack(np.meshgrid(np.arange(256), np.arange(256)), -1).reshape(-1, 2)
+        for table in layer.tables:
+            want = table.tree.predict_index(keys)
+            np.testing.assert_array_equal(table.tcam_indices(keys), want)
+            np.testing.assert_array_equal(table.tcam_indices(keys, pruned=True), want)
+            lo, hi = table.leaf_box_arrays()
+            assert ((lo[want] <= keys) & (keys <= hi[want])).all()
+            cells = np.where((lo <= hi).all(axis=1),
+                             (hi - lo + 1).prod(axis=1), 0)
+            assert cells.sum() == len(keys)     # the boxes tile the domain

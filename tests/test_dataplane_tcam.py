@@ -149,7 +149,42 @@ class TestTcamSegment:
             assert packed.lookup(keys).tolist() == scalar
 
 
+# Per fuzzy table of the compiled16 fixture: chosen encoding, materialized /
+# flat / levelwise entry counts, and a digest of the flat ternary entry list —
+# taken from the node-object trees of PR 11, so any tree representation must
+# reproduce them byte for byte.
+COMPILED16_TABLES = [
+    ("levelwise", 71, 362, 71, "377993d5bb815994"),
+    ("levelwise", 71, 327, 71, "f98c36c9454a1edd"),
+    ("levelwise", 69, 373, 69, "cea042740815dfd8"),
+    ("levelwise", 69, 260, 69, "93d48400e6c73d28"),
+    ("levelwise", 78, 393, 78, "dbbba4cbe4fdb3ad"),
+    ("levelwise", 74, 369, 74, "ede41da181adc2ae"),
+    ("levelwise", 70, 377, 70, "d0c36df9741e833b"),
+    ("levelwise", 84, 398, 84, "cfae4f7932e66f3d"),
+    ("levelwise", 63, 3411, 63, "f74fc3e125598aa6"),
+]
+
+
 class TestCompiledModelBackend:
+    def test_derived_outputs_pinned(self, compiled16):
+        import hashlib
+        from repro.dataplane.tables import ternary_entries_for_tree
+        fuzzy = [t for layer in compiled16.layers for t in layer.tables
+                 if t.kind == "fuzzy"]
+        got = []
+        for table, row in zip(fuzzy, tcam_table_report(compiled16)):
+            entries = ternary_entries_for_tree(table.tree, table.in_bits,
+                                               table.in_signed)
+            assert len(entries) == row["entries_flat"]
+            assert table.tree.tcam_entries(table.in_bits, table.in_signed) \
+                == min(row["entries_flat"], row["entries_levelwise"])
+            got.append((row["encoding"], row["entries"], row["entries_flat"],
+                        row["entries_levelwise"],
+                        hashlib.sha256(repr(entries).encode()).hexdigest()[:16]))
+        assert got == COMPILED16_TABLES
+        assert (compiled16.sram_bits(), compiled16.tcam_bits()) == (8576, 26816)
+
     def test_forward_int_backends_bit_identical(self, compiled16):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 256, size=(400, 16))
