@@ -1,7 +1,8 @@
 """``thread-shared-state``: producer/consumer shared state must be guarded.
 
-The :class:`repro.serving.openloop.OpenLoopPump` contract — and that of any
-future thread-pumped component — is that state written from the spawned
+The contract of any thread-pumped component (the shape
+:class:`repro.serving.openloop.OpenLoopPump` had while it ran a producer
+thread) is that state written from the spawned
 thread and touched by the spawning side is either **lock-guarded** (both
 sides access it under the same ``threading.Lock``) or **mediated by a
 thread-safe object** (``queue.Queue``, ``threading.Event``, the locks
@@ -16,7 +17,7 @@ call site:
   touches. Guarded means inside ``with self.<lock>:`` where ``<lock>`` is
   an attribute assigned ``threading.Lock()`` / ``RLock()`` (or whose name
   contains ``lock``).
-- ``target=local_function`` (closure pump, the OpenLoopPump shape) — the
+- ``target=local_function`` (closure pump) — the
   thread body is the nested def; shared state is every enclosing-scope name
   it mutates (nonlocal rebinding, subscript/attribute stores, or mutating
   method calls such as ``.append``). Guarded means inside ``with <lock>:``

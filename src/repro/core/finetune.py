@@ -47,7 +47,7 @@ def refine_values_least_squares(layer: LookupLayer, calib_int: np.ndarray,
     for table in layer.tables:
         seg = calib_int[:, table.segment[0]:table.segment[1]]
         if table.kind == "fuzzy":
-            idx = table.tree.predict_index(seg)
+            idx = table.fuzzy_indices(seg)
         else:
             idx = np.clip(seg[:, 0] - table.exact_lo, 0, table.n_entries - 1)
         hot = np.zeros((n, table.n_entries))

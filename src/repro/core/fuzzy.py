@@ -300,6 +300,24 @@ class FuzzyTree:
         """
         return np.maximum(self._box_lo, lo), np.minimum(self._box_hi, hi)
 
+    def leaf_grid(self, lo: int, hi: int) -> np.ndarray | None:
+        """``leaf_of[key]`` for every integer key of the domain ``[lo, hi]^dim``
+        (flat, first dimension most significant), painted from the leaf
+        boxes — or None when clamping a key into the domain could change its
+        leaf, i.e. unless every internal threshold has ``lo <= t < hi``.
+        """
+        t = self.threshold[:self.n_internal]
+        if not np.all((t >= lo) & (t < hi)):
+            return None
+        box_lo, box_hi = self.leaf_boxes(lo, hi)
+        first = np.ceil(box_lo).astype(np.int64) - lo
+        stop = np.floor(box_hi).astype(np.int64) - lo + 1
+        grid = np.empty((hi - lo + 1,) * self.dim,
+                        dtype=np.min_scalar_type(self.n_leaves - 1))
+        for leaf in range(self.n_leaves):
+            grid[tuple(map(slice, first[leaf], stop[leaf]))] = leaf
+        return grid.ravel()
+
     def leaf_prefix_covers(self, key_bits: int, signed: bool) -> list[list | None]:
         """Per leaf, the prefix cover of its box on every dimension in the
         excess-K key domain — or None for a leaf that holds no key."""

@@ -22,7 +22,8 @@ from repro.utils.fixed_point import QFormat, choose_qformat
 
 
 # Lookup execution backends of a compiled model. "index" answers every table
-# by exact fancy indexing (exact tables) / tree walk (fuzzy tables); "tcam"
+# by exact fancy indexing (exact tables) / leaf grid or tree walk (fuzzy
+# tables, see SegmentTable._grid); "tcam"
 # answers fuzzy tables through the vectorized prioritized-TCAM emulation in
 # :mod:`repro.dataplane.tcam` — bit-identical by construction, but executing
 # the very (value, mask, priority) entries the hardware would hold.
@@ -32,6 +33,10 @@ from repro.utils.fixed_point import QFormat, choose_qformat
 # table — still first-match-identical. Exact tables are direct-indexed SRAM
 # on the switch too, so every backend indexes them.
 LOOKUP_BACKENDS = ("index", "tcam", "tcam-pruned")
+
+# Fuzzy tables whose whole key domain fits this many bits (d * in_bits: at
+# most 65,536 cells, 64 KiB of uint8 leaves) get a leaf grid.
+GRID_KEY_BITS = 16
 
 
 def _check_backend(lookup_backend: str) -> None:
@@ -67,6 +72,24 @@ class SegmentTable:
     # compilation once per table, not per batch.
     _tcam: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    # ``leaf_of[packed key]`` over the whole key domain of a fuzzy table
+    # (:meth:`FuzzyTree.leaf_grid`), or None when the domain is too large or
+    # clamping into it is not leaf-preserving. Derived from the tree arrays
+    # like ``_tcam`` but built eagerly — here and in :meth:`set_thresholds` —
+    # so no serve pays for it.
+    _grid: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def __post_init__(self):
+        self._refresh_grid()
+
+    def _refresh_grid(self) -> None:
+        self._grid = None
+        d = self.segment[1] - self.segment[0]
+        if (self.kind == "fuzzy" and self.tree.dim == d
+                and d * self.in_bits <= GRID_KEY_BITS):
+            self._grid = self.tree.leaf_grid(
+                *key_domain(self.in_bits, self.in_signed))
 
     @property
     def out_dim(self) -> int:
@@ -89,7 +112,7 @@ class SegmentTable:
             return self.values_int[self.tcam_indices(x_seg)]
         if lookup_backend == "tcam-pruned":
             return self.values_int[self.tcam_indices(x_seg, pruned=True)]
-        return self.values_int[self.tree.predict_index(x_seg)]
+        return self.values_int[self.fuzzy_indices(x_seg)]
 
     def tcam_segment(self, pruned: bool = False):
         """The cached prioritized-TCAM form of this (fuzzy) table.
@@ -112,16 +135,33 @@ class SegmentTable:
                                                                pruned=pruned)
 
     def set_thresholds(self, thresholds: np.ndarray) -> None:
-        """Move the tree's thresholds and drop the TCAM forms compiled from
-        the old ones (fuzzy tables; the fine-tuner's only way in)."""
+        """Move the tree's thresholds, drop the TCAM forms compiled from the
+        old ones and rebuild the leaf grid (fuzzy tables; the fine-tuner's
+        only way in)."""
         self.tree.set_thresholds(thresholds)
         self._tcam.clear()
+        self._refresh_grid()
 
     def fuzzy_indices(self, x_seg: np.ndarray) -> np.ndarray:
-        """The raw fuzzy index (used when per-flow state stores indexes)."""
+        """The raw fuzzy index (used when per-flow state stores indexes).
+
+        The table's one index entry point: integer-typed ``(N, d)`` keys of
+        a table with a leaf grid are clamped to the key domain, packed and
+        answered by one gather; anything else walks the tree. The two agree
+        on every integer key, in the domain or outside it.
+        """
         if self.kind != "fuzzy":
             raise CompilationError("only fuzzy tables have fuzzy indices")
-        return self.tree.predict_index(x_seg)
+        x = np.asarray(x_seg)
+        if (self._grid is None or x.ndim != 2 or x.shape[1] != self.tree.dim
+                or not np.can_cast(x.dtype, np.int64)):
+            return self.tree.predict_index(x_seg)
+        lo, hi = key_domain(self.in_bits, self.in_signed)
+        x = np.clip(x.astype(np.int64, copy=False), lo, hi)
+        key = x[:, 0] - lo
+        for j in range(1, x.shape[1]):
+            key = (key << self.in_bits) + (x[:, j] - lo)
+        return self._grid[key].astype(np.int64)
 
     # -- cell-box certificates -----------------------------------------------
 
@@ -151,7 +191,7 @@ class SegmentTable:
         if self.kind == "exact":
             return x_seg.copy(), x_seg.copy()
         lo, hi = self.leaf_box_arrays()
-        idx = self.tree.predict_index(x_seg)
+        idx = self.fuzzy_indices(x_seg)
         return lo[idx], hi[idx]
 
     # -- resource accounting -------------------------------------------------
@@ -174,6 +214,66 @@ class SegmentTable:
         return self.out_dim * self.out_format.total_bits
 
 
+@dataclass(frozen=True)
+class _GridPlan:
+    """The leaf grids of one layer's tables, fused into one gather.
+
+    ``cols``/``lo``/``hi``/``weights`` are ``(d_max, n_fused)``: entry
+    ``[p, k]`` describes dimension ``p`` of fused table ``k`` (tables of
+    fewer dimensions are padded with weight 0). A fused table's leaf is
+    ``leaf_of[sum_p clip(x[cols[p, k]]) * weights[p, k] + offsets[k]]`` —
+    its own packed key, shifted to its grid's place in ``leaf_of``.
+    """
+
+    grids: tuple                # per layer table: its ``_grid`` at build
+    cols: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    leaf_of: np.ndarray | None  # None: no table of the layer has a grid
+
+    @classmethod
+    def build(cls, tables: list[SegmentTable]) -> "_GridPlan":
+        fused = [t for t in tables if t._grid is not None]
+        widths = [t.segment[1] - t.segment[0] for t in fused]
+        shape = (max(widths, default=0), len(fused))
+        cols, lo, hi, weights = (np.zeros(shape, dtype=np.int64)
+                                 for _ in range(4))
+        offsets = np.zeros(len(fused), dtype=np.int64)
+        cells = 0
+        for k, (t, d) in enumerate(zip(fused, widths)):
+            cols[:, k] = t.segment[0]
+            cols[:d, k] = np.arange(*t.segment)
+            lo[:d, k], hi[:d, k] = key_domain(t.in_bits, t.in_signed)
+            weights[:d, k] = 1 << (t.in_bits * np.arange(d - 1, -1, -1))
+            offsets[k] = cells - (lo[:, k] * weights[:, k]).sum()
+            cells += len(t._grid)
+        return cls(
+            grids=tuple(t._grid for t in tables),
+            cols=cols, lo=lo, hi=hi, weights=weights, offsets=offsets,
+            leaf_of=np.concatenate([t._grid for t in fused]) if fused else None)
+
+    def stale(self, tables: list[SegmentTable]) -> bool:
+        """A table was added, replaced or got new thresholds since build."""
+        return (len(tables) != len(self.grids)
+                or any(t._grid is not g for t, g in zip(tables, self.grids)))
+
+    def leaves(self, x: np.ndarray) -> list[np.ndarray | None]:
+        """Per layer table, the fuzzy indices of an integer-typed ``(N, d)``
+        batch — None for a table without a grid."""
+        if self.leaf_of is None:
+            return [None] * len(self.grids)
+        xg = x[:, self.cols].astype(np.int64, copy=False)   # a copy either way
+        np.clip(xg, self.lo, self.hi, out=xg)
+        xg *= self.weights
+        keys = self.offsets + xg[:, 0]
+        for p in range(1, xg.shape[1]):
+            keys += xg[:, p]
+        fused = iter(self.leaf_of[keys].T)
+        return [None if g is None else next(fused) for g in self.grids]
+
+
 @dataclass
 class LookupLayer:
     """One fused Map(+SumReduce) round: parallel segment lookups, then sum/concat."""
@@ -181,6 +281,10 @@ class LookupLayer:
     tables: list[SegmentTable]
     sum_reduce: bool
     out_format: QFormat
+    _plan: _GridPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._plan = _GridPlan.build(self.tables)
 
     @property
     def out_dim(self) -> int:
@@ -194,9 +298,23 @@ class LookupLayer:
 
     def forward_int(self, x_int: np.ndarray,
                     lookup_backend: str = "index") -> np.ndarray:
-        """Integer-domain forward pass (bit-exact with the switch pipeline)."""
+        """Integer-domain forward pass (bit-exact with the switch pipeline).
+
+        Under the ``"index"`` backend every table with a leaf grid is
+        indexed by the layer's one fused gather (:class:`_GridPlan`); the
+        rest — exact tables, fuzzy tables that still traverse, the TCAM
+        backends, non-integer inputs — go through :meth:`SegmentTable.lookup`.
+        """
+        x_int = np.asarray(x_int)
+        leaves = [None] * len(self.tables)
+        if lookup_backend == "index" and np.can_cast(x_int.dtype, np.int64):
+            if self._plan.stale(self.tables):
+                self._plan = _GridPlan.build(self.tables)
+            leaves = self._plan.leaves(x_int)
         outs = [t.lookup(x_int[:, t.segment[0]:t.segment[1]],
-                         lookup_backend=lookup_backend) for t in self.tables]
+                         lookup_backend=lookup_backend)
+                if leaf is None else t.values_int[leaf]
+                for t, leaf in zip(self.tables, leaves)]
         if self.sum_reduce:
             acc = np.zeros_like(outs[0], dtype=np.int64)
             for o in outs:

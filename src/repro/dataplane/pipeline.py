@@ -14,13 +14,14 @@ Rules, mirroring how PISA compilers allocate:
 - Each stage has hard SRAM / TCAM budgets; the action-data bus is charged in
   the stage that delivers a table's result.
 
-``Pipeline.process`` executes packets bit-exactly like
-``CompiledModel.forward_int`` (asserted by tests): integer-only lookups and
-saturating accumulator adds.
+``Pipeline.process`` checks that every table is placed and then executes
+packets through ``CompiledModel.forward_int`` itself: integer-only lookups
+and saturating accumulator adds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,42 +78,18 @@ class Pipeline:
         return max((self.stage_bus_used(s) for s in range(self.n_stages_used)), default=0)
 
     def process(self, x_int: np.ndarray) -> np.ndarray:
-        """Execute a batch through the placed pipeline, layer round by round.
-
-        Like :meth:`CompiledModel.forward_int`, results are batch-size
-        invariant (integer-only lookups and saturating adds), so the batched
-        runtimes can hand a whole trace batch to one placed pipeline call.
+        """Execute a batch through the placed pipeline: every table of every
+        round must have a placement, then the rounds run as
+        :meth:`CompiledModel.forward_int` runs them (batch-size invariant, so
+        the batched runtimes can hand a whole trace batch to one call).
         """
-        x = np.asarray(x_int, dtype=np.int64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[0] == 0:
-            out_dim = self.model.layers[-1].out_dim if self.model.layers \
-                else self.model.input_dim
-            return np.zeros((0, out_dim), dtype=np.int64)
-        by_layer: dict[int, list[TablePlacement]] = {}
-        for p in self.placements:
-            by_layer.setdefault(p.layer_index, []).append(p)
-        current = x
+        placed = Counter(p.layer_index for p in self.placements)
         for layer_idx, layer in enumerate(self.model.layers):
-            placements = by_layer.get(layer_idx, [])
-            if len(placements) != len(layer.tables):
+            if placed[layer_idx] != len(layer.tables):
                 raise PipelineError(
-                    f"layer {layer_idx}: {len(placements)} of {len(layer.tables)} "
-                    "tables placed")
-            results = []
-            for p in placements:
-                seg = p.table.segment
-                results.append(p.table.lookup(current[:, seg[0]:seg[1]]))
-            if layer.sum_reduce:
-                acc = np.zeros((len(x), layer.out_dim), dtype=np.int64)
-                for r in results:
-                    acc += r
-                current = np.clip(acc, layer.out_format.int_min, layer.out_format.int_max)
-            else:
-                order = np.argsort([p.table.segment[0] for p in placements])
-                current = np.concatenate([results[i] for i in order], axis=1)
-        return current
+                    f"layer {layer_idx}: {placed[layer_idx]} of "
+                    f"{len(layer.tables)} tables placed")
+        return self.model.forward_int(x_int)
 
     def predict(self, x_int: np.ndarray) -> np.ndarray:
         return np.argmax(self.process(x_int), axis=1)

@@ -123,6 +123,16 @@ def flows_to_trace(flows: list[Flow]) -> tuple[Trace, list, np.ndarray]:
     return trace, keys, labels
 
 
+def _emit_decisions(out: list[PacketDecision], labels: np.ndarray,
+                    preds: np.ndarray, ts: np.ndarray, rows: np.ndarray,
+                    base: int) -> None:
+    """Append the decision of every window-complete row of a batch:
+    ``preds[k]`` belongs to batch row ``rows[k]``, packet ``base + rows[k]``
+    of the trace. Columns convert to Python scalars once, not per field."""
+    out.extend(map(PacketDecision, labels[rows].tolist(), preds.tolist(),
+                   ts[rows].tolist(), (rows + base).tolist()))
+
+
 def _group_structure(slots: np.ndarray):
     """Per-batch flow grouping: who else in this batch shares my flow slot.
 
@@ -709,10 +719,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
                 features_rows=lambda rows: self._features_batch(
                     ready_len[rows], ready_ipd[rows]),
                 predict_feats=self._model_predict)
-            for k, i in enumerate(ready_rows):
-                out.append(PacketDecision(flow_label=int(labels[i]),
-                                          predicted=int(preds[k]),
-                                          ts=float(ts[i]), seq=base + int(i)))
+            _emit_decisions(out, labels, preds, ts, ready_rows, base)
 
         c["len_hist"][uniq] = win_len[last_idx, 1:]
         c["ipd_hist"][uniq] = win_ipd[last_idx, 1:]
@@ -923,10 +930,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
                 lambda rows: self._predict_windows(ready_win[rows]),
                 features_rows=lambda rows: ready_win[rows],
                 predict_feats=self._predict_windows)
-            for k, i in enumerate(ready_rows):
-                out.append(PacketDecision(flow_label=int(labels[i]),
-                                          predicted=int(preds[k]),
-                                          ts=float(ts[i]), seq=base + int(i)))
+            _emit_decisions(out, labels, preds, ts, ready_rows, base)
 
         c["idx_hist"][uniq] = win_idx[last_idx, 1:]
         if self.needs_ipd:

@@ -259,7 +259,9 @@ def run_batched_throughput(flows_per_class: int = 120, seed: int = 0,
     flush on batch-full; a trace-time timeout would trade latency for
     amortization). Each measurement rebuilds a fresh engine so flow state
     starts cold; best of ``repeats`` runs. Returns per-config pps plus
-    ``speedup_256_vs_1``, the tentpole's batching win.
+    ``speedup_256_vs_1``, the tentpole's batching win, and
+    ``small_batch_efficiency = pps[32] / pps[256]``: the share of that win
+    a latency-sized batch keeps (fixed per-call cost pulls it down).
     """
     from repro.serving import EngineConfig, PegasusEngine
 
@@ -296,6 +298,9 @@ def run_batched_throughput(flows_per_class: int = 120, seed: int = 0,
     if 1 in results["batch"] and 256 in results["batch"]:
         results["speedup_256_vs_1"] = \
             results["batch"][256]["pps"] / results["batch"][1]["pps"]
+    if 32 in results["batch"] and 256 in results["batch"]:
+        results["small_batch_efficiency"] = \
+            results["batch"][32]["pps"] / results["batch"][256]["pps"]
     return results
 
 
@@ -398,7 +403,8 @@ def run_tcam_equivalence(flows_per_class: int = 120, seed: int = 0,
        rows, fed scalar through :func:`repro.core.crc.lookup_prioritized`,
        agree with the vectorized masked-compare engine on sampled keys;
     2. **table level** — TCAM fuzzy indices equal the tree walk on in-domain
-       *and* out-of-domain keys (the fixed-width key clamp);
+       *and* out-of-domain keys (the fixed-width key clamp), and so does
+       the index backend's leaf grid (no clamp: it agrees out of domain);
     3. **serving level** — the full matrix of workers {1,2,4} x cache on/off
        x ``sharded``/``parallel`` :class:`~repro.serving.PegasusEngine`
        topologies with ``lookup_backend="tcam"`` reproduces the
@@ -411,6 +417,7 @@ def run_tcam_equivalence(flows_per_class: int = 120, seed: int = 0,
 
     from repro.dataplane.tcam import tcam_table_report
     from repro.core.crc import lookup_prioritized
+    from repro.core.fuzzy import key_domain
     from repro.serving import EngineConfig, PegasusEngine
 
     flows, compiled = _serving_mix(dataset, flows_per_class, seed, attack_flows,
@@ -426,8 +433,7 @@ def run_tcam_equivalence(flows_per_class: int = 120, seed: int = 0,
             if table.kind != "fuzzy":
                 continue
             seg = table.tcam_segment()
-            lo = -(1 << (table.in_bits - 1)) if table.in_signed else 0
-            hi = lo + (1 << table.in_bits) - 1
+            lo, hi = key_domain(table.in_bits, table.in_signed)
             d = table.segment[1] - table.segment[0]
             keys = rng.integers(lo, hi + 1, size=(sample_keys, d))
             keys_out = rng.integers(lo - 2 * (hi - lo), hi + 2 * (hi - lo),
@@ -435,6 +441,13 @@ def run_tcam_equivalence(flows_per_class: int = 120, seed: int = 0,
             want = table.tree.predict_index(keys)
             got = table.tcam_indices(keys)
             table_match &= bool(np.array_equal(got, want))
+            # The index backend's own form (leaf grid where the table has
+            # one) against the tree walk, without the clamp.
+            table_match &= bool(np.array_equal(
+                table.fuzzy_indices(keys), want))
+            table_match &= bool(np.array_equal(
+                table.fuzzy_indices(keys_out),
+                table.tree.predict_index(keys_out)))
             table_match &= bool(np.array_equal(
                 table.tcam_indices(keys_out),
                 table.tree.predict_index(np.clip(keys_out, lo, hi))))

@@ -1165,13 +1165,18 @@ class PegasusEngine:
         flush_total = FlushStats()
         shard_seconds: list[float] | None = None
 
+        packets = trace.packets
+        keys = trace.canonical_keys()    # once per serve, not once per chunk
+
         def serve_chunk(indices: list[int]) -> list:
             nonlocal shard_seconds
             idx = np.asarray(indices, dtype=np.int64)
-            sub = Trace([trace.packets[int(i)] for i in idx])
-            decisions = self._driver.serve(sub, labels[idx], None)
+            rows = idx.tolist()
+            decisions = self._driver.serve(
+                Trace([packets[i] for i in rows]), labels[idx],
+                [keys[i] for i in rows])
             for d in decisions:
-                d.seq = int(idx[d.seq])        # chunk -> global position
+                d.seq = rows[d.seq]            # chunk -> global position
             flush_total.merge(self._driver.flush_stats)
             shard_seconds = (list(self._driver.shard_seconds)
                              if shard_seconds is None else

@@ -10,14 +10,14 @@ backed up.
 
 This module is that front-end, three pieces:
 
-- :class:`OpenLoopPump` — a thread-pumped producer/consumer pair. The
-  producer replays precomputed wall-clock arrival offsets (scenario trace
-  timestamps scaled by ``EngineConfig.time_scale``; see
-  ``ScenarioTrace.arrival_offsets`` for the gap-clipping pacing hook) into a
-  FIFO ingress queue, consulting the admission policy per packet; the
-  consumer drains bounded chunks through the engine's driver and stamps
-  per-packet completion times. With ``time_scale=0`` the pump degenerates to
-  a synchronous, deterministic as-fast-as-possible replay (no threads, no
+- :class:`OpenLoopPump` — one loop that is producer and consumer by turns.
+  Between two chunks it offers every packet whose precomputed wall-clock
+  arrival offset has come (scenario trace timestamps scaled by
+  ``EngineConfig.time_scale``; see ``ScenarioTrace.arrival_offsets`` for the
+  gap-clipping pacing hook) to the admission policy and the FIFO ingress
+  queue; then it drains one bounded chunk through the engine's driver and
+  stamps per-packet completion times. With ``time_scale=0`` the pump
+  degenerates to a synchronous, deterministic as-fast-as-possible replay (no
   sleeps) — the mode the bit-identity tests pin against closed-loop replay.
 
 - :class:`AdmissionPolicy` and the built-ins — ``none`` (admit everything,
@@ -45,15 +45,14 @@ The module is deliberately engine-agnostic (the engine hands the pump a
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Producer sleeps shorter than this are skipped (timer granularity), and the
-# consumer polls an empty queue at this interval.
+# A packet due within this long is offered now rather than slept for (timer
+# granularity).
 _MIN_SLEEP = 1e-4
 # Points kept in the downsampled queue-depth timeline.
 _TIMELINE_POINTS = 240
@@ -66,12 +65,12 @@ _TIMELINE_POINTS = 240
 class AdmissionPolicy:
     """Decides, per arriving packet, whether it enters the ingress queue.
 
-    ``admit(seq, depth, now)`` is called by the producer for every arrival
-    (``depth`` the current queue depth, ``now`` seconds since the replay
-    started); ``observe(served, sojourn, depth, now)`` is the feedback hook
-    the consumer fires after each drained chunk (``sojourn`` the oldest
-    drained packet's queue time — the in-flight latency signal). Both run
-    under the pump's lock, so policies need no locking of their own.
+    ``admit(seq, depth, now)`` is called for every arrival (``depth`` the
+    current queue depth, ``now`` seconds since the replay started);
+    ``observe(served, sojourn, depth, now)`` is the feedback hook fired after
+    each drained chunk (``sojourn`` the oldest drained packet's queue time —
+    the in-flight latency signal). The pump calls both from its one thread,
+    so policies need no locking.
 
     ``reported_shed(shed)`` returns the shed indices the *report* will
     claim. Honest policies return the input unchanged; the differential
@@ -238,11 +237,11 @@ class PumpResult:
 
 
 class OpenLoopPump:
-    """Paced producer -> bounded FIFO -> chunk-draining consumer.
+    """Paced arrivals -> bounded FIFO -> chunk-draining consumer.
 
     ``offsets`` are per-packet wall-clock arrival offsets (None replays
-    synchronously, as fast as possible, with no pump thread — fully
-    deterministic). ``serve_chunk(indices)`` must return the decisions of
+    synchronously, as fast as possible — fully deterministic).
+    ``serve_chunk(indices)`` must return the decisions of
     the given global packet indices with ``seq`` already remapped to global
     positions; the engine supplies it. ``drain_max`` bounds how many queued
     packets one consumer iteration serves — it is the feedback granularity
@@ -268,7 +267,6 @@ class OpenLoopPump:
         shed: list[int] = []
         decisions: list = []
         queue: deque[int] = deque()
-        lock: threading.Lock | None = None    # set only in the paced branch
         t0 = time.perf_counter()
 
         def drain(chunk: list[int], depth_after: int) -> None:
@@ -276,24 +274,12 @@ class OpenLoopPump:
             decisions.extend(self.serve_chunk(idx))
             now = time.perf_counter()
             complete[idx] = now
-            # arrival[i] is written by the producer strictly before it
-            # publishes i through the lock-guarded queue; dequeuing under
-            # the same lock establishes the happens-before, so this read
-            # needs no further guard.
-            sojourn = now - arrival[chunk[0]]   # reprolint: disable=thread-shared-state
-            if lock is None:
-                self.policy.observe(len(chunk), sojourn, depth_after,
-                                    now - t0)
-            else:
-                # Policies mutate shared state from both threads; observe
-                # takes the same lock admit runs under.
-                with lock:
-                    self.policy.observe(len(chunk), sojourn, depth_after,
-                                        now - t0)
+            self.policy.observe(len(chunk), now - arrival[chunk[0]],
+                                depth_after, now - t0)
 
         if self.offsets is None:
-            # Synchronous as-fast-as-possible replay: single-threaded, no
-            # sleeps, bit-reproducible (the determinism tests' mode).
+            # Synchronous as-fast-as-possible replay: no sleeps,
+            # bit-reproducible (the determinism tests' mode).
             for i in range(n):
                 depth = len(queue)
                 depth_at[i] = depth
@@ -312,47 +298,37 @@ class OpenLoopPump:
                          for _ in range(min(len(queue), self.drain_max))]
                 drain(chunk, len(queue))
         else:
-            offsets = np.asarray(self.offsets, dtype=np.float64)
-            lock = threading.Lock()
-            done = threading.Event()
-
-            def produce():
-                try:
-                    for i in range(n):
-                        delay = offsets[i] - (time.perf_counter() - t0)
-                        if delay > _MIN_SLEEP:
-                            time.sleep(delay)
-                        with lock:
-                            depth = len(queue)
-                            depth_at[i] = depth
-                            if self.policy.admit(i, depth,
-                                                 time.perf_counter() - t0):
-                                admitted_flags[i] = True
-                                arrival[i] = time.perf_counter()
-                                queue.append(i)
-                            else:
-                                shed.append(i)
-                finally:
-                    done.set()
-
-            producer = threading.Thread(target=produce, daemon=True,
-                                        name="openloop-pump")
-            producer.start()
-            while True:
-                with lock:
-                    take = min(len(queue), self.drain_max)
-                    chunk = [queue.popleft() for _ in range(take)]
-                    depth_after = len(queue)
-                if chunk:
-                    drain(chunk, depth_after)
-                elif done.is_set():
-                    with lock:
-                        empty = not queue
-                    if empty:
-                        break
-                else:
-                    time.sleep(_MIN_SLEEP)
-            producer.join()
+            # Paced replay on this one thread: offer every packet whose
+            # arrival time has come, serve one chunk, repeat; with nothing
+            # queued, sleep until the next arrival. A packet that came due
+            # while a chunk was in service is stamped with its scheduled
+            # arrival (its sojourn counts the rest of that service) and
+            # finds the depth it would have found then: the chunk in
+            # service has already left the queue. One thread on purpose:
+            # under the GIL a producer thread only interleaves with the
+            # consumer, and at burst rates their hand-offs cost more than
+            # the serving.
+            offsets = np.asarray(self.offsets, dtype=np.float64).tolist()
+            i = 0
+            while i < n or queue:
+                now = time.perf_counter() - t0
+                while i < n and offsets[i] - now <= _MIN_SLEEP:
+                    depth = len(queue)
+                    depth_at[i] = depth
+                    if self.policy.admit(i, depth, now):
+                        admitted_flags[i] = True
+                        arrival[i] = t0 + min(now, offsets[i])
+                        queue.append(i)
+                    else:
+                        shed.append(i)
+                    i += 1
+                    now = time.perf_counter() - t0
+                if queue:
+                    chunk = [queue.popleft()
+                             for _ in range(min(len(queue), self.drain_max))]
+                    drain(chunk, len(queue))
+                elif i < n:
+                    time.sleep(offsets[i] - now)
 
         wall = time.perf_counter() - t0
         reported = sorted(int(i) for i in self.policy.reported_shed(shed))

@@ -56,6 +56,9 @@ class TestWindowedBatched:
         seqs = [d.seq for d in decisions]
         assert seqs == sorted(seqs)
         assert all(s >= 0 for s in seqs)
+        # Plain Python scalars (json / pickle / dict keys), never NumPy ones.
+        assert {(type(d.flow_label), type(d.predicted), type(d.ts), type(d.seq))
+                for d in decisions} == {(int, int, float, int)}
 
 
 class TestTwoStageBatched:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.errors import ResourceExceededError
+from repro.errors import PipelineError, ResourceExceededError
 from repro.core import PegasusCompiler, CompilerConfig, FuzzyTree
 from repro.dataplane import (
     TOFINO2, GENERIC_PISA, TargetConfig, PHVAllocator,
     ternary_entries_for_tree, tcam_lookup, place_model,
 )
+from repro.models import build_model
+from repro.net import make_dataset
+from repro.net.features import dataset_views
 
 
 def _compiled_toy(seed=0, fuzzy_leaves=16):
@@ -167,6 +170,35 @@ class TestPipelineExecution:
         pipeline = place_model(compiled, TOFINO2)
         out = pipeline.process(x[0])
         assert out.shape == (1, 3)
+
+    def test_placed_mlp_b_runs_the_layer_forward(self):
+        """``process`` is the placement check plus the model's own forward
+        (one ``LookupLayer.forward_int`` per round) — on MLP-B the fused
+        leaf-grid gather (8 two-byte tables), then one table that walks its
+        tree (d = 16)."""
+        ds = make_dataset("peerrush", flows_per_class=4, seed=0)
+        views = dataset_views(ds.flows)
+        model = build_model("MLP-B", ds.n_classes, seed=0)
+        model.train(views)
+        model.compile_dataplane(views)
+        compiled = model.compiled
+        first, second = compiled.layers
+        assert [t._grid is not None for t in first.tables] == [True] * 8
+        assert [t._grid is not None for t in second.tables] == [False]
+        # Concat layers lay table outputs side by side in table order, which
+        # is the segment order the next round's segments index.
+        for layer in compiled.layers:
+            starts = [t.segment[0] for t in layer.tables]
+            assert starts == sorted(starts)
+        pipeline = place_model(compiled, TOFINO2)
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.integers(0, 256, size=(200, compiled.input_dim)),
+                            rng.integers(-600, 900, size=(100, compiled.input_dim))])
+        np.testing.assert_array_equal(pipeline.process(x), compiled.forward_int(x))
+        np.testing.assert_array_equal(pipeline.predict(x), compiled.predict(x))
+        pipeline.placements.pop()
+        with pytest.raises(PipelineError):
+            pipeline.process(x)
 
     def test_unfused_model_uses_more_stages(self):
         rng = np.random.default_rng(3)

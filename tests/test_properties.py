@@ -10,6 +10,8 @@ These are the load-bearing guarantees of the reproduction:
 4. The columnar trace views (the wire form shard payloads travel as) are
    lossless round-trips, and flow-shard hashing is a pure per-packet
    function — stable under any permutation of the columns.
+5. The leaf grid (and the layer's fused gather over several of them) is the
+   tree walk, on every integer key inside or outside the key domain.
 """
 
 from functools import lru_cache
@@ -24,11 +26,14 @@ from repro.core import (
     Affine, ElementwiseAffine, ElementwiseFunc, MapStep, PrimitiveProgram,
     SumReduceStep, even_partition, fuse_basic, materialize, MaterializeConfig,
 )
+from repro.core.fuzzy import FuzzyTree, key_domain
+from repro.core.mapping import LookupLayer, SegmentTable
 from repro.dataplane import place_model, TOFINO2
 from repro.net import build_scenario, scenario_names
 from repro.net.traces import (KEY_COLUMN_NAMES, Trace,
                               canonicalize_key_columns, keys_from_columns)
 from repro.serving import shard_hash, shard_hash_columns
+from repro.utils.fixed_point import QFormat
 
 
 def _random_program(rng: np.random.Generator, input_dim: int,
@@ -141,6 +146,69 @@ class TestThreeWayAgreement:
         pipeline = place_model(compiled, TOFINO2)
         x = np.floor(np.random.default_rng(seed).uniform(0, 255, (5, 6))).astype(np.int64)
         np.testing.assert_array_equal(pipeline.process(x), compiled.forward_int(x))
+
+
+def _random_tree(rng: np.random.Generator, d: int, n_leaves: int,
+                 lo: int, hi: int, wild: bool) -> FuzzyTree:
+    """A random tree shape over random features, with integer and
+    half-integer thresholds inside ``[lo, hi)`` — or, when ``wild``, up to a
+    domain width outside it (which must cost the table its grid)."""
+    k = n_leaves - 1
+    child = np.empty(2 * k, dtype=np.int64)
+    open_links: list[int] = []
+    for node in range(k):               # parents before children
+        if node:
+            child[open_links.pop(int(rng.integers(len(open_links))))] = node
+        open_links += [2 * node, 2 * node + 1]
+    if k:                               # a lone leaf is the root: no links
+        child[rng.permutation(open_links)] = np.arange(k, 2 * k + 1)
+    span = hi - lo + 1
+    t_lo, t_hi = (lo - span, hi + span) if wild else (lo, hi)
+    threshold = rng.integers(2 * t_lo, 2 * t_hi, size=k) / 2.0
+    return FuzzyTree(
+        dim=d, centroids=np.zeros((n_leaves, d)),
+        feature=np.concatenate([rng.integers(0, d, size=k),
+                                np.zeros(n_leaves, dtype=np.int64)]),
+        threshold=np.concatenate([threshold, np.full(n_leaves, np.inf)]),
+        child=np.concatenate([child, np.repeat(np.arange(k, 2 * k + 1), 2)]))
+
+
+class TestLeafGridIsTheTreeWalk:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([(1, 4), (1, 8), (1, 11), (2, 3), (2, 8)]),
+           st.booleans(), st.integers(1, 40), st.booleans(),
+           st.integers(0, 10_000))
+    def test_random_trees(self, shape, signed, n_leaves, wild, seed):
+        d, bits = shape
+        rng = np.random.default_rng(seed)
+        lo, hi = key_domain(bits, signed)
+        fmt = QFormat(8, 0, signed=True)
+        tables = []
+        for k in range(3):
+            tree = _random_tree(rng, d, n_leaves, lo, hi, wild and k == 1)
+            tables.append(SegmentTable(
+                segment=(k * d, (k + 1) * d), kind="fuzzy",
+                values_int=rng.integers(-30, 30, size=(n_leaves, 2)),
+                out_format=fmt, in_bits=bits, in_signed=signed, tree=tree))
+            inside = tree.threshold[:tree.n_internal]
+            assert (tables[-1]._grid is not None) == bool(
+                np.all((inside >= lo) & (inside < hi)))
+        span = hi - lo + 1
+        x = np.concatenate([
+            rng.integers(lo, hi + 1, size=(60, 3 * d)),              # inside
+            rng.integers(lo - 3, hi + 4, size=(60, 3 * d)),          # straddling
+            rng.integers(lo - 40 * span, hi + 40 * span, size=(60, 3 * d)),
+        ])
+        walked = [t.tree.predict_index(x[:, t.segment[0]:t.segment[1]])
+                  for t in tables]
+        for t, want in zip(tables, walked):
+            np.testing.assert_array_equal(
+                t.fuzzy_indices(x[:, t.segment[0]:t.segment[1]]), want)
+        layer = LookupLayer(tables=tables, sum_reduce=True, out_format=fmt)
+        np.testing.assert_array_equal(
+            layer.forward_int(x),
+            np.clip(sum(t.values_int[w] for t, w in zip(tables, walked)),
+                    fmt.int_min, fmt.int_max))
 
 
 @lru_cache(maxsize=8)

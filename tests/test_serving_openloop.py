@@ -164,6 +164,34 @@ class TestPump:
             OpenLoopPump(1, None, self._echo_chunk, NoAdmission(),
                          drain_max=0)
 
+    def test_paced_replay_runs_on_the_calling_thread(self):
+        """Arrivals that come due while a chunk is in service are offered
+        after it, in order, stamped with their scheduled arrival: the
+        sojourn counts the rest of that service, and no thread is started."""
+        import threading
+        import time
+
+        threads = []
+
+        def slow_chunk(indices):
+            threads.append(threading.current_thread())
+            time.sleep(0.02)
+            return [int(i) for i in indices]
+
+        offsets = np.array([0.0, 0.010, 0.012, 0.3])
+        result = OpenLoopPump(4, offsets, slow_chunk, NoAdmission(),
+                              drain_max=1).run()
+        assert result.decisions == [0, 1, 2, 3]
+        assert set(threads) == {threading.current_thread()}
+        assert list(result.depth_at) == [0, 0, 1, 0]
+        sojourn = result.complete - result.arrival
+        # 1 and 2 arrived 10-12 ms into packet 0's 20 ms service: they wait
+        # out the rest of it, 2 also all of 1's service.
+        assert sojourn[1] >= 0.01 + 0.02 - 1e-3
+        assert sojourn[2] >= 0.008 + 0.04 - 1e-3
+        # Packet 3 is slept for, not polled for: offered at its own time.
+        assert result.arrival[3] - result.arrival[0] >= 0.3 - 2e-4
+
 
 # ---------------------------------------------------------------------------
 # Engine integration
@@ -211,7 +239,7 @@ class TestOpenLoopServe:
             engine_mod.admission_policies.unregister(name)
 
     def test_paced_replay_with_aimd(self, compiled16):
-        """Threaded pacing: the report carries latency/queue telemetry."""
+        """Paced replay: the report carries latency/queue telemetry."""
         w = tiny("microburst", seed=3, scale=0.2)
         span_s = w.phases[-1].t_end - w.phases[0].t_start
         config = _config(admission="aimd", queue_capacity=256,
