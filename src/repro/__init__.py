@@ -33,9 +33,9 @@ from repro.errors import (
     TrainingError,
 )
 
-# The public serving API: one engine, one config, one report. The dispatcher
-# and runtime names are the deprecated direct entry points (still working,
-# warning on construction) so users never need internal module paths.
+# The public serving API: one engine, one config, one report — plus the
+# dispatcher and runtime classes it assembles, so users never need internal
+# module paths.
 from repro.serving import (
     BatchScheduler,
     EngineConfig,

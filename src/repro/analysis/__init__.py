@@ -3,10 +3,10 @@
 An AST-based linter (stdlib-only) that enforces, at the line that would
 break them, the contracts the dynamic test wall assumes: RNG discipline,
 wall-clock-free decision paths, pickle-safe registry entries, lock-guarded
-thread-shared state, shim-free internal callers, EngineConfig /
-mirror-table coherence, and — via the interprocedural callgraph + dtype
-dataflow layer — the columnar wire-format contract (schema drift, hidden
-copies in zero-copy zones, silent dtype promotion). See
+thread-shared state, EngineConfig / mirror-table coherence, and — via
+the interprocedural callgraph + dtype dataflow layer — the columnar
+wire-format contract (schema drift, hidden copies in zero-copy zones,
+silent dtype promotion). See
 ``docs/ARCHITECTURE.md`` ("Invariants & static analysis") for the rule
 table and suppression syntax.
 

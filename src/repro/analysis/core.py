@@ -162,7 +162,6 @@ class FileContext:
         self.module = module_name_for(path)
         self.is_test = any(part == "tests" for part in path.parts) \
             or path.name.startswith("test_") or path.name == "conftest.py"
-        self.is_init = path.name == "__init__.py"
         self.imports = ImportTable(tree)
         self.stack: list[ast.AST] = []      # ancestors, outermost first
         self.scopes: list[ast.AST] = []     # Module/ClassDef/FunctionDef/Lambda

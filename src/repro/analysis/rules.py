@@ -11,8 +11,6 @@ Each rule encodes a contract the dynamic test wall already assumes:
 - ``pickle-safe-registrations`` — engine registries and dispatcher
   factories cross process boundaries under the spawn start method, so
   lambdas / nested defs handed to them fail at the worst possible time.
-- ``no-deprecated-internal-callers`` — in-repo code composes the
-  un-deprecated internals; only external users go through the shims.
 - ``mutable-default-args`` / ``bare-except`` — the two generic Python
   defect classes that have bitten decision-path code before review.
 """
@@ -195,114 +193,6 @@ class PickleSafeRegistrationsRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# no-deprecated-internal-callers
-# ---------------------------------------------------------------------------
-
-_COMPAT_MODULES = ("repro.serving.compat", "repro.dataplane.compat")
-_DEPRECATED_IMPORTS = {
-    "repro": {"ShardedDispatcher", "ParallelDispatcher",
-              "WindowedClassifierRuntime", "TwoStageRuntime"},
-    "repro.serving": {"ShardedDispatcher", "ParallelDispatcher"},
-    "repro.dataplane": {"WindowedClassifierRuntime", "TwoStageRuntime"},
-}
-_DEPRECATED_SERVE = frozenset({"serve_flows", "serve_trace", "serve_columns",
-                               "serve_scenario"})
-
-
-class NoDeprecatedInternalCallersRule(Rule):
-    name = "no-deprecated-internal-callers"
-    description = ("in-repo code must compose the un-deprecated internals "
-                   "(repro.serving.dispatcher / .parallel, "
-                   "repro.dataplane.runtime, PegasusEngine.serve); the "
-                   "compat shims and serve_* methods exist for external "
-                   "callers only")
-    example = ("src/repro/eval/runner.py:77: "
-               "[no-deprecated-internal-callers] call to deprecated "
-               "serve_trace_batched(); compose PegasusEngine.serve instead")
-
-    def begin_file(self, ctx: FileContext) -> None:
-        self._engine_vars: set[str] = set()
-
-    def visitors(self):
-        return {"Import": self.check_import,
-                "ImportFrom": self.check_import_from,
-                "Assign": self.track_assign,
-                "withitem": self.track_withitem,
-                "Call": self.check_call}
-
-    def _in_compat(self, ctx: FileContext) -> bool:
-        return ctx.module in _COMPAT_MODULES
-
-    def check_import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in _COMPAT_MODULES and not self._in_compat(ctx):
-                ctx.report(node, self.name,
-                           f"import of deprecation shim module "
-                           f"'{alias.name}'; internal code wires the real "
-                           f"classes (the shims only exist to warn external "
-                           f"callers)")
-
-    def check_import_from(self, ctx: FileContext, node: ast.ImportFrom
-                          ) -> None:
-        if node.module in _COMPAT_MODULES and not self._in_compat(ctx) \
-                and not ctx.is_init:
-            ctx.report(node, self.name,
-                       f"import from deprecation shim module "
-                       f"'{node.module}'; internal code wires the real "
-                       f"classes directly")
-            return
-        deprecated = _DEPRECATED_IMPORTS.get(node.module or "")
-        if not deprecated or ctx.is_init:
-            return
-        hits = sorted({a.name for a in node.names} & deprecated)
-        if hits:
-            ctx.report(node, self.name,
-                       f"package-level name(s) {hits} imported from "
-                       f"'{node.module}' are DeprecationWarning shims; "
-                       f"import from repro.serving.dispatcher / .parallel / "
-                       f"repro.dataplane.runtime (or use PegasusEngine)")
-
-    def _is_engine_ctor(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        dotted = dotted_name(node.func)
-        if not dotted:
-            return self._is_engine_ctor(getattr(node.func, "value", None)) \
-                if isinstance(node.func, ast.Attribute) else False
-        parts = dotted.split(".")
-        if "PegasusEngine" in parts:
-            return True
-        # Chained builder: PegasusEngine.from_model(...).something
-        return False
-
-    def track_assign(self, ctx: FileContext, node: ast.Assign) -> None:
-        if self._is_engine_ctor(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._engine_vars.add(target.id)
-
-    def track_withitem(self, ctx: FileContext, node: ast.withitem) -> None:
-        if self._is_engine_ctor(node.context_expr) \
-                and isinstance(node.optional_vars, ast.Name):
-            self._engine_vars.add(node.optional_vars.id)
-
-    def check_call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute) \
-                or func.attr not in _DEPRECATED_SERVE:
-            return
-        recv = func.value
-        engineish = (isinstance(recv, ast.Name)
-                     and recv.id in self._engine_vars) \
-            or self._is_engine_ctor(recv)
-        if engineish:
-            ctx.report(node, self.name,
-                       f"deprecated engine entry point '.{func.attr}()'; "
-                       f"in-repo callers use the polymorphic "
-                       f"PegasusEngine.serve(workload, ...) directly")
-
-
-# ---------------------------------------------------------------------------
 # mutable-default-args / bare-except
 # ---------------------------------------------------------------------------
 
@@ -372,7 +262,6 @@ def default_rules() -> list[Rule]:
         WallclockRule(),
         PickleSafeRegistrationsRule(),
         ThreadSharedStateRule(),
-        NoDeprecatedInternalCallersRule(),
         RegistryConfigDriftRule(),
         MutableDefaultArgsRule(),
         BareExceptRule(),

@@ -20,11 +20,9 @@ from repro.dataplane.pipeline import Pipeline, place_model, TablePlacement, Stag
 from repro.dataplane.registers import (FlowStateTable, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 from repro.dataplane.resources import ResourceReport, summarize_resources
-from repro.dataplane.runtime import PacketDecision, DEFAULT_BATCH_SIZE
-# Package-level runtime names are deprecation shims: direct construction
-# still works but warns, pointing at repro.serving.PegasusEngine. Internal
-# callers import the real classes from repro.dataplane.runtime.
-from repro.dataplane.compat import WindowedClassifierRuntime, TwoStageRuntime
+from repro.dataplane.runtime import (DEFAULT_BATCH_SIZE, PacketDecision,
+                                     TwoStageRuntime,
+                                     WindowedClassifierRuntime)
 from repro.dataplane.throughput import line_rate_pps, measure_model_throughput
 
 __all__ = [

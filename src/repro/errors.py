@@ -105,5 +105,25 @@ class SchemaError(PegasusError, TypeError):
                              self.context))
 
 
+class WorkerError(PegasusError, RuntimeError):
+    """Worker processes of a parallel dispatcher failed.
+
+    Raised by :class:`repro.serving.parallel.ParallelDispatcher` when a
+    replica cannot be built behind the warm-up ping, a chunk replay raises,
+    or a worker dies mid-serve. ``failures`` maps each failing worker's
+    index to its report (the worker-side traceback where there is one) and
+    ``workers`` lists the indices. Also a :class:`RuntimeError`, which is
+    what these failures were raised as before they were typed.
+    """
+
+    def __init__(self, failures: dict[int, str]):
+        self.failures = dict(failures)
+        self.workers = tuple(sorted(self.failures))
+        super().__init__("\n".join(self.failures.values()))
+
+    def __reduce__(self):
+        return (type(self), (self.failures,))
+
+
 class TrainingError(PegasusError):
     """Model training failed or was mis-configured."""

@@ -19,16 +19,18 @@ importable for reference stacks and tests):
   servers and NIC drivers; with ``latency_target`` set, lazily consumed
   :class:`SpanStream` s adapt the batch size AIMD-style to the measured
   per-batch service time.
-- :class:`ShardedDispatcher` — hashes each flow's canonical 5-tuple onto
-  one of N independent runtime replicas (flow state never spans shards),
-  replays every shard serially, and merges decisions back into global trace
-  order; parallel wall clock is modeled as ``max(shard_seconds)``.
-- :class:`ParallelDispatcher` — the same sharding fanned out to persistent
-  ``multiprocessing`` workers, each owning one replica; shard payloads and
-  decision streams move through preallocated shared-memory ring buffers
-  (:mod:`repro.serving.rings` — only fixed-size chunk descriptors cross
-  the worker pipes), and ``wall_seconds`` is *measured* concurrent wall
-  clock.
+- :class:`ShardedDispatcher` — *the* dispatcher: hashes each flow's
+  canonical 5-tuple onto one of N independent runtime replicas (flow state
+  never spans shards), replays every shard, and merges decisions back into
+  global trace order. Its replicas live in-process and replay serially, so
+  parallel wall clock is modeled as ``max(shard_seconds)``;
+  :class:`ParallelDispatcher` is the same dispatcher over persistent
+  ``multiprocessing`` workers fed through preallocated shared-memory ring
+  buffers (:mod:`repro.serving.rings` — only fixed-size chunk descriptors
+  cross the worker pipes), where ``wall_seconds`` is *measured*. Either
+  takes ``lookup_backend="tcam"`` to serve the hardware-faithful
+  prioritized-TCAM lookup path (:mod:`repro.dataplane.tcam`) on every
+  replica — bit-identical decisions either way.
 - :class:`FlowDecisionCache` — a per-replica LRU of
   ``(canonical 5-tuple, window index) -> decision`` that short-circuits
   model invocation for already-classified elephant flows whose windows
@@ -45,11 +47,6 @@ importable for reference stacks and tests):
   a bounded ingress queue, and the report records decision-latency
   percentiles, the queue-depth timeline, and exactly which packets were
   shed (:class:`OpenLoopReport`).
-
-Both dispatchers also take ``lookup_backend="tcam"`` to serve the
-hardware-faithful prioritized-TCAM lookup path
-(:mod:`repro.dataplane.tcam`) instead of fancy indexing — propagated onto
-every factory-built replica, bit-identical decisions either way.
 
 End-to-end example (train → compile → serve)::
 
@@ -71,9 +68,6 @@ End-to-end example (train → compile → serve)::
         report = engine.serve(test)            # ServingReport
     decisions = report.decisions               # global trace order
 
-Direct dispatcher/runtime construction still works but is deprecated
-(:mod:`repro.serving.compat`); the engine is the supported build path.
-
 Sharded + batched + parallel + cached replay is bit-identical to per-packet
 replay (same decisions, same order) whenever register capacity does not
 bind — the regression tests in ``tests/test_dataplane_batched.py``,
@@ -84,7 +78,8 @@ from repro.serving.scheduler import BatchScheduler, FlushStats, SpanStream
 from repro.serving.cache import (CacheStats, FlowDecisionCache,
                                  QuantizedDecisionStore,
                                  TwoLevelDecisionCache)
-from repro.serving.dispatcher import shard_hash, shard_hash_columns
+from repro.serving.dispatcher import (ShardedDispatcher, shard_hash,
+                                      shard_hash_columns)
 from repro.serving.engine import (CACHE_MODES, AdmissionPolicySpec,
                                   EngineConfig, PegasusEngine,
                                   ScenarioServingReport, ServingReport,
@@ -96,11 +91,7 @@ from repro.serving.openloop import (AdmissionPolicy, AimdAdmission,
                                     LatencySummary, NoAdmission,
                                     OpenLoopPhaseReport, OpenLoopPump,
                                     OpenLoopReport, TailDropAdmission)
-# The package-level dispatcher names are deprecation shims: direct
-# construction still works but warns, pointing at PegasusEngine. The engine
-# (and anything else that wants the un-deprecated classes) imports from
-# repro.serving.dispatcher / repro.serving.parallel directly.
-from repro.serving.compat import ParallelDispatcher, ShardedDispatcher
+from repro.serving.parallel import ParallelDispatcher
 
 __all__ = [
     "AdmissionPolicy",

@@ -18,21 +18,19 @@ over heterogeneous fast paths:
   that dispatches on workload shape (flows / trace / columns / scenario)
   and, in open mode, pumps the workload through a pluggable admission
   policy (``none | tail-drop | aimd`` built in) into a bounded ingress
-  queue paced by the trace's own timestamps. The old named entry points
-  (``serve_flows`` / ``serve_trace`` / ``serve_columns`` /
-  ``serve_scenario``) remain as thin :class:`DeprecationWarning` shims.
+  queue paced by the trace's own timestamps.
 - :class:`ServingReport` — one merged result per serve: decisions, wall
   clock, per-shard breakdown, flush stats, cache stats, derived pps and
   accuracy — replacing the old ad-hoc tuples and attribute-poking.
 
 Internally three small registries back the facade, so a new runtime kind,
 lookup backend, or dispatcher topology plugs in with **one registration**
-instead of edits to both dispatchers and both runtimes::
+instead of edits to the dispatcher and both runtimes::
 
     from repro.serving import engine
 
     engine.register_lookup_backend("index-v2", apply=my_apply_fn)
-    engine.register_topology("ring", build=my_driver_factory)
+    engine.register_topology("ring", build=my_dispatcher_builder)
     engine.register_runtime_kind("my-kind", build=my_replica_builder)
 
 End-to-end usage::
@@ -55,7 +53,6 @@ topology x cache x backend x runtime-kind matrix by
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -66,8 +63,7 @@ from repro.dataplane.runtime import (TwoStageRuntime,
                                      flows_to_trace)
 from repro.errors import ConfigError
 from repro.net.scenarios import PhaseSpan, ScenarioTrace
-from repro.net.traces import (KEY_COLUMN_NAMES, Trace,
-                              canonicalize_key_columns, keys_from_columns)
+from repro.net.traces import KEY_COLUMN_NAMES, Trace
 from repro.serving.cache import (CacheStats, FlowDecisionCache,
                                  TwoLevelDecisionCache)
 from repro.serving.dispatcher import ShardedDispatcher
@@ -190,10 +186,11 @@ def register_lookup_backend(name: str, apply=None, *, overwrite: bool = False):
 def register_topology(name: str, build, *, overwrite: bool = False):
     """Register a dispatch topology under ``EngineConfig(topology=name)``.
 
-    ``build(replica_factory, config, payload_bytes)`` returns a driver with
-    ``start() / close() / serve(trace, labels, keys) -> decisions`` and the
-    telemetry attributes ``shard_seconds`` / ``flush_stats`` /
-    ``cache_stats`` (see the built-in drivers below).
+    ``build(replica_factory, config, payload_bytes)`` returns an object with
+    the dispatcher protocol — ``start() / close() / serve_trace(trace,
+    labels=, keys=) / serve_columns(cols, labels=) / set_l2_admission(admit)``
+    and the per-serve ``shard_seconds`` / ``flush_stats`` / ``cache_stats``
+    (:class:`~repro.serving.ShardedDispatcher` and its subclasses have it).
     """
     return topologies.register(name, build, overwrite=overwrite)
 
@@ -428,151 +425,33 @@ register_lookup_backend("tcam-pruned")
 
 
 # ---------------------------------------------------------------------------
-# Built-in topology drivers
+# Built-in topologies
 # ---------------------------------------------------------------------------
 
-class _LocalDriver:
-    """One in-process replica — the no-dispatcher fast path."""
-
-    def __init__(self, replica_factory, config: EngineConfig,
-                 payload_bytes: int | None):
-        self._factory = replica_factory
-        self._scheduler = config.scheduler()
-        self.runtime = None
-        self.shard_seconds: list[float] = []
-        self.flush_stats = FlushStats()
-
-    def start(self) -> None:
-        if self.runtime is None:
-            self.runtime = self._factory()
-
-    def close(self) -> None:
-        self.runtime = None     # discard replica state, like worker shutdown
-
-    def serve(self, trace: Trace, labels, keys) -> list:
-        return self._run(lambda: self.runtime.process_trace(
-            trace, labels=labels, scheduler=self._scheduler, keys=keys))
-
-    def serve_columns(self, cols, keys, labels) -> list:
-        return self._run(lambda: self.runtime.process_columns(
-            cols, keys, labels=labels, scheduler=self._scheduler))
-
-    def set_l2_admission(self, admit: bool) -> None:
-        self.start()
-        cache = getattr(self.runtime, "decision_cache", None)
-        if getattr(cache, "two_level", False):
-            cache.l2_admit = bool(admit)
-
-    def _run(self, replay) -> list:
-        # The replay cuts its own span stream from the timestamp column it
-        # extracts anyway (no second per-packet pass) and records the
-        # stream's stats as ``last_flush_stats``.
-        self.start()
-        started = time.perf_counter()
-        decisions = replay()
-        self.shard_seconds = [time.perf_counter() - started]
-        self.flush_stats = getattr(self.runtime, "last_flush_stats", None) \
-            or FlushStats()
-        return decisions
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        # A snapshot, not the live counters: a ServingReport must not mutate
-        # retroactively when the replica serves again.
-        total = CacheStats()
-        cache = getattr(self.runtime, "decision_cache", None)
-        if cache is not None:
-            total.merge(cache.stats)
-        return total
+def _build_in_process(replica_factory, config: EngineConfig,
+                      payload_bytes: int | None) -> ShardedDispatcher:
+    """``local`` and ``sharded``: ``n_workers`` in-process replicas, replayed
+    serially (one replica replays the trace whole, with no shard split)."""
+    return ShardedDispatcher(runtime_factory=replica_factory,
+                             n_shards=config.n_workers,
+                             scheduler=config.scheduler())
 
 
-class _ShardedDriver:
-    """N replicas replayed serially (modeled parallel wall clock)."""
-
-    def __init__(self, replica_factory, config: EngineConfig,
-                 payload_bytes: int | None):
-        self._factory = replica_factory
-        self._config = config
-        self._dispatcher: ShardedDispatcher | None = None
-
-    def start(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = ShardedDispatcher(
-                runtime_factory=self._factory,
-                n_shards=self._config.n_workers,
-                scheduler=self._config.scheduler())
-
-    def close(self) -> None:
-        self._dispatcher = None
-
-    def serve(self, trace: Trace, labels, keys) -> list:
-        self.start()
-        return self._dispatcher.serve_trace(trace, labels=labels, keys=keys)
-
-    def set_l2_admission(self, admit: bool) -> None:
-        self.start()
-        for rt in self._dispatcher.runtimes:
-            cache = getattr(rt, "decision_cache", None)
-            if getattr(cache, "two_level", False):
-                cache.l2_admit = bool(admit)
-
-    @property
-    def shard_seconds(self) -> list[float]:
-        return self._dispatcher.shard_seconds if self._dispatcher else []
-
-    @property
-    def flush_stats(self) -> FlushStats:
-        return self._dispatcher.flush_stats if self._dispatcher else FlushStats()
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self._dispatcher.cache_stats if self._dispatcher else CacheStats()
+def _build_parallel(replica_factory, config: EngineConfig,
+                    payload_bytes: int | None) -> ParallelDispatcher:
+    """``parallel``: ``n_workers`` persistent worker processes over rings."""
+    return ParallelDispatcher(runtime_factory=replica_factory,
+                              n_workers=config.n_workers,
+                              scheduler=config.scheduler(),
+                              payload_bytes=payload_bytes,
+                              start_method=config.start_method,
+                              ring_depth=config.ring_depth,
+                              ring_chunk=config.ring_chunk)
 
 
-class _ParallelDriver:
-    """N persistent worker processes (measured concurrent wall clock)."""
-
-    def __init__(self, replica_factory, config: EngineConfig,
-                 payload_bytes: int | None):
-        self._dispatcher = ParallelDispatcher(
-            runtime_factory=replica_factory,
-            n_workers=config.n_workers,
-            scheduler=config.scheduler(),
-            payload_bytes=payload_bytes,
-            start_method=config.start_method,
-            ring_depth=config.ring_depth,
-            ring_chunk=config.ring_chunk)
-
-    def start(self) -> None:
-        self._dispatcher.start()
-
-    def close(self) -> None:
-        self._dispatcher.close()
-
-    def serve(self, trace: Trace, labels, keys) -> list:
-        return self._dispatcher.serve_trace(trace, labels=labels)
-
-    def set_l2_admission(self, admit: bool) -> None:
-        # Workers apply the flag from each shard payload; the dispatcher
-        # just records the current setting.
-        self._dispatcher.l2_admit = bool(admit)
-
-    @property
-    def shard_seconds(self) -> list[float]:
-        return self._dispatcher.shard_seconds
-
-    @property
-    def flush_stats(self) -> FlushStats:
-        return self._dispatcher.flush_stats
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self._dispatcher.cache_stats
-
-
-register_topology("local", _LocalDriver)
-register_topology("sharded", _ShardedDriver)
-register_topology("parallel", _ParallelDriver)
+register_topology("local", _build_in_process)
+register_topology("sharded", _build_in_process)
+register_topology("parallel", _build_parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +654,8 @@ class ScenarioServingReport:
 # Engine
 # ---------------------------------------------------------------------------
 
-def _cache_snapshot(driver) -> CacheStats:
-    """A detached copy of the driver's aggregate cache counters right now."""
-    live = driver.cache_stats
-    return CacheStats(hits=live.hits, misses=live.misses,
-                      evictions=live.evictions,
-                      approx_hits=getattr(live, "approx_hits", 0),
-                      l2_skipped=getattr(live, "l2_skipped", 0))
-
-
 def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
-    """Counter growth between two snapshots (one phase's own activity)."""
+    """Counter growth between two readings (one phase's own activity)."""
     return CacheStats(hits=after.hits - before.hits,
                       misses=after.misses - before.misses,
                       evictions=after.evictions - before.evictions,
@@ -793,15 +663,42 @@ def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
                       l2_skipped=after.l2_skipped - before.l2_skipped)
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    """One DeprecationWarning per old named serve entry point.
+class _SubServes:
+    """Running totals over the sub-serves of one report — a scenario's
+    phases or an open-loop run's chunks, all against the same replicas.
 
-    ``stacklevel=3`` points at the *caller* of the deprecated method
-    (helper -> shim -> caller), mirroring ``repro.serving.compat``.
+    Each :meth:`add` folds in the serve the dispatcher just finished: its
+    decisions move from sub-trace to global positions, its flush counts and
+    per-shard seconds are summed. Cache counters are lifetime readings
+    (never mutated once taken), so activity is the difference of two.
     """
-    warnings.warn(
-        f"PegasusEngine.{old}() is deprecated; use PegasusEngine.{new}",
-        DeprecationWarning, stacklevel=3)
+
+    def __init__(self, dispatcher):
+        self._dispatcher = dispatcher
+        self.flush_stats = FlushStats()
+        self.shard_seconds: list[float] = []
+        self._cache_first = self._cache_mark = dispatcher.cache_stats
+
+    def add(self, decisions: list, positions) -> None:
+        """``positions[i]`` is the global position of sub-trace packet i."""
+        for d in decisions:
+            d.seq = positions[d.seq]
+        self.flush_stats.merge(self._dispatcher.flush_stats)
+        seconds = self._dispatcher.shard_seconds
+        self.shard_seconds = (
+            [a + b for a, b in zip(self.shard_seconds, seconds)]
+            if self.shard_seconds else list(seconds))
+
+    def phase_cache_stats(self) -> CacheStats:
+        """Cache activity since the previous call (one phase's own)."""
+        before, self._cache_mark = (self._cache_mark,
+                                    self._dispatcher.cache_stats)
+        return _cache_delta(self._cache_mark, before)
+
+    @property
+    def cache_stats(self) -> CacheStats:
+        """Cache activity over all sub-serves so far."""
+        return _cache_delta(self._dispatcher.cache_stats, self._cache_first)
 
 
 class PegasusEngine:
@@ -813,9 +710,9 @@ class PegasusEngine:
     runtime="two_stage")``), or an arbitrary replica factory
     (:meth:`from_factory`). The engine resolves the configured runtime kind,
     lookup backend, admission policy, and topology through the module
-    registries, owns the driver's lifecycle (``start()``/``close()``/context
-    manager — safe to call unconditionally), and serves through **one**
-    polymorphic entry point:
+    registries, owns the dispatcher's lifecycle (``start()``/``close()``/
+    context manager — safe to call unconditionally), and serves through
+    **one** polymorphic entry point:
 
     - :meth:`serve` — dispatches on workload shape (a list of labelled
       :class:`~repro.net.flow.Flow` s, a time-ordered
@@ -962,20 +859,23 @@ class PegasusEngine:
         if mode not in ("closed", "open"):
             raise ConfigError("mode", mode, allowed=("closed", "open"))
         kind = self._classify_workload(workload)
+        keys = None
         if kind == "scenario":
             workload = workload.generate(seed=seed, flows_scale=flows_scale)
             kind = "scenario_trace"
+        elif kind == "flows":
+            # The interleaved trace of the labelled flows, keys in hand.
+            workload, keys, labels = flows_to_trace(workload)
+            kind = "trace"
         if mode == "open":
             if kind != "scenario_trace":
                 workload = self._as_scenario_trace(workload, labels, kind)
             return self._serve_open(workload, max_gap=max_gap)
         if kind == "scenario_trace":
             return self._serve_scenario(workload, seed=seed)
-        if kind == "flows":
-            return self._serve_flows(workload)
         if kind == "columns":
             return self._serve_columns(workload, labels=labels)
-        return self._serve_trace(workload, labels=labels)
+        return self._serve_trace(workload, labels, keys)
 
     @staticmethod
     def _classify_workload(workload) -> str:
@@ -998,12 +898,8 @@ class PegasusEngine:
     def _as_scenario_trace(self, workload, labels, kind) -> ScenarioTrace:
         """Wrap a non-scenario workload as a single-phase ScenarioTrace so
         the open-loop pump has timestamps and a phase span to pace/report."""
-        if kind == "flows":
-            trace, _keys, labels = flows_to_trace(workload)
-        elif kind == "columns":
-            trace = Trace.from_columns(workload)
-        else:
-            trace = workload
+        trace = Trace.from_columns(workload) if kind == "columns" \
+            else workload
         n = len(trace.packets)
         if labels is None:
             labels = np.full(n, -1, dtype=np.int64)
@@ -1013,69 +909,26 @@ class PegasusEngine:
         return ScenarioTrace(scenario="<trace>", seed=None, trace=trace,
                              labels=np.asarray(labels), phases=(span,))
 
-    # -- deprecated named entry points (use serve()) -------------------------
-
-    def serve_flows(self, flows: list) -> ServingReport:
-        """Deprecated — use ``serve(flows)``."""
-        _warn_deprecated("serve_flows", "serve(flows)")
-        return self._serve_flows(flows)
-
-    def serve_trace(self, trace: Trace, labels: np.ndarray | None = None
-                    ) -> ServingReport:
-        """Deprecated — use ``serve(trace, labels=...)``."""
-        _warn_deprecated("serve_trace", "serve(trace, labels=...)")
-        return self._serve_trace(trace, labels=labels)
-
-    def serve_columns(self, cols: dict[str, np.ndarray],
-                      labels: np.ndarray | None = None) -> ServingReport:
-        """Deprecated — use ``serve(cols, labels=...)``."""
-        _warn_deprecated("serve_columns", "serve(cols, labels=...)")
-        return self._serve_columns(cols, labels=labels)
-
-    def serve_scenario(self, scenario, seed: int | None = None,
-                       flows_scale: float = 1.0) -> ScenarioServingReport:
-        """Deprecated — use ``serve(scenario, seed=..., flows_scale=...)``."""
-        _warn_deprecated("serve_scenario",
-                         "serve(scenario, seed=..., flows_scale=...)")
-        if hasattr(scenario, "generate"):
-            scenario = scenario.generate(seed=seed, flows_scale=flows_scale)
-        return self._serve_scenario(scenario, seed=seed)
-
     # -- serve internals -----------------------------------------------------
 
-    def _serve_flows(self, flows: list) -> ServingReport:
-        """Replay the interleaved trace of many labelled flows."""
-        trace, keys, labels = flows_to_trace(flows)
-        return self._serve(len(trace.packets),
-                           lambda: self._driver.serve(trace, labels, keys))
-
-    def _serve_trace(self, trace: Trace, labels: np.ndarray | None = None
-                     ) -> ServingReport:
+    def _serve_trace(self, trace: Trace, labels: np.ndarray | None = None,
+                     keys: list | None = None) -> ServingReport:
         """Replay one time-ordered trace (per-packet ``labels`` optional)."""
-        return self._serve(len(trace.packets),
-                           lambda: self._driver.serve(trace, labels, None))
+        return self._serve(
+            len(trace.packets),
+            lambda: self._driver.serve_trace(trace, labels=labels, keys=keys))
 
     def _serve_columns(self, cols: dict[str, np.ndarray],
                        labels: np.ndarray | None = None) -> ServingReport:
-        """Replay ``Trace.to_columns()``-style per-packet arrays.
-
-        ``cols`` must hold ``ts`` plus the 5-tuple key columns (and whatever
-        per-packet columns the runtime kind consumes — ``length`` for
-        windowed, ``payload`` for two-stage). The ``local`` topology replays
-        the columns directly; dispatch topologies rebuild the trace once and
-        shard it columnar again.
-        """
+        """Replay ``Trace.to_columns()``-style per-packet arrays: ``ts``, the
+        5-tuple key columns, and whatever the runtime kind consumes
+        (``length`` for windowed, ``payload`` for two-stage)."""
         missing = [c for c in ("ts", *KEY_COLUMN_NAMES) if c not in cols]
         if missing:
             raise ValueError(f"missing serve columns: {missing}")
-        if hasattr(self._driver, "serve_columns"):
-            keys = keys_from_columns(canonicalize_key_columns(
-                {name: cols[name] for name in KEY_COLUMN_NAMES}))
-            return self._serve(
-                len(cols["ts"]),
-                lambda: self._driver.serve_columns(cols, keys, labels))
-        trace = Trace.from_columns(cols)
-        return self._serve_trace(trace, labels=labels)
+        return self._serve(
+            len(cols["ts"]),
+            lambda: self._driver.serve_columns(cols, labels=labels))
 
     def _serve_scenario(self, workload: ScenarioTrace,
                         seed: int | None = None) -> ScenarioServingReport:
@@ -1092,117 +945,71 @@ class PegasusEngine:
         for their span (cold phases skip the box-certificate insert work).
         """
         self.start()
+        totals = _SubServes(self._driver)
         phases: list = []
         decisions: list = []
         n_packets, wall = 0, 0.0
-        shard_seconds: list[float] | None = None
-        flush_total = FlushStats()
-        first = _cache_snapshot(self._driver)
-        before = first
         try:
             for span in workload.phases:
-                self._set_l2_admission(getattr(span, "l2_insert", True))
-                sub = Trace(workload.trace.packets[span.start:span.stop])
-                labels = workload.labels[span.start:span.stop]
-                report = self._serve(
-                    len(sub.packets),
-                    lambda sub=sub, labels=labels:
-                        self._driver.serve(sub, labels, None))
-                for d in report.decisions:
-                    d.seq += span.start        # sub-trace -> global position
-                after = _cache_snapshot(self._driver)
-                report.cache_stats = _cache_delta(after, before)
-                before = after
+                self._driver.set_l2_admission(getattr(span, "l2_insert", True))
+                report = self._serve_trace(
+                    Trace(workload.trace.packets[span.start:span.stop]),
+                    workload.labels[span.start:span.stop])
+                totals.add(report.decisions, range(span.start, span.stop))
+                report.cache_stats = totals.phase_cache_stats()
                 phases.append((span, report))
                 decisions.extend(report.decisions)
                 n_packets += report.n_packets
                 wall += report.wall_seconds
-                flush_total.merge(report.flush_stats)
-                shard_seconds = (list(report.shard_seconds)
-                                 if shard_seconds is None else
-                                 [a + b for a, b in zip(shard_seconds,
-                                                        report.shard_seconds)])
         finally:
-            self._set_l2_admission(True)
-        overall = ServingReport(
-            decisions=decisions, n_packets=n_packets, wall_seconds=wall,
-            topology=self.config.topology, n_workers=self.config.n_workers,
-            runtime=self.config.runtime,
-            lookup_backend=self.config.lookup_backend,
-            shard_seconds=shard_seconds or [], flush_stats=flush_total,
-            cache_stats=_cache_delta(before, first))
+            self._driver.set_l2_admission(True)
         return ScenarioServingReport(
             scenario=getattr(workload, "scenario", "<trace>"),
             seed=getattr(workload, "seed", seed),
-            overall=overall, phases=phases)
-
-    def _set_l2_admission(self, admit: bool) -> None:
-        """Open/close the two-level cache's L2 gate on every replica
-        (no-op for drivers or caches without the knob)."""
-        setter = getattr(self._driver, "set_l2_admission", None)
-        if setter is not None:
-            setter(bool(admit))
+            overall=self._report(decisions, n_packets, wall, totals),
+            phases=phases)
 
     def _serve_open(self, workload: ScenarioTrace,
                     max_gap: float | None = None) -> OpenLoopReport:
         """Pump a materialized workload open-loop through the admission
-        policy and the configured driver.
+        policy and the configured dispatcher.
 
         The pump feeds admitted packets in arrival order, the consumer
         drains chunks of at most ``config.batch_size`` through the normal
-        driver serve path — and because batch boundaries never change
-        decisions, the concatenated decision stream over the admitted
-        subsequence is bit-identical to a closed-loop replay of exactly
-        those packets (``verify_open_loop`` in the differential harness
-        asserts this against the scalar reference).
+        serve path — and because batch boundaries never change decisions,
+        the concatenated decision stream over the admitted subsequence is
+        bit-identical to a closed-loop replay of exactly those packets
+        (``verify_open_loop`` in the differential harness asserts this
+        against the scalar reference).
         """
         self.start()
         config = self.config
         policy = admission_policies.get(config.admission).build(config)
-        trace = workload.trace
         labels = np.asarray(workload.labels)
-        n = len(trace.packets)
-        flush_total = FlushStats()
-        shard_seconds: list[float] | None = None
-
-        packets = trace.packets
-        keys = trace.canonical_keys()    # once per serve, not once per chunk
+        packets = workload.trace.packets
+        keys = workload.trace.canonical_keys()  # once per serve, not per chunk
+        totals = _SubServes(self._driver)
 
         def serve_chunk(indices: list[int]) -> list:
-            nonlocal shard_seconds
             idx = np.asarray(indices, dtype=np.int64)
             rows = idx.tolist()
-            decisions = self._driver.serve(
-                Trace([packets[i] for i in rows]), labels[idx],
-                [keys[i] for i in rows])
-            for d in decisions:
-                d.seq = rows[d.seq]            # chunk -> global position
-            flush_total.merge(self._driver.flush_stats)
-            shard_seconds = (list(self._driver.shard_seconds)
-                             if shard_seconds is None else
-                             [a + b for a, b in
-                              zip(shard_seconds,
-                                  self._driver.shard_seconds)])
+            decisions = self._driver.serve_trace(
+                Trace([packets[i] for i in rows]), labels=labels[idx],
+                keys=[keys[i] for i in rows])
+            totals.add(decisions, rows)
             return decisions
 
         offsets = None
         if config.time_scale > 0:
             offsets = workload.arrival_offsets(config.time_scale,
                                                max_gap=max_gap)
-        before = _cache_snapshot(self._driver)
-        pump = OpenLoopPump(n, offsets, serve_chunk, policy,
+        pump = OpenLoopPump(len(packets), offsets, serve_chunk, policy,
                             drain_max=max(1, config.batch_size))
         result = pump.run()
-        after = _cache_snapshot(self._driver)
-        serving = ServingReport(
-            decisions=result.decisions, n_packets=int(result.served),
-            wall_seconds=result.wall_seconds,
-            topology=config.topology, n_workers=config.n_workers,
-            runtime=config.runtime, lookup_backend=config.lookup_backend,
-            shard_seconds=shard_seconds or [], flush_stats=flush_total,
-            cache_stats=_cache_delta(after, before))
         return build_open_loop_report(
-            result, serving=serving, config=config,
+            result, config=config,
+            serving=self._report(result.decisions, int(result.served),
+                                 result.wall_seconds, totals),
             ts=workload.ts_column(), phases=workload.phases,
             scenario=getattr(workload, "scenario", "<trace>"),
             seed=getattr(workload, "seed", None),
@@ -1210,18 +1017,24 @@ class PegasusEngine:
             p99_target_ms=config.p99_target_ms)
 
     def _serve(self, n_packets: int, run: Callable[[], list]) -> ServingReport:
+        """One timed dispatcher serve, reported with the dispatcher's stats."""
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
         decisions = run()
         wall = time.perf_counter() - started
-        d = self._driver
+        return self._report(decisions, n_packets, wall, self._driver)
+
+    def _report(self, decisions: list, n_packets: int, wall: float,
+                stats) -> ServingReport:
+        """A :class:`ServingReport` of this deployment; ``stats`` is the
+        dispatcher (one serve) or a :class:`_SubServes` (many of them)."""
+        config = self.config
         return ServingReport(
             decisions=decisions, n_packets=n_packets, wall_seconds=wall,
-            topology=self.config.topology, n_workers=self.config.n_workers,
-            runtime=self.config.runtime,
-            lookup_backend=self.config.lookup_backend,
-            shard_seconds=list(d.shard_seconds),
-            flush_stats=d.flush_stats, cache_stats=d.cache_stats)
+            topology=config.topology, n_workers=config.n_workers,
+            runtime=config.runtime, lookup_backend=config.lookup_backend,
+            shard_seconds=list(stats.shard_seconds),
+            flush_stats=stats.flush_stats, cache_stats=stats.cache_stats)
 
 
 __all__ = [

@@ -15,7 +15,7 @@ This module is that front-end, three pieces:
   arrival offset has come (scenario trace timestamps scaled by
   ``EngineConfig.time_scale``; see ``ScenarioTrace.arrival_offsets`` for the
   gap-clipping pacing hook) to the admission policy and the FIFO ingress
-  queue; then it drains one bounded chunk through the engine's driver and
+  queue; then it drains one bounded chunk through the engine's dispatcher and
   stamps per-packet completion times. With ``time_scale=0`` the pump
   degenerates to a synchronous, deterministic as-fast-as-possible replay (no
   sleeps) — the mode the bit-identity tests pin against closed-loop replay.

@@ -2,10 +2,11 @@
 
 :class:`~repro.serving.ShardedDispatcher` replays its replicas *serially*
 and models parallel wall clock as ``max(shard_seconds)``;
-:class:`ParallelDispatcher` makes that wall clock real. Each of
-``n_workers`` persistent ``multiprocessing`` workers owns one runtime
-replica (built from ``runtime_factory`` inside the worker) and a pair of
-preallocated shared-memory rings (:mod:`repro.serving.rings`):
+:class:`ParallelDispatcher` is the same dispatcher with a process transport
+that makes that wall clock real. Each of ``n_workers`` persistent
+``multiprocessing`` workers owns one runtime replica (built from
+``runtime_factory`` inside the worker) and a pair of preallocated
+shared-memory rings (:mod:`repro.serving.rings`):
 
 - the driver gathers each shard's packets **directly into ingress ring
   slots** as columnar NumPy views (``np.take`` into the mapped segment —
@@ -22,15 +23,11 @@ replaying later chunks — compute never idles on transfer in either
 direction. ``ring_stalls`` counts the times the driver had chunks ready
 but every slot of some worker's ring was still in flight (backpressure).
 
-Flows are pinned to workers by the same canonical-5-tuple FNV-1a hash the
-serial dispatcher uses, and the per-shard batch spans are cut driver-side
-by the same scheduler — so for any worker count, ring depth, or chunk size
-the decisions (and flush/cache counters) are **bit-identical** to
-``ShardedDispatcher`` with ``n_shards == n_workers`` (and, when
-per-replica register capacity does not bind, to an unsharded replay) —
-with or without a flow-decision cache in the replicas. The equivalence is
-asserted by ``tests/test_serving_parallel.py`` and the differential
-harness (``repro.eval.differential``).
+The shard split and the per-shard batch spans are the base class's, so for
+any worker count, ring depth, or chunk size the decisions (and flush/cache
+counters) are **bit-identical** to ``ShardedDispatcher`` with
+``n_shards == n_workers`` — asserted by ``tests/test_serving_parallel.py``
+and the differential harness (``repro.eval.differential``).
 
 Usage::
 
@@ -52,12 +49,9 @@ Usage::
 Workers default to the ``fork`` start method (the factory closure —
 typically capturing a compiled model — is inherited, never pickled); on
 platforms without ``fork`` the dispatcher falls back to ``spawn``, which
-requires a picklable factory (ring segments are passed by *name*, so the
-shm path is start-method agnostic). ``close()`` (or the context manager)
-shuts the workers down and **unlinks every shared-memory segment** — also
-after a failed ``start()``, a crashed worker, or repeated calls; replica
-state (flow registers, decision caches) lives in the workers, so it
-persists across ``serve_*`` calls and is discarded on ``close()``.
+requires a picklable factory. Replica state (flow registers, decision
+caches) lives in the workers: it persists across ``serve_*`` calls and is
+discarded by ``close()``, which also unlinks every shared-memory segment.
 """
 
 from __future__ import annotations
@@ -71,20 +65,21 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.mapping import _check_backend
-from repro.dataplane.runtime import PacketDecision, flows_to_trace
+from repro.dataplane.runtime import PacketDecision
 from repro.dataplane.schema import (
     DECISION_COLUMNS,
     EGRESS_RING_ORDER,
     WIRE_COLUMNS,
     decision_dtype,
     validation_enabled,
-    wire_dtype,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerError
 from repro.net.traces import KEY_COLUMN_NAMES, Trace, keys_from_columns
 from repro.serving.cache import CacheStats
-from repro.serving.dispatcher import shard_hash_columns
+# shard_hash_columns is re-exported: the flow-pinning hash was importable
+# from here before the split moved to the base class, and perf/ looks it up.
+from repro.serving.dispatcher import (ShardedDispatcher, build_replica,
+                                      shard_hash_columns)  # noqa: F401
 from repro.serving.rings import (
     RingSegments,
     RingSpec,
@@ -93,7 +88,7 @@ from repro.serving.rings import (
     write_egress_chunk,
     write_ingress_chunk,
 )
-from repro.serving.scheduler import BatchScheduler, FlushStats
+from repro.serving.scheduler import BatchScheduler
 
 #: Auto chunk size (``ring_chunk=None``): at least this many rows per slot,
 #: or the scheduler's batch size when that is larger — so one slot holds at
@@ -166,9 +161,8 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
             if op == "warm":
                 try:
                     if runtime is None:
-                        runtime = runtime_factory()
-                        if lookup_backend is not None:
-                            runtime.set_lookup_backend(lookup_backend)
+                        runtime = build_replica(runtime_factory,
+                                                lookup_backend)
                     if ingress is None:
                         ingress = attach_ring(ingress_name)
                         egress = attach_ring(egress_name)
@@ -231,20 +225,16 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
         conn.close()
 
 
-def _chunk_cuts(stream, n_rows: int, chunk_rows: int):
+def _chunk_cuts(spans, chunk_rows: int):
     """Yield ``(a, b)`` chunk bounds over one shard, at most a slot each.
 
-    With a scheduler, chunks are the scheduler's batch spans (cut from the
-    shard's own timestamps, exactly like the serial dispatcher) split to
-    the slot capacity; without one, fixed ``chunk_rows`` strides. Batch
-    cuts never change decisions or cache counters (asserted by the serving
-    tests), so slot capacity is pure transport geometry.
+    ``spans`` are the scheduler's batch spans (cut from the shard's own
+    timestamps by the shard split) or, without a scheduler, the whole shard
+    as one span; each is split to the slot capacity. Batch cuts never
+    change decisions or cache counters (asserted by the serving tests), so
+    slot capacity is pure transport geometry.
     """
-    if stream is None:
-        for a in range(0, n_rows, chunk_rows):
-            yield a, min(a + chunk_rows, n_rows)
-        return
-    for a, b in stream:
+    for a, b in spans:
         for s in range(a, b, chunk_rows):
             yield s, min(s + chunk_rows, b)
 
@@ -256,75 +246,57 @@ class _WorkerServe:
     w: int
     conn: Any
     member: np.ndarray                  # global positions of shard packets
-    stream: Any                         # SpanStream | None (flush stats)
     chunks: Any                         # iterator of (a, b) shard spans
     base_by_slot: dict = field(default_factory=dict)
     next_seq: int = 0                   # chunks dispatched so far
     inflight: int = 0
     exhausted: bool = False
     end_sent: bool = False
-    failed: str | None = None
 
 
-@dataclass
-class ParallelDispatcher:
+class ParallelDispatcher(ShardedDispatcher):
     """Serve traces across ``n_workers`` concurrent runtime replicas.
 
-    The parallel counterpart of :class:`~repro.serving.ShardedDispatcher`:
-    same flow pinning, same driver-side batch spans, but replicas live in
-    persistent worker processes fed through per-worker shared-memory rings
-    (:mod:`repro.serving.rings`), so ``wall_seconds`` is *measured*
-    concurrent wall clock and the payload path never pickles.
-    ``runtime_factory`` runs inside each worker; ``scheduler`` is immutable
-    config shared by value; ``payload_bytes`` (for
-    :class:`TwoStageRuntime` replicas) reserves a payload matrix in every
-    ingress slot; ``lookup_backend`` (``"index"`` | ``"tcam"``), when set,
-    is applied to every worker-built replica via ``set_lookup_backend`` —
-    serving the hardware-faithful emulated-TCAM lookup path with
-    bit-identical decisions. ``ring_depth`` slots per worker bound the
-    in-flight chunks (pipelining window); ``ring_chunk`` caps rows per
-    slot (default: ``max(DEFAULT_CHUNK_ROWS, scheduler batch size)``).
-
-    Per-serve telemetry: ``wall_seconds``, per-worker ``shard_seconds``
-    (replay time only, excluding IPC), merged ``flush_stats``,
-    ``ring_stalls`` (driver blocked on a full ring), and — when replicas
-    carry a decision cache — lifetime ``cache_stats``.
+    :class:`~repro.serving.ShardedDispatcher` with a process transport:
+    same serve path, flow pinning and driver-side batch spans, but only the
+    lifecycle (rings, workers) and ``_execute`` (the ring pump) are defined
+    here, so ``wall_seconds`` is *measured* concurrent wall clock.
+    ``runtime_factory`` runs — and ``lookup_backend`` is applied — inside
+    each worker; ``payload_bytes`` (for :class:`TwoStageRuntime` replicas)
+    reserves a payload matrix in every ingress slot; ``ring_chunk`` caps
+    rows per slot (default: ``max(DEFAULT_CHUNK_ROWS, scheduler batch
+    size)``). ``shard_seconds`` and ``cache_stats`` are what the workers
+    report with their ``done`` reply.
     """
 
-    runtime_factory: Callable[[], Any]
-    n_workers: int = 1
-    scheduler: BatchScheduler | None = None
-    lookup_backend: str | None = None
-    payload_bytes: int | None = None
-    start_method: str | None = None
-    ring_depth: int = 4
-    ring_chunk: int | None = None
-    l2_admit: bool = field(init=False, default=True)
-    shard_seconds: list[float] = field(init=False, default_factory=list)
-    wall_seconds: float = field(init=False, default=0.0)
-    flush_stats: FlushStats = field(init=False, default_factory=FlushStats)
-    cache_stats: CacheStats = field(init=False, default_factory=CacheStats)
-    ring_stalls: int = field(init=False, default=0)
+    in_process = False
 
-    def __post_init__(self):
-        if self.n_workers < 1:
-            raise ConfigError("n_workers", self.n_workers, allowed=">= 1")
-        if self.lookup_backend is not None:
-            # Fail fast on a typo'd backend, before any worker is forked
-            # (replica-specific rejections still surface from the warm ping).
-            _check_backend(self.lookup_backend)
-        if self.start_method is None:
+    def __init__(self, runtime_factory: Callable[[], Any], n_workers: int = 1,
+                 scheduler: BatchScheduler | None = None,
+                 lookup_backend: str | None = None,
+                 payload_bytes: int | None = None,
+                 start_method: str | None = None, ring_depth: int = 4,
+                 ring_chunk: int | None = None):
+        if n_workers < 1:
+            raise ConfigError("n_workers", n_workers, allowed=">= 1")
+        super().__init__(runtime_factory, n_workers, scheduler,
+                         lookup_backend)
+        self.payload_bytes = payload_bytes
+        if start_method is None:
             methods = multiprocessing.get_all_start_methods()
-            self.start_method = "fork" if "fork" in methods else "spawn"
-        chunk_rows = self.ring_chunk
+            start_method = "fork" if "fork" in methods else "spawn"
+        self.start_method = start_method
+        self.ring_depth, self.ring_chunk = ring_depth, ring_chunk
+        self.ring_stalls = 0
+        chunk_rows = ring_chunk
         if chunk_rows is None:
             chunk_rows = DEFAULT_CHUNK_ROWS
-            if self.scheduler is not None:
-                chunk_rows = max(chunk_rows, self.scheduler.batch_size)
+            if scheduler is not None:
+                chunk_rows = max(chunk_rows, scheduler.batch_size)
         # RingSpec validates ring_depth / ring_chunk (>= 1 each).
-        self._spec = RingSpec(depth=self.ring_depth, chunk_rows=chunk_rows,
-                              payload_cols=self.payload_bytes or 0)
-        self._ctx = multiprocessing.get_context(self.start_method)
+        self._spec = RingSpec(depth=ring_depth, chunk_rows=chunk_rows,
+                              payload_cols=payload_bytes or 0)
+        self._ctx = multiprocessing.get_context(start_method)
         self._workers: list = []
         self._conns: list = []
         self._segments: RingSegments | None = None
@@ -333,6 +305,10 @@ class ParallelDispatcher:
         # to all workers as the seed of the next serve.
         self._l2_entries: list = []
         self._l2_seen: set = set()
+
+    @property
+    def n_workers(self) -> int:
+        return self.n_shards
 
     @property
     def started(self) -> bool:
@@ -355,6 +331,7 @@ class ParallelDispatcher:
         """
         if self._workers:
             return
+        self.cache_stats = CacheStats()     # cold fleet, zero lifetime
         try:
             self._segments = RingSegments(self.n_workers, self._spec)
             for w in range(self.n_workers):
@@ -372,14 +349,14 @@ class ParallelDispatcher:
                 self._conns.append(parent_conn)
             for conn in self._conns:
                 conn.send(("warm",))
-            failures = []
+            failures = {}
             for w, conn in enumerate(self._conns):
                 status, reply = conn.recv()
                 if status != "ok":
-                    failures.append(
-                        f"worker {w} failed to build its replica:\n{reply}")
+                    failures[w] = (f"worker {w} failed to build its "
+                                   f"replica:\n{reply}")
             if failures:
-                raise RuntimeError("\n".join(failures))
+                raise WorkerError(failures)
         except BaseException:
             # A partially started fleet (spawn error, failed warm ping,
             # interrupt) must never leak processes, pipes, or shared-memory
@@ -426,13 +403,6 @@ class ParallelDispatcher:
             # the memory alive until then, but the /dev/shm name must go.
             segments.close()
 
-    def __enter__(self) -> "ParallelDispatcher":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def _merge_l2(self, entries: list) -> None:
         """Fold one worker's published L2 entries into the master copy.
 
@@ -448,56 +418,25 @@ class ParallelDispatcher:
             self._l2_seen.add(key)
             self._l2_entries.append((qk, lo, hi, decision))
 
-    def serve_flows(self, flows: list) -> list:
-        """Replay the interleaved trace of many labelled flows, in parallel."""
-        trace, _keys, labels = flows_to_trace(flows)
-        return self.serve_trace(trace, labels=labels)
-
-    def serve_trace(self, trace: Trace, labels: np.ndarray | None = None) -> list:
+    def _execute(self, trace: Trace, keys, sources: dict,
+                 shards: list) -> list:
         """Pump shard chunks through the rings; merge decision streams.
 
         The pump keeps up to ``ring_depth`` chunks in flight per worker
         and scatters every finished egress slot while later chunks are
         still replaying (dispatch/merge overlap). Decisions come back in
-        global trace order, exactly as the serial dispatcher would produce
-        them.
+        global trace order, exactly as the in-process dispatcher would
+        produce them.
         """
-        self.start()
-        started = time.perf_counter()
-        n = len(trace.packets)
-        if labels is None:
-            labels = np.full(n, -1, dtype=wire_dtype("labels"))
-        else:
-            labels = np.asarray(labels, dtype=wire_dtype("labels"))
-        cols = trace.packet_columns()
-        key_cols = trace.canonical_key_columns()
-        sources = {"ts": cols["ts"], "length": cols["length"], **key_cols,
-                   "labels": labels}
-        if self.payload_bytes:
-            sources["payload"] = trace.payload_matrix(self.payload_bytes)
-        if validation_enabled():
-            # The produce side of the ring contract: one check of the full
-            # columns every chunk gather reads from (drift would otherwise
-            # be cast — or corrupted — by the in-place np.take below).
-            WIRE_COLUMNS.validate_columns(
-                sources, context="parallel shard split -> ingress rings")
-        shard_ids = (shard_hash_columns(key_cols)
-                     % np.uint64(self.n_workers)).astype(np.int64)
-
         states = []
-        for w, conn in enumerate(self._conns):
-            member = np.nonzero(shard_ids == w)[0]
-            stream = self.scheduler.iter_spans(cols["ts"][member]) \
-                if self.scheduler is not None else None
+        for w, (conn, (member, stream)) in enumerate(zip(self._conns, shards)):
+            spans = [(0, len(member))] if stream is None else stream
             states.append(_WorkerServe(
-                w, conn, member, stream,
-                _chunk_cuts(stream, len(member), self._spec.chunk_rows)))
+                w, conn, member, _chunk_cuts(spans, self._spec.chunk_rows)))
             conn.send(("serve", self._l2_entries or None, self.l2_admit))
 
-        self.shard_seconds = [0.0] * self.n_workers
-        self.flush_stats = FlushStats()
-        self.cache_stats = CacheStats()
         self.ring_stalls = 0
+        n = len(sources["ts"])
         # Explicit per-column literal (not a comprehension) so the
         # columnar-schema lint checks every dtype against the declaration.
         merged = {
@@ -507,7 +446,7 @@ class ParallelDispatcher:
             "ts": np.zeros(n, dtype=decision_dtype("ts")),
         }
         valid = np.zeros(n, dtype=np.bool_)
-        failures: list[str] = []
+        failures: dict[int, str] = {}       # worker -> its first report
         done_payloads: list[dict | None] = [None] * self.n_workers
         pending = {st.conn: st for st in states}
 
@@ -527,16 +466,13 @@ class ParallelDispatcher:
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    failures.append(f"worker {st.w} failed:\n"
-                                    f"worker process died mid-serve")
+                    failures.setdefault(st.w, f"worker {st.w} failed:\n"
+                                              f"worker process died mid-serve")
                     del pending[conn]
                     continue
                 self._absorb(st, msg, merged, valid, done_payloads,
                              failures, pending)
 
-        for st in states:
-            if st.stream is not None:
-                self.flush_stats.merge(st.stream.stats)
         for w, payload in enumerate(done_payloads):
             if payload is None:
                 continue
@@ -546,9 +482,9 @@ class ParallelDispatcher:
             if payload.get("l2_export"):
                 self._merge_l2(payload["l2_export"])
         if failures:
-            raise RuntimeError("\n".join(failures))
+            raise WorkerError(failures)
 
-        decisions = [
+        return [
             PacketDecision(
                 flow_label=int(merged["flow_label"][i]),
                 predicted=int(merged["predicted"][i]),
@@ -557,10 +493,8 @@ class ParallelDispatcher:
             )
             for i in np.flatnonzero(valid)
         ]
-        self.wall_seconds = time.perf_counter() - started
-        return decisions
 
-    def _pump(self, st: _WorkerServe, sources: dict, failures: list,
+    def _pump(self, st: _WorkerServe, sources: dict, failures: dict,
               pending: dict) -> None:
         """Fill this worker's free ring slots with its next shard chunks.
 
@@ -570,7 +504,7 @@ class ParallelDispatcher:
         A failed worker stops being fed (its remaining spans are dropped —
         the serve raises after the drain anyway).
         """
-        if st.failed is not None:
+        if st.w in failures:
             st.exhausted = True
         while not st.exhausted and st.inflight < self._spec.depth:
             span = next(st.chunks, None)
@@ -591,22 +525,22 @@ class ParallelDispatcher:
             st.end_sent = True
             self._send(st, ("end",), failures, pending)
 
-    def _send(self, st: _WorkerServe, msg: tuple, failures: list,
+    def _send(self, st: _WorkerServe, msg: tuple, failures: dict,
               pending: dict) -> bool:
         """Send one descriptor, declaring the worker dead on a broken pipe."""
         try:
             st.conn.send(msg)
             return True
         except (BrokenPipeError, OSError):
-            failures.append(f"worker {st.w} failed:\n"
-                            f"worker process died mid-serve (broken pipe)")
+            failures.setdefault(st.w, f"worker {st.w} failed:\nworker "
+                                      f"process died mid-serve (broken pipe)")
             st.exhausted = True
             st.end_sent = True
             pending.pop(st.conn, None)
             return False
 
     def _absorb(self, st: _WorkerServe, msg: tuple, merged: dict,
-                valid: np.ndarray, done_payloads: list, failures: list,
+                valid: np.ndarray, done_payloads: list, failures: dict,
                 pending: dict) -> None:
         """Fold one worker reply into the merge state."""
         op = msg[0]
@@ -628,15 +562,11 @@ class ParallelDispatcher:
                 gseq = st.member[base + views["seq"]]
                 scatter_decision_chunk(merged, valid, gseq, views, produced)
         elif op == "chunk_err":
-            _, _slot, tb = msg
             st.inflight -= 1
-            if st.failed is None:
-                st.failed = f"worker {st.w} failed:\n{tb}"
-                failures.append(st.failed)
+            failures.setdefault(st.w, f"worker {st.w} failed:\n{msg[2]}")
         elif op == "done":
             done_payloads[st.w] = msg[1]
-            err = msg[1].get("error")
-            if err and st.failed is None:
-                st.failed = f"worker {st.w} failed:\n{err}"
-                failures.append(st.failed)
+            if msg[1].get("error"):
+                failures.setdefault(
+                    st.w, f"worker {st.w} failed:\n{msg[1]['error']}")
             del pending[st.conn]

@@ -382,50 +382,6 @@ class TestThreadSharedState:
 
 
 # ---------------------------------------------------------------------------
-# no-deprecated-internal-callers
-# ---------------------------------------------------------------------------
-
-class TestNoDeprecatedInternalCallers:
-    def test_package_level_shim_import_flagged(self):
-        findings = lint("""
-            from repro.serving import ShardedDispatcher
-        """, path=Path("src/repro/eval/fake.py"))
-        assert rule_names(findings) == ["no-deprecated-internal-callers"]
-
-    def test_compat_module_import_flagged(self):
-        findings = lint("""
-            from repro.serving.compat import ParallelDispatcher
-        """, path=Path("src/repro/eval/fake.py"))
-        assert rule_names(findings) == ["no-deprecated-internal-callers"]
-        assert "shim" in findings[0].msg
-
-    def test_deprecated_serve_method_flagged(self):
-        findings = lint("""
-            from repro.serving.engine import PegasusEngine
-
-            def replay(source, config, trace):
-                with PegasusEngine(source=source, config=config) as eng:
-                    return eng.serve_trace(trace)
-        """, path=Path("src/repro/eval/fake.py"))
-        assert rule_names(findings) == ["no-deprecated-internal-callers"]
-        assert "serve_trace" in findings[0].msg
-
-    def test_real_internals_and_init_reexports_clean(self):
-        assert lint("""
-            from repro.serving.dispatcher import ShardedDispatcher
-            from repro.serving.engine import PegasusEngine
-
-            def replay(source, config, trace, labels):
-                with PegasusEngine(source=source, config=config) as eng:
-                    return eng.serve(trace, labels=labels)
-        """, path=Path("src/repro/eval/fake.py")) == []
-        # Package __init__ re-exports the deprecated names on purpose.
-        assert lint("""
-            from repro.serving import ShardedDispatcher
-        """, path=Path("src/repro/__init__.py")) == []
-
-
-# ---------------------------------------------------------------------------
 # mutable-default-args / bare-except
 # ---------------------------------------------------------------------------
 
@@ -640,10 +596,6 @@ def _mutant(items):
     t.join()
     return n
 """, "            out.append(item)"),
-    ("no-deprecated-internal-callers", "src/repro/eval/differential.py", """
-
-from repro.serving.compat import ShardedDispatcher as _MutantShim
-""", "from repro.serving.compat import ShardedDispatcher as _MutantShim"),
     ("mutable-default-args", "src/repro/utils/rng.py", """
 
 def _mutant(xs, acc=[]):

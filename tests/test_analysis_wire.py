@@ -4,7 +4,7 @@ Four layers:
 
 1. **Call graph** — module functions, methods, ``self.``/constructor-typed
    resolution, and the real edges the wire rules depend on
-   (``ParallelDispatcher.serve_trace -> shard_hash_columns``).
+   (``ShardedDispatcher.serve_trace -> ... -> shard_hash_columns``).
 2. **Dtype dataflow** — the promotion lattice, per-function summaries on
    the shipped tree (``shard_hash_columns`` must summarize as
    ``array[uint64]``), and schema-seeded subscripts.
@@ -97,9 +97,17 @@ class TestCallGraph:
         assert info.module == "repro.net.traces"
 
     def test_parallel_serve_trace_reaches_the_hash(self, repo_graph):
-        edges = repo_graph.edges[
-            "repro.serving.parallel.ParallelDispatcher.serve_trace"]
-        assert "repro.serving.dispatcher.shard_hash_columns" in edges
+        # One serve template, defined once on the base dispatcher (the
+        # parallel subclass inherits it): serve_trace -> _serve -> _split
+        # -> shard_hash_columns, every hop a resolved self-call.
+        base = "repro.serving.dispatcher.ShardedDispatcher."
+        assert "repro.serving.parallel.ParallelDispatcher.serve_trace" \
+            not in repo_graph.functions
+        assert base + "_serve" in repo_graph.edges[base + "serve_trace"]
+        assert {base + "_split", base + "_execute"} \
+            <= repo_graph.edges[base + "_serve"]
+        assert "repro.serving.dispatcher.shard_hash_columns" \
+            in repo_graph.edges[base + "_split"]
         # The ring write/read seams resolve cross-module: the pump gathers
         # into ingress slots, the absorb scatters egress slots.
         pump_edges = repo_graph.edges[
@@ -111,7 +119,7 @@ class TestCallGraph:
 
     def test_self_method_resolution(self, repo_graph):
         edges = repo_graph.edges[
-            "repro.serving.parallel.ParallelDispatcher.serve_trace"]
+            "repro.serving.parallel.ParallelDispatcher._execute"]
         assert any(e.startswith(
             "repro.serving.parallel.ParallelDispatcher.") for e in edges)
 

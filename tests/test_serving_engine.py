@@ -4,21 +4,19 @@ The headline contract: for **every** supported ``EngineConfig`` —
 topology x cache x lookup_backend x runtime kind — the engine's decisions
 are bit-identical to the equivalent hand-wired dispatcher/runtime stack.
 Plus: typed config validation, registry round-trips, lifecycle semantics,
-the merged ServingReport, and the deprecation shims over the old entry
-points.
+and the merged ServingReport.
 """
 
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import repro
 from repro.core.fuzzy import FuzzyTree
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
                                      flows_to_trace)
+from repro.dataplane.schema import ColumnSchema, set_validation
 from repro.errors import ConfigError, PegasusError
 from repro.net.traces import Trace
 from repro.serving import EngineConfig, PegasusEngine, ServingReport
@@ -53,6 +51,13 @@ class _TwoStageModel:
 
     def make_runtime(self, capacity):
         return TwoStageRuntime(capacity=capacity, **self.spec)
+
+
+def _modeled_topology(replica_factory, config, payload_bytes):
+    """A plain topology builder: anything with the dispatcher protocol."""
+    return ShardedDispatcher(runtime_factory=replica_factory,
+                             n_shards=config.n_workers,
+                             scheduler=config.scheduler())
 
 
 def _config(topology, cached, backend, **kw):
@@ -165,6 +170,65 @@ class TestConfigMatrixEquivalence:
                                                                  "index"))
         with pytest.raises(ValueError, match="missing serve columns"):
             engine.serve(cols)
+
+
+class TestOneDispatcher:
+    """``local``, ``sharded`` x1 and ``parallel`` x1 are the same dispatcher
+    holding one replica: everything a report carries must agree."""
+
+    @pytest.mark.parametrize("shape", ["trace", "flows", "columns"])
+    @pytest.mark.parametrize("runtime", ["windowed", "two_stage"])
+    def test_single_replica_topologies_agree(self, compiled16, two_stage_spec,
+                                             replay_flows, runtime, shape):
+        source = compiled16 if runtime == "windowed" else two_stage_spec
+        trace, _keys, labels = flows_to_trace(replay_flows)
+        workload, kwargs = {
+            "trace": (trace, {"labels": labels}),
+            "flows": (replay_flows, {}),
+            "columns": (trace.to_columns(payload_bytes=60),
+                        {"labels": labels}),
+        }[shape]
+        reports = []
+        for topology in TOPOLOGIES:
+            config = EngineConfig(
+                runtime=runtime, feature_mode="stats", batch_size=BATCH,
+                decision_cache=True, cache_capacity=CACHE_CAP,
+                topology=topology, n_workers=1)
+            with PegasusEngine(source=source, config=config) as engine:
+                reports.append(engine.serve(workload, **kwargs))
+        local = reports[0]
+        assert local.decisions and local.flush_stats.total > 0
+        assert local.cache_stats.lookups == len(local.decisions)
+        for report in reports:
+            assert report.decisions == local.decisions
+            assert report.flush_stats.total == local.flush_stats.total
+            assert len(report.shard_seconds) == 1
+            assert report.cache_stats == local.cache_stats
+
+    @pytest.mark.parametrize("topology", ["sharded", "parallel"])
+    def test_one_split_validation_per_serve(self, compiled16, replay_flows,
+                                            topology, monkeypatch):
+        """With wire validation on (``REPRO_WIRE_VALIDATE=1``) a two-replica
+        serve checks its columns at the shard split exactly once."""
+        contexts = []
+        original = ColumnSchema.validate_columns
+
+        def recording(self, cols, require=None, context=""):
+            contexts.append(context)
+            return original(self, cols, require=require, context=context)
+
+        monkeypatch.setattr(ColumnSchema, "validate_columns", recording)
+        previous = set_validation(True)
+        try:
+            with PegasusEngine.from_compiled(
+                    compiled16, _config(topology, False, "index")) as engine:
+                for served in (1, 2):
+                    assert engine.serve(replay_flows).decisions
+                    splits = [c for c in contexts if "shard split" in c]
+                    assert len(splits) == served
+                    assert len(set(splits)) == 1
+        finally:
+            set_validation(previous)
 
 
 class TestEngineConfig:
@@ -396,8 +460,7 @@ class TestRegistries:
             EngineConfig(lookup_backend="index-alias")
 
     def test_topology_round_trip(self, compiled16, replay_flows):
-        from repro.serving.engine import _ShardedDriver
-        engine_mod.register_topology("modeled", _ShardedDriver)
+        engine_mod.register_topology("modeled", _modeled_topology)
         try:
             got = PegasusEngine.from_compiled(
                 compiled16, topology="modeled", n_workers=2,
@@ -419,67 +482,3 @@ class TestRegistries:
         engine_mod.register_topology(
             "local", engine_mod.topologies.get("local"), overwrite=True)
         assert "local" in engine_mod.topologies
-
-
-class TestDeprecationShims:
-    def test_sharded_dispatcher_warns(self, compiled16):
-        with pytest.warns(DeprecationWarning, match="PegasusEngine"):
-            repro.ShardedDispatcher(
-                runtime_factory=_windowed_factory(compiled16, False, "index"),
-                n_shards=1)
-
-    def test_parallel_dispatcher_warns(self, compiled16):
-        with pytest.warns(DeprecationWarning, match="PegasusEngine"):
-            dispatcher = repro.ParallelDispatcher(
-                runtime_factory=_windowed_factory(compiled16, False, "index"),
-                n_workers=1)
-        dispatcher.close()      # never started: a safe no-op
-
-    def test_runtime_shims_warn(self, compiled16, two_stage_spec):
-        with pytest.warns(DeprecationWarning, match="PegasusEngine"):
-            repro.WindowedClassifierRuntime(compiled16, feature_mode="stats")
-        with pytest.warns(DeprecationWarning, match="PegasusEngine"):
-            repro.TwoStageRuntime(**two_stage_spec)
-
-    def test_shims_still_serve(self, compiled16, replay_flows):
-        """Old entry points keep producing the exact old decisions."""
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats",
-            batch_size=BATCH).process_flows(replay_flows)
-        with pytest.warns(DeprecationWarning):
-            shim = repro.WindowedClassifierRuntime(
-                compiled16, feature_mode="stats", batch_size=BATCH)
-        assert shim.process_flows(replay_flows) == ref
-        with pytest.warns(DeprecationWarning):
-            dispatcher = repro.ShardedDispatcher(
-                runtime_factory=_windowed_factory(compiled16, False, "index"),
-                n_shards=2, scheduler=BatchScheduler(batch_size=BATCH))
-        assert dispatcher.serve_flows(replay_flows) == ref
-
-    def test_old_serve_entry_points_warn_but_still_serve(self, compiled16,
-                                                         replay_flows):
-        """serve_flows/serve_trace/serve_columns are shims over serve()."""
-        trace, _keys, labels = flows_to_trace(replay_flows)
-        engine = PegasusEngine.from_compiled(compiled16, batch_size=BATCH)
-        ref = engine.serve(replay_flows).decisions
-        engine.close()
-        with pytest.warns(DeprecationWarning, match="serve"):
-            via_flows = engine.serve_flows(replay_flows).decisions
-        engine.close()
-        with pytest.warns(DeprecationWarning, match="serve"):
-            via_trace = engine.serve_trace(trace, labels=labels).decisions
-        engine.close()
-        with pytest.warns(DeprecationWarning, match="serve"):
-            via_cols = engine.serve_columns(trace.to_columns(),
-                                            labels=labels).decisions
-        assert via_flows == via_trace == via_cols == ref
-
-    def test_engine_never_warns(self, compiled16, replay_flows):
-        """The engine builds the un-deprecated internals: no warnings."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for topology in TOPOLOGIES:
-                with PegasusEngine.from_compiled(
-                        compiled16,
-                        _config(topology, True, "index")) as engine:
-                    assert engine.serve(replay_flows).decisions

@@ -17,11 +17,10 @@ import pytest
 
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
+from repro.errors import WorkerError
 from repro.net.traces import Trace, canonicalize_key_columns, keys_from_columns
 from repro.serving import (BatchScheduler, FlowDecisionCache, shard_hash,
                            shard_hash_columns)
-# The un-deprecated internals: these tests exercise the dispatchers
-# themselves, not the deprecated package-level construction path.
 from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import (ParallelDispatcher, serve_chunk,
                                     worker_main)
@@ -351,10 +350,15 @@ class TestParallelDispatcherMechanics:
         dispatcher = ParallelDispatcher(runtime_factory=broken_factory,
                                         n_workers=2)
         try:
-            with pytest.raises(RuntimeError, match="replica build exploded"):
+            with pytest.raises(RuntimeError,
+                               match="replica build exploded") as exc:
                 dispatcher.serve_flows(replay_flows)
         finally:
             dispatcher.close()
+        # Typed, and it names the workers that failed (both: same factory).
+        assert isinstance(exc.value, WorkerError)
+        assert exc.value.workers == (0, 1)
+        assert "worker 1 failed to build" in exc.value.failures[1]
 
 
 class TestCloseLifecycle:

@@ -356,7 +356,7 @@ class TestCrossReplicaSharing:
         with PegasusEngine(source=model, config=config) as eng:
             first_serve = eng.serve(workload.trace,
                                           labels=workload.labels)
-            merged = list(eng._driver._dispatcher._l2_entries)
+            merged = list(eng._driver._l2_entries)
             second_serve = eng.serve(second.trace, labels=second.labels)
         # Worker exports crossed the spawn boundary and were merged...
         assert merged, "dispatcher merged no L2 exports"

@@ -218,10 +218,11 @@ class TestHotPathCoverage:
                 scheduler=BatchScheduler(batch_size=32)) as dispatcher:
             dispatcher.serve_trace(trace, labels=labels)
         split_calls = [ctx for name, ctx in calls
-                       if name == "wire" and "parallel shard split" in ctx]
+                       if name == "wire" and "shard split" in ctx]
         reply_calls = [ctx for name, ctx in calls
                        if name == "decision" and "reply" in ctx]
-        assert split_calls and reply_calls
+        assert split_calls == ["ParallelDispatcher shard split"]
+        assert reply_calls
 
     def test_parallel_rejects_drifted_reply(self, monkeypatch):
         reply = {"seq": np.arange(3, dtype=np.int64),
