@@ -17,7 +17,7 @@ from repro.dataplane.tables import TernaryTableEntry, ternary_entries_for_tree, 
 from repro.dataplane.tcam import (PackedTernaryTable, TcamSegment,
                                   compile_segment_table, tcam_table_report)
 from repro.dataplane.pipeline import Pipeline, place_model, TablePlacement, StageBudget
-from repro.dataplane.registers import (FlowStateTable, FlowStateLayout,
+from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 from repro.dataplane.resources import ResourceReport, summarize_resources
 from repro.dataplane.runtime import (DEFAULT_BATCH_SIZE, PacketDecision,
@@ -48,7 +48,7 @@ __all__ = [
     "place_model",
     "TablePlacement",
     "StageBudget",
-    "FlowStateTable",
+    "FlowBatch",
     "FlowStateLayout",
     "RegisterField",
     "VectorFlowState",

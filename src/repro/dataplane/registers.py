@@ -4,18 +4,20 @@ Programmable switches keep per-flow features in stateful SRAM register
 arrays; the bits consumed per flow bound the number of concurrent flows
 (paper §7.3 / Figure 7). A :class:`FlowStateLayout` declares the fields one
 model needs per flow (e.g. CNN-L: a 16-bit previous-packet timestamp plus a
-4-bit fuzzy index for each of 7 stored packets = 44 bits); the
-:class:`FlowStateTable` enforces field widths and accounts for SRAM.
+4-bit fuzzy index for each of 7 stored packets = 44 bits) and accounts for
+SRAM; :class:`VectorFlowState` stores those fields for up to ``capacity``
+flows and enforces their widths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.net.packet import FlowKey
+from repro.net.traces import flow_ids
 
 
 @dataclass(frozen=True)
@@ -54,63 +56,6 @@ class FlowStateLayout:
         raise KeyError(f"no register field named {name!r}")
 
 
-class FlowStateTable:
-    """Per-flow register storage with width enforcement.
-
-    A real switch indexes registers by a hash of the flow key; collisions
-    evict state. We model an exact-match table of bounded capacity with
-    FIFO eviction, which preserves the capacity-vs-flows trade-off without
-    modelling a specific hash scheme.
-    """
-
-    def __init__(self, layout: FlowStateLayout, capacity: int = 1_000_000):
-        self.layout = layout
-        self.capacity = capacity
-        self._store: dict[FlowKey, dict[str, list[int]]] = {}
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _fresh_record(self) -> dict[str, list[int]]:
-        return {f.name: [0] * f.count for f in self.layout.fields}
-
-    def get(self, key: FlowKey) -> dict[str, list[int]]:
-        """Fetch (creating if absent) the record for a flow."""
-        record = self._store.get(key)
-        if record is None:
-            if len(self._store) >= self.capacity:
-                oldest = next(iter(self._store))
-                del self._store[oldest]
-                self.evictions += 1
-            record = self._fresh_record()
-            self._store[key] = record
-        return record
-
-    def write(self, key: FlowKey, name: str, value: int, index: int = 0) -> None:
-        """Write one field element, enforcing its register width."""
-        reg = self.layout.field(name)
-        if not 0 <= value < (1 << reg.bits):
-            raise PipelineError(
-                f"value {value} does not fit register {name!r} ({reg.bits} bits)")
-        if not 0 <= index < reg.count:
-            raise PipelineError(f"register {name!r} index {index} out of range")
-        self.get(key)[name][index] = value
-
-    def read(self, key: FlowKey, name: str, index: int = 0) -> int:
-        return self.get(key)[name][index]
-
-    def shift_in(self, key: FlowKey, name: str, value: int) -> None:
-        """Append to a register array, shifting older entries out (window state)."""
-        reg = self.layout.field(name)
-        if not 0 <= value < (1 << reg.bits):
-            raise PipelineError(
-                f"value {value} does not fit register {name!r} ({reg.bits} bits)")
-        arr = self.get(key)[name]
-        arr.pop(0)
-        arr.append(value)
-
-
 def register_dtype(bits: int) -> np.dtype:
     """Narrowest unsigned NumPy dtype that holds a ``bits``-wide register."""
     if bits <= 8:
@@ -122,26 +67,40 @@ def register_dtype(bits: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
+class FlowBatch(NamedTuple):
+    """How one batch's packets map onto flow slots (:meth:`VectorFlowState.acquire`).
+
+    Covers the batch's first ``rows`` packets (the batch is cut there).
+    ``slots`` holds the register slot of each distinct flow, in order of
+    first appearance, ``flows`` the same flows' ids (the decision cache keys
+    flows by them), and ``rank[i]`` the position of packet ``i``'s flow in
+    both — the per-flow grouping the batched runtimes gather state with.
+    """
+
+    rows: int
+    slots: np.ndarray
+    rank: np.ndarray
+    flows: list
+
+
 class VectorFlowState:
     """Columnar per-flow register storage for the batched runtimes.
 
-    Semantically identical to :class:`FlowStateTable` (same fields, same
-    widths, same FIFO eviction at capacity) but laid out for vectorized
-    access: each :class:`RegisterField` becomes one preallocated 2-D NumPy
-    array of shape ``(capacity, field.count)`` in the narrowest unsigned
-    dtype that holds the field width. Flow keys map to *slots* (row indices)
-    through an insertion-ordered dict, so a whole batch of packets can
-    gather/scatter its per-flow state with fancy indexing instead of one
-    dict write per packet.
+    Each :class:`RegisterField` becomes one preallocated 2-D NumPy array of
+    shape ``(capacity, field.count)`` in the narrowest unsigned dtype that
+    holds the field width, so a whole batch gathers/scatters its per-flow
+    state with fancy indexing. Flows map to *slots* (row indices) through an
+    exact-match table keyed by the packed canonical 5-tuple
+    (:func:`repro.net.traces.flow_ids`); it holds one entry per live flow
+    plus one owner reference per slot up to the slot high-water mark, so its
+    memory grows with the flows actually seen, never with ``capacity``.
 
-    Eviction model: like the scalar table, this is an exact-match store of
-    bounded ``capacity`` with FIFO eviction — when a new flow arrives at
-    capacity, the *oldest inserted* flow is evicted, its slot's register
-    rows are zeroed, and the slot is reused. ``evictions`` counts these
-    events. A batched caller that still has unprocessed packets referring
-    to the victim's slot must flush before the eviction happens; pass those
-    slots as ``blocked`` to :meth:`acquire` and it refuses (returns None)
-    instead of corrupting in-flight state.
+    Eviction model: FIFO at ``capacity``, kept as an allocation counter —
+    allocation *k* takes slot ``k % capacity`` and, once ``k >= capacity``,
+    evicts that slot's owner (always the oldest live flow), zeroes its
+    register rows, and counts it in ``evictions``. A re-arriving evicted
+    flow therefore restarts its window from scratch: the state loss the
+    Figure-7 capacity ablation measures.
     """
 
     def __init__(self, layout: FlowStateLayout, capacity: int = 1_000_000):
@@ -150,8 +109,9 @@ class VectorFlowState:
         self.layout = layout
         self.capacity = capacity
         self.evictions = 0
-        self._slot_of: dict[FlowKey, int] = {}   # insertion order = FIFO order
-        self._next_slot = 0                      # high-water mark of used rows
+        self._slot_of: dict[bytes, int] = {}
+        self._owner: list[bytes] = []      # slot -> flow id, to the high-water mark
+        self._allocations = 0
         self.columns: dict[str, np.ndarray] = {
             f.name: np.zeros((capacity, f.count), dtype=register_dtype(f.bits))
             for f in layout.fields}
@@ -159,40 +119,78 @@ class VectorFlowState:
     def __len__(self) -> int:
         return len(self._slot_of)
 
-    def slot_of(self, key: FlowKey) -> int | None:
-        """The slot currently assigned to ``key``, or None if untracked."""
-        return self._slot_of.get(key)
+    def slot_of(self, words: np.ndarray) -> int | None:
+        """The slot of the flow of one packed key row, or None if untracked."""
+        return self._slot_of.get(flow_ids(words)[0])
 
-    def acquire(self, key: FlowKey, blocked: set[int] = frozenset()) -> int | None:
-        """Slot for ``key``, allocating (with FIFO eviction) when absent.
+    def acquire(self, words: np.ndarray) -> FlowBatch:
+        """Resolve the flow slots of a batch of packed keys, ``(n, 2)`` uint64.
 
-        Returns None — without mutating anything — when allocation would
-        evict a slot in ``blocked`` (a slot with unflushed in-batch state).
+        Exactly the per-packet FIFO replay, done once per batch: flows
+        already resident are looked up in one C-level pass; new flows are
+        allocated in the order they first appear, each evicting the oldest
+        live flow once the table is full. A resident flow whose slot an
+        earlier packet of the batch evicted is new again when it shows up.
+        The batch is cut before the first allocation whose victim slot the
+        batch already uses (its pending state must be written back first):
+        the result covers only the packets before the cut, and the caller
+        resolves the rest with the next call. At least one packet is always
+        resolved.
         """
-        slot = self._slot_of.get(key)
-        if slot is not None:
-            return slot
-        if self._next_slot < self.capacity:
-            slot = self._next_slot
-            self._next_slot += 1
-        else:
-            victim_key = next(iter(self._slot_of))
-            slot = self._slot_of[victim_key]
-            if slot in blocked:
-                return None
-            del self._slot_of[victim_key]
-            self.evictions += 1
+        ids = flow_ids(words)
+        flows = list(dict.fromkeys(ids))
+        slots = list(map(self._slot_of.get, flows))
+        rows = len(ids)
+        if None in slots:
+            resolved = self._allocate(flows, slots)
+            if resolved < len(flows):
+                rows = ids.index(flows[resolved])
+                del ids[rows:], flows[resolved:], slots[resolved:]
+        index = dict(zip(flows, range(len(flows))))
+        return FlowBatch(rows, np.array(slots, dtype=np.int64),
+                         np.fromiter(map(index.__getitem__, ids),
+                                     dtype=np.int64, count=rows), flows)
+
+    def _allocate(self, flows: list, slots: list) -> int:
+        """Fill the ``None`` entries of ``slots`` in order (FIFO allocation);
+        returns how many leading flows got a slot before the batch cut."""
+        first = slots.index(None)
+        used = set(slots[:first])
+        slot_of, owner, capacity = self._slot_of, self._owner, self.capacity
+        k = self._allocations
+        evicted: list[int] = []
+        resolved = len(flows)
+        for j in range(first, len(flows)):
+            flow = flows[j]
+            slot = slot_of.get(flow)       # None again if evicted just now
+            if slot is None:
+                slot = k % capacity
+                if k < capacity:
+                    owner.append(flow)
+                elif slot in used:
+                    resolved = j
+                    break
+                else:
+                    del slot_of[owner[slot]]
+                    owner[slot] = flow
+                    evicted.append(slot)
+                slot_of[flow] = slot
+                k += 1
+            slots[j] = slot
+            used.add(slot)
+        self._allocations = k
+        if evicted:
+            self.evictions += len(evicted)
             for col in self.columns.values():
-                col[slot] = 0
-        self._slot_of[key] = slot
-        return slot
+                col[evicted] = 0
+        return resolved
 
     # -- scalar element access (reference path / tests) ----------------------
 
-    def read(self, key: FlowKey, name: str, index: int = 0) -> int:
-        return int(self.columns[name][self.acquire(key), index])
+    def read(self, slot: int, name: str, index: int = 0) -> int:
+        return int(self.columns[name][slot, index])
 
-    def write(self, key: FlowKey, name: str, value: int, index: int = 0) -> None:
+    def write(self, slot: int, name: str, value: int, index: int = 0) -> None:
         """Write one field element, enforcing its register width."""
         reg = self.layout.field(name)
         if not 0 <= value < (1 << reg.bits):
@@ -200,14 +198,14 @@ class VectorFlowState:
                 f"value {value} does not fit register {name!r} ({reg.bits} bits)")
         if not 0 <= index < reg.count:
             raise PipelineError(f"register {name!r} index {index} out of range")
-        self.columns[name][self.acquire(key), index] = value
+        self.columns[name][slot, index] = value
 
-    def shift_in(self, key: FlowKey, name: str, value: int) -> None:
+    def shift_in(self, slot: int, name: str, value: int) -> None:
         """Append to a register array row, shifting older entries out."""
         reg = self.layout.field(name)
         if not 0 <= value < (1 << reg.bits):
             raise PipelineError(
                 f"value {value} does not fit register {name!r} ({reg.bits} bits)")
-        row = self.columns[name][self.acquire(key)]
+        row = self.columns[name][slot]
         row[:-1] = row[1:]
         row[-1] = value

@@ -17,7 +17,7 @@ Flow-state register layout
 
 Both runtimes keep per-flow state in a :class:`VectorFlowState`: one
 preallocated 2-D NumPy array per register field, rows indexed by a flow-slot
-table (canonical 5-tuple -> row) with FIFO eviction at ``capacity``.
+table (packed canonical 5-tuple -> row) with FIFO eviction at ``capacity``.
 
 :class:`WindowedClassifierRuntime` (window ``W``, default 8)::
 
@@ -51,9 +51,10 @@ or :meth:`Pipeline.process`) is invoked **once per batch**. Intra-batch
 packets of the same flow are handled exactly (each packet's window may span
 stored history and earlier in-batch packets), so batched decisions are
 bit-identical to the per-packet reference path ``process_flows_scalar`` for
-every batch size — a property the regression tests assert. Batches are cut
-early only when a FIFO eviction would reuse a slot that still has unflushed
-in-batch state.
+every batch size — a property the regression tests assert. Flow slots are
+resolved once per batch (:meth:`VectorFlowState.acquire`), which also hands
+the batch its per-flow grouping; a batch is cut early only when a FIFO
+eviction would reuse a slot that still has unflushed in-batch state.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ from repro.net.features import (length_bucket, ipd_bucket, stats_from_buckets,
                                 length_bucket_array, ipd_bucket_array)
 from repro.net.flow import Flow
 from repro.net.packet import Packet
-from repro.net.traces import Trace
-from repro.dataplane.registers import (FlowStateLayout, RegisterField,
-                                       VectorFlowState)
+from repro.net.traces import (KEY_COLUMN_NAMES, Trace, flow_ids,
+                              flow_key_words, pack_flow_keys)
+from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
+                                       RegisterField, VectorFlowState)
 
 TS_UNIT_SECONDS = 64e-6     # 16-bit timestamp register in 64 us units
 TS_MASK = 0xFFFF
@@ -108,19 +110,21 @@ class PacketDecision:
     seq: int = -1
 
 
-def flows_to_trace(flows: list[Flow]) -> tuple[Trace, list, np.ndarray]:
-    """Interleave labelled flows into one trace with per-packet keys/labels.
+def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
+    """Interleave labelled flows into one trace with per-packet labels.
 
-    The single source of the flows -> (trace, canonical keys, label array)
-    preamble shared by the batched path, the scalar reference path, and the
-    serving dispatcher — so label lookup and key canonicalization can never
-    diverge between them.
+    The single source of the flows -> (trace, label array) preamble shared
+    by the batched path, the scalar reference path, and the serving
+    dispatcher — so label lookup can never diverge between them. A packet
+    takes the label of the (last) flow with its canonical 5-tuple.
     """
-    label_by_key = {f.key.canonical(): f.label for f in flows}
     trace = Trace.from_flows(flows)
-    keys = trace.canonical_keys()
-    labels = np.asarray([label_by_key[k] for k in keys], dtype=np.int64)
-    return trace, keys, labels
+    keys = np.array([f.key for f in flows], dtype=np.int64).reshape(-1, 5)
+    flow_of = flow_ids(pack_flow_keys(dict(zip(KEY_COLUMN_NAMES, keys.T))))
+    label_of = dict(zip(flow_of, (f.label for f in flows)))
+    labels = np.fromiter(map(label_of.__getitem__, flow_ids(trace.key_words)),
+                         dtype=np.int64, count=len(trace))
+    return trace, labels
 
 
 def _emit_decisions(out: list[PacketDecision], labels: np.ndarray,
@@ -133,29 +137,29 @@ def _emit_decisions(out: list[PacketDecision], labels: np.ndarray,
                    ts[rows].tolist(), (rows + base).tolist()))
 
 
-def _group_structure(slots: np.ndarray):
-    """Per-batch flow grouping: who else in this batch shares my flow slot.
+def _group_structure(batch: FlowBatch):
+    """Per-batch flow grouping: who else in this batch shares my flow.
 
-    Returns ``(uniq, rank, counts, occ, prev_idx, last_idx)`` where ``uniq``
-    are the distinct slots, ``rank[i]`` indexes packet i's slot in ``uniq``,
-    ``occ[i]`` is packet i's occurrence number within its flow in this batch,
-    ``prev_idx[i]`` is the batch index of the previous same-flow packet (or
-    -1 when the previous packet predates the batch), and ``last_idx[u]`` is
-    the batch index of each flow's final packet (whose post-state is written
-    back).
+    Returns ``(counts, occ, prev_idx, last_idx)`` over the batch's flows
+    (``batch.slots`` / ``batch.rank``): ``counts[u]`` packets of flow u are
+    in the batch, ``occ[i]`` is packet i's occurrence number within its
+    flow, ``prev_idx[i]`` is the batch index of the previous same-flow
+    packet (or -1 when the previous packet predates the batch), and
+    ``last_idx[u]`` is the batch index of each flow's final packet (whose
+    post-state is written back).
     """
-    uniq, rank, counts = np.unique(slots, return_inverse=True, return_counts=True)
-    rank = rank.reshape(-1)
+    rank, n = batch.rank, batch.rows
+    counts = np.bincount(rank, minlength=len(batch.slots))
     order = np.argsort(rank, kind="stable")
     ends = np.cumsum(counts)
-    occ_sorted = np.arange(len(slots), dtype=np.int64) - np.repeat(ends - counts, counts)
-    occ = np.empty(len(slots), dtype=np.int64)
+    occ_sorted = np.arange(n, dtype=np.int64) - np.repeat(ends - counts, counts)
+    occ = np.empty(n, dtype=np.int64)
     occ[order] = occ_sorted
-    prev_idx = np.full(len(slots), -1, dtype=np.int64)
+    prev_idx = np.full(n, -1, dtype=np.int64)
     follow = np.nonzero(occ_sorted > 0)[0]
     prev_idx[order[follow]] = order[follow - 1]
     last_idx = order[ends - 1]
-    return uniq, rank, counts, occ, prev_idx, last_idx
+    return counts, occ, prev_idx, last_idx
 
 
 def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
@@ -166,17 +170,23 @@ def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
     ``stored_history(flow) ++ in-batch values of flow`` ending at packet i —
     i.e. positions ``occ[i] .. occ[i]+window-1`` of that sequence. ``hist``
     is the (n_uniq, window-1) stored history gathered per unique slot.
+    Every flow's virtual sequence is laid out as one row of a flat table,
+    so the windows are a single 1-D gather.
     """
     hist_cols = window - 1
-    occ_table = np.zeros((len(counts), int(counts.max())), dtype=np.int64)
-    occ_table[rank, occ] = vals
-    pos = occ[:, None] + np.arange(window, dtype=np.int64)[None, :]
-    win = occ_table[rank[:, None], np.maximum(pos - hist_cols, 0)]
-    if hist_cols:
-        from_hist = pos < hist_cols
-        stored = hist[rank[:, None], np.minimum(pos, hist_cols - 1)]
-        win = np.where(from_hist, stored, win)
-    return win
+    width = hist_cols + int(counts.max())
+    seq = np.empty((len(counts), width), dtype=np.int64)
+    seq[:, :hist_cols] = hist
+    seq = seq.reshape(-1)
+    start = rank * width + occ
+    seq[start + hist_cols] = vals
+    return seq[start[:, None] + np.arange(window, dtype=np.int64)]
+
+
+def _ready_flows(batch: FlowBatch, ready_rows: np.ndarray) -> list[bytes]:
+    """The flow id of each window-complete row (the decision cache's key)."""
+    flows = batch.flows
+    return [flows[u] for u in batch.rank[ready_rows].tolist()]
 
 
 class _BatchedReplayMixin:
@@ -217,14 +227,12 @@ class _BatchedReplayMixin:
     def process_flows(self, flows: list[Flow], batch_size: int | None = None
                       ) -> list[PacketDecision]:
         """Replay the interleaved trace of many labelled flows, batched."""
-        trace, keys, labels = flows_to_trace(flows)
-        return self.process_trace(trace, labels=labels, batch_size=batch_size,
-                                  keys=keys)
+        trace, labels = flows_to_trace(flows)
+        return self.process_trace(trace, labels=labels, batch_size=batch_size)
 
     def process_trace(self, trace: Trace, labels: np.ndarray | None = None,
                       batch_size: int | None = None,
-                      spans=None, scheduler=None, keys: list | None = None
-                      ) -> list[PacketDecision]:
+                      spans=None, scheduler=None) -> list[PacketDecision]:
         """Replay a time-ordered trace in batches.
 
         ``labels`` are per-packet ground-truth labels (default -1); batch
@@ -235,14 +243,12 @@ class _BatchedReplayMixin:
         timestamp column), or fixed ``batch_size`` cuts. Decisions come
         back in trace order with ``seq`` set to the packet's trace position.
         """
-        if keys is None:
-            keys = trace.canonical_keys()
         cols = self._replay_columns(trace)
         return self._replay(
-            cols, keys, labels, spans, scheduler, batch_size,
+            cols, trace.key_words, labels, spans, scheduler, batch_size,
             lambda start, stop: self._batch_columns(cols, trace, start, stop))
 
-    def process_columns(self, cols: dict[str, np.ndarray], keys: list,
+    def process_columns(self, cols: dict[str, np.ndarray],
                         labels: np.ndarray | None = None,
                         batch_size: int | None = None,
                         spans=None, scheduler=None) -> list[PacketDecision]:
@@ -250,24 +256,29 @@ class _BatchedReplayMixin:
 
         The columnar entry point for shard payloads that crossed a process
         boundary as NumPy arrays (see :class:`repro.serving.ParallelDispatcher`):
-        ``cols`` must hold this runtime's ``required_columns`` and ``keys``
-        the per-packet canonical :class:`FlowKey` objects, all aligned.
-        Identical semantics (and decisions) to :meth:`process_trace` on the
+        ``cols`` must hold this runtime's ``required_columns`` and the five
+        5-tuple key columns (raw or canonical), all aligned. Identical
+        semantics (and decisions) to :meth:`process_trace` on the
         equivalent trace.
         """
-        missing = [c for c in self.required_columns if c not in cols]
+        missing = [c for c in (*self.required_columns, *KEY_COLUMN_NAMES)
+                   if c not in cols]
         if missing:
             raise ValueError(f"missing replay columns: {missing}")
-        if len(keys) != len(cols["ts"]):
-            raise ValueError(
-                f"{len(keys)} keys for {len(cols['ts'])} packets")
         return self._replay(
-            cols, keys, labels, spans, scheduler, batch_size,
+            cols, pack_flow_keys(cols), labels, spans, scheduler, batch_size,
             lambda start, stop: {k: v[start:stop] for k, v in cols.items()})
 
-    def _replay(self, cols, keys, labels, spans, scheduler, batch_size,
+    def _replay(self, cols, key_words, labels, spans, scheduler, batch_size,
                 batch_columns) -> list[PacketDecision]:
-        """Shared core of the trace/columnar replay entry points."""
+        """Shared core of the trace/columnar replay entry points.
+
+        Each requested span is resolved against the flow table with one
+        :meth:`VectorFlowState.acquire` per batch; when the table cuts a
+        batch short (an eviction would hit a slot the batch still uses),
+        the resolved prefix is processed — its state written back — and the
+        rest of the span resolves in the next call.
+        """
         n = len(cols["ts"])
         if labels is None:
             labels = np.full(n, -1, dtype=np.int64)
@@ -281,12 +292,15 @@ class _BatchedReplayMixin:
                 raise ConfigError("batch_size", b, allowed=">= 1")
             spans = [(i, min(i + b, n)) for i in range(0, n, b)]
         decisions: list[PacketDecision] = []
-        for start, stop, slots in self._slot_batches(keys, spans):
-            if stop == start:
-                continue
-            self._process_batch(slots, keys[start:stop],
-                                batch_columns(start, stop),
-                                labels[start:stop], start, decisions)
+        acquire = self.state.acquire
+        for start, stop in spans:
+            i = start
+            while i < stop:
+                batch = acquire(key_words[i:stop])
+                j = i + batch.rows
+                self._process_batch(batch, batch_columns(i, j), labels[i:j],
+                                    i, decisions)
+                i = j
         self.last_flush_stats = getattr(spans, "stats", None)
         return decisions
 
@@ -302,7 +316,7 @@ class _BatchedReplayMixin:
         Kept as the ground truth the batched path is regression-tested
         against: identical decisions, identical order, for any batch size.
         """
-        trace, _keys, labels = flows_to_trace(flows)
+        trace, labels = flows_to_trace(flows)
         decisions = []
         for i, packet in enumerate(trace.packets):
             d = self.process_packet(packet, int(labels[i]))
@@ -311,30 +325,10 @@ class _BatchedReplayMixin:
                 decisions.append(d)
         return decisions
 
-    def _slot_batches(self, keys: list, spans: list[tuple[int, int]]):
-        """Assign flow slots packet-by-packet, yielding processable batches.
-
-        A requested span is cut early when a FIFO eviction would reuse a
-        slot that still has unflushed packets in the pending batch — the
-        pending batch is processed first (state written back), then the
-        eviction proceeds, preserving scalar-replay semantics exactly.
-        """
-        state = self.state
-        for start, stop in spans:
-            i = start
-            while i < stop:
-                seen: set[int] = set()
-                slots: list[int] = []
-                j = i
-                while j < stop:
-                    slot = state.acquire(keys[j], blocked=seen)
-                    if slot is None:
-                        break
-                    slots.append(slot)
-                    seen.add(slot)
-                    j += 1
-                yield i, j, np.asarray(slots, dtype=np.int64)
-                i = j
+    def _acquire_one(self, packet: Packet) -> tuple[int, bytes]:
+        """The scalar path's flow resolution: (slot, flow id) of one packet."""
+        batch = self.state.acquire(flow_key_words(packet.key))
+        return int(batch.slots[0]), batch.flows[0]
 
     def _cell_boxes(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (lo, hi) boxes on which the decision is provably constant.
@@ -376,16 +370,17 @@ class _BatchedReplayMixin:
             cache.insert_l1_only(ck, pred)
         return pred
 
-    def _predict_ready(self, keys: list, ready_rows: np.ndarray,
+    def _predict_ready(self, batch: FlowBatch, ready_rows: np.ndarray,
                        windows: np.ndarray, predict_rows,
                        features_rows=None, predict_feats=None) -> np.ndarray:
         """Predictions for the window-complete rows, through the cache.
 
-        ``keys`` are the batch's canonical flow keys, ``ready_rows`` the
-        batch indices of the window-complete packets, ``windows`` the
-        (n_ready, W) packed window contents (each row, as bytes, is the
-        cache's *window index*), and ``predict_rows(rows)`` invokes the
-        model on the given positions of ``ready_rows``. Without a cache the
+        ``batch`` is the batch's flow resolution (its flow ids key the
+        cache), ``ready_rows`` the batch indices of the window-complete
+        packets, ``windows`` the (n_ready, W) packed window contents (each
+        row, as bytes, is the cache's *window index*), and
+        ``predict_rows(rows)`` invokes the model on the given positions of
+        ``ready_rows``. Without a cache the
         model runs on every ready row; with one it runs on misses only —
         bit-identical either way, because the model's decision is a pure
         function of the window. ``features_rows(rows)`` /
@@ -399,9 +394,10 @@ class _BatchedReplayMixin:
         if cache is None:
             return np.asarray(predict_rows(np.arange(n_ready, dtype=np.int64)),
                               dtype=np.int64)
+        keys = _ready_flows(batch, ready_rows)
         if getattr(cache, "two_level", False) and features_rows is not None:
             return self._predict_ready_two_level(
-                keys, ready_rows, windows, features_rows, predict_feats)
+                keys, windows, features_rows, predict_feats)
         preds = np.empty(n_ready, dtype=np.int64)
         row_bytes = windows.shape[1] * windows.dtype.itemsize
         packed = np.ascontiguousarray(windows).tobytes()
@@ -417,7 +413,7 @@ class _BatchedReplayMixin:
         try:
             for r in range(n_ready):
                 lo = r * row_bytes
-                ck = (keys[int(ready_rows[r])], packed[lo:lo + row_bytes])
+                ck = (keys[r], packed[lo:lo + row_bytes])
                 got = cache.get(ck)
                 if got is None:
                     miss_rows.setdefault(ck, []).append(r)
@@ -445,9 +441,8 @@ class _BatchedReplayMixin:
             cache.fill(ck, int(got[k]))
         return preds
 
-    def _predict_ready_two_level(self, keys: list, ready_rows: np.ndarray,
-                                 windows: np.ndarray, features_rows,
-                                 predict_feats) -> np.ndarray:
+    def _predict_ready_two_level(self, keys: list, windows: np.ndarray,
+                                 features_rows, predict_feats) -> np.ndarray:
         """Batched replay of the two-level scalar op sequence, in two passes.
 
         Pass 1 walks the ready rows in order, issuing exactly the scalar
@@ -467,7 +462,7 @@ class _BatchedReplayMixin:
         from repro.serving.cache import PENDING, _DEC, _GROUP
 
         cache = self.decision_cache
-        n_ready = len(ready_rows)
+        n_ready = len(keys)
         preds = np.empty(n_ready, dtype=np.int64)
         row_bytes = windows.shape[1] * windows.dtype.itemsize
         packed = np.ascontiguousarray(windows).tobytes()
@@ -478,7 +473,7 @@ class _BatchedReplayMixin:
         try:
             for r in range(n_ready):
                 lo_b = r * row_bytes
-                ck = (keys[int(ready_rows[r])], packed[lo_b:lo_b + row_bytes])
+                ck = (keys[r], packed[lo_b:lo_b + row_bytes])
                 cks[r] = ck
                 got = cache.exact_get(ck)
                 if got is None:
@@ -643,8 +638,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
 
     def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
         """Feed one packet; returns a decision when a window is available."""
-        key = packet.key.canonical()
-        slot = self.state.acquire(key)
+        slot, key = self._acquire_one(packet)
         cols = self.state.columns
         count = int(cols["count"][slot, 0])
         cur_units = _ts_units(packet.ts)
@@ -676,22 +670,23 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
             decision = PacketDecision(flow_label=flow_label, predicted=int(pred),
                                       ts=packet.ts)
 
-        self.state.shift_in(key, "len_hist", len_b)
-        self.state.shift_in(key, "ipd_hist", ipd_b)
-        self.state.write(key, "prev_ts", cur_units)
-        self.state.write(key, "count", min(count + 1, 255))
+        self.state.shift_in(slot, "len_hist", len_b)
+        self.state.shift_in(slot, "ipd_hist", ipd_b)
+        self.state.write(slot, "prev_ts", cur_units)
+        self.state.write(slot, "count", min(count + 1, 255))
         return decision
 
     def _replay_columns(self, trace: Trace) -> dict[str, np.ndarray]:
         return trace.packet_columns()
 
-    def _process_batch(self, slots: np.ndarray, keys: list,
-                       cols: dict[str, np.ndarray], labels: np.ndarray,
-                       base: int, out: list[PacketDecision]) -> None:
+    def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
+                       labels: np.ndarray, base: int,
+                       out: list[PacketDecision]) -> None:
         ts = cols["ts"]
         cur_units = _ts_units_array(ts)
         len_b = length_bucket_array(cols["length"])
-        uniq, rank, counts, occ, prev_idx, last_idx = _group_structure(slots)
+        uniq, rank = batch.slots, batch.rank
+        counts, occ, prev_idx, last_idx = _group_structure(batch)
         c = self.state.columns
         cnt0 = c["count"][uniq, 0].astype(np.int64)
         count_i = cnt0[rank] + occ
@@ -702,10 +697,10 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         ipd_b = np.where(count_i > 0,
                          ipd_bucket_array(delta_units * TS_UNIT_SECONDS), 0)
 
-        hist_len = c["len_hist"][uniq].astype(np.int64)
-        hist_ipd = c["ipd_hist"][uniq].astype(np.int64)
-        win_len = _gather_windows(hist_len, rank, occ, len_b, counts, self.window)
-        win_ipd = _gather_windows(hist_ipd, rank, occ, ipd_b, counts, self.window)
+        win_len = _gather_windows(c["len_hist"][uniq], rank, occ, len_b,
+                                  counts, self.window)
+        win_ipd = _gather_windows(c["ipd_hist"][uniq], rank, occ, ipd_b,
+                                  counts, self.window)
 
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
         if len(ready_rows):
@@ -713,7 +708,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
             windows = np.concatenate([ready_len, ready_ipd],
                                      axis=1).astype(np.uint8)
             preds = self._predict_ready(
-                keys, ready_rows, windows,
+                batch, ready_rows, windows,
                 lambda rows: self._model_predict(
                     self._features_batch(ready_len[rows], ready_ipd[rows])),
                 features_rows=lambda rows: self._features_batch(
@@ -841,8 +836,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
         return min(idx, (1 << self.idx_bits) - 1)
 
     def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
-        key = packet.key.canonical()
-        slot = self.state.acquire(key)
+        slot, key = self._acquire_one(packet)
         cols = self.state.columns
         count = int(cols["count"][slot, 0])
         ipd_b = None
@@ -875,14 +869,14 @@ class TwoStageRuntime(_BatchedReplayMixin):
             decision = PacketDecision(flow_label=flow_label, predicted=int(pred),
                                       ts=packet.ts)
 
-        self.state.shift_in(key, "idx_hist", idx)
+        self.state.shift_in(slot, "idx_hist", idx)
         if self.needs_ipd:
-            self.state.write(key, "prev_ts", cur_units)
-        self.state.write(key, "count", min(count + 1, 255))
+            self.state.write(slot, "prev_ts", cur_units)
+        self.state.write(slot, "count", min(count + 1, 255))
         return decision
 
     def _replay_columns(self, trace: Trace) -> dict[str, np.ndarray]:
-        return {"ts": np.asarray([p.ts for p in trace.packets], dtype=np.float64)}
+        return {"ts": trace.ts}
 
     def _batch_columns(self, cols: dict[str, np.ndarray], trace: Trace,
                        start: int, stop: int) -> dict[str, np.ndarray]:
@@ -892,11 +886,12 @@ class TwoStageRuntime(_BatchedReplayMixin):
         batch["payload"] = trace.payload_matrix(self.raw_bytes, start, stop)
         return batch
 
-    def _process_batch(self, slots: np.ndarray, keys: list,
-                       cols: dict[str, np.ndarray], labels: np.ndarray,
-                       base: int, out: list[PacketDecision]) -> None:
+    def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
+                       labels: np.ndarray, base: int,
+                       out: list[PacketDecision]) -> None:
         ts = cols["ts"]
-        uniq, rank, counts, occ, prev_idx, last_idx = _group_structure(slots)
+        uniq, rank = batch.slots, batch.rank
+        counts, occ, prev_idx, last_idx = _group_structure(batch)
         c = self.state.columns
         cnt0 = c["count"][uniq, 0].astype(np.int64)
         count_i = cnt0[rank] + occ
@@ -919,14 +914,14 @@ class TwoStageRuntime(_BatchedReplayMixin):
             idx = np.asarray(self._tree_indices(feats), dtype=np.int64)
         idx = np.minimum(idx, (1 << self.idx_bits) - 1)
 
-        hist_idx = c["idx_hist"][uniq].astype(np.int64)
-        win_idx = _gather_windows(hist_idx, rank, occ, idx, counts, self.window)
+        win_idx = _gather_windows(c["idx_hist"][uniq], rank, occ, idx, counts,
+                                  self.window)
 
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
         if len(ready_rows):
             ready_win = win_idx[ready_rows]
             preds = self._predict_ready(
-                keys, ready_rows, ready_win.astype(self._win_dtype),
+                batch, ready_rows, ready_win.astype(self._win_dtype),
                 lambda rows: self._predict_windows(ready_win[rows]),
                 features_rows=lambda rows: ready_win[rows],
                 predict_feats=self._predict_windows)

@@ -73,8 +73,13 @@ class PipelineError(PegasusError):
     """The dataplane pipeline was configured or driven incorrectly."""
 
 
-class TraceFormatError(PegasusError):
-    """A serialized trace file is malformed."""
+class TraceFormatError(PegasusError, ValueError):
+    """A trace is malformed: a serialized file that does not parse, or a
+    header field outside its SPCAP1 width when a trace is built.
+
+    Also a :class:`ValueError`, which is what an out-of-range packet length
+    raised before traces were validated as a whole.
+    """
 
 
 class SchemaError(PegasusError, TypeError):

@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
-from repro.net.traces import Trace, trace_to_bytes, write_trace
+from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
 from repro.serving.engine import (EngineConfig, PegasusEngine,
                                   register_lookup_backend, runtime_kinds)
 from repro.serving.openloop import TailDropAdmission
@@ -490,7 +490,7 @@ def make_failing_predicate(case: EngineCase, source,
     delta-debugging requires.
     """
     def failing(trace: Trace, labels: np.ndarray) -> bool:
-        if not trace.packets:
+        if not len(trace):
             return False
         reference = scalar_reference(source, case.runtime, trace, labels,
                                      capacity=capacity)
@@ -510,18 +510,16 @@ def shrink_failing_trace(trace: Trace, labels: np.ndarray, failing,
     halving granularity. Every candidate is re-replayed from cold state, so
     the result is guaranteed to still satisfy ``failing``.
     """
-    packets = list(trace.packets)
-    labels = list(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
+    flow_of = flow_ids(trace.key_words)
     evals = 0
 
     def still_fails(keep: list[int]) -> bool:
         nonlocal evals
         evals += 1
-        sub = Trace([packets[i] for i in keep])
-        return failing(sub, np.asarray([labels[i] for i in keep],
-                                       dtype=np.int64))
+        return failing(trace.take(keep), labels[keep])
 
-    keep = list(range(len(packets)))
+    keep = list(range(len(trace)))
 
     # Pass 1: drop whole flows, largest first (fast, high-yield).
     changed = True
@@ -529,7 +527,7 @@ def shrink_failing_trace(trace: Trace, labels: np.ndarray, failing,
         changed = False
         flows: dict = {}
         for pos, i in enumerate(keep):
-            flows.setdefault(packets[i].key.canonical(), []).append(pos)
+            flows.setdefault(flow_of[i], []).append(pos)
         if len(flows) <= 1:
             break
         for key, members in sorted(flows.items(),
@@ -560,8 +558,7 @@ def shrink_failing_trace(trace: Trace, labels: np.ndarray, failing,
                 break
             chunk = max(chunk // 2, 1)
 
-    final = Trace([packets[i] for i in keep])
-    return final, np.asarray([labels[i] for i in keep], dtype=np.int64)
+    return trace.take(keep), labels[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +794,7 @@ def _write_finding(out_dir: Path, n: int, workload_name: str, seed: int,
         # divergence field names the inconsistent cases instead.
         "case": vars(case) if case is not None else None,
         "original_packets": original_packets,
-        "shrunk_packets": len(trace.packets),
+        "shrunk_packets": len(trace),
         "labels": np.asarray(labels, dtype=np.int64).tolist(),
         "trace_sha256": trace_digest(trace),
         "divergence": divergence,
@@ -866,7 +863,7 @@ def fuzz_differential(n_seeds: int = 4, budget_seconds: float = 120.0,
             shrunk, shrunk_labels = shrink_failing_trace(
                 workload.trace, workload.labels, failing,
                 max_evals=shrink_evals)
-            finding.shrunk_packets = len(shrunk.packets)
+            finding.shrunk_packets = len(shrunk)
             if out_dir is not None:
                 finding.trace_path, finding.meta_path = _write_finding(
                     Path(out_dir), len(report.findings), name, seed, case,

@@ -143,7 +143,7 @@ class ScenarioTrace:
 
     @property
     def n_packets(self) -> int:
-        return len(self.trace.packets)
+        return len(self.trace)
 
     def phase_labels(self) -> np.ndarray:
         """Per-packet phase index (position in :attr:`phases`)."""
@@ -154,8 +154,7 @@ class ScenarioTrace:
 
     def ts_column(self) -> np.ndarray:
         """Per-packet trace timestamps (float64 seconds, sorted)."""
-        return np.asarray([p.ts for p in self.trace.packets],
-                          dtype=np.float64)
+        return self.trace.ts
 
     def arrival_offsets(self, time_scale: float = 1.0,
                         max_gap: float | None = None) -> np.ndarray:
@@ -186,8 +185,7 @@ class ScenarioTrace:
         subset through the scalar reference; this is that subset.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        return (Trace([self.trace.packets[int(i)] for i in idx]),
-                np.asarray(self.labels)[idx])
+        return self.trace.take(idx), np.asarray(self.labels)[idx]
 
 
 def _arrival_times(rng: np.random.Generator, n: int, t0: float, duration: float,
@@ -301,14 +299,13 @@ class Scenario:
                                                key=keys[i]))
             t0 += phase.duration
 
-        packets = [p for f in flows for p in f.packets]
-        labels = np.asarray([f.label for f in flows for _ in f.packets],
-                            dtype=np.int64)
-        ts = np.asarray([p.ts for p in packets], dtype=np.float64)
-        order = np.argsort(ts, kind="stable")
-        trace = Trace([packets[i] for i in order])
+        trace = Trace([p for f in flows for p in f.packets])
+        labels = np.repeat(np.asarray([f.label for f in flows], dtype=np.int64),
+                           [len(f.packets) for f in flows])
+        order = np.argsort(trace.ts, kind="stable")
+        trace = trace.take(order)
         labels = labels[order]
-        ts = ts[order]
+        ts = trace.ts
 
         spans: list[PhaseSpan] = []
         t0 = 0.0

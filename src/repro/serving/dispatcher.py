@@ -46,8 +46,7 @@ from repro.dataplane.runtime import flows_to_trace
 from repro.dataplane.schema import WIRE_COLUMNS, validation_enabled, wire_dtype
 from repro.errors import ConfigError
 from repro.net.packet import FlowKey
-from repro.net.traces import (KEY_COLUMN_NAMES, Trace,
-                              canonicalize_key_columns, keys_from_columns)
+from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
 from repro.serving.scheduler import BatchScheduler, FlushStats
 
@@ -196,29 +195,27 @@ class ShardedDispatcher:
 
     def serve_flows(self, flows: list) -> list:
         """Replay the interleaved trace of many labelled flows, sharded."""
-        trace, keys, labels = flows_to_trace(flows)
-        return self.serve_trace(trace, labels=labels, keys=keys)
+        trace, labels = flows_to_trace(flows)
+        return self.serve_trace(trace, labels=labels)
 
-    def serve_trace(self, trace: Trace, labels: np.ndarray | None = None,
-                    keys: list | None = None) -> list:
+    def serve_trace(self, trace: Trace, labels: np.ndarray | None = None
+                    ) -> list:
         """Shard, replay, and merge one trace; decisions in global order."""
-        return self._serve(trace, labels, keys)
+        return self._serve(trace, labels)
 
     def serve_columns(self, cols: dict[str, np.ndarray],
                       labels: np.ndarray | None = None) -> list:
         """Serve ``Trace.to_columns()``-style arrays (``ts``, the 5-tuple
         key columns, and whatever per-packet columns the replicas consume).
 
-        One in-process replica replays the columns directly; a split
-        rebuilds the trace once and shards that.
+        One in-process replica replays the columns directly; a split wraps
+        them as a trace once and shards that.
         """
         if self.n_shards > 1 or not self.in_process:
             return self.serve_trace(Trace.from_columns(cols), labels=labels)
-        keys = keys_from_columns(canonicalize_key_columns(
-            {name: cols[name] for name in KEY_COLUMN_NAMES}))
-        return self._serve(cols, labels, keys)
+        return self._serve(cols, labels)
 
-    def _serve(self, packets, labels, keys) -> list:
+    def _serve(self, packets, labels) -> list:
         """The one serve path: split -> execute -> merge, stats recorded."""
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
@@ -230,11 +227,10 @@ class ShardedDispatcher:
             runtime = self.runtimes[0]
             if isinstance(packets, dict):
                 decisions = runtime.process_columns(
-                    packets, keys, labels=labels, scheduler=self.scheduler)
+                    packets, labels=labels, scheduler=self.scheduler)
             else:
                 decisions = runtime.process_trace(
-                    packets, labels=labels, scheduler=self.scheduler,
-                    keys=keys)
+                    packets, labels=labels, scheduler=self.scheduler)
             self.wall_seconds = time.perf_counter() - started
             self.shard_seconds = [self.wall_seconds]
             self.flush_stats = getattr(runtime, "last_flush_stats", None) \
@@ -245,7 +241,7 @@ class ShardedDispatcher:
         sources, shards = self._split(packets, labels)
         self.shard_seconds = [0.0] * self.n_shards
         self.flush_stats, self.cache_stats = FlushStats(), CacheStats()
-        decisions = self._execute(packets, keys, sources, shards)
+        decisions = self._execute(packets, sources, shards)
         for _member, stream in shards:
             if stream is not None:
                 self.flush_stats.merge(stream.stats)
@@ -264,7 +260,7 @@ class ShardedDispatcher:
         """
         cols = trace.packet_columns()
         if labels is None:
-            labels = np.full(len(cols["ts"]), -1, dtype=wire_dtype("labels"))
+            labels = np.full(len(trace), -1, dtype=wire_dtype("labels"))
         else:
             labels = np.asarray(labels, dtype=wire_dtype("labels"))
         key_cols = trace.canonical_key_columns()
@@ -284,24 +280,19 @@ class ShardedDispatcher:
              if self.scheduler is not None else None)
             for member in members]
 
-    def _execute(self, trace: Trace, keys, sources: dict,
-                 shards: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, shards: list) -> list:
         """Replay the shards on their replicas, here one after another;
         records ``shard_seconds[s]`` and ``cache_stats`` and returns the
         decisions in global trace order. The seam a transport overrides."""
-        if keys is None:
-            keys = keys_from_columns(sources)
-        packets, labels = trace.packets, sources["labels"]
+        labels = sources["labels"]
         decisions: list = []
         for s, (member, stream) in enumerate(shards):
             if len(member) == 0:
                 continue
             rows = member.tolist()
-            sub_trace = Trace([packets[i] for i in rows])
-            sub_keys = [keys[i] for i in rows]
             started = time.perf_counter()
             shard_decisions = self.runtimes[s].process_trace(
-                sub_trace, labels=labels[member], spans=stream, keys=sub_keys)
+                trace.take(member), labels=labels[member], spans=stream)
             self.shard_seconds[s] = time.perf_counter() - started
             for d in shard_decisions:
                 d.seq = rows[d.seq]          # shard-local -> global position

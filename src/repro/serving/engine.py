@@ -188,7 +188,7 @@ def register_topology(name: str, build, *, overwrite: bool = False):
 
     ``build(replica_factory, config, payload_bytes)`` returns an object with
     the dispatcher protocol — ``start() / close() / serve_trace(trace,
-    labels=, keys=) / serve_columns(cols, labels=) / set_l2_admission(admit)``
+    labels=) / serve_columns(cols, labels=) / set_l2_admission(admit)``
     and the per-serve ``shard_seconds`` / ``flush_stats`` / ``cache_stats``
     (:class:`~repro.serving.ShardedDispatcher` and its subclasses have it).
     """
@@ -859,13 +859,11 @@ class PegasusEngine:
         if mode not in ("closed", "open"):
             raise ConfigError("mode", mode, allowed=("closed", "open"))
         kind = self._classify_workload(workload)
-        keys = None
         if kind == "scenario":
             workload = workload.generate(seed=seed, flows_scale=flows_scale)
             kind = "scenario_trace"
         elif kind == "flows":
-            # The interleaved trace of the labelled flows, keys in hand.
-            workload, keys, labels = flows_to_trace(workload)
+            workload, labels = flows_to_trace(workload)
             kind = "trace"
         if mode == "open":
             if kind != "scenario_trace":
@@ -875,7 +873,7 @@ class PegasusEngine:
             return self._serve_scenario(workload, seed=seed)
         if kind == "columns":
             return self._serve_columns(workload, labels=labels)
-        return self._serve_trace(workload, labels, keys)
+        return self._serve_trace(workload, labels)
 
     @staticmethod
     def _classify_workload(workload) -> str:
@@ -900,23 +898,22 @@ class PegasusEngine:
         the open-loop pump has timestamps and a phase span to pace/report."""
         trace = Trace.from_columns(workload) if kind == "columns" \
             else workload
-        n = len(trace.packets)
+        n = len(trace)
         if labels is None:
             labels = np.full(n, -1, dtype=np.int64)
-        ts0 = trace.packets[0].ts if n else 0.0
-        ts1 = trace.packets[-1].ts if n else 0.0
+        ts0 = trace.ts[0] if n else 0.0
+        ts1 = trace.ts[-1] if n else 0.0
         span = PhaseSpan("trace", float(ts0), float(ts1), 0, n)
         return ScenarioTrace(scenario="<trace>", seed=None, trace=trace,
                              labels=np.asarray(labels), phases=(span,))
 
     # -- serve internals -----------------------------------------------------
 
-    def _serve_trace(self, trace: Trace, labels: np.ndarray | None = None,
-                     keys: list | None = None) -> ServingReport:
+    def _serve_trace(self, trace: Trace, labels: np.ndarray | None = None
+                     ) -> ServingReport:
         """Replay one time-ordered trace (per-packet ``labels`` optional)."""
         return self._serve(
-            len(trace.packets),
-            lambda: self._driver.serve_trace(trace, labels=labels, keys=keys))
+            len(trace), lambda: self._driver.serve_trace(trace, labels=labels))
 
     def _serve_columns(self, cols: dict[str, np.ndarray],
                        labels: np.ndarray | None = None) -> ServingReport:
@@ -953,7 +950,7 @@ class PegasusEngine:
             for span in workload.phases:
                 self._driver.set_l2_admission(getattr(span, "l2_insert", True))
                 report = self._serve_trace(
-                    Trace(workload.trace.packets[span.start:span.stop]),
+                    workload.trace[span.start:span.stop],
                     workload.labels[span.start:span.stop])
                 totals.add(report.decisions, range(span.start, span.stop))
                 report.cache_stats = totals.phase_cache_stats()
@@ -986,24 +983,20 @@ class PegasusEngine:
         config = self.config
         policy = admission_policies.get(config.admission).build(config)
         labels = np.asarray(workload.labels)
-        packets = workload.trace.packets
-        keys = workload.trace.canonical_keys()  # once per serve, not per chunk
+        trace = workload.trace
         totals = _SubServes(self._driver)
 
-        def serve_chunk(indices: list[int]) -> list:
-            idx = np.asarray(indices, dtype=np.int64)
-            rows = idx.tolist()
-            decisions = self._driver.serve_trace(
-                Trace([packets[i] for i in rows]), labels=labels[idx],
-                keys=[keys[i] for i in rows])
-            totals.add(decisions, rows)
+        def serve_chunk(idx: np.ndarray) -> list:
+            decisions = self._driver.serve_trace(trace.take(idx),
+                                                 labels=labels[idx])
+            totals.add(decisions, idx.tolist())
             return decisions
 
         offsets = None
         if config.time_scale > 0:
             offsets = workload.arrival_offsets(config.time_scale,
                                                max_gap=max_gap)
-        pump = OpenLoopPump(len(packets), offsets, serve_chunk, policy,
+        pump = OpenLoopPump(len(trace), offsets, serve_chunk, policy,
                             drain_max=max(1, config.batch_size))
         result = pump.run()
         return build_open_loop_report(

@@ -74,7 +74,7 @@ from repro.dataplane.schema import (
     validation_enabled,
 )
 from repro.errors import ConfigError, WorkerError
-from repro.net.traces import KEY_COLUMN_NAMES, Trace, keys_from_columns
+from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
 # shard_hash_columns is re-exported: the flow-pinning hash was importable
 # from here before the split moved to the base class, and perf/ looks it up.
@@ -110,14 +110,8 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
     if validation_enabled():
         WIRE_COLUMNS.validate_columns(
             views, context=f"worker ingress ring read (slot {slot})")
-    keys = keys_from_columns({name: views[name]
-                              for name in KEY_COLUMN_NAMES})
-    cols = {"ts": views["ts"], "length": views["length"]}
-    if "payload" in views:
-        cols["payload"] = views["payload"]
     started = time.perf_counter()
-    decisions = runtime.process_columns(
-        cols, keys, labels=views["labels"], spans=[(0, rows)])
+    decisions = runtime.process_columns(views, labels=views["labels"], spans=[(0, rows)])
     seconds = time.perf_counter() - started
     out = spec.egress_views(egress.buf, slot, rows)
     produced = write_egress_chunk(out, decisions)
@@ -418,8 +412,7 @@ class ParallelDispatcher(ShardedDispatcher):
             self._l2_seen.add(key)
             self._l2_entries.append((qk, lo, hi, decision))
 
-    def _execute(self, trace: Trace, keys, sources: dict,
-                 shards: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, shards: list) -> list:
         """Pump shard chunks through the rings; merge decision streams.
 
         The pump keeps up to ``ring_depth`` chunks in flight per worker

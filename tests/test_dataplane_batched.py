@@ -120,21 +120,31 @@ class TestVectorFlowState:
 
     def test_fifo_eviction_zeroes_reused_slot(self):
         from repro.net.packet import FlowKey
+        from repro.net.traces import flow_key_words
         state = VectorFlowState(self._layout(), capacity=2)
-        k1, k2, k3 = (FlowKey(1, 2, p, 80, 6) for p in (1000, 1001, 1002))
-        state.write(k1, "prev_ts", 1234)
+        k1, k2, k3 = (flow_key_words(FlowKey(1, 2, p, 80, 6))
+                      for p in (1000, 1001, 1002))
+        slot1 = int(state.acquire(k1).slots[0])
+        state.write(slot1, "prev_ts", 1234)
         state.acquire(k2)
-        slot1 = state.slot_of(k1)
-        assert state.acquire(k3) == slot1       # FIFO: k1 was oldest
+        slot3 = int(state.acquire(k3).slots[0])
+        assert slot3 == slot1                   # FIFO: k1 was oldest
         assert state.evictions == 1
-        assert state.read(k3, "prev_ts") == 0   # reused slot starts zeroed
+        assert state.read(slot3, "prev_ts") == 0   # reused slot starts zeroed
         assert state.slot_of(k1) is None
 
     def test_acquire_refuses_blocked_victim(self):
+        """A batch is cut before an eviction of a slot it already uses."""
         from repro.net.packet import FlowKey
+        from repro.net.traces import flow_key_words
         state = VectorFlowState(self._layout(), capacity=1)
-        k1, k2 = FlowKey(1, 2, 1000, 80, 6), FlowKey(1, 2, 1001, 80, 6)
-        slot1 = state.acquire(k1)
-        assert state.acquire(k2, blocked={slot1}) is None
+        k1 = flow_key_words(FlowKey(1, 2, 1000, 80, 6))
+        k2 = flow_key_words(FlowKey(1, 2, 1001, 80, 6))
+        slot1 = int(state.acquire(k1).slots[0])
+        batch = state.acquire(np.concatenate([k1, k2]))
+        assert batch.rows == 1                  # cut before k2's eviction
+        assert batch.slots.tolist() == [slot1]
         assert state.evictions == 0             # refusal must not mutate
         assert state.slot_of(k1) == slot1
+        assert state.acquire(k2).rows == 1      # next batch: evicts k1
+        assert state.evictions == 1

@@ -1,16 +1,20 @@
-"""Tests for per-flow registers, resource reports, and throughput models."""
+"""Tests for per-flow registers and their flow-slot table, resource reports,
+and throughput models."""
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
 from repro import nn
 from repro.errors import PipelineError
 from repro.core import PegasusCompiler, CompilerConfig
 from repro.dataplane import (
-    FlowStateTable, FlowStateLayout, RegisterField,
+    FlowStateLayout, RegisterField, VectorFlowState,
     summarize_resources, TOFINO2, line_rate_pps, measure_model_throughput,
 )
-from repro.net.packet import FlowKey
+from repro.net.traces import flow_ids
 
 
 def _layout():
@@ -35,46 +39,180 @@ class TestFlowStateLayout:
             _layout().field("nope")
 
 
-class TestFlowStateTable:
-    def _key(self, port=1000):
-        return FlowKey(1, 2, port, 80, 6)
+class _ReferenceTable:
+    """Per-packet FIFO slot table: the pre-batching ``acquire`` loop.
 
-    def test_fresh_record_zeroed(self):
-        table = FlowStateTable(_layout())
-        rec = table.get(self._key())
-        assert rec["prev_ts"] == [0]
-        assert rec["idx_hist"] == [0] * 7
+    Insertion order of ``slot_of`` is FIFO order; a packet whose allocation
+    would evict a slot already used in the batch (``blocked``) cuts it.
+    """
+
+    def __init__(self, capacity):
+        self.capacity, self.slot_of, self.next_slot = capacity, {}, 0
+        self.evictions = 0
+
+    def acquire(self, key, blocked):
+        slot = self.slot_of.get(key)
+        if slot is not None:
+            return slot
+        if self.next_slot < self.capacity:
+            slot, self.next_slot = self.next_slot, self.next_slot + 1
+        else:
+            victim = next(iter(self.slot_of))
+            slot = self.slot_of[victim]
+            if slot in blocked:
+                return None
+            del self.slot_of[victim]
+            self.evictions += 1
+        self.slot_of[key] = slot
+        return slot
+
+    def batch(self, keys):
+        """Slots of the rows before the cut."""
+        seen, slots = set(), []
+        for key in keys:
+            slot = self.acquire(key, seen)
+            if slot is None:
+                break
+            slots.append(slot)
+            seen.add(slot)
+        return slots
+
+
+def _words(keys):
+    """Packed key rows for small integer flow names (both words vary)."""
+    return np.asarray([[k, 3 * k + 1] for k in keys], dtype=np.uint64)
+
+
+def _check_batch(table, reference, keys):
+    """One acquire on both tables; returns how many rows were resolved."""
+    want = reference.batch(keys)
+    got = table.acquire(_words(keys))
+    assert got.rows == len(want) >= 1
+    assert got.slots[got.rank].tolist() == want
+    assert got.flows == flow_ids(_words(list(dict.fromkeys(keys[:got.rows]))))
+    return got.rows
+
+
+def _check_tables(table, reference):
+    assert table.evictions == reference.evictions
+    assert len(table) == len(reference.slot_of)
+    assert dict(table._slot_of) == {
+        flow_ids(_words([k]))[0]: s for k, s in reference.slot_of.items()}
+
+
+class FlowSlotMachine(RuleBasedStateMachine):
+    """Per-batch ``VectorFlowState.acquire`` against the per-packet loop."""
+
+    @initialize(capacity=st.integers(1, 8))
+    def start(self, capacity):
+        self.table = VectorFlowState(_layout(), capacity=capacity)
+        self.reference = _ReferenceTable(capacity)
+
+    @rule(keys=st.lists(st.integers(0, 12), min_size=1, max_size=14))
+    def serve_span(self, keys):
+        """Resolve one batch span the way the replay loop does: after a cut,
+        the rest of the span is the next batch."""
+        while keys:
+            keys = keys[_check_batch(self.table, self.reference, keys):]
+
+    @invariant()
+    def same_tables(self):
+        if hasattr(self, "table"):
+            _check_tables(self.table, self.reference)
+
+
+TestFlowSlotMachine = FlowSlotMachine.TestCase
+TestFlowSlotMachine.settings = settings(max_examples=150,
+                                        stateful_step_count=30,
+                                        deadline=None)
+
+
+class TestFlowSlotTable:
+    """Pinned edges of the per-batch FIFO resolution."""
+
+    def _tables(self, capacity):
+        return (VectorFlowState(_layout(), capacity=capacity),
+                _ReferenceTable(capacity))
+
+    def test_resident_evicted_earlier_in_batch_is_new_again(self):
+        table, reference = self._tables(2)
+        for keys in ([0], [1]):
+            _check_batch(table, reference, keys)
+        # 2 evicts 0 (oldest, not yet used in the batch); 0 then returns and
+        # is a new flow, evicting 1.
+        assert _check_batch(table, reference, [2, 0, 2]) == 3
+        assert table.evictions == 2
+        _check_tables(table, reference)
+
+    def test_more_new_flows_than_capacity(self):
+        table, reference = self._tables(2)
+        keys = [0, 1, 2, 3, 0]
+        assert _check_batch(table, reference, keys) == 2   # 2 would evict 0
+        assert _check_batch(table, reference, keys[2:]) == 2
+        assert _check_batch(table, reference, keys[4:]) == 1
+        assert table.evictions == 3
+        _check_tables(table, reference)
+
+    def test_capacity_one(self):
+        table, reference = self._tables(1)
+        assert _check_batch(table, reference, [5, 5, 6, 6]) == 2
+        assert _check_batch(table, reference, [6, 6, 5]) == 2
+        assert _check_batch(table, reference, [5]) == 1
+        assert table.evictions == 2
+        _check_tables(table, reference)
+
+    def test_memory_grows_with_live_flows(self):
+        table = VectorFlowState(_layout(), capacity=1_000_000)
+        table.acquire(_words(range(5)))
+        assert len(table) == len(table._owner) == 5
+
+
+class TestRegisterAccess:
+    """Scalar register access by slot (the reference path's accessors)."""
+
+    def _state(self):
+        state = VectorFlowState(_layout(), capacity=4)
+        return state, int(state.acquire(_words([7])).slots[0])
 
     def test_write_read(self):
-        table = FlowStateTable(_layout())
-        table.write(self._key(), "prev_ts", 1234)
-        assert table.read(self._key(), "prev_ts") == 1234
+        state, slot = self._state()
+        state.write(slot, "prev_ts", 1234)
+        assert state.read(slot, "prev_ts") == 1234
 
     def test_width_enforced(self):
-        table = FlowStateTable(_layout())
+        state, slot = self._state()
         with pytest.raises(PipelineError):
-            table.write(self._key(), "idx_hist", 16)  # 4-bit register
+            state.write(slot, "idx_hist", 16)  # 4-bit register
         with pytest.raises(PipelineError):
-            table.write(self._key(), "prev_ts", 1 << 16)
+            state.write(slot, "prev_ts", 1 << 16)
+        with pytest.raises(PipelineError):
+            state.shift_in(slot, "idx_hist", 16)
 
     def test_index_bounds(self):
-        table = FlowStateTable(_layout())
+        state, slot = self._state()
         with pytest.raises(PipelineError):
-            table.write(self._key(), "idx_hist", 1, index=7)
+            state.write(slot, "idx_hist", 1, index=7)
 
     def test_shift_in(self):
-        table = FlowStateTable(_layout())
+        state, slot = self._state()
         for v in range(9):
-            table.shift_in(self._key(), "idx_hist", v)
-        assert table.get(self._key())["idx_hist"] == [2, 3, 4, 5, 6, 7, 8]
+            state.shift_in(slot, "idx_hist", v)
+        assert state.columns["idx_hist"][slot].tolist() == [2, 3, 4, 5, 6, 7, 8]
 
-    def test_eviction_at_capacity(self):
-        table = FlowStateTable(_layout(), capacity=2)
-        table.get(self._key(1))
-        table.get(self._key(2))
-        table.get(self._key(3))
-        assert len(table) == 2
-        assert table.evictions == 1
+    def test_read_never_changes_state(self):
+        state, slot = self._state()
+        state.acquire(_words([1, 2, 3]))
+        before = ({n: c.copy() for n, c in state.columns.items()},
+                  dict(state._slot_of), list(state._owner), state.evictions)
+        for s in range(state.capacity):
+            for f in state.layout.fields:
+                for i in range(f.count):
+                    state.read(s, f.name, i)
+        after = ({n: c.copy() for n, c in state.columns.items()},
+                 dict(state._slot_of), list(state._owner), state.evictions)
+        assert all(np.array_equal(before[0][n], after[0][n])
+                   for n in before[0])
+        assert before[1:] == after[1:]
 
 
 class TestResourceReport:

@@ -138,3 +138,138 @@ class TestTraceSerialization:
         for orig, rt in zip(pkts, back.packets):
             assert rt.length == orig.length
             assert rt.payload_len == orig.payload_len
+
+
+def _record_loop_bytes(trace):
+    """SPCAP1 bytes written one record at a time, as the format defines."""
+    import struct
+    record = struct.Struct("<dHHIIHHB")
+    chunks = [b"SPCAP1\x00\x00"]
+    for p in trace.packets:
+        chunks.append(record.pack(p.ts, p.length, p.payload_len, *p.key))
+        chunks.append(p.payload.tobytes())
+    return b"".join(chunks)
+
+
+def _fields(packets):
+    return [(p.ts, p.length, p.key, p.payload.tobytes()) for p in packets]
+
+
+class TestColumnarTrace:
+    """The columnar Trace: same bytes, same order, no packets on the way."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.net import build_scenario
+        return build_scenario("heavy_hitters").generate(
+            seed=4, flows_scale=0.2).trace
+
+    def test_bytes_match_record_loop(self, trace):
+        from repro.net import trace_to_bytes
+        idx = np.random.default_rng(0).permutation(len(trace))[:50]
+        for t in (trace, trace[3:40], trace.take(idx), Trace([])):
+            assert trace_to_bytes(t) == _record_loop_bytes(t)
+
+    def test_from_flows_keeps_stable_order_on_tied_timestamps(self):
+        f1 = Flow(key=_pkt().key, packets=[
+            _pkt(ts=0.0, payload=[1]), _pkt(ts=1.0, payload=[2]),
+            _pkt(ts=1.0, payload=[3])])
+        f2 = Flow(key=_pkt(sport=1001).key, packets=[
+            _pkt(ts=1.0, sport=1001, payload=[4]),
+            _pkt(ts=0.5, sport=1001, payload=[5])])
+        f3 = Flow(key=_pkt(sport=1002).key, packets=[
+            _pkt(ts=1.0, sport=1002, payload=[6])])
+        flows = [f1, f2, f3]
+        want = sorted((p for f in flows for p in f.packets),
+                      key=lambda p: p.ts)
+        assert _fields(Trace.from_flows(flows).packets) == _fields(want)
+
+    def test_derived_traces_build_no_packets(self, trace, monkeypatch):
+        import repro.net.traces as traces
+
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a Packet was built")
+
+        monkeypatch.setattr(traces, "Packet", no_packets)
+        idx = np.array([5, 0, 9, 9, 2])
+        taken, sliced = trace.take(idx), trace[4:11]
+        back = Trace.from_columns(trace.to_columns(payload_bytes=8))
+        for name in ("ts", "length", "key_words", "src_ip", "proto"):
+            np.testing.assert_array_equal(getattr(taken, name),
+                                          getattr(trace, name)[idx])
+            np.testing.assert_array_equal(getattr(sliced, name),
+                                          getattr(trace, name)[4:11])
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(trace, name))
+        np.testing.assert_array_equal(taken.payload_matrix(60),
+                                      trace.payload_matrix(60)[idx])
+        np.testing.assert_array_equal(sliced.payload_matrix(60),
+                                      trace.payload_matrix(60, 4, 11))
+        np.testing.assert_array_equal(back.payload_matrix(8),
+                                      trace.payload_matrix(8))
+        monkeypatch.undo()
+        assert _fields(taken.packets) == \
+            _fields([trace.packets[i] for i in idx])
+
+    def test_packets_view_equals_originals(self):
+        pkts = [_pkt(ts=0.5 * i, length=60 + i, sport=1000 + i % 3,
+                     payload=list(range(i * 7 % 23))) for i in range(12)]
+        pkts.append(Packet(ts=9.0, length=64,
+                           key=FlowKey(0xFFFFFFFF, 0, 0xFFFF, 1, 255)))
+        view = Trace(pkts).packets
+        assert _fields(view) == _fields(pkts)
+        assert [p.payload_len for p in view] == [p.payload_len for p in pkts]
+        assert all(p.payload.dtype == np.uint8 for p in view)
+
+    def test_columns_are_frozen(self, trace):
+        with pytest.raises(ValueError):
+            trace.ts[0] = 1.0
+        with pytest.raises(AttributeError):
+            trace.ts = trace.ts
+
+
+class TestTraceValidation:
+    """Header fields outside their SPCAP1 widths fail when a trace is built,
+    never later in ``write_trace`` (or silently, by aliasing two flows)."""
+
+    @pytest.mark.parametrize("key", [
+        FlowKey(1 << 32, 2, 10, 20, 6), FlowKey(1, -1, 10, 20, 6),
+        FlowKey(1, 2, 1 << 16, 20, 6), FlowKey(1, 2, 10, 70000, 6),
+        FlowKey(1, 2, 10, 20, 256), FlowKey(1, 2, 10, 20, 1 << 70)])
+    def test_key_out_of_range(self, key):
+        pkt = Packet(ts=0.0, length=60, key=key)
+        with pytest.raises(TraceFormatError):
+            Trace([pkt])
+        if max(key) >= 1 << 63:
+            return                  # no int64 column can hold it
+        cols = Trace([_pkt()]).to_columns()
+        for name, value in zip(("src_ip", "dst_ip", "src_port", "dst_port",
+                                "proto"), key):
+            cols[name] = np.array([value], dtype=np.int64)
+        with pytest.raises(TraceFormatError):
+            Trace.from_columns(cols)
+
+    def test_length_above_mtu(self):
+        pkt = _pkt()
+        pkt.length = 1501
+        with pytest.raises(TraceFormatError):
+            Trace([pkt])
+        cols = Trace([_pkt()]).to_columns()
+        cols["length"] = np.array([1600], dtype=np.int64)
+        with pytest.raises(TraceFormatError, match="1600"):
+            Trace.from_columns(cols)
+
+    def test_widest_fields_round_trip_without_aliasing(self, tmp_path):
+        keys = [FlowKey(0xFFFFFFFF, 0xFFFFFFFE, 0xFFFF, 0xFFFE, 255),
+                FlowKey(0xFFFFFFFE, 0xFFFFFFFF, 0xFFFE, 0xFFFF, 255),
+                FlowKey(1, 2, 0, 0x100, 0), FlowKey(1, 2, 1, 0, 0)]
+        trace = Trace([Packet(ts=float(i), length=1500, key=k)
+                       for i, k in enumerate(keys)])
+        # The first two are one flow in two directions; the last two would
+        # collide if port bits spilled into their neighbours.
+        words = [tuple(w) for w in trace.key_words.tolist()]
+        assert words[0] == words[1] and len(set(words)) == 3
+        assert trace.canonical_keys() == [k.canonical() for k in keys]
+        path = tmp_path / "wide.spcap"
+        write_trace(trace, path)
+        assert _fields(read_trace(path).packets) == _fields(trace.packets)

@@ -31,7 +31,7 @@ from repro.core.mapping import LookupLayer, SegmentTable
 from repro.dataplane import place_model, TOFINO2
 from repro.net import build_scenario, scenario_names
 from repro.net.traces import (KEY_COLUMN_NAMES, Trace,
-                              canonicalize_key_columns, keys_from_columns)
+                              canonicalize_key_columns)
 from repro.serving import shard_hash, shard_hash_columns
 from repro.utils.fixed_point import QFormat
 
@@ -243,9 +243,13 @@ class TestColumnarRoundTrips:
     @given(_families, _seeds)
     def test_keys_from_columns_inverts_canonicalization(self, family, seed):
         trace = _scenario_trace(family, seed)
-        rebuilt = keys_from_columns(trace.canonical_key_columns())
+        cols = trace.canonical_key_columns()
+        rebuilt = list(zip(*(cols[name].tolist()
+                             for name in KEY_COLUMN_NAMES)))
+        assert rebuilt == [p.key.canonical() for p in trace.packets]
         assert rebuilt == trace.canonical_keys()
-        assert all(type(v) is int for k in rebuilt[:3] for v in k)
+        assert all(type(v) is int for k in trace.canonical_keys()[:3]
+                   for v in k)
 
     @settings(deadline=None, max_examples=12)
     @given(_families, _seeds)

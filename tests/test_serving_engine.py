@@ -91,10 +91,9 @@ def _hand_wired(factory, topology, flows, payload_bytes=None):
     """The pre-engine stack for one topology, directly wired."""
     scheduler = BatchScheduler(batch_size=BATCH)
     if topology == "local":
-        trace, keys, labels = flows_to_trace(flows)
-        ts = np.asarray([p.ts for p in trace.packets])
-        return factory().process_trace(trace, labels=labels, keys=keys,
-                                       spans=scheduler.iter_spans(ts))
+        trace, labels = flows_to_trace(flows)
+        return factory().process_trace(trace, labels=labels,
+                                       spans=scheduler.iter_spans(trace.ts))
     if topology == "sharded":
         return ShardedDispatcher(runtime_factory=factory, n_shards=2,
                                  scheduler=scheduler).serve_flows(flows)
@@ -148,7 +147,7 @@ class TestConfigMatrixEquivalence:
     def test_serve_dispatches_trace_and_columns(self, compiled16,
                                                 replay_flows):
         """serve() routes flows, Trace, and column dicts to one answer."""
-        trace, _keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         cols = trace.to_columns()
         for topology in ("local", "sharded"):
             config = _config(topology, False, "index")
@@ -181,7 +180,7 @@ class TestOneDispatcher:
     def test_single_replica_topologies_agree(self, compiled16, two_stage_spec,
                                              replay_flows, runtime, shape):
         source = compiled16 if runtime == "windowed" else two_stage_spec
-        trace, _keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         workload, kwargs = {
             "trace": (trace, {"labels": labels}),
             "flows": (replay_flows, {}),

@@ -18,7 +18,7 @@ import pytest
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.errors import WorkerError
-from repro.net.traces import Trace, canonicalize_key_columns, keys_from_columns
+from repro.net.traces import Trace, canonicalize_key_columns
 from repro.serving import (BatchScheduler, FlowDecisionCache, shard_hash,
                            shard_hash_columns)
 from repro.serving.dispatcher import ShardedDispatcher
@@ -98,8 +98,8 @@ class TestColumnarViews:
 
     def test_canonical_key_columns_match_scalar(self, replay_flows):
         trace = Trace.from_flows(replay_flows)
-        assert keys_from_columns(trace.canonical_key_columns()) == \
-            trace.canonical_keys()
+        assert trace.canonical_keys() == \
+            [p.key.canonical() for p in trace.packets]
 
     def test_canonicalize_swaps_consistently(self):
         cols = {"src_ip": np.array([9, 1, 5]), "dst_ip": np.array([2, 8, 5]),
@@ -119,15 +119,13 @@ class TestColumnarViews:
 
 class TestProcessColumns:
     def test_windowed_columns_match_trace(self, compiled16, replay_flows):
-        trace, keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         ref = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
-            batch_size=32).process_trace(trace, labels=labels, keys=keys)
-        cols = trace.to_columns()
+            batch_size=32).process_trace(trace, labels=labels)
         got = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=32).process_columns(
-                {"ts": cols["ts"], "length": cols["length"]}, keys,
-                labels=labels)
+                trace.to_columns(), labels=labels)
         assert got == ref
 
     def test_two_stage_columns_match_trace(self, replay_flows):
@@ -135,26 +133,27 @@ class TestProcessColumns:
         rng = np.random.default_rng(2)
         tree = FuzzyTree.fit(rng.uniform(0, 255, size=(300, 60)), n_leaves=16)
         slot_values = [rng.integers(-50, 50, size=(16, 3)) for _ in range(8)]
-        trace, keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         ref = TwoStageRuntime(
             tree, slot_values, n_classes=3, idx_bits=4,
-            batch_size=32).process_trace(trace, labels=labels, keys=keys)
+            batch_size=32).process_trace(trace, labels=labels)
         assert ref
         cols = trace.to_columns(payload_bytes=60)
+        del cols["length"]
         got = TwoStageRuntime(
             tree, slot_values, n_classes=3, idx_bits=4,
-            batch_size=32).process_columns(
-                {"ts": cols["ts"], "payload": cols["payload"]}, keys,
-                labels=labels)
+            batch_size=32).process_columns(cols, labels=labels)
         assert got == ref
 
     def test_missing_columns_rejected(self, compiled16, replay_flows):
-        trace, keys, _labels = flows_to_trace(replay_flows)
+        trace, _labels = flows_to_trace(replay_flows)
         runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats")
         with pytest.raises(ValueError, match="missing replay columns"):
-            runtime.process_columns({"ts": trace.packet_columns()["ts"]}, keys)
-        with pytest.raises(ValueError, match="keys for"):
-            runtime.process_columns(trace.to_columns(), keys[:-1])
+            runtime.process_columns({"ts": trace.ts, **trace.key_columns()})
+        cols = trace.to_columns()
+        del cols["proto"]
+        with pytest.raises(ValueError, match=r"missing replay columns: \['proto'\]"):
+            runtime.process_columns(cols)
 
 
 class TestParallelEquivalence:
@@ -268,11 +267,11 @@ class TestParallelDispatcherMechanics:
 
     def test_serve_chunk_in_process(self, compiled16, replay_flows):
         """The worker-side chunk replay, driven without a process."""
-        trace, keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         ref = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
-            batch_size=32).process_trace(trace, labels=labels, keys=keys)
-        n = len(trace.packets)
+            batch_size=32).process_trace(trace, labels=labels)
+        n = len(trace)
         spec = RingSpec(depth=2, chunk_rows=n)
         segments = RingSegments(1, spec)
         try:
@@ -302,8 +301,8 @@ class TestParallelDispatcherMechanics:
         worker must ack it with ``chunk_err`` and keep serving (the loop
         survives per-chunk failures so the driver can drain the ring).
         """
-        trace, _keys, labels = flows_to_trace(replay_flows)
-        n = len(trace.packets)
+        trace, labels = flows_to_trace(replay_flows)
+        n = len(trace)
         spec = RingSpec(depth=2, chunk_rows=n)
         segments = RingSegments(1, spec)
 

@@ -199,19 +199,19 @@ class TestHotPathCoverage:
 
     def test_sharded_split_validates(self, compiled16, replay_flows,
                                      monkeypatch):
-        trace, keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         dispatcher = ShardedDispatcher(
             n_shards=2, runtime_factory=_runtime_factory(compiled16),
             scheduler=BatchScheduler(batch_size=32))
         calls = _count_validations(monkeypatch)
-        dispatcher.serve_trace(trace, labels=labels, keys=keys)
+        dispatcher.serve_trace(trace, labels=labels)
         assert any(ctx == "ShardedDispatcher shard split"
                    for _, ctx in calls)
 
     def test_parallel_split_replies_and_merge_validate(self, compiled16,
                                                        replay_flows,
                                                        monkeypatch):
-        trace, _keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         calls = _count_validations(monkeypatch)
         with ParallelDispatcher(
                 runtime_factory=_runtime_factory(compiled16), n_workers=2,
@@ -288,11 +288,11 @@ class TestDecisionMerge:
 
     def test_parallel_decisions_bit_identical_to_sharded(self, compiled16,
                                                          replay_flows):
-        trace, keys, labels = flows_to_trace(replay_flows)
+        trace, labels = flows_to_trace(replay_flows)
         serial = ShardedDispatcher(
             n_shards=2, runtime_factory=_runtime_factory(compiled16),
             scheduler=BatchScheduler(batch_size=32)
-        ).serve_trace(trace, labels=labels, keys=keys)
+        ).serve_trace(trace, labels=labels)
         with ParallelDispatcher(
                 runtime_factory=_runtime_factory(compiled16), n_workers=2,
                 scheduler=BatchScheduler(batch_size=32)) as dispatcher:
