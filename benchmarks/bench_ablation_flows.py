@@ -40,8 +40,8 @@ def _run(scale):
     return out
 
 
-def test_ablation_flow_capacity(benchmark, bench_scale):
-    rows = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_ablation_flow_capacity(bench_scale):
+    rows = _run(bench_scale)
     print()
     print(render_table(
         ["capacity", "decisions", "evictions", "accuracy"],

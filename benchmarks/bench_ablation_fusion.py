@@ -40,8 +40,8 @@ def _run(scale):
     return out
 
 
-def test_ablation_fusion(benchmark, bench_scale):
-    rows = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_ablation_fusion(bench_scale):
+    rows = _run(bench_scale)
     print()
     print(render_table(["fusion", "rounds", "tables", "stages", "F1"],
                        [[r[k] for k in ("fusion", "rounds", "tables", "stages", "F1")]

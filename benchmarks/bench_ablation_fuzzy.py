@@ -34,8 +34,8 @@ def _run(scale):
     return rows
 
 
-def test_ablation_fuzzy_depth(benchmark, bench_scale):
-    rows = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_ablation_fuzzy_depth(bench_scale):
+    rows = _run(bench_scale)
     print()
     print(render_table(["leaves", "F1", "TCAM(b)", "SRAM(b)"],
                        [[r["leaves"], r["F1"], r["tcam_bits"], r["sram_bits"]]
@@ -57,9 +57,9 @@ def _crc_counts():
     return crc_total, naive_total
 
 
-def test_crc_saves_entries(benchmark):
+def test_crc_saves_entries():
     """CRC vs naive per-range expansion on learned (non-aligned) thresholds."""
-    crc_total, naive_total = benchmark.pedantic(_crc_counts, rounds=1, iterations=1)
+    crc_total, naive_total = _crc_counts()
     print(f"\nCRC entries: {crc_total}, naive entries: {naive_total} "
           f"({naive_total / crc_total:.2f}x saving)")
     assert crc_total < naive_total

@@ -32,8 +32,8 @@ def _run(scale):
     return rows
 
 
-def test_ablation_quantization(benchmark, bench_scale):
-    rows = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_ablation_quantization(bench_scale):
+    rows = _run(bench_scale)
     print()
     print(render_table(["act bits", "LS refine", "F1"],
                        [[r["act_bits"], r["refine"], r["F1"]] for r in rows],

@@ -14,8 +14,8 @@ def _run(scale):
     return run_fig7(flows_per_class=scale["flows_per_class"], seed=scale["seed"])
 
 
-def test_fig7(benchmark, bench_scale):
-    variants = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_fig7(bench_scale):
+    variants = _run(bench_scale)
     rows = [[v["label"], v["bits_per_flow"], f"{v['sram_frac_1m']:.1%}"]
             + [v["f1"][d] for d in DATASET_NAMES] for v in variants]
     print()

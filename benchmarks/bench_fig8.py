@@ -15,8 +15,8 @@ def _run(scale):
     return run_fig8(flows_per_class=scale["flows_per_class"], seed=scale["seed"])
 
 
-def test_fig8(benchmark, bench_scale):
-    results = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_fig8(bench_scale):
+    results = _run(bench_scale)
     rows = []
     for attack in ATTACK_NAMES:
         rows.append([attack] + [results[d][attack]["auc"] for d in DATASET_NAMES])

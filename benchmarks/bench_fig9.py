@@ -16,8 +16,8 @@ def _run(scale):
     return run_fig9(flows_per_class=scale["flows_per_class"], seed=scale["seed"])
 
 
-def test_fig9(benchmark, bench_scale):
-    results = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_fig9(bench_scale):
+    results = _run(bench_scale)
 
     rows = []
     for model in PEGASUS_MODELS:

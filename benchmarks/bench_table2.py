@@ -10,8 +10,8 @@ def _run(scale):
     return run_table2(table5)
 
 
-def test_table2(benchmark, bench_scale):
-    ratios = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_table2(bench_scale):
+    ratios = _run(bench_scale)
     rows = []
     for prior, entry in ratios.items():
         rows.append([prior,

@@ -15,8 +15,8 @@ def _run(scale):
     return run_table5(flows_per_class=scale["flows_per_class"], seed=scale["seed"])
 
 
-def test_table5(benchmark, bench_scale):
-    results = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_table5(bench_scale):
+    results = _run(bench_scale)
 
     headers = ["method", "input(b)", "model(Kb)"]
     for ds in DATASET_NAMES:

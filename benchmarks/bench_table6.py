@@ -13,8 +13,8 @@ def _run(scale):
     return run_table6(flows_per_class=scale["flows_per_class"], seed=scale["seed"])
 
 
-def test_table6(benchmark, bench_scale):
-    rows = benchmark.pedantic(_run, args=(bench_scale,), rounds=1, iterations=1)
+def test_table6(bench_scale):
+    rows = _run(bench_scale)
     table = [[r["model"], r["bits/flow"], f"{r['SRAM']:.2%}",
               f"{r['TCAM']:.2%}", f"{r['Bus']:.2%}"] for r in rows]
     print()

@@ -1,13 +1,16 @@
-"""Shared benchmark configuration.
+"""Shared configuration of the paper-reproduction benches.
 
-Every bench regenerates one table or figure of the paper. They are heavy
-(each trains several models), so each runs exactly once per session via
-``benchmark.pedantic(rounds=1)`` and prints its rendered table — the rows a
-reader compares against the paper.
+Every bench is a plain pytest test that regenerates one table, figure or
+ablation of the paper, prints its rendered table (the rows a reader compares
+against the paper; run with ``-s`` to see them) and asserts the paper's
+claims about it. They are heavy (each trains several models), so they are
+collected only when named explicitly:
 
-CI's bench-smoke job shrinks the workload via ``BENCH_FLOWS_PER_CLASS`` so
-the serving benches finish in a couple of minutes while still producing the
-trajectory JSON (``BENCH_serving.json``) the regression gate checks.
+    PYTHONPATH=src python -m pytest benchmarks/bench_fig7.py -q -s
+
+``BENCH_FLOWS_PER_CLASS`` (default 120) sets the dataset scale and
+``BENCH_SEED`` (default 0) the seed. Serving performance is measured by
+``perf/``, not here.
 """
 
 import os

@@ -73,8 +73,7 @@ def main():
         report = engine.serve(test_flows)
     print(f"{report.n_decisions} per-packet decisions over "
           f"{report.n_packets} packets, accuracy {report.accuracy:.3f}")
-    print(f"{report.pps:,.0f} pps serial / {report.pps_parallel:,.0f} pps at "
-          f"the critical path ({config.n_workers} shards); "
+    print(f"{report.pps:,.0f} pps ({config.n_workers} shards); "
           f"cache hit rate {report.cache_stats.hit_rate:.1%}")
 
 

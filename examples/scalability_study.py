@@ -3,18 +3,17 @@
 Sweeps, on one dataset:
 1. fuzzy clustering depth (accuracy vs TCAM) — design ❹;
 2. fusion level (lookup rounds / pipeline stages) — design ❺;
-3. CNN-L per-flow storage variants (28 / 44 / 72 bits) — §7.3;
-4. software-serving throughput of the batched runtime (batch size x shards);
-5. parallel multi-process serving (measured concurrent wall clock) with the
-   flow-decision cache on and off.
+3. CNN-L per-flow storage variants (28 / 44 / 72 bits) — §7.3.
+
+Serving throughput (batch size, topology, lookup backend, cache) is
+measured by the serving benchmark instead: ``python3 perf/run.py``.
 
 Run:  PYTHONPATH=src python examples/scalability_study.py
-Expected runtime: ~2 minutes (documented in README.md).
+Expected runtime: ~10 seconds (documented in README.md).
 """
 
 import numpy as np
 
-from repro import EngineConfig, PegasusEngine
 from repro.core import PegasusCompiler, CompilerConfig
 from repro.dataplane import place_model, TOFINO2
 from repro.eval.metrics import macro_f1
@@ -63,44 +62,6 @@ def main():
         sram = layout.sram_fraction(1_000_000, TOFINO2.total_sram_bits)
         print(f"{layout.bits_per_flow:7d}b {layout.bits_per_flow:10d} "
               f"{sram:8.1%} {f1:7.4f}")
-
-    print("\n=== 4. batched serving throughput (batch size x shards) ===")
-    mlp = PegasusCompiler(CompilerConfig(fuzzy_leaves=256)) \
-        .compile_sequential(model.net, calib).compiled
-    print(f"{'config':>12s} {'pps':>12s} {'decisions':>10s}")
-    for batch_size in (1, 32, 256, 1024):
-        report = PegasusEngine.from_compiled(
-            mlp, EngineConfig(feature_mode="stats", batch_size=batch_size)
-        ).serve(test_flows)
-        print(f"{'batch=' + str(batch_size):>12s} {report.pps:12.0f} "
-              f"{report.n_decisions:10d}")
-    # Throughput sweep: flush on batch-full only. A trace-time `timeout`
-    # would trade decision latency for batch amortization (the synthetic
-    # traces are slow enough that 50 ms holds only a handful of packets).
-    for shards in (1, 4):
-        report = PegasusEngine.from_compiled(
-            mlp, EngineConfig(feature_mode="stats", batch_size=256,
-                              topology="sharded", n_workers=shards)
-        ).serve(test_flows)
-        # Sharded replicas replay serially: pps_parallel models the parallel
-        # wall clock as the slowest shard (section 5 measures the real one).
-        print(f"{'shards=' + str(shards):>12s} {report.pps_parallel:12.0f} "
-              f"{report.n_decisions:10d}")
-
-    print("\n=== 5. parallel serving: measured wall clock + decision cache ===")
-    print(f"{'config':>22s} {'pps':>12s} {'hit rate':>9s} {'decisions':>10s}")
-    for workers in (1, 2, 4):
-        for cached in (False, True):
-            config = EngineConfig(feature_mode="stats", batch_size=256,
-                                  decision_cache=cached,
-                                  topology="parallel", n_workers=workers)
-            with PegasusEngine.from_compiled(mlp, config) as engine:
-                report = engine.serve(test_flows)
-            hit = (f"{report.cache_stats.hit_rate:9.2%}"
-                   if cached else f"{'-':>9s}")
-            label = f"workers={workers}{'+cache' if cached else ''}"
-            print(f"{label:>22s} {report.pps:12.0f} {hit} "
-                  f"{report.n_decisions:10d}")
 
 
 if __name__ == "__main__":

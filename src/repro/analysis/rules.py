@@ -1,4 +1,4 @@
-"""The repo-specific invariant rules (see also threads.py / drift.py).
+"""The repo-specific invariant rules (see also drift.py / wire.py).
 
 Each rule encodes a contract the dynamic test wall already assumes:
 
@@ -237,7 +237,7 @@ class BareExceptRule(Rule):
     description = ("'except:' swallows SystemExit/KeyboardInterrupt and every "
                    "invariant violation with them; name the exceptions (or "
                    "'except Exception' with a re-raise path)")
-    example = ("scripts/check_bench_regression.py:58: [bare-except] bare "
+    example = ("scripts/calibrate.py:58: [bare-except] bare "
                "'except:' clause; catch named exception types so invariant "
                "violations cannot vanish silently")
 
@@ -254,14 +254,12 @@ class BareExceptRule(Rule):
 def default_rules() -> list[Rule]:
     """One fresh instance of every shipped rule (order = report order)."""
     from repro.analysis.drift import RegistryConfigDriftRule
-    from repro.analysis.threads import ThreadSharedStateRule
     from repro.analysis.wire import (ColumnarSchemaRule, DtypePromotionRule,
                                      HiddenCopyRule)
     return [
         RngDisciplineRule(),
         WallclockRule(),
         PickleSafeRegistrationsRule(),
-        ThreadSharedStateRule(),
         RegistryConfigDriftRule(),
         MutableDefaultArgsRule(),
         BareExceptRule(),

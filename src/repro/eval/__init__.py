@@ -16,7 +16,6 @@ from repro.eval.runner import (
     run_fig8,
     run_fig9,
     run_table2,
-    run_batched_throughput,
 )
 from repro.eval.reporting import render_table
 
@@ -34,6 +33,5 @@ __all__ = [
     "run_fig8",
     "run_fig9",
     "run_table2",
-    "run_batched_throughput",
     "render_table",
 ]

@@ -1,10 +1,6 @@
-"""Rendering of experiment results: text tables and the bench trajectory JSON."""
+"""Rendering of experiment results as monospace text tables."""
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 
 def render_table(headers: list[str], rows: list[list], title: str = "") -> str:
@@ -52,81 +48,3 @@ def render_scenario_table(summary: dict) -> str:
          "exact", "approx"],
         rows, title=f"Scenario {summary['scenario']!r} "
                     f"(seed={summary['seed']})")
-
-
-def render_openloop_table(summary: dict) -> str:
-    """Per-phase table for one ``OpenLoopReport.summary()`` dict.
-
-    One row per phase — offered/admitted/shed counts, shed fraction, peak
-    queue depth, and the p50/p99 sojourn — plus an ``overall`` footer row,
-    titled with the scenario, admission policy, and target.
-    """
-    def row(label, s, lat):
-        return [label, s["offered"], s["admitted"], s["shed"],
-                f"{s['shed_fraction']:.3f}",
-                s.get("queue_depth_max", "-"),
-                f"{lat['p50_ms']:.2f}", f"{lat['p99_ms']:.2f}"]
-
-    rows = [row(name, p, p["latency"])
-            for name, p in summary["phases"].items()]
-    overall = {"offered": summary["offered"],
-               "admitted": summary["admitted"], "shed": summary["shed"],
-               "shed_fraction": summary["shed_fraction"]}
-    rows.append(row("overall", overall, summary["latency"]))
-    target = summary.get("p99_target_ms")
-    meets = summary.get("meets_target")
-    title = (f"Open-loop {summary['scenario']!r} "
-             f"(admission={summary['admission']}, "
-             f"time_scale={summary['time_scale']:.4g}")
-    if target is not None:
-        title += f", p99 target {target:.0f}ms: " \
-                 + ("MET" if meets else "MISSED")
-    title += ")"
-    return render_table(
-        ["phase", "offered", "admitted", "shed", "shed_frac", "depth_max",
-         "p50_ms", "p99_ms"],
-        rows, title=title)
-
-
-def metric_or_sentinel(value, sentinel: str = "no_labeled_packets"):
-    """A bench-JSON metric value, with ``None`` mapped to a named sentinel.
-
-    Bench sections must never contain bare JSON ``null``: downstream
-    tooling cannot tell "metric undefined for a stated reason" from
-    "producer forgot to compute it" (``scripts/check_bench_regression.py``
-    fails on any null). Undefined metrics carry a string naming *why* —
-    e.g. ``"no_labeled_packets"`` for an accuracy over a phase that had no
-    labeled traffic, or ``"single_core"`` for a multicore speedup measured
-    on a host that cannot parallelize.
-    """
-    return sentinel if value is None else value
-
-
-def update_bench_json(section: str, payload: dict,
-                      path: str | Path | None = None) -> Path:
-    """Merge one bench's scalar results into the bench-trajectory JSON.
-
-    Each serving bench writes its results under its own ``section`` key of
-    one shared file (default ``BENCH_serving.json`` in the working
-    directory, overridable via the ``BENCH_JSON`` env var), so the CI bench
-    job can upload a single artifact and diff it against the committed
-    baseline. NumPy scalars are coerced to plain JSON types.
-    """
-    path = Path(path or os.environ.get("BENCH_JSON", "BENCH_serving.json"))
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = _jsonify(payload)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _jsonify(obj):
-    """Recursively coerce NumPy scalars/arrays and dict keys to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if hasattr(obj, "tolist"):          # NumPy scalar or array
-        return obj.tolist()
-    return str(obj)

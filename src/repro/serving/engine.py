@@ -572,19 +572,6 @@ class ServingReport:
         return self.n_packets / max(self.wall_seconds, 1e-9)
 
     @property
-    def critical_seconds(self) -> float:
-        """Slowest replica's replay time — the modeled concurrent wall clock
-        (equals the measured wall for single-replica topologies)."""
-        return max(self.shard_seconds) if self.shard_seconds \
-            else self.wall_seconds
-
-    @property
-    def pps_parallel(self) -> float:
-        """Packets/sec if replicas ran concurrently (pps at the critical
-        path) — what ``sharded`` models and ``parallel`` measures."""
-        return self.n_packets / max(self.critical_seconds, 1e-9)
-
-    @property
     def accuracy(self) -> float | None:
         """Fraction of labelled decisions that were correct (None when the
         serve carried no ground-truth labels)."""
@@ -600,7 +587,6 @@ class ServingReport:
             "runtime": self.runtime, "lookup_backend": self.lookup_backend,
             "n_packets": self.n_packets, "n_decisions": self.n_decisions,
             "wall_seconds": self.wall_seconds, "pps": self.pps,
-            "pps_parallel": self.pps_parallel,
             "accuracy": self.accuracy,
             "cache_hit_rate": self.cache_stats.hit_rate,
             "cache_exact_hits": self.cache_stats.exact_hits,

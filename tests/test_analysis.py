@@ -243,145 +243,6 @@ class TestPickleSafeRegistrations:
 
 
 # ---------------------------------------------------------------------------
-# thread-shared-state
-# ---------------------------------------------------------------------------
-
-class TestThreadSharedState:
-    def test_unguarded_closure_pump_flagged_both_sides(self):
-        findings = lint("""
-            import threading
-
-            def pump(items):
-                out = []
-
-                def worker():
-                    for item in items:
-                        out.append(item)
-
-                t = threading.Thread(target=worker)
-                t.start()
-                snapshot = len(out)
-                t.join()
-                return snapshot
-        """, path=SERVING_PATH)
-        assert rule_names(findings) == ["thread-shared-state"] * 2
-        msgs = " | ".join(f.msg for f in findings)
-        assert "'out'" in msgs
-
-    def test_lock_guarded_closure_pump_clean(self):
-        assert lint("""
-            import threading
-
-            def pump(items):
-                out = []
-                lock = threading.Lock()
-
-                def worker():
-                    for item in items:
-                        with lock:
-                            out.append(item)
-
-                t = threading.Thread(target=worker)
-                t.start()
-                with lock:
-                    snapshot = len(out)
-                t.join()
-                return snapshot
-        """, path=SERVING_PATH) == []
-
-    def test_sequential_windows_are_exempt(self):
-        # Reads before the Thread exists / after join() cannot race; only
-        # the unguarded *thread-side* write is a finding here.
-        findings = lint("""
-            import threading
-
-            def pump(items):
-                out = []
-                before = len(out)
-
-                def worker():
-                    for item in items:
-                        out.append(item)
-
-                t = threading.Thread(target=worker)
-                t.start()
-                t.join()
-                return before + len(out)
-        """, path=SERVING_PATH)
-        assert rule_names(findings) == ["thread-shared-state"]
-        assert "written by thread target" in findings[0].msg
-
-    def test_queue_mediated_pump_clean(self):
-        assert lint("""
-            import queue
-            import threading
-
-            def pump(items):
-                q = queue.Queue()
-
-                def worker():
-                    for item in items:
-                        q.put(item)
-
-                t = threading.Thread(target=worker)
-                t.start()
-                got = [q.get() for _ in items]
-                t.join()
-                return got
-        """, path=SERVING_PATH) == []
-
-    def test_lambda_thread_target_flagged(self):
-        findings = lint("""
-            import threading
-
-            def pump(out):
-                t = threading.Thread(target=lambda: out.append(1))
-                t.start()
-                return t
-        """, path=SERVING_PATH)
-        assert rule_names(findings) == ["thread-shared-state"]
-        assert "lambda thread target" in findings[0].msg
-
-    def test_unguarded_method_pump_flagged(self):
-        findings = lint("""
-            import threading
-
-            class Pump:
-                def __init__(self):
-                    self.done = []
-                    self.thread = threading.Thread(target=self._run)
-
-                def _run(self):
-                    self.done.append(1)
-
-                def results(self):
-                    return list(self.done)
-        """, path=SERVING_PATH)
-        assert rule_names(findings) == ["thread-shared-state"] * 2
-        msgs = " | ".join(f.msg for f in findings)
-        assert "self.done" in msgs
-
-    def test_lock_guarded_method_pump_clean(self):
-        assert lint("""
-            import threading
-
-            class Pump:
-                def __init__(self):
-                    self.lock = threading.Lock()
-                    self.done = []
-                    self.thread = threading.Thread(target=self._run)
-
-                def _run(self):
-                    with self.lock:
-                        self.done.append(1)
-
-                def results(self):
-                    with self.lock:
-                        return list(self.done)
-        """, path=SERVING_PATH) == []
-
-
-# ---------------------------------------------------------------------------
 # mutable-default-args / bare-except
 # ---------------------------------------------------------------------------
 
@@ -581,21 +442,6 @@ def _mutant():
 
 register_topology("mutant", lambda config: None, overwrite=True)
 """, 'register_topology("mutant", lambda config: None, overwrite=True)'),
-    ("thread-shared-state", "src/repro/serving/openloop.py", """
-
-def _mutant(items):
-    out = []
-
-    def _worker():
-        for item in items:
-            out.append(item)
-
-    t = threading.Thread(target=_worker)
-    t.start()
-    n = len(out)
-    t.join()
-    return n
-""", "            out.append(item)"),
     ("mutable-default-args", "src/repro/utils/rng.py", """
 
 def _mutant(xs, acc=[]):

@@ -88,26 +88,6 @@ class TestRendering:
         assert "0.5000" in out
         assert "22" in out
 
-    def test_update_bench_json_merges_sections(self, tmp_path):
-        import json
-
-        from repro.eval.reporting import update_bench_json
-
-        path = tmp_path / "BENCH_serving.json"
-        update_bench_json("batched", {"pps": {256: np.float64(123.5)}},
-                          path=path)
-        update_bench_json("parallel",
-                          {"speedup": np.float64(2.5), "ok": True,
-                           "counts": np.array([1, 2])}, path=path)
-        data = json.loads(path.read_text())
-        assert data["batched"]["pps"]["256"] == 123.5     # str keys, py floats
-        assert data["parallel"] == {"speedup": 2.5, "ok": True,
-                                    "counts": [1, 2]}
-        update_bench_json("batched", {"pps": {}}, path=path)  # overwrite
-        data = json.loads(path.read_text())
-        assert data["batched"] == {"pps": {}}
-        assert data["parallel"]["speedup"] == 2.5         # other section kept
-
 
 class TestWindowedRuntime:
     def test_end_to_end_accuracy(self):
@@ -159,149 +139,3 @@ class TestRunnerQuick:
         assert table2["N3IC"]["input_scale_ratio"] == pytest.approx(3840 / 128)
         # CNN-L (full precision, raw bytes) beats the binary MLP.
         assert table2["N3IC"]["accuracy_gain"] > 0
-
-    def test_tcam_equivalence_quick(self):
-        from repro.eval.runner import run_tcam_equivalence
-        report = run_tcam_equivalence(flows_per_class=12, seed=0,
-                                      worker_counts=(1, 2, 4), attack_flows=4,
-                                      elephant_flows=2, batch_size=64,
-                                      sample_keys=64)
-        assert set(report["matrix"]) == {1, 2, 4}
-        assert report["all_match"]
-        assert report["entry_match"] and report["table_match"] \
-            and report["serving_match"]
-        assert report["tables"] and report["tcam_entries_total"] > 0
-        for entry in report["matrix"].values():
-            assert entry["decisions"] > 0
-            for cached in ("cache_off", "cache_l1", "cache_l1+l2"):
-                assert entry[cached]["sharded_match"]
-                assert entry[cached]["parallel_match"]
-            # the two-level config serves through the pruned kernel
-            assert entry["cache_l1+l2"]["lookup_backend"] == "tcam-pruned"
-
-
-class TestBenchRegressionSentinel:
-    """The taildrop-zero ratio sentinel flows through the gate unharmed."""
-
-    def _gate(self, tmp_path, baseline_val, current_val, extra_current=None):
-        import json
-        import sys
-        sys.path.insert(0, "scripts")
-        try:
-            from check_bench_regression import main as gate_main
-        finally:
-            sys.path.pop(0)
-        baseline = {"gate_metrics": ["openloop.aimd_over_taildrop_min"],
-                    "openloop": {"aimd_over_taildrop_min": baseline_val}}
-        current = {"openloop": {"aimd_over_taildrop_min": current_val}}
-        current.update(extra_current or {})
-        bp = tmp_path / "baseline.json"
-        cp = tmp_path / "current.json"
-        bp.write_text(json.dumps(baseline))
-        cp.write_text(json.dumps(current))
-        return gate_main([str(cp), str(bp)])
-
-    def test_sentinel_on_either_side_reports_not_gates(self, tmp_path,
-                                                       capsys):
-        from repro.eval.runner import TAILDROP_ZERO
-        assert self._gate(tmp_path, TAILDROP_ZERO, 2.0) == 0
-        assert "not gated: sentinel" in capsys.readouterr().out
-        assert self._gate(tmp_path, 2.0, TAILDROP_ZERO) == 0
-        assert "not gated: sentinel" in capsys.readouterr().out
-
-    def test_numeric_pair_still_gates(self, tmp_path, capsys):
-        assert self._gate(tmp_path, 2.0, 0.5) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert self._gate(tmp_path, 2.0, 2.1) == 0
-
-    def test_missing_metric_still_fails(self, tmp_path, capsys):
-        import json
-        baseline = {"gate_metrics": ["openloop.aimd_over_taildrop_min"],
-                    "openloop": {"aimd_over_taildrop_min": 2.0}}
-        bp = tmp_path / "baseline.json"
-        cp = tmp_path / "current.json"
-        bp.write_text(json.dumps(baseline))
-        cp.write_text(json.dumps({"openloop": {}}))
-        import sys
-        sys.path.insert(0, "scripts")
-        try:
-            from check_bench_regression import main as gate_main
-        finally:
-            sys.path.pop(0)
-        assert gate_main([str(cp), str(bp)]) == 1
-
-    def test_openloop_study_records_sentinel_and_raw_pair(self):
-        from repro.eval.runner import TAILDROP_ZERO, run_openloop_study
-        res = run_openloop_study(flows_per_class=6, seed=0, flows_scale=0.2,
-                                 p99_target_ms=50.0,
-                                 load_multipliers=(0.5, 2.0))
-        for entry in res["scenarios"].values():
-            raw = entry["sustained_raw"]
-            assert set(raw) == {"aimd", "tail_drop"}
-            ratio = entry["aimd_over_taildrop"]
-            if raw["tail_drop"] == 0:
-                assert ratio == TAILDROP_ZERO
-            else:
-                assert ratio == pytest.approx(
-                    raw["aimd"] / raw["tail_drop"])
-        ratio_min = res["aimd_over_taildrop_min"]
-        assert isinstance(ratio_min, (int, float)) \
-            or ratio_min == TAILDROP_ZERO
-
-
-class TestBenchRegressionNullsAndCores:
-    """Bare JSON nulls fail the gate; sub-4-core speedups skip loudly."""
-
-    BASELINE = {"gate_metrics": ["parallel.speedup_4_vs_1"],
-                "parallel": {"speedup_4_vs_1": 2.5}}
-
-    def _gate(self, tmp_path, current):
-        import json
-        import sys
-        sys.path.insert(0, "scripts")
-        try:
-            from check_bench_regression import main as gate_main
-        finally:
-            sys.path.pop(0)
-        bp = tmp_path / "baseline.json"
-        cp = tmp_path / "current.json"
-        bp.write_text(json.dumps(self.BASELINE))
-        cp.write_text(json.dumps(current))
-        return gate_main([str(cp), str(bp)])
-
-    def test_bare_null_anywhere_fails(self, tmp_path, capsys):
-        current = {"parallel": {"speedup_4_vs_1": 2.6, "cores": 8},
-                   "scenarios": {"per_scenario": {"flow_churn": {
-                       "phase_accuracy": {"mice-storm-1": None}}}}}
-        assert self._gate(tmp_path, current) == 1
-        err = capsys.readouterr().err
-        assert "bare JSON null" in err and "mice-storm-1" in err
-
-    def test_named_sentinel_instead_of_null_passes(self, tmp_path):
-        current = {"parallel": {"speedup_4_vs_1": 2.6, "cores": 8},
-                   "scenarios": {"per_scenario": {"flow_churn": {
-                       "phase_accuracy": {"mice-storm-1":
-                                          "no_labeled_packets"}}}}}
-        assert self._gate(tmp_path, current) == 0
-
-    def test_few_cores_skips_loudly(self, tmp_path, capsys):
-        current = {"parallel": {"speedup_4_vs_1": "single_core",
-                                "speedup_4_vs_1_raw": 0.84,
-                                "cores": 1}}
-        assert self._gate(tmp_path, current) == 0
-        out = capsys.readouterr().out
-        assert "SKIPPED" in out and "1 core" in out and ">= 4" in out
-
-    def test_multicore_numeric_value_still_gates(self, tmp_path, capsys):
-        current = {"parallel": {"speedup_4_vs_1": 1.0, "cores": 8}}
-        assert self._gate(tmp_path, current) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-
-class TestMetricOrSentinel:
-    def test_values_pass_through_including_falsy(self):
-        from repro.eval.reporting import metric_or_sentinel
-        assert metric_or_sentinel(0.5) == 0.5
-        assert metric_or_sentinel(0.0) == 0.0          # falsy but defined
-        assert metric_or_sentinel(None) == "no_labeled_packets"
-        assert metric_or_sentinel(None, "single_core") == "single_core"

@@ -213,6 +213,14 @@ class TestServeScenario:
         with pytest.raises(KeyError, match="no phase"):
             rep.phase("nope")
 
+    def test_attack_flood_accuracy_craters(self, engine_parts):
+        # The flood phase injects label-100+ attack traffic the benign-trained
+        # classifier cannot name: its accuracy falls well below baseline's.
+        compiled, config = engine_parts
+        with PegasusEngine.from_compiled(compiled, config) as eng:
+            rep = eng.serve(tiny("attack_flood"))
+        assert rep.phase("flood").accuracy < 0.5 * rep.phase("baseline").accuracy
+
     def test_summary_shape(self, engine_parts):
         compiled, config = engine_parts
         rep_obj = None

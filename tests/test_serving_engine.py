@@ -393,8 +393,6 @@ class TestLifecycleAndReport:
         assert report.n_packets >= report.n_decisions
         assert report.wall_seconds > 0 and report.pps > 0
         assert len(report.shard_seconds) == 2
-        assert report.critical_seconds <= sum(report.shard_seconds) + 1e-9
-        assert report.pps_parallel >= report.pps
         assert 0.0 <= report.accuracy <= 1.0
         assert report.flush_stats.total > 0
         assert report.cache_stats.lookups == report.n_decisions

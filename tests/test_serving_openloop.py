@@ -276,17 +276,19 @@ class TestOpenLoopServe:
 
 class TestPhaseL2Gate:
     def test_cold_phases_skip_l2_inserts(self, compiled16):
-        """Diurnal phases are churn-heavy: they gate L2 inserts off."""
-        w = tiny("diurnal", seed=4, scale=0.3)
-        assert all(not s.l2_insert for s in w.phases)
-        config = _config(decision_cache="l1+l2")
-        with PegasusEngine.from_compiled(compiled16, config) as eng:
-            gated = eng.serve(w)
-        assert gated.overall.cache_stats.l2_skipped > 0
-        with PegasusEngine.from_compiled(compiled16, _config()) as eng:
-            plain = eng.serve(w)
-        # The gate changes caching, never decisions.
-        assert gated.overall.decisions == plain.overall.decisions
+        """Diurnal and microburst phases are churn-heavy: they gate L2
+        inserts off."""
+        for family in ("diurnal", "microburst"):
+            w = tiny(family, seed=4, scale=0.3)
+            assert all(not s.l2_insert for s in w.phases)
+            config = _config(decision_cache="l1+l2")
+            with PegasusEngine.from_compiled(compiled16, config) as eng:
+                gated = eng.serve(w)
+            assert gated.overall.cache_stats.l2_skipped > 0, family
+            with PegasusEngine.from_compiled(compiled16, _config()) as eng:
+                plain = eng.serve(w)
+            # The gate changes caching, never decisions.
+            assert gated.overall.decisions == plain.overall.decisions
 
     def test_warm_phases_keep_l2_inserts(self, compiled16):
         w = tiny("heavy_hitters", seed=1, scale=0.3)

@@ -327,6 +327,21 @@ class TestEngineChurnBitIdentity:
         assert merged.approx_hits == 2 * cs.approx_hits
         assert merged.lookups == 2 * cs.lookups
 
+    def test_most_scenario_families_hit(self, compiled16):
+        """Families whose exact-window L1 stays cold still hit through the
+        quantized L2; only the churn-heavy ones that gate L2 inserts off
+        (diurnal, microburst) may stay at zero."""
+        config = EngineConfig(feature_mode="stats", batch_size=64,
+                              decision_cache="l1+l2")
+        warm = []
+        for name in ("attack_flood", "concept_drift", "diurnal",
+                     "flow_churn", "heavy_hitters", "microburst"):
+            w = build_scenario(name).generate(seed=0, flows_scale=0.25)
+            with PegasusEngine.from_compiled(compiled16, config) as eng:
+                if eng.serve(w).overall.cache_stats.hit_rate > 0.0:
+                    warm.append(name)
+        assert len(warm) >= 4, warm
+
 
 class TestCrossReplicaSharing:
     def test_export_import_serves_other_replicas_decisions(self, model):
