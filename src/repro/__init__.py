@@ -15,7 +15,7 @@ This package reproduces the SIGCOMM 2025 Pegasus system end to end:
 - :mod:`repro.baselines` — N3IC, BoS and Leo reimplementations.
 - :mod:`repro.eval` — metrics and the experiment harness behind every table
   and figure in the paper's evaluation.
-- :mod:`repro.serving` — the production serving layer: batch scheduling,
+- :mod:`repro.serving` — the production serving layer: batched replay,
   sharded/parallel dispatch, flow-decision caching, and the
   :class:`PegasusEngine` facade that builds the whole stack from one
   :class:`EngineConfig`.
@@ -37,7 +37,6 @@ from repro.errors import (
 # dispatcher and runtime classes it assembles, so users never need internal
 # module paths.
 from repro.serving import (
-    BatchScheduler,
     EngineConfig,
     FlowDecisionCache,
     ParallelDispatcher,
@@ -60,7 +59,6 @@ __all__ = [
     "PipelineError",
     "TraceFormatError",
     "TrainingError",
-    "BatchScheduler",
     "EngineConfig",
     "FlowDecisionCache",
     "ParallelDispatcher",

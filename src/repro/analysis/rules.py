@@ -91,7 +91,7 @@ class WallclockRule(Rule):
     description = ("decision paths (repro.dataplane / repro.core / "
                    "repro.net.scenarios) must be pure functions of the "
                    "trace; wall-clock reads live in repro.serving telemetry "
-                   "(openloop / scheduler / dispatchers)")
+                   "(openloop pacing / dispatcher timers)")
     example = ("src/repro/dataplane/runtime.py:118: "
                "[no-wallclock-in-dataplane] time.time() read inside a "
                "decision path; derive timing from the trace ts column")

@@ -203,10 +203,6 @@ class _BatchedReplayMixin:
     """
 
     required_columns: tuple[str, ...] = ("ts",)
-    # FlushStats of the last replay's span stream (None when the replay ran
-    # on precomputed spans or fixed batch cuts) — read by the serving engine
-    # so a scheduler-driven replay needs no second timestamp pass.
-    last_flush_stats = None
 
     def set_lookup_backend(self, lookup_backend: str) -> None:
         """Switch the model-lookup execution backend, with validation.
@@ -231,27 +227,21 @@ class _BatchedReplayMixin:
         return self.process_trace(trace, labels=labels, batch_size=batch_size)
 
     def process_trace(self, trace: Trace, labels: np.ndarray | None = None,
-                      batch_size: int | None = None,
-                      spans=None, scheduler=None) -> list[PacketDecision]:
-        """Replay a time-ordered trace in batches.
+                      batch_size: int | None = None) -> list[PacketDecision]:
+        """Replay a time-ordered trace in fixed ``batch_size`` cuts.
 
-        ``labels`` are per-packet ground-truth labels (default -1); batch
-        boundaries come from, in order of precedence: explicit ``spans``
-        (an iterable of (start, stop) windows, e.g. a
-        :class:`repro.serving.SpanStream`), a ``scheduler`` (a
-        :class:`repro.serving.BatchScheduler` applied to the trace's own
-        timestamp column), or fixed ``batch_size`` cuts. Decisions come
-        back in trace order with ``seq`` set to the packet's trace position.
+        ``labels`` are per-packet ground-truth labels (default -1);
+        ``batch_size`` defaults to the runtime's own. Decisions come back in
+        trace order with ``seq`` set to the packet's trace position.
         """
         cols = self._replay_columns(trace)
         return self._replay(
-            cols, trace.key_words, labels, spans, scheduler, batch_size,
+            cols, trace.key_words, labels, batch_size,
             lambda start, stop: self._batch_columns(cols, trace, start, stop))
 
     def process_columns(self, cols: dict[str, np.ndarray],
                         labels: np.ndarray | None = None,
-                        batch_size: int | None = None,
-                        spans=None, scheduler=None) -> list[PacketDecision]:
+                        batch_size: int | None = None) -> list[PacketDecision]:
         """Replay per-packet *columns* directly — no :class:`Trace` needed.
 
         The columnar entry point for shard payloads that crossed a process
@@ -266,14 +256,14 @@ class _BatchedReplayMixin:
         if missing:
             raise ValueError(f"missing replay columns: {missing}")
         return self._replay(
-            cols, pack_flow_keys(cols), labels, spans, scheduler, batch_size,
+            cols, pack_flow_keys(cols), labels, batch_size,
             lambda start, stop: {k: v[start:stop] for k, v in cols.items()})
 
-    def _replay(self, cols, key_words, labels, spans, scheduler, batch_size,
+    def _replay(self, cols, key_words, labels, batch_size,
                 batch_columns) -> list[PacketDecision]:
         """Shared core of the trace/columnar replay entry points.
 
-        Each requested span is resolved against the flow table with one
+        Each ``batch_size`` span is resolved against the flow table with one
         :meth:`VectorFlowState.acquire` per batch; when the table cuts a
         batch short (an eviction would hit a slot the batch still uses),
         the resolved prefix is processed — its state written back — and the
@@ -284,16 +274,13 @@ class _BatchedReplayMixin:
             labels = np.full(n, -1, dtype=np.int64)
         else:
             labels = np.asarray(labels, dtype=np.int64)
-        if spans is None and scheduler is not None:
-            spans = scheduler.iter_spans(cols["ts"])
-        if spans is None:
-            b = int(self.batch_size if batch_size is None else batch_size)
-            if b < 1:
-                raise ConfigError("batch_size", b, allowed=">= 1")
-            spans = [(i, min(i + b, n)) for i in range(0, n, b)]
+        b = int(self.batch_size if batch_size is None else batch_size)
+        if b < 1:
+            raise ConfigError("batch_size", b, allowed=">= 1")
         decisions: list[PacketDecision] = []
         acquire = self.state.acquire
-        for start, stop in spans:
+        for start in range(0, n, b):
+            stop = min(start + b, n)
             i = start
             while i < stop:
                 batch = acquire(key_words[i:stop])
@@ -301,7 +288,6 @@ class _BatchedReplayMixin:
                 self._process_batch(batch, batch_columns(i, j), labels[i:j],
                                     i, decisions)
                 i = j
-        self.last_flush_stats = getattr(spans, "stats", None)
         return decisions
 
     def _batch_columns(self, cols: dict[str, np.ndarray], trace: Trace,

@@ -15,7 +15,7 @@ class ConfigError(PegasusError, ValueError):
     """A configuration field holds a value the library cannot serve.
 
     Raised by every configuration surface — :class:`repro.serving.EngineConfig`,
-    the batch scheduler, the dispatchers, the lookup-backend check — so callers
+    the dispatchers, the lookup-backend check, ``serve()`` — so callers
     can catch one typed error at the API boundary. Also a :class:`ValueError`
     subclass, because these were historically bare ``ValueError`` s.
 

@@ -6,9 +6,9 @@ the whole engine matrix):
 
 ==================  =========================================================
 ``diurnal``         day/night load ramp over the benign classes — exercises
-                    batch-scheduler span cutting at slowly varying rates
+                    batch cuts at slowly varying rates
 ``microburst``      calm baseline punctured by short line-rate bursts —
-                    exercises flush-on-full vs timeout boundaries
+                    exercises open-loop queueing and admission under bursts
 ``attack_flood``    SSDP-flood + Cridex beacons ramping over a benign
                     baseline, then receding — exercises label mixtures and
                     the anomaly path's traffic shapes

@@ -1,4 +1,4 @@
-"""Batched serving layer: schedule, shard, cache, and replay traces at scale.
+"""Batched serving layer: shard, cache, and replay traces at scale.
 
 The dataplane runtimes in :mod:`repro.dataplane.runtime` decide one packet
 at a time when driven through ``process_packet``; this package is the
@@ -7,30 +7,26 @@ pipeline replicas** — serially simulated or genuinely concurrent.
 
 The front door is :class:`PegasusEngine` (:mod:`repro.serving.engine`): one
 frozen :class:`EngineConfig` names the runtime kind, lookup backend,
-scheduler, cache, admission policy, and topology; the engine builds and
+batch size, cache, admission policy, and topology; the engine builds and
 owns the whole stack and the polymorphic ``serve(workload, mode=...)``
 entry point returns one merged :class:`ServingReport` (closed loop) or
 :class:`OpenLoopReport` (open loop). The pieces it assembles (all still
 importable for reference stacks and tests):
 
-- :class:`BatchScheduler` — immutable batch-cutting config: flush when full
-  (``batch_size``) or when the oldest buffered packet has waited ``timeout``
-  seconds of trace time, mirroring the full-or-timeout batching of inference
-  servers and NIC drivers; with ``latency_target`` set, lazily consumed
-  :class:`SpanStream` s adapt the batch size AIMD-style to the measured
-  per-batch service time.
 - :class:`ShardedDispatcher` — *the* dispatcher: hashes each flow's
   canonical 5-tuple onto one of N independent runtime replicas (flow state
-  never spans shards), replays every shard, and merges decisions back into
-  global trace order. Its replicas live in-process and replay serially, so
-  parallel wall clock is modeled as ``max(shard_seconds)``;
-  :class:`ParallelDispatcher` is the same dispatcher over persistent
-  ``multiprocessing`` workers fed through preallocated shared-memory ring
-  buffers (:mod:`repro.serving.rings` — only fixed-size chunk descriptors
-  cross the worker pipes), where ``wall_seconds`` is *measured*. Either
-  takes ``lookup_backend="tcam"`` to serve the hardware-faithful
-  prioritized-TCAM lookup path (:mod:`repro.dataplane.tcam`) on every
-  replica — bit-identical decisions either way.
+  never spans shards), replays every shard in fixed ``batch_size`` spans,
+  and merges decisions back into global trace order; its
+  :class:`FlushStats` count those spans. Its replicas live in-process and
+  replay serially, so parallel wall clock is modeled as
+  ``max(shard_seconds)``; :class:`ParallelDispatcher` is the same
+  dispatcher over persistent ``multiprocessing`` workers fed through
+  preallocated shared-memory ring buffers (:mod:`repro.serving.rings` —
+  only fixed-size chunk descriptors cross the worker pipes), where
+  ``wall_seconds`` is *measured*. The engine applies the configured lookup
+  backend (``"tcam"`` serves the hardware-faithful prioritized-TCAM path
+  of :mod:`repro.dataplane.tcam`) to every replica it builds —
+  bit-identical decisions either way.
 - :class:`FlowDecisionCache` — a per-replica LRU of
   ``(canonical 5-tuple, window index) -> decision`` that short-circuits
   model invocation for already-classified elephant flows whose windows
@@ -63,7 +59,7 @@ End-to-end example (train → compile → serve)::
     model.compile_dataplane(views)
 
     config = EngineConfig(feature_mode="stats", batch_size=256,
-                          timeout=0.050, topology="sharded", n_workers=4)
+                          topology="sharded", n_workers=4)
     with PegasusEngine.from_model(model, config) as engine:
         report = engine.serve(test)            # ServingReport
     decisions = report.decisions               # global trace order
@@ -74,12 +70,11 @@ bind — the regression tests in ``tests/test_dataplane_batched.py``,
 ``tests/test_serving.py``, and ``tests/test_serving_parallel.py`` assert it.
 """
 
-from repro.serving.scheduler import BatchScheduler, FlushStats, SpanStream
 from repro.serving.cache import (CacheStats, FlowDecisionCache,
                                  QuantizedDecisionStore,
                                  TwoLevelDecisionCache)
-from repro.serving.dispatcher import (ShardedDispatcher, shard_hash,
-                                      shard_hash_columns)
+from repro.serving.dispatcher import (FlushStats, ShardedDispatcher,
+                                      shard_hash, shard_hash_columns)
 from repro.serving.engine import (CACHE_MODES, AdmissionPolicySpec,
                                   EngineConfig, PegasusEngine,
                                   ScenarioServingReport, ServingReport,
@@ -97,7 +92,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionPolicySpec",
     "AimdAdmission",
-    "BatchScheduler",
     "CACHE_MODES",
     "CacheStats",
     "EngineConfig",
@@ -114,7 +108,6 @@ __all__ = [
     "ScenarioServingReport",
     "ServingReport",
     "ShardedDispatcher",
-    "SpanStream",
     "TailDropAdmission",
     "TwoLevelDecisionCache",
     "admission_policies",

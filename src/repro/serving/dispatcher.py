@@ -21,15 +21,18 @@ unsharded replay whenever per-replica register capacity does not bind
 its own FIFO eviction, so eviction points — like on a real multi-pipe
 switch — may differ from a single giant table.
 
+Every replay cuts each shard into fixed ``batch_size`` spans; where those
+cuts fall never changes a decision (asserted by the serving tests), so
+``flush_stats`` is a pure function of the shard sizes (:func:`flush_counts`).
+
 Usage::
 
-    from repro.serving import BatchScheduler, ShardedDispatcher
+    from repro.serving import ShardedDispatcher
 
     dispatcher = ShardedDispatcher(
         runtime_factory=lambda: WindowedClassifierRuntime(
-            compiled, feature_mode="stats", batch_size=256),
-        n_shards=4,
-        scheduler=BatchScheduler(batch_size=256, timeout=0.050))
+            compiled, feature_mode="stats"),
+        n_shards=4, batch_size=256)
     decisions = dispatcher.serve_flows(test_flows)
 """
 
@@ -41,14 +44,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.mapping import _check_backend
 from repro.dataplane.runtime import flows_to_trace
 from repro.dataplane.schema import WIRE_COLUMNS, validation_enabled, wire_dtype
 from repro.errors import ConfigError
 from repro.net.packet import FlowKey
 from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
-from repro.serving.scheduler import BatchScheduler, FlushStats
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -94,14 +95,27 @@ def shard_hash_columns(cols: dict[str, np.ndarray]) -> np.ndarray:
     return h
 
 
-def build_replica(runtime_factory: Callable[[], Any],
-                  lookup_backend: str | None = None):
-    """One fresh replica with ``lookup_backend`` applied, wherever it lives
-    (this process, or a worker behind its warm-up ping)."""
-    runtime = runtime_factory()
-    if lookup_backend is not None:
-        runtime.set_lookup_backend(lookup_backend)
-    return runtime
+@dataclass
+class FlushStats:
+    """How many batches one serve flushed, and why."""
+
+    full: int = 0        # reached batch_size
+    tail: int = 0        # the end of a shard drained a partial batch
+
+    @property
+    def total(self) -> int:
+        return self.full + self.tail
+
+    def merge(self, other: "FlushStats") -> None:
+        """Accumulate another serve's (or shard's) counts."""
+        self.full += other.full
+        self.tail += other.tail
+
+
+def flush_counts(rows: int, batch_size: int) -> FlushStats:
+    """The flushes of fixed ``batch_size`` cuts over ``rows`` packets."""
+    full, rest = divmod(rows, batch_size)
+    return FlushStats(full=full, tail=int(rest > 0))
 
 
 @dataclass
@@ -111,13 +125,9 @@ class ShardedDispatcher:
     ``runtime_factory`` builds one fresh replica (a
     :class:`~repro.dataplane.runtime.WindowedClassifierRuntime` or
     :class:`~repro.dataplane.runtime.TwoStageRuntime`); each replica owns
-    its own flow-state registers. ``scheduler`` (optional) supplies
-    flush-on-full-or-timeout batch spans per shard; without it each replica
-    uses its own fixed ``batch_size``. ``lookup_backend`` (``"index"`` |
-    ``"tcam"``), when set, is propagated onto every factory-built replica
-    via ``set_lookup_backend`` — the one dispatcher knob that switches the
-    whole fleet between fancy-index and emulated-TCAM model lookups
-    (bit-identical decisions either way).
+    its own flow-state registers, and the factory configures everything
+    about it (lookup backend, decision cache). Every replica replays its
+    shard in ``batch_size`` spans, whatever its own default.
 
     Replicas are built by :meth:`start` (every serve calls it), keep their
     state across serves and are discarded by :meth:`close`. They are
@@ -126,17 +136,15 @@ class ShardedDispatcher:
     serve call — the modeled parallel wall clock is ``max(shard_seconds)``;
     :class:`repro.serving.ParallelDispatcher` runs the same split on real
     concurrent workers and *measures* that wall clock instead.
-    ``flush_stats`` aggregates per-shard span-stream flush counts over the
-    last serve (the scheduler itself is immutable configuration, so sharing
-    one across shards — or dispatchers — is safe); ``cache_stats`` are the
-    replicas' aggregate *lifetime* decision-cache counters at its end (a
-    new object whenever they moved: an earlier reading never changes).
+    ``flush_stats`` counts the last serve's batches over all shards;
+    ``cache_stats`` are the replicas' aggregate *lifetime* decision-cache
+    counters at its end (a new object whenever they moved: an earlier
+    reading never changes).
     """
 
     runtime_factory: Callable[[], Any]
     n_shards: int = 1
-    scheduler: BatchScheduler | None = None
-    lookup_backend: str | None = None
+    batch_size: int = 256
     runtimes: list[Any] = field(init=False, default_factory=list)
     l2_admit: bool = field(init=False, default=True)
     shard_seconds: list[float] = field(init=False, default_factory=list)
@@ -152,20 +160,16 @@ class ShardedDispatcher:
     payload_bytes = None
 
     def __post_init__(self):
-        if self.n_shards < 1:
-            raise ConfigError("n_shards", self.n_shards, allowed=">= 1")
-        if self.lookup_backend is not None:
-            # Fail fast on a typo'd backend, before any replica is built
-            # (replica-specific rejections still surface from start()).
-            _check_backend(self.lookup_backend)
+        for name in ("n_shards", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, getattr(self, name), allowed=">= 1")
 
     def start(self) -> None:
         """Build the replicas; no-op when already running."""
         if not self.runtimes:
             self.cache_stats = CacheStats()     # cold replicas
-            self.runtimes = [
-                build_replica(self.runtime_factory, self.lookup_backend)
-                for _ in range(self.n_shards)]
+            self.runtimes = [self.runtime_factory()
+                             for _ in range(self.n_shards)]
 
     def close(self) -> None:
         """Discard the replicas and their state; always safe."""
@@ -200,63 +204,40 @@ class ShardedDispatcher:
 
     def serve_trace(self, trace: Trace, labels: np.ndarray | None = None
                     ) -> list:
-        """Shard, replay, and merge one trace; decisions in global order."""
-        return self._serve(trace, labels)
+        """Shard, replay, and merge one trace; decisions in global order.
 
-    def serve_columns(self, cols: dict[str, np.ndarray],
-                      labels: np.ndarray | None = None) -> list:
-        """Serve ``Trace.to_columns()``-style arrays (``ts``, the 5-tuple
-        key columns, and whatever per-packet columns the replicas consume).
-
-        One in-process replica replays the columns directly; a split wraps
-        them as a trace once and shards that.
+        The one serve path: split -> execute -> merge, stats recorded.
         """
-        if self.n_shards > 1 or not self.in_process:
-            return self.serve_trace(Trace.from_columns(cols), labels=labels)
-        return self._serve(cols, labels)
-
-    def _serve(self, packets, labels) -> list:
-        """The one serve path: split -> execute -> merge, stats recorded."""
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
         if self.n_shards == 1 and self.in_process:
-            # Nothing to split: the one replica replays the caller's own
-            # trace (or columns), cutting its own span stream from the
-            # timestamp column it extracts anyway (no second per-packet
-            # pass) and recording it as ``last_flush_stats``.
+            # Nothing to split: the one replica replays the caller's trace.
             runtime = self.runtimes[0]
-            if isinstance(packets, dict):
-                decisions = runtime.process_columns(
-                    packets, labels=labels, scheduler=self.scheduler)
-            else:
-                decisions = runtime.process_trace(
-                    packets, labels=labels, scheduler=self.scheduler)
+            decisions = runtime.process_trace(trace, labels=labels,
+                                              batch_size=self.batch_size)
             self.wall_seconds = time.perf_counter() - started
             self.shard_seconds = [self.wall_seconds]
-            self.flush_stats = getattr(runtime, "last_flush_stats", None) \
-                or FlushStats()
+            self.flush_stats = flush_counts(len(trace), self.batch_size)
             if getattr(runtime, "decision_cache", None) is not None:
                 self.cache_stats = self._replica_cache_stats()
             return decisions
-        sources, shards = self._split(packets, labels)
+        sources, members = self._split(trace, labels)
         self.shard_seconds = [0.0] * self.n_shards
         self.flush_stats, self.cache_stats = FlushStats(), CacheStats()
-        decisions = self._execute(packets, sources, shards)
-        for _member, stream in shards:
-            if stream is not None:
-                self.flush_stats.merge(stream.stats)
+        decisions = self._execute(trace, sources, members)
+        for member in members:
+            self.flush_stats.merge(flush_counts(len(member), self.batch_size))
         self.wall_seconds = time.perf_counter() - started
         return decisions
 
     def _split(self, trace: Trace, labels) -> tuple[dict, list]:
-        """The trace as wire columns, and one ``(member, stream)`` per shard.
+        """The trace as wire columns, and each shard's member positions.
 
         ``sources`` holds the whole trace's columns (labels defaulted to
         -1, keys canonical), validated here once — the produce side of
         every gather downstream, which would otherwise cast or corrupt a
-        drifted column in place. ``member`` are the global positions of a
-        shard's packets, ``stream`` the scheduler's batch spans over their
-        timestamps (None without a scheduler).
+        drifted column in place. A shard's members are the global
+        positions of its packets, in trace order.
         """
         cols = trace.packet_columns()
         if labels is None:
@@ -273,26 +254,23 @@ class ShardedDispatcher:
                 sources, context=f"{type(self).__name__} shard split")
         shard_ids = (shard_hash_columns(key_cols)
                      % np.uint64(self.n_shards)).astype(np.int64)
-        members = [np.nonzero(shard_ids == s)[0]
-                   for s in range(self.n_shards)]
-        return sources, [
-            (member, self.scheduler.iter_spans(cols["ts"][member])
-             if self.scheduler is not None else None)
-            for member in members]
+        return sources, [np.nonzero(shard_ids == s)[0]
+                         for s in range(self.n_shards)]
 
-    def _execute(self, trace: Trace, sources: dict, shards: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, members: list) -> list:
         """Replay the shards on their replicas, here one after another;
         records ``shard_seconds[s]`` and ``cache_stats`` and returns the
         decisions in global trace order. The seam a transport overrides."""
         labels = sources["labels"]
         decisions: list = []
-        for s, (member, stream) in enumerate(shards):
+        for s, member in enumerate(members):
             if len(member) == 0:
                 continue
             rows = member.tolist()
             started = time.perf_counter()
             shard_decisions = self.runtimes[s].process_trace(
-                trace.take(member), labels=labels[member], spans=stream)
+                trace.take(member), labels=labels[member],
+                batch_size=self.batch_size)
             self.shard_seconds[s] = time.perf_counter() - started
             for d in shard_decisions:
                 d.seq = rows[d.seq]          # shard-local -> global position

@@ -1,17 +1,16 @@
 """`PegasusEngine`: one config, one build path, pluggable runtimes/topologies.
 
 Before this facade every consumer hand-wired its own serving stack —
-compiler output -> runtime -> :class:`BatchScheduler` -> cache -> one of the
-dispatchers — with the cross-cutting knobs (``lookup_backend``,
-``decision_cache``, ``batch_size``, ``n_workers``) validated in five
-different places. The engine replaces that with a single declarative
-deployment surface, the shape production dataplane-serving systems expose
-over heterogeneous fast paths:
+compiler output -> runtime -> cache -> one of the dispatchers — with the
+cross-cutting knobs (``lookup_backend``, ``decision_cache``, ``batch_size``,
+``n_workers``) validated in five different places. The engine replaces that
+with a single declarative deployment surface, the shape production
+dataplane-serving systems expose over heterogeneous fast paths:
 
 - :class:`EngineConfig` — one frozen dataclass naming the runtime kind,
-  feature mode, lookup backend, scheduler/AIMD settings, cache settings, and
-  topology (``local | sharded | parallel`` with ``n_workers``); validated
-  once at construction with typed :class:`~repro.errors.ConfigError` s.
+  feature mode, lookup backend, batch size, cache settings, and topology
+  (``local | sharded | parallel`` with ``n_workers``); validated once at
+  construction with typed :class:`~repro.errors.ConfigError` s.
 - :class:`PegasusEngine` — owns the full lifecycle: ``from_model(...)`` /
   ``from_compiled(...)`` builders, context-manager ``start()/close()``, and
   **one** polymorphic ``serve(workload, mode="closed"|"open")`` entry point
@@ -66,12 +65,11 @@ from repro.net.scenarios import PhaseSpan, ScenarioTrace
 from repro.net.traces import KEY_COLUMN_NAMES, Trace
 from repro.serving.cache import (CacheStats, FlowDecisionCache,
                                  TwoLevelDecisionCache)
-from repro.serving.dispatcher import ShardedDispatcher
+from repro.serving.dispatcher import FlushStats, ShardedDispatcher
 from repro.serving.openloop import (AimdAdmission, NoAdmission, OpenLoopPump,
                                     OpenLoopReport, TailDropAdmission,
                                     build_open_loop_report)
 from repro.serving.parallel import ParallelDispatcher
-from repro.serving.scheduler import BatchScheduler, FlushStats
 
 DEFAULT_PAYLOAD_BYTES = 60     # TwoStageRuntime's raw_bytes default
 
@@ -188,8 +186,8 @@ def register_topology(name: str, build, *, overwrite: bool = False):
 
     ``build(replica_factory, config, payload_bytes)`` returns an object with
     the dispatcher protocol — ``start() / close() / serve_trace(trace,
-    labels=) / serve_columns(cols, labels=) / set_l2_admission(admit)``
-    and the per-serve ``shard_seconds`` / ``flush_stats`` / ``cache_stats``
+    labels=) / set_l2_admission(admit)`` and the per-serve
+    ``shard_seconds`` / ``flush_stats`` / ``cache_stats``
     (:class:`~repro.serving.ShardedDispatcher` and its subclasses have it).
     """
     return topologies.register(name, build, overwrite=overwrite)
@@ -243,8 +241,8 @@ class EngineConfig:
       ``window``, per-replica register ``capacity``;
     - **lookup** — ``lookup_backend`` (registry; ``"index"`` | ``"tcam"``
       built in, bit-identical);
-    - **scheduler** — ``batch_size``, trace-time ``timeout``, AIMD
-      ``latency_target`` with ``min_batch_size`` / ``max_batch_size``;
+    - **batching** — ``batch_size``, the fixed span every replay cuts
+      (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``;
       the bools ``False`` / ``True`` normalize to ``"off"`` / ``"l1"``)
       + per-replica exact ``cache_capacity``, and for ``"l1+l2"`` the
@@ -277,10 +275,6 @@ class EngineConfig:
     capacity: int = 1_000_000
     lookup_backend: str = "index"
     batch_size: int = 256
-    timeout: float | None = None
-    latency_target: float | None = None
-    min_batch_size: int = 1
-    max_batch_size: int | None = None
     decision_cache: bool | str = False
     cache_capacity: int = 65536
     l2_capacity: int = 4096
@@ -316,6 +310,7 @@ class EngineConfig:
                               allowed=CACHE_MODES + (False, True))
         object.__setattr__(self, "decision_cache", mode)
         for name, lo in (("window", 2), ("capacity", 1), ("n_workers", 1),
+                         ("batch_size", 1),
                          ("cache_capacity", 1), ("l2_capacity", 1),
                          ("l2_quantize_shift", 0), ("queue_capacity", 1),
                          ("ring_depth", 1)):
@@ -342,15 +337,6 @@ class EngineConfig:
         if self.start_method not in (None, "fork", "spawn", "forkserver"):
             raise ConfigError("start_method", self.start_method,
                               allowed=(None, "fork", "spawn", "forkserver"))
-        self.scheduler()   # delegate batch/timeout/AIMD validation
-
-    def scheduler(self) -> BatchScheduler:
-        """The (immutable) batch scheduler this config describes."""
-        return BatchScheduler(batch_size=self.batch_size,
-                              timeout=self.timeout,
-                              latency_target=self.latency_target,
-                              min_batch_size=self.min_batch_size,
-                              max_batch_size=self.max_batch_size)
 
     def make_cache(self) -> FlowDecisionCache | TwoLevelDecisionCache | None:
         """A fresh per-replica decision cache (None when disabled)."""
@@ -434,7 +420,7 @@ def _build_in_process(replica_factory, config: EngineConfig,
     serially (one replica replays the trace whole, with no shard split)."""
     return ShardedDispatcher(runtime_factory=replica_factory,
                              n_shards=config.n_workers,
-                             scheduler=config.scheduler())
+                             batch_size=config.batch_size)
 
 
 def _build_parallel(replica_factory, config: EngineConfig,
@@ -442,7 +428,7 @@ def _build_parallel(replica_factory, config: EngineConfig,
     """``parallel``: ``n_workers`` persistent worker processes over rings."""
     return ParallelDispatcher(runtime_factory=replica_factory,
                               n_workers=config.n_workers,
-                              scheduler=config.scheduler(),
+                              batch_size=config.batch_size,
                               payload_bytes=payload_bytes,
                               start_method=config.start_method,
                               ring_depth=config.ring_depth,
@@ -546,9 +532,9 @@ class ServingReport:
     are started beforehand, so it measures serving, not setup);
     ``shard_seconds`` is the per-replica replay breakdown (one entry for
     ``local``, one per shard/worker otherwise — replay only, excluding IPC).
-    ``flush_stats`` merges every replica's span-stream counters for this
-    serve; ``cache_stats`` aggregates the replicas' *lifetime* decision-cache
-    counters.
+    ``flush_stats`` counts this serve's ``batch_size`` spans over all
+    replicas; ``cache_stats`` aggregates the replicas' *lifetime*
+    decision-cache counters.
     """
 
     decisions: list
@@ -827,8 +813,9 @@ class PegasusEngine:
           a per-phase :class:`ScenarioServingReport`;
         - a list/tuple of labelled :class:`~repro.net.flow.Flow` s;
         - a time-ordered :class:`~repro.net.traces.Trace` (``labels``
-          optional);
-        - a ``Trace.to_columns()``-style dict of per-packet arrays.
+          optional, one per packet);
+        - a ``Trace.to_columns()``-style dict of per-packet arrays, wrapped
+          as a :class:`~repro.net.traces.Trace` here (no packet objects).
 
         ``mode="closed"`` (default) replays as fast as the stack drains —
         the throughput benchmark. ``mode="open"`` pushes packets through the
@@ -851,14 +838,22 @@ class PegasusEngine:
         elif kind == "flows":
             workload, labels = flows_to_trace(workload)
             kind = "trace"
+        elif kind == "columns":
+            missing = [c for c in ("ts", "length", *KEY_COLUMN_NAMES)
+                       if c not in workload]
+            if missing:
+                raise ValueError(f"missing serve columns: {missing}")
+            workload, kind = Trace.from_columns(workload), "trace"
+        if kind == "trace" and labels is not None \
+                and len(labels) != len(workload):
+            raise ConfigError("labels", len(labels),
+                              allowed=f"{len(workload)} (one per packet)")
         if mode == "open":
             if kind != "scenario_trace":
-                workload = self._as_scenario_trace(workload, labels, kind)
+                workload = self._as_scenario_trace(workload, labels)
             return self._serve_open(workload, max_gap=max_gap)
         if kind == "scenario_trace":
             return self._serve_scenario(workload, seed=seed)
-        if kind == "columns":
-            return self._serve_columns(workload, labels=labels)
         return self._serve_trace(workload, labels)
 
     @staticmethod
@@ -879,11 +874,9 @@ class PegasusEngine:
             allowed="Scenario | ScenarioTrace | Trace | list[Flow] | "
                     "columns dict")
 
-    def _as_scenario_trace(self, workload, labels, kind) -> ScenarioTrace:
-        """Wrap a non-scenario workload as a single-phase ScenarioTrace so
-        the open-loop pump has timestamps and a phase span to pace/report."""
-        trace = Trace.from_columns(workload) if kind == "columns" \
-            else workload
+    def _as_scenario_trace(self, trace: Trace, labels) -> ScenarioTrace:
+        """Wrap a trace as a single-phase ScenarioTrace so the open-loop
+        pump has timestamps and a phase span to pace/report."""
         n = len(trace)
         if labels is None:
             labels = np.full(n, -1, dtype=np.int64)
@@ -900,18 +893,6 @@ class PegasusEngine:
         """Replay one time-ordered trace (per-packet ``labels`` optional)."""
         return self._serve(
             len(trace), lambda: self._driver.serve_trace(trace, labels=labels))
-
-    def _serve_columns(self, cols: dict[str, np.ndarray],
-                       labels: np.ndarray | None = None) -> ServingReport:
-        """Replay ``Trace.to_columns()``-style per-packet arrays: ``ts``, the
-        5-tuple key columns, and whatever the runtime kind consumes
-        (``length`` for windowed, ``payload`` for two-stage)."""
-        missing = [c for c in ("ts", *KEY_COLUMN_NAMES) if c not in cols]
-        if missing:
-            raise ValueError(f"missing serve columns: {missing}")
-        return self._serve(
-            len(cols["ts"]),
-            lambda: self._driver.serve_columns(cols, labels=labels))
 
     def _serve_scenario(self, workload: ScenarioTrace,
                         seed: int | None = None) -> ScenarioServingReport:
@@ -983,7 +964,7 @@ class PegasusEngine:
             offsets = workload.arrival_offsets(config.time_scale,
                                                max_gap=max_gap)
         pump = OpenLoopPump(len(trace), offsets, serve_chunk, policy,
-                            drain_max=max(1, config.batch_size))
+                            drain_max=config.batch_size)
         result = pump.run()
         return build_open_loop_report(
             result, config=config,

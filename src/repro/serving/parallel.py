@@ -23,25 +23,25 @@ replaying later chunks — compute never idles on transfer in either
 direction. ``ring_stalls`` counts the times the driver had chunks ready
 but every slot of some worker's ring was still in flight (backpressure).
 
-The shard split and the per-shard batch spans are the base class's, so for
-any worker count, ring depth, or chunk size the decisions (and flush/cache
-counters) are **bit-identical** to ``ShardedDispatcher`` with
+The shard split and the flush accounting are the base class's, and each
+shard is cut into the same fixed ``batch_size`` spans, so for any worker
+count, ring depth, or chunk size the decisions (and flush/cache counters)
+are **bit-identical** to ``ShardedDispatcher`` with
 ``n_shards == n_workers`` — asserted by ``tests/test_serving_parallel.py``
 and the differential harness (``repro.eval.differential``).
 
 Usage::
 
-    from repro.serving import BatchScheduler, FlowDecisionCache, ParallelDispatcher
+    from repro.serving import FlowDecisionCache, ParallelDispatcher
 
     with ParallelDispatcher(
         runtime_factory=lambda: WindowedClassifierRuntime(
             compiled,
             feature_mode="stats",
-            batch_size=256,
             decision_cache=FlowDecisionCache(65536),
         ),
         n_workers=4,
-        scheduler=BatchScheduler(batch_size=256, timeout=0.050),
+        batch_size=256,
     ) as dispatcher:
         decisions = dispatcher.serve_flows(test_flows)
         pps = len(decisions) / dispatcher.wall_seconds
@@ -78,7 +78,7 @@ from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
 # shard_hash_columns is re-exported: the flow-pinning hash was importable
 # from here before the split moved to the base class, and perf/ looks it up.
-from repro.serving.dispatcher import (ShardedDispatcher, build_replica,
+from repro.serving.dispatcher import (ShardedDispatcher,
                                       shard_hash_columns)  # noqa: F401
 from repro.serving.rings import (
     RingSegments,
@@ -88,11 +88,10 @@ from repro.serving.rings import (
     write_egress_chunk,
     write_ingress_chunk,
 )
-from repro.serving.scheduler import BatchScheduler
 
 #: Auto chunk size (``ring_chunk=None``): at least this many rows per slot,
-#: or the scheduler's batch size when that is larger — so one slot holds at
-#: least one full batch and the descriptor rate stays negligible.
+#: or the batch size when that is larger — so one slot holds at least one
+#: full batch and the descriptor rate stays negligible.
 DEFAULT_CHUNK_ROWS = 256
 
 
@@ -111,7 +110,8 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
         WIRE_COLUMNS.validate_columns(
             views, context=f"worker ingress ring read (slot {slot})")
     started = time.perf_counter()
-    decisions = runtime.process_columns(views, labels=views["labels"], spans=[(0, rows)])
+    decisions = runtime.process_columns(views, labels=views["labels"],
+                                        batch_size=rows)
     seconds = time.perf_counter() - started
     out = spec.egress_views(egress.buf, slot, rows)
     produced = write_egress_chunk(out, decisions)
@@ -119,15 +119,15 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
 
 
 def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
-                spec: RingSpec, lookup_backend=None) -> None:
+                spec: RingSpec) -> None:
     """Persistent worker loop: one replica, one ring pair, chunks until EOF.
 
     The replica and the ring attachments are built on the warm ping so
     construction cost lands in the worker and a broken factory surfaces
     immediately. Replica state (flow registers, decision caches) persists
-    across serves, exactly like a long-lived replica would.
-    ``lookup_backend``, when set, is applied to the freshly built replica
-    (so TCAM compilation also happens worker-side, behind the warm ping).
+    across serves, exactly like a long-lived replica would (whatever the
+    factory configures, such as a TCAM compile, also happens worker-side,
+    behind the warm ping).
 
     Protocol (driver -> worker / worker -> driver):
 
@@ -155,8 +155,7 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
             if op == "warm":
                 try:
                     if runtime is None:
-                        runtime = build_replica(runtime_factory,
-                                                lookup_backend)
+                        runtime = runtime_factory()
                     if ingress is None:
                         ingress = attach_ring(ingress_name)
                         egress = attach_ring(egress_name)
@@ -219,16 +218,16 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
         conn.close()
 
 
-def _chunk_cuts(spans, chunk_rows: int):
+def _chunk_cuts(rows: int, batch_size: int, chunk_rows: int):
     """Yield ``(a, b)`` chunk bounds over one shard, at most a slot each.
 
-    ``spans`` are the scheduler's batch spans (cut from the shard's own
-    timestamps by the shard split) or, without a scheduler, the whole shard
-    as one span; each is split to the slot capacity. Batch cuts never
-    change decisions or cache counters (asserted by the serving tests), so
-    slot capacity is pure transport geometry.
+    The shard is cut into ``batch_size`` spans and each span is split to
+    the slot capacity. Batch cuts never change decisions or cache counters
+    (asserted by the serving tests), so slot capacity is pure transport
+    geometry.
     """
-    for a, b in spans:
+    for a in range(0, rows, batch_size):
+        b = min(a + batch_size, rows)
         for s in range(a, b, chunk_rows):
             yield s, min(s + chunk_rows, b)
 
@@ -255,26 +254,22 @@ class ParallelDispatcher(ShardedDispatcher):
     same serve path, flow pinning and driver-side batch spans, but only the
     lifecycle (rings, workers) and ``_execute`` (the ring pump) are defined
     here, so ``wall_seconds`` is *measured* concurrent wall clock.
-    ``runtime_factory`` runs — and ``lookup_backend`` is applied — inside
-    each worker; ``payload_bytes`` (for :class:`TwoStageRuntime` replicas)
-    reserves a payload matrix in every ingress slot; ``ring_chunk`` caps
-    rows per slot (default: ``max(DEFAULT_CHUNK_ROWS, scheduler batch
-    size)``). ``shard_seconds`` and ``cache_stats`` are what the workers
-    report with their ``done`` reply.
+    ``runtime_factory`` runs inside each worker; ``payload_bytes`` (for
+    :class:`TwoStageRuntime` replicas) reserves a payload matrix in every
+    ingress slot; ``ring_chunk`` caps rows per slot (default:
+    ``max(DEFAULT_CHUNK_ROWS, batch_size)``). ``shard_seconds`` and
+    ``cache_stats`` are what the workers report with their ``done`` reply.
     """
 
     in_process = False
 
     def __init__(self, runtime_factory: Callable[[], Any], n_workers: int = 1,
-                 scheduler: BatchScheduler | None = None,
-                 lookup_backend: str | None = None,
-                 payload_bytes: int | None = None,
+                 batch_size: int = 256, payload_bytes: int | None = None,
                  start_method: str | None = None, ring_depth: int = 4,
                  ring_chunk: int | None = None):
         if n_workers < 1:
             raise ConfigError("n_workers", n_workers, allowed=">= 1")
-        super().__init__(runtime_factory, n_workers, scheduler,
-                         lookup_backend)
+        super().__init__(runtime_factory, n_workers, batch_size)
         self.payload_bytes = payload_bytes
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -284,9 +279,7 @@ class ParallelDispatcher(ShardedDispatcher):
         self.ring_stalls = 0
         chunk_rows = ring_chunk
         if chunk_rows is None:
-            chunk_rows = DEFAULT_CHUNK_ROWS
-            if scheduler is not None:
-                chunk_rows = max(chunk_rows, scheduler.batch_size)
+            chunk_rows = max(DEFAULT_CHUNK_ROWS, batch_size)
         # RingSpec validates ring_depth / ring_chunk (>= 1 each).
         self._spec = RingSpec(depth=ring_depth, chunk_rows=chunk_rows,
                               payload_cols=payload_bytes or 0)
@@ -334,7 +327,7 @@ class ParallelDispatcher(ShardedDispatcher):
                 proc = self._ctx.Process(
                     target=worker_main,
                     args=(child_conn, self.runtime_factory, ingress_name,
-                          egress_name, self._spec, self.lookup_backend),
+                          egress_name, self._spec),
                     daemon=True,
                 )
                 proc.start()
@@ -412,7 +405,7 @@ class ParallelDispatcher(ShardedDispatcher):
             self._l2_seen.add(key)
             self._l2_entries.append((qk, lo, hi, decision))
 
-    def _execute(self, trace: Trace, sources: dict, shards: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, members: list) -> list:
         """Pump shard chunks through the rings; merge decision streams.
 
         The pump keeps up to ``ring_depth`` chunks in flight per worker
@@ -422,10 +415,9 @@ class ParallelDispatcher(ShardedDispatcher):
         produce them.
         """
         states = []
-        for w, (conn, (member, stream)) in enumerate(zip(self._conns, shards)):
-            spans = [(0, len(member))] if stream is None else stream
-            states.append(_WorkerServe(
-                w, conn, member, _chunk_cuts(spans, self._spec.chunk_rows)))
+        for w, (conn, member) in enumerate(zip(self._conns, members)):
+            states.append(_WorkerServe(w, conn, member, _chunk_cuts(
+                len(member), self.batch_size, self._spec.chunk_rows)))
             conn.send(("serve", self._l2_entries or None, self.l2_admit))
 
         self.ring_stalls = 0

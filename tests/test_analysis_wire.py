@@ -98,14 +98,13 @@ class TestCallGraph:
 
     def test_parallel_serve_trace_reaches_the_hash(self, repo_graph):
         # One serve template, defined once on the base dispatcher (the
-        # parallel subclass inherits it): serve_trace -> _serve -> _split
-        # -> shard_hash_columns, every hop a resolved self-call.
+        # parallel subclass inherits it): serve_trace -> _split ->
+        # shard_hash_columns, every hop a resolved self-call.
         base = "repro.serving.dispatcher.ShardedDispatcher."
         assert "repro.serving.parallel.ParallelDispatcher.serve_trace" \
             not in repo_graph.functions
-        assert base + "_serve" in repo_graph.edges[base + "serve_trace"]
         assert {base + "_split", base + "_execute"} \
-            <= repo_graph.edges[base + "_serve"]
+            <= repo_graph.edges[base + "serve_trace"]
         assert "repro.serving.dispatcher.shard_hash_columns" \
             in repo_graph.edges[base + "_split"]
         # The ring write/read seams resolve cross-module: the pump gathers

@@ -14,7 +14,7 @@ from repro.dataplane.tcam import (PackedTernaryTable, TcamSegment,
                                   compile_segment_table, encode_keys,
                                   tcam_table_report)
 from repro.errors import CompilationError, ShapeError
-from repro.serving import BatchScheduler, FlowDecisionCache
+from repro.serving import FlowDecisionCache, PegasusEngine
 from repro.serving.dispatcher import ShardedDispatcher   # un-deprecated core
 
 ENCODINGS = ("flat", "levelwise")
@@ -304,55 +304,53 @@ class TestRuntimeBackend:
 
 
 class TestDispatcherBackend:
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_sharded_tcam_matches_index(self, compiled16, replay_flows,
-                                        cached):
+    @staticmethod
+    def _factory(compiled16, cached, backend="index"):
         def factory():
             cache = FlowDecisionCache(capacity=4096) if cached else None
             return WindowedClassifierRuntime(
                 compiled16, feature_mode="stats", batch_size=32,
-                decision_cache=cache)
+                decision_cache=cache, lookup_backend=backend)
+        return factory
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sharded_tcam_matches_index(self, compiled16, replay_flows,
+                                        cached):
         ref = ShardedDispatcher(
-            runtime_factory=factory, n_shards=2,
-            scheduler=BatchScheduler(batch_size=32)).serve_flows(replay_flows)
+            runtime_factory=self._factory(compiled16, cached), n_shards=2,
+            batch_size=32).serve_flows(replay_flows)
         got = ShardedDispatcher(
-            runtime_factory=factory, n_shards=2,
-            scheduler=BatchScheduler(batch_size=32),
-            lookup_backend="tcam").serve_flows(replay_flows)
+            runtime_factory=self._factory(compiled16, cached, "tcam"),
+            n_shards=2, batch_size=32).serve_flows(replay_flows)
         assert got == ref
         assert ref
 
     def test_parallel_tcam_matches_index(self, compiled16, replay_flows):
-        from repro.serving.parallel import ParallelDispatcher
-        def factory():
-            return WindowedClassifierRuntime(
-                compiled16, feature_mode="stats", batch_size=32,
-                decision_cache=FlowDecisionCache(capacity=4096))
+        """The engine applies the backend worker-side (the TCAM compile
+        runs behind each worker's warm-up ping)."""
         ref = ShardedDispatcher(
-            runtime_factory=factory, n_shards=2,
-            scheduler=BatchScheduler(batch_size=32)).serve_flows(replay_flows)
-        with ParallelDispatcher(
-                runtime_factory=factory, n_workers=2,
-                scheduler=BatchScheduler(batch_size=32),
-                lookup_backend="tcam") as dispatcher:
-            got = dispatcher.serve_flows(replay_flows)
+            runtime_factory=self._factory(compiled16, True), n_shards=2,
+            batch_size=32).serve_flows(replay_flows)
+        with PegasusEngine.from_factory(
+                self._factory(compiled16, True), batch_size=32,
+                lookup_backend="tcam", topology="parallel",
+                n_workers=2) as engine:
+            got = engine.serve(replay_flows).decisions
         assert got == ref
 
     def test_bad_backend_fails_before_fork(self, compiled16):
-        from repro.serving.parallel import ParallelDispatcher
         with pytest.raises(ValueError, match="lookup_backend"):
-            ParallelDispatcher(
-                runtime_factory=lambda: WindowedClassifierRuntime(
-                    compiled16, feature_mode="stats"),
-                n_workers=1, lookup_backend="sram")
+            PegasusEngine.from_factory(
+                lambda: WindowedClassifierRuntime(compiled16,
+                                                  feature_mode="stats"),
+                topology="parallel", n_workers=1, lookup_backend="sram")
 
     def test_unsupported_replica_fails_worker_start(self):
         """A backend the replica can't serve (valid name, wrong model) still
         surfaces from the warm-up ping with the worker's traceback."""
-        from repro.serving.parallel import ParallelDispatcher
-        dispatcher = ParallelDispatcher(
-            runtime_factory=lambda: WindowedClassifierRuntime(
-                object(), feature_mode="stats"),
-            n_workers=1, lookup_backend="tcam")
+        engine = PegasusEngine.from_factory(
+            lambda: WindowedClassifierRuntime(object(), feature_mode="stats"),
+            topology="parallel", n_workers=1, lookup_backend="tcam")
         with pytest.raises(RuntimeError, match="CompiledModel"):
-            dispatcher.start()
+            engine.start()
+        engine.close()

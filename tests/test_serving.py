@@ -1,102 +1,94 @@
-"""Tests for the serving layer: scheduling, sharded dispatch, decision cache."""
+"""Tests for the serving layer: batch cuts, sharded dispatch, decision cache."""
 
 import numpy as np
 import pytest
 
-from repro.dataplane.runtime import WindowedClassifierRuntime
+from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+from repro.eval.differential import scalar_reference
 from repro.net.packet import FlowKey, Packet
 from repro.net.traces import Trace
-from repro.serving import BatchScheduler, FlowDecisionCache, shard_hash
-from repro.serving.dispatcher import ShardedDispatcher   # un-deprecated core
+from repro.serving import (EngineConfig, FlowDecisionCache,
+                           ParallelDispatcher, PegasusEngine, shard_hash,
+                           shard_hash_columns)
+from repro.serving.dispatcher import (ShardedDispatcher,   # un-deprecated core
+                                      flush_counts)
+from repro.serving.parallel import _chunk_cuts
+
+BATCH = 32
+
+# name -> (topology, replicas, ring_chunk): every shape a serve can take.
+FLUSH_TOPOLOGIES = {
+    "local": ("local", 1, None),
+    "sharded3": ("sharded", 3, None),
+    "parallel2": ("parallel", 2, None),
+    "parallel2-chunk8": ("parallel", 2, 8),     # ring slots < batch_size
+}
 
 
-class TestBatchScheduler:
-    def test_spans_partition_trace(self):
-        ts = np.linspace(0.0, 1.0, 100)
-        spans, _stats = BatchScheduler(batch_size=32).spans(ts)
-        assert spans == [(0, 32), (32, 64), (64, 96), (96, 100)]
+class TestBatchCuts:
+    """Every replay cuts fixed ``batch_size`` spans, and one rule counts
+    them: ``flush_counts(rows, batch_size)`` per shard."""
 
-    def test_flush_on_batch_full(self):
-        _spans, stats = BatchScheduler(batch_size=10).spans(np.linspace(0.0, 1.0, 30))
-        assert stats.full == 3
-        assert stats.timeout == 0
+    @pytest.mark.parametrize("rows,batch,full,tail", [
+        (100, 32, 3, 1), (30, 10, 3, 0), (5, 10, 0, 1), (0, 8, 0, 0)])
+    def test_flush_counts(self, rows, batch, full, tail):
+        stats = flush_counts(rows, batch)
+        assert (stats.full, stats.tail) == (full, tail)
+        assert stats.total == -(-rows // batch)
 
-    def test_flush_on_timeout(self):
-        # 0.1 s between packets, 0.25 s timeout: at most 3 packets per batch.
-        ts = np.arange(20) * 0.1
-        spans, stats = BatchScheduler(batch_size=256, timeout=0.25).spans(ts)
-        assert all(stop - start <= 3 for start, stop in spans)
-        assert stats.timeout > 0
-        # Spans still partition the trace.
-        flat = [i for start, stop in spans for i in range(start, stop)]
-        assert flat == list(range(20))
+    def test_chunks_split_batches_to_ring_slots(self):
+        assert list(_chunk_cuts(100, 32, 256)) == \
+            [(0, 32), (32, 64), (64, 96), (96, 100)]
+        chunks = list(_chunk_cuts(100, 32, 8))
+        assert [i for a, b in chunks for i in range(a, b)] == list(range(100))
+        # A chunk never straddles a batch boundary.
+        assert all(a // 32 == (b - 1) // 32 for a, b in chunks)
+        assert max(b - a for a, b in chunks) == 8
 
-    def test_timeout_always_makes_progress(self):
-        # Timeout shorter than any gap: one-packet batches, never stuck.
-        ts = np.arange(5) * 1.0
-        spans, _stats = BatchScheduler(batch_size=4, timeout=1e-9).spans(ts)
-        assert spans == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-
-    def test_scheduler_is_shareable_config(self):
-        """One scheduler over many streams: stats never cross-contaminate."""
-        sched = BatchScheduler(batch_size=10)
-        _s1, stats1 = sched.spans(np.linspace(0.0, 1.0, 30))
-        _s2, stats2 = sched.spans(np.linspace(0.0, 1.0, 5))
-        assert (stats1.full, stats1.tail) == (3, 0)
-        assert (stats2.full, stats2.tail) == (0, 1)
-        with pytest.raises(AttributeError):
-            sched.batch_size = 11        # frozen: no mutable shared state
-
-    def test_adaptive_grows_to_max_with_headroom(self):
-        # Eager consumption means ~zero measured service time: every span has
-        # 2x headroom, so the batch doubles until max_batch_size.
-        sched = BatchScheduler(batch_size=8, latency_target=10.0,
-                               max_batch_size=32)
-        spans, stats = sched.spans(np.linspace(0.0, 1.0, 200))
-        widths = [stop - start for start, stop in spans]
-        assert widths[0] == 8
-        assert max(widths) == 32
-        assert sorted(widths[:-1]) == widths[:-1]   # non-decreasing growth
-        assert stats.grown == 2 and stats.shrunk == 0
-
-    def test_adaptive_shrinks_to_min_on_overrun(self):
-        # Any positive service time overruns a ~zero latency target: the
-        # batch halves down to min_batch_size.
-        sched = BatchScheduler(batch_size=16, latency_target=1e-15,
-                               min_batch_size=2)
-        stream = sched.iter_spans(np.linspace(0.0, 1.0, 100))
-        widths = [stop - start for start, stop in stream]
-        assert widths[0] == 16
-        assert widths[-2] == 2                       # floor reached and held
-        assert stream.stats.shrunk == 3
-        assert stream.stats.grown == 0
-        assert sum(widths) == 100                    # still a partition
-
-    def test_stream_is_one_shot(self):
-        stream = BatchScheduler(batch_size=50).iter_spans(np.linspace(0, 1, 100))
-        assert list(stream) == [(0, 50), (50, 100)]
-        assert list(stream) == []
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            BatchScheduler(batch_size=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(timeout=-1.0)
-        with pytest.raises(ValueError):
-            BatchScheduler(latency_target=-0.1)
-        with pytest.raises(ValueError):
-            BatchScheduler(min_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(batch_size=64, max_batch_size=32)
+    @pytest.mark.parametrize("wiring", ["engine", "hand"])
+    @pytest.mark.parametrize("shape", list(FLUSH_TOPOLOGIES))
+    def test_flush_accounting_is_one_rule(self, compiled16, replay_flows,
+                                          shape, wiring):
+        """Engine-built and hand-wired dispatchers count the same flushes —
+        one per ``batch_size`` span of every shard — and decide exactly
+        what the per-packet reference does."""
+        topology, replicas, ring_chunk = FLUSH_TOPOLOGIES[shape]
+        trace, labels = flows_to_trace(replay_flows)
+        if wiring == "engine":
+            config = EngineConfig(feature_mode="stats", batch_size=BATCH,
+                                  topology=topology, n_workers=replicas,
+                                  ring_chunk=ring_chunk)
+            with PegasusEngine.from_compiled(compiled16, config) as engine:
+                report = engine.serve(trace, labels=labels)
+            decisions, flushes = report.decisions, report.flush_stats
+        else:
+            def factory():
+                return WindowedClassifierRuntime(compiled16,
+                                                 feature_mode="stats")
+            dispatcher = (
+                ParallelDispatcher(factory, n_workers=replicas,
+                                   batch_size=BATCH, ring_chunk=ring_chunk)
+                if topology == "parallel" else
+                ShardedDispatcher(factory, n_shards=replicas,
+                                  batch_size=BATCH))
+            with dispatcher:
+                decisions = dispatcher.serve_trace(trace, labels=labels)
+            flushes = dispatcher.flush_stats
+        shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
+            % np.uint64(replicas)
+        sizes = np.bincount(shard_ids.astype(np.int64), minlength=replicas)
+        assert flushes.total == sum(-(-int(m) // BATCH) for m in sizes)
+        assert flushes.total > replicas
+        assert decisions == scalar_reference(compiled16, "windowed", trace,
+                                             labels)
 
 
 class TestShardedDispatcher:
-    def _dispatcher(self, compiled16, n_shards, **sched_kwargs):
+    def _dispatcher(self, compiled16, n_shards):
         return ShardedDispatcher(
             runtime_factory=lambda: WindowedClassifierRuntime(
-                compiled16, feature_mode="stats", batch_size=32),
-            n_shards=n_shards,
-            scheduler=BatchScheduler(batch_size=32, **sched_kwargs))
+                compiled16, feature_mode="stats"),
+            n_shards=n_shards, batch_size=32)
 
     def test_sharded_matches_unsharded(self, compiled16, replay_flows):
         """Shard counts that do not divide the 24-flow workload stay exact."""
@@ -107,15 +99,6 @@ class TestShardedDispatcher:
             assert len(replay_flows) % n_shards != 0 or n_shards == 1
             got = self._dispatcher(compiled16, n_shards).serve_flows(replay_flows)
             assert got == ref
-
-    def test_timeout_flushes_do_not_change_decisions(self, compiled16, replay_flows):
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
-        disp = self._dispatcher(compiled16, 3, timeout=0.01)
-        assert disp.serve_flows(replay_flows) == ref
-        # flush_stats aggregates every shard's own span stream.
-        assert disp.flush_stats.total >= 3
-        assert disp.flush_stats.tail >= 3     # each shard drains a tail batch
 
     def test_flows_pinned_to_one_shard(self, compiled16, replay_flows):
         disp = self._dispatcher(compiled16, 4)
@@ -143,6 +126,10 @@ class TestShardedDispatcher:
     def test_invalid_shards(self):
         with pytest.raises(ValueError):
             ShardedDispatcher(runtime_factory=lambda: None, n_shards=0)
+
+    def test_invalid_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            ShardedDispatcher(runtime_factory=lambda: None, batch_size=0)
 
 
 def constant_rate_flow(n_packets=60, length=200, ipd=0.001, port=40000, ts0=0.0):
@@ -422,37 +409,3 @@ class TestCacheDegenerateCapacities:
                                                 labels=zipf_workload.labels)
         assert cache.stats.hits > 100
         assert cache.stats.evictions > 100
-
-
-class TestAdaptiveClamp:
-    def _drive(self, stream, service_seconds):
-        for s in service_seconds:
-            stream._observe(s)
-            sched = stream.scheduler
-            assert 1 <= stream.batch_size <= sched.effective_max_batch
-            assert stream.batch_size >= sched.min_batch_size
-
-    def test_pathological_latency_sequence_stays_clamped(self):
-        sched = BatchScheduler(batch_size=8, latency_target=0.010,
-                               min_batch_size=2, max_batch_size=64)
-        stream = sched.iter_spans(np.arange(1000, dtype=np.float64))
-        # 100 consecutive overruns: must floor at min_batch_size, never 0.
-        self._drive(stream, [1.0] * 100)
-        assert stream.batch_size == 2
-        # 100 consecutive underruns: must cap at max_batch_size.
-        self._drive(stream, [0.0] * 100)
-        assert stream.batch_size == 64
-        # Alternating thrash stays inside the clamp window throughout.
-        self._drive(stream, [1.0, 0.0] * 200)
-
-    def test_zero_latency_target_floors_at_one(self):
-        sched = BatchScheduler(batch_size=4, latency_target=0.0)
-        stream = sched.iter_spans(np.arange(100, dtype=np.float64))
-        self._drive(stream, [0.5] * 50)
-        assert stream.batch_size == 1
-        spans = list(stream)
-        assert spans[0] == (0, 1)       # batch_size 1 still makes progress
-
-    def test_min_above_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="min_batch_size"):
-            BatchScheduler(batch_size=4, min_batch_size=8)

@@ -24,7 +24,6 @@ from repro.serving import engine as engine_mod
 from repro.serving.cache import FlowDecisionCache
 from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import ParallelDispatcher
-from repro.serving.scheduler import BatchScheduler
 
 TOPOLOGIES = ("local", "sharded", "parallel")
 BACKENDS = ("index", "tcam")
@@ -57,7 +56,7 @@ def _modeled_topology(replica_factory, config, payload_bytes):
     """A plain topology builder: anything with the dispatcher protocol."""
     return ShardedDispatcher(runtime_factory=replica_factory,
                              n_shards=config.n_workers,
-                             scheduler=config.scheduler())
+                             batch_size=config.batch_size)
 
 
 def _config(topology, cached, backend, **kw):
@@ -89,16 +88,14 @@ def _two_stage_factory(spec, cached, backend):
 
 def _hand_wired(factory, topology, flows, payload_bytes=None):
     """The pre-engine stack for one topology, directly wired."""
-    scheduler = BatchScheduler(batch_size=BATCH)
     if topology == "local":
         trace, labels = flows_to_trace(flows)
-        return factory().process_trace(trace, labels=labels,
-                                       spans=scheduler.iter_spans(trace.ts))
+        return factory().process_trace(trace, labels=labels, batch_size=BATCH)
     if topology == "sharded":
         return ShardedDispatcher(runtime_factory=factory, n_shards=2,
-                                 scheduler=scheduler).serve_flows(flows)
+                                 batch_size=BATCH).serve_flows(flows)
     with ParallelDispatcher(runtime_factory=factory, n_workers=2,
-                            scheduler=scheduler,
+                            batch_size=BATCH,
                             payload_bytes=payload_bytes) as dispatcher:
         return dispatcher.serve_flows(flows)
 
@@ -242,11 +239,11 @@ class TestEngineConfig:
         (dict(capacity=0), "capacity"),
         (dict(cache_capacity=0), "cache_capacity"),
         (dict(batch_size=0), "batch_size"),
-        (dict(min_batch_size=9, batch_size=4), "min_batch_size"),
+        (dict(batch_size=-1), "batch_size"),
         (dict(payload_bytes=0), "payload_bytes"),
-        (dict(timeout=-1.0), "timeout"),
-        (dict(latency_target=-1.0), "latency_target"),
-        (dict(batch_size=4, max_batch_size=1), "max_batch_size"),
+        (dict(n_workers=0, topology="parallel"), "n_workers"),
+        (dict(decision_cache="L1"), "decision_cache"),
+        (dict(start_method="Fork"), "start_method"),
         (dict(decision_cache="l3"), "decision_cache"),
         (dict(l2_capacity=0), "l2_capacity"),
         (dict(l2_quantize_shift=-1), "l2_quantize_shift"),
@@ -421,6 +418,29 @@ class TestLifecycleAndReport:
         assert all(d.flow_label == -1 for d in report.decisions)
         assert report.accuracy is None
         assert report.summary()["accuracy"] is None
+
+
+class TestServeLabels:
+    """``labels`` must carry exactly one entry per packet, in every mode."""
+
+    @pytest.mark.parametrize("mode,topology", [
+        ("closed", "local"), ("closed", "sharded"), ("open", "local")])
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_wrong_length_labels_rejected(self, compiled16, replay_flows,
+                                          mode, topology, length):
+        trace, labels = flows_to_trace(replay_flows)
+        bad = labels[:10] if length == "short" \
+            else np.concatenate([labels, labels])
+        engine = PegasusEngine.from_compiled(
+            compiled16, _config(topology, False, "index"))
+        with pytest.raises(ConfigError) as exc:
+            engine.serve(trace, labels=bad, mode=mode)
+        assert exc.value.field == "labels"
+        assert exc.value.value == len(bad)
+        assert str(len(trace)) in str(exc.value)
+        with pytest.raises(ConfigError, match="labels"):
+            engine.serve(trace.to_columns(), labels=bad, mode=mode)
+        engine.close()
 
 
 class TestRegistries:

@@ -19,8 +19,7 @@ from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.errors import WorkerError
 from repro.net.traces import Trace, canonicalize_key_columns
-from repro.serving import (BatchScheduler, FlowDecisionCache, shard_hash,
-                           shard_hash_columns)
+from repro.serving import FlowDecisionCache, shard_hash, shard_hash_columns
 from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import (ParallelDispatcher, serve_chunk,
                                     worker_main)
@@ -167,13 +166,13 @@ class TestParallelEquivalence:
         assert scalar_ref
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, cached),
-            n_shards=n_workers, scheduler=BatchScheduler(batch_size=32))
+            n_shards=n_workers, batch_size=32)
         serial_ref = serial.serve_flows(replay_flows)
         assert serial_ref == scalar_ref      # ample capacity: sharding exact
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, cached),
                 n_workers=n_workers,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
         assert got == serial_ref
         if cached:
@@ -190,13 +189,13 @@ class TestParallelEquivalence:
         parallel decisions still match the serial dispatcher exactly."""
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, cached, capacity=4),
-            n_shards=n_workers, scheduler=BatchScheduler(batch_size=32))
+            n_shards=n_workers, batch_size=32)
         serial_ref = serial.serve_flows(replay_flows)
         assert sum(rt.state.evictions for rt in serial.runtimes) > 0
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, cached, capacity=4),
                 n_workers=n_workers,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             assert dispatcher.serve_flows(replay_flows) == serial_ref
 
     @pytest.mark.parametrize("capacity", (4, 1_000_000))
@@ -207,7 +206,7 @@ class TestParallelEquivalence:
                     runtime_factory=_factory(compiled16, cached,
                                              capacity=capacity),
                     n_workers=2,
-                    scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                    batch_size=32) as dispatcher:
                 return dispatcher.serve_flows(replay_flows)
         assert serve(True) == serve(False)
 
@@ -217,10 +216,10 @@ class TestParallelEquivalence:
         serial dispatcher's long-lived replicas."""
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, False), n_shards=2,
-            scheduler=BatchScheduler(batch_size=32))
+            batch_size=32)
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, False), n_workers=2,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             first = dispatcher.serve_flows(replay_flows)
             second = dispatcher.serve_flows(replay_flows)
         assert first == serial.serve_flows(replay_flows)
@@ -233,7 +232,7 @@ class TestParallelDispatcherMechanics:
     def test_telemetry_populated(self, compiled16, replay_flows):
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, True), n_workers=3,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             decisions = dispatcher.serve_flows(replay_flows)
             assert decisions
             assert dispatcher.wall_seconds > 0
@@ -457,7 +456,7 @@ class TestRingEdges:
     """Wraparound, backpressure, and ordering edges of the ring transport.
 
     Tiny rings force every edge: slots are reused many times per serve
-    (wraparound), scheduler spans overflow the slot capacity (chunk
+    (wraparound), batch spans overflow the slot capacity (chunk
     splitting), and with ``ring_depth=1`` the driver provably stalls on a
     full ring (backpressure). Decisions — and the flush/cache counters —
     must stay bit-identical to the serial dispatcher through all of it.
@@ -469,16 +468,16 @@ class TestRingEdges:
                                       ring_depth, ring_chunk):
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, True), n_shards=2,
-            scheduler=BatchScheduler(batch_size=32))
+            batch_size=32)
         ref = serial.serve_flows(replay_flows)
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, True), n_workers=2,
-                scheduler=BatchScheduler(batch_size=32),
+                batch_size=32,
                 ring_depth=ring_depth, ring_chunk=ring_chunk) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
             assert got == ref
-            # Chunk splitting is pure transport geometry: the scheduler's
-            # flush accounting is identical to the serial dispatcher's.
+            # Chunk splitting is pure transport geometry: the flush
+            # accounting is identical to the serial dispatcher's.
             assert dispatcher.flush_stats.total == serial.flush_stats.total
             assert dispatcher.cache_stats.lookups == \
                 serial.cache_stats.lookups
@@ -488,7 +487,7 @@ class TestRingEdges:
                 assert dispatcher.ring_stalls > 0
 
     def test_unscheduled_fixed_strides(self, compiled16, replay_flows):
-        """Without a scheduler, shards chunk by fixed ring-slot strides."""
+        """At the default batch size, shards chunk by ring-slot strides."""
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, False), n_shards=2)
         ref = serial.serve_flows(replay_flows)
@@ -503,7 +502,7 @@ class TestRingEdges:
         arbitrary arrival order — the merge still yields global order."""
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, True), n_workers=4,
-                scheduler=BatchScheduler(batch_size=8),
+                batch_size=8,
                 ring_depth=2, ring_chunk=8) as dispatcher:
             decisions = dispatcher.serve_trace(Trace.from_flows(replay_flows))
         assert decisions
@@ -517,11 +516,11 @@ class TestRingEdges:
             pytest.skip("spawn start method unavailable")
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, False), n_shards=2,
-            scheduler=BatchScheduler(batch_size=32))
+            batch_size=32)
         ref = serial.serve_flows(replay_flows)
         dispatcher = ParallelDispatcher(
             runtime_factory=_SpawnFactory(compiled16), n_workers=2,
-            scheduler=BatchScheduler(batch_size=32),
+            batch_size=32,
             start_method="spawn", ring_depth=2, ring_chunk=16)
         with dispatcher:
             got = dispatcher.serve_flows(replay_flows)

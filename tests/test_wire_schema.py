@@ -25,7 +25,6 @@ from repro.dataplane.schema import (DECISION_COLUMNS, WIRE_COLUMNS,
                                     wire_dtype)
 from repro.errors import PegasusError, SchemaError
 from repro.net.traces import Trace
-from repro.serving import BatchScheduler
 from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import ParallelDispatcher
 from repro.serving.rings import scatter_decision_chunk
@@ -202,7 +201,7 @@ class TestHotPathCoverage:
         trace, labels = flows_to_trace(replay_flows)
         dispatcher = ShardedDispatcher(
             n_shards=2, runtime_factory=_runtime_factory(compiled16),
-            scheduler=BatchScheduler(batch_size=32))
+            batch_size=32)
         calls = _count_validations(monkeypatch)
         dispatcher.serve_trace(trace, labels=labels)
         assert any(ctx == "ShardedDispatcher shard split"
@@ -215,7 +214,7 @@ class TestHotPathCoverage:
         calls = _count_validations(monkeypatch)
         with ParallelDispatcher(
                 runtime_factory=_runtime_factory(compiled16), n_workers=2,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             dispatcher.serve_trace(trace, labels=labels)
         split_calls = [ctx for name, ctx in calls
                        if name == "wire" and "shard split" in ctx]
@@ -291,11 +290,11 @@ class TestDecisionMerge:
         trace, labels = flows_to_trace(replay_flows)
         serial = ShardedDispatcher(
             n_shards=2, runtime_factory=_runtime_factory(compiled16),
-            scheduler=BatchScheduler(batch_size=32)
+            batch_size=32
         ).serve_trace(trace, labels=labels)
         with ParallelDispatcher(
                 runtime_factory=_runtime_factory(compiled16), n_workers=2,
-                scheduler=BatchScheduler(batch_size=32)) as dispatcher:
+                batch_size=32) as dispatcher:
             par = dispatcher.serve_trace(trace, labels=labels)
         assert [(d.seq, d.flow_label, d.predicted, d.ts) for d in par] == \
             [(d.seq, d.flow_label, d.predicted, d.ts) for d in serial]
