@@ -564,18 +564,12 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
                 "lookup_backend", lookup_backend,
                 reason="requires a CompiledModel; a placed Pipeline executes "
                        "its own table layout")
-        from repro.dataplane.tcam import tcam_table_report
-        tcam_table_report(self.model)   # compile + cache every fuzzy table
-        if lookup_backend == "tcam-pruned":
-            # Warm the pruned-variant tables and their interval pre-indexes
-            # too, so the first serve measures pruned lookups.
-            for layer in self.model.layers:
-                for table in layer.tables:
-                    if table.kind != "fuzzy":
-                        continue
-                    seg = table.tcam_segment(pruned=True)
-                    if seg.encoding == "flat":
-                        seg.flat.pruned_index()
+        # Compile (and cache) the form of every fuzzy table this backend
+        # serves, packed match banks included, so no serve pays for it.
+        for layer in self.model.layers:
+            for table in layer.tables:
+                if table.kind == "fuzzy":
+                    table.tcam_segment(pruned=lookup_backend == "tcam-pruned")
 
     def _model_predict(self, x: np.ndarray) -> np.ndarray:
         if self.lookup_backend == "index":

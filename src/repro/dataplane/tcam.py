@@ -20,16 +20,31 @@ Two encodings are materialized, mirroring the two the paper's compiler counts
   a small single-field table whose entries come from
   :func:`~repro.core.crc.consecutive_range_coding` (``x <= t`` coded as a
   priority-ordered prefix set over ``[0, t]`` plus a catch-all), and a batch
-  walks the levels with vectorized per-node lookups.
+  walks the tree one level per step, every unfinished row matched against
+  its current node's table.
 
 ``encoding="auto"`` picks whichever needs fewer entries — the same choice the
 resource accounting makes, so the emulated layout is the accounted layout.
+
+Every lookup runs one first-match kernel, :meth:`MatchBank.first_match`.
+Keys and entries are packed MSB first into int64 match words (whole fields
+per word, 63 bits used); each key's candidate rows sit in priority order,
+padded with a row that never matches (mask 0, value 1); one masked compare
+per word and an argmax pick the winner. The three kernels differ only in the
+candidates they hand it, all packed when the segment compiles:
+
+- **full scan** — every row of the table;
+- **pruned** — the rows of the key's elementary interval segment
+  (:class:`PrunedMatchIndex`), pre-gathered per segment;
+- **levelwise** — the rows of the row's current node, every node's table
+  stacked into one bank.
 
 Keys are fixed-width like the hardware's: signed fields use excess-K (offset)
 encoding and every key is clamped into the ``key_bits`` domain before
 matching. For trees fitted on data inside the domain (every tree
 ``materialize`` builds) the clamp is exact: thresholds lie strictly inside
 the domain, so out-of-range keys route identically to the tree walk.
+Non-finite keys have no fixed-width encoding and are rejected.
 """
 
 from __future__ import annotations
@@ -52,21 +67,117 @@ TCAM_ENCODINGS = ("auto", "flat", "levelwise", "pruned")
 # is a no-op. Decisions are unaffected either way.
 PRUNED_MAX_FLAT_ENTRIES = 1 << 14
 
+# Bits of an int64 match word a packed key uses: the sign bit stays clear.
+WORD_BITS = 63
+
+# Workspace bound of the first-match kernel: each chunk compares about this
+# many (key, candidate, word) cells, for any batch size and key width.
+_MATCH_CELLS = 1 << 17
+
 
 def encode_keys(x: np.ndarray, key_bits: int, signed: bool) -> np.ndarray:
     """Excess-K encode a (N, d) key batch into the unsigned match domain.
 
-    Keys must be integral (the dataplane only ever sees integers); they are
-    clamped into the ``key_bits`` domain first, exactly as a fixed-width
-    hardware key field truncates its input range.
+    Keys must be finite and integral (the dataplane only ever sees
+    integers); they are clamped into the ``key_bits`` domain first, exactly
+    as a fixed-width hardware key field truncates its input range.
     """
     x = np.asarray(x)
     if x.dtype.kind == "f":
+        if not np.isfinite(x).all():
+            raise ShapeError("TCAM keys must be finite")
         if not np.all(np.floor(x) == x):
             raise ShapeError("TCAM keys must be integral")
     x = x.astype(np.int64)
     lo, hi = key_domain(key_bits, signed)
     return np.clip(x, lo, hi) - lo
+
+
+def pack_words(fields: np.ndarray, key_bits: int) -> np.ndarray:
+    """Pack (N, F) encoded fields into (N, W) int64 match words.
+
+    The packing of :meth:`PackedTernaryTable.entries`, cut into words: as
+    many whole fields per word as fit in :data:`WORD_BITS`, spread evenly
+    over the fewest words, first field in the high bits. The last word is
+    padded with zero fields at its low end; a zero field packs to mask 0 in
+    an entry, so the padding matches every key.
+    """
+    n, n_fields = fields.shape
+    n_words = -(-n_fields // max(1, WORD_BITS // key_bits))
+    per_word = -(-n_fields // n_words)
+    if per_word == 1:
+        return fields
+    if n_words * per_word > n_fields:
+        fields = np.pad(fields, ((0, 0), (0, n_words * per_word - n_fields)))
+    shifts = np.arange(per_word - 1, -1, -1) * key_bits
+    return (fields.reshape(n, n_words, per_word) << shifts).sum(axis=2)
+
+
+@dataclass(frozen=True)
+class MatchBank:
+    """Packed candidate rows in groups, and the one first-match kernel.
+
+    Group ``g`` holds ``values[g]`` / ``masks[g]`` (W words x C candidates)
+    and ``results[g]``: its candidate entries in priority order, padded to
+    the widest group with a row that never matches (mask 0, value 1). A full
+    scan is one group holding every row; the pruned kernel has one group per
+    elementary segment, the levelwise walk one per tree node.
+    """
+
+    values: np.ndarray           # (G, W, C) int64, value & mask
+    masks: np.ndarray            # (G, W, C) int64
+    results: np.ndarray          # (G, C) int64
+
+    @classmethod
+    def gather(cls, values_w: np.ndarray, masks_w: np.ndarray,
+               results: np.ndarray, rows: np.ndarray) -> "MatchBank":
+        """The bank whose group ``g`` holds the packed entries ``rows[g]``.
+
+        ``values_w`` / ``masks_w`` are (E, W) packed entries and ``rows`` a
+        (G, C) row-index array with -1 marking padding.
+        """
+        n_entries, n_words = values_w.shape
+        rows = np.where(rows < 0, n_entries, rows)   # the never-matching row
+        values = np.vstack([values_w, np.ones((1, n_words), np.int64)])[rows]
+        masks = np.vstack([masks_w, np.zeros((1, n_words), np.int64)])[rows]
+        return cls(values=np.ascontiguousarray(values.transpose(0, 2, 1)),
+                   masks=np.ascontiguousarray(masks.transpose(0, 2, 1)),
+                   results=np.append(results, 0)[rows])
+
+    def first_match(self, keys_w: np.ndarray,
+                    group: np.ndarray | None = None) -> np.ndarray:
+        """Result of the first matching candidate per packed key (N, W).
+
+        ``group`` (N,) names each key's candidate group; None compares every
+        key with group 0. Raises :class:`LookupError` when a key matches
+        none of its candidates.
+        """
+        n = len(keys_w)
+        _, n_words, width = self.values.shape
+        out = np.empty(n, dtype=np.int64)
+        step = max(1, _MATCH_CELLS // (n_words * width))
+        for s in range(0, n, step):
+            keys = keys_w[s:s + step, :, None]
+            if group is None:
+                g = 0
+                values, masks = self.values[0], self.masks[0]
+            else:
+                # take() gathers whole groups several times faster than
+                # fancy indexing a 3-D array.
+                g = group[s:s + step]
+                values, masks = self.values.take(g, 0), self.masks.take(g, 0)
+            matched = (keys[:, 0] & masks[..., 0, :]) == values[..., 0, :]
+            for w in range(1, n_words):
+                matched &= (keys[:, w] & masks[..., w, :]) == values[..., w, :]
+            # Candidates keep priority order: the first match IS the winner.
+            pick = matched.argmax(axis=1)
+            hit = matched[np.arange(len(pick)), pick]
+            if not hit.all():
+                missed = s + int(np.argmin(hit))
+                raise LookupError("no TCAM entry matches packed key "
+                                  f"{keys_w[missed].tolist()}")
+            out[s:s + step] = self.results[g, pick]
+        return out
 
 
 @dataclass
@@ -81,36 +192,21 @@ class PrunedMatchIndex:
     candidate rows **in table (priority) order**, so the first match within
     a candidate list is the global first match — the pruned scan is provably
     first-match-identical to the full scan, it just compares each key
-    against ``avg_candidates`` rows instead of ``n_entries``.
+    against ``avg_candidates`` rows instead of ``n_entries``. ``bank`` holds
+    the candidates pre-gathered per segment, so a lookup is one first-match
+    call with the key's segment as its group.
     """
 
     field_idx: int               # which key field the segments cut
     bounds: np.ndarray           # (n_segments,) segment start keys, sorted
     candidates: list             # per segment: np.ndarray of row indices
     avg_candidates: float        # mean candidate-list length (diagnostics)
-    _padded: object = field(default=None, init=False, repr=False, compare=False)
+    bank: MatchBank = field(repr=False, compare=False)
 
     def segment_of(self, keys_f: np.ndarray) -> np.ndarray:
         """Elementary-segment id per key (keys clamped into the domain)."""
         return np.clip(np.searchsorted(self.bounds, keys_f, side="right") - 1,
                        0, len(self.bounds) - 1)
-
-    def padded_candidates(self) -> np.ndarray:
-        """(n_segments, max_candidates) candidate rows, -1 padded.
-
-        Rows stay in table (priority) order, so a row-wise first True over
-        this matrix is the winning entry. Built once, lazily: the padded
-        form is what lets the pruned lookup run as one vectorized gather +
-        compare instead of a per-segment Python loop.
-        """
-        if self._padded is None:
-            width = max((len(c) for c in self.candidates), default=0)
-            padded = np.full((len(self.candidates), max(width, 1)), -1,
-                             dtype=np.int64)
-            for s, cand in enumerate(self.candidates):
-                padded[s, :len(cand)] = cand
-            self._padded = padded
-        return self._padded
 
 
 def _is_prefix_mask(masks: np.ndarray, key_bits: int) -> bool:
@@ -142,10 +238,13 @@ class PackedTernaryTable:
     results: np.ndarray
     key_bits: int
     signed: bool = False
-    # Lazily built pruned-match interval index (None until requested;
+    # Pruned-match interval index: None until built (at compile by
+    # ``TcamSegment.from_tree(encoding="pruned")``, else on first request);
     # False when the entries are not all prefix masks and pruning is
-    # impossible — the pruned lookup then falls back to the full scan).
+    # impossible — the pruned lookup then falls back to the full scan.
     _pruned: object = field(default=None, init=False, repr=False, compare=False)
+    # The full scan: one group holding every row, packed on construction.
+    _scan: MatchBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.priorities = np.asarray(self.priorities, dtype=np.int64)
@@ -165,6 +264,8 @@ class PackedTernaryTable:
             self.masks = self.masks[order]
             self.priorities = self.priorities[order]
             self.results = self.results[order]
+        self._scan = MatchBank.gather(*self.packed_words(), self.results,
+                                      np.arange(self.n_entries)[None])
 
     @property
     def n_entries(self) -> int:
@@ -202,22 +303,17 @@ class PackedTernaryTable:
             keys_u = keys_u[:, None]
         if keys_u.shape[1] != self.n_fields:
             raise ShapeError(f"expected {self.n_fields} key fields, got {keys_u.shape[1]}")
-        if pruned:
-            index = self.pruned_index()
-            if index is not None:
-                return self._lookup_pruned(keys_u, index)
-        matched = np.ones((len(keys_u), self.n_entries), dtype=bool)
-        for f in range(self.n_fields):
-            matched &= (keys_u[:, f, None] & self.masks[None, :, f]) == self.values[None, :, f]
-        # Rows are priority-sorted (see __post_init__): the first matching
-        # row IS the winning entry.
-        pick = matched.argmax(axis=1)
-        if len(keys_u):
-            hit = matched[np.arange(len(keys_u)), pick]
-            if not hit.all():
-                missed = int(np.nonzero(~hit)[0][0])
-                raise LookupError(f"no TCAM entry matches key {keys_u[missed]}")
-        return self.results[pick]
+        keys_w = pack_words(keys_u, self.key_bits)
+        index = self.pruned_index() if pruned else None
+        if index is None:
+            return self._scan.first_match(keys_w)
+        return index.bank.first_match(
+            keys_w, index.segment_of(keys_u[:, index.field_idx]))
+
+    def packed_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """``values`` and ``masks`` packed into (n_entries, W) match words."""
+        return (pack_words(self.values, self.key_bits),
+                pack_words(self.masks, self.key_bits))
 
     def lookup(self, x: np.ndarray, pruned: bool = False) -> np.ndarray:
         """First-match results for a raw-domain (N, n_fields) key batch."""
@@ -259,11 +355,17 @@ class PackedTernaryTable:
             widths = ends - bounds
             avg = float((covers.sum(axis=1) * widths).sum()) / (domain_mask + 1)
             if best is None or avg < best[0]:
-                cands = [np.nonzero(covers[s])[0] for s in range(len(bounds))]
-                best = (avg, PrunedMatchIndex(
-                    field_idx=f, bounds=bounds, candidates=cands,
-                    avg_candidates=float(np.mean([len(c) for c in cands]))))
-        return best[1] if best else None
+                best = (avg, f, bounds, covers)
+        _, f, bounds, covers = best
+        cands = [np.nonzero(row)[0] for row in covers]
+        rows = np.full((len(cands), max(max(map(len, cands)), 1)), -1,
+                       dtype=np.int64)
+        for s, cand in enumerate(cands):
+            rows[s, :len(cand)] = cand
+        return PrunedMatchIndex(
+            field_idx=f, bounds=bounds, candidates=cands,
+            avg_candidates=float(np.mean([len(c) for c in cands])),
+            bank=MatchBank.gather(*self.packed_words(), self.results, rows))
 
     def candidate_rows(self, keys_u: np.ndarray) -> list[np.ndarray]:
         """Per-key candidate row sets the pruned kernel would scan.
@@ -280,39 +382,6 @@ class PackedTernaryTable:
             keys_u = keys_u[:, None]
         seg = index.segment_of(keys_u[:, index.field_idx])
         return [index.candidates[int(s)] for s in seg]
-
-    # Workspace bound for the pruned compare: each chunk materializes about
-    # this many (key, candidate) cells per field, keeping the gathered
-    # masks/values slices cache-friendly for any batch size.
-    _PRUNED_CELLS = 1 << 17
-
-    def _lookup_pruned(self, keys_u: np.ndarray,
-                       index: PrunedMatchIndex) -> np.ndarray:
-        n = len(keys_u)
-        out = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return out
-        seg = index.segment_of(keys_u[:, index.field_idx])
-        padded = index.padded_candidates()      # (n_segments, C), -1 padded
-        chunk = max(1, self._PRUNED_CELLS // padded.shape[1])
-        for s in range(0, n, chunk):
-            ks = keys_u[s:s + chunk]
-            cs = padded[seg[s:s + chunk]]       # per-key candidate rows
-            rows = np.maximum(cs, 0)            # pad-safe gather indices
-            # One vectorized first-match over the candidate lists: the lists
-            # keep table (priority) order, so argmax IS the winning entry.
-            matched = ((ks[:, None, :] & self.masks[rows])
-                       == self.values[rows]).all(axis=2)
-            matched &= cs >= 0
-            pick = matched.argmax(axis=1)
-            ar = np.arange(len(ks))
-            hit = matched[ar, pick]
-            if not hit.all():
-                missed = s + int(np.nonzero(~hit)[0][0])
-                raise LookupError(
-                    f"no TCAM entry matches key {keys_u[missed]}")
-            out[s:s + chunk] = self.results[cs[ar, pick]]
-        return out
 
     def entries(self) -> list[PrioritizedEntry]:
         """The scalar view: fields packed into one wide match, MSB first.
@@ -362,10 +431,12 @@ class TcamSegment:
     flat: PackedTernaryTable | None = None
     # Levelwise: one single-field CRC table (0 = left, 1 = right) per internal
     # node, in the tree's node order, walked over the tree's own
-    # ``feature`` / ``child`` arrays.
+    # ``feature`` / ``child`` arrays. ``_nodes`` stacks the tables into one
+    # bank, group k = node k, which is what the walk matches against.
     levels: list[PackedTernaryTable] = field(default_factory=list)
     feature: np.ndarray | None = None
     child: np.ndarray | None = None
+    _nodes: MatchBank | None = field(default=None, repr=False)
     _flat_count: int = field(default=0, repr=False)
     _levelwise_count: int = field(default=0, repr=False)
 
@@ -384,6 +455,7 @@ class TcamSegment:
             raise CompilationError(msg)
         flat_count = tree._tcam_entries_flat(key_bits, signed)
         levelwise_count = tree._tcam_entries_levelwise(key_bits, signed)
+        requested = encoding
         if encoding == "auto":
             encoding = "flat" if flat_count < levelwise_count else "levelwise"
         elif encoding == "pruned":
@@ -414,6 +486,8 @@ class TcamSegment:
                 key_bits=key_bits,
                 signed=signed,
             )
+            if requested == "pruned":
+                seg.flat.pruned_index()
         else:
             # CRC codes each node's left/right boundary in the encoded
             # (excess-K) domain.
@@ -423,6 +497,8 @@ class TcamSegment:
                     signed=signed)
                 for b in tree.levelwise_boundaries(key_bits, signed)]
             seg.feature, seg.child = tree.feature, tree.child
+            if seg.levels:
+                seg._nodes = _stack_tables(seg.levels)
         return seg
 
     @property
@@ -438,6 +514,9 @@ class TcamSegment:
         ``pruned=True`` runs the flat table through its candidate-pruned
         match kernel (bit-identical first-match results); levelwise
         segments ignore the flag — their per-node tables are already tiny.
+        A levelwise batch advances every unfinished row one tree level per
+        step: each row's key field is matched against its current node's
+        table, whose result (0 = left, 1 = right) picks the child.
         """
         x = np.asarray(x)
         if x.ndim == 1:
@@ -447,23 +526,34 @@ class TcamSegment:
         enc = encode_keys(x, self.key_bits, self.signed)
         if self.encoding == "flat":
             return self.flat.lookup_encoded(enc, pruned=pruned)
-        out = np.empty(len(enc), dtype=np.int64)
         n_internal = len(self.levels)
-        pending = [(0, np.arange(len(enc)))]
-        while pending:
-            node, rows = pending.pop()
-            if node >= n_internal:
-                out[rows] = node - n_internal
-            elif len(rows):
-                side = self.levels[node].lookup_encoded(
-                    enc[rows, self.feature[node]])
-                pending.append((self.child[2 * node + 1], rows[side == 1]))
-                pending.append((self.child[2 * node], rows[side == 0]))
-        return out
+        node = np.zeros(len(enc), dtype=np.int64)
+        live = np.arange(len(enc) if n_internal else 0)
+        while len(live):
+            at = node[live]
+            # One key field per node: it fits one match word as it is.
+            side = self._nodes.first_match(
+                enc[live, self.feature[at]][:, None], at)
+            at = self.child[2 * at + side]
+            node[live] = at
+            live = live[at < n_internal]
+        return node - n_internal
 
     def node_tables(self) -> list[PackedTernaryTable]:
         """Every materialized table (one for flat, one per node otherwise)."""
         return [self.flat] if self.encoding == "flat" else self.levels
+
+
+def _stack_tables(tables: list[PackedTernaryTable]) -> MatchBank:
+    """One bank over many tables: group k holds every row of ``tables[k]``."""
+    words = [t.packed_words() for t in tables]
+    counts = np.array([t.n_entries for t in tables])
+    starts = np.cumsum(counts) - counts
+    col = np.arange(counts.max())
+    rows = np.where(col < counts[:, None], starts[:, None] + col, -1)
+    return MatchBank.gather(np.vstack([v for v, _ in words]),
+                            np.vstack([m for _, m in words]),
+                            np.concatenate([t.results for t in tables]), rows)
 
 
 def compile_segment_table(table, encoding: str = "auto") -> TcamSegment:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.crc import consecutive_range_coding, lookup_prioritized
-from repro.core.fuzzy import FuzzyTree
+from repro.core.fuzzy import FuzzyTree, key_domain
 from repro.core.mapping import LOOKUP_BACKENDS
+from repro.dataplane import tcam
 from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
-from repro.dataplane.tcam import (PackedTernaryTable, TcamSegment,
-                                  compile_segment_table, encode_keys,
-                                  tcam_table_report)
+from repro.dataplane.tcam import (PRUNED_MAX_FLAT_ENTRIES, PackedTernaryTable,
+                                  TcamSegment, compile_segment_table,
+                                  encode_keys, pack_words, tcam_table_report)
 from repro.errors import CompilationError, ShapeError
 from repro.serving import FlowDecisionCache, PegasusEngine
 from repro.serving.dispatcher import ShardedDispatcher   # un-deprecated core
@@ -59,6 +60,42 @@ class TestPackedTernaryTable:
         table = PackedTernaryTable.from_prioritized(
             consecutive_range_coding([10], 8), key_bits=8)
         assert table.lookup(np.array([[7.0], [200.0]])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n_fields,key_bits", [(1, 8), (9, 8), (60, 8),
+                                                   (3, 16), (5, 21)])
+    def test_packed_words_are_the_scalar_packing(self, n_fields, key_bits):
+        """Concatenated, a key's match words are pack_keys' wide integer
+        shifted left by the zero padding of the last word."""
+        rng = np.random.default_rng(n_fields)
+        keys = rng.integers(0, 1 << key_bits, size=(20, n_fields))
+        table = PackedTernaryTable(
+            values=keys[:1], masks=np.zeros((1, n_fields), dtype=np.int64),
+            priorities=[0], results=[0], key_bits=key_bits)
+        words = pack_words(keys, key_bits)
+        per_word = -(-n_fields // words.shape[1])
+        assert per_word * key_bits <= tcam.WORD_BITS
+        pad = words.shape[1] * per_word - n_fields
+        joined = [sum(int(w) << ((len(row) - 1 - i) * per_word * key_bits)
+                      for i, w in enumerate(row)) for row in words]
+        assert joined == [k << (pad * key_bits)
+                          for k in table.pack_keys(keys)]
+
+    def test_workspace_bound_chunks_keep_results(self, monkeypatch):
+        """A tiny workspace bound splits every call into many chunks; the
+        results, and the row a miss is reported for, must not move."""
+        rng = np.random.default_rng(9)
+        tree = _fit_tree(rng, 300, 9, 12)
+        seg = TcamSegment.from_tree(tree, key_bits=8, encoding="pruned")
+        keys = rng.integers(0, 256, size=(150, 9))
+        want = tree.predict_index(keys)
+        assert seg.encoding == "flat" and pack_words(keys, 8).shape[1] == 2
+        monkeypatch.setattr(tcam, "_MATCH_CELLS", 5)
+        np.testing.assert_array_equal(seg.lookup_indices(keys, pruned=True), want)
+        np.testing.assert_array_equal(seg.flat.lookup_encoded(keys), want)
+        entries = consecutive_range_coding([10], 8)[:-1]      # no catch-all
+        table = PackedTernaryTable.from_prioritized(entries, key_bits=8)
+        with pytest.raises(LookupError, match=r"\[200\]"):
+            table.lookup(np.array([[1], [2], [3], [200], [4]]))
 
     def test_signed_excess_k_encoding_orders(self):
         enc = encode_keys(np.array([[-128], [-1], [0], [127]]), 8, signed=True)
@@ -118,6 +155,17 @@ class TestTcamSegment:
         assert seg.encoding == "levelwise"
         assert seg.n_entries == tree.tcam_entries(key_bits=8)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_non_finite_keys_rejected(self, encoding, bad):
+        # +inf once cast to INT64_MIN and clamped to key 0: TCAM leaf 0
+        # where the tree walk routes right (to leaf 7 here), with no error.
+        rng = np.random.default_rng(5)
+        tree = _fit_tree(rng, 300, 2, 8)
+        seg = TcamSegment.from_tree(tree, key_bits=8, encoding=encoding)
+        with pytest.raises(ShapeError, match="finite"):
+            seg.lookup_indices(np.array([[bad, bad]]))
+
     def test_single_leaf_tree(self):
         tree = FuzzyTree.fit(np.zeros((5, 2)), n_leaves=1)
         seg = TcamSegment.from_tree(tree, key_bits=8)
@@ -147,6 +195,107 @@ class TestTcamSegment:
             scalar = [lookup_prioritized(entries, k)
                       for k in packed.pack_keys(keys)]
             assert packed.lookup(keys).tolist() == scalar
+
+
+def _walk_node_scans(seg: TcamSegment, enc: np.ndarray) -> list[int]:
+    """Levelwise reference: walk each row node by node, every node answered
+    by a full scan of its own table."""
+    out = []
+    for row in enc:
+        node = 0
+        while node < len(seg.levels):
+            side = seg.levels[node].lookup_encoded(
+                row[[seg.feature[node]]][None], pruned=False)[0]
+            node = seg.child[2 * node + side]
+        out.append(node - len(seg.levels))
+    return out
+
+
+class TestKernelProperty:
+    @given(dim=st.sampled_from([1, 2, 3, 9, 16]),
+           n_leaves=st.integers(1, 64),
+           signed=st.booleans(),
+           encoding=st.sampled_from(["flat", "levelwise", "pruned"]),
+           n_keys=st.sampled_from([0, 1, 7, 40]),
+           spread=st.sampled_from([0, 300]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_tree_and_full_scan(self, dim, n_leaves, signed,
+                                               encoding, n_keys, spread,
+                                               seed):
+        """Every kernel (full scan, pruned, levelwise walk) answers like the
+        tree walk and like the full scan, in and out of the key domain (at
+        8 bits, d = 9 and d = 16 keys take two and three match words)."""
+        rng = np.random.default_rng(seed)
+        lo, hi = key_domain(8, signed)
+        tree = _fit_tree(rng, 150, dim, n_leaves, lo=lo, hi=hi)
+        if encoding == "flat" and \
+                tree._tcam_entries_flat(8, signed) > PRUNED_MAX_FLAT_ENTRIES:
+            encoding = "levelwise"          # the cross product blows up
+        seg = TcamSegment.from_tree(tree, key_bits=8, signed=signed,
+                                    encoding=encoding)
+        keys = rng.integers(lo - spread, hi + spread + 1, size=(n_keys, dim))
+        got = seg.lookup_indices(keys, pruned=encoding == "pruned")
+        np.testing.assert_array_equal(got, tree.predict_index(keys))
+        enc = encode_keys(keys, 8, signed)
+        if seg.encoding == "flat":
+            full = seg.flat.lookup_encoded(enc, pruned=False)
+        else:
+            full = _walk_node_scans(seg, enc)
+        assert got.tolist() == list(full)
+
+
+@pytest.fixture(scope="module")
+def packed_tables(compiled16):
+    tables = [t for t in compiled16.layers[0].tables if t.kind == "fuzzy"]
+    packed = [t.tcam_segment(pruned=True).flat for t in tables]
+    packed = [p for p in packed
+              if p is not None and p.pruned_index() is not None]
+    assert packed, "reference model must exercise the pruned kernel"
+    return packed
+
+
+class TestPrunedSupersetProperty:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_candidates_contain_full_scan_winner(self, packed_tables, data):
+        packed = packed_tables[
+            data.draw(st.integers(0, len(packed_tables) - 1))]
+        n_fields = packed.values.shape[1]
+        domain_hi = (1 << packed.key_bits) - 1
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        keys_u = np.asarray(
+            data.draw(st.lists(
+                st.lists(st.integers(0, domain_hi),
+                         min_size=n_fields, max_size=n_fields),
+                min_size=n, max_size=n)), dtype=np.int64)
+
+        cands = packed.candidate_rows(keys_u)
+        assert len(cands) == n
+        match = ((keys_u[:, None, :] & packed.masks[None, :, :])
+                 == packed.values[None, :, :]).all(axis=2)
+        assert match.any(axis=1).all()      # tree tables cover the domain
+        for i in range(n):
+            rows = np.nonzero(match[i])[0]
+            winner = rows[np.argmin(packed.priorities[rows])]
+            assert winner in cands[i]
+        # ... and the pruned lookup itself stays bit-identical.
+        np.testing.assert_array_equal(
+            packed.lookup_encoded(keys_u, pruned=True),
+            packed.lookup_encoded(keys_u, pruned=False))
+
+    def test_non_prefix_masks_disable_pruning(self):
+        table = PackedTernaryTable(
+            values=np.asarray([[0b0101]], dtype=np.int64),
+            masks=np.asarray([[0b0101]], dtype=np.int64),   # not a prefix
+            priorities=np.asarray([0], dtype=np.int64),
+            results=np.asarray([0], dtype=np.int64),
+            key_bits=4)
+        assert table.pruned_index() is None
+        assert table.candidate_rows(np.asarray([[0b0101]])) == []
+        # ... and the pruned entry point silently serves the full scan.
+        assert table.lookup_encoded(np.asarray([[0b0101]]),
+                                    pruned=True).tolist() == [0]
 
 
 # Per fuzzy table of the compiled16 fixture: chosen encoding, materialized /

@@ -1,11 +1,10 @@
-"""The bit-identity test wall around the two-level cache + pruned TCAM.
+"""The bit-identity test wall around the two-level cache.
 
 Four layers of defense for the serving hot path:
 
 - property tests (hypothesis): an L2 approximate hit can NEVER flip a
   decision, even for probes jittered right across quantization-bucket
-  boundaries; the pruned TCAM kernel's candidate sets always contain the
-  full scan's winning row;
+  boundaries;
 - degenerate-capacity tests: L2 bucket churn at capacity 1/2 stays
   bit-identical and keeps the ``exact + approx + misses == lookups`` stat
   identity;
@@ -214,64 +213,6 @@ class TestNeverFlipProperty:
         rng = np.random.default_rng(int(x0.sum()))
         probes = rng.integers(cube_lo, cube_hi + 1, size=(64, len(x0)))
         assert (model.predict(probes) == d0).all()
-
-
-# ---------------------------------------------------------------------------
-# Property: pruned candidate sets contain the full scan's winner
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def packed_tables(model):
-    tables = [t for t in model.layers[0].tables if t.kind == "fuzzy"]
-    packed = [t.tcam_segment(pruned=True).flat for t in tables]
-    packed = [p for p in packed
-              if p is not None and p.pruned_index() is not None]
-    assert packed, "reference model must exercise the pruned kernel"
-    return packed
-
-
-class TestPrunedSupersetProperty:
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_candidates_contain_full_scan_winner(self, packed_tables, data):
-        packed = packed_tables[
-            data.draw(st.integers(0, len(packed_tables) - 1))]
-        n_fields = packed.values.shape[1]
-        domain_hi = (1 << packed.key_bits) - 1
-        n = data.draw(st.integers(min_value=1, max_value=8))
-        keys_u = np.asarray(
-            data.draw(st.lists(
-                st.lists(st.integers(0, domain_hi),
-                         min_size=n_fields, max_size=n_fields),
-                min_size=n, max_size=n)), dtype=np.int64)
-
-        cands = packed.candidate_rows(keys_u)
-        assert len(cands) == n
-        match = ((keys_u[:, None, :] & packed.masks[None, :, :])
-                 == packed.values[None, :, :]).all(axis=2)
-        assert match.any(axis=1).all()      # tree tables cover the domain
-        for i in range(n):
-            rows = np.nonzero(match[i])[0]
-            winner = rows[np.argmin(packed.priorities[rows])]
-            assert winner in cands[i]
-        # ... and the pruned lookup itself stays bit-identical.
-        np.testing.assert_array_equal(
-            packed.lookup_encoded(keys_u, pruned=True),
-            packed.lookup_encoded(keys_u, pruned=False))
-
-    def test_non_prefix_masks_disable_pruning(self):
-        from repro.dataplane.tcam import PackedTernaryTable
-        table = PackedTernaryTable(
-            values=np.asarray([[0b0101]], dtype=np.int64),
-            masks=np.asarray([[0b0101]], dtype=np.int64),   # not a prefix
-            priorities=np.asarray([0], dtype=np.int64),
-            results=np.asarray([0], dtype=np.int64),
-            key_bits=4)
-        assert table.pruned_index() is None
-        assert table.candidate_rows(np.asarray([[0b0101]])) == []
-        # ... and the pruned entry point silently serves the full scan.
-        assert table.lookup_encoded(np.asarray([[0b0101]]),
-                                    pruned=True).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
