@@ -28,8 +28,8 @@ def _run(scale):
         runtime = WindowedClassifierRuntime(model.compiled, feature_mode="stats",
                                             capacity=capacity)
         decisions = runtime.process_flows(test_flows)
-        acc = float(np.mean([d.predicted == d.flow_label for d in decisions])) \
-            if decisions else 0.0
+        acc = float(np.mean(decisions.predicted == decisions.flow_label)) \
+            if len(decisions) else 0.0
         out.append({
             "capacity": capacity,
             "decisions": len(decisions),

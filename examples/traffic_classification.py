@@ -48,7 +48,7 @@ def main(dataset_name: str = "iscxvpn"):
     print("\n=== packet-level runtime (44 bits of flow state) ===")
     runtime = model.make_runtime()
     decisions = runtime.process_flows(test_flows)
-    acc = np.mean([d.predicted == d.flow_label for d in decisions])
+    acc = np.mean(decisions.predicted == decisions.flow_label)
     print(f"{len(decisions)} decisions, accuracy {acc:.3f}, "
           f"{runtime.bits_per_flow} bits/flow, "
           f"{len(runtime.state)} concurrent flows tracked")

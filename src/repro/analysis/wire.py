@@ -41,6 +41,7 @@ SCHEMA_RELPATH = Path("dataplane") / "schema.py"
 
 #: Modules whose column constructions are held to the schema.
 WIRE_MODULES = frozenset({
+    "repro.dataplane.decisions",
     "repro.net.traces",
     "repro.serving.dispatcher",
     "repro.serving.parallel",
@@ -195,9 +196,9 @@ class _SchemaHooks(Hooks):
 class ColumnarSchemaRule(ProjectRule):
     name = "columnar-schema"
     description = ("every producer of a wire column (dict entries / "
-                   "cols[...] stores in repro.net.traces and the serving "
-                   "dispatchers) must construct exactly the dtype declared "
-                   "in dataplane/schema.py")
+                   "cols[...] stores in repro.net.traces, the decision "
+                   "columns and the serving dispatchers) must construct "
+                   "exactly the dtype declared in dataplane/schema.py")
     example = ("src/repro/serving/parallel.py:97: [columnar-schema] wire "
                "column 'seq' constructed as float64; the schema "
                "(dataplane/schema.py) declares int64 — drift here "

@@ -17,6 +17,7 @@ from repro.dataplane.tables import TernaryTableEntry, ternary_entries_for_tree, 
 from repro.dataplane.tcam import (PackedTernaryTable, TcamSegment,
                                   compile_segment_table, tcam_table_report)
 from repro.dataplane.pipeline import Pipeline, place_model, TablePlacement, StageBudget
+from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 from repro.dataplane.resources import ResourceReport, summarize_resources
@@ -57,6 +58,7 @@ __all__ = [
     "WindowedClassifierRuntime",
     "TwoStageRuntime",
     "PacketDecision",
+    "DecisionBatch",
     "DEFAULT_BATCH_SIZE",
     "line_rate_pps",
     "measure_model_throughput",

@@ -54,12 +54,15 @@ bit-identical to the per-packet reference path ``process_flows_scalar`` for
 every batch size — a property the regression tests assert. Flow slots are
 resolved once per batch (:meth:`VectorFlowState.acquire`), which also hands
 the batch its per-flow grouping; a batch is cut early only when a FIFO
-eviction would reuse a slot that still has unflushed in-batch state.
+eviction would reuse a slot that still has unflushed in-batch state. Each
+batch appends its decisions as column slices, concatenated into one
+:class:`~repro.dataplane.decisions.DecisionBatch` per replay; no
+per-decision object is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,6 +76,7 @@ from repro.net.flow import Flow
 from repro.net.packet import Packet
 from repro.net.traces import (KEY_COLUMN_NAMES, Trace, flow_ids,
                               flow_key_words, pack_flow_keys)
+from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 
@@ -95,21 +99,6 @@ def _ipd_bucket_from_units(cur_units: int, prev_units: int) -> int:
     return ipd_bucket(delta_units * TS_UNIT_SECONDS)
 
 
-@dataclass
-class PacketDecision:
-    """One per-packet classification the switch emitted.
-
-    ``seq`` is the packet's position in the replayed trace — the merge key
-    that lets sharded replicas reassemble one globally ordered decision
-    stream.
-    """
-
-    flow_label: int
-    predicted: int
-    ts: float
-    seq: int = -1
-
-
 def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
     """Interleave labelled flows into one trace with per-packet labels.
 
@@ -127,14 +116,13 @@ def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
     return trace, labels
 
 
-def _emit_decisions(out: list[PacketDecision], labels: np.ndarray,
+def _emit_decisions(out: list[DecisionBatch], labels: np.ndarray,
                     preds: np.ndarray, ts: np.ndarray, rows: np.ndarray,
                     base: int) -> None:
-    """Append the decision of every window-complete row of a batch:
+    """Append the decisions of a batch's window-complete rows as columns:
     ``preds[k]`` belongs to batch row ``rows[k]``, packet ``base + rows[k]``
-    of the trace. Columns convert to Python scalars once, not per field."""
-    out.extend(map(PacketDecision, labels[rows].tolist(), preds.tolist(),
-                   ts[rows].tolist(), (rows + base).tolist()))
+    of the trace."""
+    out.append(DecisionBatch(rows + base, labels[rows], preds, ts[rows]))
 
 
 def _group_structure(batch: FlowBatch):
@@ -221,18 +209,19 @@ class _BatchedReplayMixin:
         tables eagerly, so the first serve measures lookups, not compilation."""
 
     def process_flows(self, flows: list[Flow], batch_size: int | None = None
-                      ) -> list[PacketDecision]:
+                      ) -> DecisionBatch:
         """Replay the interleaved trace of many labelled flows, batched."""
         trace, labels = flows_to_trace(flows)
         return self.process_trace(trace, labels=labels, batch_size=batch_size)
 
     def process_trace(self, trace: Trace, labels: np.ndarray | None = None,
-                      batch_size: int | None = None) -> list[PacketDecision]:
+                      batch_size: int | None = None) -> DecisionBatch:
         """Replay a time-ordered trace in fixed ``batch_size`` cuts.
 
         ``labels`` are per-packet ground-truth labels (default -1);
-        ``batch_size`` defaults to the runtime's own. Decisions come back in
-        trace order with ``seq`` set to the packet's trace position.
+        ``batch_size`` defaults to the runtime's own. Decisions come back as
+        one :class:`DecisionBatch` in trace order, ``seq`` the packet's
+        trace position.
         """
         cols = self._replay_columns(trace)
         return self._replay(
@@ -241,7 +230,7 @@ class _BatchedReplayMixin:
 
     def process_columns(self, cols: dict[str, np.ndarray],
                         labels: np.ndarray | None = None,
-                        batch_size: int | None = None) -> list[PacketDecision]:
+                        batch_size: int | None = None) -> DecisionBatch:
         """Replay per-packet *columns* directly — no :class:`Trace` needed.
 
         The columnar entry point for shard payloads that crossed a process
@@ -260,14 +249,15 @@ class _BatchedReplayMixin:
             lambda start, stop: {k: v[start:stop] for k, v in cols.items()})
 
     def _replay(self, cols, key_words, labels, batch_size,
-                batch_columns) -> list[PacketDecision]:
+                batch_columns) -> DecisionBatch:
         """Shared core of the trace/columnar replay entry points.
 
         Each ``batch_size`` span is resolved against the flow table with one
         :meth:`VectorFlowState.acquire` per batch; when the table cuts a
         batch short (an eviction would hit a slot the batch still uses),
         the resolved prefix is processed — its state written back — and the
-        rest of the span resolves in the next call.
+        rest of the span resolves in the next call. Each batch appends its
+        decisions as column slices; they are concatenated once, at the end.
         """
         n = len(cols["ts"])
         if labels is None:
@@ -277,7 +267,7 @@ class _BatchedReplayMixin:
         b = int(self.batch_size if batch_size is None else batch_size)
         if b < 1:
             raise ConfigError("batch_size", b, allowed=">= 1")
-        decisions: list[PacketDecision] = []
+        parts: list[DecisionBatch] = []
         acquire = self.state.acquire
         for start in range(0, n, b):
             stop = min(start + b, n)
@@ -286,9 +276,9 @@ class _BatchedReplayMixin:
                 batch = acquire(key_words[i:stop])
                 j = i + batch.rows
                 self._process_batch(batch, batch_columns(i, j), labels[i:j],
-                                    i, decisions)
+                                    i, parts)
                 i = j
-        return decisions
+        return DecisionBatch.concat(parts)
 
     def _batch_columns(self, cols: dict[str, np.ndarray], trace: Trace,
                        start: int, stop: int) -> dict[str, np.ndarray]:
@@ -307,8 +297,7 @@ class _BatchedReplayMixin:
         for i, packet in enumerate(trace.packets):
             d = self.process_packet(packet, int(labels[i]))
             if d is not None:
-                d.seq = i
-                decisions.append(d)
+                decisions.append(replace(d, seq=i))
         return decisions
 
     def _acquire_one(self, packet: Packet) -> tuple[int, bytes]:
@@ -661,7 +650,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
 
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
-                       out: list[PacketDecision]) -> None:
+                       out: list[DecisionBatch]) -> None:
         ts = cols["ts"]
         cur_units = _ts_units_array(ts)
         len_b = length_bucket_array(cols["length"])
@@ -868,7 +857,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
 
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
-                       out: list[PacketDecision]) -> None:
+                       out: list[DecisionBatch]) -> None:
         ts = cols["ts"]
         uniq, rank = batch.slots, batch.rank
         counts, occ, prev_idx, last_idx = _group_structure(batch)

@@ -46,11 +46,12 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.dataplane.decisions import DecisionBatch
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
 from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
 from repro.serving.engine import (EngineConfig, PegasusEngine,
@@ -254,17 +255,28 @@ class Divergence:
                 f"expected {self.expected}, got {self.got}")
 
 
-def first_divergence(reference: list, got: list, case: str) -> Divergence | None:
-    """Locate the first mismatched decision (None when streams are equal)."""
-    for i, (want, have) in enumerate(zip(reference, got)):
-        if want != have:
-            return Divergence(case, i, want, have)
-    if len(reference) != len(got):
-        i = min(len(reference), len(got))
-        return Divergence(case, i,
-                          reference[i] if i < len(reference) else None,
-                          got[i] if i < len(got) else None)
-    return None
+def first_divergence(reference, got, case: str) -> Divergence | None:
+    """Locate the first mismatched decision (None when streams are equal).
+
+    Either stream may be a :class:`DecisionBatch` or a list of
+    :class:`~repro.dataplane.decisions.PacketDecision` s; the comparison
+    runs on columns.
+    """
+    want = DecisionBatch.from_decisions(reference)
+    have = DecisionBatch.from_decisions(got)
+    n = min(len(want), len(have))
+    differs = np.zeros(n, dtype=bool)
+    for name in DIGEST_ROW.names:
+        differs |= getattr(want, name)[:n] != getattr(have, name)[:n]
+    hits = np.flatnonzero(differs)
+    if hits.size:
+        i = int(hits[0])
+    elif len(want) != len(have):
+        i = n
+    else:
+        return None
+    return Divergence(case, i, want[i] if i < len(want) else None,
+                      have[i] if i < len(have) else None)
 
 
 @dataclass
@@ -497,7 +509,7 @@ def make_failing_predicate(case: EngineCase, source,
         config = case.config(capacity=capacity, cache_capacity=cache_capacity)
         with PegasusEngine(source=source, config=config) as eng:
             got = eng.serve(trace, labels=labels).decisions
-        return got != reference
+        return first_divergence(reference, got, case.label) is not None
     return failing
 
 
@@ -578,14 +590,11 @@ class _BitFlipFault:
         self.period = period
         self.offset = offset
 
-    def _hit(self, ts: float) -> bool:
-        return int(round(ts * 1000.0)) % self.period == self.offset
-
-    def _corrupt(self, decisions):
-        for d in decisions:
-            if self._hit(d.ts):
-                d.predicted ^= 1
-        return decisions
+    def _corrupt(self, decisions: DecisionBatch) -> DecisionBatch:
+        ms = np.rint(decisions.ts * 1000.0).astype(np.int64)
+        predicted = decisions.predicted
+        return replace(decisions, predicted=np.where(
+            ms % self.period == self.offset, predicted ^ 1, predicted))
 
     def __call__(self, replica):
         replica.set_lookup_backend("index")
@@ -708,14 +717,20 @@ class FuzzReport:
         }
 
 
-def decision_digest(decisions: list) -> str:
-    """Order-sensitive SHA-256 over a decision stream (the golden digest)."""
-    h = hashlib.sha256()
-    for d in decisions:
-        h.update(np.array([d.seq, d.flow_label, d.predicted],
-                          dtype=np.int64).tobytes())
-        h.update(np.float64(d.ts).tobytes())
-    return h.hexdigest()
+#: One decision as the golden digest hashes it: three int64 fields and the
+#: float64 timestamp, packed back to back (32 bytes, native byte order).
+DIGEST_ROW = np.dtype([("seq", np.int64), ("flow_label", np.int64),
+                       ("predicted", np.int64), ("ts", np.float64)])
+
+
+def decision_digest(decisions) -> str:
+    """Order-sensitive SHA-256 over a decision stream (the golden digest):
+    one hash of the packed :data:`DIGEST_ROW` records of every decision."""
+    batch = DecisionBatch.from_decisions(decisions)
+    rows = np.empty(len(batch), dtype=DIGEST_ROW)
+    for name in DIGEST_ROW.names:
+        rows[name] = getattr(batch, name)
+    return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def trace_digest(trace: Trace) -> str:

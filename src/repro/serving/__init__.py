@@ -62,7 +62,9 @@ End-to-end example (train → compile → serve)::
                           topology="sharded", n_workers=4)
     with PegasusEngine.from_model(model, config) as engine:
         report = engine.serve(test)            # ServingReport
-    decisions = report.decisions               # global trace order
+    decisions = report.decisions               # DecisionBatch, trace order
+    decisions.predicted, decisions.seq         # one array per field
+    list(decisions)                            # PacketDecision objects
 
 Sharded + batched + parallel + cached replay is bit-identical to per-packet
 replay (same decisions, same order) whenever register capacity does not

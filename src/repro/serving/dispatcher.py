@@ -5,8 +5,7 @@ trace the dispatcher hashes each flow's canonical 5-tuple onto one of
 ``n_shards`` runtime replicas (so all packets of a flow — and therefore all
 its register state — live on exactly one replica), replays each shard's
 packet subsequence through the batched runtime, and merges the per-shard
-decision streams back into global trace order via the decisions' ``seq``
-field.
+decision columns back into global trace order via their ``seq`` column.
 
 Every serve is the same steps, written once in :class:`ShardedDispatcher`:
 wire columns (validated) -> shard split -> ``_execute`` -> stats.
@@ -44,12 +43,14 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
 from repro.dataplane.runtime import flows_to_trace
 from repro.dataplane.schema import WIRE_COLUMNS, validation_enabled, wire_dtype
 from repro.errors import ConfigError
 from repro.net.packet import FlowKey
 from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
+from repro.serving.rings import scatter_decision_chunk
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -197,13 +198,13 @@ class ShardedDispatcher:
             if getattr(cache, "two_level", False):
                 cache.l2_admit = self.l2_admit
 
-    def serve_flows(self, flows: list) -> list:
+    def serve_flows(self, flows: list) -> DecisionBatch:
         """Replay the interleaved trace of many labelled flows, sharded."""
         trace, labels = flows_to_trace(flows)
         return self.serve_trace(trace, labels=labels)
 
     def serve_trace(self, trace: Trace, labels: np.ndarray | None = None
-                    ) -> list:
+                    ) -> DecisionBatch:
         """Shard, replay, and merge one trace; decisions in global order.
 
         The one serve path: split -> execute -> merge, stats recorded.
@@ -257,27 +258,30 @@ class ShardedDispatcher:
         return sources, [np.nonzero(shard_ids == s)[0]
                          for s in range(self.n_shards)]
 
-    def _execute(self, trace: Trace, sources: dict, members: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, members: list
+                 ) -> DecisionBatch:
         """Replay the shards on their replicas, here one after another;
         records ``shard_seconds[s]`` and ``cache_stats`` and returns the
-        decisions in global trace order. The seam a transport overrides."""
+        decisions in global trace order. The seam a transport overrides.
+
+        Each shard's ``seq`` maps through its members to global positions,
+        and the columns scatter to those positions — the same merge the
+        ring driver runs on egress slots."""
         labels = sources["labels"]
-        decisions: list = []
+        merged = alloc_decision_columns(len(trace))
+        valid = np.zeros(len(trace), dtype=np.bool_)
         for s, member in enumerate(members):
             if len(member) == 0:
                 continue
-            rows = member.tolist()
             started = time.perf_counter()
-            shard_decisions = self.runtimes[s].process_trace(
+            shard = self.runtimes[s].process_trace(
                 trace.take(member), labels=labels[member],
                 batch_size=self.batch_size)
             self.shard_seconds[s] = time.perf_counter() - started
-            for d in shard_decisions:
-                d.seq = rows[d.seq]          # shard-local -> global position
-            decisions.extend(shard_decisions)
-        decisions.sort(key=lambda d: d.seq)
+            scatter_decision_chunk(merged, valid, member[shard.seq],
+                                   shard.columns(), len(shard))
         self.cache_stats = self._replica_cache_stats()
-        return decisions
+        return DecisionBatch(**merged).take(np.flatnonzero(valid))
 
     def _replica_cache_stats(self) -> CacheStats:
         """Aggregate decision-cache counters over all replicas (lifetime)."""

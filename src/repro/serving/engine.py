@@ -57,6 +57,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
                                      flows_to_trace)
@@ -534,10 +535,12 @@ class ServingReport:
     ``local``, one per shard/worker otherwise — replay only, excluding IPC).
     ``flush_stats`` counts this serve's ``batch_size`` spans over all
     replicas; ``cache_stats`` aggregates the replicas' *lifetime*
-    decision-cache counters.
+    decision-cache counters. ``decisions`` are columns
+    (``decisions.predicted`` etc.); ``list(decisions)`` materialises
+    :class:`~repro.dataplane.decisions.PacketDecision` objects.
     """
 
-    decisions: list
+    decisions: DecisionBatch
     n_packets: int
     wall_seconds: float
     topology: str
@@ -561,10 +564,12 @@ class ServingReport:
     def accuracy(self) -> float | None:
         """Fraction of labelled decisions that were correct (None when the
         serve carried no ground-truth labels)."""
-        labelled = [d for d in self.decisions if d.flow_label >= 0]
-        if not labelled:
+        labels = self.decisions.flow_label
+        labelled = labels >= 0
+        if not labelled.any():
             return None
-        return float(np.mean([d.predicted == d.flow_label for d in labelled]))
+        return float(np.mean(self.decisions.predicted[labelled]
+                             == labels[labelled]))
 
     def summary(self) -> dict:
         """Scalar view for logs / bench JSON (decisions elided)."""
@@ -651,15 +656,16 @@ class _SubServes:
         self.shard_seconds: list[float] = []
         self._cache_first = self._cache_mark = dispatcher.cache_stats
 
-    def add(self, decisions: list, positions) -> None:
-        """``positions[i]`` is the global position of sub-trace packet i."""
-        for d in decisions:
-            d.seq = positions[d.seq]
+    def add(self, decisions: DecisionBatch, positions: np.ndarray
+            ) -> DecisionBatch:
+        """``positions[i]`` is the global position of sub-trace packet i;
+        returns the decisions at global positions."""
         self.flush_stats.merge(self._dispatcher.flush_stats)
         seconds = self._dispatcher.shard_seconds
         self.shard_seconds = (
             [a + b for a, b in zip(self.shard_seconds, seconds)]
             if self.shard_seconds else list(seconds))
+        return decisions.remap(positions)
 
     def phase_cache_stats(self) -> CacheStats:
         """Cache activity since the previous call (one phase's own)."""
@@ -911,7 +917,7 @@ class PegasusEngine:
         self.start()
         totals = _SubServes(self._driver)
         phases: list = []
-        decisions: list = []
+        parts: list[DecisionBatch] = []
         n_packets, wall = 0, 0.0
         try:
             for span in workload.phases:
@@ -919,10 +925,11 @@ class PegasusEngine:
                 report = self._serve_trace(
                     workload.trace[span.start:span.stop],
                     workload.labels[span.start:span.stop])
-                totals.add(report.decisions, range(span.start, span.stop))
+                report.decisions = totals.add(
+                    report.decisions, np.arange(span.start, span.stop))
                 report.cache_stats = totals.phase_cache_stats()
                 phases.append((span, report))
-                decisions.extend(report.decisions)
+                parts.append(report.decisions)
                 n_packets += report.n_packets
                 wall += report.wall_seconds
         finally:
@@ -930,7 +937,8 @@ class PegasusEngine:
         return ScenarioServingReport(
             scenario=getattr(workload, "scenario", "<trace>"),
             seed=getattr(workload, "seed", seed),
-            overall=self._report(decisions, n_packets, wall, totals),
+            overall=self._report(DecisionBatch.concat(parts), n_packets,
+                                 wall, totals),
             phases=phases)
 
     def _serve_open(self, workload: ScenarioTrace,
@@ -953,11 +961,10 @@ class PegasusEngine:
         trace = workload.trace
         totals = _SubServes(self._driver)
 
-        def serve_chunk(idx: np.ndarray) -> list:
-            decisions = self._driver.serve_trace(trace.take(idx),
-                                                 labels=labels[idx])
-            totals.add(decisions, idx.tolist())
-            return decisions
+        def serve_chunk(idx: np.ndarray) -> DecisionBatch:
+            return totals.add(self._driver.serve_trace(trace.take(idx),
+                                                       labels=labels[idx]),
+                              idx)
 
         offsets = None
         if config.time_scale > 0:
@@ -976,7 +983,8 @@ class PegasusEngine:
             admission=config.admission, time_scale=config.time_scale,
             p99_target_ms=config.p99_target_ms)
 
-    def _serve(self, n_packets: int, run: Callable[[], list]) -> ServingReport:
+    def _serve(self, n_packets: int, run: Callable[[], DecisionBatch]
+               ) -> ServingReport:
         """One timed dispatcher serve, reported with the dispatcher's stats."""
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
@@ -984,7 +992,7 @@ class PegasusEngine:
         wall = time.perf_counter() - started
         return self._report(decisions, n_packets, wall, self._driver)
 
-    def _report(self, decisions: list, n_packets: int, wall: float,
+    def _report(self, decisions: DecisionBatch, n_packets: int, wall: float,
                 stats) -> ServingReport:
         """A :class:`ServingReport` of this deployment; ``stats`` is the
         dispatcher (one serve) or a :class:`_SubServes` (many of them)."""

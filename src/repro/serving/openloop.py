@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dataplane.decisions import DecisionBatch
+
 # A packet due within this long is offered now rather than slept for (timer
 # granularity).
 _MIN_SLEEP = 1e-4
@@ -220,7 +222,7 @@ class PumpResult:
     arrival: np.ndarray           # float[n] perf_counter at admit (nan: shed)
     complete: np.ndarray          # float[n] perf_counter at decision (nan)
     depth_at: np.ndarray          # int[n]: queue depth seen on arrival
-    decisions: list               # served decisions, global seq, FIFO order
+    decisions: DecisionBatch      # served decisions, global seq, FIFO order
     wall_seconds: float
     shed_seq: np.ndarray          # indices the policy *claims* it shed
     admitted_seq: np.ndarray      # complement: the claimed admitted subset
@@ -243,9 +245,11 @@ class OpenLoopPump:
     synchronously, as fast as possible — fully deterministic).
     ``serve_chunk(indices)`` must return the decisions of
     the given global packet indices with ``seq`` already remapped to global
-    positions; the engine supplies it. ``drain_max`` bounds how many queued
-    packets one consumer iteration serves — it is the feedback granularity
-    of the admission policies (one ``observe`` per drained chunk).
+    positions, as a :class:`~repro.dataplane.decisions.DecisionBatch`; the
+    engine supplies it, and the chunks are concatenated once, after the
+    run. ``drain_max`` bounds how many queued packets one consumer
+    iteration serves — it is the feedback granularity of the admission
+    policies (one ``observe`` per drained chunk).
     """
 
     def __init__(self, n: int, offsets: np.ndarray | None, serve_chunk,
@@ -265,13 +269,13 @@ class OpenLoopPump:
         complete = np.full(n, np.nan)
         depth_at = np.zeros(n, dtype=np.int64)
         shed: list[int] = []
-        decisions: list = []
+        parts: list = []
         queue: deque[int] = deque()
         t0 = time.perf_counter()
 
         def drain(chunk: list[int], depth_after: int) -> None:
             idx = np.asarray(chunk, dtype=np.int64)
-            decisions.extend(self.serve_chunk(idx))
+            parts.append(self.serve_chunk(idx))
             now = time.perf_counter()
             complete[idx] = now
             self.policy.observe(len(chunk), now - arrival[chunk[0]],
@@ -330,6 +334,7 @@ class OpenLoopPump:
                 elif i < n:
                     time.sleep(offsets[i] - now)
 
+        decisions = DecisionBatch.concat(parts)
         wall = time.perf_counter() - t0
         reported = sorted(int(i) for i in self.policy.reported_shed(shed))
         shed_seq = np.asarray(reported, dtype=np.int64)

@@ -65,12 +65,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.dataplane.runtime import PacketDecision
+from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
 from repro.dataplane.schema import (
     DECISION_COLUMNS,
     EGRESS_RING_ORDER,
     WIRE_COLUMNS,
-    decision_dtype,
     validation_enabled,
 )
 from repro.errors import ConfigError, WorkerError
@@ -102,7 +101,7 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
     Runs inside a worker process (also directly callable in-process, which
     the unit tests use). Builds column views over the slot, validates them
     against the wire schema (debug-gated), replays the chunk as one batch
-    span, and stores the decision stream straight into the egress slot.
+    span, and stores the decision columns straight into the egress slot.
     Returns the ``("chunk_ok", slot, n_decisions, seconds)`` ack.
     """
     views = spec.ingress_views(ingress.buf, slot, rows)
@@ -405,7 +404,8 @@ class ParallelDispatcher(ShardedDispatcher):
             self._l2_seen.add(key)
             self._l2_entries.append((qk, lo, hi, decision))
 
-    def _execute(self, trace: Trace, sources: dict, members: list) -> list:
+    def _execute(self, trace: Trace, sources: dict, members: list
+                 ) -> DecisionBatch:
         """Pump shard chunks through the rings; merge decision streams.
 
         The pump keeps up to ``ring_depth`` chunks in flight per worker
@@ -422,14 +422,7 @@ class ParallelDispatcher(ShardedDispatcher):
 
         self.ring_stalls = 0
         n = len(sources["ts"])
-        # Explicit per-column literal (not a comprehension) so the
-        # columnar-schema lint checks every dtype against the declaration.
-        merged = {
-            "seq": np.zeros(n, dtype=decision_dtype("seq")),
-            "flow_label": np.zeros(n, dtype=decision_dtype("flow_label")),
-            "predicted": np.zeros(n, dtype=decision_dtype("predicted")),
-            "ts": np.zeros(n, dtype=decision_dtype("ts")),
-        }
+        merged = alloc_decision_columns(n)
         valid = np.zeros(n, dtype=np.bool_)
         failures: dict[int, str] = {}       # worker -> its first report
         done_payloads: list[dict | None] = [None] * self.n_workers
@@ -469,15 +462,7 @@ class ParallelDispatcher(ShardedDispatcher):
         if failures:
             raise WorkerError(failures)
 
-        return [
-            PacketDecision(
-                flow_label=int(merged["flow_label"][i]),
-                predicted=int(merged["predicted"][i]),
-                ts=float(merged["ts"][i]),
-                seq=int(i),
-            )
-            for i in np.flatnonzero(valid)
-        ]
+        return DecisionBatch(**merged).take(np.flatnonzero(valid))
 
     def _pump(self, st: _WorkerServe, sources: dict, failures: dict,
               pending: dict) -> None:

@@ -227,24 +227,19 @@ def write_ingress_chunk(views: dict, sources: dict,
 
 
 # reprolint: zone=zero-copy
-def write_egress_chunk(views: dict, decisions: list) -> int:
-    """Write a chunk's decision stream into one egress slot; returns count.
+def write_egress_chunk(views: dict, decisions) -> int:
+    """Write a chunk's decision columns into one egress slot; returns count.
 
-    Decisions are per-packet objects with chunk-local ``seq``; the plain
-    loop stores each field straight into the mapped column views (an
-    object at a time is the natural grain here — the decisions were
-    produced as Python objects by the replica).
+    ``decisions`` is the replica's :class:`~repro.dataplane.decisions.
+    DecisionBatch` with chunk-local ``seq``; each column is one slice
+    store into the mapped view.
     """
-    seq = views["seq"]
-    flow_label = views["flow_label"]
-    predicted = views["predicted"]
-    ts = views["ts"]
-    for i, d in enumerate(decisions):
-        seq[i] = d.seq
-        flow_label[i] = d.flow_label
-        predicted[i] = d.predicted
-        ts[i] = d.ts
-    return len(decisions)
+    n = len(decisions)
+    views["seq"][:n] = decisions.seq
+    views["flow_label"][:n] = decisions.flow_label
+    views["predicted"][:n] = decisions.predicted
+    views["ts"][:n] = decisions.ts
+    return n
 
 
 # reprolint: zone=zero-copy

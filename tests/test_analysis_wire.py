@@ -547,6 +547,7 @@ def copy_wire_tree(tmp_path: Path) -> Path:
     """A temp tree carrying the real schema + wire modules (and their
     import anchors), so project rules resolve everything locally."""
     for rel in ("src/repro/dataplane/schema.py",
+                "src/repro/dataplane/decisions.py",
                 "src/repro/serving/dispatcher.py",
                 "src/repro/serving/parallel.py",
                 "src/repro/serving/rings.py",
@@ -558,9 +559,10 @@ def copy_wire_tree(tmp_path: Path) -> Path:
 
 
 class TestCliMutations:
-    def test_dtype_drift_in_parallel_fails_the_gate(self, tmp_path, capsys):
+    def test_dtype_drift_in_decision_columns_fails_the_gate(self, tmp_path,
+                                                            capsys):
         root = copy_wire_tree(tmp_path)
-        target = root / "src/repro/serving/parallel.py"
+        target = root / "src/repro/dataplane/decisions.py"
         text = target.read_text(encoding="utf-8")
         anchor = 'dtype=decision_dtype("seq")'
         assert anchor in text
@@ -572,10 +574,10 @@ class TestCliMutations:
         assert rc == 1
         assert "[columnar-schema]" in out and "'seq'" in out
         # The finding anchors at the start of the constructed value (the
-        # dict entry's np.zeros call); the mutated kwarg may sit on a
+        # dict entry's np.empty call); the mutated kwarg may sit on a
         # continuation line of that same expression.
         import re
-        reported = int(re.search(r"parallel\.py:(\d+):", out).group(1))
+        reported = int(re.search(r"decisions\.py:(\d+):", out).group(1))
         mutated_line = next(i for i, text_line
                             in enumerate(mutated.splitlines(), start=1)
                             if "dtype=np.float64" in text_line)

@@ -27,7 +27,7 @@ class TestWindowedBatched:
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode=mode, batch_size=batch_size)
-            assert runtime.process_flows(replay_flows) == ref
+            assert list(runtime.process_flows(replay_flows)) == ref
 
     def test_bit_exact_under_eviction(self, compiled16, replay_flows):
         ref_rt = WindowedClassifierRuntime(
@@ -38,7 +38,7 @@ class TestWindowedBatched:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode="stats", capacity=5,
                 batch_size=batch_size)
-            assert runtime.process_flows(replay_flows) == ref
+            assert list(runtime.process_flows(replay_flows)) == ref
             assert runtime.state.evictions == ref_rt.state.evictions
 
     def test_pipeline_model_matches_compiled(self, compiled16, replay_flows):
@@ -48,7 +48,7 @@ class TestWindowedBatched:
             compiled16, feature_mode="seq").process_flows_scalar(replay_flows)
         runtime = WindowedClassifierRuntime(
             pipeline, feature_mode="seq", batch_size=64)
-        assert runtime.process_flows(replay_flows) == ref
+        assert list(runtime.process_flows(replay_flows)) == ref
 
     def test_decisions_carry_trace_order(self, compiled16, replay_flows):
         decisions = WindowedClassifierRuntime(
@@ -77,7 +77,7 @@ class TestTwoStageBatched:
         for batch_size in BATCH_SIZES:
             runtime = TwoStageRuntime(tree, slot_values, n_classes=3,
                                       idx_bits=4, batch_size=batch_size)
-            assert runtime.process_flows(replay_flows) == ref
+            assert list(runtime.process_flows(replay_flows)) == ref
 
     def test_feature_fn_and_ipd_bit_exact(self, replay_flows, slot_values):
         """The refined-feature + IPD path (CNN-L 44-bit variant) stays exact."""
@@ -101,7 +101,7 @@ class TestTwoStageBatched:
                                       idx_bits=4, needs_ipd=True,
                                       feature_fn=feature_fn,
                                       batch_size=batch_size)
-            assert runtime.process_flows(replay_flows) == ref
+            assert list(runtime.process_flows(replay_flows)) == ref
 
 
 class TestVectorFlowState:

@@ -141,7 +141,7 @@ class TestScalarReference:
         with PegasusEngine(source=sources["windowed"],
                            config=case.config()) as eng:
             got = eng.serve(workload.trace, labels=workload.labels)
-        assert got.decisions == ref
+        assert list(got.decisions) == ref
 
     def test_two_stage_spec_deterministic(self):
         a = dfl.build_two_stage_spec(seed=3)

@@ -186,7 +186,7 @@ class TestServeScenario:
             rep = eng.serve(w)
         with PegasusEngine.from_compiled(compiled, config) as eng:
             ref = eng.serve(w.trace, labels=w.labels)
-        assert rep.overall.decisions == ref.decisions
+        assert list(rep.overall.decisions) == list(ref.decisions)
         assert rep.overall.n_packets == w.n_packets
         assert (rep.overall.cache_stats.hits, rep.overall.cache_stats.misses) \
             == (ref.cache_stats.hits, ref.cache_stats.misses)
@@ -244,5 +244,5 @@ class TestServeScenario:
             local = eng.serve(w)
         with PegasusEngine.from_compiled(compiled, sharded) as eng:
             shard = eng.serve(w)
-        assert shard.overall.decisions == local.overall.decisions
+        assert list(shard.overall.decisions) == list(local.overall.decisions)
         assert len(shard.overall.shard_seconds) == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+from repro.dataplane.decisions import PacketDecision
 from repro.eval.differential import scalar_reference
+from repro.net import build_scenario
 from repro.net.packet import FlowKey, Packet
 from repro.net.traces import Trace
 from repro.serving import (EngineConfig, FlowDecisionCache,
@@ -79,8 +81,50 @@ class TestBatchCuts:
         sizes = np.bincount(shard_ids.astype(np.int64), minlength=replicas)
         assert flushes.total == sum(-(-int(m) // BATCH) for m in sizes)
         assert flushes.total > replicas
-        assert decisions == scalar_reference(compiled16, "windowed", trace,
-                                             labels)
+        assert list(decisions) == scalar_reference(compiled16, "windowed",
+                                                   trace, labels)
+
+
+class TestNoDecisionObjectsOnServePath:
+    """The serve path hands decisions on as columns: no runtime replay,
+    dispatcher merge, ring or engine step builds a ``PacketDecision`` — in
+    this process or in a forked worker. Reading the report builds them."""
+
+    @pytest.fixture
+    def init_calls(self, monkeypatch):
+        import multiprocessing
+        calls = multiprocessing.Value("i", 0)    # shared with forked workers
+        original = PacketDecision.__init__
+
+        def counting_init(self, *args, **kwargs):
+            with calls.get_lock():
+                calls.value += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PacketDecision, "__init__", counting_init)
+        return calls
+
+    @pytest.mark.parametrize("shape", ["local", "sharded2", "parallel2",
+                                       "scenario", "open"])
+    def test_serve_builds_no_packet_decisions(self, compiled16, init_calls,
+                                              shape):
+        w = build_scenario("heavy_hitters").generate(seed=3, flows_scale=0.2)
+        topology, n_workers = {"sharded2": ("sharded", 2),
+                               "parallel2": ("parallel", 2)}.get(
+                                   shape, ("local", 1))
+        config = EngineConfig(feature_mode="stats", batch_size=BATCH,
+                              topology=topology, n_workers=n_workers)
+        with PegasusEngine.from_compiled(compiled16, config) as engine:
+            if shape == "scenario":
+                decisions = engine.serve(w).overall.decisions
+            elif shape == "open":
+                decisions = engine.serve(w, mode="open").serving.decisions
+            else:
+                decisions = engine.serve(w.trace, labels=w.labels).decisions
+        assert init_calls.value == 0
+        assert len(decisions) > 0
+        assert list(decisions) == scalar_reference(compiled16, "windowed",
+                                                   w.trace, w.labels)
 
 
 class TestShardedDispatcher:
@@ -98,7 +142,7 @@ class TestShardedDispatcher:
         for n_shards in (1, 5, 7):
             assert len(replay_flows) % n_shards != 0 or n_shards == 1
             got = self._dispatcher(compiled16, n_shards).serve_flows(replay_flows)
-            assert got == ref
+            assert list(got) == ref
 
     def test_flows_pinned_to_one_shard(self, compiled16, replay_flows):
         disp = self._dispatcher(compiled16, 4)
@@ -189,7 +233,7 @@ class TestFlowDecisionCache:
         got = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
             decision_cache=cache).process_flows(replay_flows)
-        assert got == ref
+        assert list(got) == list(ref)
         assert cache.stats.lookups == len(ref)
 
     def test_elephant_flow_hits(self, compiled16):
@@ -387,7 +431,7 @@ class TestCacheDegenerateCapacities:
             compiled16, feature_mode="stats", batch_size=batch_size,
             decision_cache=batched_cache).process_trace(trace, labels=labels)
 
-        assert got == scal == ref         # cache can never change decisions
+        assert list(got) == scal == list(ref)   # cache never changes decisions
         assert batched_cache.stats.lookups == len(got)
         assert (batched_cache.stats.hits, batched_cache.stats.misses,
                 batched_cache.stats.evictions) == \

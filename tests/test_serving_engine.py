@@ -114,7 +114,7 @@ class TestConfigMatrixEquivalence:
         with PegasusEngine.from_compiled(
                 compiled16, _config(topology, cached, backend)) as engine:
             report = engine.serve(replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
         if cached:
             assert report.cache_stats.lookups == len(ref)
 
@@ -129,7 +129,7 @@ class TestConfigMatrixEquivalence:
         config = _config(topology, cached, backend, runtime="two_stage")
         with PegasusEngine(source=two_stage_spec, config=config) as engine:
             report = engine.serve(replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
 
     def test_parallel_spawn_start_method(self, compiled16, replay_flows):
         """Engine-built replica factories stay picklable: the parallel
@@ -139,7 +139,7 @@ class TestConfigMatrixEquivalence:
         config = _config("parallel", False, "index", start_method="spawn")
         with PegasusEngine.from_compiled(compiled16, config) as engine:
             report = engine.serve(replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
 
     def test_serve_dispatches_trace_and_columns(self, compiled16,
                                                 replay_flows):
@@ -154,8 +154,8 @@ class TestConfigMatrixEquivalence:
                 .serve(trace, labels=labels).decisions
             via_cols = PegasusEngine.from_compiled(compiled16, config) \
                 .serve(cols, labels=labels).decisions
-            assert via_trace == ref
-            assert via_cols == ref
+            assert list(via_trace) == list(ref)
+            assert list(via_cols) == list(ref)
 
     def test_serve_columns_requires_key_columns(self, compiled16,
                                                 replay_flows):
@@ -196,7 +196,7 @@ class TestOneDispatcher:
         assert local.decisions and local.flush_stats.total > 0
         assert local.cache_stats.lookups == len(local.decisions)
         for report in reports:
-            assert report.decisions == local.decisions
+            assert list(report.decisions) == list(local.decisions)
             assert report.flush_stats.total == local.flush_stats.total
             assert len(report.shard_seconds) == 1
             assert report.cache_stats == local.cache_stats
@@ -295,7 +295,7 @@ class TestBuilders:
             compiled16, batch_size=BATCH).serve(replay_flows).decisions
         got = PegasusEngine.from_model(
             model, batch_size=BATCH).serve(replay_flows).decisions
-        assert got == ref
+        assert list(got) == list(ref)
 
     def test_from_model_requires_compiled(self):
         with pytest.raises(ConfigError, match="compiled"):
@@ -313,7 +313,7 @@ class TestBuilders:
         report = PegasusEngine.from_model(
             model, runtime="two_stage", batch_size=BATCH,
             decision_cache=True).serve(replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
         assert report.cache_stats.lookups == len(ref)
 
     def test_from_model_two_stage_spawn_parallel(self, two_stage_spec,
@@ -327,7 +327,7 @@ class TestBuilders:
                 topology="parallel", n_workers=2,
                 start_method="spawn") as engine:
             report = engine.serve(replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
 
     def test_from_factory_applies_backend(self, compiled16, replay_flows):
         factory = _windowed_factory(compiled16, False, "index")
@@ -336,7 +336,7 @@ class TestBuilders:
             .serve(replay_flows)
         ref = _hand_wired(_windowed_factory(compiled16, False, "tcam"),
                           "local", replay_flows)
-        assert report.decisions == ref
+        assert list(report.decisions) == list(ref)
         assert report.lookup_backend == "tcam"
 
     def test_two_stage_source_must_be_mapping(self, compiled16):
@@ -376,7 +376,7 @@ class TestLifecycleAndReport:
             warm = engine.serve(replay_flows).decisions
             assert len(warm) > len(first)   # replica state persisted
             engine.close()
-            assert engine.serve(replay_flows).decisions == first
+            assert list(engine.serve(replay_flows).decisions) == list(first)
             engine.close()
             engine.close()                  # idempotent
         assert first
@@ -454,7 +454,7 @@ class TestRegistries:
             ref = PegasusEngine.from_compiled(
                 compiled16, batch_size=BATCH).serve(replay_flows) \
                 .decisions
-            assert got == ref
+            assert list(got) == list(ref)
         finally:
             engine_mod.runtime_kinds.unregister("windowed-2")
         with pytest.raises(ConfigError, match="runtime"):
@@ -470,7 +470,7 @@ class TestRegistries:
             ref = PegasusEngine.from_compiled(
                 compiled16, batch_size=BATCH).serve(replay_flows) \
                 .decisions
-            assert got == ref
+            assert list(got) == list(ref)
         finally:
             engine_mod.lookup_backends.unregister("index-alias")
         with pytest.raises(ConfigError, match="lookup_backend"):
@@ -485,7 +485,7 @@ class TestRegistries:
             ref = PegasusEngine.from_compiled(
                 compiled16, topology="sharded", n_workers=2,
                 batch_size=BATCH).serve(replay_flows).decisions
-            assert got == ref
+            assert list(got) == list(ref)
         finally:
             engine_mod.topologies.unregister("modeled")
         with pytest.raises(ConfigError, match="topology"):

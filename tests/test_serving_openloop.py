@@ -13,6 +13,7 @@ the per-phase L2 admission gate, and deterministic pump/policy unit tests.
 import numpy as np
 import pytest
 
+from repro.dataplane.decisions import DecisionBatch
 from repro.errors import ConfigError
 from repro.eval.differential import (install_lying_admission_policy,
                                      verify_open_loop)
@@ -135,16 +136,24 @@ class TestPolicies:
         assert empty.n == 0 and empty.p99_ms == 0.0
 
 
+def _echo(indices):
+    """A stand-in serve: one decision per served packet, seq = its index."""
+    n = len(indices)
+    return DecisionBatch(np.asarray(indices, dtype=np.int64),
+                         np.full(n, -1, dtype=np.int64),
+                         np.zeros(n, dtype=np.int64), np.zeros(n))
+
+
 class TestPump:
     @staticmethod
     def _echo_chunk(indices):
-        return [int(i) for i in indices]
+        return _echo(indices)
 
     def test_sync_drain_preserves_fifo_order(self):
         pump = OpenLoopPump(10, None, self._echo_chunk, NoAdmission(),
                             drain_max=4)
         result = pump.run()
-        assert result.decisions == list(range(10))
+        assert result.decisions.seq.tolist() == list(range(10))
         assert result.served == 10
         assert result.shed_seq.size == 0
         assert np.array_equal(result.admitted_seq, np.arange(10))
@@ -155,7 +164,7 @@ class TestPump:
         pump = OpenLoopPump(10, None, self._echo_chunk,
                             TailDropAdmission(queue_capacity=3), drain_max=5)
         result = pump.run()
-        assert result.decisions == [0, 1, 2]
+        assert result.decisions.seq.tolist() == [0, 1, 2]
         assert list(result.shed_seq) == list(range(3, 10))
         assert np.array_equal(result.shed_seq, result.actual_shed)
 
@@ -176,12 +185,12 @@ class TestPump:
         def slow_chunk(indices):
             threads.append(threading.current_thread())
             time.sleep(0.02)
-            return [int(i) for i in indices]
+            return _echo(indices)
 
         offsets = np.array([0.0, 0.010, 0.012, 0.3])
         result = OpenLoopPump(4, offsets, slow_chunk, NoAdmission(),
                               drain_max=1).run()
-        assert result.decisions == [0, 1, 2, 3]
+        assert result.decisions.seq.tolist() == [0, 1, 2, 3]
         assert set(threads) == {threading.current_thread()}
         assert list(result.depth_at) == [0, 0, 1, 0]
         sojourn = result.complete - result.arrival
@@ -207,7 +216,7 @@ class TestOpenLoopServe:
         with PegasusEngine.from_compiled(compiled16, config) as eng:
             open_rep = eng.serve(w, mode="open")
         assert isinstance(open_rep, OpenLoopReport)
-        assert open_rep.serving.decisions == closed.decisions
+        assert list(open_rep.serving.decisions) == list(closed.decisions)
         assert open_rep.admitted == w.n_packets and open_rep.shed == 0
         assert open_rep.meets_target is None       # no target configured
         assert open_rep.latency.n == len(open_rep.serving.decisions) \
@@ -288,7 +297,8 @@ class TestPhaseL2Gate:
             with PegasusEngine.from_compiled(compiled16, _config()) as eng:
                 plain = eng.serve(w)
             # The gate changes caching, never decisions.
-            assert gated.overall.decisions == plain.overall.decisions
+            assert list(gated.overall.decisions) == \
+                list(plain.overall.decisions)
 
     def test_warm_phases_keep_l2_inserts(self, compiled16):
         w = tiny("heavy_hitters", seed=1, scale=0.3)

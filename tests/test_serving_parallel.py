@@ -125,7 +125,7 @@ class TestProcessColumns:
         got = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=32).process_columns(
                 trace.to_columns(), labels=labels)
-        assert got == ref
+        assert list(got) == list(ref)
 
     def test_two_stage_columns_match_trace(self, replay_flows):
         from repro.core.fuzzy import FuzzyTree
@@ -142,7 +142,7 @@ class TestProcessColumns:
         got = TwoStageRuntime(
             tree, slot_values, n_classes=3, idx_bits=4,
             batch_size=32).process_columns(cols, labels=labels)
-        assert got == ref
+        assert list(got) == list(ref)
 
     def test_missing_columns_rejected(self, compiled16, replay_flows):
         trace, _labels = flows_to_trace(replay_flows)
@@ -168,13 +168,13 @@ class TestParallelEquivalence:
             runtime_factory=_factory(compiled16, cached),
             n_shards=n_workers, batch_size=32)
         serial_ref = serial.serve_flows(replay_flows)
-        assert serial_ref == scalar_ref      # ample capacity: sharding exact
+        assert list(serial_ref) == scalar_ref  # ample capacity: sharding exact
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, cached),
                 n_workers=n_workers,
                 batch_size=32) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
-        assert got == serial_ref
+        assert list(got) == list(serial_ref)
         if cached:
             assert dispatcher.cache_stats.lookups == len(scalar_ref)
             assert dispatcher.cache_stats.lookups == \
@@ -196,7 +196,8 @@ class TestParallelEquivalence:
                 runtime_factory=_factory(compiled16, cached, capacity=4),
                 n_workers=n_workers,
                 batch_size=32) as dispatcher:
-            assert dispatcher.serve_flows(replay_flows) == serial_ref
+            assert list(dispatcher.serve_flows(replay_flows)) == \
+                list(serial_ref)
 
     @pytest.mark.parametrize("capacity", (4, 1_000_000))
     def test_cache_never_changes_parallel_decisions(self, compiled16,
@@ -208,7 +209,7 @@ class TestParallelEquivalence:
                     n_workers=2,
                     batch_size=32) as dispatcher:
                 return dispatcher.serve_flows(replay_flows)
-        assert serve(True) == serve(False)
+        assert list(serve(True)) == list(serve(False))
 
     def test_replica_state_persists_across_serves(self, compiled16,
                                                   replay_flows):
@@ -222,8 +223,8 @@ class TestParallelEquivalence:
                 batch_size=32) as dispatcher:
             first = dispatcher.serve_flows(replay_flows)
             second = dispatcher.serve_flows(replay_flows)
-        assert first == serial.serve_flows(replay_flows)
-        assert second == serial.serve_flows(replay_flows)
+        assert list(first) == list(serial.serve_flows(replay_flows))
+        assert list(second) == list(serial.serve_flows(replay_flows))
         # Warm windows decide from the first packet: more decisions.
         assert len(second) > len(first)
 
@@ -256,7 +257,7 @@ class TestParallelDispatcherMechanics:
         first = dispatcher.serve_flows(replay_flows)
         dispatcher.close()
         assert not dispatcher.started
-        assert dispatcher.serve_flows(replay_flows) == first   # cold again
+        assert list(dispatcher.serve_flows(replay_flows)) == list(first)
         dispatcher.close()
         dispatcher.close()                                     # idempotent
 
@@ -475,7 +476,7 @@ class TestRingEdges:
                 batch_size=32,
                 ring_depth=ring_depth, ring_chunk=ring_chunk) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
-            assert got == ref
+            assert list(got) == list(ref)
             # Chunk splitting is pure transport geometry: the flush
             # accounting is identical to the serial dispatcher's.
             assert dispatcher.flush_stats.total == serial.flush_stats.total
@@ -494,7 +495,7 @@ class TestRingEdges:
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, False), n_workers=2,
                 ring_depth=2, ring_chunk=8) as dispatcher:
-            assert dispatcher.serve_flows(replay_flows) == ref
+            assert list(dispatcher.serve_flows(replay_flows)) == list(ref)
 
     def test_out_of_order_completion_merges_in_order(self, compiled16,
                                                      replay_flows):
@@ -525,7 +526,7 @@ class TestRingEdges:
         with dispatcher:
             got = dispatcher.serve_flows(replay_flows)
             names = dispatcher.segment_names
-        assert got == ref
+        assert list(got) == list(ref)
         assert _leaked_segments(names) == []
 
     def test_differential_ring_geometries(self):

@@ -229,7 +229,7 @@ class TestEngineChurnBitIdentity:
                                                  reference, l2_capacity):
         got = _serve(model, workload, decision_cache="l1+l2",
                      cache_capacity=2, l2_capacity=l2_capacity)
-        assert got.decisions == reference.decisions
+        assert list(got.decisions) == list(reference.decisions)
         cs = got.cache_stats
         assert cs.evictions > 0                          # churn really happened
         assert cs.exact_hits + cs.approx_hits + cs.misses == cs.lookups \
@@ -250,7 +250,7 @@ class TestEngineChurnBitIdentity:
                          cs.evictions))
             decisions.append(got.decisions)
         assert len(streams) == 1
-        assert decisions[0] == decisions[1]
+        assert list(decisions[0]) == list(decisions[1])
 
     def test_stat_identity_regression(self, model, workload, reference):
         """exact_hits + approx_hits + misses == lookups, at ample capacity,
@@ -320,10 +320,10 @@ class TestCrossReplicaSharing:
         # ...and the seeded store produced approximate hits on new flows,
         # without moving a single decision.
         assert second_serve.cache_stats.approx_hits > 0
-        assert first_serve.decisions == \
-            _serve(model, workload, decision_cache="off").decisions
-        assert second_serve.decisions == \
-            _serve(model, second, decision_cache="off").decisions
+        assert list(first_serve.decisions) == list(
+            _serve(model, workload, decision_cache="off").decisions)
+        assert list(second_serve.decisions) == list(
+            _serve(model, second, decision_cache="off").decisions)
 
 
 # ---------------------------------------------------------------------------
