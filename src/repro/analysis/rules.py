@@ -116,19 +116,16 @@ class WallclockRule(Rule):
 # pickle-safe-registrations
 # ---------------------------------------------------------------------------
 
-_REGISTER_FNS = frozenset({
-    "register_runtime_kind", "register_lookup_backend", "register_topology",
-    "register_admission_policy", "register_scenario",
-})
+_REGISTER_FNS = frozenset({"register_lookup_backend", "register_scenario"})
 _FACTORY_KWARGS = frozenset({"runtime_factory", "replica_factory"})
 
 
 class PickleSafeRegistrationsRule(Rule):
     name = "pickle-safe-registrations"
-    description = ("engine registry entries and dispatcher factories must be "
-                   "module-level (picklable) callables — the spawn topology "
-                   "ships them to worker processes; lambdas and nested defs "
-                   "break there")
+    description = ("lookup-backend and scenario registry entries and "
+                   "dispatcher factories must be module-level (picklable) "
+                   "callables — the spawn topology ships them to worker "
+                   "processes; lambdas and nested defs break there")
     example = ("src/repro/serving/engine.py:212: "
                "[pickle-safe-registrations] lambda registered as a "
                "dispatcher factory cannot cross the spawn boundary; use a "

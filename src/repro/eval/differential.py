@@ -28,8 +28,8 @@ shrinks it to a handful of packets.
 Open-loop serves get the same treatment: :func:`verify_open_loop` replays
 an :class:`OpenLoopReport`'s *claimed* admitted subsequence through the
 per-packet scalar reference and demands bit-identity with the served
-decision stream, and :func:`install_lying_admission_policy` registers a
-policy that misreports its shed set to prove the verifier catches it.
+decision stream; the test suite tampers with a real report's shed set to
+prove the verifier catches it.
 
 CLI (the ``scenario-fuzz`` CI job)::
 
@@ -55,8 +55,7 @@ from repro.dataplane.decisions import DecisionBatch
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
 from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
 from repro.serving.engine import (EngineConfig, PegasusEngine,
-                                  register_lookup_backend, runtime_kinds)
-from repro.serving.openloop import TailDropAdmission
+                                  register_lookup_backend)
 from repro.utils.rng import new_rng
 
 DEFAULT_CAPACITY = 4096          # ample: cross-worker identity needs no eviction
@@ -78,11 +77,6 @@ class EngineCase:
     lookup_backend: str = "index"
     decision_cache: bool | str = "off"
     batch_size: int = 64
-    # Shared-memory ring geometry (parallel topology only; the defaults
-    # match EngineConfig). Non-default values stress wraparound and
-    # backpressure edges — decisions must stay bit-identical regardless.
-    ring_depth: int = 4
-    ring_chunk: int | None = None
 
     @property
     def cache_mode(self) -> str:
@@ -99,22 +93,17 @@ class EngineCase:
 
     @property
     def label(self) -> str:
-        ring = ""
-        if self.ring_depth != 4 or self.ring_chunk is not None:
-            ring = f"/ring{self.ring_depth}x{self.ring_chunk or 'auto'}"
         return (f"{self.runtime}/{self.topology}{self.n_workers}/"
-                f"{self.lookup_backend}/{self.cache_mode}/b{self.batch_size}"
-                f"{ring}")
+                f"{self.lookup_backend}/{self.cache_mode}/b{self.batch_size}")
 
     def config(self, capacity: int = DEFAULT_CAPACITY,
                cache_capacity: int = DEFAULT_CACHE_CAPACITY) -> EngineConfig:
         return EngineConfig(
-            runtime=self.runtime, feature_mode="stats", window=8,
+            runtime=self.runtime, feature_mode="stats",
             capacity=capacity, lookup_backend=self.lookup_backend,
             batch_size=self.batch_size, decision_cache=self.cache_mode,
             cache_capacity=cache_capacity, topology=self.topology,
-            n_workers=self.n_workers, ring_depth=self.ring_depth,
-            ring_chunk=self.ring_chunk)
+            n_workers=self.n_workers)
 
 
 def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
@@ -217,23 +206,27 @@ def default_sources(seed: int = 0) -> dict:
 
 
 def scalar_reference(source, runtime_kind: str, trace: Trace,
-                     labels: np.ndarray,
-                     capacity: int = DEFAULT_CAPACITY) -> list:
+                     labels: np.ndarray, capacity: int = DEFAULT_CAPACITY,
+                     feature_mode: str = "stats",
+                     positions: np.ndarray | None = None) -> list:
     """Per-packet ground-truth replay of a trace (no batching, no cache).
 
     Builds one replica of ``runtime_kind`` from ``source`` through the
-    engine's own registry and drives ``process_packet`` — the pre-batching
-    reference every matrix point must reproduce bit-for-bit.
+    engine's own replica factory and drives ``process_packet`` — the
+    pre-batching reference every matrix point must reproduce bit-for-bit.
+    A decision's ``seq`` is its packet's position in ``trace``, or
+    ``positions[i]`` when given (a subsequence replayed at its global
+    positions).
     """
-    config = EngineConfig(runtime=runtime_kind, feature_mode="stats",
-                          window=8, capacity=capacity)
-    replica = runtime_kinds.get(runtime_kind).build(source, config)
+    config = EngineConfig(runtime=runtime_kind, feature_mode=feature_mode,
+                          capacity=capacity)
+    replica = PegasusEngine(source=source, config=config)._replica_factory()
+    seq = np.arange(len(trace)) if positions is None else positions
     decisions = []
     for i, packet in enumerate(trace.packets):
         d = replica.process_packet(packet, int(labels[i]))
         if d is not None:
-            d.seq = i
-            decisions.append(d)
+            decisions.append(replace(d, seq=int(seq[i])))
     return decisions
 
 
@@ -422,10 +415,10 @@ def verify_open_loop(workload: ScenarioTrace, report, source) -> list[str]:
     2. the claimed admitted count matches the number of packets the engine
        actually served;
     3. a cold per-packet scalar replay of *exactly the claimed admitted
-       subsequence* (same runtime kind / window / feature mode / capacity as
-       the report's config) is bit-identical to the report's decision
-       stream — so a policy cannot silently drop packets, invent decisions,
-       or misreport which packets it shed.
+       subsequence* (same runtime kind / feature mode / capacity as the
+       report's config, cache off) is bit-identical to the report's
+       decision stream — so a serve cannot silently drop packets, invent
+       decisions, or misreport which packets it shed.
     """
     notes: list[str] = []
     n = workload.n_packets
@@ -445,47 +438,15 @@ def verify_open_loop(workload: ScenarioTrace, report, source) -> list[str]:
             f"but the engine served {report.serving.n_packets} packets")
     config = report.config
     sub, labels = workload.subset(admitted)
-    replica = runtime_kinds.get(config.runtime).build(source, config)
-    reference = []
-    for i, packet in enumerate(sub.packets):
-        d = replica.process_packet(packet, int(labels[i]))
-        if d is not None:
-            d.seq = int(admitted[i])     # admitted-subset -> global position
-            reference.append(d)
+    reference = scalar_reference(source, config.runtime, sub, labels,
+                                 capacity=config.capacity,
+                                 feature_mode=config.feature_mode,
+                                 positions=admitted)
     div = first_divergence(reference, report.serving.decisions,
                            f"openloop/{report.admission}")
     if div is not None:
         notes.append(div.describe())
     return notes
-
-
-class _LyingTailDrop(TailDropAdmission):
-    """Tail-drop that hides one genuinely shed packet from its report."""
-
-    name = "tail-drop+liar"
-
-    def reported_shed(self, shed: list) -> list:
-        return shed[1:] if shed else shed
-
-
-def _build_lying_tail_drop(config) -> _LyingTailDrop:
-    return _LyingTailDrop(config.queue_capacity)
-
-
-def install_lying_admission_policy(name: str = "tail-drop+liar") -> str:
-    """Register an admission policy that *misreports* what it shed.
-
-    A tail-drop variant whose ``reported_shed`` hides one genuinely shed
-    packet — claiming it was served. :func:`verify_open_loop` must catch the
-    lie (the claimed admitted subsequence then contains a packet with no
-    decision, so the scalar replay of the claim diverges from the served
-    stream); the fault-injection test asserts it does. Registration is
-    idempotent (re-registering overwrites).
-    """
-    from repro.serving.engine import register_admission_policy
-
-    register_admission_policy(name, _build_lying_tail_drop, overwrite=True)
-    return name
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ pipeline replicas** — serially simulated or genuinely concurrent.
 
 The front door is :class:`PegasusEngine` (:mod:`repro.serving.engine`): one
 frozen :class:`EngineConfig` names the runtime kind, lookup backend,
-batch size, cache, admission policy, and topology; the engine builds and
+batch size, cache, admission policy, and topology (runtime kinds,
+topologies and admission policies are closed tables in the engine
+module; only lookup backends register); the engine builds and
 owns the whole stack and the polymorphic ``serve(workload, mode=...)``
 entry point returns one merged :class:`ServingReport` (closed loop) or
 :class:`OpenLoopReport` (open loop). The pieces it assembles (all still
@@ -39,8 +41,8 @@ importable for reference stacks and tests):
 - :class:`OpenLoopPump` + the admission policies (:class:`NoAdmission`,
   :class:`TailDropAdmission`, :class:`AimdAdmission`) — the open-loop
   front end behind ``serve(mode="open")``: packets arrive on the trace's
-  own (scaled) timestamps, flow through a pluggable admission policy into
-  a bounded ingress queue, and the report records decision-latency
+  own (scaled) timestamps, flow through the configured admission policy
+  into a bounded ingress queue, and the report records decision-latency
   percentiles, the queue-depth timeline, and exactly which packets were
   shed (:class:`OpenLoopReport`).
 
@@ -77,13 +79,9 @@ from repro.serving.cache import (CacheStats, FlowDecisionCache,
                                  TwoLevelDecisionCache)
 from repro.serving.dispatcher import (FlushStats, ShardedDispatcher,
                                       shard_hash, shard_hash_columns)
-from repro.serving.engine import (CACHE_MODES, AdmissionPolicySpec,
-                                  EngineConfig, PegasusEngine,
+from repro.serving.engine import (CACHE_MODES, EngineConfig, PegasusEngine,
                                   ScenarioServingReport, ServingReport,
-                                  admission_policies,
-                                  register_admission_policy,
-                                  register_lookup_backend,
-                                  register_runtime_kind, register_topology)
+                                  register_lookup_backend)
 from repro.serving.openloop import (AdmissionPolicy, AimdAdmission,
                                     LatencySummary, NoAdmission,
                                     OpenLoopPhaseReport, OpenLoopPump,
@@ -92,7 +90,6 @@ from repro.serving.parallel import ParallelDispatcher
 
 __all__ = [
     "AdmissionPolicy",
-    "AdmissionPolicySpec",
     "AimdAdmission",
     "CACHE_MODES",
     "CacheStats",
@@ -112,11 +109,7 @@ __all__ = [
     "ShardedDispatcher",
     "TailDropAdmission",
     "TwoLevelDecisionCache",
-    "admission_policies",
-    "register_admission_policy",
     "register_lookup_backend",
-    "register_runtime_kind",
-    "register_topology",
     "shard_hash",
     "shard_hash_columns",
 ]

@@ -1,4 +1,4 @@
-"""`PegasusEngine`: one config, one build path, pluggable runtimes/topologies.
+"""`PegasusEngine`: one config, one build path, a closed set of deployments.
 
 Before this facade every consumer hand-wired its own serving stack —
 compiler output -> runtime -> cache -> one of the dispatchers — with the
@@ -15,22 +15,20 @@ dataplane-serving systems expose over heterogeneous fast paths:
   ``from_compiled(...)`` builders, context-manager ``start()/close()``, and
   **one** polymorphic ``serve(workload, mode="closed"|"open")`` entry point
   that dispatches on workload shape (flows / trace / columns / scenario)
-  and, in open mode, pumps the workload through a pluggable admission
-  policy (``none | tail-drop | aimd`` built in) into a bounded ingress
-  queue paced by the trace's own timestamps.
+  and, in open mode, pumps the workload through an admission policy
+  (``none | tail-drop | aimd``) into a bounded ingress queue paced by the
+  trace's own timestamps.
 - :class:`ServingReport` — one merged result per serve: decisions, wall
   clock, per-shard breakdown, flush stats, cache stats, derived pps and
   accuracy — replacing the old ad-hoc tuples and attribute-poking.
 
-Internally three small registries back the facade, so a new runtime kind,
-lookup backend, or dispatcher topology plugs in with **one registration**
-instead of edits to the dispatcher and both runtimes::
-
-    from repro.serving import engine
-
-    engine.register_lookup_backend("index-v2", apply=my_apply_fn)
-    engine.register_topology("ring", build=my_dispatcher_builder)
-    engine.register_runtime_kind("my-kind", build=my_replica_builder)
+Runtime kinds, topologies and admission policies are closed: each is a
+name -> builder table in this module (:data:`RUNTIME_BUILDERS`,
+:data:`TOPOLOGY_BUILDERS`, :data:`ADMISSION_BUILDERS`), and an unknown name
+fails at ``EngineConfig`` construction with the choices listed. A new one is
+a code change to its table, with tests. Lookup backends are still a registry
+(:func:`register_lookup_backend`); the differential harness's fault
+injectors register through it.
 
 End-to-end usage::
 
@@ -53,6 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Callable
 
 import numpy as np
@@ -81,14 +80,14 @@ CACHE_MODES = ("off", "l1", "l1+l2")
 
 
 # ---------------------------------------------------------------------------
-# Registries
+# Lookup-backend registry
 # ---------------------------------------------------------------------------
 
 class Registry:
     """Name -> entry map with typed lookup errors.
 
     ``config_field`` names the :class:`EngineConfig` field a failed lookup
-    reports, so a typo'd ``topology="paralel"`` raises a
+    reports, so a typo'd ``lookup_backend="tacm"`` raises a
     :class:`~repro.errors.ConfigError` listing the registered choices.
     """
 
@@ -122,14 +121,6 @@ class Registry:
 
 
 @dataclass(frozen=True)
-class RuntimeKind:
-    """One pluggable runtime family: ``build(source, config) -> replica``."""
-
-    name: str
-    build: Callable[[Any, "EngineConfig"], Any]
-
-
-@dataclass(frozen=True)
 class LookupBackend:
     """One pluggable model-lookup backend.
 
@@ -142,30 +133,7 @@ class LookupBackend:
     apply: Callable[[Any], None]
 
 
-@dataclass(frozen=True)
-class AdmissionPolicySpec:
-    """One pluggable open-loop admission policy.
-
-    ``build(config) -> policy`` constructs a fresh
-    :class:`~repro.serving.openloop.AdmissionPolicy` for one open-loop
-    serve from the engine's validated config (``queue_capacity``,
-    ``p99_target_ms`` are the knobs the built-ins consume).
-    """
-
-    name: str
-    build: Callable[["EngineConfig"], Any]
-
-
-runtime_kinds = Registry("runtime")
 lookup_backends = Registry("lookup_backend")
-topologies = Registry("topology")
-admission_policies = Registry("admission")
-
-
-def register_runtime_kind(name: str, build, *, overwrite: bool = False):
-    """Register a runtime family under ``EngineConfig(runtime=name)``."""
-    return runtime_kinds.register(name, RuntimeKind(name, build),
-                                  overwrite=overwrite)
 
 
 def register_lookup_backend(name: str, apply=None, *, overwrite: bool = False):
@@ -182,55 +150,19 @@ def register_lookup_backend(name: str, apply=None, *, overwrite: bool = False):
                                     overwrite=overwrite)
 
 
-def register_topology(name: str, build, *, overwrite: bool = False):
-    """Register a dispatch topology under ``EngineConfig(topology=name)``.
-
-    ``build(replica_factory, config, payload_bytes)`` returns an object with
-    the dispatcher protocol — ``start() / close() / serve_trace(trace,
-    labels=) / set_l2_admission(admit)`` and the per-serve
-    ``shard_seconds`` / ``flush_stats`` / ``cache_stats``
-    (:class:`~repro.serving.ShardedDispatcher` and its subclasses have it).
-    """
-    return topologies.register(name, build, overwrite=overwrite)
-
-
-def register_admission_policy(name: str, build, *, overwrite: bool = False):
-    """Register an open-loop admission policy under
-    ``EngineConfig(admission=name)``.
-
-    ``build(config) -> policy`` returns a fresh
-    :class:`~repro.serving.openloop.AdmissionPolicy` per open-loop serve.
-    Same ``overwrite=`` semantics as the other registries.
-    """
-    return admission_policies.register(name, AdmissionPolicySpec(name, build),
-                                       overwrite=overwrite)
-
-
-def _build_none_policy(config: "EngineConfig"):
-    return NoAdmission()
-
-
-def _build_tail_drop_policy(config: "EngineConfig"):
-    return TailDropAdmission(config.queue_capacity)
-
-
-def _build_aimd_policy(config: "EngineConfig"):
-    if config.p99_target_ms is None:
-        raise ConfigError(
-            "p99_target_ms", None, allowed="> 0 (milliseconds)",
-            reason="admission='aimd' throttles against a latency target")
-    return AimdAdmission(config.queue_capacity,
-                         config.p99_target_ms / 1e3)
-
-
-register_admission_policy("none", _build_none_policy)
-register_admission_policy("tail-drop", _build_tail_drop_policy)
-register_admission_policy("aimd", _build_aimd_policy)
+register_lookup_backend("index")
+register_lookup_backend("tcam")
+register_lookup_backend("tcam-pruned")
 
 
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
+
+def _check_choice(config_field: str, value, table) -> None:
+    if value not in table:
+        raise ConfigError(config_field, value, allowed=tuple(sorted(table)))
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -238,10 +170,10 @@ class EngineConfig:
 
     Grouped knobs (each previously validated somewhere different):
 
-    - **runtime** — ``runtime`` kind (registry), ``feature_mode``,
-      ``window``, per-replica register ``capacity``;
-    - **lookup** — ``lookup_backend`` (registry; ``"index"`` | ``"tcam"``
-      built in, bit-identical);
+    - **runtime** — ``runtime`` kind (``"windowed"`` | ``"two_stage"``),
+      ``feature_mode``, per-replica register ``capacity``;
+    - **lookup** — ``lookup_backend`` (registry; ``"index"`` | ``"tcam"`` |
+      ``"tcam-pruned"`` built in, bit-identical);
     - **batching** — ``batch_size``, the fixed span every replay cuts
       (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``;
@@ -253,16 +185,13 @@ class EngineConfig:
       (N replicas replayed serially, modeled parallel wall clock) or
       ``parallel`` (N persistent worker processes fed through
       shared-memory rings, measured wall clock), with ``n_workers``
-      replicas, worker ``start_method``, ``payload_bytes`` shipped per
-      packet to two-stage replicas, and the ring geometry: ``ring_depth``
-      in-flight chunks per worker and ``ring_chunk`` rows per ring slot
-      (``None`` sizes a slot to the batch, min 256 rows);
-    - **open loop** — ``admission`` policy (registry; ``"none"`` |
-      ``"tail-drop"`` | ``"aimd"`` built in), ingress ``queue_capacity``,
-      the ``p99_target_ms`` latency SLO the AIMD throttle (and the
-      report's ``meets_target``) is judged against, and ``time_scale``
-      (wall seconds per trace second when pacing ``serve(mode="open")``;
-      0 replays as fast as possible, deterministically).
+      replicas;
+    - **open loop** — ``admission`` policy (``"none"`` | ``"tail-drop"`` |
+      ``"aimd"``), ingress ``queue_capacity``, the ``p99_target_ms``
+      latency SLO the AIMD throttle (and the report's ``meets_target``) is
+      judged against, and ``time_scale`` (wall seconds per trace second
+      when pacing ``serve(mode="open")``; 0 replays as fast as possible,
+      deterministically).
 
     Frozen and validated once here — every downstream constructor then
     receives values it can trust. All validation errors are
@@ -272,7 +201,6 @@ class EngineConfig:
 
     runtime: str = "windowed"
     feature_mode: str = "stats"
-    window: int = 8
     capacity: int = 1_000_000
     lookup_backend: str = "index"
     batch_size: int = 256
@@ -282,20 +210,16 @@ class EngineConfig:
     l2_quantize_shift: int = 6
     topology: str = "local"
     n_workers: int = 1
-    payload_bytes: int | None = None
-    start_method: str | None = None
-    ring_depth: int = 4
-    ring_chunk: int | None = None
     admission: str = "none"
     queue_capacity: int = 1024
     p99_target_ms: float | None = None
     time_scale: float = 0.0
 
     def __post_init__(self):
-        runtime_kinds.get(self.runtime)
+        _check_choice("runtime", self.runtime, RUNTIME_BUILDERS)
         lookup_backends.get(self.lookup_backend)
-        topologies.get(self.topology)
-        admission_policies.get(self.admission)
+        _check_choice("topology", self.topology, TOPOLOGY_BUILDERS)
+        _check_choice("admission", self.admission, ADMISSION_BUILDERS)
         if self.feature_mode not in ("seq", "stats"):
             raise ConfigError("feature_mode", self.feature_mode,
                               allowed=("seq", "stats"))
@@ -310,11 +234,10 @@ class EngineConfig:
             raise ConfigError("decision_cache", self.decision_cache,
                               allowed=CACHE_MODES + (False, True))
         object.__setattr__(self, "decision_cache", mode)
-        for name, lo in (("window", 2), ("capacity", 1), ("n_workers", 1),
+        for name, lo in (("capacity", 1), ("n_workers", 1),
                          ("batch_size", 1),
                          ("cache_capacity", 1), ("l2_capacity", 1),
-                         ("l2_quantize_shift", 0), ("queue_capacity", 1),
-                         ("ring_depth", 1)):
+                         ("l2_quantize_shift", 0), ("queue_capacity", 1)):
             if getattr(self, name) < lo:
                 raise ConfigError(name, getattr(self, name), allowed=f">= {lo}")
         if self.p99_target_ms is not None and self.p99_target_ms <= 0:
@@ -328,16 +251,6 @@ class EngineConfig:
                               reason="topology='local' runs exactly one "
                                      "replica; use 'sharded' or 'parallel' "
                                      "to scale out")
-        if self.payload_bytes is not None and self.payload_bytes < 1:
-            raise ConfigError("payload_bytes", self.payload_bytes,
-                              allowed=">= 1 or None")
-        if self.ring_chunk is not None and self.ring_chunk < 1:
-            raise ConfigError("ring_chunk", self.ring_chunk,
-                              allowed=">= 1 or None (auto: batch-sized "
-                                      "slots, min 256 rows)")
-        if self.start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ConfigError("start_method", self.start_method,
-                              allowed=(None, "fork", "spawn", "forkserver"))
 
     def make_cache(self) -> FlowDecisionCache | TwoLevelDecisionCache | None:
         """A fresh per-replica decision cache (None when disabled)."""
@@ -363,19 +276,18 @@ def _resolve_config(config: EngineConfig | None, overrides: dict
 
 
 # ---------------------------------------------------------------------------
-# Built-in runtime kinds
+# Runtime kinds: build(source, config) -> replica
 # ---------------------------------------------------------------------------
 
 def _build_windowed(source, config: EngineConfig):
     return WindowedClassifierRuntime(
-        source, feature_mode=config.feature_mode, window=config.window,
-        capacity=config.capacity, batch_size=config.batch_size,
-        decision_cache=config.make_cache())
+        source, feature_mode=config.feature_mode, capacity=config.capacity,
+        batch_size=config.batch_size, decision_cache=config.make_cache())
 
 
 # Replica knobs the engine owns: they come from EngineConfig, never from a
 # two-stage source mapping (a duplicate would otherwise collide at build).
-_ENGINE_OWNED_FIELDS = ("window", "capacity", "batch_size", "decision_cache")
+_ENGINE_OWNED_FIELDS = ("capacity", "batch_size", "decision_cache")
 
 
 def _two_stage_spec(source) -> dict:
@@ -397,22 +309,19 @@ def _two_stage_spec(source) -> dict:
 
 
 def _build_two_stage(source, config: EngineConfig):
-    spec = _two_stage_spec(source)
     return TwoStageRuntime(
-        window=config.window, capacity=config.capacity,
-        batch_size=config.batch_size, decision_cache=config.make_cache(),
-        **spec)
+        capacity=config.capacity, batch_size=config.batch_size,
+        decision_cache=config.make_cache(), **_two_stage_spec(source))
 
 
-register_runtime_kind("windowed", _build_windowed)
-register_runtime_kind("two_stage", _build_two_stage)
-register_lookup_backend("index")
-register_lookup_backend("tcam")
-register_lookup_backend("tcam-pruned")
+RUNTIME_BUILDERS = MappingProxyType({
+    "windowed": _build_windowed,
+    "two_stage": _build_two_stage,
+})
 
 
 # ---------------------------------------------------------------------------
-# Built-in topologies
+# Topologies: build(replica_factory, config, payload_bytes) -> dispatcher
 # ---------------------------------------------------------------------------
 
 def _build_in_process(replica_factory, config: EngineConfig,
@@ -430,15 +339,42 @@ def _build_parallel(replica_factory, config: EngineConfig,
     return ParallelDispatcher(runtime_factory=replica_factory,
                               n_workers=config.n_workers,
                               batch_size=config.batch_size,
-                              payload_bytes=payload_bytes,
-                              start_method=config.start_method,
-                              ring_depth=config.ring_depth,
-                              ring_chunk=config.ring_chunk)
+                              payload_bytes=payload_bytes)
 
 
-register_topology("local", _build_in_process)
-register_topology("sharded", _build_in_process)
-register_topology("parallel", _build_parallel)
+TOPOLOGY_BUILDERS = MappingProxyType({
+    "local": _build_in_process,
+    "sharded": _build_in_process,
+    "parallel": _build_parallel,
+})
+
+
+# ---------------------------------------------------------------------------
+# Admission policies: build(config) -> a fresh policy per open-loop serve
+# ---------------------------------------------------------------------------
+
+def _build_none_policy(config: EngineConfig):
+    return NoAdmission()
+
+
+def _build_tail_drop_policy(config: EngineConfig):
+    return TailDropAdmission(config.queue_capacity)
+
+
+def _build_aimd_policy(config: EngineConfig):
+    if config.p99_target_ms is None:
+        raise ConfigError(
+            "p99_target_ms", None, allowed="> 0 (milliseconds)",
+            reason="admission='aimd' throttles against a latency target")
+    return AimdAdmission(config.queue_capacity,
+                         config.p99_target_ms / 1e3)
+
+
+ADMISSION_BUILDERS = MappingProxyType({
+    "none": _build_none_policy,
+    "tail-drop": _build_tail_drop_policy,
+    "aimd": _build_aimd_policy,
+})
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +385,17 @@ class _KindFactory:
     """Build one replica from (runtime kind, source, config), by kind name.
 
     A class rather than a closure so an engine-built factory can cross a
-    ``spawn`` process boundary whenever its source pickles: the kind is
-    re-resolved from the registry inside the worker.
+    ``spawn`` process boundary whenever its source pickles: the kind's
+    builder is looked up in :data:`RUNTIME_BUILDERS` inside the worker.
     """
 
-    def __init__(self, kind_name: str, source, config: "EngineConfig"):
+    def __init__(self, kind_name: str, source, config: EngineConfig):
         self.kind_name = kind_name
         self.source = source
         self.config = config
 
     def __call__(self):
-        return runtime_kinds.get(self.kind_name).build(self.source,
-                                                       self.config)
+        return RUNTIME_BUILDERS[self.kind_name](self.source, self.config)
 
 
 class _ModelRuntimeFactory:
@@ -468,11 +403,16 @@ class _ModelRuntimeFactory:
 
     A class rather than a closure so ``from_model(runtime="two_stage")``
     engines stay spawn-compatible whenever the model itself pickles.
+    ``raw_bytes`` is the payload width of the model's replicas, read off a
+    one-slot probe replica: the parallel topology ships that many payload
+    bytes per packet.
     """
 
-    def __init__(self, model, config: "EngineConfig"):
+    def __init__(self, model, config: EngineConfig):
         self.model = model
         self.config = config
+        self.raw_bytes = getattr(model.make_runtime(capacity=1), "raw_bytes",
+                                 DEFAULT_PAYLOAD_BYTES)
 
     def __call__(self):
         rt = self.model.make_runtime(capacity=self.config.capacity)
@@ -686,11 +626,11 @@ class PegasusEngine:
     :class:`~repro.models.base.TrafficModel` (:meth:`from_model`), a
     two-stage spec mapping (``PegasusEngine(source={...},
     runtime="two_stage")``), or an arbitrary replica factory
-    (:meth:`from_factory`). The engine resolves the configured runtime kind,
-    lookup backend, admission policy, and topology through the module
-    registries, owns the dispatcher's lifecycle (``start()``/``close()``/
-    context manager — safe to call unconditionally), and serves through
-    **one** polymorphic entry point:
+    (:meth:`from_factory`). The engine builds the configured runtime kind,
+    topology and admission policy from the module's closed tables, applies
+    the registered lookup backend to every replica, owns the dispatcher's
+    lifecycle (``start()``/``close()``/context manager — safe to call
+    unconditionally), and serves through **one** polymorphic entry point:
 
     - :meth:`serve` — dispatches on workload shape (a list of labelled
       :class:`~repro.net.flow.Flow` s, a time-ordered
@@ -712,19 +652,23 @@ class PegasusEngine:
                 "source", source,
                 reason="exactly one of source / runtime_factory is required")
         # _resolve_config runs EngineConfig.__post_init__, which already
-        # validates runtime/lookup_backend/topology against the registries.
+        # validates runtime/lookup_backend/topology/admission.
         self.config = _resolve_config(config, overrides)
         base = runtime_factory if runtime_factory is not None \
             else _KindFactory(self.config.runtime, source, self.config)
         self._replica_factory = _ReplicaFactory(
             base, self.config.lookup_backend)
-        payload = self.config.payload_bytes
-        if payload is None and self.config.runtime == "two_stage":
+        # Payload bytes shipped per packet to two-stage replicas: the spec's
+        # raw_bytes, or what a from_model probe replica reported.
+        payload = None
+        if self.config.runtime == "two_stage":
             payload = (_two_stage_spec(source).get("raw_bytes",
                                                    DEFAULT_PAYLOAD_BYTES)
-                       if source is not None else DEFAULT_PAYLOAD_BYTES)
+                       if source is not None else
+                       getattr(runtime_factory, "raw_bytes",
+                               DEFAULT_PAYLOAD_BYTES))
         self.payload_bytes = payload
-        self._driver = topologies.get(self.config.topology)(
+        self._driver = TOPOLOGY_BUILDERS[self.config.topology](
             self._replica_factory, self.config, payload)
 
     # -- builders ------------------------------------------------------------
@@ -761,20 +705,6 @@ class PegasusEngine:
                     "runtime", "two_stage",
                     reason=f"{type(model).__name__} does not expose "
                            "make_runtime; use runtime='windowed'")
-            # A tiny probe replica validates eagerly what the model's own
-            # make_runtime fixes (the config must agree, not silently lose)
-            # and supplies the payload width the parallel topology ships.
-            probe = model.make_runtime(capacity=1)
-            window = getattr(probe, "window", config.window)
-            if window != config.window:
-                raise ConfigError(
-                    "window", config.window,
-                    allowed=str(window),
-                    reason=f"{type(model).__name__}.make_runtime builds "
-                           f"window-{window} replicas")
-            if config.payload_bytes is None:
-                config = replace(config, payload_bytes=getattr(
-                    probe, "raw_bytes", DEFAULT_PAYLOAD_BYTES))
             return cls(runtime_factory=_ModelRuntimeFactory(model, config),
                        config=config)
         return cls(source=compiled, config=config)
@@ -823,6 +753,9 @@ class PegasusEngine:
         - a ``Trace.to_columns()``-style dict of per-packet arrays, wrapped
           as a :class:`~repro.net.traces.Trace` here (no packet objects).
 
+        Scenarios and flow lists carry their own labels: passing ``labels``
+        with one raises a :class:`~repro.errors.ConfigError`.
+
         ``mode="closed"`` (default) replays as fast as the stack drains —
         the throughput benchmark. ``mode="open"`` pushes packets through the
         configured admission policy into a bounded ingress queue, paced by
@@ -838,6 +771,12 @@ class PegasusEngine:
         if mode not in ("closed", "open"):
             raise ConfigError("mode", mode, allowed=("closed", "open"))
         kind = self._classify_workload(workload)
+        if labels is not None and kind in ("scenario", "scenario_trace",
+                                           "flows"):
+            raise ConfigError(
+                "labels", len(labels),
+                reason="scenario and flow-list workloads carry their own "
+                       "per-packet labels")
         if kind == "scenario":
             workload = workload.generate(seed=seed, flows_scale=flows_scale)
             kind = "scenario_trace"
@@ -956,7 +895,7 @@ class PegasusEngine:
         """
         self.start()
         config = self.config
-        policy = admission_policies.get(config.admission).build(config)
+        policy = ADMISSION_BUILDERS[config.admission](config)
         labels = np.asarray(workload.labels)
         trace = workload.trace
         totals = _SubServes(self._driver)
@@ -1006,22 +945,17 @@ class PegasusEngine:
 
 
 __all__ = [
+    "ADMISSION_BUILDERS",
     "CACHE_MODES",
-    "AdmissionPolicySpec",
     "EngineConfig",
     "LookupBackend",
     "OpenLoopReport",
     "PegasusEngine",
+    "RUNTIME_BUILDERS",
     "Registry",
-    "RuntimeKind",
     "ScenarioServingReport",
     "ServingReport",
-    "admission_policies",
+    "TOPOLOGY_BUILDERS",
     "lookup_backends",
-    "register_admission_policy",
     "register_lookup_backend",
-    "register_runtime_kind",
-    "register_topology",
-    "runtime_kinds",
-    "topologies",
 ]

@@ -26,13 +26,11 @@ This module is that front-end, three pieces:
   ``aimd`` (an SFC-style *source throttle*: a credit rate multiplicatively
   cut on queue-pressure/latency signals and additively recovered, so load is
   shed at the source **before** admitted packets accumulate a queue worth of
-  sojourn). Policies are pluggable via the engine's
-  ``register_admission_policy`` registry. Every policy reports exactly which
-  packet indices it shed; :meth:`AdmissionPolicy.reported_shed` is the
-  (identity, unless a test installs a liar) hook the differential harness
-  uses to prove the *claimed* admitted subset replays bit-identically
-  against the scalar reference — a policy cannot silently drop or invent
-  decisions.
+  sojourn). ``EngineConfig(admission=...)`` picks one of the three from
+  the engine's closed table. The pump records exactly which packet indices
+  were shed, and the differential harness proves the reported admitted
+  subset replays bit-identically against the scalar reference — a serve
+  cannot silently drop or invent decisions.
 
 - :class:`OpenLoopReport` — layered on the engine's ``ServingReport``:
   overall and per-phase p50/p99/p999 sojourn latency, shed/admitted counts,
@@ -73,11 +71,6 @@ class AdmissionPolicy:
     each drained chunk (``sojourn`` the oldest drained packet's queue time —
     the in-flight latency signal). The pump calls both from its one thread,
     so policies need no locking.
-
-    ``reported_shed(shed)`` returns the shed indices the *report* will
-    claim. Honest policies return the input unchanged; the differential
-    harness installs a lying variant to prove the open-loop verifier
-    catches any mismatch between the claim and the served decision stream.
     """
 
     name = "none"
@@ -88,9 +81,6 @@ class AdmissionPolicy:
     def observe(self, served: int, sojourn: float, depth: int,
                 now: float) -> None:
         pass
-
-    def reported_shed(self, shed: list) -> list:
-        return shed
 
 
 class NoAdmission(AdmissionPolicy):
@@ -224,13 +214,20 @@ class PumpResult:
     depth_at: np.ndarray          # int[n]: queue depth seen on arrival
     decisions: DecisionBatch      # served decisions, global seq, FIFO order
     wall_seconds: float
-    shed_seq: np.ndarray          # indices the policy *claims* it shed
-    admitted_seq: np.ndarray      # complement: the claimed admitted subset
-    actual_shed: np.ndarray       # indices actually shed (ground truth)
 
     @property
     def served(self) -> int:
         return int(self.admitted_flags.sum())
+
+    @property
+    def admitted_seq(self) -> np.ndarray:
+        """Indices of the packets that entered the queue."""
+        return np.flatnonzero(self.admitted_flags)
+
+    @property
+    def shed_seq(self) -> np.ndarray:
+        """Indices of the packets the policy shed."""
+        return np.flatnonzero(~self.admitted_flags)
 
     def latencies(self) -> np.ndarray:
         """Sojourn seconds (arrival -> decision) of the served packets."""
@@ -268,7 +265,6 @@ class OpenLoopPump:
         arrival = np.full(n, np.nan)
         complete = np.full(n, np.nan)
         depth_at = np.zeros(n, dtype=np.int64)
-        shed: list[int] = []
         parts: list = []
         queue: deque[int] = deque()
         t0 = time.perf_counter()
@@ -295,8 +291,6 @@ class OpenLoopPump:
                         chunk = [queue.popleft()
                                  for _ in range(self.drain_max)]
                         drain(chunk, len(queue))
-                else:
-                    shed.append(i)
             while queue:
                 chunk = [queue.popleft()
                          for _ in range(min(len(queue), self.drain_max))]
@@ -323,8 +317,6 @@ class OpenLoopPump:
                         admitted_flags[i] = True
                         arrival[i] = t0 + min(now, offsets[i])
                         queue.append(i)
-                    else:
-                        shed.append(i)
                     i += 1
                     now = time.perf_counter() - t0
                 if queue:
@@ -336,16 +328,10 @@ class OpenLoopPump:
 
         decisions = DecisionBatch.concat(parts)
         wall = time.perf_counter() - t0
-        reported = sorted(int(i) for i in self.policy.reported_shed(shed))
-        shed_seq = np.asarray(reported, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[shed_seq] = False
         return PumpResult(
             n=n, admitted_flags=admitted_flags, arrival=arrival,
             complete=complete, depth_at=depth_at, decisions=decisions,
-            wall_seconds=wall, shed_seq=shed_seq,
-            admitted_seq=np.nonzero(mask)[0],
-            actual_shed=np.asarray(sorted(shed), dtype=np.int64))
+            wall_seconds=wall)
 
 
 # ---------------------------------------------------------------------------

@@ -189,24 +189,24 @@ class TestWallclock:
 class TestPickleSafeRegistrations:
     def test_lambda_entry_flagged(self):
         findings = lint("""
-            from repro.serving.engine import register_topology
+            from repro.net.scenarios import register_scenario
 
-            register_topology("ring", lambda config: None)
+            register_scenario("burst", lambda flows=40: None)
         """, path=SERVING_PATH)
         assert rule_names(findings) == ["pickle-safe-registrations"]
         assert "lambda" in findings[0].msg
 
     def test_nested_def_entry_flagged(self):
         findings = lint("""
-            from repro.serving.engine import register_runtime_kind
+            from repro.serving.engine import register_lookup_backend
 
             def install():
-                def build(src, cfg):
-                    return object()
-                register_runtime_kind("sketch", build=build)
+                def apply(replica):
+                    replica.set_lookup_backend("index")
+                register_lookup_backend("index-v2", apply=apply)
         """, path=SERVING_PATH)
         assert rule_names(findings) == ["pickle-safe-registrations"]
-        assert "build" in findings[0].msg
+        assert "apply" in findings[0].msg
 
     def test_dispatcher_factory_kwarg_flagged(self):
         findings = lint("""
@@ -220,25 +220,25 @@ class TestPickleSafeRegistrations:
 
     def test_module_level_callables_clean(self):
         assert lint("""
-            from repro.serving.engine import register_topology
+            from repro.net.scenarios import register_scenario
+            from repro.serving.engine import register_lookup_backend
 
-            class RingDriver:
-                pass
+            class IndexAlias:
+                def __call__(self, replica):
+                    replica.set_lookup_backend("index")
 
-            def build_ring(config):
-                return RingDriver()
+            def build_burst(flows=40):
+                return None
 
-            register_topology("ring", build_ring)
+            register_lookup_backend("index-alias", IndexAlias())
+            register_scenario("burst", build_burst)
         """, path=SERVING_PATH) == []
 
     def test_overwrite_and_name_kwargs_not_flagged(self):
         assert lint("""
-            from repro.serving.engine import register_topology
+            from repro.serving.engine import register_lookup_backend
 
-            def build_ring(config):
-                return object()
-
-            register_topology(name="ring", overwrite=True)
+            register_lookup_backend(name="tcam", overwrite=True)
         """, path=SERVING_PATH) == []
 
 
@@ -440,8 +440,8 @@ def _mutant():
 """, "    return time.time()"),
     ("pickle-safe-registrations", "src/repro/serving/engine.py", """
 
-register_topology("mutant", lambda config: None, overwrite=True)
-""", 'register_topology("mutant", lambda config: None, overwrite=True)'),
+register_lookup_backend("mutant", lambda replica: None, overwrite=True)
+""", 'register_lookup_backend("mutant", lambda replica: None, overwrite=True)'),
     ("mutable-default-args", "src/repro/utils/rng.py", """
 
 def _mutant(xs, acc=[]):

@@ -1,19 +1,22 @@
 """The documented configuration stays real.
 
 Every ```` ```python ```` block in the README and the architecture doc must
-parse, and every keyword it passes to ``EngineConfig(...)`` must be an
-``EngineConfig`` field — so deleting or renaming a field cannot leave a
-documented example that no longer runs.
+parse, every keyword it passes to ``EngineConfig(...)`` must be an
+``EngineConfig`` field, every name it imports from ``repro`` must exist,
+and every ``engine.<attr>`` it reads must resolve — so deleting or renaming
+a field, a function or a method cannot leave a documented example that no
+longer runs.
 """
 
 import ast
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.serving import EngineConfig
+from repro.serving import EngineConfig, PegasusEngine
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "docs/ARCHITECTURE.md")
@@ -39,6 +42,42 @@ def _engine_config_keywords(tree: ast.AST) -> list[str]:
     return names
 
 
+def _imported(module_name: str, name: str):
+    """``from module_name import name``, or None when it would fail."""
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return None
+
+
+def _unresolved_names(tree: ast.AST) -> list[str]:
+    """Names a block imports from ``repro``, or reads off ``engine``, that
+    do not exist. ``engine`` is whatever the block imports under that name
+    (the engine module, in the examples that do), else a
+    :class:`PegasusEngine`, the name the serving examples give one."""
+    missing = []
+    engine = PegasusEngine
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "repro":
+            for alias in node.names:
+                target = _imported(node.module, alias.name)
+                if target is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif (alias.asname or alias.name) == "engine":
+                    engine = target
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "engine" \
+                and not hasattr(engine, node.attr):
+            missing.append(f"engine.{node.attr}")
+    return missing
+
+
 def test_every_doc_has_python_blocks():
     ids = [param.id for param in _python_blocks()]
     for doc in DOCS:
@@ -51,3 +90,8 @@ def test_documented_engine_config_keywords_are_fields(source):
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
     unknown = [k for k in _engine_config_keywords(tree) if k not in fields]
     assert unknown == []
+
+
+@pytest.mark.parametrize("source", _python_blocks())
+def test_documented_names_resolve(source):
+    assert _unresolved_names(ast.parse(source)) == []

@@ -58,9 +58,15 @@ class TestBatchCuts:
         trace, labels = flows_to_trace(replay_flows)
         if wiring == "engine":
             config = EngineConfig(feature_mode="stats", batch_size=BATCH,
-                                  topology=topology, n_workers=replicas,
-                                  ring_chunk=ring_chunk)
-            with PegasusEngine.from_compiled(compiled16, config) as engine:
+                                  topology=topology, n_workers=replicas)
+            engine = PegasusEngine.from_compiled(compiled16, config)
+            if ring_chunk is not None:
+                # Ring geometry is a dispatcher parameter, not a config
+                # field: serve the engine's replicas over smaller slots.
+                engine._driver = ParallelDispatcher(
+                    engine._replica_factory, n_workers=replicas,
+                    batch_size=BATCH, ring_chunk=ring_chunk)
+            with engine:
                 report = engine.serve(trace, labels=labels)
             decisions, flushes = report.decisions, report.flush_stats
         else:

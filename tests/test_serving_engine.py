@@ -3,10 +3,11 @@
 The headline contract: for **every** supported ``EngineConfig`` —
 topology x cache x lookup_backend x runtime kind — the engine's decisions
 are bit-identical to the equivalent hand-wired dispatcher/runtime stack.
-Plus: typed config validation, registry round-trips, lifecycle semantics,
-and the merged ServingReport.
+Plus: typed config validation, the closed runtime/topology tables and the
+lookup-backend registry, lifecycle semantics, and the merged ServingReport.
 """
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.dataplane.runtime import (TwoStageRuntime,
                                      flows_to_trace)
 from repro.dataplane.schema import ColumnSchema, set_validation
 from repro.errors import ConfigError, PegasusError
+from repro.net import build_scenario
 from repro.net.traces import Trace
 from repro.serving import EngineConfig, PegasusEngine, ServingReport
 from repro.serving import engine as engine_mod
@@ -50,13 +52,6 @@ class _TwoStageModel:
 
     def make_runtime(self, capacity):
         return TwoStageRuntime(capacity=capacity, **self.spec)
-
-
-def _modeled_topology(replica_factory, config, payload_bytes):
-    """A plain topology builder: anything with the dispatcher protocol."""
-    return ShardedDispatcher(runtime_factory=replica_factory,
-                             n_shards=config.n_workers,
-                             batch_size=config.batch_size)
 
 
 def _config(topology, cached, backend, **kw):
@@ -132,14 +127,17 @@ class TestConfigMatrixEquivalence:
         assert list(report.decisions) == list(ref)
 
     def test_parallel_spawn_start_method(self, compiled16, replay_flows):
-        """Engine-built replica factories stay picklable: the parallel
-        topology must work under the spawn start method too."""
+        """Engine-built replica factories stay picklable, which is all a
+        spawn-started worker needs: a pickled round trip of the parallel
+        engine's factory builds a replica that decides identically."""
         ref = _hand_wired(_windowed_factory(compiled16, False, "index"),
                           "local", replay_flows)
-        config = _config("parallel", False, "index", start_method="spawn")
-        with PegasusEngine.from_compiled(compiled16, config) as engine:
-            report = engine.serve(replay_flows)
-        assert list(report.decisions) == list(ref)
+        engine = PegasusEngine.from_compiled(
+            compiled16, _config("parallel", False, "index"))
+        factory = pickle.loads(pickle.dumps(engine._replica_factory))
+        trace, labels = flows_to_trace(replay_flows)
+        got = factory().process_trace(trace, labels=labels, batch_size=BATCH)
+        assert list(got) == list(ref)
 
     def test_serve_dispatches_trace_and_columns(self, compiled16,
                                                 replay_flows):
@@ -235,21 +233,21 @@ class TestEngineConfig:
         (dict(feature_mode="nope"), "feature_mode"),
         (dict(topology="local", n_workers=2), "n_workers"),
         (dict(n_workers=0, topology="sharded"), "n_workers"),
-        (dict(window=1), "window"),
+        (dict(runtime="Windowed"), "runtime"),
         (dict(capacity=0), "capacity"),
         (dict(cache_capacity=0), "cache_capacity"),
         (dict(batch_size=0), "batch_size"),
         (dict(batch_size=-1), "batch_size"),
-        (dict(payload_bytes=0), "payload_bytes"),
+        (dict(topology="paralel"), "topology"),
         (dict(n_workers=0, topology="parallel"), "n_workers"),
         (dict(decision_cache="L1"), "decision_cache"),
-        (dict(start_method="Fork"), "start_method"),
+        (dict(admission="tail_drop"), "admission"),
         (dict(decision_cache="l3"), "decision_cache"),
         (dict(l2_capacity=0), "l2_capacity"),
         (dict(l2_quantize_shift=-1), "l2_quantize_shift"),
-        (dict(start_method="thread"), "start_method"),
-        (dict(ring_depth=0), "ring_depth"),
-        (dict(ring_chunk=0), "ring_chunk"),
+        (dict(lookup_backend="TCAM"), "lookup_backend"),
+        (dict(feature_mode="Stats"), "feature_mode"),
+        (dict(p99_target_ms=-1.0), "p99_target_ms"),
         (dict(admission="nope"), "admission"),
         (dict(queue_capacity=0), "queue_capacity"),
         (dict(p99_target_ms=0.0), "p99_target_ms"),
@@ -318,16 +316,16 @@ class TestBuilders:
 
     def test_from_model_two_stage_spawn_parallel(self, two_stage_spec,
                                                  replay_flows):
-        """The from_model factory must also survive a spawn boundary."""
+        """The from_model factory must also survive a spawn boundary: it
+        round-trips through pickle and decides identically."""
         model = _TwoStageModel(two_stage_spec)
         ref = TwoStageRuntime(batch_size=BATCH, **two_stage_spec) \
             .process_flows(replay_flows)
-        with PegasusEngine.from_model(
-                model, runtime="two_stage", batch_size=BATCH,
-                topology="parallel", n_workers=2,
-                start_method="spawn") as engine:
-            report = engine.serve(replay_flows)
-        assert list(report.decisions) == list(ref)
+        engine = PegasusEngine.from_model(
+            model, runtime="two_stage", batch_size=BATCH,
+            topology="parallel", n_workers=2)
+        factory = pickle.loads(pickle.dumps(engine._replica_factory))
+        assert list(factory().process_flows(replay_flows)) == list(ref)
 
     def test_from_factory_applies_backend(self, compiled16, replay_flows):
         factory = _windowed_factory(compiled16, False, "index")
@@ -346,15 +344,10 @@ class TestBuilders:
 
     def test_two_stage_source_rejects_engine_owned_fields(self,
                                                           two_stage_spec):
-        spec = dict(two_stage_spec, window=8)
-        with pytest.raises(ConfigError, match="window.*EngineConfig knobs"):
+        spec = dict(two_stage_spec, capacity=8)
+        with pytest.raises(ConfigError, match="capacity.*EngineConfig knobs"):
             PegasusEngine(source=spec,
                           config=EngineConfig(runtime="two_stage"))
-
-    def test_from_model_window_must_match(self, two_stage_spec):
-        model = _TwoStageModel(two_stage_spec)     # builds window-8 replicas
-        with pytest.raises(ConfigError, match="window-8"):
-            PegasusEngine.from_model(model, runtime="two_stage", window=4)
 
     def test_from_model_infers_payload_bytes(self, two_stage_spec):
         engine = PegasusEngine.from_model(_TwoStageModel(two_stage_spec),
@@ -442,23 +435,44 @@ class TestServeLabels:
             engine.serve(trace.to_columns(), labels=bad, mode=mode)
         engine.close()
 
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    @pytest.mark.parametrize("shape", ["flows", "scenario", "scenario_trace"])
+    def test_labels_rejected_when_workload_carries_them(
+            self, compiled16, replay_flows, shape, mode):
+        """Flow lists and scenarios bring their own labels; a caller's
+        ``labels`` used to be dropped silently, so it is rejected."""
+        scenario = build_scenario("heavy_hitters")
+        workload = {"flows": replay_flows, "scenario": scenario,
+                    "scenario_trace": scenario.generate(seed=0,
+                                                        flows_scale=0.1),
+                    }[shape]
+        engine = PegasusEngine.from_compiled(
+            compiled16, _config("local", False, "index"))
+        with pytest.raises(ConfigError) as exc:
+            engine.serve(workload, labels=np.zeros(4, dtype=np.int64),
+                         mode=mode)
+        assert exc.value.field == "labels"
+        assert "own per-packet labels" in str(exc.value)
+
 
 class TestRegistries:
-    def test_runtime_kind_round_trip(self, compiled16, replay_flows):
-        from repro.serving.engine import _build_windowed
-        engine_mod.register_runtime_kind("windowed-2", _build_windowed)
-        try:
-            got = PegasusEngine.from_compiled(
-                compiled16, runtime="windowed-2",
-                batch_size=BATCH).serve(replay_flows).decisions
-            ref = PegasusEngine.from_compiled(
-                compiled16, batch_size=BATCH).serve(replay_flows) \
-                .decisions
-            assert list(got) == list(ref)
-        finally:
-            engine_mod.runtime_kinds.unregister("windowed-2")
-        with pytest.raises(ConfigError, match="runtime"):
+    """The closed runtime/topology tables and the lookup-backend registry."""
+
+    def test_runtime_kind_round_trip(self, compiled16, two_stage_spec,
+                                     replay_flows):
+        """Each runtime name maps to its replica class and comes back on the
+        report; an unknown name lists the closed table."""
+        for kind, source, cls in (
+                ("windowed", compiled16, WindowedClassifierRuntime),
+                ("two_stage", two_stage_spec, TwoStageRuntime)):
+            engine = PegasusEngine(source=source, runtime=kind,
+                                   batch_size=BATCH)
+            assert isinstance(engine._replica_factory(), cls)
+            assert engine.serve(replay_flows).runtime == kind
+        with pytest.raises(ConfigError) as exc:
             EngineConfig(runtime="windowed-2")
+        assert exc.value.field == "runtime"
+        assert exc.value.allowed == ("two_stage", "windowed")
 
     def test_lookup_backend_round_trip(self, compiled16, replay_flows):
         engine_mod.register_lookup_backend(
@@ -476,26 +490,22 @@ class TestRegistries:
         with pytest.raises(ConfigError, match="lookup_backend"):
             EngineConfig(lookup_backend="index-alias")
 
-    def test_topology_round_trip(self, compiled16, replay_flows):
-        engine_mod.register_topology("modeled", _modeled_topology)
-        try:
-            got = PegasusEngine.from_compiled(
-                compiled16, topology="modeled", n_workers=2,
-                batch_size=BATCH).serve(replay_flows).decisions
-            ref = PegasusEngine.from_compiled(
-                compiled16, topology="sharded", n_workers=2,
-                batch_size=BATCH).serve(replay_flows).decisions
-            assert list(got) == list(ref)
-        finally:
-            engine_mod.topologies.unregister("modeled")
-        with pytest.raises(ConfigError, match="topology"):
+    def test_topology_round_trip(self, compiled16):
+        """Each topology name maps to its dispatcher; an unknown name lists
+        the closed table."""
+        for name, cls in (("local", ShardedDispatcher),
+                          ("sharded", ShardedDispatcher),
+                          ("parallel", ParallelDispatcher)):
+            engine = PegasusEngine.from_compiled(compiled16, topology=name)
+            assert type(engine._driver) is cls
+        with pytest.raises(ConfigError) as exc:
             EngineConfig(topology="modeled")
+        assert exc.value.field == "topology"
+        assert exc.value.allowed == ("local", "parallel", "sharded")
 
     def test_duplicate_registration_needs_overwrite(self):
         with pytest.raises(ConfigError, match="already registered"):
-            engine_mod.register_topology(
-                "local", engine_mod.topologies.get("local"))
+            engine_mod.register_lookup_backend("index")
         # Re-registering with overwrite keeps the registry serviceable.
-        engine_mod.register_topology(
-            "local", engine_mod.topologies.get("local"), overwrite=True)
-        assert "local" in engine_mod.topologies
+        engine_mod.register_lookup_backend("index", overwrite=True)
+        assert "index" in engine_mod.lookup_backends

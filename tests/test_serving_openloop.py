@@ -2,26 +2,27 @@
 
 The headline contracts: with ``time_scale=0`` and ``admission="none"`` the
 open-loop decision stream is **bit-identical** to closed-loop replay; every
-admission policy records exactly which packets it shed, and the
+open-loop serve records exactly which packets were shed, and the
 differential harness (:func:`repro.eval.differential.verify_open_loop`)
 proves the claimed admitted subset replays bit-identically against a cold
-scalar reference — including catching a deliberately lying policy. Plus:
-typed validation of the new config knobs, the admission-policy registry,
-the per-phase L2 admission gate, and deterministic pump/policy unit tests.
+scalar reference — including catching a report whose shed set was
+tampered with. Plus: typed validation of the new config knobs, the closed
+admission-policy table, the per-phase L2 admission gate, and deterministic
+pump/policy unit tests.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.dataplane.decisions import DecisionBatch
 from repro.errors import ConfigError
-from repro.eval.differential import (install_lying_admission_policy,
-                                     verify_open_loop)
+from repro.eval.differential import verify_open_loop
 from repro.net.scenarios import build_scenario
 from repro.serving import (AimdAdmission, EngineConfig, LatencySummary,
                            NoAdmission, OpenLoopPump, OpenLoopReport,
-                           PegasusEngine, TailDropAdmission,
-                           register_admission_policy)
+                           PegasusEngine, TailDropAdmission)
 from repro.serving import engine as engine_mod
 
 BATCH = 32
@@ -63,22 +64,18 @@ class TestOpenLoopConfig:
             engine.serve(replay_flows, mode="open")
 
     def test_admission_policy_round_trip(self, compiled16, replay_flows):
-        register_admission_policy("everything", lambda config: NoAdmission())
-        try:
-            config = _config(admission="everything")
+        """Each admission name serves open loop and comes back on the
+        report; an unknown name lists the closed table."""
+        for name in engine_mod.ADMISSION_BUILDERS:
+            config = _config(admission=name, p99_target_ms=50.0)
             report = PegasusEngine.from_compiled(compiled16, config) \
                 .serve(replay_flows, mode="open")
-            assert report.shed == 0
-            with pytest.raises(ConfigError, match="already registered"):
-                register_admission_policy("everything",
-                                          lambda config: NoAdmission())
-            register_admission_policy("everything",
-                                      lambda config: NoAdmission(),
-                                      overwrite=True)
-        finally:
-            engine_mod.admission_policies.unregister("everything")
-        with pytest.raises(ConfigError, match="admission"):
+            assert report.admission == name
+            assert report.admitted + report.shed == report.offered
+        with pytest.raises(ConfigError) as exc:
             EngineConfig(admission="everything")
+        assert exc.value.field == "admission"
+        assert exc.value.allowed == ("aimd", "none", "tail-drop")
 
     def test_serve_mode_validation(self, compiled16, replay_flows):
         engine = PegasusEngine.from_compiled(compiled16, _config())
@@ -166,7 +163,7 @@ class TestPump:
         result = pump.run()
         assert result.decisions.seq.tolist() == [0, 1, 2]
         assert list(result.shed_seq) == list(range(3, 10))
-        assert np.array_equal(result.shed_seq, result.actual_shed)
+        assert list(result.admitted_seq) == [0, 1, 2]
 
     def test_drain_max_validated(self):
         with pytest.raises(ValueError, match="drain_max"):
@@ -235,17 +232,22 @@ class TestOpenLoopServe:
         assert verify_open_loop(w, report, compiled16) == []
 
     def test_lying_policy_is_caught(self, compiled16):
-        """A policy that under-reports its sheds must fail verification."""
-        name = install_lying_admission_policy()
-        try:
-            w = tiny("attack_flood", seed=2, scale=0.3)
-            config = _config(admission=name, queue_capacity=16)
-            with PegasusEngine.from_compiled(compiled16, config) as eng:
-                report = eng.serve(w, mode="open")
-            notes = verify_open_loop(w, report, compiled16)
+        """A report whose shed set lies must fail verification: hiding one
+        shed packet, or claiming one served packet was shed."""
+        w = tiny("attack_flood", seed=2, scale=0.3)
+        config = _config(admission="tail-drop", queue_capacity=16)
+        with PegasusEngine.from_compiled(compiled16, config) as eng:
+            report = eng.serve(w, mode="open")
+        assert verify_open_loop(w, report, compiled16) == []
+        admitted, shed = report.admitted_seq, report.shed_seq
+        hid_a_shed = replace(report, shed_seq=shed[1:],
+                             admitted_seq=np.union1d(admitted, shed[:1]))
+        shed_a_served = replace(report,
+                                shed_seq=np.union1d(shed, admitted[:1]),
+                                admitted_seq=admitted[1:])
+        for tampered in (hid_a_shed, shed_a_served):
+            notes = verify_open_loop(w, tampered, compiled16)
             assert notes and any("admitted" in note for note in notes)
-        finally:
-            engine_mod.admission_policies.unregister(name)
 
     def test_paced_replay_with_aimd(self, compiled16):
         """Paced replay: the report carries latency/queue telemetry."""

@@ -529,21 +529,24 @@ class TestRingEdges:
         assert list(got) == list(ref)
         assert _leaked_segments(names) == []
 
-    def test_differential_ring_geometries(self):
-        """The differential harness proves tiny-ring parallel serving
-        bit-identical (decisions AND stats shape) to local and sharded."""
-        import repro.eval.differential as dfl
+    def test_differential_ring_geometries(self, compiled16):
+        """Tiny-ring parallel serving of a scenario (depth 1 / chunk 8 and
+        depth 2 / chunk 16) is bit-identical to the per-packet scalar
+        reference."""
+        from repro.eval.differential import DEFAULT_CAPACITY, scalar_reference
         from repro.net import build_scenario
 
         workload = build_scenario("microburst").generate(seed=7,
                                                          flows_scale=0.2)
-        cases = [
-            dfl.EngineCase("windowed", "local", 1, "index", "l1", 64),
-            dfl.EngineCase("windowed", "sharded", 2, "index", "l1", 64),
-            dfl.EngineCase("windowed", "parallel", 2, "index", "l1", 64,
-                           ring_depth=1, ring_chunk=8),
-            dfl.EngineCase("windowed", "parallel", 2, "index", "l1", 64,
-                           ring_depth=2, ring_chunk=16),
-        ]
-        report = dfl.run_differential(workload, cases=cases)
-        assert report.ok, report.summary()
+        ref = scalar_reference(compiled16, "windowed", workload.trace,
+                               workload.labels)
+        assert ref
+        for ring_depth, ring_chunk in ((1, 8), (2, 16)):
+            with ParallelDispatcher(
+                    runtime_factory=_factory(compiled16, True,
+                                             capacity=DEFAULT_CAPACITY),
+                    n_workers=2, batch_size=64, ring_depth=ring_depth,
+                    ring_chunk=ring_chunk) as dispatcher:
+                got = dispatcher.serve_trace(workload.trace,
+                                             labels=workload.labels)
+            assert list(got) == ref, (ring_depth, ring_chunk)

@@ -8,14 +8,15 @@ Four layers of defense for the serving hot path:
 - degenerate-capacity tests: L2 bucket churn at capacity 1/2 stays
   bit-identical and keeps the ``exact + approx + misses == lookups`` stat
   identity;
-- sharing tests: export/import semantics (dedup, no echo) and real
-  cross-worker L2 sharing under ``topology="parallel"`` with the spawn
-  start method;
+- sharing tests: export/import semantics (dedup, no echo), real
+  cross-worker L2 sharing under ``topology="parallel"``, and a replica
+  factory that drops its captured L2 when pickled for a worker;
 - a mutation test: a deliberately-wrong approximate hit (via
   ``install_l2_fault_backend``) must be caught by the differential matrix
   and ddmin-shrunk — proving the wall actually guards the approximate path.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ def workload():
     return build_scenario("attack_flood").generate(seed=3, flows_scale=0.15)
 
 
-BASE_CONFIG = dict(runtime="windowed", feature_mode="stats", window=8,
+BASE_CONFIG = dict(runtime="windowed", feature_mode="stats",
                    capacity=4096, batch_size=64)
 
 
@@ -301,20 +302,27 @@ class TestCrossReplicaSharing:
         assert b.export_l2() == []                       # imports never echo
 
     def test_parallel_spawn_workers_share_l2(self, model, workload):
-        """Under ``topology="parallel"`` + spawn, worker L2 entries cross the
+        """Under ``topology="parallel"``, worker L2 entries cross the
         process boundary through the dispatcher's export/merge/seed loop and
-        are served to other replicas on later traces — bit-identically."""
+        are served to other replicas on later traces — bit-identically. A
+        spawn-started worker gets the replica factory pickled, and the L2
+        store the factory captured in this process is dropped on the way."""
         second = build_scenario("attack_flood").generate(seed=9,
                                                          flows_scale=0.15)
         config = EngineConfig(**{**BASE_CONFIG, "decision_cache": "l1+l2",
-                                 "topology": "parallel", "n_workers": 2,
-                                 "start_method": "spawn"})
+                                 "topology": "parallel", "n_workers": 2})
         with PegasusEngine(source=model, config=config) as eng:
             first_serve = eng.serve(workload.trace,
-                                          labels=workload.labels)
+                                    labels=workload.labels)
             merged = list(eng._driver._l2_entries)
             second_serve = eng.serve(second.trace, labels=second.labels)
-        # Worker exports crossed the spawn boundary and were merged...
+        factory = eng._replica_factory
+        factory()                   # an in-process replica captures its L2
+        assert factory.shared_l2 is not None
+        clone = pickle.loads(pickle.dumps(factory))
+        assert clone.shared_l2 is None
+        assert clone().decision_cache.l2 is not factory.shared_l2
+        # Worker exports crossed the process boundary and were merged...
         assert merged, "dispatcher merged no L2 exports"
         assert all(len(e) == 4 for e in merged)
         # ...and the seeded store produced approximate hits on new flows,
