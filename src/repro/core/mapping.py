@@ -23,16 +23,12 @@ from repro.utils.fixed_point import QFormat, choose_qformat
 
 # Lookup execution backends of a compiled model. "index" answers every table
 # by exact fancy indexing (exact tables) / leaf grid or tree walk (fuzzy
-# tables, see SegmentTable._grid); "tcam"
-# answers fuzzy tables through the vectorized prioritized-TCAM emulation in
-# :mod:`repro.dataplane.tcam` — bit-identical by construction, but executing
-# the very (value, mask, priority) entries the hardware would hold.
-# "tcam-pruned" is the same TCAM emulation with the flat wide-table encoding
-# forced and its candidate-pruned match kernel enabled: each key compares
-# against the rows of its elementary interval segment instead of the whole
-# table — still first-match-identical. Exact tables are direct-indexed SRAM
-# on the switch too, so every backend indexes them.
-LOOKUP_BACKENDS = ("index", "tcam", "tcam-pruned")
+# tables, see SegmentTable._grid); "tcam-pruned" runs fuzzy tables through
+# the pruned prioritized-TCAM kernel of :mod:`repro.dataplane.tcam` over the
+# (value, mask, priority) entries the hardware would hold — bit-identical.
+# Exact tables are direct-indexed SRAM on the switch too, so every backend
+# indexes them.
+LOOKUP_BACKENDS = ("index", "tcam-pruned")
 
 # Fuzzy tables whose whole key domain fits this many bits (d * in_bits: at
 # most 65,536 cells, 64 KiB of uint8 leaves) get a leaf grid.
@@ -108,8 +104,6 @@ class SegmentTable:
             idx = np.clip(x_seg[:, 0] - self.exact_lo, 0, self.n_entries - 1)
             return self.values_int[idx.astype(np.int64)]
         assert self.tree is not None
-        if lookup_backend == "tcam":
-            return self.values_int[self.tcam_indices(x_seg)]
         if lookup_backend == "tcam-pruned":
             return self.values_int[self.tcam_indices(x_seg, pruned=True)]
         return self.values_int[self.fuzzy_indices(x_seg)]
@@ -303,7 +297,7 @@ class LookupLayer:
         Under the ``"index"`` backend every table with a leaf grid is
         indexed by the layer's one fused gather (:class:`_GridPlan`); the
         rest — exact tables, fuzzy tables that still traverse, the TCAM
-        backends, non-integer inputs — go through :meth:`SegmentTable.lookup`.
+        backend, non-integer inputs — go through :meth:`SegmentTable.lookup`.
         """
         x_int = np.asarray(x_int)
         leaves = [None] * len(self.tables)
@@ -361,8 +355,8 @@ class CompiledModel:
         The empty batch (0, input_dim) is explicitly supported.
 
         ``lookup_backend`` selects how fuzzy tables are answered: ``"index"``
-        walks the clustering tree; ``"tcam"`` runs the vectorized
-        prioritized-TCAM emulation (:mod:`repro.dataplane.tcam`) over the
+        walks the clustering tree; ``"tcam-pruned"`` runs the pruned
+        prioritized-TCAM kernel (:mod:`repro.dataplane.tcam`) over the
         packed (value, mask, priority) entries the switch would hold. The
         two are bit-identical for every integer input (asserted by
         ``tests/test_dataplane_tcam.py``).

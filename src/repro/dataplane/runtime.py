@@ -192,22 +192,6 @@ class _BatchedReplayMixin:
 
     required_columns: tuple[str, ...] = ("ts",)
 
-    def set_lookup_backend(self, lookup_backend: str) -> None:
-        """Switch the model-lookup execution backend, with validation.
-
-        The dispatchers use this to propagate their ``lookup_backend`` onto
-        factory-built replicas; it is safe to call between serves (the
-        backends are bit-identical, so flow state carries over unchanged).
-        """
-        _check_backend(lookup_backend)
-        if lookup_backend != "index":
-            self._enable_tcam(lookup_backend)
-        self.lookup_backend = lookup_backend
-
-    def _enable_tcam(self, lookup_backend: str = "tcam") -> None:
-        """Subclass hook: validate the TCAM backend applies and compile its
-        tables eagerly, so the first serve measures lookups, not compilation."""
-
     def process_flows(self, flows: list[Flow], batch_size: int | None = None
                       ) -> DecisionBatch:
         """Replay the interleaved trace of many labelled flows, batched."""
@@ -518,8 +502,8 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
     ``decision_cache`` (a :class:`repro.serving.FlowDecisionCache`) makes
     repeating windows of already-classified flows skip the model entirely.
     ``lookup_backend`` selects how a :class:`CompiledModel`'s fuzzy tables
-    are answered — ``"index"`` (tree walk) or ``"tcam"`` (vectorized
-    prioritized-TCAM emulation); both are bit-identical.
+    are answered — ``"index"`` (leaf grid / tree walk) or ``"tcam-pruned"``
+    (the pruned prioritized-TCAM kernel); both are bit-identical.
     """
 
     model: CompiledModel
@@ -547,18 +531,22 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         ])
         self.state = VectorFlowState(layout, capacity=self.capacity)
 
-    def _enable_tcam(self, lookup_backend: str = "tcam") -> None:
-        if not isinstance(self.model, CompiledModel):
-            raise ConfigError(
-                "lookup_backend", lookup_backend,
-                reason="requires a CompiledModel; a placed Pipeline executes "
-                       "its own table layout")
-        # Compile (and cache) the form of every fuzzy table this backend
-        # serves, packed match banks included, so no serve pays for it.
-        for layer in self.model.layers:
-            for table in layer.tables:
-                if table.kind == "fuzzy":
-                    table.tcam_segment(pruned=lookup_backend == "tcam-pruned")
+    def set_lookup_backend(self, lookup_backend: str) -> None:
+        """Switch the lookup backend (safe between serves: the backends are
+        bit-identical). ``"tcam-pruned"`` compiles every fuzzy table's pruned
+        form here, so the first serve measures lookups, not compilation."""
+        _check_backend(lookup_backend)
+        if lookup_backend != "index":
+            if not isinstance(self.model, CompiledModel):
+                raise ConfigError(
+                    "lookup_backend", lookup_backend,
+                    reason="requires a CompiledModel; a placed Pipeline "
+                           "executes its own table layout")
+            for layer in self.model.layers:
+                for table in layer.tables:
+                    if table.kind == "fuzzy":
+                        table.tcam_segment(pruned=True)
+        self.lookup_backend = lookup_backend
 
     def _model_predict(self, x: np.ndarray) -> np.ndarray:
         if self.lookup_backend == "index":
@@ -724,16 +712,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
     feature_fn: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
     decision_cache: object = None
-    # "tcam" runs the per-packet extractor tree — the table that *is* TCAM
-    # range rules on the switch — through the vectorized emulation; the
-    # window SumReduce stays SRAM gathers under either backend, as on the
-    # hardware. Requires raw integer byte keys (no refined feature_fn).
-    lookup_backend: str = "index"
     state: VectorFlowState = field(init=False)
-    # Compiled extractor TCAM per encoding choice ("auto" | "pruned") —
-    # the pruned variant usually stays levelwise (the 60-dim tree's flat
-    # expansion blows past the pruning threshold), making prune a no-op.
-    _extractor_tcam: dict = field(init=False, default_factory=dict, repr=False)
 
     required_columns = ("ts", "payload")
 
@@ -742,7 +721,6 @@ class TwoStageRuntime(_BatchedReplayMixin):
             raise ConfigError(
                 "slot_values", len(self.slot_values),
                 allowed=f"{self.window} tables (one per window slot)")
-        self.set_lookup_backend(self.lookup_backend)
         fields = [RegisterField("count", 8),
                   RegisterField("idx_hist", self.idx_bits, count=self.window - 1)]
         if self.needs_ipd:
@@ -759,26 +737,12 @@ class TwoStageRuntime(_BatchedReplayMixin):
         """Narrowest dtype holding one fuzzy index (the cache-key packing)."""
         return np.dtype(np.uint8 if self.idx_bits <= 8 else np.uint16)
 
-    def _enable_tcam(self, lookup_backend: str = "tcam") -> None:
-        if self.feature_fn is not None:
-            raise ConfigError(
-                "lookup_backend", lookup_backend,
-                reason="needs integer raw-byte keys; a refined feature_fn "
-                       "produces float features the fixed-width TCAM key "
-                       "cannot encode")
-        enc = "pruned" if lookup_backend == "tcam-pruned" else "auto"
-        if enc not in self._extractor_tcam:
-            from repro.dataplane.tcam import TcamSegment
-            self._extractor_tcam[enc] = TcamSegment.from_tree(
-                self.extractor_tree, key_bits=8, signed=False, encoding=enc)
-
-    def _tree_indices(self, feats: np.ndarray) -> np.ndarray:
-        """Fuzzy extraction for a (N, raw_bytes) batch, backend-dispatched."""
-        if self.lookup_backend != "index":
-            pruned = self.lookup_backend == "tcam-pruned"
-            seg = self._extractor_tcam["pruned" if pruned else "auto"]
-            return seg.lookup_indices(feats, pruned=pruned)
-        return self.extractor_tree.predict_index(feats)
+    def set_lookup_backend(self, lookup_backend: str) -> None:
+        """Only ``"index"``: the extractor tree is served by its tree walk
+        (the TCAM serving path is the windowed runtime's)."""
+        if lookup_backend != "index":
+            raise ConfigError("lookup_backend", lookup_backend,
+                              allowed=("index",))
 
     def _predict_windows(self, win_idx: np.ndarray) -> np.ndarray:
         """Decisions for a (N, window) batch of fuzzy-index windows.
@@ -799,9 +763,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
         vec[:take] = packet.payload[:take]
         if self.feature_fn is not None:
             vec = np.asarray(self.feature_fn(vec[None, :], ipd_bucket))[0]
-            idx = int(self.extractor_tree.predict_index(vec))
-        else:
-            idx = int(self._tree_indices(vec[None, :])[0])
+        idx = int(self.extractor_tree.predict_index(vec))
         return min(idx, (1 << self.idx_bits) - 1)
 
     def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
@@ -877,10 +839,8 @@ class TwoStageRuntime(_BatchedReplayMixin):
         feats = cols["payload"]
         if self.feature_fn is not None:
             feats = np.asarray(self.feature_fn(feats, ipd_b))
-            idx = np.asarray(self.extractor_tree.predict_index(feats),
-                             dtype=np.int64)
-        else:
-            idx = np.asarray(self._tree_indices(feats), dtype=np.int64)
+        idx = np.asarray(self.extractor_tree.predict_index(feats),
+                         dtype=np.int64)
         idx = np.minimum(idx, (1 << self.idx_bits) - 1)
 
         win_idx = _gather_windows(c["idx_hist"][uniq], rank, occ, idx, counts,

@@ -33,11 +33,14 @@ padded with a row that never matches (mask 0, value 1); one masked compare
 per word and an argmax pick the winner. The three kernels differ only in the
 candidates they hand it, all packed when the segment compiles:
 
-- **full scan** — every row of the table;
 - **pruned** — the rows of the key's elementary interval segment
-  (:class:`PrunedMatchIndex`), pre-gathered per segment;
+  (:class:`PrunedMatchIndex`), pre-gathered per segment: what the
+  ``"tcam-pruned"`` serving backend runs on a flat table;
+- **full scan** — every row of the table: the pruned kernel's fallback
+  when a table's masks are not all prefixes, and the tests' reference;
 - **levelwise** — the rows of the row's current node, every node's table
-  stacked into one bank.
+  stacked into one bank (a segment whose flat expansion is too large to
+  prune stays levelwise).
 
 Keys are fixed-width like the hardware's: signed fields use excess-K (offset)
 encoding and every key is clamped into the ``key_bits`` domain before
@@ -62,9 +65,9 @@ TCAM_ENCODINGS = ("auto", "flat", "levelwise", "pruned")
 
 # "pruned" forces the flat (single wide table) encoding so the interval
 # pre-index has one scan to prune — unless the flat cross-product expansion
-# exceeds this many entries (deep trees over wide segments, e.g. the
-# two-stage 60-dim extractor), in which case it keeps levelwise and pruning
-# is a no-op. Decisions are unaffected either way.
+# exceeds this many entries (deep trees over wide segments, e.g. a 60-dim
+# payload tree), in which case it keeps levelwise and pruning is a no-op.
+# Decisions are unaffected either way.
 PRUNED_MAX_FLAT_ENTRIES = 1 << 14
 
 # Bits of an int64 match word a packed key uses: the sign bit stays clear.
@@ -192,7 +195,7 @@ class PrunedMatchIndex:
     candidate rows **in table (priority) order**, so the first match within
     a candidate list is the global first match — the pruned scan is provably
     first-match-identical to the full scan, it just compares each key
-    against ``avg_candidates`` rows instead of ``n_entries``. ``bank`` holds
+    against its segment's rows instead of all ``n_entries``. ``bank`` holds
     the candidates pre-gathered per segment, so a lookup is one first-match
     call with the key's segment as its group.
     """
@@ -200,7 +203,6 @@ class PrunedMatchIndex:
     field_idx: int               # which key field the segments cut
     bounds: np.ndarray           # (n_segments,) segment start keys, sorted
     candidates: list             # per segment: np.ndarray of row indices
-    avg_candidates: float        # mean candidate-list length (diagnostics)
     bank: MatchBank = field(repr=False, compare=False)
 
     def segment_of(self, keys_f: np.ndarray) -> np.ndarray:
@@ -364,24 +366,7 @@ class PackedTernaryTable:
             rows[s, :len(cand)] = cand
         return PrunedMatchIndex(
             field_idx=f, bounds=bounds, candidates=cands,
-            avg_candidates=float(np.mean([len(c) for c in cands])),
             bank=MatchBank.gather(*self.packed_words(), self.results, rows))
-
-    def candidate_rows(self, keys_u: np.ndarray) -> list[np.ndarray]:
-        """Per-key candidate row sets the pruned kernel would scan.
-
-        Exposed for the property tests: for every key, the candidates must
-        be a superset of the full scan's winning (argmin-priority) row.
-        Empty list when the table has no usable pruned index.
-        """
-        index = self.pruned_index()
-        if index is None:
-            return []
-        keys_u = np.asarray(keys_u, dtype=np.int64)
-        if keys_u.ndim == 1:
-            keys_u = keys_u[:, None]
-        seg = index.segment_of(keys_u[:, index.field_idx])
-        return [index.candidates[int(s)] for s in seg]
 
     def entries(self) -> list[PrioritizedEntry]:
         """The scalar view: fields packed into one wide match, MSB first.
@@ -420,7 +405,7 @@ class TcamSegment:
     index per row — the drop-in TCAM replacement for
     :meth:`FuzzyTree.predict_index` that
     :meth:`repro.core.mapping.SegmentTable.lookup` dispatches to when
-    ``lookup_backend="tcam"``.
+    ``lookup_backend="tcam-pruned"``.
     """
 
     key_bits: int
@@ -577,11 +562,11 @@ def compile_segment_table(table, encoding: str = "auto") -> TcamSegment:
 def tcam_table_report(model) -> list[dict]:
     """Compile (and cache) every fuzzy table of a compiled model; summarize.
 
-    Returns one row per fuzzy segment table with its chosen encoding and
-    entry counts — the shape the equivalence report and the lookup benchmark
-    print. Compiling here also warms the per-table cache, so a subsequent
-    ``forward_int(..., lookup_backend="tcam")`` measures lookups, not
-    compilation.
+    Returns one row per fuzzy segment table with the encoding
+    ``encoding="auto"`` chooses and its entry counts — the accounted layout
+    (:meth:`FuzzyTree.tcam_entries`), which is what the TCAM resource
+    figures are built from. The served ``"tcam-pruned"`` backend compiles
+    its own forced-flat variant (``SegmentTable.tcam_segment(pruned=True)``).
     """
     rows = []
     for li, layer in enumerate(model.layers):

@@ -2,7 +2,9 @@
 
 The engine's core promise is that every serving configuration —
 topology x cache x lookup backend x runtime kind, at any batch size — emits
-**bit-identical decisions** to the per-packet scalar reference. The unit
+**bit-identical decisions** to the per-packet scalar reference. The lookup
+axis is per runtime (:data:`RUNTIME_BACKENDS`): ``windowed`` serves
+``index`` and ``tcam-pruned``, ``two_stage`` serves ``index`` only. The unit
 tests assert it on one static mix; this harness turns the claim into a
 *property* checked on adversarial, time-varying workloads:
 
@@ -61,6 +63,9 @@ from repro.utils.rng import new_rng
 DEFAULT_CAPACITY = 4096          # ample: cross-worker identity needs no eviction
 DEFAULT_CACHE_CAPACITY = 1 << 15
 RUNTIME_KINDS = ("windowed", "two_stage")
+# The lookup backends each runtime kind serves (the engine rejects the rest).
+RUNTIME_BACKENDS = {"windowed": ("index", "tcam-pruned"),
+                    "two_stage": ("index",)}
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +113,11 @@ class EngineCase:
 
 def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
                 worker_counts: tuple[int, ...] = (1, 2),
-                backends: tuple[str, ...] = ("index", "tcam", "tcam-pruned"),
                 caches: tuple[bool | str, ...] = ("off", "l1", "l1+l2"),
                 batch_sizes: tuple[int, ...] = (64,),
                 include_parallel: bool = True) -> list[EngineCase]:
-    """The full matrix: every topology x cache x backend x runtime point.
+    """The full matrix: every topology x cache x backend x runtime point,
+    each runtime over the backends it serves (:data:`RUNTIME_BACKENDS`).
 
     ``local`` runs the full backend x cache cross product (one in-process
     replica — cheap). ``sharded`` and (optionally) ``parallel`` run at every
@@ -120,9 +125,9 @@ def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
     every pair still appears in a multi-replica topology at least once per
     runtime kind without exploding the process-forking corner of the matrix.
     """
-    combos = list(itertools.product(backends, caches))
     cases = []
     for kind, batch in itertools.product(runtimes, batch_sizes):
+        combos = list(itertools.product(RUNTIME_BACKENDS[kind], caches))
         for backend, cached in combos:
             cases.append(EngineCase(kind, "local", 1, backend, cached, batch))
         # Rotate (backend, cache) pairs across the scaled-out topologies:
@@ -146,12 +151,13 @@ def quick_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS) -> list[EngineCase]:
     not in full cross product (parallel only once per runtime kind)."""
     cases = []
     for kind in runtimes:
+        tcam = RUNTIME_BACKENDS[kind][-1]    # "index" where there is none
         cases += [
             EngineCase(kind, "local", 1, "index", "off", 32),
-            EngineCase(kind, "local", 1, "tcam", "l1", 64),
-            EngineCase(kind, "local", 1, "tcam-pruned", "l1+l2", 64),
+            EngineCase(kind, "local", 1, tcam, "l1", 64),
+            EngineCase(kind, "local", 1, tcam, "l1+l2", 64),
             EngineCase(kind, "sharded", 2, "index", "l1+l2", 64),
-            EngineCase(kind, "sharded", 2, "tcam", "off", 96),
+            EngineCase(kind, "sharded", 2, tcam, "off", 96),
             EngineCase(kind, "parallel", 2, "index", "l1+l2", 64),
         ]
     return cases
@@ -730,17 +736,18 @@ def two_level_replay(workload: ScenarioTrace,
                      sources: dict | None = None) -> dict[str, dict]:
     """Digest + cache counters of the maximal-fast-path replay per kind.
 
-    Replays each runtime kind with the two-level decision cache AND the
-    pruned TCAM kernel enabled (``l1+l2`` / ``tcam-pruned``) — the
-    configuration where an unsound approximate hit or a dropped candidate
-    row would surface. The golden fixtures pin that its digest equals the
-    plain reference digest, and (for the counter golden) the exact
+    Replays each runtime kind with the two-level decision cache, and the
+    windowed one with the pruned TCAM kernel too (``l1+l2`` /
+    ``tcam-pruned``) — where an unsound approximate hit or a dropped
+    candidate row would surface. The golden fixtures pin that its digest
+    equals the plain reference digest, and (for the counter golden) the exact
     ``(exact_hits, approx_hits, misses, evictions)`` stream.
     """
     sources = default_sources() if sources is None else sources
     out: dict[str, dict] = {}
     for kind in RUNTIME_KINDS:
-        case = EngineCase(runtime=kind, lookup_backend="tcam-pruned",
+        case = EngineCase(runtime=kind,
+                          lookup_backend=RUNTIME_BACKENDS[kind][-1],
                           decision_cache="l1+l2")
         with PegasusEngine(source=sources[kind],
                            config=case.config()) as eng:

@@ -26,9 +26,9 @@ importable for reference stacks and tests):
   preallocated shared-memory ring buffers (:mod:`repro.serving.rings` —
   only fixed-size chunk descriptors cross the worker pipes), where
   ``wall_seconds`` is *measured*. The engine applies the configured lookup
-  backend (``"tcam"`` serves the hardware-faithful prioritized-TCAM path
-  of :mod:`repro.dataplane.tcam`) to every replica it builds —
-  bit-identical decisions either way.
+  backend (``"tcam-pruned"`` serves windowed replicas through the
+  hardware-faithful prioritized-TCAM path of :mod:`repro.dataplane.tcam`)
+  to every replica it builds — bit-identical decisions either way.
 - :class:`FlowDecisionCache` — a per-replica LRU of
   ``(canonical 5-tuple, window index) -> decision`` that short-circuits
   model invocation for already-classified elephant flows whose windows

@@ -27,7 +27,8 @@ name -> builder table in this module (:data:`RUNTIME_BUILDERS`,
 :data:`TOPOLOGY_BUILDERS`, :data:`ADMISSION_BUILDERS`), and an unknown name
 fails at ``EngineConfig`` construction with the choices listed. A new one is
 a code change to its table, with tests. Lookup backends are still a registry
-(:func:`register_lookup_backend`); the differential harness's fault
+(:func:`register_lookup_backend`), seeded with
+:data:`repro.core.mapping.LOOKUP_BACKENDS`; the differential harness's fault
 injectors register through it.
 
 End-to-end usage::
@@ -35,7 +36,7 @@ End-to-end usage::
     from repro.serving import EngineConfig, PegasusEngine
 
     config = EngineConfig(feature_mode="stats", batch_size=256,
-                          decision_cache=True, lookup_backend="tcam",
+                          decision_cache=True, lookup_backend="tcam-pruned",
                           topology="parallel", n_workers=4)
     with PegasusEngine.from_compiled(compiled, config) as eng:
         report = eng.serve(test_flows)
@@ -49,6 +50,8 @@ topology x cache x backend x runtime-kind matrix by
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -56,6 +59,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.mapping import LOOKUP_BACKENDS
 from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
@@ -150,9 +154,8 @@ def register_lookup_backend(name: str, apply=None, *, overwrite: bool = False):
                                     overwrite=overwrite)
 
 
-register_lookup_backend("index")
-register_lookup_backend("tcam")
-register_lookup_backend("tcam-pruned")
+for _name in LOOKUP_BACKENDS:
+    register_lookup_backend(_name)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +175,9 @@ class EngineConfig:
 
     - **runtime** — ``runtime`` kind (``"windowed"`` | ``"two_stage"``),
       ``feature_mode``, per-replica register ``capacity``;
-    - **lookup** — ``lookup_backend`` (registry; ``"index"`` | ``"tcam"`` |
-      ``"tcam-pruned"`` built in, bit-identical);
+    - **lookup** — ``lookup_backend`` (registry; ``"index"`` |
+      ``"tcam-pruned"`` built in, bit-identical; ``two_stage`` serves
+      ``"index"`` only);
     - **batching** — ``batch_size``, the fixed span every replay cuts
       (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``;
@@ -194,9 +198,10 @@ class EngineConfig:
       deterministically).
 
     Frozen and validated once here — every downstream constructor then
-    receives values it can trust. All validation errors are
-    :class:`~repro.errors.ConfigError` s naming the field and its allowed
-    values.
+    receives values it can trust: integer fields must be integers (NumPy
+    integers pass, ``bool`` does not) and float fields finite. All errors
+    are :class:`~repro.errors.ConfigError` s naming the field and its
+    allowed values.
     """
 
     runtime: str = "windowed"
@@ -218,6 +223,9 @@ class EngineConfig:
     def __post_init__(self):
         _check_choice("runtime", self.runtime, RUNTIME_BUILDERS)
         lookup_backends.get(self.lookup_backend)
+        if self.runtime == "two_stage" and self.lookup_backend == "tcam-pruned":
+            raise ConfigError("lookup_backend", self.lookup_backend,
+                              reason="two_stage serves by index only")
         _check_choice("topology", self.topology, TOPOLOGY_BUILDERS)
         _check_choice("admission", self.admission, ADMISSION_BUILDERS)
         if self.feature_mode not in ("seq", "stats"):
@@ -238,14 +246,17 @@ class EngineConfig:
                          ("batch_size", 1),
                          ("cache_capacity", 1), ("l2_capacity", 1),
                          ("l2_quantize_shift", 0), ("queue_capacity", 1)):
-            if getattr(self, name) < lo:
-                raise ConfigError(name, getattr(self, name), allowed=f">= {lo}")
-        if self.p99_target_ms is not None and self.p99_target_ms <= 0:
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < lo):
+                raise ConfigError(name, value, allowed=f"an integer >= {lo}")
+        # Chained compares: NaN fails both bounds, infinity the upper one.
+        if self.p99_target_ms is not None and not 0 < self.p99_target_ms < math.inf:
             raise ConfigError("p99_target_ms", self.p99_target_ms,
-                              allowed="> 0 (milliseconds) or None")
-        if self.time_scale < 0:
+                              allowed="finite > 0 (milliseconds) or None")
+        if not 0 <= self.time_scale < math.inf:
             raise ConfigError("time_scale", self.time_scale,
-                              allowed=">= 0 (0 replays as fast as possible)")
+                              allowed="finite >= 0 (0 = as fast as possible)")
         if self.topology == "local" and self.n_workers != 1:
             raise ConfigError("n_workers", self.n_workers, allowed="1",
                               reason="topology='local' runs exactly one "

@@ -238,7 +238,7 @@ class TestPickleSafeRegistrations:
         assert lint("""
             from repro.serving.engine import register_lookup_backend
 
-            register_lookup_backend(name="tcam", overwrite=True)
+            register_lookup_backend(name="tcam-pruned", overwrite=True)
         """, path=SERVING_PATH) == []
 
 

@@ -14,8 +14,9 @@ from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
 from repro.dataplane.tcam import (PRUNED_MAX_FLAT_ENTRIES, PackedTernaryTable,
                                   TcamSegment, compile_segment_table,
                                   encode_keys, pack_words, tcam_table_report)
-from repro.errors import CompilationError, ShapeError
-from repro.serving import FlowDecisionCache, PegasusEngine
+from repro.errors import CompilationError, ConfigError, ShapeError
+from repro.net.traces import Trace
+from repro.serving import EngineConfig, FlowDecisionCache, PegasusEngine
 from repro.serving.dispatcher import ShardedDispatcher   # un-deprecated core
 
 ENCODINGS = ("flat", "levelwise")
@@ -270,8 +271,9 @@ class TestPrunedSupersetProperty:
                          min_size=n_fields, max_size=n_fields),
                 min_size=n, max_size=n)), dtype=np.int64)
 
-        cands = packed.candidate_rows(keys_u)
-        assert len(cands) == n
+        index = packed.pruned_index()
+        cands = [index.candidates[s]
+                 for s in index.segment_of(keys_u[:, index.field_idx])]
         match = ((keys_u[:, None, :] & packed.masks[None, :, :])
                  == packed.values[None, :, :]).all(axis=2)
         assert match.any(axis=1).all()      # tree tables cover the domain
@@ -292,7 +294,6 @@ class TestPrunedSupersetProperty:
             results=np.asarray([0], dtype=np.int64),
             key_bits=4)
         assert table.pruned_index() is None
-        assert table.candidate_rows(np.asarray([[0b0101]])) == []
         # ... and the pruned entry point silently serves the full scan.
         assert table.lookup_encoded(np.asarray([[0b0101]]),
                                     pruned=True).tolist() == [0]
@@ -339,20 +340,20 @@ class TestCompiledModelBackend:
         x = rng.integers(0, 256, size=(400, 16))
         np.testing.assert_array_equal(
             compiled16.forward_int(x),
-            compiled16.forward_int(x, lookup_backend="tcam"))
+            compiled16.forward_int(x, lookup_backend="tcam-pruned"))
 
     def test_predict_and_scores_backends(self, compiled16):
         rng = np.random.default_rng(2)
         x = rng.integers(0, 256, size=(100, 16))
         np.testing.assert_array_equal(
-            compiled16.predict(x), compiled16.predict(x, lookup_backend="tcam"))
+            compiled16.predict(x), compiled16.predict(x, lookup_backend="tcam-pruned"))
         np.testing.assert_array_equal(
             compiled16.predict_scores(x),
-            compiled16.predict_scores(x, lookup_backend="tcam"))
+            compiled16.predict_scores(x, lookup_backend="tcam-pruned"))
 
     def test_empty_batch_supported(self, compiled16):
         out = compiled16.forward_int(np.zeros((0, 16), dtype=np.int64),
-                                     lookup_backend="tcam")
+                                     lookup_backend="tcam-pruned")
         assert out.shape[0] == 0
 
     def test_unknown_backend_rejected(self, compiled16):
@@ -370,7 +371,7 @@ class TestCompiledModelBackend:
         with pytest.raises(ValueError, match="lookup_backend"):
             table.lookup(np.zeros((1, d), dtype=np.int64),
                          lookup_backend="tcan")
-        assert set(LOOKUP_BACKENDS) == {"index", "tcam", "tcam-pruned"}
+        assert LOOKUP_BACKENDS == ("index", "tcam-pruned")
 
     def test_segment_table_paths_agree(self, compiled16):
         rng = np.random.default_rng(4)
@@ -381,7 +382,7 @@ class TestCompiledModelBackend:
                 d = table.segment[1] - table.segment[0]
                 x = rng.integers(lo, hi + 1, size=(200, d))
                 np.testing.assert_array_equal(
-                    table.lookup(x), table.lookup(x, lookup_backend="tcam"))
+                    table.lookup(x), table.lookup(x, lookup_backend="tcam-pruned"))
                 if table.kind == "fuzzy":
                     np.testing.assert_array_equal(table.tcam_indices(x),
                                                   table.fuzzy_indices(x))
@@ -413,7 +414,7 @@ class TestRuntimeBackend:
             batch_size=32).process_flows(replay_flows)
         tcam = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=32,
-            lookup_backend="tcam").process_flows(replay_flows)
+            lookup_backend="tcam-pruned").process_flows(replay_flows)
         assert scalar == list(index) == list(tcam)
 
     def test_windowed_scalar_path_uses_backend(self, compiled16, replay_flows):
@@ -421,7 +422,7 @@ class TestRuntimeBackend:
             compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
         got = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
-            lookup_backend="tcam").process_flows_scalar(replay_flows)
+            lookup_backend="tcam-pruned").process_flows_scalar(replay_flows)
         assert got == ref
 
     def test_set_lookup_backend_validates(self, compiled16):
@@ -430,26 +431,48 @@ class TestRuntimeBackend:
             runtime.set_lookup_backend("sram")
         with pytest.raises(ValueError, match="CompiledModel"):
             WindowedClassifierRuntime(object(), feature_mode="stats",
-                                      lookup_backend="tcam")
+                                      lookup_backend="tcam-pruned")
 
-    def test_two_stage_tcam_matches_index(self, replay_flows):
-        rng = np.random.default_rng(2)
-        tree = FuzzyTree.fit(rng.uniform(0, 255, size=(300, 60)), n_leaves=16)
-        slot_values = [rng.integers(-50, 50, size=(16, 3)) for _ in range(8)]
-        def run(backend):
-            return TwoStageRuntime(
-                tree, slot_values, n_classes=3, idx_bits=4, batch_size=32,
-                lookup_backend=backend).process_flows(replay_flows)
-        assert list(run("tcam")) == list(run("index"))
-
-    def test_two_stage_rejects_tcam_with_feature_fn(self):
+    def test_two_stage_rejects_tcam(self):
+        """TCAM serving is the windowed runtime's: a two-stage config or
+        replica asking for it fails with a ConfigError naming the field."""
+        with pytest.raises(ConfigError) as exc:
+            EngineConfig(runtime="two_stage", lookup_backend="tcam-pruned")
+        assert exc.value.field == "lookup_backend"
         rng = np.random.default_rng(2)
         tree = FuzzyTree.fit(rng.uniform(0, 255, size=(100, 60)), n_leaves=4)
         slot_values = [rng.integers(-5, 5, size=(4, 3)) for _ in range(8)]
-        with pytest.raises(ValueError, match="feature_fn"):
-            TwoStageRuntime(tree, slot_values, n_classes=3,
-                            feature_fn=lambda x, ipd: x,
-                            lookup_backend="tcam")
+        runtime = TwoStageRuntime(tree, slot_values, n_classes=3)
+        runtime.set_lookup_backend("index")
+        with pytest.raises(ConfigError) as exc:
+            runtime.set_lookup_backend("tcam-pruned")
+        assert exc.value.field == "lookup_backend"
+
+    def test_two_stage_tcam_matches_index(self, replay_flows):
+        """The two-stage extractor tree is served by its tree walk, but its
+        TCAM form (what the resource accounting charges for) still answers
+        every packet's raw bytes with the same fuzzy index."""
+        rng = np.random.default_rng(2)
+        tree = FuzzyTree.fit(rng.uniform(0, 255, size=(300, 60)), n_leaves=16)
+        raw = Trace.from_flows(replay_flows).payload_matrix(60)
+        want = tree.predict_index(raw)
+        for encoding in ("auto", "pruned"):
+            seg = TcamSegment.from_tree(tree, key_bits=8, encoding=encoding)
+            np.testing.assert_array_equal(
+                seg.lookup_indices(raw, pruned=encoding == "pruned"), want)
+
+    def test_two_stage_rejects_tcam_with_feature_fn(self, replay_flows):
+        """A refined feature_fn replica serves on the index path and refuses
+        a TCAM backend like every two-stage replica."""
+        rng = np.random.default_rng(2)
+        tree = FuzzyTree.fit(rng.uniform(0, 255, size=(100, 60)), n_leaves=4)
+        slot_values = [rng.integers(-5, 5, size=(4, 3)) for _ in range(8)]
+        runtime = TwoStageRuntime(tree, slot_values, n_classes=3,
+                                  feature_fn=lambda x, ipd: x)
+        with pytest.raises(ConfigError) as exc:
+            runtime.set_lookup_backend("tcam-pruned")
+        assert exc.value.field == "lookup_backend"
+        assert len(runtime.process_flows(replay_flows)) > 0
 
 
 class TestDispatcherBackend:
@@ -469,7 +492,7 @@ class TestDispatcherBackend:
             runtime_factory=self._factory(compiled16, cached), n_shards=2,
             batch_size=32).serve_flows(replay_flows)
         got = ShardedDispatcher(
-            runtime_factory=self._factory(compiled16, cached, "tcam"),
+            runtime_factory=self._factory(compiled16, cached, "tcam-pruned"),
             n_shards=2, batch_size=32).serve_flows(replay_flows)
         assert list(got) == list(ref)
         assert ref
@@ -482,7 +505,7 @@ class TestDispatcherBackend:
             batch_size=32).serve_flows(replay_flows)
         with PegasusEngine.from_factory(
                 self._factory(compiled16, True), batch_size=32,
-                lookup_backend="tcam", topology="parallel",
+                lookup_backend="tcam-pruned", topology="parallel",
                 n_workers=2) as engine:
             got = engine.serve(replay_flows).decisions
         assert list(got) == list(ref)
@@ -499,7 +522,7 @@ class TestDispatcherBackend:
         surfaces from the warm-up ping with the worker's traceback."""
         engine = PegasusEngine.from_factory(
             lambda: WindowedClassifierRuntime(object(), feature_mode="stats"),
-            topology="parallel", n_workers=1, lookup_backend="tcam")
+            topology="parallel", n_workers=1, lookup_backend="tcam-pruned")
         with pytest.raises(RuntimeError, match="CompiledModel"):
             engine.start()
         engine.close()

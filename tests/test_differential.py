@@ -22,25 +22,39 @@ def workload():
 
 class TestMatrix:
     def test_build_cases_covers_every_axis(self):
+        """27 cases, and no axis point the rotation could starve: every
+        (runtime, backend it serves, topology) triple appears, and the
+        quick matrix still reaches every topology per runtime."""
+        topologies = {"local", "sharded", "parallel"}
         cases = dfl.build_cases()
-        assert {c.runtime for c in cases} == {"windowed", "two_stage"}
-        assert {c.topology for c in cases} == {"local", "sharded", "parallel"}
-        assert {c.lookup_backend for c in cases} == \
-            {"index", "tcam", "tcam-pruned"}
-        assert {c.cache_mode for c in cases} == {"off", "l1", "l1+l2"}
-        assert all(c.n_workers == 1 for c in cases if c.topology == "local")
+        assert len(cases) == 27
         assert len({c.label for c in cases}) == len(cases)
-        # every (backend, cache) pair appears in some scaled-out topology
-        scaled = {(c.lookup_backend, c.cache_mode) for c in cases
-                  if c.topology != "local"}
-        assert len(scaled) == 9
+        assert all(c.n_workers == 1 for c in cases if c.topology == "local")
+        want = {(kind, backend, topology)
+                for kind, backends in dfl.RUNTIME_BACKENDS.items()
+                for backend in backends for topology in topologies}
+        assert {(c.runtime, c.lookup_backend, c.topology)
+                for c in cases} == want
+        # every (backend, cache) pair of a runtime appears scaled out
+        for kind, backends in dfl.RUNTIME_BACKENDS.items():
+            scaled = {(c.lookup_backend, c.cache_mode) for c in cases
+                      if c.runtime == kind and c.topology != "local"}
+            assert len(scaled) == 3 * len(backends), kind
+        assert set(dfl.RUNTIME_BACKENDS) == set(dfl.RUNTIME_KINDS)
+        quick = dfl.quick_cases()
+        for kind in dfl.RUNTIME_KINDS:
+            assert {c.topology for c in quick if c.runtime == kind} == \
+                topologies, kind
+        for case in cases + quick:
+            case.config()           # every point is a valid EngineConfig
 
     def test_case_config_roundtrip(self):
-        case = dfl.EngineCase("windowed", "sharded", 2, "tcam", True, 32)
+        case = dfl.EngineCase("windowed", "sharded", 2, "tcam-pruned", True,
+                              32)
         assert case.cache_mode == "l1" and case.cached   # bool back-compat
         config = case.config()
         assert (config.topology, config.n_workers) == ("sharded", 2)
-        assert config.lookup_backend == "tcam"
+        assert config.lookup_backend == "tcam-pruned"
         assert config.decision_cache == "l1" and config.batch_size == 32
         two = dfl.EngineCase(decision_cache="l1+l2")
         assert two.config().decision_cache == "l1+l2"
@@ -61,7 +75,6 @@ class TestMatrix:
         runtime matrix (parallel workers included) is bit-identical to the
         scalar reference on every registered scenario family."""
         cases = dfl.build_cases()
-        assert len(cases) == 54
         for family in scenario_names():
             w = build_scenario(family).generate(seed=13, flows_scale=0.12)
             report = dfl.run_differential(w, sources=sources, cases=cases)
@@ -205,7 +218,8 @@ class TestFuzzClean:
             n_seeds=1, budget_seconds=120.0, base_seed=0,
             scenarios=("flow_churn",),
             cases=[dfl.EngineCase("windowed", "local", 1, "index", True, 48),
-                   dfl.EngineCase("windowed", "sharded", 2, "tcam", False, 48)],
+                   dfl.EngineCase("windowed", "sharded", 2, "tcam-pruned",
+                                  False, 48)],
             sources=sources, flows_scale=0.15,
             progress=rows.append)
         assert report.ok and len(report.trials) == 2 == len(rows)

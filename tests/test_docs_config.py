@@ -2,10 +2,11 @@
 
 Every ```` ```python ```` block in the README and the architecture doc must
 parse, every keyword it passes to ``EngineConfig(...)`` must be an
-``EngineConfig`` field, every name it imports from ``repro`` must exist,
+``EngineConfig`` field, every ``EngineConfig(...)`` whose arguments are all
+literals must construct, every name it imports from ``repro`` must exist,
 and every ``engine.<attr>`` it reads must resolve — so deleting or renaming
-a field, a function or a method cannot leave a documented example that no
-longer runs.
+a field, a value, a function or a method cannot leave a documented example
+that no longer runs.
 """
 
 import ast
@@ -30,16 +31,51 @@ def _python_blocks():
             yield pytest.param(match.group(1), id=f"{doc}#{i}")
 
 
-def _engine_config_keywords(tree: ast.AST) -> list[str]:
-    names = []
+def _engine_config_calls(tree: ast.AST) -> list[ast.Call]:
+    calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) \
                 else getattr(func, "id", None)
             if called == "EngineConfig":
-                names += [kw.arg for kw in node.keywords if kw.arg]
-    return names
+                calls.append(node)
+    return calls
+
+
+def _engine_config_keywords(tree: ast.AST) -> list[str]:
+    return [kw.arg for call in _engine_config_calls(tree)
+            for kw in call.keywords if kw.arg]
+
+
+def _expected_to_raise(tree: ast.AST) -> set[int]:
+    """Ids of the calls inside a ``try`` that catches ``ConfigError`` — the
+    examples that show a config being rejected."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+                "ConfigError" in ast.unparse(h.type) for h in node.handlers
+                if h.type is not None):
+            ids |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+    return ids
+
+
+def _literal_engine_configs(tree: ast.AST) -> list[dict]:
+    """The keyword dicts of the ``EngineConfig(...)`` calls that pass only
+    literal keywords (anything else depends on the block's own names) and
+    are not shown being rejected."""
+    configs = []
+    rejected = _expected_to_raise(tree)
+    for call in _engine_config_calls(tree):
+        if call.args or any(kw.arg is None for kw in call.keywords) \
+                or id(call) in rejected:
+            continue
+        try:
+            configs.append({kw.arg: ast.literal_eval(kw.value)
+                            for kw in call.keywords})
+        except ValueError:
+            continue
+    return configs
 
 
 def _imported(module_name: str, name: str):
@@ -90,6 +126,12 @@ def test_documented_engine_config_keywords_are_fields(source):
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
     unknown = [k for k in _engine_config_keywords(tree) if k not in fields]
     assert unknown == []
+
+
+@pytest.mark.parametrize("source", _python_blocks())
+def test_documented_literal_configs_construct(source):
+    for kwargs in _literal_engine_configs(ast.parse(source)):
+        EngineConfig(**kwargs)      # a ConfigError names the stale value
 
 
 @pytest.mark.parametrize("source", _python_blocks())

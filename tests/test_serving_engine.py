@@ -28,7 +28,9 @@ from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import ParallelDispatcher
 
 TOPOLOGIES = ("local", "sharded", "parallel")
-BACKENDS = ("index", "tcam")
+BACKENDS = ("index", "tcam-pruned")
+BACKEND_IDS = ("index", "tcam")    # "tcam-pruned" is the one TCAM backend
+TWO_STAGE_BACKENDS = ("index",)    # EngineConfig rejects two_stage + TCAM
 BATCH = 32
 CACHE_CAP = 4096
 
@@ -100,7 +102,7 @@ class TestConfigMatrixEquivalence:
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_windowed(self, compiled16, replay_flows, topology, cached,
                       backend):
         ref = _hand_wired(_windowed_factory(compiled16, cached, backend),
@@ -115,7 +117,7 @@ class TestConfigMatrixEquivalence:
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", TWO_STAGE_BACKENDS)
     def test_two_stage(self, two_stage_spec, replay_flows, topology, cached,
                        backend):
         ref = _hand_wired(_two_stage_factory(two_stage_spec, cached, backend),
@@ -252,6 +254,18 @@ class TestEngineConfig:
         (dict(queue_capacity=0), "queue_capacity"),
         (dict(p99_target_ms=0.0), "p99_target_ms"),
         (dict(time_scale=-1.0), "time_scale"),
+        ({"lookup_backend": "tcam"}, "lookup_backend"),    # no full-scan backend
+        (dict(runtime="two_stage", lookup_backend="tcam-pruned"),
+         "lookup_backend"),
+        (dict(admission="aimd", p99_target_ms=float("nan")), "p99_target_ms"),
+        (dict(p99_target_ms=float("inf")), "p99_target_ms"),
+        (dict(time_scale=float("nan")), "time_scale"),
+        (dict(time_scale=float("inf")), "time_scale"),
+        (dict(batch_size=2.5), "batch_size"),
+        (dict(batch_size=256.0), "batch_size"),
+        (dict(capacity=True), "capacity"),
+        (dict(topology="sharded", n_workers=True), "n_workers"),
+        (dict(queue_capacity="8"), "queue_capacity"),
     ])
     def test_typed_validation(self, kwargs, field):
         with pytest.raises(ConfigError) as exc:
@@ -264,6 +278,11 @@ class TestEngineConfig:
         config = EngineConfig()
         with pytest.raises(Exception):
             config.batch_size = 1
+
+    def test_numpy_numbers_accepted(self):
+        config = EngineConfig(batch_size=np.int64(64), capacity=np.int32(8),
+                              time_scale=np.float32(0.5), p99_target_ms=2)
+        assert (config.batch_size, config.capacity) == (64, 8)
 
     def test_overrides_revalidate(self, compiled16):
         config = EngineConfig(batch_size=64)
@@ -330,12 +349,12 @@ class TestBuilders:
     def test_from_factory_applies_backend(self, compiled16, replay_flows):
         factory = _windowed_factory(compiled16, False, "index")
         report = PegasusEngine.from_factory(
-            factory, batch_size=BATCH, lookup_backend="tcam") \
+            factory, batch_size=BATCH, lookup_backend="tcam-pruned") \
             .serve(replay_flows)
-        ref = _hand_wired(_windowed_factory(compiled16, False, "tcam"),
+        ref = _hand_wired(_windowed_factory(compiled16, False, "tcam-pruned"),
                           "local", replay_flows)
         assert list(report.decisions) == list(ref)
-        assert report.lookup_backend == "tcam"
+        assert report.lookup_backend == "tcam-pruned"
 
     def test_two_stage_source_must_be_mapping(self, compiled16):
         with pytest.raises(ConfigError, match="two_stage"):
