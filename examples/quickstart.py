@@ -68,7 +68,7 @@ def main():
 
     print("\n=== 5. serve a live packet trace through the engine ===")
     config = EngineConfig(feature_mode="stats", batch_size=256,
-                          decision_cache=True, topology="sharded", n_workers=2)
+                          decision_cache="l1", topology="sharded", n_workers=2)
     with PegasusEngine.from_compiled(compiled, config) as engine:
         report = engine.serve(test_flows)
     print(f"{report.n_decisions} per-packet decisions over "

@@ -45,7 +45,7 @@ def main():
                                flows_per_class=FLOWS_PER_CLASS, seed=0)
     compiled = row["_model"].compiled
     config = EngineConfig(feature_mode="stats", batch_size=256,
-                          decision_cache=True)
+                          decision_cache="l1")
     for name in ("attack_flood", "heavy_hitters"):
         with PegasusEngine.from_compiled(compiled, config) as engine:
             report = engine.serve(build_scenario(name), seed=0,

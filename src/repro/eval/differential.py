@@ -61,7 +61,6 @@ from repro.serving.engine import (EngineConfig, PegasusEngine,
 from repro.utils.rng import new_rng
 
 DEFAULT_CAPACITY = 4096          # ample: cross-worker identity needs no eviction
-DEFAULT_CACHE_CAPACITY = 1 << 15
 RUNTIME_KINDS = ("windowed", "two_stage")
 # The lookup backends each runtime kind serves (the engine rejects the rest).
 RUNTIME_BACKENDS = {"windowed": ("index", "tcam-pruned"),
@@ -80,40 +79,30 @@ class EngineCase:
     topology: str = "local"
     n_workers: int = 1
     lookup_backend: str = "index"
-    decision_cache: bool | str = "off"
+    decision_cache: str = "off"
     batch_size: int = 64
 
     @property
-    def cache_mode(self) -> str:
-        """The cache axis as a mode string (bools accepted for back-compat)."""
-        if self.decision_cache is False:
-            return "off"
-        if self.decision_cache is True:
-            return "l1"
-        return self.decision_cache
-
-    @property
     def cached(self) -> bool:
-        return self.cache_mode != "off"
+        return self.decision_cache != "off"
 
     @property
     def label(self) -> str:
         return (f"{self.runtime}/{self.topology}{self.n_workers}/"
-                f"{self.lookup_backend}/{self.cache_mode}/b{self.batch_size}")
+                f"{self.lookup_backend}/{self.decision_cache}/"
+                f"b{self.batch_size}")
 
-    def config(self, capacity: int = DEFAULT_CAPACITY,
-               cache_capacity: int = DEFAULT_CACHE_CAPACITY) -> EngineConfig:
+    def config(self, capacity: int = DEFAULT_CAPACITY) -> EngineConfig:
         return EngineConfig(
             runtime=self.runtime, feature_mode="stats",
             capacity=capacity, lookup_backend=self.lookup_backend,
-            batch_size=self.batch_size, decision_cache=self.cache_mode,
-            cache_capacity=cache_capacity, topology=self.topology,
-            n_workers=self.n_workers)
+            batch_size=self.batch_size, decision_cache=self.decision_cache,
+            topology=self.topology, n_workers=self.n_workers)
 
 
 def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
                 worker_counts: tuple[int, ...] = (1, 2),
-                caches: tuple[bool | str, ...] = ("off", "l1", "l1+l2"),
+                caches: tuple[str, ...] = ("off", "l1", "l1+l2"),
                 batch_sizes: tuple[int, ...] = (64,),
                 include_parallel: bool = True) -> list[EngineCase]:
     """The full matrix: every topology x cache x backend x runtime point,
@@ -323,12 +312,12 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
       runtime kind sees the *same* exact hits — the L1 is keyed by (flow,
       window), and neither topology, sharding, nor the L2 may change what a
       flow's windows are or which L1 probes hit;
-    - within one (kind, cache mode, worker count, parallel?) group, the
-      *full* counter tuple is identical across lookup backends and batch
-      sizes — backends never touch the cache and the batched two-pass
-      protocol replays the scalar op sequence exactly (approximate-hit
-      patterns may legitimately differ across replica layouts, so groups
-      never span topologies with different replica counts);
+    - within one (kind, cache mode, worker count) group, the *full*
+      counter tuple is identical across topologies, lookup backends and
+      batch sizes — every replica owns its cache, backends never touch it,
+      and the batched two-pass protocol replays the scalar op sequence
+      exactly (approximate-hit patterns depend on how flows split across
+      replicas, so groups never span different worker counts);
     - configs with the same runtime kind, sharding shape, and batch size
       must cut the same spans, hence equal flush totals.
     """
@@ -348,8 +337,7 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
                          f"{ {r['case']: r['cache'] for r in group} }")
     by_layout: dict[tuple, list[dict]] = {}
     for r in cached:
-        layout = (r["runtime"], r["cache_mode"], r["n_workers"],
-                  r["topology"] == "parallel")
+        layout = (r["runtime"], r["cache_mode"], r["n_workers"])
         by_layout.setdefault(layout, []).append(r)
     for layout, group in by_layout.items():
         counters = {r["cache"] for r in group}
@@ -368,7 +356,6 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
 def run_differential(workload: ScenarioTrace, sources: dict | None = None,
                      cases: list[EngineCase] | None = None,
                      capacity: int = DEFAULT_CAPACITY,
-                     cache_capacity: int = DEFAULT_CACHE_CAPACITY,
                      check_stats: bool = True) -> DifferentialReport:
     """Replay one workload through the matrix; compare against references."""
     sources = default_sources() if sources is None else sources
@@ -382,7 +369,7 @@ def run_differential(workload: ScenarioTrace, sources: dict | None = None,
         for kind in {c.runtime for c in cases}
     }
     for case in cases:
-        config = case.config(capacity=capacity, cache_capacity=cache_capacity)
+        config = case.config(capacity=capacity)
         with PegasusEngine(source=sources[case.runtime], config=config) as eng:
             serve = eng.serve(workload.trace, labels=workload.labels)
         div = first_divergence(references[case.runtime], serve.decisions,
@@ -393,7 +380,7 @@ def run_differential(workload: ScenarioTrace, sources: dict | None = None,
         report.rows.append({
             "case": case.label, "runtime": case.runtime,
             "topology": case.topology, "n_workers": case.n_workers,
-            "batch_size": case.batch_size, "cache_mode": case.cache_mode,
+            "batch_size": case.batch_size, "cache_mode": case.decision_cache,
             "n_decisions": serve.n_decisions,
             "match": div is None,
             "cache": ((cs.hits, cs.approx_hits, cs.misses, cs.evictions)
@@ -460,8 +447,7 @@ def verify_open_loop(workload: ScenarioTrace, report, source) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def make_failing_predicate(case: EngineCase, source,
-                           capacity: int = DEFAULT_CAPACITY,
-                           cache_capacity: int = DEFAULT_CACHE_CAPACITY):
+                           capacity: int = DEFAULT_CAPACITY):
     """``failing(trace, labels) -> bool`` for one matrix case.
 
     Rebuilds the reference and the candidate engine cold on every call, so
@@ -473,7 +459,7 @@ def make_failing_predicate(case: EngineCase, source,
             return False
         reference = scalar_reference(source, case.runtime, trace, labels,
                                      capacity=capacity)
-        config = case.config(capacity=capacity, cache_capacity=cache_capacity)
+        config = case.config(capacity=capacity)
         with PegasusEngine(source=source, config=config) as eng:
             got = eng.serve(trace, labels=labels).decisions
         return first_divergence(reference, got, case.label) is not None

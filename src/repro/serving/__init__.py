@@ -33,7 +33,7 @@ importable for reference stacks and tests):
   ``(canonical 5-tuple, window index) -> decision`` that short-circuits
   model invocation for already-classified elephant flows whose windows
   repeat, without changing a single decision.
-- :class:`TwoLevelDecisionCache` — the exact L1 above plus a shared
+- :class:`TwoLevelDecisionCache` — the exact L1 above plus a per-replica
   quantized L2 (:class:`QuantizedDecisionStore`) that serves *approximate*
   hits for near-repeating windows, but only when a decision-cell
   certificate proves the cached decision cannot differ (verify-on-hit;

@@ -32,10 +32,9 @@ decision:
 
 Exact (L1) and approximate (L2) hits are counted separately
 (:class:`CacheStats`); ``exact_hits + approx_hits + misses == lookups`` is a
-regression-tested identity. The L2 is read-mostly and shareable: in-process
-replicas (``local`` / ``sharded`` topologies) share one store, worker
-processes (``parallel``) each fill a local store that the dispatcher merges
-and re-publishes at serve boundaries.
+regression-tested identity. Every replica owns its own cache, both levels:
+nothing moves between replicas, so ``sharded`` and ``parallel`` at the same
+worker count report identical counters.
 
 Wiring (both dataplane runtimes, behind ``decision_cache``)::
 
@@ -44,7 +43,7 @@ Wiring (both dataplane runtimes, behind ``decision_cache``)::
 
     runtime = WindowedClassifierRuntime(
         compiled, feature_mode="stats",
-        decision_cache=TwoLevelDecisionCache(capacity=65536, l2_capacity=4096)
+        decision_cache=TwoLevelDecisionCache()
     )
 
 Eviction is LRU at both levels (a hit refreshes the entry/bucket). L1 keys
@@ -202,14 +201,13 @@ _LO, _HI, _DEC, _GROUP = 0, 1, 2, 3
 
 
 class QuantizedDecisionStore:
-    """The shared L2: quantized-key buckets of certified decision boxes.
+    """The L2: quantized-key buckets of certified decision boxes.
 
     Buckets are LRU-ordered (``capacity`` buckets; a probe or insert
     refreshes its bucket); each bucket holds up to ``bucket_entries``
     certificate entries in insertion order (FIFO within the bucket). The
     store itself is decision-blind bookkeeping — all hit/miss accounting
-    lives in the owning :class:`TwoLevelDecisionCache` — which is what makes
-    one store safely shareable by many in-process replicas.
+    lives in the owning :class:`TwoLevelDecisionCache`.
     """
 
     def __init__(self, capacity: int = 4096, quantize_shift: int = 6,
@@ -225,9 +223,6 @@ class QuantizedDecisionStore:
         self.quantize_shift = quantize_shift
         self.bucket_entries = bucket_entries
         self._buckets: OrderedDict = OrderedDict()
-        # Real (non-PENDING) entries added since the last export — the
-        # read-mostly publish stream the parallel dispatcher merges.
-        self._export_log: list = []
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
@@ -257,13 +252,12 @@ class QuantizedDecisionStore:
         return None
 
     def insert(self, feats: np.ndarray, box_lo: np.ndarray,
-               box_hi: np.ndarray, decision, group_key=None,
-               log: bool = True) -> tuple[list, int]:
+               box_hi: np.ndarray, decision, group_key=None
+               ) -> tuple[list, int]:
         """Add one certified entry at ``feats``'s bucket.
 
         Returns ``(entry, evictions)`` — bucket evictions are charged to the
-        inserting replica's stats by the caller. ``log=False`` suppresses the
-        export log (used when importing another worker's entries).
+        cache's stats by the caller.
         """
         qk = self.key_for(feats)
         evictions = 0
@@ -281,15 +275,12 @@ class QuantizedDecisionStore:
         entry = [np.asarray(box_lo, dtype=np.int64),
                  np.asarray(box_hi, dtype=np.int64), decision, group_key]
         bucket.append(entry)
-        if log and decision is not PENDING:
-            self._export_log.append((qk, entry[_LO], entry[_HI], decision))
         return entry, evictions
 
-    def resolve(self, entry: list, decision: int, qk: bytes) -> None:
-        """Fill a PENDING entry's decision in place and publish it."""
+    def resolve(self, entry: list, decision: int) -> None:
+        """Fill a PENDING entry's decision in place."""
         entry[_DEC] = decision
         entry[_GROUP] = None
-        self._export_log.append((qk, entry[_LO], entry[_HI], decision))
 
     def remove(self, entry: list, qk: bytes) -> None:
         """Drop one entry (exception-path cleanup of a PENDING reservation)."""
@@ -302,45 +293,12 @@ class QuantizedDecisionStore:
             if not bucket:
                 del self._buckets[qk]
 
-    def export_delta(self) -> list:
-        """Drain the entries published since the last export.
-
-        The parallel dispatcher calls this worker-side after each shard
-        replay; the drained tuples travel to the parent as plain
-        ``(bucket_key, box_lo, box_hi, decision)`` rows.
-        """
-        out, self._export_log = self._export_log, []
-        return out
-
-    def import_entries(self, entries) -> None:
-        """Merge published entries from another store (read-mostly seed).
-
-        Deduplicates by (bucket, box): an entry this store already holds is
-        skipped, so repeated publishes are idempotent. Imports are never
-        re-exported (no echo) and never counted as this replica's inserts.
-        """
-        for qk, lo, hi, decision in entries or ():
-            bucket = self._buckets.get(qk)
-            if bucket is not None:
-                lo_b, hi_b = lo.tobytes(), hi.tobytes()
-                if any(e[_LO].tobytes() == lo_b and e[_HI].tobytes() == hi_b
-                       for e in bucket):
-                    continue
-                if len(bucket) >= self.bucket_entries:
-                    bucket.pop(0)
-            else:
-                if len(self._buckets) >= self.capacity:
-                    self._buckets.popitem(last=False)
-                bucket = self._buckets[qk] = []
-            bucket.append([lo, hi, decision, None])
-
     def clear(self) -> None:
         self._buckets.clear()
-        self._export_log.clear()
 
 
 class TwoLevelDecisionCache:
-    """Exact per-flow L1 + shared verified-approximate L2, one stat stream.
+    """Exact per-flow L1 + verified-approximate L2, one stat stream.
 
     The runtime drives the levels explicitly (``two_level`` marks the
     protocol): :meth:`exact_get` probes L1; on miss :meth:`approx_get`
@@ -354,9 +312,6 @@ class TwoLevelDecisionCache:
     ``misses`` — the ``exact_hits + approx_hits + misses == lookups``
     identity the regression tests pin.
 
-    ``l2`` may be a shared :class:`QuantizedDecisionStore` (in-process
-    replicas of one engine share a store; each keeps its own stats).
-
     ``l2_admit`` is the per-phase admission knob: when False the runtime
     keeps probing both levels (hits stay hits) but skips the L2 insert — and
     with it the box-certificate computation — on every miss, populating only
@@ -369,11 +324,10 @@ class TwoLevelDecisionCache:
     two_level = True
 
     def __init__(self, capacity: int = 65536, l2_capacity: int = 4096,
-                 l2_quantize_shift: int = 6, l2_bucket_entries: int = 64,
-                 l2: QuantizedDecisionStore | None = None):
+                 l2_quantize_shift: int = 6, l2_bucket_entries: int = 64):
         self.l1 = FlowDecisionCache(capacity)
-        self.l2 = l2 if l2 is not None else QuantizedDecisionStore(
-            l2_capacity, l2_quantize_shift, l2_bucket_entries)
+        self.l2 = QuantizedDecisionStore(l2_capacity, l2_quantize_shift,
+                                         l2_bucket_entries)
         self.stats = self.l1.stats    # one stream: L1 evictions count here too
         self.l2_admit = True
         self._pending: dict = {}      # group L1 key -> (L2 entry, bucket key)
@@ -464,8 +418,7 @@ class TwoLevelDecisionCache:
         self.l1.fill(key, decision)
         pending = self._pending.pop(key, None)
         if pending is not None:
-            entry, qk = pending
-            self.l2.resolve(entry, decision, qk)
+            self.l2.resolve(pending[0], decision)
 
     def discard_pending(self, key) -> None:
         """Exception-path cleanup: drop PENDING reservations under ``key``."""
@@ -474,16 +427,6 @@ class TwoLevelDecisionCache:
         if pending is not None:
             entry, qk = pending
             self.l2.remove(entry, qk)
-
-    # -- sharing --------------------------------------------------------------
-
-    def export_l2(self) -> list:
-        """Publish this replica's new L2 entries (see ``export_delta``)."""
-        return self.l2.export_delta()
-
-    def import_l2(self, entries) -> None:
-        """Seed the L2 with entries another replica published."""
-        self.l2.import_entries(entries)
 
     def clear(self) -> None:
         """Drop all entries at both levels; counters keep accumulating."""

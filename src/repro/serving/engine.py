@@ -36,7 +36,7 @@ End-to-end usage::
     from repro.serving import EngineConfig, PegasusEngine
 
     config = EngineConfig(feature_mode="stats", batch_size=256,
-                          decision_cache=True, lookup_backend="tcam-pruned",
+                          decision_cache="l1", lookup_backend="tcam-pruned",
                           topology="parallel", n_workers=4)
     with PegasusEngine.from_compiled(compiled, config) as eng:
         report = eng.serve(test_flows)
@@ -77,9 +77,8 @@ from repro.serving.parallel import ParallelDispatcher
 
 DEFAULT_PAYLOAD_BYTES = 60     # TwoStageRuntime's raw_bytes default
 
-# Decision-cache modes: no cache / exact per-worker L1 / L1 plus the shared
-# quantized L2 (verify-on-hit, never decision-changing). The bools False /
-# True are accepted and normalized to "off" / "l1".
+# Decision-cache modes: no cache / exact per-replica L1 / L1 plus a
+# per-replica quantized L2 (verify-on-hit, never decision-changing).
 CACHE_MODES = ("off", "l1", "l1+l2")
 
 
@@ -180,11 +179,8 @@ class EngineConfig:
       ``"index"`` only);
     - **batching** — ``batch_size``, the fixed span every replay cuts
       (where the cuts fall never changes a decision);
-    - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``;
-      the bools ``False`` / ``True`` normalize to ``"off"`` / ``"l1"``)
-      + per-replica exact ``cache_capacity``, and for ``"l1+l2"`` the
-      shared approximate store's ``l2_capacity`` (quantized buckets) and
-      ``l2_quantize_shift`` (feature bits dropped by the bucket key);
+    - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``),
+      one cache per replica at the cache classes' default sizes;
     - **topology** — ``local`` (one replica, in-process), ``sharded``
       (N replicas replayed serially, modeled parallel wall clock) or
       ``parallel`` (N persistent worker processes fed through
@@ -209,10 +205,7 @@ class EngineConfig:
     capacity: int = 1_000_000
     lookup_backend: str = "index"
     batch_size: int = 256
-    decision_cache: bool | str = False
-    cache_capacity: int = 65536
-    l2_capacity: int = 4096
-    l2_quantize_shift: int = 6
+    decision_cache: str = "off"
     topology: str = "local"
     n_workers: int = 1
     admission: str = "none"
@@ -231,21 +224,9 @@ class EngineConfig:
         if self.feature_mode not in ("seq", "stats"):
             raise ConfigError("feature_mode", self.feature_mode,
                               allowed=("seq", "stats"))
-        # Normalize the cache mode once: bools stay accepted for
-        # back-compat, every downstream check then compares strings.
-        mode = self.decision_cache
-        if mode is False:
-            mode = "off"
-        elif mode is True:
-            mode = "l1"
-        if mode not in CACHE_MODES:
-            raise ConfigError("decision_cache", self.decision_cache,
-                              allowed=CACHE_MODES + (False, True))
-        object.__setattr__(self, "decision_cache", mode)
+        _check_choice("decision_cache", self.decision_cache, CACHE_MODES)
         for name, lo in (("capacity", 1), ("n_workers", 1),
-                         ("batch_size", 1),
-                         ("cache_capacity", 1), ("l2_capacity", 1),
-                         ("l2_quantize_shift", 0), ("queue_capacity", 1)):
+                         ("batch_size", 1), ("queue_capacity", 1)):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Integral)
                     or isinstance(value, bool) or value < lo):
@@ -268,10 +249,8 @@ class EngineConfig:
         if self.decision_cache == "off":
             return None
         if self.decision_cache == "l1":
-            return FlowDecisionCache(self.cache_capacity)
-        return TwoLevelDecisionCache(
-            capacity=self.cache_capacity, l2_capacity=self.l2_capacity,
-            l2_quantize_shift=self.l2_quantize_shift)
+            return FlowDecisionCache()
+        return TwoLevelDecisionCache()
 
 
 def _resolve_config(config: EngineConfig | None, overrides: dict
@@ -299,6 +278,8 @@ def _build_windowed(source, config: EngineConfig):
 # Replica knobs the engine owns: they come from EngineConfig, never from a
 # two-stage source mapping (a duplicate would otherwise collide at build).
 _ENGINE_OWNED_FIELDS = ("capacity", "batch_size", "decision_cache")
+# Replica knobs a from_factory factory owns: the engine cannot apply them.
+_FACTORY_OWNED_FIELDS = ("capacity", "feature_mode", "decision_cache")
 
 
 def _two_stage_spec(source) -> dict:
@@ -439,37 +420,16 @@ class _ReplicaFactory:
     topologies), so this wrapper pickles whenever ``base`` does — custom
     backends registered via :func:`register_lookup_backend` must then also
     be registered in the worker's interpreter (automatic under ``fork``).
-
-    Two-level caches built in the *same process* share one L2 store: the
-    first replica's ``cache.l2`` is captured and handed to every later
-    replica, so ``sharded`` shards see each other's approximate entries the
-    way ``parallel`` workers do through the dispatcher's export/merge. The
-    captured store never crosses a process boundary (each spawn/fork worker
-    pickles the factory before any replica exists).
     """
 
     def __init__(self, base: Callable[[], Any], backend_name: str):
         self.base = base
         self.backend_name = backend_name
-        self.shared_l2 = None
 
     def __call__(self):
         rt = self.base()
         lookup_backends.get(self.backend_name).apply(rt)
-        cache = getattr(rt, "decision_cache", None)
-        if getattr(cache, "two_level", False):
-            if self.shared_l2 is None:
-                self.shared_l2 = cache.l2
-            else:
-                cache.l2 = self.shared_l2
         return rt
-
-    def __getstate__(self):
-        # Drop the captured store when crossing a process boundary: workers
-        # must start with their own empty L2 (shared via export/merge), not
-        # a pickled copy that silently diverges.
-        return {"base": self.base, "backend_name": self.backend_name,
-                "shared_l2": None}
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +684,24 @@ class PegasusEngine:
     def from_factory(cls, runtime_factory: Callable[[], Any],
                      config: EngineConfig | None = None,
                      **overrides) -> "PegasusEngine":
-        """Serve replicas from an arbitrary zero-arg factory (escape hatch;
-        the config's lookup backend is still applied to each replica)."""
-        return cls(runtime_factory=runtime_factory, config=config, **overrides)
+        """Serve replicas from an arbitrary zero-arg factory (escape hatch).
+
+        The config's lookup backend, batch size, topology and open-loop
+        fields are applied; the factory's replicas own their register
+        ``capacity``, ``feature_mode`` and decision cache, so a config that
+        sets one of those away from its default raises a
+        :class:`~repro.errors.ConfigError` naming it (it would be ignored).
+        """
+        config = _resolve_config(config, overrides)
+        defaults = EngineConfig()
+        for name in _FACTORY_OWNED_FIELDS:
+            value = getattr(config, name)
+            if value != getattr(defaults, name):
+                raise ConfigError(
+                    name, value, allowed=(getattr(defaults, name),),
+                    reason="from_factory replicas are built by the factory; "
+                           "configure this on the replica instead")
+        return cls(runtime_factory=runtime_factory, config=config)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -131,10 +131,10 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
     Protocol (driver -> worker / worker -> driver):
 
     - ``("warm",)`` -> ``("ok", None)`` | ``("error", traceback)``
-    - ``("serve", l2_seed, l2_admit)`` — resets per-serve state, no reply
+    - ``("serve", l2_admit)`` — resets per-serve state, no reply
     - ``("chunk", slot, rows)`` -> ``("chunk_ok", slot, n, seconds)`` |
       ``("chunk_err", slot, traceback)``
-    - ``("end",)`` -> ``("done", {seconds, cache_stats, l2_export, error})``
+    - ``("end",)`` -> ``("done", {seconds, cache_stats, error})``
     - ``None`` — shut down
 
     A chunk failure never kills the loop: the slot is acked with the
@@ -165,16 +165,10 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
                 serve_error = None
                 serve_seconds = 0.0
                 try:
-                    _, l2_seed, l2_admit = msg
+                    _, l2_admit = msg
                     cache = getattr(runtime, "decision_cache", None)
                     if getattr(cache, "two_level", False):
-                        # Per-serve L2 admission gate, and read-mostly L2
-                        # sharing: entries other workers published on
-                        # earlier serves seed this replica's store (never
-                        # counted as its inserts, never re-exported).
-                        cache.l2_admit = bool(l2_admit)
-                        if l2_seed:
-                            cache.import_l2(l2_seed)
+                        cache.l2_admit = bool(l2_admit)   # per-serve L2 gate
                 except Exception:
                     serve_error = traceback.format_exc()
             elif op == "chunk":
@@ -192,12 +186,9 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
             elif op == "end":
                 try:
                     cache = getattr(runtime, "decision_cache", None)
-                    two_level = getattr(cache, "two_level", False)
                     payload = {
                         "seconds": serve_seconds,
                         "cache_stats": cache.stats if cache is not None
-                        else None,
-                        "l2_export": cache.export_l2() if two_level
                         else None,
                         "error": serve_error,
                     }
@@ -286,11 +277,6 @@ class ParallelDispatcher(ShardedDispatcher):
         self._workers: list = []
         self._conns: list = []
         self._segments: RingSegments | None = None
-        # Master copy of the shared L2: every entry any worker published, in
-        # deterministic worker order, deduplicated by (bucket, box). Shipped
-        # to all workers as the seed of the next serve.
-        self._l2_entries: list = []
-        self._l2_seen: set = set()
 
     @property
     def n_workers(self) -> int:
@@ -365,7 +351,6 @@ class ParallelDispatcher(ShardedDispatcher):
         workers, conns = self._workers, self._conns
         segments, self._segments = self._segments, None
         self._workers, self._conns = [], []
-        self._l2_entries, self._l2_seen = [], set()   # cold fleet, cold L2
         for conn in conns:
             try:
                 conn.send(None)
@@ -389,21 +374,6 @@ class ParallelDispatcher(ShardedDispatcher):
             # the memory alive until then, but the /dev/shm name must go.
             segments.close()
 
-    def _merge_l2(self, entries: list) -> None:
-        """Fold one worker's published L2 entries into the master copy.
-
-        Exports are merged in worker order (the serve loop collects them
-        per worker and folds w = 0..n-1 after the drain), so the master
-        list — and therefore every worker's next seed — is deterministic
-        for a given serve history.
-        """
-        for qk, lo, hi, decision in entries:
-            key = (qk, lo.tobytes(), hi.tobytes())
-            if key in self._l2_seen:
-                continue
-            self._l2_seen.add(key)
-            self._l2_entries.append((qk, lo, hi, decision))
-
     def _execute(self, trace: Trace, sources: dict, members: list
                  ) -> DecisionBatch:
         """Pump shard chunks through the rings; merge decision streams.
@@ -418,7 +388,7 @@ class ParallelDispatcher(ShardedDispatcher):
         for w, (conn, member) in enumerate(zip(self._conns, members)):
             states.append(_WorkerServe(w, conn, member, _chunk_cuts(
                 len(member), self.batch_size, self._spec.chunk_rows)))
-            conn.send(("serve", self._l2_entries or None, self.l2_admit))
+            conn.send(("serve", self.l2_admit))
 
         self.ring_stalls = 0
         n = len(sources["ts"])
@@ -457,8 +427,6 @@ class ParallelDispatcher(ShardedDispatcher):
             self.shard_seconds[w] = payload.get("seconds", 0.0)
             if payload.get("cache_stats") is not None:
                 self.cache_stats.merge(payload["cache_stats"])
-            if payload.get("l2_export"):
-                self._merge_l2(payload["l2_export"])
         if failures:
             raise WorkerError(failures)
 

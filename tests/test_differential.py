@@ -37,7 +37,7 @@ class TestMatrix:
                 for c in cases} == want
         # every (backend, cache) pair of a runtime appears scaled out
         for kind, backends in dfl.RUNTIME_BACKENDS.items():
-            scaled = {(c.lookup_backend, c.cache_mode) for c in cases
+            scaled = {(c.lookup_backend, c.decision_cache) for c in cases
                       if c.runtime == kind and c.topology != "local"}
             assert len(scaled) == 3 * len(backends), kind
         assert set(dfl.RUNTIME_BACKENDS) == set(dfl.RUNTIME_KINDS)
@@ -49,17 +49,17 @@ class TestMatrix:
             case.config()           # every point is a valid EngineConfig
 
     def test_case_config_roundtrip(self):
-        case = dfl.EngineCase("windowed", "sharded", 2, "tcam-pruned", True,
+        case = dfl.EngineCase("windowed", "sharded", 2, "tcam-pruned", "l1",
                               32)
-        assert case.cache_mode == "l1" and case.cached   # bool back-compat
+        assert case.cached
         config = case.config()
         assert (config.topology, config.n_workers) == ("sharded", 2)
         assert config.lookup_backend == "tcam-pruned"
         assert config.decision_cache == "l1" and config.batch_size == 32
         two = dfl.EngineCase(decision_cache="l1+l2")
         assert two.config().decision_cache == "l1+l2"
-        off = dfl.EngineCase(decision_cache=False)
-        assert off.cache_mode == "off" and not off.cached
+        off = dfl.EngineCase(decision_cache="off")
+        assert not off.cached
 
     @pytest.mark.parametrize("family", ["heavy_hitters", "flow_churn"])
     def test_quick_matrix_bit_identical(self, sources, family):
@@ -172,14 +172,14 @@ class TestFaultInjection:
         lookup_backends.unregister(name)
 
     def test_fault_is_caught(self, sources, workload, fault):
-        case = dfl.EngineCase("windowed", "local", 1, fault, False, 64)
+        case = dfl.EngineCase("windowed", "local", 1, fault, "off", 64)
         report = dfl.run_differential(workload, sources=sources, cases=[case])
         assert not report.ok
         assert report.divergences and report.divergences[0].case == case.label
         assert "divergence at decision" in report.divergences[0].describe()
 
     def test_fault_shrinks_to_minimal_trace(self, sources, workload, fault):
-        case = dfl.EngineCase("windowed", "local", 1, fault, False, 64)
+        case = dfl.EngineCase("windowed", "local", 1, fault, "off", 64)
         failing = dfl.make_failing_predicate(case, sources["windowed"])
         assert failing(workload.trace, workload.labels)
         shrunk, labels = dfl.shrink_failing_trace(
@@ -191,8 +191,8 @@ class TestFaultInjection:
         assert len(labels) == len(shrunk.packets)
 
     def test_fuzz_finds_and_writes_artifact(self, sources, fault, tmp_path):
-        cases = [dfl.EngineCase("windowed", "local", 1, "index", False, 64),
-                 dfl.EngineCase("windowed", "local", 1, fault, False, 64)]
+        cases = [dfl.EngineCase("windowed", "local", 1, "index", "off", 64),
+                 dfl.EngineCase("windowed", "local", 1, fault, "off", 64)]
         report = dfl.fuzz_differential(
             n_seeds=0, budget_seconds=120.0, base_seed=5,
             scenarios=("diurnal",), cases=cases, sources=sources,
@@ -217,9 +217,9 @@ class TestFuzzClean:
         report = dfl.fuzz_differential(
             n_seeds=1, budget_seconds=120.0, base_seed=0,
             scenarios=("flow_churn",),
-            cases=[dfl.EngineCase("windowed", "local", 1, "index", True, 48),
+            cases=[dfl.EngineCase("windowed", "local", 1, "index", "l1", 48),
                    dfl.EngineCase("windowed", "sharded", 2, "tcam-pruned",
-                                  False, 48)],
+                                  "off", 48)],
             sources=sources, flows_scale=0.15,
             progress=rows.append)
         assert report.ok and len(report.trials) == 2 == len(rows)

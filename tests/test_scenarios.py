@@ -177,7 +177,7 @@ class TestServeScenario:
     @pytest.fixture(scope="class")
     def engine_parts(self, compiled16):
         return compiled16, EngineConfig(feature_mode="stats", batch_size=64,
-                                        decision_cache=True)
+                                        decision_cache="l1")
 
     def test_phasewise_equals_oneshot(self, engine_parts):
         compiled, config = engine_parts

@@ -32,7 +32,6 @@ BACKENDS = ("index", "tcam-pruned")
 BACKEND_IDS = ("index", "tcam")    # "tcam-pruned" is the one TCAM backend
 TWO_STAGE_BACKENDS = ("index",)    # EngineConfig rejects two_stage + TCAM
 BATCH = 32
-CACHE_CAP = 4096
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +58,13 @@ class _TwoStageModel:
 def _config(topology, cached, backend, **kw):
     return EngineConfig(
         feature_mode="stats", batch_size=BATCH, lookup_backend=backend,
-        decision_cache=cached, cache_capacity=CACHE_CAP,
+        decision_cache="l1" if cached else "off",
         topology=topology, n_workers=1 if topology == "local" else 2, **kw)
 
 
 def _windowed_factory(compiled16, cached, backend):
     def build():
-        cache = FlowDecisionCache(CACHE_CAP) if cached else None
+        cache = FlowDecisionCache() if cached else None
         rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=BATCH,
             decision_cache=cache)
@@ -76,7 +75,7 @@ def _windowed_factory(compiled16, cached, backend):
 
 def _two_stage_factory(spec, cached, backend):
     def build():
-        cache = FlowDecisionCache(CACHE_CAP) if cached else None
+        cache = FlowDecisionCache() if cached else None
         rt = TwoStageRuntime(batch_size=BATCH, decision_cache=cache, **spec)
         rt.set_lookup_backend(backend)
         return rt
@@ -188,7 +187,7 @@ class TestOneDispatcher:
         for topology in TOPOLOGIES:
             config = EngineConfig(
                 runtime=runtime, feature_mode="stats", batch_size=BATCH,
-                decision_cache=True, cache_capacity=CACHE_CAP,
+                decision_cache="l1",
                 topology=topology, n_workers=1)
             with PegasusEngine(source=source, config=config) as engine:
                 reports.append(engine.serve(workload, **kwargs))
@@ -237,7 +236,7 @@ class TestEngineConfig:
         (dict(n_workers=0, topology="sharded"), "n_workers"),
         (dict(runtime="Windowed"), "runtime"),
         (dict(capacity=0), "capacity"),
-        (dict(cache_capacity=0), "cache_capacity"),
+        (dict(decision_cache=True), "decision_cache"),    # no bool aliases
         (dict(batch_size=0), "batch_size"),
         (dict(batch_size=-1), "batch_size"),
         (dict(topology="paralel"), "topology"),
@@ -245,8 +244,8 @@ class TestEngineConfig:
         (dict(decision_cache="L1"), "decision_cache"),
         (dict(admission="tail_drop"), "admission"),
         (dict(decision_cache="l3"), "decision_cache"),
-        (dict(l2_capacity=0), "l2_capacity"),
-        (dict(l2_quantize_shift=-1), "l2_quantize_shift"),
+        (dict(decision_cache=False), "decision_cache"),
+        (dict(capacity=-1), "capacity"),
         (dict(lookup_backend="TCAM"), "lookup_backend"),
         (dict(feature_mode="Stats"), "feature_mode"),
         (dict(p99_target_ms=-1.0), "p99_target_ms"),
@@ -329,7 +328,7 @@ class TestBuilders:
             .process_flows(replay_flows)
         report = PegasusEngine.from_model(
             model, runtime="two_stage", batch_size=BATCH,
-            decision_cache=True).serve(replay_flows)
+            decision_cache="l1").serve(replay_flows)
         assert list(report.decisions) == list(ref)
         assert report.cache_stats.lookups == len(ref)
 
@@ -355,6 +354,22 @@ class TestBuilders:
                           "local", replay_flows)
         assert list(report.decisions) == list(ref)
         assert report.lookup_backend == "tcam-pruned"
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(capacity=7), dict(feature_mode="seq"),
+        dict(decision_cache="l1+l2"),
+    ], ids=["capacity", "feature_mode", "decision_cache"])
+    def test_from_factory_rejects_replica_owned_field(self, compiled16,
+                                                      kwargs):
+        """The factory builds its replicas, so a config field only the
+        replica could apply raises instead of being silently ignored."""
+        factory = _windowed_factory(compiled16, False, "index")
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError) as exc:
+            PegasusEngine.from_factory(factory, EngineConfig(**kwargs))
+        assert exc.value.field == name and exc.value.value == value
+        with pytest.raises(ConfigError, match=name):
+            PegasusEngine.from_factory(factory, **kwargs)
 
     def test_two_stage_source_must_be_mapping(self, compiled16):
         with pytest.raises(ConfigError, match="two_stage"):

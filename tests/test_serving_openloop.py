@@ -207,7 +207,7 @@ class TestOpenLoopServe:
     def test_sync_none_bit_identical_to_closed(self, compiled16):
         """time_scale=0 + admission="none": same decisions as closed loop."""
         w = tiny("heavy_hitters", seed=1, scale=0.4)
-        config = _config(decision_cache=True)
+        config = _config(decision_cache="l1")
         with PegasusEngine.from_compiled(compiled16, config) as eng:
             closed = eng.serve(w.trace, labels=w.labels)
         with PegasusEngine.from_compiled(compiled16, config) as eng:

@@ -326,7 +326,7 @@ class TestParallelDispatcherMechanics:
             write_ingress_chunk(views, _trace_sources(trace, labels),
                                 np.arange(n))
             ingress_name, egress_name = segments.names(0)
-            conn = FakeConn([("warm",), ("serve", None, True),
+            conn = FakeConn([("warm",), ("serve", True),
                              ("chunk", 0, n), ("chunk", 5, n),
                              ("end",), None])
             worker_main(conn, _factory(compiled16, False), ingress_name,

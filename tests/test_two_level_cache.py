@@ -8,16 +8,12 @@ Four layers of defense for the serving hot path:
 - degenerate-capacity tests: L2 bucket churn at capacity 1/2 stays
   bit-identical and keeps the ``exact + approx + misses == lookups`` stat
   identity;
-- sharing tests: export/import semantics (dedup, no echo), real
-  cross-worker L2 sharing under ``topology="parallel"``, and a replica
-  factory that drops its captured L2 when pickled for a worker;
+- layout tests: every replica owns its cache, so ``sharded`` and
+  ``parallel`` at the same worker count report identical counters;
 - a mutation test: a deliberately-wrong approximate hit (via
   ``install_l2_fault_backend``) must be caught by the differential matrix
   and ddmin-shrunk — proving the wall actually guards the approximate path.
 """
-
-import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +22,11 @@ from hypothesis import strategies as st
 
 from repro.core.mapping import (certified_decision_box,
                                 decision_box_certified, decision_cell_box)
+from repro.dataplane.runtime import WindowedClassifierRuntime
 from repro.errors import ConfigError
 from repro.eval import differential as dfl
 from repro.net import build_scenario
-from repro.serving.cache import (_DEC, _HI, _LO, PENDING, CacheStats,
+from repro.serving.cache import (_DEC, _HI, _LO, CacheStats,
                                  QuantizedDecisionStore, TwoLevelDecisionCache)
 from repro.serving.engine import EngineConfig, PegasusEngine, lookup_backends
 
@@ -54,6 +51,17 @@ def _serve(source, workload, **overrides):
     config = EngineConfig(**{**BASE_CONFIG, **overrides})
     with PegasusEngine(source=source, config=config) as eng:
         return eng.serve(workload.trace, labels=workload.labels)
+
+
+def _churn_replay(model, workload, l2_capacity, batch_size=64):
+    """Replay through one windowed runtime whose two-level cache churns at
+    degenerate capacity (2 L1 entries, ``l2_capacity`` L2 buckets)."""
+    cache = TwoLevelDecisionCache(capacity=2, l2_capacity=l2_capacity)
+    runtime = WindowedClassifierRuntime(
+        model, feature_mode="stats", capacity=BASE_CONFIG["capacity"],
+        batch_size=batch_size, decision_cache=cache)
+    return (runtime.process_trace(workload.trace, labels=workload.labels),
+            cache.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -98,28 +106,6 @@ class TestQuantizedStoreDegenerate:
         assert store.key_for(near) == store.key_for(feats)
         assert store.probe(near) is None
         assert int(store.probe(feats + 2)[_DEC]) == 7  # box edge inclusive
-
-    def test_export_drains_and_import_never_echoes(self):
-        a = QuantizedDecisionStore(capacity=8, quantize_shift=6)
-        b = QuantizedDecisionStore(capacity=8, quantize_shift=6)
-        feats, lo, hi = self._box([50, 60])
-        a.insert(feats, lo, hi, 3)
-        delta = a.export_delta()
-        assert len(delta) == 1 and a.export_delta() == []      # drained
-        b.import_entries(delta)
-        assert int(b.probe(feats)[_DEC]) == 3
-        assert b.export_delta() == []                          # no echo
-        b.import_entries(delta)                                # idempotent
-        assert len(b) == 1
-
-    def test_pending_entries_never_exported(self):
-        store = QuantizedDecisionStore(capacity=8, quantize_shift=6)
-        feats, lo, hi = self._box([10, 20])
-        entry, _ = store.insert(feats, lo, hi, PENDING, group_key="k")
-        assert store.export_delta() == []
-        store.resolve(entry, 5, store.key_for(feats))
-        (qk, _, _, decision), = store.export_delta()
-        assert decision == 5 and qk == store.key_for(feats)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -217,7 +203,7 @@ class TestNeverFlipProperty:
 
 
 # ---------------------------------------------------------------------------
-# Engine-level churn, stat identity, sharing
+# Engine-level churn, stat identity, replica layout
 # ---------------------------------------------------------------------------
 
 class TestEngineChurnBitIdentity:
@@ -228,13 +214,11 @@ class TestEngineChurnBitIdentity:
     @pytest.mark.parametrize("l2_capacity", [1, 2])
     def test_l2_bucket_churn_stays_bit_identical(self, model, workload,
                                                  reference, l2_capacity):
-        got = _serve(model, workload, decision_cache="l1+l2",
-                     cache_capacity=2, l2_capacity=l2_capacity)
-        assert list(got.decisions) == list(reference.decisions)
-        cs = got.cache_stats
+        decisions, cs = _churn_replay(model, workload, l2_capacity)
+        assert list(decisions) == list(reference.decisions)
         assert cs.evictions > 0                          # churn really happened
         assert cs.exact_hits + cs.approx_hits + cs.misses == cs.lookups \
-            == got.n_decisions
+            == len(decisions)
 
     def test_batched_stat_stream_identity_under_churn(self, model, workload):
         """Batch size must not perturb the cache op stream, even while both
@@ -243,13 +227,10 @@ class TestEngineChurnBitIdentity:
         streams = set()
         decisions = []
         for batch_size in (64, 7):
-            got = _serve(model, workload, decision_cache="l1+l2",
-                         cache_capacity=2, l2_capacity=1,
-                         batch_size=batch_size)
-            cs = got.cache_stats
+            got, cs = _churn_replay(model, workload, 1, batch_size)
             streams.add((cs.exact_hits, cs.approx_hits, cs.misses,
                          cs.evictions))
-            decisions.append(got.decisions)
+            decisions.append(got)
         assert len(streams) == 1
         assert list(decisions[0]) == list(decisions[1])
 
@@ -285,53 +266,25 @@ class TestEngineChurnBitIdentity:
         assert len(warm) >= 4, warm
 
 
-class TestCrossReplicaSharing:
-    def test_export_import_serves_other_replicas_decisions(self, model):
-        a = TwoLevelDecisionCache(capacity=16, l2_capacity=16)
-        b = TwoLevelDecisionCache(capacity=16, l2_capacity=16)
-        x = np.asarray([100] * model.input_dim, dtype=np.int64)
-        lo, hi = decision_cell_box(model, x)
-        d = int(model.predict(x[None, :])[0])
-        a.insert(("flow", b"w"), x, lo[0], hi[0], d)
-
-        b.import_l2(a.export_l2())
-        assert a.export_l2() == []                       # drained
-        entry = b.approx_get(x)                          # A's decision, via L2
-        assert entry is not None and int(entry[_DEC]) == d
-        assert b.stats.approx_hits == 1 and b.stats.hits == 0
-        assert b.export_l2() == []                       # imports never echo
-
-    def test_parallel_spawn_workers_share_l2(self, model, workload):
-        """Under ``topology="parallel"``, worker L2 entries cross the
-        process boundary through the dispatcher's export/merge/seed loop and
-        are served to other replicas on later traces — bit-identically. A
-        spawn-started worker gets the replica factory pickled, and the L2
-        store the factory captured in this process is dropped on the way."""
-        second = build_scenario("attack_flood").generate(seed=9,
-                                                         flows_scale=0.15)
-        config = EngineConfig(**{**BASE_CONFIG, "decision_cache": "l1+l2",
-                                 "topology": "parallel", "n_workers": 2})
-        with PegasusEngine(source=model, config=config) as eng:
-            first_serve = eng.serve(workload.trace,
-                                    labels=workload.labels)
-            merged = list(eng._driver._l2_entries)
-            second_serve = eng.serve(second.trace, labels=second.labels)
-        factory = eng._replica_factory
-        factory()                   # an in-process replica captures its L2
-        assert factory.shared_l2 is not None
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone.shared_l2 is None
-        assert clone().decision_cache.l2 is not factory.shared_l2
-        # Worker exports crossed the process boundary and were merged...
-        assert merged, "dispatcher merged no L2 exports"
-        assert all(len(e) == 4 for e in merged)
-        # ...and the seeded store produced approximate hits on new flows,
-        # without moving a single decision.
-        assert second_serve.cache_stats.approx_hits > 0
-        assert list(first_serve.decisions) == list(
-            _serve(model, workload, decision_cache="off").decisions)
-        assert list(second_serve.decisions) == list(
-            _serve(model, second, decision_cache="off").decisions)
+class TestReplicaLayout:
+    @pytest.mark.parametrize("kind", dfl.RUNTIME_KINDS)
+    def test_sharded_and_parallel_counters_match(self, workload, kind):
+        """Every replica owns its two-level cache, so the same flow split
+        gives the same cache counters in-process and across worker
+        processes — approximate hits included."""
+        source = dfl.default_sources()[kind]
+        counters = set()
+        for topology in ("sharded", "parallel"):
+            config = EngineConfig(**{**BASE_CONFIG, "runtime": kind,
+                                     "decision_cache": "l1+l2",
+                                     "topology": topology, "n_workers": 2})
+            with PegasusEngine(source=source, config=config) as eng:
+                cs = eng.serve(workload.trace,
+                               labels=workload.labels).cache_stats
+            assert cs.lookups > 0
+            counters.add((cs.exact_hits, cs.approx_hits, cs.misses,
+                          cs.evictions))
+        assert len(counters) == 1, counters
 
 
 # ---------------------------------------------------------------------------
