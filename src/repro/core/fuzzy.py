@@ -14,7 +14,9 @@ over all ``2 * n_leaves - 1`` nodes, plus ``depth``. Internal nodes come first, 
 children, the root is node 0; leaf *i* is node ``n_internal + i`` and loops
 to itself (``threshold = +inf``, both children itself), so a batch reaches
 its leaves in exactly ``depth`` rounds of one vectorized comparison —
-:func:`traverse` — whatever the shape of the tree.
+:func:`traverse` — whatever the shape of the tree. A tree keeps the walk's
+doubled node arrays (:func:`walk_arrays`) beside its leaf boxes, derived
+from the three arrays on construction and on :meth:`FuzzyTree.set_thresholds`.
 """
 
 from __future__ import annotations
@@ -150,21 +152,42 @@ def tree_depth(child: np.ndarray) -> int:
     return int(level.max())
 
 
-def traverse(feature: np.ndarray, threshold: np.ndarray, child: np.ndarray,
-             depth: int, x: np.ndarray) -> np.ndarray:
-    """Leaf index per row of a float ``(N, d)`` batch, level-synchronously.
+def walk_arrays(feature: np.ndarray, threshold: np.ndarray,
+                child: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node arrays :func:`walk` reads, indexed by *twice* the node id.
+
+    ``feature`` and ``threshold`` are repeated twice, and entry
+    ``2k + (x <= t)`` of the third holds twice the id of the child node k
+    sends such a row to (``child`` with each pair swapped and doubled), so a
+    level costs no multiply and no negation.
+    """
+    return (np.repeat(feature, 2), np.repeat(threshold, 2),
+            2 * child.reshape(-1, 2)[:, ::-1].ravel())
+
+
+def walk(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], depth: int,
+         x: np.ndarray) -> np.ndarray:
+    """Leaf index per row of a float ``(N, d)`` batch, level-synchronously,
+    over :func:`walk_arrays`.
 
     A row goes right when ``x <= t`` is False, so NaN goes right. Rows that
     reach their leaf early spin on its self-loop until round ``depth``.
     """
+    feature2, threshold2, next2 = arrays
     n, d = x.shape
     flat = x.ravel()
     base = np.arange(0, n * d, d)
-    node = np.zeros(n, dtype=np.int64)
+    node2 = np.zeros(n, dtype=np.int64)
     for _ in range(depth):
-        right = ~(flat[base + feature[node]] <= threshold[node])
-        node = child[2 * node + right]
-    return node - len(feature) // 2
+        node2 = next2.take(node2 + (flat.take(base + feature2.take(node2))
+                                    <= threshold2.take(node2)))
+    return (node2 >> 1) - len(feature2) // 4
+
+
+def traverse(feature: np.ndarray, threshold: np.ndarray, child: np.ndarray,
+             depth: int, x: np.ndarray) -> np.ndarray:
+    """Leaf index per row of a float ``(N, d)`` batch (see :func:`walk`)."""
+    return walk(walk_arrays(feature, threshold, child), depth, x)
 
 
 def leaf_boxes(feature: np.ndarray, threshold: np.ndarray, right_lo: np.ndarray,
@@ -206,6 +229,7 @@ class FuzzyTree:
     depth: int = field(init=False)
     _box_lo: np.ndarray = field(init=False, repr=False)
     _box_hi: np.ndarray = field(init=False, repr=False)
+    _walk: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.int64)
@@ -226,9 +250,10 @@ class FuzzyTree:
                              "parent, leaves loop to themselves, features index "
                              f"a {self.dim}-dim input")
         self.depth = tree_depth(self.child)
-        self._refresh_boxes()
+        self._refresh_derived()
 
-    def _refresh_boxes(self) -> None:
+    def _refresh_derived(self) -> None:
+        self._walk = walk_arrays(self.feature, self.threshold, self.child)
         # An integer key fails ``x <= t`` exactly when ``x >= floor(t) + 1``
         # (for the integer thresholds ``fit`` produces this equals ``t + 1``;
         # for trees fitted on float data ``t + 1`` would leave the integers
@@ -264,10 +289,11 @@ class FuzzyTree:
 
     def set_thresholds(self, thresholds: np.ndarray) -> None:
         """Move the internal nodes' thresholds (fine-tuning); the leaf boxes
-        follow. Forms compiled from the old thresholds are the caller's to
-        drop (:meth:`repro.core.mapping.SegmentTable.set_thresholds`)."""
+        and the walk arrays follow. Forms compiled from the old thresholds
+        are the caller's to drop
+        (:meth:`repro.core.mapping.SegmentTable.set_thresholds`)."""
         self.threshold[:self.n_internal] = thresholds
-        self._refresh_boxes()
+        self._refresh_derived()
 
     def predict_index(self, x: np.ndarray) -> np.ndarray:
         """Fuzzy indices for a batch ``(N, d)`` (or a single vector)."""
@@ -277,7 +303,7 @@ class FuzzyTree:
             x = x[None, :]
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected dim {self.dim}, got {x.shape[1]}")
-        out = traverse(self.feature, self.threshold, self.child, self.depth, x)
+        out = walk(self._walk, self.depth, x)
         return out[0] if single else out
 
     def lookup_centroid(self, x: np.ndarray) -> np.ndarray:

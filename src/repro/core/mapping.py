@@ -102,11 +102,13 @@ class SegmentTable:
         if self.kind == "exact":
             # Direct-indexed SRAM on the hardware under every backend.
             idx = np.clip(x_seg[:, 0] - self.exact_lo, 0, self.n_entries - 1)
-            return self.values_int[idx.astype(np.int64)]
+            return self.values_int.take(idx.astype(np.int64), axis=0)
         assert self.tree is not None
         if lookup_backend == "tcam-pruned":
-            return self.values_int[self.tcam_indices(x_seg, pruned=True)]
-        return self.values_int[self.fuzzy_indices(x_seg)]
+            idx = self.tcam_indices(x_seg, pruned=True)
+        else:
+            idx = self.fuzzy_indices(x_seg)
+        return self.values_int.take(idx, axis=0)
 
     def tcam_segment(self, pruned: bool = False):
         """The cached prioritized-TCAM form of this (fuzzy) table.
@@ -258,13 +260,14 @@ class _GridPlan:
         batch — None for a table without a grid."""
         if self.leaf_of is None:
             return [None] * len(self.grids)
-        xg = x[:, self.cols].astype(np.int64, copy=False)   # a copy either way
-        np.clip(xg, self.lo, self.hi, out=xg)
+        xg = x.take(self.cols, axis=1).astype(np.int64, copy=False)  # a copy
+        np.maximum(xg, self.lo, out=xg)
+        np.minimum(xg, self.hi, out=xg)
         xg *= self.weights
         keys = self.offsets + xg[:, 0]
         for p in range(1, xg.shape[1]):
             keys += xg[:, p]
-        fused = iter(self.leaf_of[keys].T)
+        fused = iter(self.leaf_of.take(keys.T))
         return [None if g is None else next(fused) for g in self.grids]
 
 
@@ -307,14 +310,16 @@ class LookupLayer:
             leaves = self._plan.leaves(x_int)
         outs = [t.lookup(x_int[:, t.segment[0]:t.segment[1]],
                          lookup_backend=lookup_backend)
-                if leaf is None else t.values_int[leaf]
+                if leaf is None else t.values_int.take(leaf, axis=0)
                 for t, leaf in zip(self.tables, leaves)]
         if self.sum_reduce:
-            acc = np.zeros_like(outs[0], dtype=np.int64)
-            for o in outs:
+            # Every ``outs`` entry is a fresh gather: accumulate into the first.
+            acc = outs[0].astype(np.int64, copy=False)
+            for o in outs[1:]:
                 acc += o
             # The pipeline's accumulator saturates at the activation width.
-            return np.clip(acc, self.out_format.int_min, self.out_format.int_max)
+            np.maximum(acc, self.out_format.int_min, out=acc)
+            return np.minimum(acc, self.out_format.int_max, out=acc)
         return np.concatenate(outs, axis=1)
 
     def sram_bits(self) -> int:

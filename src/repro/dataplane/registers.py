@@ -22,11 +22,17 @@ from repro.net.traces import flow_ids
 
 @dataclass(frozen=True)
 class RegisterField:
-    """One named per-flow field of ``bits`` width, possibly an array."""
+    """One named per-flow field of ``bits`` width, possibly an array.
+
+    Fields that name the same ``bank`` (all of one ``bits`` and ``count``)
+    are stored as one array in :class:`VectorFlowState`, so a batch gathers
+    and scatters them together; the SRAM accounting is per field either way.
+    """
 
     name: str
     bits: int
     count: int = 1
+    bank: str | None = None
 
     @property
     def total_bits(self) -> int:
@@ -89,7 +95,9 @@ class VectorFlowState:
     Each :class:`RegisterField` becomes one preallocated 2-D NumPy array of
     shape ``(capacity, field.count)`` in the narrowest unsigned dtype that
     holds the field width, so a whole batch gathers/scatters its per-flow
-    state with fancy indexing. Flows map to *slots* (row indices) through an
+    state with fancy indexing. The ``k`` fields of one bank share one
+    ``(capacity, k, count)`` array, ``banks[bank]``; their ``columns`` are
+    views of it. Flows map to *slots* (row indices) through an
     exact-match table keyed by the packed canonical 5-tuple
     (:func:`repro.net.traces.flow_ids`); it holds one entry per live flow
     plus one owner reference per slot up to the slot high-water mark, so its
@@ -112,9 +120,26 @@ class VectorFlowState:
         self._slot_of: dict[bytes, int] = {}
         self._owner: list[bytes] = []      # slot -> flow id, to the high-water mark
         self._allocations = 0
-        self.columns: dict[str, np.ndarray] = {
-            f.name: np.zeros((capacity, f.count), dtype=register_dtype(f.bits))
-            for f in layout.fields}
+        self.columns: dict[str, np.ndarray] = {}
+        self.banks: dict[str, np.ndarray] = {}
+        banked: dict[str, list[RegisterField]] = {}
+        for f in layout.fields:
+            if f.bank is not None:
+                banked.setdefault(f.bank, []).append(f)
+                continue
+            self.columns[f.name] = np.zeros((capacity, f.count),
+                                            dtype=register_dtype(f.bits))
+        for bank, members in banked.items():
+            shapes = {(f.bits, f.count) for f in members}
+            if len(shapes) > 1:
+                raise PipelineError(
+                    f"register bank {bank!r} mixes field shapes {sorted(shapes)}")
+            bits, count = shapes.pop()
+            array = np.zeros((capacity, len(members), count),
+                             dtype=register_dtype(bits))
+            for i, f in enumerate(members):
+                self.columns[f.name] = array[:, i, :]
+            self.banks[bank] = array
 
     def __len__(self) -> int:
         return len(self._slot_of)

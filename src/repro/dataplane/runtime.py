@@ -16,8 +16,9 @@ Flow-state register layout
 --------------------------
 
 Both runtimes keep per-flow state in a :class:`VectorFlowState`: one
-preallocated 2-D NumPy array per register field, rows indexed by a flow-slot
-table (packed canonical 5-tuple -> row) with FIFO eviction at ``capacity``.
+preallocated NumPy array per register field (or per bank of same-shaped
+fields), rows indexed by a flow-slot table (packed canonical 5-tuple -> row)
+with FIFO eviction at ``capacity``.
 
 :class:`WindowedClassifierRuntime` (window ``W``, default 8)::
 
@@ -26,6 +27,10 @@ table (packed canonical 5-tuple -> row) with FIFO eviction at ``capacity``.
     len_hist   8 bits x W-1  length buckets of the last W-1 packets
     ipd_hist   8 bits x W-1  IPD buckets of the last W-1 packets
                              -> 16 + 8 + 7*8 + 7*8 = 136 bits/flow at W=8
+
+``len_hist`` and ``ipd_hist`` are the two lanes of one ``hist`` bank, a
+``(capacity, 2, W-1)`` uint8 array: a batch gathers, windows and writes back
+both histories at once.
 
 :class:`TwoStageRuntime` (window ``W``, index width ``idx_bits``)::
 
@@ -47,7 +52,13 @@ Batched replay
 ``process_flows`` / ``process_trace`` replay a trace in NumPy batches
 (``batch_size`` packets at a time): per-flow state is gathered/scattered
 with fancy indexing and the compiled model (:meth:`CompiledModel.forward_int`
-or :meth:`Pipeline.process`) is invoked **once per batch**. Intra-batch
+or :meth:`Pipeline.process`) is invoked **once per batch**. What depends on
+one packet alone (its 64 us timestamp unit, its length bucket) is computed
+once per replay, and each batch slices only the columns its step reads, so
+a batch pays a fixed cost of NumPy calls, not a per-column one: one window
+gather over both history lanes, one write-back, the IPD buckets as one
+gather from a table of every 16-bit timestamp difference, and features built
+straight from the ``(n, 2, W)`` window. Intra-batch
 packets of the same flow are handled exactly (each packet's window may span
 stored history and earlier in-batch packets), so batched decisions are
 bit-identical to the per-packet reference path ``process_flows_scalar`` for
@@ -74,14 +85,13 @@ from repro.net.features import (length_bucket, ipd_bucket, stats_from_buckets,
                                 length_bucket_array, ipd_bucket_array)
 from repro.net.flow import Flow
 from repro.net.packet import Packet
-from repro.net.traces import (KEY_COLUMN_NAMES, Trace, flow_ids,
-                              flow_key_words, pack_flow_keys)
+from repro.net.traces import (KEY_COLUMN_NAMES, TS_UNIT_SECONDS, Trace,
+                              flow_ids, flow_key_words, pack_flow_keys)
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 
-TS_UNIT_SECONDS = 64e-6     # 16-bit timestamp register in 64 us units
-TS_MASK = 0xFFFF
+TS_MASK = 0xFFFF            # 16-bit timestamp register in 64 us units
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -97,6 +107,12 @@ def _ts_units_array(ts: np.ndarray) -> np.ndarray:
 def _ipd_bucket_from_units(cur_units: int, prev_units: int) -> int:
     delta_units = (cur_units - prev_units) & TS_MASK
     return ipd_bucket(delta_units * TS_UNIT_SECONDS)
+
+
+# The IPD bucket of every 16-bit timestamp difference: the batched step's
+# one gather, built with the vectorized bucketing's own float64 expression.
+_IPD_BUCKET_OF_UNITS = ipd_bucket_array(
+    np.arange(TS_MASK + 1) * TS_UNIT_SECONDS).astype(np.uint8)
 
 
 def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
@@ -140,35 +156,37 @@ def _group_structure(batch: FlowBatch):
     counts = np.bincount(rank, minlength=len(batch.slots))
     order = np.argsort(rank, kind="stable")
     ends = np.cumsum(counts)
-    occ_sorted = np.arange(n, dtype=np.int64) - np.repeat(ends - counts, counts)
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = occ_sorted
-    prev_idx = np.full(n, -1, dtype=np.int64)
-    follow = np.nonzero(occ_sorted > 0)[0]
-    prev_idx[order[follow]] = order[follow - 1]
-    last_idx = order[ends - 1]
+    pos = np.empty(n, dtype=np.int64)        # each packet's place in ``order``
+    pos[order] = np.arange(n, dtype=np.int64)
+    occ = pos - (ends - counts).take(rank)
+    prev_idx = np.where(occ > 0, order.take(pos - 1), -1)
+    last_idx = order.take(ends - 1)
     return counts, occ, prev_idx, last_idx
 
 
 def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
                     vals: np.ndarray, counts: np.ndarray, window: int) -> np.ndarray:
-    """Effective (N, window) per-packet windows for one register array.
+    """Effective ``(N, k, window)`` per-packet windows over ``k`` register lanes.
 
-    Packet i's window is the last ``window`` entries of the virtual sequence
-    ``stored_history(flow) ++ in-batch values of flow`` ending at packet i —
-    i.e. positions ``occ[i] .. occ[i]+window-1`` of that sequence. ``hist``
-    is the (n_uniq, window-1) stored history gathered per unique slot.
-    Every flow's virtual sequence is laid out as one row of a flat table,
-    so the windows are a single 1-D gather.
+    Packet i's window in lane c is the last ``window`` entries of the
+    virtual sequence ``stored_history(flow, c) ++ in-batch values of flow``
+    ending at packet i — positions ``occ[i] .. occ[i]+window-1`` of that
+    sequence. ``hist`` is the ``(n_uniq, k, window-1)`` stored history
+    gathered per unique slot and ``vals`` the ``(N, k)`` in-batch values.
+    Every (flow, lane) sequence is laid out as one row of a flat table in
+    ``hist``'s dtype, so the windows of all lanes are a single 1-D gather.
     """
-    hist_cols = window - 1
+    n_uniq, k, hist_cols = hist.shape
     width = hist_cols + int(counts.max())
-    seq = np.empty((len(counts), width), dtype=np.int64)
-    seq[:, :hist_cols] = hist
-    seq = seq.reshape(-1)
-    start = rank * width + occ
-    seq[start + hist_cols] = vals
-    return seq[start[:, None] + np.arange(window, dtype=np.int64)]
+    seq = np.empty((n_uniq, k, width), dtype=hist.dtype)
+    seq[:, :, :hist_cols] = hist
+    flat = seq.reshape(-1)
+    start = rank * (k * width) + occ
+    for lane in range(k):
+        flat[start + (lane * width + hist_cols)] = vals[:, lane]
+    lanes = np.arange(0, k * width, width)[:, None] + np.arange(window)
+    return flat.take(start[:, None] + lanes.reshape(-1)) \
+        .reshape(len(rank), k, window)
 
 
 def _ready_flows(batch: FlowBatch, ready_rows: np.ndarray) -> list[bytes]:
@@ -183,8 +201,9 @@ class _BatchedReplayMixin:
     Subclasses provide ``state`` (a :class:`VectorFlowState`), ``window``,
     ``batch_size``, ``required_columns`` (the per-packet columns their
     vectorized step consumes), ``process_packet`` (the scalar reference),
-    ``_replay_columns`` (per-packet columnar inputs) and ``_process_batch``
-    (the vectorized step). ``decision_cache`` (any object with the
+    ``_replay_columns`` (the step's per-packet inputs, derived once per
+    replay) and ``_process_batch`` (the vectorized step).
+    ``decision_cache`` (any object with the
     :class:`repro.serving.FlowDecisionCache` get/put interface) optionally
     short-circuits model invocation for repeating flow windows — exactly,
     since the cache key is the window's packed content.
@@ -207,7 +226,7 @@ class _BatchedReplayMixin:
         one :class:`DecisionBatch` in trace order, ``seq`` the packet's
         trace position.
         """
-        cols = self._replay_columns(trace)
+        cols = self._replay_columns(trace.packet_columns())
         return self._replay(
             cols, trace.key_words, labels, batch_size,
             lambda start, stop: self._batch_columns(cols, trace, start, stop))
@@ -228,9 +247,10 @@ class _BatchedReplayMixin:
                    if c not in cols]
         if missing:
             raise ValueError(f"missing replay columns: {missing}")
+        step_cols = self._replay_columns(cols)
         return self._replay(
-            cols, pack_flow_keys(cols), labels, batch_size,
-            lambda start, stop: {k: v[start:stop] for k, v in cols.items()})
+            step_cols, pack_flow_keys(cols), labels, batch_size,
+            lambda start, stop: {k: v[start:stop] for k, v in step_cols.items()})
 
     def _replay(self, cols, key_words, labels, batch_size,
                 batch_columns) -> DecisionBatch:
@@ -269,6 +289,18 @@ class _BatchedReplayMixin:
         """One batch's view of the replay columns (overridable for columns
         too large to materialize for the whole trace at once)."""
         return {name: col[start:stop] for name, col in cols.items()}
+
+    def _ipd_step(self, batch: FlowBatch, units: np.ndarray,
+                  prev_idx: np.ndarray, count_i: np.ndarray) -> np.ndarray:
+        """Each packet's IPD bucket, from its previous same-flow timestamp:
+        the batch's previous packet of the flow, else the stored ``prev_ts``
+        (``prev_idx`` -1 gathers a discarded row). 0 for a flow's first
+        packet."""
+        prev_ts = self.state.columns["prev_ts"][:, 0]
+        prev_units = np.where(prev_idx >= 0, units.take(prev_idx),
+                              prev_ts.take(batch.slots).take(batch.rank))
+        return np.where(count_i > 0, _IPD_BUCKET_OF_UNITS.take(
+            (units - prev_units) & TS_MASK), 0)
 
     def process_flows_scalar(self, flows: list[Flow]) -> list[PacketDecision]:
         """Per-packet reference replay (the pre-batching code path).
@@ -330,33 +362,30 @@ class _BatchedReplayMixin:
         return pred
 
     def _predict_ready(self, batch: FlowBatch, ready_rows: np.ndarray,
-                       windows: np.ndarray, predict_rows,
-                       features_rows=None, predict_feats=None) -> np.ndarray:
+                       windows: np.ndarray | None, feats: np.ndarray,
+                       predict) -> np.ndarray:
         """Predictions for the window-complete rows, through the cache.
 
         ``batch`` is the batch's flow resolution (its flow ids key the
         cache), ``ready_rows`` the batch indices of the window-complete
-        packets, ``windows`` the (n_ready, W) packed window contents (each
-        row, as bytes, is the cache's *window index*), and
-        ``predict_rows(rows)`` invokes the model on the given positions of
-        ``ready_rows``. Without a cache the
-        model runs on every ready row; with one it runs on misses only —
+        packets, ``feats`` their int64 model inputs and ``predict(feats)``
+        the model. Without a cache the model runs once on every ready row
+        and ``windows`` may be None; with one, ``windows`` holds the
+        ``(n_ready, W)`` packed window contents (each row, as bytes, is the
+        cache's *window index*) and the model runs on misses only —
         bit-identical either way, because the model's decision is a pure
-        function of the window. ``features_rows(rows)`` /
-        ``predict_feats(feats)`` expose the feature view the two-level
-        protocol probes its L2 with (and invokes the model on).
+        function of the window. The two-level protocol probes its L2 with
+        ``feats`` too.
         """
         from repro.serving.cache import PENDING
 
         n_ready = len(ready_rows)
         cache = self.decision_cache
         if cache is None:
-            return np.asarray(predict_rows(np.arange(n_ready, dtype=np.int64)),
-                              dtype=np.int64)
+            return np.asarray(predict(feats), dtype=np.int64)
         keys = _ready_flows(batch, ready_rows)
-        if getattr(cache, "two_level", False) and features_rows is not None:
-            return self._predict_ready_two_level(
-                keys, windows, features_rows, predict_feats)
+        if getattr(cache, "two_level", False):
+            return self._predict_ready_two_level(keys, windows, feats, predict)
         preds = np.empty(n_ready, dtype=np.int64)
         row_bytes = windows.shape[1] * windows.dtype.itemsize
         packed = np.ascontiguousarray(windows).tobytes()
@@ -387,7 +416,7 @@ class _BatchedReplayMixin:
             if miss_rows:
                 first = np.asarray([rows[0] for rows in miss_rows.values()],
                                    dtype=np.int64)
-                got = np.asarray(predict_rows(first), dtype=np.int64)
+                got = np.asarray(predict(feats[first]), dtype=np.int64)
         except BaseException:
             # A failed model invocation must not strand placeholders: a
             # stale PENDING would later be handed out as a decision (scalar
@@ -401,7 +430,7 @@ class _BatchedReplayMixin:
         return preds
 
     def _predict_ready_two_level(self, keys: list, windows: np.ndarray,
-                                 features_rows, predict_feats) -> np.ndarray:
+                                 feats: np.ndarray, predict) -> np.ndarray:
         """Batched replay of the two-level scalar op sequence, in two passes.
 
         Pass 1 walks the ready rows in order, issuing exactly the scalar
@@ -443,8 +472,7 @@ class _BatchedReplayMixin:
                 else:
                     preds[r] = got
             if l2_rows:
-                rows_arr = np.asarray(l2_rows, dtype=np.int64)
-                feats = np.asarray(features_rows(rows_arr), dtype=np.int64)
+                feats = feats[l2_rows]
                 l2_admit = getattr(cache, "l2_admit", True)
                 if l2_admit:
                     box_lo, box_hi = self._cell_boxes(feats)
@@ -472,8 +500,7 @@ class _BatchedReplayMixin:
                     leaders = np.asarray(
                         [j_of[rows[0]] for rows in miss_groups.values()],
                         dtype=np.int64)
-                    got = np.asarray(predict_feats(feats[leaders]),
-                                     dtype=np.int64)
+                    got = np.asarray(predict(feats[leaders]), dtype=np.int64)
         except BaseException:
             # A failed model invocation must not strand reservations at
             # either level (see the single-level path above).
@@ -526,8 +553,8 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         layout = FlowStateLayout(fields=[
             RegisterField("prev_ts", 16),
             RegisterField("count", 8),
-            RegisterField("len_hist", 8, count=hist),
-            RegisterField("ipd_hist", 8, count=hist),
+            RegisterField("len_hist", 8, count=hist, bank="hist"),
+            RegisterField("ipd_hist", 8, count=hist, bank="hist"),
         ])
         self.state = VectorFlowState(layout, capacity=self.capacity)
 
@@ -575,23 +602,21 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         tokens[1::2] = ipds
         return tokens
 
-    def _features_batch(self, win_len: np.ndarray, win_ipd: np.ndarray) -> np.ndarray:
-        if self.feature_mode == "stats":
-            n, w = win_len.shape
-            take = min(6, w)
-            first_len = np.zeros((n, 6), dtype=np.int64)
-            first_len[:, :take] = win_len[:, :take]
-            first_ipd = np.zeros((n, 6), dtype=np.int64)
-            first_ipd[:, :take] = win_ipd[:, :take]
-            return np.column_stack([
-                win_len.max(axis=1), win_len.min(axis=1),
-                win_ipd.max(axis=1), win_ipd.min(axis=1),
-                first_len, first_ipd])
-        n, w = win_len.shape
-        tokens = np.empty((n, 2 * w), dtype=np.int64)
-        tokens[:, 0::2] = win_len
-        tokens[:, 1::2] = win_ipd
-        return tokens
+    def _features_batch(self, win: np.ndarray) -> np.ndarray:
+        """int64 model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
+        :func:`stats_from_buckets` or the interleaved tokens, per row."""
+        n, _, w = win.shape
+        if self.feature_mode == "seq":
+            return win.transpose(0, 2, 1).reshape(n, 2 * w).astype(np.int64)
+        take = min(6, w)
+        feats = (np.empty if take == 6 else np.zeros)((n, 16), dtype=np.int64)
+        # Reduce over a leading axis: NumPy is slow along a short last one.
+        by_position = np.ascontiguousarray(win.transpose(2, 0, 1))
+        feats[:, 0:4:2] = by_position.max(axis=0)
+        feats[:, 1:4:2] = by_position.min(axis=0)
+        feats[:, 4:4 + take] = win[:, 0, :take]
+        feats[:, 10:10 + take] = win[:, 1, :take]
+        return feats
 
     def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
         """Feed one packet; returns a decision when a window is available."""
@@ -633,50 +658,42 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         self.state.write(slot, "count", min(count + 1, 255))
         return decision
 
-    def _replay_columns(self, trace: Trace) -> dict[str, np.ndarray]:
-        return trace.packet_columns()
+    def _replay_columns(self, cols) -> dict[str, np.ndarray]:
+        return {"ts": cols["ts"], "units": _ts_units_array(cols["ts"]),
+                "len_b": length_bucket_array(cols["length"]).astype(np.uint8)}
 
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
                        out: list[DecisionBatch]) -> None:
-        ts = cols["ts"]
-        cur_units = _ts_units_array(ts)
-        len_b = length_bucket_array(cols["length"])
+        units = cols["units"]
         uniq, rank = batch.slots, batch.rank
         counts, occ, prev_idx, last_idx = _group_structure(batch)
-        c = self.state.columns
-        cnt0 = c["count"][uniq, 0].astype(np.int64)
-        count_i = cnt0[rank] + occ
-        prev0 = c["prev_ts"][uniq, 0].astype(np.int64)
-        prev_units = np.where(prev_idx >= 0,
-                              cur_units[np.maximum(prev_idx, 0)], prev0[rank])
-        delta_units = (cur_units - prev_units) & TS_MASK
-        ipd_b = np.where(count_i > 0,
-                         ipd_bucket_array(delta_units * TS_UNIT_SECONDS), 0)
-
-        win_len = _gather_windows(c["len_hist"][uniq], rank, occ, len_b,
-                                  counts, self.window)
-        win_ipd = _gather_windows(c["ipd_hist"][uniq], rank, occ, ipd_b,
-                                  counts, self.window)
+        hist = self.state.banks["hist"]
+        count = self.state.columns["count"][:, 0]
+        cnt0 = count.take(uniq).astype(np.int64)
+        count_i = cnt0.take(rank) + occ
+        vals = np.empty((batch.rows, 2), dtype=np.uint8)
+        vals[:, 0] = cols["len_b"]
+        vals[:, 1] = self._ipd_step(batch, units, prev_idx, count_i)
+        win = _gather_windows(hist.take(uniq, axis=0), rank, occ, vals, counts,
+                              self.window)
 
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
         if len(ready_rows):
-            ready_len, ready_ipd = win_len[ready_rows], win_ipd[ready_rows]
-            windows = np.concatenate([ready_len, ready_ipd],
-                                     axis=1).astype(np.uint8)
-            preds = self._predict_ready(
-                batch, ready_rows, windows,
-                lambda rows: self._model_predict(
-                    self._features_batch(ready_len[rows], ready_ipd[rows])),
-                features_rows=lambda rows: self._features_batch(
-                    ready_len[rows], ready_ipd[rows]),
-                predict_feats=self._model_predict)
-            _emit_decisions(out, labels, preds, ts, ready_rows, base)
+            ready = (win if len(ready_rows) == batch.rows
+                     else win.take(ready_rows, axis=0))
+            # The cache key: the length window ++ the IPD window, one byte
+            # per bucket (as the scalar path packs it).
+            windows = (None if self.decision_cache is None
+                       else ready.reshape(len(ready_rows), -1))
+            preds = self._predict_ready(batch, ready_rows, windows,
+                                        self._features_batch(ready),
+                                        self._model_predict)
+            _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
 
-        c["len_hist"][uniq] = win_len[last_idx, 1:]
-        c["ipd_hist"][uniq] = win_ipd[last_idx, 1:]
-        c["prev_ts"][uniq, 0] = cur_units[last_idx]
-        c["count"][uniq, 0] = np.minimum(cnt0 + counts, 255)
+        hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
+        self.state.columns["prev_ts"][:, 0][uniq] = units.take(last_idx)
+        count[uniq] = np.minimum(cnt0 + counts, 255)
 
 
 @dataclass
@@ -748,8 +765,8 @@ class TwoStageRuntime(_BatchedReplayMixin):
         """Decisions for a (N, window) batch of fuzzy-index windows.
 
         The model invocation of this runtime: per-slot SumReduce gathers +
-        final argmax — also the ``predict_feats`` hook of the two-level
-        cache protocol (its feature view *is* the index window).
+        final argmax — the ``predict`` of :meth:`_predict_ready`, whose
+        cache protocols probe with the same view (it *is* the index window).
         """
         win_idx = np.asarray(win_idx, dtype=np.int64)
         logits = np.zeros((len(win_idx), self.n_classes), dtype=np.int64)
@@ -806,8 +823,13 @@ class TwoStageRuntime(_BatchedReplayMixin):
         self.state.write(slot, "count", min(count + 1, 255))
         return decision
 
-    def _replay_columns(self, trace: Trace) -> dict[str, np.ndarray]:
-        return {"ts": trace.ts}
+    def _replay_columns(self, cols) -> dict[str, np.ndarray]:
+        step = {"ts": cols["ts"]}
+        if self.needs_ipd:
+            step["units"] = _ts_units_array(cols["ts"])
+        if "payload" in cols:           # columnar replay: shipped as a matrix
+            step["payload"] = cols["payload"]
+        return step
 
     def _batch_columns(self, cols: dict[str, np.ndarray], trace: Trace,
                        start: int, stop: int) -> dict[str, np.ndarray]:
@@ -820,7 +842,6 @@ class TwoStageRuntime(_BatchedReplayMixin):
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
                        out: list[DecisionBatch]) -> None:
-        ts = cols["ts"]
         uniq, rank = batch.slots, batch.rank
         counts, occ, prev_idx, last_idx = _group_structure(batch)
         c = self.state.columns
@@ -828,13 +849,8 @@ class TwoStageRuntime(_BatchedReplayMixin):
         count_i = cnt0[rank] + occ
         ipd_b = None
         if self.needs_ipd:
-            cur_units = _ts_units_array(ts)
-            prev0 = c["prev_ts"][uniq, 0].astype(np.int64)
-            prev_units = np.where(prev_idx >= 0,
-                                  cur_units[np.maximum(prev_idx, 0)], prev0[rank])
-            delta_units = (cur_units - prev_units) & TS_MASK
-            ipd_b = np.where(count_i > 0,
-                             ipd_bucket_array(delta_units * TS_UNIT_SECONDS), 0)
+            ipd_b = self._ipd_step(batch, cols["units"], prev_idx,
+                                   count_i).astype(np.int64)
 
         feats = cols["payload"]
         if self.feature_fn is not None:
@@ -843,20 +859,18 @@ class TwoStageRuntime(_BatchedReplayMixin):
                          dtype=np.int64)
         idx = np.minimum(idx, (1 << self.idx_bits) - 1)
 
-        win_idx = _gather_windows(c["idx_hist"][uniq], rank, occ, idx, counts,
-                                  self.window)
+        win_idx = _gather_windows(c["idx_hist"][uniq][:, None], rank, occ,
+                                  idx[:, None], counts, self.window)[:, 0]
 
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
         if len(ready_rows):
             ready_win = win_idx[ready_rows]
             preds = self._predict_ready(
                 batch, ready_rows, ready_win.astype(self._win_dtype),
-                lambda rows: self._predict_windows(ready_win[rows]),
-                features_rows=lambda rows: ready_win[rows],
-                predict_feats=self._predict_windows)
-            _emit_decisions(out, labels, preds, ts, ready_rows, base)
+                ready_win.astype(np.int64), self._predict_windows)
+            _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
 
         c["idx_hist"][uniq] = win_idx[last_idx, 1:]
         if self.needs_ipd:
-            c["prev_ts"][uniq, 0] = cur_units[last_idx]
+            c["prev_ts"][uniq, 0] = cols["units"][last_idx]
         c["count"][uniq, 0] = np.minimum(cnt0 + counts, 255)

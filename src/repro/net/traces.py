@@ -3,7 +3,8 @@
 A :class:`Trace` is the parsed-header vector the switch's parser would
 fill: one array per header field, never a list of packet objects. It holds
 
-- ``ts`` (float64 seconds) and ``length`` (int64 bytes);
+- ``ts`` (float64 seconds, finite, see :data:`TS_UNIT_SECONDS`) and
+  ``length`` (int64 bytes);
 - the five raw 5-tuple columns (int64, trace order, direction as seen);
 - ``key_words``: the *canonical* 5-tuple packed exactly into two uint64
   words per packet, ``[src_ip << 32 | dst_ip, src_port << 24 | dst_port << 8
@@ -47,6 +48,10 @@ KEY_COLUMN_NAMES = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
 #: SPCAP1 width of each 5-tuple field; the packed key relies on them.
 KEY_FIELD_BITS = (32, 32, 16, 16, 8)
 MAX_PAYLOAD_LENGTH = 0xFFFF      # SPCAP1 payload_len is a u16
+#: The switch counts time in 64 us units (its 16-bit ``prev_ts`` register
+#: keeps the low bits); every timestamp's unit count must fit an int64.
+TS_UNIT_SECONDS = 64e-6
+_MAX_TS_UNITS = 2.0 ** 63
 
 _U32 = np.uint64(32)
 _U24 = np.uint64(24)
@@ -138,6 +143,18 @@ def _check_range(what: str, col: np.ndarray, limit: int) -> None:
             f"{what} {int(bad)} outside its SPCAP1 range [0, {limit}]")
 
 
+def _check_timestamps(ts: np.ndarray) -> None:
+    """Raise unless every timestamp is finite and its count of
+    :data:`TS_UNIT_SECONDS` units fits an int64: only then do the per-packet
+    and the batched runtimes truncate it to the same unit."""
+    units = ts / TS_UNIT_SECONDS
+    bad = ~((units >= -_MAX_TS_UNITS) & (units < _MAX_TS_UNITS))
+    if bad.any():
+        raise TraceFormatError(
+            f"timestamp {float(ts[bad][0])!r} is not finite or its "
+            f"{TS_UNIT_SECONDS * 1e6:.0f} us unit count overflows int64")
+
+
 def _ragged_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Concatenated ``range(start, start + size)`` over rows, vectorized."""
     total = int(sizes.sum())
@@ -189,6 +206,7 @@ class Trace:
             for name, bits in zip(KEY_COLUMN_NAMES, KEY_FIELD_BITS):
                 _check_range(f"key field {name}", keys[name], (1 << bits) - 1)
             _check_range("packet length", length, MAX_PACKET_LENGTH)
+            _check_timestamps(ts)
             _check_range("payload length",
                          payload_offsets[:, 1] - payload_offsets[:, 0],
                          MAX_PAYLOAD_LENGTH)

@@ -7,12 +7,16 @@ eviction churn and when the model is a placed Pipeline instead of a bare
 CompiledModel.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.fuzzy import FuzzyTree
 from repro.dataplane import place_model, TOFINO2, VectorFlowState
 from repro.dataplane.registers import FlowStateLayout, RegisterField
+from repro.errors import PipelineError
 from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
 
 BATCH_SIZES = (1, 7, 256)
@@ -40,6 +44,43 @@ class TestWindowedBatched:
                 batch_size=batch_size)
             assert list(runtime.process_flows(replay_flows)) == ref
             assert runtime.state.evictions == ref_rt.state.evictions
+
+    @pytest.mark.parametrize("mode", ["seq", "stats"])
+    @pytest.mark.parametrize("capacity", [1_000, 5])
+    def test_register_state_matches_scalar(self, compiled16, replay_flows,
+                                           mode, capacity):
+        """Every register and the eviction count end equal to the per-packet
+        replay's, not just the decisions: a bad history write-back would
+        otherwise show only in a later serve."""
+        ref = WindowedClassifierRuntime(compiled16, feature_mode=mode,
+                                        capacity=capacity)
+        ref.process_flows_scalar(replay_flows)
+        for batch_size in BATCH_SIZES:
+            runtime = WindowedClassifierRuntime(
+                compiled16, feature_mode=mode, capacity=capacity,
+                batch_size=batch_size)
+            runtime.process_flows(replay_flows)
+            assert runtime.state.columns.keys() == ref.state.columns.keys()
+            for name, column in ref.state.columns.items():
+                np.testing.assert_array_equal(
+                    runtime.state.columns[name], column, err_msg=name)
+            assert runtime.state.evictions == ref.state.evictions
+
+    def test_registers_allocated_once(self, compiled16):
+        """The history fields are views of one bank: building the runtime
+        allocates its 17 B per flow once, not a second copy beside it."""
+        capacity = 1 << 16
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            runtime = WindowedClassifierRuntime(compiled16, capacity=capacity)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runtime.bits_per_flow == 136
+        assert peak - before <= 1.05 * 17 * capacity
 
     def test_pipeline_model_matches_compiled(self, compiled16, replay_flows):
         """A placed Pipeline behind the runtime decides like the raw model."""
@@ -118,6 +159,24 @@ class TestVectorFlowState:
         assert state.columns["idx_hist"].shape == (10, 7)
         assert state.columns["idx_hist"].dtype == np.uint8
 
+    def test_bank_backs_its_fields_with_one_array(self):
+        layout = FlowStateLayout(fields=[
+            RegisterField("a", 8, count=3, bank="h"),
+            RegisterField("b", 8, count=3, bank="h"),
+        ])
+        state = VectorFlowState(layout, capacity=4)
+        bank = state.banks["h"]
+        assert bank.shape == (4, 2, 3) and bank.dtype == np.uint8
+        assert layout.bits_per_flow == 48
+        state.shift_in(1, "b", 7)
+        state.write(1, "a", 5, index=2)
+        assert bank[1].tolist() == [[0, 0, 5], [0, 0, 7]]
+        with pytest.raises(PipelineError, match="mixes"):
+            VectorFlowState(FlowStateLayout(fields=[
+                RegisterField("a", 8, count=3, bank="h"),
+                RegisterField("b", 8, count=2, bank="h"),
+            ]))
+
     def test_fifo_eviction_zeroes_reused_slot(self):
         from repro.net.packet import FlowKey
         from repro.net.traces import flow_key_words
@@ -148,3 +207,12 @@ class TestVectorFlowState:
         assert state.slot_of(k1) == slot1
         assert state.acquire(k2).rows == 1      # next batch: evicts k1
         assert state.evictions == 1
+
+
+def test_ipd_bucket_table_matches_scalar():
+    """The batched step's IPD bucket table equals the scalar bucketing on
+    every 16-bit timestamp difference."""
+    from repro.dataplane.runtime import (TS_MASK, _IPD_BUCKET_OF_UNITS,
+                                         _ipd_bucket_from_units)
+    assert _IPD_BUCKET_OF_UNITS.tolist() == [
+        _ipd_bucket_from_units(units, 0) for units in range(TS_MASK + 1)]

@@ -259,6 +259,35 @@ class TestTraceValidation:
         with pytest.raises(TraceFormatError, match="1600"):
             Trace.from_columns(cols)
 
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"),
+                                    float("-inf"), 6e14, -6e14])
+    def test_timestamp_without_an_int64_unit_count(self, ts):
+        """NaN, infinities and |ts| whose 64 us unit count overflows int64
+        are rejected: the per-packet and batched runtimes would bucket them
+        differently (or the per-packet one would raise)."""
+        with pytest.raises(TraceFormatError, match="timestamp"):
+            Trace([_pkt(ts=ts)])
+        cols = Trace([_pkt()]).to_columns()
+        cols["ts"] = np.array([ts])
+        with pytest.raises(TraceFormatError, match="timestamp"):
+            Trace.from_columns(cols)
+
+    def test_largest_timestamps_decide_alike(self, compiled16):
+        """5e14 s (a unit count near 2**63) is a valid timestamp, and both
+        runtimes bucket its inter-packet delays alike."""
+        from repro.dataplane.runtime import WindowedClassifierRuntime
+        base = 5e14
+        packets = [_pkt(ts=base + 0.1 * 2 ** i, length=60 + 50 * i)
+                   for i in range(12)]
+        flow = Flow(key=packets[0].key, packets=packets, label=1)
+        ref = WindowedClassifierRuntime(
+            compiled16, feature_mode="seq").process_flows_scalar([flow])
+        assert len(ref) == 5
+        for batch_size in (1, 4, 256):
+            runtime = WindowedClassifierRuntime(
+                compiled16, feature_mode="seq", batch_size=batch_size)
+            assert list(runtime.process_flows([flow])) == ref
+
     def test_widest_fields_round_trip_without_aliasing(self, tmp_path):
         keys = [FlowKey(0xFFFFFFFF, 0xFFFFFFFE, 0xFFFF, 0xFFFE, 255),
                 FlowKey(0xFFFFFFFE, 0xFFFFFFFF, 0xFFFE, 0xFFFF, 255),
