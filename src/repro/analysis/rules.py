@@ -11,8 +11,9 @@ Each rule encodes a contract the dynamic test wall already assumes:
 - ``pickle-safe-registrations`` — engine registries and dispatcher
   factories cross process boundaries under the spawn start method, so
   lambdas / nested defs handed to them fail at the worst possible time.
-- ``mutable-default-args`` / ``bare-except`` — the two generic Python
-  defect classes that have bitten decision-path code before review.
+- ``mutable-default-args`` — the generic Python defect class that has
+  bitten decision-path code before review (bare ``except:`` is ruff's
+  E722).
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ class PickleSafeRegistrationsRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# mutable-default-args / bare-except
+# mutable-default-args
 # ---------------------------------------------------------------------------
 
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "bytearray", "deque",
@@ -229,25 +230,6 @@ class MutableDefaultArgsRule(Rule):
                                f"construct inside the function")
 
 
-class BareExceptRule(Rule):
-    name = "bare-except"
-    description = ("'except:' swallows SystemExit/KeyboardInterrupt and every "
-                   "invariant violation with them; name the exceptions (or "
-                   "'except Exception' with a re-raise path)")
-    example = ("scripts/calibrate.py:58: [bare-except] bare "
-               "'except:' clause; catch named exception types so invariant "
-               "violations cannot vanish silently")
-
-    def visitors(self):
-        return {"ExceptHandler": self.check_handler}
-
-    def check_handler(self, ctx: FileContext, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            ctx.report(node, self.name,
-                       "bare 'except:' clause; catch named exception types "
-                       "so invariant violations cannot vanish silently")
-
-
 def default_rules() -> list[Rule]:
     """One fresh instance of every shipped rule (order = report order)."""
     from repro.analysis.drift import RegistryConfigDriftRule
@@ -259,7 +241,6 @@ def default_rules() -> list[Rule]:
         PickleSafeRegistrationsRule(),
         RegistryConfigDriftRule(),
         MutableDefaultArgsRule(),
-        BareExceptRule(),
         ColumnarSchemaRule(),
         HiddenCopyRule(),
         DtypePromotionRule(),

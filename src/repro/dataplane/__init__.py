@@ -17,12 +17,11 @@ from repro.dataplane.tables import TernaryTableEntry, ternary_entries_for_tree, 
 from repro.dataplane.tcam import (PackedTernaryTable, TcamSegment,
                                   compile_segment_table, tcam_table_report)
 from repro.dataplane.pipeline import Pipeline, place_model, TablePlacement, StageBudget
-from repro.dataplane.decisions import DecisionBatch
+from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 from repro.dataplane.resources import ResourceReport, summarize_resources
-from repro.dataplane.runtime import (DEFAULT_BATCH_SIZE, PacketDecision,
-                                     TwoStageRuntime,
+from repro.dataplane.runtime import (DEFAULT_BATCH_SIZE, TwoStageRuntime,
                                      WindowedClassifierRuntime)
 from repro.dataplane.throughput import line_rate_pps, measure_model_throughput
 

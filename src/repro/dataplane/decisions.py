@@ -7,8 +7,8 @@ shared-memory rings and ``ServingReport`` pass decisions as a
 ``predicted``, ``ts``) in the dtypes :data:`~repro.dataplane.schema.
 DECISION_COLUMNS` declares. Per-decision :class:`PacketDecision` objects
 exist only where someone reads one: iterating or indexing a batch builds
-them on demand, and the scalar oracle paths (``process_packet``,
-``process_flows_scalar``) still return them.
+them on demand, and the scalar oracle
+(:func:`repro.eval.differential.scalar_replay`) returns a list of them.
 """
 
 from __future__ import annotations

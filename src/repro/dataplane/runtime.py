@@ -61,8 +61,9 @@ gather from a table of every 16-bit timestamp difference, and features built
 straight from the ``(n, 2, W)`` window. Intra-batch
 packets of the same flow are handled exactly (each packet's window may span
 stored history and earlier in-batch packets), so batched decisions are
-bit-identical to the per-packet reference path ``process_flows_scalar`` for
-every batch size — a property the regression tests assert. Flow slots are
+bit-identical to the per-packet reference path — ``process_packet``, which
+:func:`repro.eval.differential.scalar_replay` drives over a trace — for
+every batch size, a property the regression tests assert. Flow slots are
 resolved once per batch (:meth:`VectorFlowState.acquire`), which also hands
 the batch its per-flow grouping; a batch is cut early only when a FIFO
 eviction would reuse a slot that still has unflushed in-batch state. Each
@@ -73,7 +74,7 @@ per-decision object is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,7 +88,7 @@ from repro.net.flow import Flow
 from repro.net.packet import Packet
 from repro.net.traces import (KEY_COLUMN_NAMES, TS_UNIT_SECONDS, Trace,
                               flow_ids, flow_key_words, pack_flow_keys)
-from repro.dataplane.decisions import DecisionBatch, PacketDecision
+from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 
@@ -130,6 +131,20 @@ def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
     labels = np.fromiter(map(label_of.__getitem__, flow_ids(trace.key_words)),
                          dtype=np.int64, count=len(trace))
     return trace, labels
+
+
+def replay_labels(labels, n: int) -> np.ndarray:
+    """Per-packet labels of an ``n``-packet replay as int64 (default -1).
+
+    A wrong length is a :class:`ConfigError`, raised before any replay
+    touches flow state.
+    """
+    if labels is None:
+        return np.full(n, -1, dtype=np.int64)
+    if len(labels) != n:
+        raise ConfigError("labels", len(labels),
+                          allowed=f"{n} (one per packet)")
+    return np.asarray(labels, dtype=np.int64)
 
 
 def _emit_decisions(out: list[DecisionBatch], labels: np.ndarray,
@@ -189,12 +204,6 @@ def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
         .reshape(len(rank), k, window)
 
 
-def _ready_flows(batch: FlowBatch, ready_rows: np.ndarray) -> list[bytes]:
-    """The flow id of each window-complete row (the decision cache's key)."""
-    flows = batch.flows
-    return [flows[u] for u in batch.rank[ready_rows].tolist()]
-
-
 class _BatchedReplayMixin:
     """Shared trace-replay plumbing for the batched runtimes.
 
@@ -203,10 +212,6 @@ class _BatchedReplayMixin:
     vectorized step consumes), ``process_packet`` (the scalar reference),
     ``_replay_columns`` (the step's per-packet inputs, derived once per
     replay) and ``_process_batch`` (the vectorized step).
-    ``decision_cache`` (any object with the
-    :class:`repro.serving.FlowDecisionCache` get/put interface) optionally
-    short-circuits model invocation for repeating flow windows — exactly,
-    since the cache key is the window's packed content.
     """
 
     required_columns: tuple[str, ...] = ("ts",)
@@ -264,10 +269,7 @@ class _BatchedReplayMixin:
         decisions as column slices; they are concatenated once, at the end.
         """
         n = len(cols["ts"])
-        if labels is None:
-            labels = np.full(n, -1, dtype=np.int64)
-        else:
-            labels = np.asarray(labels, dtype=np.int64)
+        labels = replay_labels(labels, n)
         b = int(self.batch_size if batch_size is None else batch_size)
         if b < 1:
             raise ConfigError("batch_size", b, allowed=">= 1")
@@ -302,37 +304,158 @@ class _BatchedReplayMixin:
         return np.where(count_i > 0, _IPD_BUCKET_OF_UNITS.take(
             (units - prev_units) & TS_MASK), 0)
 
-    def process_flows_scalar(self, flows: list[Flow]) -> list[PacketDecision]:
-        """Per-packet reference replay (the pre-batching code path).
-
-        Kept as the ground truth the batched path is regression-tested
-        against: identical decisions, identical order, for any batch size.
-        """
-        trace, labels = flows_to_trace(flows)
-        decisions = []
-        for i, packet in enumerate(trace.packets):
-            d = self.process_packet(packet, int(labels[i]))
-            if d is not None:
-                decisions.append(replace(d, seq=i))
-        return decisions
-
     def _acquire_one(self, packet: Packet) -> tuple[int, bytes]:
         """The scalar path's flow resolution: (slot, flow id) of one packet."""
         batch = self.state.acquire(flow_key_words(packet.key))
         return int(batch.slots[0]), batch.flows[0]
 
+
+@dataclass
+class WindowedClassifierRuntime(_BatchedReplayMixin):
+    """Classify every packet once its flow has a full token window.
+
+    ``model`` is anything exposing the integer decision interface
+    ``predict(x_int) -> class ids`` — a :class:`CompiledModel` or a placed
+    :class:`repro.dataplane.Pipeline`; the batched replay invokes it once
+    per batch. See the module docstring for the per-flow register layout
+    (136 bits/flow at the default window of 8) and eviction behavior.
+    ``decision_cache`` (a :class:`repro.serving.FlowDecisionCache` or
+    :class:`repro.serving.TwoLevelDecisionCache`) makes repeating windows
+    of already-classified flows skip the model; this is the only runtime
+    that carries one.
+    ``lookup_backend`` selects how a :class:`CompiledModel`'s fuzzy tables
+    are answered — ``"index"`` (leaf grid / tree walk) or ``"tcam-pruned"``
+    (the pruned prioritized-TCAM kernel); both are bit-identical.
+    """
+
+    model: CompiledModel
+    feature_mode: str = "seq"          # "seq" (interleaved tokens) | "stats"
+    window: int = 8
+    capacity: int = 1_000_000
+    batch_size: int = DEFAULT_BATCH_SIZE
+    decision_cache: object = None
+    lookup_backend: str = "index"
+    state: VectorFlowState = field(init=False)
+
+    required_columns = ("ts", "length")
+
+    def __post_init__(self):
+        if self.feature_mode not in ("seq", "stats"):
+            raise ConfigError("feature_mode", self.feature_mode,
+                              allowed=("seq", "stats"))
+        self.set_lookup_backend(self.lookup_backend)
+        hist = self.window - 1
+        layout = FlowStateLayout(fields=[
+            RegisterField("prev_ts", 16),
+            RegisterField("count", 8),
+            RegisterField("len_hist", 8, count=hist, bank="hist"),
+            RegisterField("ipd_hist", 8, count=hist, bank="hist"),
+        ])
+        self.state = VectorFlowState(layout, capacity=self.capacity)
+
+    def set_lookup_backend(self, lookup_backend: str) -> None:
+        """Switch the lookup backend (safe between serves: the backends are
+        bit-identical). ``"tcam-pruned"`` compiles every fuzzy table's pruned
+        form here, so the first serve measures lookups, not compilation."""
+        _check_backend(lookup_backend)
+        if lookup_backend != "index":
+            if not isinstance(self.model, CompiledModel):
+                raise ConfigError(
+                    "lookup_backend", lookup_backend,
+                    reason="requires a CompiledModel; a placed Pipeline "
+                           "executes its own table layout")
+            for layer in self.model.layers:
+                for table in layer.tables:
+                    if table.kind == "fuzzy":
+                        table.tcam_segment(pruned=True)
+        self.lookup_backend = lookup_backend
+
+    def _model_predict(self, x: np.ndarray) -> np.ndarray:
+        if self.lookup_backend == "index":
+            return self.model.predict(x)
+        return self.model.predict(x, lookup_backend=self.lookup_backend)
+
+    @property
+    def bits_per_flow(self) -> int:
+        return self.state.layout.bits_per_flow
+
+    def _features(self, lens: list[int], ipds: list[int]) -> np.ndarray:
+        if self.feature_mode == "stats":
+            return stats_from_buckets(lens, ipds).astype(np.int64)
+        tokens = np.empty(2 * self.window, dtype=np.int64)
+        tokens[0::2] = lens
+        tokens[1::2] = ipds
+        return tokens
+
+    def _features_batch(self, win: np.ndarray) -> np.ndarray:
+        """int64 model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
+        :func:`stats_from_buckets` or the interleaved tokens, per row."""
+        n, _, w = win.shape
+        if self.feature_mode == "seq":
+            return win.transpose(0, 2, 1).reshape(n, 2 * w).astype(np.int64)
+        take = min(6, w)
+        feats = (np.empty if take == 6 else np.zeros)((n, 16), dtype=np.int64)
+        # Reduce over a leading axis: NumPy is slow along a short last one.
+        by_position = np.ascontiguousarray(win.transpose(2, 0, 1))
+        feats[:, 0:4:2] = by_position.max(axis=0)
+        feats[:, 1:4:2] = by_position.min(axis=0)
+        feats[:, 4:4 + take] = win[:, 0, :take]
+        feats[:, 10:10 + take] = win[:, 1, :take]
+        return feats
+
+    def process_packet(self, packet: Packet) -> int | None:
+        """Feed one packet; returns its predicted class once its flow has a
+        full window, else None."""
+        slot, key = self._acquire_one(packet)
+        cols = self.state.columns
+        count = int(cols["count"][slot, 0])
+        cur_units = _ts_units(packet.ts)
+        len_b = length_bucket(packet.length)
+        ipd_b = (_ipd_bucket_from_units(cur_units, int(cols["prev_ts"][slot, 0]))
+                 if count else 0)
+
+        pred = None
+        if count >= self.window - 1:
+            lens = [int(v) for v in cols["len_hist"][slot]] + [len_b]
+            ipds = [int(v) for v in cols["ipd_hist"][slot]] + [ipd_b]
+            cache = self.decision_cache
+            if cache is not None:
+                # Same packed layout as the batched path: len window ++ ipd
+                # window, one byte per bucket.
+                ck = (key, np.asarray(lens + ipds, dtype=np.uint8).tobytes())
+                if getattr(cache, "two_level", False):
+                    pred = self._scalar_two_level(
+                        ck, self._features(lens, ipds))
+                else:
+                    pred = cache.get(ck)
+            if pred is None:
+                x = self._features(lens, ipds)[None, :]
+                pred = int(self._model_predict(x)[0])
+                if cache is not None:
+                    cache.put(ck, pred)
+
+        self.state.shift_in(slot, "len_hist", len_b)
+        self.state.shift_in(slot, "ipd_hist", ipd_b)
+        self.state.write(slot, "prev_ts", cur_units)
+        self.state.write(slot, "count", min(count + 1, 255))
+        return None if pred is None else int(pred)
+
     def _cell_boxes(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (lo, hi) boxes on which the decision is provably constant.
 
         The certificate an L2 insert carries (see
-        :class:`repro.serving.TwoLevelDecisionCache`). The default is the
-        degenerate point box — always sound; runtimes whose model exposes a
-        real decision-boundary structure override this with wider boxes.
+        :class:`repro.serving.TwoLevelDecisionCache`): the certified decision
+        box of a :class:`CompiledModel` at the L2's quantization shift, else
+        the degenerate point box — always sound.
         """
+        if isinstance(self.model, CompiledModel):
+            return certified_decision_box(
+                self.model, feats,
+                quantize_shift=self.decision_cache.l2.quantize_shift)
         feats = np.asarray(feats, dtype=np.int64)
         return feats.copy(), feats.copy()
 
-    def _scalar_two_level(self, cache, ck, feats: np.ndarray, predict_one) -> int:
+    def _scalar_two_level(self, ck, feats: np.ndarray) -> int:
         """One packet's decision through a two-level cache (scalar path).
 
         L1 exact probe -> verified L2 probe (hit promotes into L1) -> model
@@ -341,6 +464,7 @@ class _BatchedReplayMixin:
         """
         from repro.serving.cache import _DEC
 
+        cache = self.decision_cache
         got = cache.exact_get(ck)
         if got is not None:
             return int(got)
@@ -351,7 +475,7 @@ class _BatchedReplayMixin:
             cache.promote(ck, pred)
             return pred
         cache.count_miss()
-        pred = int(np.asarray(predict_one(feats[None, :]))[0])
+        pred = int(np.asarray(self._model_predict(feats[None, :]))[0])
         if getattr(cache, "l2_admit", True):
             box_lo, box_hi = self._cell_boxes(feats[None, :])
             cache.insert(ck, feats, box_lo[0], box_hi[0], pred)
@@ -362,30 +486,26 @@ class _BatchedReplayMixin:
         return pred
 
     def _predict_ready(self, batch: FlowBatch, ready_rows: np.ndarray,
-                       windows: np.ndarray | None, feats: np.ndarray,
-                       predict) -> np.ndarray:
+                       windows: np.ndarray, feats: np.ndarray) -> np.ndarray:
         """Predictions for the window-complete rows, through the cache.
 
         ``batch`` is the batch's flow resolution (its flow ids key the
         cache), ``ready_rows`` the batch indices of the window-complete
-        packets, ``feats`` their int64 model inputs and ``predict(feats)``
-        the model. Without a cache the model runs once on every ready row
-        and ``windows`` may be None; with one, ``windows`` holds the
-        ``(n_ready, W)`` packed window contents (each row, as bytes, is the
-        cache's *window index*) and the model runs on misses only —
-        bit-identical either way, because the model's decision is a pure
-        function of the window. The two-level protocol probes its L2 with
-        ``feats`` too.
+        packets, ``windows`` their ``(n_ready, 2W)`` packed window contents
+        (each row, as bytes, is the cache's *window index*) and ``feats``
+        their int64 model inputs. The model runs on misses only —
+        bit-identical to running it on every row, because the model's
+        decision is a pure function of the window. The two-level protocol
+        probes its L2 with ``feats`` too.
         """
         from repro.serving.cache import PENDING
 
         n_ready = len(ready_rows)
         cache = self.decision_cache
-        if cache is None:
-            return np.asarray(predict(feats), dtype=np.int64)
-        keys = _ready_flows(batch, ready_rows)
+        flows = batch.flows
+        keys = [flows[u] for u in batch.rank[ready_rows].tolist()]
         if getattr(cache, "two_level", False):
-            return self._predict_ready_two_level(keys, windows, feats, predict)
+            return self._predict_ready_two_level(keys, windows, feats)
         preds = np.empty(n_ready, dtype=np.int64)
         row_bytes = windows.shape[1] * windows.dtype.itemsize
         packed = np.ascontiguousarray(windows).tobytes()
@@ -416,7 +536,8 @@ class _BatchedReplayMixin:
             if miss_rows:
                 first = np.asarray([rows[0] for rows in miss_rows.values()],
                                    dtype=np.int64)
-                got = np.asarray(predict(feats[first]), dtype=np.int64)
+                got = np.asarray(self._model_predict(feats[first]),
+                                 dtype=np.int64)
         except BaseException:
             # A failed model invocation must not strand placeholders: a
             # stale PENDING would later be handed out as a decision (scalar
@@ -430,7 +551,7 @@ class _BatchedReplayMixin:
         return preds
 
     def _predict_ready_two_level(self, keys: list, windows: np.ndarray,
-                                 feats: np.ndarray, predict) -> np.ndarray:
+                                 feats: np.ndarray) -> np.ndarray:
         """Batched replay of the two-level scalar op sequence, in two passes.
 
         Pass 1 walks the ready rows in order, issuing exactly the scalar
@@ -500,7 +621,8 @@ class _BatchedReplayMixin:
                     leaders = np.asarray(
                         [j_of[rows[0]] for rows in miss_groups.values()],
                         dtype=np.int64)
-                    got = np.asarray(predict(feats[leaders]), dtype=np.int64)
+                    got = np.asarray(self._model_predict(feats[leaders]),
+                                     dtype=np.int64)
         except BaseException:
             # A failed model invocation must not strand reservations at
             # either level (see the single-level path above).
@@ -515,148 +637,6 @@ class _BatchedReplayMixin:
         for ck, rows in joiners.items():
             preds[rows] = preds[creator[ck]]
         return preds
-
-
-@dataclass
-class WindowedClassifierRuntime(_BatchedReplayMixin):
-    """Classify every packet once its flow has a full token window.
-
-    ``model`` is anything exposing the integer decision interface
-    ``predict(x_int) -> class ids`` — a :class:`CompiledModel` or a placed
-    :class:`repro.dataplane.Pipeline`; the batched replay invokes it once
-    per batch. See the module docstring for the per-flow register layout
-    (136 bits/flow at the default window of 8) and eviction behavior.
-    ``decision_cache`` (a :class:`repro.serving.FlowDecisionCache`) makes
-    repeating windows of already-classified flows skip the model entirely.
-    ``lookup_backend`` selects how a :class:`CompiledModel`'s fuzzy tables
-    are answered — ``"index"`` (leaf grid / tree walk) or ``"tcam-pruned"``
-    (the pruned prioritized-TCAM kernel); both are bit-identical.
-    """
-
-    model: CompiledModel
-    feature_mode: str = "seq"          # "seq" (interleaved tokens) | "stats"
-    window: int = 8
-    capacity: int = 1_000_000
-    batch_size: int = DEFAULT_BATCH_SIZE
-    decision_cache: object = None
-    lookup_backend: str = "index"
-    state: VectorFlowState = field(init=False)
-
-    required_columns = ("ts", "length")
-
-    def __post_init__(self):
-        if self.feature_mode not in ("seq", "stats"):
-            raise ConfigError("feature_mode", self.feature_mode,
-                              allowed=("seq", "stats"))
-        self.set_lookup_backend(self.lookup_backend)
-        hist = self.window - 1
-        layout = FlowStateLayout(fields=[
-            RegisterField("prev_ts", 16),
-            RegisterField("count", 8),
-            RegisterField("len_hist", 8, count=hist, bank="hist"),
-            RegisterField("ipd_hist", 8, count=hist, bank="hist"),
-        ])
-        self.state = VectorFlowState(layout, capacity=self.capacity)
-
-    def set_lookup_backend(self, lookup_backend: str) -> None:
-        """Switch the lookup backend (safe between serves: the backends are
-        bit-identical). ``"tcam-pruned"`` compiles every fuzzy table's pruned
-        form here, so the first serve measures lookups, not compilation."""
-        _check_backend(lookup_backend)
-        if lookup_backend != "index":
-            if not isinstance(self.model, CompiledModel):
-                raise ConfigError(
-                    "lookup_backend", lookup_backend,
-                    reason="requires a CompiledModel; a placed Pipeline "
-                           "executes its own table layout")
-            for layer in self.model.layers:
-                for table in layer.tables:
-                    if table.kind == "fuzzy":
-                        table.tcam_segment(pruned=True)
-        self.lookup_backend = lookup_backend
-
-    def _model_predict(self, x: np.ndarray) -> np.ndarray:
-        if self.lookup_backend == "index":
-            return self.model.predict(x)
-        return self.model.predict(x, lookup_backend=self.lookup_backend)
-
-    def _cell_boxes(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(self.model, CompiledModel):
-            cache = getattr(self, "decision_cache", None)
-            shift = None
-            if getattr(cache, "two_level", False):
-                shift = cache.l2.quantize_shift
-            return certified_decision_box(self.model, feats,
-                                          quantize_shift=shift)
-        return super()._cell_boxes(feats)
-
-    @property
-    def bits_per_flow(self) -> int:
-        return self.state.layout.bits_per_flow
-
-    def _features(self, lens: list[int], ipds: list[int]) -> np.ndarray:
-        if self.feature_mode == "stats":
-            return stats_from_buckets(lens, ipds).astype(np.int64)
-        tokens = np.empty(2 * self.window, dtype=np.int64)
-        tokens[0::2] = lens
-        tokens[1::2] = ipds
-        return tokens
-
-    def _features_batch(self, win: np.ndarray) -> np.ndarray:
-        """int64 model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
-        :func:`stats_from_buckets` or the interleaved tokens, per row."""
-        n, _, w = win.shape
-        if self.feature_mode == "seq":
-            return win.transpose(0, 2, 1).reshape(n, 2 * w).astype(np.int64)
-        take = min(6, w)
-        feats = (np.empty if take == 6 else np.zeros)((n, 16), dtype=np.int64)
-        # Reduce over a leading axis: NumPy is slow along a short last one.
-        by_position = np.ascontiguousarray(win.transpose(2, 0, 1))
-        feats[:, 0:4:2] = by_position.max(axis=0)
-        feats[:, 1:4:2] = by_position.min(axis=0)
-        feats[:, 4:4 + take] = win[:, 0, :take]
-        feats[:, 10:10 + take] = win[:, 1, :take]
-        return feats
-
-    def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
-        """Feed one packet; returns a decision when a window is available."""
-        slot, key = self._acquire_one(packet)
-        cols = self.state.columns
-        count = int(cols["count"][slot, 0])
-        cur_units = _ts_units(packet.ts)
-        len_b = length_bucket(packet.length)
-        ipd_b = (_ipd_bucket_from_units(cur_units, int(cols["prev_ts"][slot, 0]))
-                 if count else 0)
-
-        decision = None
-        if count >= self.window - 1:
-            lens = [int(v) for v in cols["len_hist"][slot]] + [len_b]
-            ipds = [int(v) for v in cols["ipd_hist"][slot]] + [ipd_b]
-            cache = self.decision_cache
-            pred = None
-            if cache is not None:
-                # Same packed layout as the batched path: len window ++ ipd
-                # window, one byte per bucket.
-                ck = (key, np.asarray(lens + ipds, dtype=np.uint8).tobytes())
-                if getattr(cache, "two_level", False):
-                    pred = self._scalar_two_level(
-                        cache, ck, self._features(lens, ipds),
-                        self._model_predict)
-                else:
-                    pred = cache.get(ck)
-            if pred is None:
-                x = self._features(lens, ipds)[None, :]
-                pred = int(self._model_predict(x)[0])
-                if cache is not None:
-                    cache.put(ck, pred)
-            decision = PacketDecision(flow_label=flow_label, predicted=int(pred),
-                                      ts=packet.ts)
-
-        self.state.shift_in(slot, "len_hist", len_b)
-        self.state.shift_in(slot, "ipd_hist", ipd_b)
-        self.state.write(slot, "prev_ts", cur_units)
-        self.state.write(slot, "count", min(count + 1, 255))
-        return decision
 
     def _replay_columns(self, cols) -> dict[str, np.ndarray]:
         return {"ts": cols["ts"], "units": _ts_units_array(cols["ts"]),
@@ -682,13 +662,15 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         if len(ready_rows):
             ready = (win if len(ready_rows) == batch.rows
                      else win.take(ready_rows, axis=0))
-            # The cache key: the length window ++ the IPD window, one byte
-            # per bucket (as the scalar path packs it).
-            windows = (None if self.decision_cache is None
-                       else ready.reshape(len(ready_rows), -1))
-            preds = self._predict_ready(batch, ready_rows, windows,
-                                        self._features_batch(ready),
-                                        self._model_predict)
+            feats = self._features_batch(ready)
+            if self.decision_cache is None:
+                preds = np.asarray(self._model_predict(feats), dtype=np.int64)
+            else:
+                # The cache key: the length window ++ the IPD window, one
+                # byte per bucket (as the scalar path packs it).
+                preds = self._predict_ready(
+                    batch, ready_rows, ready.reshape(len(ready_rows), -1),
+                    feats)
             _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
 
         hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
@@ -713,6 +695,8 @@ class TwoStageRuntime(_BatchedReplayMixin):
     ``feature_fn`` / tree evaluation and one SumReduce gather per window
     slot; ``feature_fn`` must therefore accept (N, raw_bytes) inputs and an
     optional per-row IPD-bucket array (scalar calls pass a single row).
+    There is no decision cache: the second stage is eight gathers and an
+    argmax, cheaper than any cache probe.
     """
 
     extractor_tree: FuzzyTree
@@ -728,7 +712,6 @@ class TwoStageRuntime(_BatchedReplayMixin):
     # extraction, itself realized as per-segment tables on the switch.
     feature_fn: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
-    decision_cache: object = None
     state: VectorFlowState = field(init=False)
 
     required_columns = ("ts", "payload")
@@ -749,11 +732,6 @@ class TwoStageRuntime(_BatchedReplayMixin):
     def bits_per_flow(self) -> int:
         return self.state.layout.bits_per_flow
 
-    @property
-    def _win_dtype(self) -> np.dtype:
-        """Narrowest dtype holding one fuzzy index (the cache-key packing)."""
-        return np.dtype(np.uint8 if self.idx_bits <= 8 else np.uint16)
-
     def set_lookup_backend(self, lookup_backend: str) -> None:
         """Only ``"index"``: the extractor tree is served by its tree walk
         (the TCAM serving path is the windowed runtime's)."""
@@ -764,9 +742,8 @@ class TwoStageRuntime(_BatchedReplayMixin):
     def _predict_windows(self, win_idx: np.ndarray) -> np.ndarray:
         """Decisions for a (N, window) batch of fuzzy-index windows.
 
-        The model invocation of this runtime: per-slot SumReduce gathers +
-        final argmax — the ``predict`` of :meth:`_predict_ready`, whose
-        cache protocols probe with the same view (it *is* the index window).
+        The batched model invocation of this runtime: per-slot SumReduce
+        gathers + final argmax.
         """
         win_idx = np.asarray(win_idx, dtype=np.int64)
         logits = np.zeros((len(win_idx), self.n_classes), dtype=np.int64)
@@ -783,8 +760,10 @@ class TwoStageRuntime(_BatchedReplayMixin):
         idx = int(self.extractor_tree.predict_index(vec))
         return min(idx, (1 << self.idx_bits) - 1)
 
-    def process_packet(self, packet: Packet, flow_label: int) -> PacketDecision | None:
-        slot, key = self._acquire_one(packet)
+    def process_packet(self, packet: Packet) -> int | None:
+        """Feed one packet; returns its predicted class once its flow has a
+        full window of indexes, else None."""
+        slot, _ = self._acquire_one(packet)
         cols = self.state.columns
         count = int(cols["count"][slot, 0])
         ipd_b = None
@@ -794,34 +773,19 @@ class TwoStageRuntime(_BatchedReplayMixin):
                      if count else 0)
         idx = self._extract_index(packet, ipd_b)
 
-        decision = None
+        pred = None
         if count >= self.window - 1:
             indexes = [int(v) for v in cols["idx_hist"][slot]] + [idx]
-            cache = self.decision_cache
-            pred = None
-            if cache is not None:
-                ck = (key, np.asarray(indexes, dtype=self._win_dtype).tobytes())
-                if getattr(cache, "two_level", False):
-                    pred = self._scalar_two_level(
-                        cache, ck, np.asarray(indexes, dtype=np.int64),
-                        self._predict_windows)
-                else:
-                    pred = cache.get(ck)
-            if pred is None:
-                logits = np.zeros(self.n_classes, dtype=np.int64)
-                for slot_pos, slot_idx in enumerate(indexes):
-                    logits += self.slot_values[slot_pos][slot_idx]
-                pred = int(np.argmax(logits))
-                if cache is not None:
-                    cache.put(ck, pred)
-            decision = PacketDecision(flow_label=flow_label, predicted=int(pred),
-                                      ts=packet.ts)
+            logits = np.zeros(self.n_classes, dtype=np.int64)
+            for slot_pos, slot_idx in enumerate(indexes):
+                logits += self.slot_values[slot_pos][slot_idx]
+            pred = int(np.argmax(logits))
 
         self.state.shift_in(slot, "idx_hist", idx)
         if self.needs_ipd:
             self.state.write(slot, "prev_ts", cur_units)
         self.state.write(slot, "count", min(count + 1, 255))
-        return decision
+        return pred
 
     def _replay_columns(self, cols) -> dict[str, np.ndarray]:
         step = {"ts": cols["ts"]}
@@ -864,10 +828,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
 
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
         if len(ready_rows):
-            ready_win = win_idx[ready_rows]
-            preds = self._predict_ready(
-                batch, ready_rows, ready_win.astype(self._win_dtype),
-                ready_win.astype(np.int64), self._predict_windows)
+            preds = self._predict_windows(win_idx[ready_rows])
             _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
 
         c["idx_hist"][uniq] = win_idx[last_idx, 1:]

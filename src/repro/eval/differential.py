@@ -2,9 +2,11 @@
 
 The engine's core promise is that every serving configuration —
 topology x cache x lookup backend x runtime kind, at any batch size — emits
-**bit-identical decisions** to the per-packet scalar reference. The lookup
-axis is per runtime (:data:`RUNTIME_BACKENDS`): ``windowed`` serves
-``index`` and ``tcam-pruned``, ``two_stage`` serves ``index`` only. The unit
+**bit-identical decisions** to the per-packet scalar reference
+(:func:`scalar_replay`, the one loop that drives ``process_packet``). The
+lookup and cache axes are per runtime (:data:`RUNTIME_BACKENDS`,
+:data:`RUNTIME_CACHES`): ``windowed`` serves ``index`` and ``tcam-pruned``
+with any cache, ``two_stage`` serves ``index`` with no cache. The unit
 tests assert it on one static mix; this harness turns the claim into a
 *property* checked on adversarial, time-varying workloads:
 
@@ -53,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dataplane.decisions import DecisionBatch
+from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
 from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
 from repro.serving.engine import (EngineConfig, PegasusEngine,
@@ -62,9 +64,12 @@ from repro.utils.rng import new_rng
 
 DEFAULT_CAPACITY = 4096          # ample: cross-worker identity needs no eviction
 RUNTIME_KINDS = ("windowed", "two_stage")
-# The lookup backends each runtime kind serves (the engine rejects the rest).
+# The lookup backends and decision-cache modes each runtime kind serves (the
+# engine rejects the rest); a kind's matrix pairs are their cross product.
 RUNTIME_BACKENDS = {"windowed": ("index", "tcam-pruned"),
                     "two_stage": ("index",)}
+RUNTIME_CACHES = {"windowed": ("off", "l1", "l1+l2"),
+                  "two_stage": ("off",)}
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +111,20 @@ def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
                 batch_sizes: tuple[int, ...] = (64,),
                 include_parallel: bool = True) -> list[EngineCase]:
     """The full matrix: every topology x cache x backend x runtime point,
-    each runtime over the backends it serves (:data:`RUNTIME_BACKENDS`).
+    each runtime over the (backend, cache) pairs it serves
+    (:data:`RUNTIME_BACKENDS` x :data:`RUNTIME_CACHES`, within ``caches``).
 
-    ``local`` runs the full backend x cache cross product (one in-process
-    replica — cheap). ``sharded`` and (optionally) ``parallel`` run at every
-    requested worker count, rotating through the backend x cache pairs so
-    every pair still appears in a multi-replica topology at least once per
-    runtime kind without exploding the process-forking corner of the matrix.
+    ``local`` runs every pair (one in-process replica — cheap). ``sharded``
+    and (optionally) ``parallel`` run at every requested worker count,
+    rotating through the pairs so every pair still appears in a
+    multi-replica topology at least once per runtime kind without exploding
+    the process-forking corner of the matrix; a kind with a single pair
+    serves it on both.
     """
     cases = []
     for kind, batch in itertools.product(runtimes, batch_sizes):
-        combos = list(itertools.product(RUNTIME_BACKENDS[kind], caches))
+        combos = [(backend, cached) for backend, cached in itertools.product(
+            RUNTIME_BACKENDS[kind], RUNTIME_CACHES[kind]) if cached in caches]
         for backend, cached in combos:
             cases.append(EngineCase(kind, "local", 1, backend, cached, batch))
         # Rotate (backend, cache) pairs across the scaled-out topologies:
@@ -128,7 +136,7 @@ def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
                 cases.append(EngineCase(kind, "sharded", n, backend, cached,
                                         batch))
             if include_parallel:
-                for j in range(1, len(combos), 2):
+                for j in range(1, max(len(combos), 2), 2):
                     backend, cached = combos[(i + j) % len(combos)]
                     cases.append(EngineCase(kind, "parallel", n, backend,
                                             cached, batch))
@@ -137,18 +145,22 @@ def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
 
 def quick_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS) -> list[EngineCase]:
     """A reduced matrix for time-boxed runs: every axis still varies, but
-    not in full cross product (parallel only once per runtime kind)."""
+    not in full cross product (parallel only once per runtime kind). A kind
+    without TCAM serving or a cache gets ``index`` / ``off`` instead, and
+    the points that then coincide run once."""
     cases = []
     for kind in runtimes:
         tcam = RUNTIME_BACKENDS[kind][-1]    # "index" where there is none
-        cases += [
+        l1, l2 = (mode if mode in RUNTIME_CACHES[kind] else "off"
+                  for mode in ("l1", "l1+l2"))
+        cases += dict.fromkeys([
             EngineCase(kind, "local", 1, "index", "off", 32),
-            EngineCase(kind, "local", 1, tcam, "l1", 64),
-            EngineCase(kind, "local", 1, tcam, "l1+l2", 64),
-            EngineCase(kind, "sharded", 2, "index", "l1+l2", 64),
+            EngineCase(kind, "local", 1, tcam, l1, 64),
+            EngineCase(kind, "local", 1, tcam, l2, 64),
+            EngineCase(kind, "sharded", 2, "index", l2, 64),
             EngineCase(kind, "sharded", 2, tcam, "off", 96),
-            EngineCase(kind, "parallel", 2, "index", "l1+l2", 64),
-        ]
+            EngineCase(kind, "parallel", 2, "index", l2, 64),
+        ])
     return cases
 
 
@@ -200,6 +212,28 @@ def default_sources(seed: int = 0) -> dict:
             "two_stage": build_two_stage_spec(seed)}
 
 
+def scalar_replay(replica, trace: Trace, labels: np.ndarray,
+                  positions: np.ndarray | None = None) -> list[PacketDecision]:
+    """Drive ``replica.process_packet`` over every packet of ``trace``.
+
+    The per-packet scalar oracle: one packet at a time, no batching. Each
+    packet that gets a prediction yields a :class:`PacketDecision` carrying
+    its label and timestamp; its ``seq`` is the packet's position in
+    ``trace``, or ``positions[i]`` when given (a subsequence replayed at
+    its global positions). The replica's own state and cache (if any)
+    carry over from earlier calls.
+    """
+    seq = np.arange(len(trace)) if positions is None else positions
+    decisions = []
+    for i, packet in enumerate(trace.packets):
+        pred = replica.process_packet(packet)
+        if pred is not None:
+            decisions.append(PacketDecision(
+                flow_label=int(labels[i]), predicted=pred, ts=packet.ts,
+                seq=int(seq[i])))
+    return decisions
+
+
 def scalar_reference(source, runtime_kind: str, trace: Trace,
                      labels: np.ndarray, capacity: int = DEFAULT_CAPACITY,
                      feature_mode: str = "stats",
@@ -207,22 +241,14 @@ def scalar_reference(source, runtime_kind: str, trace: Trace,
     """Per-packet ground-truth replay of a trace (no batching, no cache).
 
     Builds one replica of ``runtime_kind`` from ``source`` through the
-    engine's own replica factory and drives ``process_packet`` — the
-    pre-batching reference every matrix point must reproduce bit-for-bit.
-    A decision's ``seq`` is its packet's position in ``trace``, or
-    ``positions[i]`` when given (a subsequence replayed at its global
-    positions).
+    engine's own replica factory and replays it with
+    :func:`scalar_replay` — the pre-batching reference every matrix point
+    must reproduce bit-for-bit.
     """
     config = EngineConfig(runtime=runtime_kind, feature_mode=feature_mode,
                           capacity=capacity)
     replica = PegasusEngine(source=source, config=config)._replica_factory()
-    seq = np.arange(len(trace)) if positions is None else positions
-    decisions = []
-    for i, packet in enumerate(trace.packets):
-        d = replica.process_packet(packet, int(labels[i]))
-        if d is not None:
-            decisions.append(replace(d, seq=int(seq[i])))
-    return decisions
+    return scalar_replay(replica, trace, labels, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +746,10 @@ def replay_digests(workload: ScenarioTrace,
 
 def two_level_replay(workload: ScenarioTrace,
                      sources: dict | None = None) -> dict[str, dict]:
-    """Digest + cache counters of the maximal-fast-path replay per kind.
+    """Digest + cache counters of the maximal-fast-path replay.
 
-    Replays each runtime kind with the two-level decision cache, and the
-    windowed one with the pruned TCAM kernel too (``l1+l2`` /
+    Replays every runtime kind that has a two-level decision cache (only
+    ``windowed``) with it and the pruned TCAM kernel (``l1+l2`` /
     ``tcam-pruned``) — where an unsound approximate hit or a dropped
     candidate row would surface. The golden fixtures pin that its digest
     equals the plain reference digest, and (for the counter golden) the exact
@@ -732,6 +758,8 @@ def two_level_replay(workload: ScenarioTrace,
     sources = default_sources() if sources is None else sources
     out: dict[str, dict] = {}
     for kind in RUNTIME_KINDS:
+        if "l1+l2" not in RUNTIME_CACHES[kind]:
+            continue
         case = EngineCase(runtime=kind,
                           lookup_backend=RUNTIME_BACKENDS[kind][-1],
                           decision_cache="l1+l2")

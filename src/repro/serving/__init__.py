@@ -1,7 +1,8 @@
 """Batched serving layer: shard, cache, and replay traces at scale.
 
 The dataplane runtimes in :mod:`repro.dataplane.runtime` decide one packet
-at a time when driven through ``process_packet``; this package is the
+at a time through ``process_packet`` (the scalar oracle,
+:func:`repro.eval.differential.scalar_replay`); this package is the
 throughput path that drives them in **NumPy batches** across **multiple
 pipeline replicas** — serially simulated or genuinely concurrent.
 
@@ -32,7 +33,8 @@ importable for reference stacks and tests):
 - :class:`FlowDecisionCache` — a per-replica LRU of
   ``(canonical 5-tuple, window index) -> decision`` that short-circuits
   model invocation for already-classified elephant flows whose windows
-  repeat, without changing a single decision.
+  repeat, without changing a single decision (windowed replicas only; the
+  two-stage runtime has no cache).
 - :class:`TwoLevelDecisionCache` — the exact L1 above plus a per-replica
   quantized L2 (:class:`QuantizedDecisionStore`) that serves *approximate*
   hits for near-repeating windows, but only when a decision-cell

@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
-from repro.dataplane.runtime import flows_to_trace
+from repro.dataplane.runtime import flows_to_trace, replay_labels
 from repro.dataplane.schema import WIRE_COLUMNS, validation_enabled, wire_dtype
 from repro.errors import ConfigError
 from repro.net.packet import FlowKey
@@ -208,7 +208,10 @@ class ShardedDispatcher:
         """Shard, replay, and merge one trace; decisions in global order.
 
         The one serve path: split -> execute -> merge, stats recorded.
+        ``labels`` of the wrong length raise a
+        :class:`~repro.errors.ConfigError` before any replica is touched.
         """
+        labels = replay_labels(labels, len(trace))
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
         if self.n_shards == 1 and self.in_process:
@@ -234,17 +237,14 @@ class ShardedDispatcher:
     def _split(self, trace: Trace, labels) -> tuple[dict, list]:
         """The trace as wire columns, and each shard's member positions.
 
-        ``sources`` holds the whole trace's columns (labels defaulted to
-        -1, keys canonical), validated here once — the produce side of
-        every gather downstream, which would otherwise cast or corrupt a
-        drifted column in place. A shard's members are the global
-        positions of its packets, in trace order.
+        ``sources`` holds the whole trace's columns (keys canonical),
+        validated here once — the produce side of every gather downstream,
+        which would otherwise cast or corrupt a drifted column in place. A
+        shard's members are the global positions of its packets, in trace
+        order.
         """
         cols = trace.packet_columns()
-        if labels is None:
-            labels = np.full(len(trace), -1, dtype=wire_dtype("labels"))
-        else:
-            labels = np.asarray(labels, dtype=wire_dtype("labels"))
+        labels = np.asarray(labels, dtype=wire_dtype("labels"))
         key_cols = trace.canonical_key_columns()
         sources = {"ts": cols["ts"], "length": cols["length"], **key_cols,
                    "labels": labels}

@@ -63,7 +63,7 @@ from repro.core.mapping import LOOKUP_BACKENDS
 from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
-                                     flows_to_trace)
+                                     flows_to_trace, replay_labels)
 from repro.errors import ConfigError
 from repro.net.scenarios import PhaseSpan, ScenarioTrace
 from repro.net.traces import KEY_COLUMN_NAMES, Trace
@@ -110,11 +110,9 @@ class Registry:
         self._entries.pop(name, None)
 
     def get(self, name: str):
-        try:
+        if isinstance(name, str) and name in self._entries:
             return self._entries[name]
-        except KeyError:
-            raise ConfigError(self.config_field, name,
-                              allowed=self.names()) from None
+        raise ConfigError(self.config_field, name, allowed=self.names())
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._entries))
@@ -162,8 +160,12 @@ for _name in LOOKUP_BACKENDS:
 # ---------------------------------------------------------------------------
 
 def _check_choice(config_field: str, value, table) -> None:
-    if value not in table:
+    if not isinstance(value, str) or value not in table:
         raise ConfigError(config_field, value, allowed=tuple(sorted(table)))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,7 @@ class EngineConfig:
       (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``),
       one cache per replica at the cache classes' default sizes;
+      ``windowed`` only (``two_stage`` has no cache);
     - **topology** — ``local`` (one replica, in-process), ``sharded``
       (N replicas replayed serially, modeled parallel wall clock) or
       ``parallel`` (N persistent worker processes fed through
@@ -194,10 +197,11 @@ class EngineConfig:
       deterministically).
 
     Frozen and validated once here — every downstream constructor then
-    receives values it can trust: integer fields must be integers (NumPy
-    integers pass, ``bool`` does not) and float fields finite. All errors
-    are :class:`~repro.errors.ConfigError` s naming the field and its
-    allowed values.
+    receives values it can trust: choice fields must be strings, integer
+    fields integers and float fields finite real numbers (NumPy numbers
+    pass, ``bool`` does not). All errors are
+    :class:`~repro.errors.ConfigError` s naming the field and its allowed
+    values.
     """
 
     runtime: str = "windowed"
@@ -221,10 +225,12 @@ class EngineConfig:
                               reason="two_stage serves by index only")
         _check_choice("topology", self.topology, TOPOLOGY_BUILDERS)
         _check_choice("admission", self.admission, ADMISSION_BUILDERS)
-        if self.feature_mode not in ("seq", "stats"):
-            raise ConfigError("feature_mode", self.feature_mode,
-                              allowed=("seq", "stats"))
+        _check_choice("feature_mode", self.feature_mode, ("seq", "stats"))
         _check_choice("decision_cache", self.decision_cache, CACHE_MODES)
+        if self.runtime == "two_stage" and self.decision_cache != "off":
+            raise ConfigError("decision_cache", self.decision_cache,
+                              allowed=("off",),
+                              reason="two_stage has no decision cache")
         for name, lo in (("capacity", 1), ("n_workers", 1),
                          ("batch_size", 1), ("queue_capacity", 1)):
             value = getattr(self, name)
@@ -232,10 +238,12 @@ class EngineConfig:
                     or isinstance(value, bool) or value < lo):
                 raise ConfigError(name, value, allowed=f"an integer >= {lo}")
         # Chained compares: NaN fails both bounds, infinity the upper one.
-        if self.p99_target_ms is not None and not 0 < self.p99_target_ms < math.inf:
+        if self.p99_target_ms is not None and not (
+                _is_real(self.p99_target_ms)
+                and 0 < self.p99_target_ms < math.inf):
             raise ConfigError("p99_target_ms", self.p99_target_ms,
                               allowed="finite > 0 (milliseconds) or None")
-        if not 0 <= self.time_scale < math.inf:
+        if not (_is_real(self.time_scale) and 0 <= self.time_scale < math.inf):
             raise ConfigError("time_scale", self.time_scale,
                               allowed="finite >= 0 (0 = as fast as possible)")
         if self.topology == "local" and self.n_workers != 1:
@@ -277,7 +285,7 @@ def _build_windowed(source, config: EngineConfig):
 
 # Replica knobs the engine owns: they come from EngineConfig, never from a
 # two-stage source mapping (a duplicate would otherwise collide at build).
-_ENGINE_OWNED_FIELDS = ("capacity", "batch_size", "decision_cache")
+_ENGINE_OWNED_FIELDS = ("capacity", "batch_size")
 # Replica knobs a from_factory factory owns: the engine cannot apply them.
 _FACTORY_OWNED_FIELDS = ("capacity", "feature_mode", "decision_cache")
 
@@ -303,7 +311,7 @@ def _two_stage_spec(source) -> dict:
 def _build_two_stage(source, config: EngineConfig):
     return TwoStageRuntime(
         capacity=config.capacity, batch_size=config.batch_size,
-        decision_cache=config.make_cache(), **_two_stage_spec(source))
+        **_two_stage_spec(source))
 
 
 RUNTIME_BUILDERS = MappingProxyType({
@@ -409,7 +417,6 @@ class _ModelRuntimeFactory:
     def __call__(self):
         rt = self.model.make_runtime(capacity=self.config.capacity)
         rt.batch_size = self.config.batch_size
-        rt.decision_cache = self.config.make_cache()
         return rt
 
 
@@ -661,7 +668,7 @@ class PegasusEngine:
         ``runtime="windowed"`` (default) serves ``model.compiled``;
         ``runtime="two_stage"`` builds each replica through the model's own
         ``make_runtime`` (the CNN-L flow-scalability deployment), with the
-        config's batch/cache/backend settings applied on top.
+        config's capacity and batch size applied on top.
         """
         config = _resolve_config(config, overrides)
         compiled = getattr(model, "compiled", None)
@@ -775,10 +782,8 @@ class PegasusEngine:
             if missing:
                 raise ValueError(f"missing serve columns: {missing}")
             workload, kind = Trace.from_columns(workload), "trace"
-        if kind == "trace" and labels is not None \
-                and len(labels) != len(workload):
-            raise ConfigError("labels", len(labels),
-                              allowed=f"{len(workload)} (one per packet)")
+        if kind == "trace":
+            labels = replay_labels(labels, len(workload))
         if mode == "open":
             if kind != "scenario_trace":
                 workload = self._as_scenario_trace(workload, labels)
@@ -809,13 +814,11 @@ class PegasusEngine:
         """Wrap a trace as a single-phase ScenarioTrace so the open-loop
         pump has timestamps and a phase span to pace/report."""
         n = len(trace)
-        if labels is None:
-            labels = np.full(n, -1, dtype=np.int64)
         ts0 = trace.ts[0] if n else 0.0
         ts1 = trace.ts[-1] if n else 0.0
         span = PhaseSpan("trace", float(ts0), float(ts1), 0, n)
         return ScenarioTrace(scenario="<trace>", seed=None, trace=trace,
-                             labels=np.asarray(labels), phases=(span,))
+                             labels=labels, phases=(span,))
 
     # -- serve internals -----------------------------------------------------
 

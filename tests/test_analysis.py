@@ -243,7 +243,7 @@ class TestPickleSafeRegistrations:
 
 
 # ---------------------------------------------------------------------------
-# mutable-default-args / bare-except
+# mutable-default-args
 # ---------------------------------------------------------------------------
 
 class TestGenericDefectRules:
@@ -264,16 +264,6 @@ class TestGenericDefectRules:
                     acc = []
                 return acc
         """) == []
-
-    def test_bare_except_flagged(self):
-        findings = lint("""
-            def f(fn):
-                try:
-                    return fn()
-                except:
-                    return None
-        """)
-        assert rule_names(findings) == ["bare-except"]
 
     def test_named_except_clean(self):
         assert lint("""
@@ -314,7 +304,7 @@ class TestSuppressions:
             import random
 
             def sample(xs):
-                random.shuffle(xs)   # reprolint: disable=bare-except
+                random.shuffle(xs)   # reprolint: disable=mutable-default-args
         """)
         assert sorted(rule_names(findings)) == ["rng-discipline",
                                                 UNUSED_SUPPRESSION]
@@ -448,14 +438,6 @@ def _mutant(xs, acc=[]):
     acc.extend(xs)
     return acc
 """, "def _mutant(xs, acc=[]):"),
-    ("bare-except", "src/repro/utils/rng.py", """
-
-def _mutant(fn):
-    try:
-        return fn()
-    except:
-        return None
-""", "    except:"),
 ]
 
 

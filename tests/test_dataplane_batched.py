@@ -2,9 +2,9 @@
 
 The contract under test: for any batch size, the batched vectorized replay
 produces the *same decisions in the same order* as the per-packet reference
-path (``process_flows_scalar``) — including under register-capacity
-eviction churn and when the model is a placed Pipeline instead of a bare
-CompiledModel.
+path (``process_packet``, driven by ``scalar_replay``) — including under
+register-capacity eviction churn and when the model is a placed Pipeline
+instead of a bare CompiledModel.
 """
 
 import gc
@@ -17,7 +17,9 @@ from repro.core.fuzzy import FuzzyTree
 from repro.dataplane import place_model, TOFINO2, VectorFlowState
 from repro.dataplane.registers import FlowStateLayout, RegisterField
 from repro.errors import PipelineError
-from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
+from repro.dataplane.runtime import (TwoStageRuntime,
+                                     WindowedClassifierRuntime, flows_to_trace)
+from repro.eval.differential import scalar_replay
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -25,8 +27,8 @@ BATCH_SIZES = (1, 7, 256)
 class TestWindowedBatched:
     @pytest.mark.parametrize("mode", ["seq", "stats"])
     def test_bit_exact_across_batch_sizes(self, compiled16, replay_flows, mode):
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode=mode).process_flows_scalar(replay_flows)
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode=mode), *flows_to_trace(replay_flows))
         assert ref  # the workload must actually produce decisions
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
@@ -36,7 +38,7 @@ class TestWindowedBatched:
     def test_bit_exact_under_eviction(self, compiled16, replay_flows):
         ref_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", capacity=5)
-        ref = ref_rt.process_flows_scalar(replay_flows)
+        ref = scalar_replay(ref_rt, *flows_to_trace(replay_flows))
         assert ref_rt.state.evictions > 0
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
@@ -54,7 +56,7 @@ class TestWindowedBatched:
         otherwise show only in a later serve."""
         ref = WindowedClassifierRuntime(compiled16, feature_mode=mode,
                                         capacity=capacity)
-        ref.process_flows_scalar(replay_flows)
+        scalar_replay(ref, *flows_to_trace(replay_flows))
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode=mode, capacity=capacity,
@@ -85,8 +87,8 @@ class TestWindowedBatched:
     def test_pipeline_model_matches_compiled(self, compiled16, replay_flows):
         """A placed Pipeline behind the runtime decides like the raw model."""
         pipeline = place_model(compiled16, TOFINO2)
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="seq").process_flows_scalar(replay_flows)
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="seq"), *flows_to_trace(replay_flows))
         runtime = WindowedClassifierRuntime(
             pipeline, feature_mode="seq", batch_size=64)
         assert list(runtime.process_flows(replay_flows)) == ref
@@ -111,9 +113,9 @@ class TestTwoStageBatched:
     def test_raw_bytes_bit_exact(self, replay_flows, slot_values):
         rng = np.random.default_rng(2)
         tree = FuzzyTree.fit(rng.uniform(0, 255, size=(300, 60)), n_leaves=16)
-        ref = TwoStageRuntime(
-            tree, slot_values, n_classes=3, idx_bits=4
-        ).process_flows_scalar(replay_flows)
+        ref = scalar_replay(
+            TwoStageRuntime(tree, slot_values, n_classes=3, idx_bits=4),
+            *flows_to_trace(replay_flows))
         assert ref
         for batch_size in BATCH_SIZES:
             runtime = TwoStageRuntime(tree, slot_values, n_classes=3,
@@ -135,7 +137,7 @@ class TestTwoStageBatched:
         ref_rt = TwoStageRuntime(tree, slot_values, n_classes=3, idx_bits=4,
                                  needs_ipd=True, feature_fn=feature_fn)
         assert ref_rt.bits_per_flow == 16 + 8 + 4 * 7
-        ref = ref_rt.process_flows_scalar(replay_flows)
+        ref = scalar_replay(ref_rt, *flows_to_trace(replay_flows))
         assert ref
         for batch_size in BATCH_SIZES:
             runtime = TwoStageRuntime(tree, slot_values, n_classes=3,

@@ -10,11 +10,13 @@ from repro.core.crc import consecutive_range_coding, lookup_prioritized
 from repro.core.fuzzy import FuzzyTree, key_domain
 from repro.core.mapping import LOOKUP_BACKENDS
 from repro.dataplane import tcam
-from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
+from repro.dataplane.runtime import (TwoStageRuntime,
+                                     WindowedClassifierRuntime, flows_to_trace)
 from repro.dataplane.tcam import (PRUNED_MAX_FLAT_ENTRIES, PackedTernaryTable,
                                   TcamSegment, compile_segment_table,
                                   encode_keys, pack_words, tcam_table_report)
 from repro.errors import CompilationError, ConfigError, ShapeError
+from repro.eval.differential import scalar_replay
 from repro.net.traces import Trace
 from repro.serving import EngineConfig, FlowDecisionCache, PegasusEngine
 from repro.serving.dispatcher import ShardedDispatcher   # un-deprecated core
@@ -407,8 +409,8 @@ class TestCompiledModelBackend:
 class TestRuntimeBackend:
     def test_windowed_tcam_matches_index_and_scalar(self, compiled16,
                                                     replay_flows):
-        scalar = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
+        scalar = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), *flows_to_trace(replay_flows))
         index = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
             batch_size=32).process_flows(replay_flows)
@@ -418,11 +420,11 @@ class TestRuntimeBackend:
         assert scalar == list(index) == list(tcam)
 
     def test_windowed_scalar_path_uses_backend(self, compiled16, replay_flows):
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
-        got = WindowedClassifierRuntime(
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), *flows_to_trace(replay_flows))
+        got = scalar_replay(WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
-            lookup_backend="tcam-pruned").process_flows_scalar(replay_flows)
+            lookup_backend="tcam-pruned"), *flows_to_trace(replay_flows))
         assert got == ref
 
     def test_set_lookup_backend_validates(self, compiled16):

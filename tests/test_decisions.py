@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
-from repro.dataplane.runtime import WindowedClassifierRuntime
+from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
 from repro.dataplane.schema import DECISION_COLUMNS
+from repro.eval.differential import scalar_replay
 
 FIELDS = ("seq", "flow_label", "predicted", "ts")
 
@@ -78,7 +79,7 @@ def test_iteration_is_the_scalar_oracle(compiled16, replay_flows, batch_size,
                                         capacity):
     ref_rt = WindowedClassifierRuntime(compiled16, feature_mode="stats",
                                        capacity=capacity)
-    ref = ref_rt.process_flows_scalar(replay_flows)
+    ref = scalar_replay(ref_rt, *flows_to_trace(replay_flows))
     runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats",
                                         capacity=capacity,
                                         batch_size=batch_size)

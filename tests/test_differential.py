@@ -22,29 +22,42 @@ def workload():
 
 class TestMatrix:
     def test_build_cases_covers_every_axis(self):
-        """27 cases, and no axis point the rotation could starve: every
-        (runtime, backend it serves, topology) triple appears, and the
-        quick matrix still reaches every topology per runtime."""
+        """23 cases, and no axis point the rotation could starve: each kind
+        serves exactly its own (backend, cache) pairs, every pair appears
+        locally and scaled out, every scaled-out topology runs at every
+        worker count, and the quick matrix reaches every topology per
+        runtime."""
         topologies = {"local", "sharded", "parallel"}
-        cases = dfl.build_cases()
-        assert len(cases) == 27
+        worker_counts = (1, 2)
+        cases = dfl.build_cases(worker_counts=worker_counts)
+        assert len(cases) == 23
         assert len({c.label for c in cases}) == len(cases)
         assert all(c.n_workers == 1 for c in cases if c.topology == "local")
-        want = {(kind, backend, topology)
-                for kind, backends in dfl.RUNTIME_BACKENDS.items()
-                for backend in backends for topology in topologies}
-        assert {(c.runtime, c.lookup_backend, c.topology)
-                for c in cases} == want
-        # every (backend, cache) pair of a runtime appears scaled out
-        for kind, backends in dfl.RUNTIME_BACKENDS.items():
-            scaled = {(c.lookup_backend, c.decision_cache) for c in cases
-                      if c.runtime == kind and c.topology != "local"}
-            assert len(scaled) == 3 * len(backends), kind
-        assert set(dfl.RUNTIME_BACKENDS) == set(dfl.RUNTIME_KINDS)
+        assert set(dfl.RUNTIME_BACKENDS) == set(dfl.RUNTIME_CACHES) \
+            == set(dfl.RUNTIME_KINDS)
+        assert dfl.RUNTIME_CACHES["two_stage"] == ("off",)
+        for kind in dfl.RUNTIME_KINDS:
+            pairs = {(b, c) for b in dfl.RUNTIME_BACKENDS[kind]
+                     for c in dfl.RUNTIME_CACHES[kind]}
+            mine = [c for c in cases if c.runtime == kind]
+            local = {(c.lookup_backend, c.decision_cache) for c in mine
+                     if c.topology == "local"}
+            scaled = {(c.lookup_backend, c.decision_cache) for c in mine
+                      if c.topology != "local"}
+            assert local == scaled == pairs, kind
+            for topology in ("sharded", "parallel"):
+                assert {c.n_workers for c in mine
+                        if c.topology == topology} == set(worker_counts), \
+                    (kind, topology)
+        assert sum(c.runtime == "windowed" for c in cases) == 18
+        assert sum(c.runtime == "two_stage" for c in cases) == 5
         quick = dfl.quick_cases()
+        assert len({c.label for c in quick}) == len(quick)
         for kind in dfl.RUNTIME_KINDS:
             assert {c.topology for c in quick if c.runtime == kind} == \
                 topologies, kind
+            assert {c.decision_cache for c in quick if c.runtime == kind} \
+                <= set(dfl.RUNTIME_CACHES[kind])
         for case in cases + quick:
             case.config()           # every point is a valid EngineConfig
 
@@ -155,6 +168,28 @@ class TestScalarReference:
                            config=case.config()) as eng:
             got = eng.serve(workload.trace, labels=workload.labels)
         assert list(got.decisions) == ref
+
+    def test_scalar_replay_positions_and_carried_state(self, sources,
+                                                       workload):
+        """``positions`` relabels ``seq`` only; a second call continues from
+        the replica's state, exactly like one call over the whole trace."""
+        from repro.serving import PegasusEngine
+        trace, labels = workload.trace, workload.labels
+        whole = dfl.scalar_reference(sources["two_stage"], "two_stage",
+                                     trace, labels)
+        assert whole
+        shifted = dfl.scalar_reference(sources["two_stage"], "two_stage",
+                                       trace, labels,
+                                       positions=np.arange(len(trace)) + 5)
+        assert [d.seq for d in shifted] == [d.seq + 5 for d in whole]
+        replica = PegasusEngine(
+            source=sources["two_stage"], runtime="two_stage",
+            capacity=dfl.DEFAULT_CAPACITY)._replica_factory()
+        half = len(trace) // 2
+        first = dfl.scalar_replay(replica, trace[:half], labels[:half])
+        rest = dfl.scalar_replay(replica, trace[half:], labels[half:],
+                                 positions=np.arange(half, len(trace)))
+        assert first + rest == whole
 
     def test_two_stage_spec_deterministic(self):
         a = dfl.build_two_stage_spec(seed=3)

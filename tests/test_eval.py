@@ -112,8 +112,8 @@ class TestWindowedRuntime:
         model.compile_dataplane(views)
         runtime = WindowedClassifierRuntime(model.compiled, feature_mode="stats")
         for pkt in flow.packets[:7]:
-            assert runtime.process_packet(pkt, flow.label) is None
-        assert runtime.process_packet(flow.packets[7], flow.label) is not None
+            assert runtime.process_packet(pkt) is None
+        assert runtime.process_packet(flow.packets[7]) is not None
 
     def test_bits_per_flow(self):
         ds = make_dataset("peerrush", flows_per_class=2, seed=0)

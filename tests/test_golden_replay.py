@@ -68,15 +68,18 @@ class TestGoldenReplay:
 
     def test_two_level_pruned_fast_path_is_bit_identical(self, key, golden,
                                                          sources):
-        """The maximal fast path (l1+l2 cache + pruned TCAM) must reproduce
-        the pinned reference digest on every golden workload — an unsound
-        approximate hit or a dropped TCAM candidate row fails here."""
+        """The maximal fast path (l1+l2 cache + pruned TCAM, windowed only)
+        must reproduce the pinned reference digest on every golden workload
+        — an unsound approximate hit or a dropped TCAM candidate row fails
+        here."""
         workload = self._workload(golden)
         fast = two_level_replay(workload, sources=sources)
-        for kind, ref in golden["decisions"].items():
-            assert fast[kind]["digest"] == ref["digest"], \
+        assert list(fast) == ["windowed"]
+        for kind, got in fast.items():
+            ref = golden["decisions"][kind]
+            assert got["digest"] == ref["digest"], \
                 f"{key}/{kind}: l1+l2 + tcam-pruned changed decisions"
-            assert fast[kind]["n_decisions"] == ref["n_decisions"]
+            assert got["n_decisions"] == ref["n_decisions"]
         if "cache_counters" in golden:
             got = {kind: fast[kind]["counters"] for kind in fast}
             assert got == golden["cache_counters"], \

@@ -275,13 +275,15 @@ class TestTraceValidation:
     def test_largest_timestamps_decide_alike(self, compiled16):
         """5e14 s (a unit count near 2**63) is a valid timestamp, and both
         runtimes bucket its inter-packet delays alike."""
-        from repro.dataplane.runtime import WindowedClassifierRuntime
+        from repro.dataplane.runtime import (WindowedClassifierRuntime,
+                                             flows_to_trace)
+        from repro.eval.differential import scalar_replay
         base = 5e14
         packets = [_pkt(ts=base + 0.1 * 2 ** i, length=60 + 50 * i)
                    for i in range(12)]
         flow = Flow(key=packets[0].key, packets=packets, label=1)
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="seq").process_flows_scalar([flow])
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="seq"), *flows_to_trace([flow]))
         assert len(ref) == 5
         for batch_size in (1, 4, 256):
             runtime = WindowedClassifierRuntime(

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+from repro.dataplane.runtime import (TwoStageRuntime,
+                                     WindowedClassifierRuntime, flows_to_trace)
 from repro.dataplane.decisions import PacketDecision
-from repro.eval.differential import scalar_reference
+from repro.errors import ConfigError
+from repro.eval.differential import (build_two_stage_spec, scalar_reference,
+                                     scalar_replay)
 from repro.net import build_scenario
 from repro.net.packet import FlowKey, Packet
 from repro.net.traces import Trace
@@ -142,8 +145,8 @@ class TestShardedDispatcher:
 
     def test_sharded_matches_unsharded(self, compiled16, replay_flows):
         """Shard counts that do not divide the 24-flow workload stay exact."""
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), *flows_to_trace(replay_flows))
         assert ref
         for n_shards in (1, 5, 7):
             assert len(replay_flows) % n_shards != 0 or n_shards == 1
@@ -180,6 +183,78 @@ class TestShardedDispatcher:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             ShardedDispatcher(runtime_factory=lambda: None, batch_size=0)
+
+
+class TestReplayLabels:
+    """``labels`` of the wrong length are a ConfigError raised before any
+    flow state changes, in both runtimes and both dispatchers: a valid
+    replay afterwards decides exactly like a fresh replica's."""
+
+    @pytest.fixture(scope="class")
+    def hitters(self):
+        w = build_scenario("heavy_hitters").generate(seed=0, flows_scale=0.3)
+        return w.trace, w.labels
+
+    @staticmethod
+    def _bad(labels, length):
+        return labels[:-5] if length == "short" \
+            else np.concatenate([labels, labels[:2]])
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    @pytest.mark.parametrize("entry", ["trace", "columns"])
+    @pytest.mark.parametrize("kind", ["windowed", "two_stage"])
+    def test_runtime_rejects_before_replay(self, compiled16, hitters, kind,
+                                           entry, length):
+        trace, labels = hitters
+
+        def make():
+            if kind == "windowed":
+                return WindowedClassifierRuntime(
+                    compiled16, feature_mode="stats", capacity=4096,
+                    batch_size=BATCH)
+            return TwoStageRuntime(capacity=4096, batch_size=BATCH,
+                                   **build_two_stage_spec())
+
+        def replay(runtime, labels):
+            if entry == "trace":
+                return runtime.process_trace(trace, labels=labels)
+            return runtime.process_columns(
+                trace.to_columns(payload_bytes=60), labels=labels)
+
+        runtime = make()
+        with pytest.raises(ConfigError) as exc:
+            replay(runtime, self._bad(labels, length))
+        assert exc.value.field == "labels"
+        assert not runtime.state.columns["count"].any()   # nothing replayed
+        got = replay(runtime, labels)
+        assert len(got) > 0
+        assert list(got) == list(replay(make(), labels))
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    @pytest.mark.parametrize("shape", ["sharded1", "sharded2", "parallel2"])
+    def test_dispatcher_rejects_before_replay(self, compiled16, hitters,
+                                              shape, length):
+        trace, labels = hitters
+
+        def make():
+            def factory():
+                return WindowedClassifierRuntime(
+                    compiled16, feature_mode="stats", capacity=4096)
+            if shape == "parallel2":
+                return ParallelDispatcher(runtime_factory=factory,
+                                          n_workers=2, batch_size=BATCH)
+            return ShardedDispatcher(runtime_factory=factory,
+                                     n_shards=int(shape[-1]),
+                                     batch_size=BATCH)
+
+        with make() as dispatcher, make() as fresh:
+            with pytest.raises(ConfigError) as exc:
+                dispatcher.serve_trace(trace,
+                                       labels=self._bad(labels, length))
+            assert exc.value.field == "labels"
+            got = dispatcher.serve_trace(trace, labels=labels)
+            assert len(got) > 0
+            assert list(got) == list(fresh.serve_trace(trace, labels=labels))
 
 
 def constant_rate_flow(n_packets=60, length=200, ipd=0.001, port=40000, ts0=0.0):
@@ -264,8 +339,7 @@ class TestFlowDecisionCache:
         cache = FlowDecisionCache(capacity=64)
         scalar_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", decision_cache=cache)
-        ref = [scalar_rt.process_packet(p, -1) for p in trace.packets]
-        ref = [d for d in ref if d is not None]
+        ref = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
         primed_misses = cache.stats.misses
         batched_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=16,
@@ -311,8 +385,7 @@ class TestFlowDecisionCache:
             [(d.predicted, d.ts) for d in ref]
         scalar_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", decision_cache=cache)
-        scal = [d for d in (scalar_rt.process_packet(p, -1)
-                            for p in trace.packets) if d is not None]
+        scal = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
         assert [(d.predicted, d.ts) for d in scal] == \
             [(d.predicted, d.ts) for d in ref]
 
@@ -345,8 +418,7 @@ class TestFlowDecisionCache:
         scalar_cache = FlowDecisionCache(capacity=capacity)
         scalar_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", decision_cache=scalar_cache)
-        ref = [d for d in (scalar_rt.process_packet(p, -1)
-                           for p in trace.packets) if d is not None]
+        ref = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
 
         batched_cache = FlowDecisionCache(capacity=capacity)
         batched_rt = WindowedClassifierRuntime(
@@ -425,12 +497,7 @@ class TestCacheDegenerateCapacities:
         scalar_cache = FlowDecisionCache(capacity=capacity)
         scalar_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", decision_cache=scalar_cache)
-        scal = []
-        for i, p in enumerate(trace.packets):
-            d = scalar_rt.process_packet(p, int(labels[i]))
-            if d is not None:
-                d.seq = i
-                scal.append(d)
+        scal = scalar_replay(scalar_rt, trace, labels)
 
         batched_cache = FlowDecisionCache(capacity=capacity)
         got = WindowedClassifierRuntime(

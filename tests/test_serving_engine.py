@@ -73,10 +73,9 @@ def _windowed_factory(compiled16, cached, backend):
     return build
 
 
-def _two_stage_factory(spec, cached, backend):
+def _two_stage_factory(spec, backend):
     def build():
-        cache = FlowDecisionCache() if cached else None
-        rt = TwoStageRuntime(batch_size=BATCH, decision_cache=cache, **spec)
+        rt = TwoStageRuntime(batch_size=BATCH, **spec)
         rt.set_lookup_backend(backend)
         return rt
     return build
@@ -119,13 +118,21 @@ class TestConfigMatrixEquivalence:
     @pytest.mark.parametrize("backend", TWO_STAGE_BACKENDS)
     def test_two_stage(self, two_stage_spec, replay_flows, topology, cached,
                        backend):
-        ref = _hand_wired(_two_stage_factory(two_stage_spec, cached, backend),
+        """Uncached: engine == hand-wired. Cached: two-stage has no decision
+        cache, so the config is rejected on every topology."""
+        if cached:
+            with pytest.raises(ConfigError) as exc:
+                _config(topology, cached, backend, runtime="two_stage")
+            assert exc.value.field == "decision_cache"
+            return
+        ref = _hand_wired(_two_stage_factory(two_stage_spec, backend),
                           topology, replay_flows, payload_bytes=60)
         assert ref
         config = _config(topology, cached, backend, runtime="two_stage")
         with PegasusEngine(source=two_stage_spec, config=config) as engine:
             report = engine.serve(replay_flows)
         assert list(report.decisions) == list(ref)
+        assert report.cache_stats.lookups == 0
 
     def test_parallel_spawn_start_method(self, compiled16, replay_flows):
         """Engine-built replica factories stay picklable, which is all a
@@ -183,17 +190,19 @@ class TestOneDispatcher:
             "columns": (trace.to_columns(payload_bytes=60),
                         {"labels": labels}),
         }[shape]
+        cached = runtime == "windowed"      # two_stage has no cache
         reports = []
         for topology in TOPOLOGIES:
             config = EngineConfig(
                 runtime=runtime, feature_mode="stats", batch_size=BATCH,
-                decision_cache="l1",
+                decision_cache="l1" if cached else "off",
                 topology=topology, n_workers=1)
             with PegasusEngine(source=source, config=config) as engine:
                 reports.append(engine.serve(workload, **kwargs))
         local = reports[0]
         assert local.decisions and local.flush_stats.total > 0
-        assert local.cache_stats.lookups == len(local.decisions)
+        assert local.cache_stats.lookups == (len(local.decisions) if cached
+                                             else 0)
         for report in reports:
             assert list(report.decisions) == list(local.decisions)
             assert report.flush_stats.total == local.flush_stats.total
@@ -265,6 +274,18 @@ class TestEngineConfig:
         (dict(capacity=True), "capacity"),
         (dict(topology="sharded", n_workers=True), "n_workers"),
         (dict(queue_capacity="8"), "queue_capacity"),
+        (dict(time_scale="1"), "time_scale"),
+        (dict(p99_target_ms="5"), "p99_target_ms"),
+        (dict(time_scale=True), "time_scale"),
+        (dict(p99_target_ms=True), "p99_target_ms"),
+        (dict(runtime=["x"]), "runtime"),
+        (dict(topology=["x"]), "topology"),
+        (dict(admission=["x"]), "admission"),
+        (dict(decision_cache=["x"]), "decision_cache"),
+        (dict(lookup_backend=["x"]), "lookup_backend"),
+        (dict(feature_mode=["x"]), "feature_mode"),
+        (dict(runtime="two_stage", decision_cache="l1"), "decision_cache"),
+        (dict(runtime="two_stage", decision_cache="l1+l2"), "decision_cache"),
     ])
     def test_typed_validation(self, kwargs, field):
         with pytest.raises(ConfigError) as exc:
@@ -327,10 +348,26 @@ class TestBuilders:
         ref = TwoStageRuntime(batch_size=BATCH, **two_stage_spec) \
             .process_flows(replay_flows)
         report = PegasusEngine.from_model(
-            model, runtime="two_stage", batch_size=BATCH,
-            decision_cache="l1").serve(replay_flows)
+            model, runtime="two_stage", batch_size=BATCH).serve(replay_flows)
         assert list(report.decisions) == list(ref)
-        assert report.cache_stats.lookups == len(ref)
+        assert report.cache_stats.lookups == 0
+
+    def test_two_stage_has_no_cache_by_any_route(self, two_stage_spec):
+        """The config, the from_model builder and the runtime constructor
+        all refuse a two-stage decision cache."""
+        for mode in ("l1", "l1+l2"):
+            with pytest.raises(ConfigError) as exc:
+                EngineConfig(runtime="two_stage", decision_cache=mode)
+            assert exc.value.field == "decision_cache"
+            with pytest.raises(ConfigError, match="decision_cache"):
+                PegasusEngine.from_model(_TwoStageModel(two_stage_spec),
+                                         runtime="two_stage",
+                                         decision_cache=mode)
+        with pytest.raises(TypeError, match="decision_cache"):
+            TwoStageRuntime(decision_cache=FlowDecisionCache(),
+                            **two_stage_spec)
+        assert not hasattr(TwoStageRuntime(**two_stage_spec),
+                           "decision_cache")
 
     def test_from_model_two_stage_spawn_parallel(self, two_stage_spec,
                                                  replay_flows):

@@ -18,6 +18,7 @@ import pytest
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.errors import WorkerError
+from repro.eval.differential import scalar_replay
 from repro.net.traces import Trace, canonicalize_key_columns
 from repro.serving import FlowDecisionCache, shard_hash, shard_hash_columns
 from repro.serving.dispatcher import ShardedDispatcher
@@ -161,8 +162,8 @@ class TestParallelEquivalence:
     def test_bit_identical_to_serial_and_unsharded(self, compiled16,
                                                    replay_flows, n_workers,
                                                    cached):
-        scalar_ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats").process_flows_scalar(replay_flows)
+        scalar_ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), *flows_to_trace(replay_flows))
         assert scalar_ref
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, cached),

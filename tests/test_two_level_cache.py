@@ -270,21 +270,26 @@ class TestReplicaLayout:
     @pytest.mark.parametrize("kind", dfl.RUNTIME_KINDS)
     def test_sharded_and_parallel_counters_match(self, workload, kind):
         """Every replica owns its two-level cache, so the same flow split
-        gives the same cache counters in-process and across worker
-        processes — approximate hits included."""
+        gives the same decisions and cache counters in-process and across
+        worker processes — approximate hits included. A kind without a
+        cache (``two_stage``) serves uncached and reports zero counters on
+        both."""
         source = dfl.default_sources()[kind]
-        counters = set()
+        cache = dfl.RUNTIME_CACHES[kind][-1]
+        counters, digests = set(), set()
         for topology in ("sharded", "parallel"):
             config = EngineConfig(**{**BASE_CONFIG, "runtime": kind,
-                                     "decision_cache": "l1+l2",
+                                     "decision_cache": cache,
                                      "topology": topology, "n_workers": 2})
             with PegasusEngine(source=source, config=config) as eng:
-                cs = eng.serve(workload.trace,
-                               labels=workload.labels).cache_stats
-            assert cs.lookups > 0
+                report = eng.serve(workload.trace, labels=workload.labels)
+            cs = report.cache_stats
+            assert (cs.lookups > 0) == (cache != "off")
             counters.add((cs.exact_hits, cs.approx_hits, cs.misses,
                           cs.evictions))
+            digests.add(dfl.decision_digest(report.decisions))
         assert len(counters) == 1, counters
+        assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------
