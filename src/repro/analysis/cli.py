@@ -10,7 +10,6 @@ uploads as an artifact on failure.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 
@@ -25,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST-based invariant linter for the Pegasus repro: "
-                    "determinism, pickle-safety, and concurrency contracts "
+                    "determinism, pickle-safety, and config-drift contracts "
                     "enforced at the line that would break them.")
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to lint "
@@ -47,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explain", metavar="RULE",
                         help="print one rule's full description and an "
                              "example finding, then exit")
-    parser.add_argument("--dtype-summary-out", metavar="FILE",
-                        help="additionally write the interprocedural "
-                             "dtype-flow summary (per-function abstract "
-                             "return values over the wire modules) to FILE")
     return parser
 
 
@@ -78,29 +73,6 @@ def _explain(rule_name: str) -> int:
     raise SystemExit(f"unknown rule '{rule_name}'; see --list-rules")
 
 
-def _write_dtype_summary(paths: list[str], out: str) -> None:
-    """The dtype-flow summary artifact CI uploads (stdlib-only, parse-only)."""
-    from repro.analysis.core import FileContext, iter_python_files
-    from repro.analysis.dtypeflow import summarize
-    from repro.analysis.wire import WIRE_MODULES, dataflow_for
-
-    contexts = []
-    for path, display in iter_python_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=display)
-        except (OSError, UnicodeDecodeError, SyntaxError):
-            continue
-        contexts.append(FileContext(path, display, source, tree))
-    df = dataflow_for(contexts)
-    report = summarize(df.flow, modules=WIRE_MODULES)
-    report["schema_origin"] = df.schema_origin
-    report["schema_columns"] = df.schema or {}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.explain:
@@ -118,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     # unjudgeable, so the staleness check only runs on full-rule runs.
     findings = analyze_paths(args.paths, rules=_selected_rules(args.select),
                              report_unused=args.select is None)
-    if args.dtype_summary_out:
-        _write_dtype_summary(args.paths, args.dtype_summary_out)
     if args.style:
         findings.extend(check_style(args.paths))
         findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -17,8 +17,8 @@ Vocabulary:
   analyzed file set (e.g. config/docs drift).
 - :class:`FileContext` — per-file state handed to handlers: the parsed
   tree, resolved dotted module name, an import table for resolving aliased
-  calls (``np.random.shuffle`` -> ``numpy.random.shuffle``), the lexical
-  scope stack, and ``report()``.
+  calls (``np.random.shuffle`` -> ``numpy.random.shuffle``), and
+  ``report()``.
 
 Suppressions: a ``# reprolint: disable=<rule>[,<rule>...]`` comment on (or
 inside the span of) the flagged statement silences that rule there. Every
@@ -62,7 +62,7 @@ class Rule:
     Subclasses set ``name`` / ``description`` and return a mapping of AST
     node-type *names* to bound handlers from :meth:`visitors`; the walker
     calls each handler as ``handler(ctx, node)`` during the single pass.
-    ``begin_file`` / ``end_file`` bracket each file for per-file state.
+    ``begin_file`` runs before the pass, for per-file state.
     """
 
     name = ""
@@ -73,9 +73,6 @@ class Rule:
         return {}
 
     def begin_file(self, ctx: "FileContext") -> None:
-        pass
-
-    def end_file(self, ctx: "FileContext") -> None:
         pass
 
 
@@ -163,8 +160,6 @@ class FileContext:
         self.is_test = any(part == "tests" for part in path.parts) \
             or path.name.startswith("test_") or path.name == "conftest.py"
         self.imports = ImportTable(tree)
-        self.stack: list[ast.AST] = []      # ancestors, outermost first
-        self.scopes: list[ast.AST] = []     # Module/ClassDef/FunctionDef/Lambda
         self.findings: list[Finding] = []
 
     def resolve_call(self, node: ast.Call) -> str | None:
@@ -175,22 +170,6 @@ class FileContext:
     def report(self, node: ast.AST, rule: str, msg: str) -> None:
         self.findings.append(Finding(rule, self.display_path,
                                      getattr(node, "lineno", 1), msg))
-
-    def enclosing_function(self) -> ast.AST | None:
-        for scope in reversed(self.scopes):
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return scope
-        return None
-
-    def enclosing_class(self) -> ast.ClassDef | None:
-        for scope in reversed(self.scopes):
-            if isinstance(scope, ast.ClassDef):
-                return scope
-        return None
-
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                ast.Lambda)
 
 
 class _Walker:
@@ -206,15 +185,8 @@ class _Walker:
     def walk(self, node: ast.AST) -> None:
         for handler in self.dispatch.get(type(node).__name__, ()):
             handler(self.ctx, node)
-        is_scope = isinstance(node, _SCOPE_NODES)
-        self.ctx.stack.append(node)
-        if is_scope:
-            self.ctx.scopes.append(node)
         for child in ast.iter_child_nodes(node):
             self.walk(child)
-        if is_scope:
-            self.ctx.scopes.pop()
-        self.ctx.stack.pop()
 
 
 def parse_suppressions(source: str) -> dict[int, set[str]]:
@@ -314,8 +286,6 @@ def _lint_file(source: str, path: Path, display: str, rules: list[Rule]
     for rule in per_file:
         rule.begin_file(ctx)
     _Walker(ctx, per_file).walk(tree)
-    for rule in per_file:
-        rule.end_file(ctx)
     return [], ctx
 
 

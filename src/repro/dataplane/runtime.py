@@ -89,6 +89,7 @@ from repro.net.packet import Packet
 from repro.net.traces import (KEY_COLUMN_NAMES, TS_UNIT_SECONDS, Trace,
                               flow_ids, flow_key_words, pack_flow_keys)
 from repro.dataplane.decisions import DecisionBatch
+from repro.dataplane.schema import WIRE_COLUMNS
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 
@@ -246,12 +247,16 @@ class _BatchedReplayMixin:
         ``cols`` must hold this runtime's ``required_columns`` and the five
         5-tuple key columns (raw or canonical), all aligned. Identical
         semantics (and decisions) to :meth:`process_trace` on the
-        equivalent trace.
+        equivalent trace. Missing columns raise ``ValueError`` and columns
+        of different lengths a :class:`~repro.errors.SchemaError`, both
+        before any flow state changes.
         """
         missing = [c for c in (*self.required_columns, *KEY_COLUMN_NAMES)
                    if c not in cols]
         if missing:
             raise ValueError(f"missing replay columns: {missing}")
+        WIRE_COLUMNS.check_aligned(
+            cols, context=f"{type(self).__name__}.process_columns")
         step_cols = self._replay_columns(cols)
         return self._replay(
             step_cols, pack_flow_keys(cols), labels, batch_size,

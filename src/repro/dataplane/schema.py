@@ -1,39 +1,30 @@
-"""The columnar wire-format contract: one schema, checked twice.
+"""The columnar wire-format contract: one schema, checked at run time.
 
 Every array that crosses a worker process boundary — shard payloads going
-out, decision streams coming back — must have a statically known dtype and
-rank, or the ``multiprocessing.shared_memory`` ring buffers of
+out, decision streams coming back — must have a known dtype and rank, or
+the ``multiprocessing.shared_memory`` ring buffers of
 ``repro.serving.rings`` silently corrupt or fall back to re-pickling. This
 module is the single source of truth for that format:
 
 - :data:`WIRE_COLUMNS` — the trace-side columns ``Trace.to_columns`` emits
   and shard payloads carry (``ts``/``length``/5-tuple keys/``labels``, plus
   the optional ``payload`` byte matrix);
-- :data:`DECISION_COLUMNS` — the four flat arrays each worker's decision
+- :data:`DECISION_COLUMNS` — the four flat arrays each replica's decision
   stream comes back as.
 
-The schema is enforced from both directions:
-
-1. **Runtime** (debug-gated): :meth:`ColumnSchema.validate_columns` runs at
-   every producer/consumer seam — ``Trace.to_columns``/``from_columns``,
-   both dispatchers' shard splits, and the shared-memory ring write/read
-   seams of the parallel dataplane — and raises
-   :class:`~repro.errors.SchemaError` on drift. Disable for hot production
-   runs with ``REPRO_WIRE_VALIDATE=0`` (or ``python -O``); tests force it
-   on.
-2. **Statically**: the ``columnar-schema`` / ``dtype-promotion`` rules of
-   ``repro.analysis`` parse *this file's AST* (the declarations below are
-   pure literals with string dtype names, so the stdlib-only linter never
-   imports NumPy) and check every wire-module construction site against it.
+:meth:`ColumnSchema.validate_columns` enforces it, always on, at the seams
+where a drifted column would otherwise be cast or corrupted in place —
+``Trace.to_columns``/``from_columns``, both dispatchers' shard splits, and
+the decision merges (each replica's decisions before they are cast into
+the merged columns or an egress ring slot). Drift raises
+:class:`~repro.errors.SchemaError`.
 
 Producers name their dtypes through :func:`wire_dtype` /
-:func:`decision_dtype` instead of scattered ``np.int64`` literals — the one
-spelling both the runtime check and the static dataflow pass resolve.
+:func:`decision_dtype` instead of scattered ``np.int64`` literals.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -84,16 +75,13 @@ class ColumnSchema:
     def validate_columns(self, cols: Mapping[str, np.ndarray],
                          require: tuple[str, ...] | None = None,
                          context: str = "") -> None:
-        """Check a columnar payload against this schema (debug-gated).
+        """Check a columnar payload against this schema.
 
         ``require`` lists the columns that must be present (default: every
         non-nullable one); any *present* column must be a declared name,
-        an ndarray, and match the declared dtype and rank exactly. No-op
-        when wire validation is disabled (``REPRO_WIRE_VALIDATE=0`` or
-        ``python -O``) so the hot path pays one bool check.
+        an ndarray, and match the declared dtype and rank exactly, and all
+        present columns must have the same number of rows.
         """
-        if not validation_enabled():
-            return
         if require is None:
             require = self.required()
         for name in require:
@@ -121,11 +109,22 @@ class ColumnSchema:
                     self.name, name,
                     f"has rank {arr.ndim}, schema declares {spec.rank}",
                     context=context)
+        self.check_aligned(cols, context=context)
 
+    def check_aligned(self, cols: Mapping[str, np.ndarray],
+                      context: str = "") -> None:
+        """Every column in ``cols`` must have as many rows as the first."""
+        first = None
+        for name, arr in cols.items():
+            rows = len(arr)
+            if first is None:
+                first = (name, rows)
+            elif rows != first[1]:
+                raise SchemaError(
+                    self.name, name,
+                    f"has {rows} rows, '{first[0]}' has {first[1]}",
+                    context=context)
 
-# The declarations below are pure literals on purpose: the stdlib-only
-# linter (repro.analysis.wire) reads the dtype names straight off this
-# file's AST without importing numpy. Keep them free of computed values.
 
 WIRE_COLUMNS = ColumnSchema("wire", {
     "ts": ColumnSpec("float64", 1),
@@ -149,9 +148,8 @@ DECISION_COLUMNS = ColumnSchema("decision", {
 
 # Ring slot layout (repro.serving.rings): one ingress slot is these wire
 # columns laid out back to back (payload last, only when configured), one
-# egress slot the decision columns in this order. Pure literals, same
-# reason as the schemas above — the static linter reads the layout off the
-# AST, and RingSpec derives every byte offset from these plus the dtypes.
+# egress slot the decision columns in this order. RingSpec derives every
+# byte offset from these plus the dtypes.
 INGRESS_RING_ORDER = ("ts", "length", "src_ip", "dst_ip", "src_port",
                       "dst_port", "proto", "labels")
 EGRESS_RING_ORDER = ("seq", "flow_label", "predicted", "ts")
@@ -166,23 +164,3 @@ def decision_dtype(column: str) -> np.dtype:
     """The declared dtype of a worker-reply decision column."""
     return DECISION_COLUMNS.np_dtype(column)
 
-
-_env = os.environ.get("REPRO_WIRE_VALIDATE")
-_VALIDATE = (_env != "0") if _env is not None else __debug__
-
-
-def validation_enabled() -> bool:
-    """Whether the runtime wire-format checks are active."""
-    return _VALIDATE
-
-
-def set_validation(enabled: bool) -> bool:
-    """Toggle runtime wire validation; returns the previous setting.
-
-    Test hook (and escape hatch for profiling): flips the same flag the
-    ``REPRO_WIRE_VALIDATE`` environment variable initializes.
-    """
-    global _VALIDATE
-    previous = _VALIDATE
-    _VALIDATE = bool(enabled)
-    return previous

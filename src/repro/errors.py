@@ -85,11 +85,12 @@ class TraceFormatError(PegasusError, ValueError):
 class SchemaError(PegasusError, TypeError):
     """A columnar payload violated the declared wire-format schema.
 
-    Raised (debug-gated) by :meth:`repro.dataplane.schema.ColumnSchema.
-    validate_columns` wherever arrays cross the IPC hot path: a missing or
-    undeclared column, a non-ndarray value, or a dtype/rank that drifted
-    from the declaration. ``schema``/``column``/``reason`` pinpoint the
-    violation; ``context`` names the seam (e.g. ``"worker 2 reply"``).
+    Raised by :meth:`repro.dataplane.schema.ColumnSchema.validate_columns`
+    wherever columns cross a serving seam: a missing or undeclared column,
+    a non-ndarray value, a dtype/rank that drifted from the declaration, or
+    columns of different lengths. ``schema``/``column``/``reason`` pinpoint
+    the violation; ``context`` names the seam (e.g. ``"shard 1
+    decisions"``).
     """
 
     def __init__(self, schema: str, column: str, reason: str,

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
 from repro.dataplane.runtime import flows_to_trace, replay_labels
-from repro.dataplane.schema import WIRE_COLUMNS, validation_enabled, wire_dtype
+from repro.dataplane.schema import DECISION_COLUMNS, WIRE_COLUMNS, wire_dtype
 from repro.errors import ConfigError
 from repro.net.packet import FlowKey
 from repro.net.traces import Trace
@@ -71,7 +71,6 @@ def shard_hash(key: FlowKey) -> int:
     return h
 
 
-# reprolint: zone=zero-copy
 def shard_hash_columns(cols: dict[str, np.ndarray]) -> np.ndarray:
     """Vectorized :func:`shard_hash` over whole key columns (uint64).
 
@@ -250,9 +249,8 @@ class ShardedDispatcher:
                    "labels": labels}
         if self.payload_bytes:
             sources["payload"] = trace.payload_matrix(self.payload_bytes)
-        if validation_enabled():
-            WIRE_COLUMNS.validate_columns(
-                sources, context=f"{type(self).__name__} shard split")
+        WIRE_COLUMNS.validate_columns(
+            sources, context=f"{type(self).__name__} shard split")
         shard_ids = (shard_hash_columns(key_cols)
                      % np.uint64(self.n_shards)).astype(np.int64)
         return sources, [np.nonzero(shard_ids == s)[0]
@@ -266,7 +264,10 @@ class ShardedDispatcher:
 
         Each shard's ``seq`` maps through its members to global positions,
         and the columns scatter to those positions — the same merge the
-        ring driver runs on egress slots."""
+        ring driver runs on egress slots. The scatter casts, so each
+        shard's decisions are validated against the decision schema first:
+        a replica whose decision dtype drifted raises a ``SchemaError``
+        instead of being silently cast."""
         labels = sources["labels"]
         merged = alloc_decision_columns(len(trace))
         valid = np.zeros(len(trace), dtype=np.bool_)
@@ -278,8 +279,11 @@ class ShardedDispatcher:
                 trace.take(member), labels=labels[member],
                 batch_size=self.batch_size)
             self.shard_seconds[s] = time.perf_counter() - started
-            scatter_decision_chunk(merged, valid, member[shard.seq],
-                                   shard.columns(), len(shard))
+            cols = shard.columns()
+            DECISION_COLUMNS.validate_columns(
+                cols, context=f"shard {s} decisions")
+            scatter_decision_chunk(merged, valid, member[shard.seq], cols,
+                                   len(shard))
         self.cache_stats = self._replica_cache_stats()
         return DecisionBatch(**merged).take(np.flatnonzero(valid))
 

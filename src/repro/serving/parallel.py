@@ -66,12 +66,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
-from repro.dataplane.schema import (
-    DECISION_COLUMNS,
-    EGRESS_RING_ORDER,
-    WIRE_COLUMNS,
-    validation_enabled,
-)
+from repro.dataplane.schema import DECISION_COLUMNS
 from repro.errors import ConfigError, WorkerError
 from repro.net.traces import Trace
 from repro.serving.cache import CacheStats
@@ -99,19 +94,20 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
     """Replay one ingress ring slot in place; write the egress slot.
 
     Runs inside a worker process (also directly callable in-process, which
-    the unit tests use). Builds column views over the slot, validates them
-    against the wire schema (debug-gated), replays the chunk as one batch
-    span, and stores the decision columns straight into the egress slot.
-    Returns the ``("chunk_ok", slot, n_decisions, seconds)`` ack.
+    the unit tests use). Builds column views over the slot (schema-typed by
+    construction), replays the chunk as one batch span, validates the
+    replica's decisions against the decision schema — the egress store
+    below would silently cast a drifted column — and stores them straight
+    into the egress slot. Returns the ``("chunk_ok", slot, n_decisions,
+    seconds)`` ack.
     """
     views = spec.ingress_views(ingress.buf, slot, rows)
-    if validation_enabled():
-        WIRE_COLUMNS.validate_columns(
-            views, context=f"worker ingress ring read (slot {slot})")
     started = time.perf_counter()
     decisions = runtime.process_columns(views, labels=views["labels"],
                                         batch_size=rows)
     seconds = time.perf_counter() - started
+    DECISION_COLUMNS.validate_columns(
+        decisions.columns(), context=f"worker chunk decisions (slot {slot})")
     out = spec.egress_views(egress.buf, slot, rows)
     produced = write_egress_chunk(out, decisions)
     return ("chunk_ok", slot, produced, seconds)
@@ -488,14 +484,6 @@ class ParallelDispatcher(ShardedDispatcher):
             if produced:
                 views = self._spec.egress_views(
                     self._segments.egress[st.w].buf, slot, produced)
-                if validation_enabled():
-                    # The consume side of the ring contract: a worker whose
-                    # decision stream drifted dtype would otherwise be
-                    # silently cast by the scatter below.
-                    DECISION_COLUMNS.validate_columns(
-                        views, require=EGRESS_RING_ORDER,
-                        context=f"worker {st.w} reply "
-                                f"(egress ring read, slot {slot})")
                 base = st.base_by_slot[slot]
                 gseq = st.member[base + views["seq"]]
                 scatter_decision_chunk(merged, valid, gseq, views, produced)

@@ -16,8 +16,7 @@ The driver gathers shard rows straight into an ingress slot with
 ``np.take(..., out=view)``, the worker replays the slot **in place** and
 writes its decisions into the matching egress slot, and only fixed-size
 chunk descriptors — ``(slot, rows)`` and the matching acks — ever cross
-the pipe. Nothing on the payload path is pickled, and the
-``hidden-copy-on-hot-path`` lint zone below keeps it that way.
+the pipe. Nothing on the payload path is pickled.
 
 Segment lifetime is strictly driver-owned: :class:`RingSegments` creates
 (and alone unlinks) every segment, ``close()`` is idempotent and crash-safe,
@@ -105,7 +104,6 @@ class RingSpec:
             raise IndexError(f"chunk of {rows} rows does not fit a "
                              f"{self.chunk_rows}-row ring slot")
 
-    # reprolint: zone=zero-copy
     def _slot_views(self, layout, buf, slot: int, rows: int) -> dict:
         """Column name -> ndarray view over one slot, straight on ``buf``."""
         views = {}
@@ -212,7 +210,6 @@ def attach_ring(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-# reprolint: zone=zero-copy
 def write_ingress_chunk(views: dict, sources: dict,
                         rows_idx: np.ndarray) -> None:
     """Gather ``rows_idx`` of every source column straight into one slot.
@@ -226,13 +223,13 @@ def write_ingress_chunk(views: dict, sources: dict,
         np.take(sources[name], rows_idx, axis=0, out=view)
 
 
-# reprolint: zone=zero-copy
 def write_egress_chunk(views: dict, decisions) -> int:
     """Write a chunk's decision columns into one egress slot; returns count.
 
     ``decisions`` is the replica's :class:`~repro.dataplane.decisions.
     DecisionBatch` with chunk-local ``seq``; each column is one slice
-    store into the mapped view.
+    store into the mapped view. The stores cast to the slot dtypes, so the
+    caller validates ``decisions`` against the decision schema first.
     """
     n = len(decisions)
     views["seq"][:n] = decisions.seq
@@ -242,15 +239,16 @@ def write_egress_chunk(views: dict, decisions) -> int:
     return n
 
 
-# reprolint: zone=zero-copy
 def scatter_decision_chunk(merged: dict, valid: np.ndarray,
                            gseq: np.ndarray, views: dict, rows: int) -> None:
     """Scatter one egress slot into the position-aligned decision columns.
 
     ``gseq`` holds the global trace positions of the chunk's decisions
     (precomputed by the driver); every column is stored once at its final
-    position — the same preallocated-scatter merge PR 9 landed, with the
-    mapped egress slot as the source.
+    position, with the mapped egress slot as the source. The stores cast
+    to ``merged``'s dtypes: an egress slot is schema-typed by construction,
+    and the in-process merge validates a shard's decisions before calling
+    this.
     """
     valid[gseq] = True
     merged["seq"][gseq] = gseq

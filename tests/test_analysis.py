@@ -498,6 +498,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["--select", "no-such-rule", "src"])
 
+    def test_select_subset_skips_suppression_staleness(self, tmp_path):
+        # A suppression for an unselected rule is unjudgeable: a subset
+        # run must not call it stale.
+        dest = tmp_path / "mod.py"
+        dest.write_text("import random\n\n\n"
+                        "def f(xs):\n"
+                        "    random.shuffle(xs)  "
+                        "# reprolint: disable=rng-discipline\n",
+                        encoding="utf-8")
+        assert cli_main(["--select", "mutable-default-args",
+                         str(dest)]) == 0
+        assert cli_main([str(dest)]) == 0      # full run: suppression earns
+
+    def test_explain_known_rule(self, capsys):
+        assert cli_main(["--explain", "rng-discipline"]) == 0
+        out = capsys.readouterr().out
+        assert "rng-discipline" in out
+        assert "example:" in out
+
+    def test_explain_every_default_rule(self, capsys):
+        for rule in default_rules():
+            assert cli_main(["--explain", rule.name]) == 0
+            assert rule.name in capsys.readouterr().out
+
+    def test_explain_unknown_rule_is_usage_error(self):
+        with pytest.raises(SystemExit):
+            cli_main(["--explain", "no-such-rule"])
+
     def test_json_report_and_artifact(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nrandom.shuffle([1])\n",

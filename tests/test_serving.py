@@ -6,7 +6,8 @@ import pytest
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.dataplane.decisions import PacketDecision
-from repro.errors import ConfigError
+from repro.dataplane.schema import DECISION_COLUMNS
+from repro.errors import ConfigError, SchemaError
 from repro.eval.differential import (build_two_stage_spec, scalar_reference,
                                      scalar_replay)
 from repro.net import build_scenario
@@ -132,6 +133,7 @@ class TestNoDecisionObjectsOnServePath:
                 decisions = engine.serve(w.trace, labels=w.labels).decisions
         assert init_calls.value == 0
         assert len(decisions) > 0
+        DECISION_COLUMNS.validate_columns(decisions.columns())
         assert list(decisions) == scalar_reference(compiled16, "windowed",
                                                    w.trace, w.labels)
 
@@ -255,6 +257,71 @@ class TestReplayLabels:
             got = dispatcher.serve_trace(trace, labels=labels)
             assert len(got) > 0
             assert list(got) == list(fresh.serve_trace(trace, labels=labels))
+
+
+class TestMisalignedColumns:
+    """Columns of different lengths are a SchemaError naming the column and
+    both lengths, raised before any flow state changes: a valid replay
+    afterwards decides exactly like a fresh replica's."""
+
+    @pytest.fixture(scope="class")
+    def hitters(self):
+        w = build_scenario("heavy_hitters").generate(seed=0, flows_scale=0.3)
+        return w.trace, w.labels
+
+    @staticmethod
+    def _cut(cols):
+        bad = dict(cols)
+        bad["length"] = bad["length"][:-3]
+        return bad
+
+    def test_from_columns_rejects(self, hitters):
+        trace, _labels = hitters
+        with pytest.raises(SchemaError) as exc:
+            Trace.from_columns(self._cut(trace.to_columns()))
+        assert exc.value.column == "length"
+        assert f"{len(trace) - 3} rows" in exc.value.reason
+        assert f"has {len(trace)}" in exc.value.reason
+
+    @pytest.mark.parametrize("kind", ["windowed", "two_stage"])
+    def test_runtime_rejects_before_replay(self, compiled16, hitters, kind):
+        trace, labels = hitters
+        cols = trace.to_columns(payload_bytes=60)
+
+        def make():
+            if kind == "windowed":
+                return WindowedClassifierRuntime(
+                    compiled16, feature_mode="stats", capacity=4096,
+                    batch_size=BATCH)
+            return TwoStageRuntime(capacity=4096, batch_size=BATCH,
+                                   **build_two_stage_spec())
+
+        runtime = make()
+        with pytest.raises(SchemaError, match="length"):
+            runtime.process_columns(self._cut(cols), labels=labels)
+        assert not runtime.state.columns["count"].any()   # nothing replayed
+        got = runtime.process_columns(cols, labels=labels)
+        assert len(got) > 0
+        assert list(got) == list(make().process_columns(cols, labels=labels))
+
+    @pytest.mark.parametrize("topology", ["local", "sharded"])
+    def test_engine_serve_rejects_before_replay(self, compiled16, hitters,
+                                                topology):
+        trace, labels = hitters
+        cols = trace.to_columns()
+
+        def make():
+            return PegasusEngine.from_compiled(compiled16, EngineConfig(
+                feature_mode="stats", batch_size=BATCH, capacity=4096,
+                topology=topology, n_workers=1 if topology == "local" else 2))
+
+        with make() as engine, make() as fresh:
+            with pytest.raises(SchemaError, match="length"):
+                engine.serve(self._cut(cols), labels=labels)
+            got = engine.serve(cols, labels=labels).decisions
+            assert len(got) > 0
+            assert list(got) == \
+                list(fresh.serve(cols, labels=labels).decisions)
 
 
 def constant_rate_flow(n_packets=60, length=200, ipd=0.001, port=40000, ts0=0.0):

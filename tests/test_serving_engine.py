@@ -17,7 +17,7 @@ from repro.core.fuzzy import FuzzyTree
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
                                      flows_to_trace)
-from repro.dataplane.schema import ColumnSchema, set_validation
+from repro.dataplane.schema import ColumnSchema
 from repro.errors import ConfigError, PegasusError
 from repro.net import build_scenario
 from repro.net.traces import Trace
@@ -212,8 +212,8 @@ class TestOneDispatcher:
     @pytest.mark.parametrize("topology", ["sharded", "parallel"])
     def test_one_split_validation_per_serve(self, compiled16, replay_flows,
                                             topology, monkeypatch):
-        """With wire validation on (``REPRO_WIRE_VALIDATE=1``) a two-replica
-        serve checks its columns at the shard split exactly once."""
+        """A two-replica serve checks its columns at the shard split exactly
+        once."""
         contexts = []
         original = ColumnSchema.validate_columns
 
@@ -222,17 +222,13 @@ class TestOneDispatcher:
             return original(self, cols, require=require, context=context)
 
         monkeypatch.setattr(ColumnSchema, "validate_columns", recording)
-        previous = set_validation(True)
-        try:
-            with PegasusEngine.from_compiled(
-                    compiled16, _config(topology, False, "index")) as engine:
-                for served in (1, 2):
-                    assert engine.serve(replay_flows).decisions
-                    splits = [c for c in contexts if "shard split" in c]
-                    assert len(splits) == served
-                    assert len(set(splits)) == 1
-        finally:
-            set_validation(previous)
+        with PegasusEngine.from_compiled(
+                compiled16, _config(topology, False, "index")) as engine:
+            for served in (1, 2):
+                assert engine.serve(replay_flows).decisions
+                splits = [c for c in contexts if "shard split" in c]
+                assert len(splits) == served
+                assert len(set(splits)) == 1
 
 
 class TestEngineConfig:

@@ -3,14 +3,14 @@
 Three layers:
 
 1. **Validator semantics** — ``validate_columns`` accepts exactly the
-   declared dtypes/ranks, rejects drift with a picklable
-   :class:`~repro.errors.SchemaError` naming schema + column + reason, and
-   honors the ``REPRO_WIRE_VALIDATE`` debug gate.
+   declared dtypes/ranks on aligned columns, and rejects drift or
+   misalignment with a picklable :class:`~repro.errors.SchemaError`
+   naming schema + column + reason. It always runs.
 2. **Coverage of the hot paths** — every producer/consumer boundary
-   (``Trace.to_columns`` / ``from_columns``, the sharded split, the
-   parallel split, worker replies, the decision merge) actually calls the
-   validator; a counter-instrumented run proves it, and a drifted column
-   injected at each boundary is caught.
+   (``Trace.to_columns`` / ``from_columns``, the sharded and parallel
+   splits, the sharded and parallel decision merges) actually calls the
+   validator; a counter-instrumented run proves it, and a replica whose
+   decision dtype drifted is caught before either merge casts it.
 3. **Merge correctness** — the preallocated scatter-merge reproduces the
    decisions the concatenate+argsort merge produced, bit-identically.
 """
@@ -18,12 +18,12 @@ Three layers:
 import numpy as np
 import pytest
 
+from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
 from repro.dataplane.schema import (DECISION_COLUMNS, WIRE_COLUMNS,
                                     ColumnSchema, ColumnSpec, decision_dtype,
-                                    set_validation, validation_enabled,
                                     wire_dtype)
-from repro.errors import PegasusError, SchemaError
+from repro.errors import PegasusError, SchemaError, WorkerError
 from repro.net.traces import Trace
 from repro.serving.dispatcher import ShardedDispatcher
 from repro.serving.parallel import ParallelDispatcher
@@ -37,11 +37,19 @@ def _runtime_factory(compiled16):
     return build
 
 
-@pytest.fixture(autouse=True)
-def _validation_on():
-    previous = set_validation(True)
-    yield
-    set_validation(previous)
+class _DriftedReplica(WindowedClassifierRuntime):
+    """A replica whose decision stream drifted: ``predicted`` as float64."""
+
+    def _replay(self, *args, **kwargs):
+        d = super()._replay(*args, **kwargs)
+        return DecisionBatch(d.seq, d.flow_label, d.predicted + 0.5, d.ts)
+
+
+def _drifted_factory(compiled16):
+    def build():
+        return _DriftedReplica(compiled16, feature_mode="stats",
+                               batch_size=32)
+    return build
 
 
 def good_wire_columns(n=4):
@@ -148,16 +156,17 @@ class TestValidateColumns:
         assert (clone.schema, clone.column, clone.context) == \
             (err.schema, err.column, err.context)
 
-    def test_gate_disables_validation(self):
+    def test_rejects_misaligned_columns(self):
         cols = good_wire_columns()
-        cols["ts"] = cols["ts"].astype(np.float32)
-        previous = set_validation(False)
-        try:
-            assert not validation_enabled()
-            WIRE_COLUMNS.validate_columns(cols)      # no-op when disabled
-        finally:
-            set_validation(previous)
-        with pytest.raises(SchemaError):
+        cols["length"] = cols["length"][:-3]
+        with pytest.raises(SchemaError) as exc_info:
+            WIRE_COLUMNS.validate_columns(cols)
+        err = exc_info.value
+        assert err.column == "length"
+        assert "1 rows" in err.reason and "'ts' has 4" in err.reason
+        cols = good_wire_columns()
+        cols["labels"] = np.zeros(5, dtype=np.int64)     # optional, too
+        with pytest.raises(SchemaError, match="labels"):
             WIRE_COLUMNS.validate_columns(cols)
 
     def test_custom_schema_roundtrip(self):
@@ -206,10 +215,11 @@ class TestHotPathCoverage:
         dispatcher.serve_trace(trace, labels=labels)
         assert any(ctx == "ShardedDispatcher shard split"
                    for _, ctx in calls)
+        assert [ctx for name, ctx in calls if name == "decision"] == \
+            ["shard 0 decisions", "shard 1 decisions"]
 
-    def test_parallel_split_replies_and_merge_validate(self, compiled16,
-                                                       replay_flows,
-                                                       monkeypatch):
+    def test_parallel_split_validates(self, compiled16, replay_flows,
+                                      monkeypatch):
         trace, labels = flows_to_trace(replay_flows)
         calls = _count_validations(monkeypatch)
         with ParallelDispatcher(
@@ -218,10 +228,28 @@ class TestHotPathCoverage:
             dispatcher.serve_trace(trace, labels=labels)
         split_calls = [ctx for name, ctx in calls
                        if name == "wire" and "shard split" in ctx]
-        reply_calls = [ctx for name, ctx in calls
-                       if name == "decision" and "reply" in ctx]
         assert split_calls == ["ParallelDispatcher shard split"]
-        assert reply_calls
+
+    @pytest.mark.parametrize("topology", ["sharded", "parallel"])
+    def test_drifted_replica_decisions_rejected(self, compiled16,
+                                                replay_flows, topology):
+        """The merges cast each replica's decisions into schema-typed
+        columns, so a drifted ``predicted`` is rejected before the cast
+        instead of coming back silently truncated to int64."""
+        trace, labels = flows_to_trace(replay_flows)
+        factory = _drifted_factory(compiled16)
+        local = factory().process_trace(trace, labels=labels)
+        assert local.predicted.dtype == np.float64 and len(local) > 0
+        if topology == "sharded":
+            with pytest.raises(SchemaError, match="predicted"):
+                ShardedDispatcher(
+                    n_shards=2, runtime_factory=factory, batch_size=32
+                ).serve_trace(trace, labels=labels)
+            return
+        with ParallelDispatcher(runtime_factory=factory, n_workers=2,
+                                batch_size=32) as dispatcher:
+            with pytest.raises(WorkerError, match="predicted"):
+                dispatcher.serve_trace(trace, labels=labels)
 
     def test_parallel_rejects_drifted_reply(self, monkeypatch):
         reply = {"seq": np.arange(3, dtype=np.int64),
