@@ -222,6 +222,7 @@ class _GridPlan:
     """
 
     grids: tuple                # per layer table: its ``_grid`` at build
+    positions: tuple            # per fused table: its place in the layer
     cols: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -247,6 +248,8 @@ class _GridPlan:
             cells += len(t._grid)
         return cls(
             grids=tuple(t._grid for t in tables),
+            positions=tuple(k for k, t in enumerate(tables)
+                            if t._grid is not None),
             cols=cols, lo=lo, hi=hi, weights=weights, offsets=offsets,
             leaf_of=np.concatenate([t._grid for t in fused]) if fused else None)
 
@@ -257,18 +260,28 @@ class _GridPlan:
 
     def leaves(self, x: np.ndarray) -> list[np.ndarray | None]:
         """Per layer table, the fuzzy indices of an integer-typed ``(N, d)``
-        batch — None for a table without a grid."""
+        batch — None for a table without a grid.
+
+        Keys are packed one dimension at a time, so the working set is one
+        ``(N, n_fused)`` key array and one dimension's clamped inputs.
+        """
         if self.leaf_of is None:
             return [None] * len(self.grids)
-        xg = x.take(self.cols, axis=1).astype(np.int64, copy=False)  # a copy
-        np.maximum(xg, self.lo, out=xg)
-        np.minimum(xg, self.hi, out=xg)
-        xg *= self.weights
-        keys = self.offsets + xg[:, 0]
-        for p in range(1, xg.shape[1]):
-            keys += xg[:, p]
-        fused = iter(self.leaf_of.take(keys.T))
-        return [None if g is None else next(fused) for g in self.grids]
+        x = x.astype(np.int64, copy=False)
+        for p in range(len(self.cols)):
+            xp = x.take(self.cols[p], axis=1)
+            np.maximum(xp, self.lo[p], out=xp)
+            np.minimum(xp, self.hi[p], out=xp)
+            xp *= self.weights[p]
+            if p:
+                keys += xp
+            else:
+                xp += self.offsets
+                keys = xp
+        leaves = [None] * len(self.grids)
+        for k, leaf in zip(self.positions, self.leaf_of.take(keys.T)):
+            leaves[k] = leaf
+        return leaves
 
 
 @dataclass
@@ -308,19 +321,29 @@ class LookupLayer:
             if self._plan.stale(self.tables):
                 self._plan = _GridPlan.build(self.tables)
             leaves = self._plan.leaves(x_int)
-        outs = [t.lookup(x_int[:, t.segment[0]:t.segment[1]],
-                         lookup_backend=lookup_backend)
-                if leaf is None else t.values_int.take(leaf, axis=0)
-                for t, leaf in zip(self.tables, leaves)]
-        if self.sum_reduce:
-            # Every ``outs`` entry is a fresh gather: accumulate into the first.
-            acc = outs[0].astype(np.int64, copy=False)
-            for o in outs[1:]:
-                acc += o
-            # The pipeline's accumulator saturates at the activation width.
-            np.maximum(acc, self.out_format.int_min, out=acc)
-            return np.minimum(acc, self.out_format.int_max, out=acc)
-        return np.concatenate(outs, axis=1)
+        if not self.sum_reduce:
+            return np.concatenate(
+                [t.lookup(x_int[:, t.segment[0]:t.segment[1]],
+                          lookup_backend=lookup_backend)
+                 if leaf is None else t.values_int.take(leaf, axis=0)
+                 for t, leaf in zip(self.tables, leaves)], axis=1)
+        # SumReduce table by table: each gather is fresh, and the previous
+        # one is dropped before the next, so one is alive at a time.
+        acc = None
+        for t, leaf in zip(self.tables, leaves):
+            if leaf is None:
+                out = t.lookup(x_int[:, t.segment[0]:t.segment[1]],
+                               lookup_backend=lookup_backend)
+            else:
+                out = t.values_int.take(leaf, axis=0)
+            if acc is None:
+                acc = out.astype(np.int64, copy=False)
+            else:
+                acc += out
+            del out
+        # The pipeline's accumulator saturates at the activation width.
+        np.maximum(acc, self.out_format.int_min, out=acc)
+        return np.minimum(acc, self.out_format.int_max, out=acc)
 
     def sram_bits(self) -> int:
         return sum(t.sram_bits() for t in self.tables)

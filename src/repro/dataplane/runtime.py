@@ -49,27 +49,38 @@ state-loss the Figure-7 capacity ablation measures.
 Batched replay
 --------------
 
-``process_flows`` / ``process_trace`` replay a trace in NumPy batches
-(``batch_size`` packets at a time): per-flow state is gathered/scattered
-with fancy indexing and the compiled model (:meth:`CompiledModel.forward_int`
-or :meth:`Pipeline.process`) is invoked **once per batch**. What depends on
-one packet alone (its 64 us timestamp unit, its length bucket) is computed
-once per replay, and each batch slices only the columns its step reads, so
-a batch pays a fixed cost of NumPy calls, not a per-column one: one window
-gather over both history lanes, one write-back, the IPD buckets as one
-gather from a table of every 16-bit timestamp difference, and features built
-straight from the ``(n, 2, W)`` window. Intra-batch
-packets of the same flow are handled exactly (each packet's window may span
-stored history and earlier in-batch packets), so batched decisions are
-bit-identical to the per-packet reference path — ``process_packet``, which
-:func:`repro.eval.differential.scalar_replay` drives over a trace — for
-every batch size, a property the regression tests assert. Flow slots are
-resolved once per batch (:meth:`VectorFlowState.acquire`), which also hands
-the batch its per-flow grouping; a batch is cut early only when a FIFO
-eviction would reuse a slot that still has unflushed in-batch state. Each
-batch appends its decisions as column slices, concatenated into one
-:class:`~repro.dataplane.decisions.DecisionBatch` per replay; no
-per-decision object is built.
+``process_flows`` / ``process_trace`` replay a trace in two halves, as the
+switch pipeline splits into stateful register ALUs and stateless tables:
+
+- a **register step** per NumPy batch (``batch_size`` packets at a time),
+  which must see a flow's packets in order: flow-slot resolution, the
+  window gather and the state write-back;
+- a **model stage** (features, the compiled model —
+  :meth:`CompiledModel.predict` or :meth:`Pipeline.process` — and the
+  decisions), a pure function of the windows it is given. The windowed
+  runtime stages its ready rows' uint8 windows and runs the model once
+  ``MODEL_STAGE_ROWS`` rows wait and at replay end: about twice per
+  closed-loop replay, once per open-loop chunk, not once per batch.
+  :class:`TwoStageRuntime`, and the windowed runtime with a decision cache,
+  still decide inside each batch.
+
+What depends on one packet alone (its 64 us timestamp unit, its length
+bucket) is computed once per replay, and each batch slices only the columns
+its step reads, so a batch pays a fixed cost of NumPy calls, not a
+per-column one: one window gather over both history lanes, one write-back,
+and the IPD buckets as one gather from a table of every 16-bit timestamp
+difference. Intra-batch packets of the same flow are handled exactly (each
+packet's window may span stored history and earlier in-batch packets), so
+batched decisions are bit-identical to the per-packet reference path —
+``process_packet``, which :func:`repro.eval.differential.scalar_replay`
+drives over a trace — for every batch size and stage size, a property the
+regression tests assert. Flow slots are resolved once per batch
+(:meth:`VectorFlowState.acquire`), which also hands the batch its per-flow
+grouping; a batch is cut early only when a FIFO eviction would reuse a slot
+that still has unflushed in-batch state. Decisions come back as column
+slices, concatenated into one
+:class:`~repro.dataplane.decisions.DecisionBatch` per replay (a replay of
+one part is not copied); no per-decision object is built.
 """
 
 from __future__ import annotations
@@ -95,6 +106,10 @@ from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
 
 TS_MASK = 0xFFFF            # 16-bit timestamp register in 64 us units
 DEFAULT_BATCH_SIZE = 256
+# Ready rows the windowed runtime's model stage buffers before one model
+# call: the model's fixed cost is paid per stage, not per batch, and a
+# stage's working set stays bounded on a long replay.
+MODEL_STAGE_ROWS = 4096
 
 
 def _ts_units(ts: float) -> int:
@@ -148,13 +163,53 @@ def replay_labels(labels, n: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _emit_decisions(out: list[DecisionBatch], labels: np.ndarray,
+def _emit_decisions(out: _ReplayOutput, labels: np.ndarray,
                     preds: np.ndarray, ts: np.ndarray, rows: np.ndarray,
                     base: int) -> None:
     """Append the decisions of a batch's window-complete rows as columns:
     ``preds[k]`` belongs to batch row ``rows[k]``, packet ``base + rows[k]``
     of the trace."""
     out.append(DecisionBatch(rows + base, labels[rows], preds, ts[rows]))
+
+
+class _ReplayOutput:
+    """One replay's decisions in trace order, and its model-stage buffer.
+
+    Runtimes that decide inside the batch (:class:`TwoStageRuntime`, and the
+    windowed runtime with a decision cache) ``append`` finished parts. The
+    windowed runtime otherwise ``stage``s its ready rows' windows; the
+    runtime's ``_model_stage`` decides them in one call once
+    ``MODEL_STAGE_ROWS`` rows wait, and again at replay end. Each replay
+    builds its own, so a replay that raises leaves no staged row behind.
+    """
+
+    __slots__ = ("runtime", "parts", "append", "staged", "rows")
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+        self.parts: list[DecisionBatch] = []
+        self.append = self.parts.append
+        self.staged: list[tuple] = []
+        self.rows = 0
+
+    def stage(self, win: np.ndarray, seq: np.ndarray, labels: np.ndarray,
+              ts: np.ndarray) -> None:
+        """Buffer ready rows: their ``(n, 2, W)`` windows and every
+        decision column except the prediction."""
+        self.staged.append((win, seq, labels, ts))
+        self.rows += len(seq)
+        if self.rows >= MODEL_STAGE_ROWS:
+            self.append(self.runtime._model_stage(self.staged))
+            self.staged = []
+            self.rows = 0
+
+    def decisions(self) -> DecisionBatch:
+        """Run the last model stage; the replay's one :class:`DecisionBatch`
+        (a replay of one part is returned as is, not copied)."""
+        if self.staged:
+            self.append(self.runtime._model_stage(self.staged))
+        parts = self.parts
+        return parts[0] if len(parts) == 1 else DecisionBatch.concat(parts)
 
 
 def _group_structure(batch: FlowBatch):
@@ -271,14 +326,16 @@ class _BatchedReplayMixin:
         batch short (an eviction would hit a slot the batch still uses),
         the resolved prefix is processed — its state written back — and the
         rest of the span resolves in the next call. Each batch appends its
-        decisions as column slices; they are concatenated once, at the end.
+        decisions, or stages its ready rows for the model, in a
+        :class:`_ReplayOutput` local to this replay; the parts are
+        concatenated once, at the end.
         """
         n = len(cols["ts"])
         labels = replay_labels(labels, n)
         b = int(self.batch_size if batch_size is None else batch_size)
         if b < 1:
             raise ConfigError("batch_size", b, allowed=">= 1")
-        parts: list[DecisionBatch] = []
+        out = _ReplayOutput(self)
         acquire = self.state.acquire
         for start in range(0, n, b):
             stop = min(start + b, n)
@@ -287,9 +344,9 @@ class _BatchedReplayMixin:
                 batch = acquire(key_words[i:stop])
                 j = i + batch.rows
                 self._process_batch(batch, batch_columns(i, j), labels[i:j],
-                                    i, parts)
+                                    i, out)
                 i = j
-        return DecisionBatch.concat(parts)
+        return out.decisions()
 
     def _batch_columns(self, cols: dict[str, np.ndarray], trace: Trace,
                        start: int, stop: int) -> dict[str, np.ndarray]:
@@ -322,8 +379,9 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
     ``model`` is anything exposing the integer decision interface
     ``predict(x_int) -> class ids`` — a :class:`CompiledModel` or a placed
     :class:`repro.dataplane.Pipeline`; the batched replay invokes it once
-    per batch. See the module docstring for the per-flow register layout
-    (136 bits/flow at the default window of 8) and eviction behavior.
+    per model stage (``MODEL_STAGE_ROWS`` ready rows, and at replay end),
+    not once per batch. See the module docstring for the per-flow register
+    layout (136 bits/flow at the default window of 8) and eviction behavior.
     ``decision_cache`` (a :class:`repro.serving.FlowDecisionCache` or
     :class:`repro.serving.TwoLevelDecisionCache`) makes repeating windows
     of already-classified flows skip the model; this is the only runtime
@@ -644,12 +702,28 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         return preds
 
     def _replay_columns(self, cols) -> dict[str, np.ndarray]:
-        return {"ts": cols["ts"], "units": _ts_units_array(cols["ts"]),
+        # Decision ``ts`` is float64 (a one-part replay is not concatenated,
+        # so nothing casts it later).
+        ts = np.asarray(cols["ts"], dtype=np.float64)
+        return {"ts": ts, "units": _ts_units_array(ts),
                 "len_b": length_bucket_array(cols["length"]).astype(np.uint8)}
+
+    def _model_stage(self, staged: list[tuple]) -> DecisionBatch:
+        """The stateless half of a replay: features, ``predict`` and the
+        decisions of the staged ready rows, in the order they were staged."""
+        if len(staged) == 1:
+            win, seq, labels, ts = staged[0]
+        else:
+            win, seq, labels, ts = map(np.concatenate, zip(*staged))
+        preds = self._model_predict(self._features_batch(win))
+        return DecisionBatch(seq, labels, np.asarray(preds, dtype=np.int64), ts)
 
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
-                       out: list[DecisionBatch]) -> None:
+                       out: _ReplayOutput) -> None:
+        """The stateful half of a replay: acquire's grouping, the window
+        gather and the write-back. Ready rows are staged for the model
+        (decided here only through a decision cache)."""
         units = cols["units"]
         uniq, rank = batch.slots, batch.rank
         counts, occ, prev_idx, last_idx = _group_structure(batch)
@@ -667,16 +741,17 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         if len(ready_rows):
             ready = (win if len(ready_rows) == batch.rows
                      else win.take(ready_rows, axis=0))
-            feats = self._features_batch(ready)
             if self.decision_cache is None:
-                preds = np.asarray(self._model_predict(feats), dtype=np.int64)
+                out.stage(ready, ready_rows + base, labels[ready_rows],
+                          cols["ts"][ready_rows])
             else:
                 # The cache key: the length window ++ the IPD window, one
                 # byte per bucket (as the scalar path packs it).
                 preds = self._predict_ready(
                     batch, ready_rows, ready.reshape(len(ready_rows), -1),
-                    feats)
-            _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
+                    self._features_batch(ready))
+                _emit_decisions(out, labels, preds, cols["ts"], ready_rows,
+                                base)
 
         hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
         self.state.columns["prev_ts"][:, 0][uniq] = units.take(last_idx)
@@ -793,7 +868,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
         return pred
 
     def _replay_columns(self, cols) -> dict[str, np.ndarray]:
-        step = {"ts": cols["ts"]}
+        step = {"ts": np.asarray(cols["ts"], dtype=np.float64)}
         if self.needs_ipd:
             step["units"] = _ts_units_array(cols["ts"])
         if "payload" in cols:           # columnar replay: shipped as a matrix
@@ -810,7 +885,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
 
     def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
                        labels: np.ndarray, base: int,
-                       out: list[DecisionBatch]) -> None:
+                       out: _ReplayOutput) -> None:
         uniq, rank = batch.slots, batch.rank
         counts, occ, prev_idx, last_idx = _group_structure(batch)
         c = self.state.columns

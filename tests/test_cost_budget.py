@@ -1,0 +1,126 @@
+"""Host-independent cost budgets of the windowed replay.
+
+Wall-clock gates do not resolve on a small shared host; call counts and
+allocation peaks do. A batch's fixed cost is, to first order, its number of
+calls, so these tests count ``call`` and ``c_call`` profile events whose
+*calling* frame is in a ``repro.*`` module: NumPy's own Python wrappers do
+not move the count between NumPy versions.
+
+The budgets guard against regressions; they are never a performance claim
+(claims are ``pps`` from ``perf/``). A change that lowers a cost lowers its
+budget; raising one needs a measured ``pps`` win beside it.
+"""
+
+import gc
+import math
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro.dataplane.runtime as runtime_module
+from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+
+# Single-batch serves (an open-loop chunk, most parallel ring chunks): at
+# most the calls the replay made while it predicted inside every batch.
+SINGLE_BATCH_BUDGET = {10: {"call": 101, "c_call": 137},
+                       32: {"call": 102, "c_call": 145}}
+# The whole trace closed loop at batch 32: measured + 10%.
+CLOSED_LOOP_B32_BUDGET = {"call": 407, "c_call": 849}
+# tracemalloc peak of CompiledModel.predict per row: measured + 10%.
+PREDICT_BYTES_PER_ROW = 221
+# Packets that fill every flow's window before a single-batch serve.
+WARM = 400
+
+
+def repro_calls(fn) -> dict[str, int]:
+    """Profile events of ``fn()`` whose calling frame is in ``repro.*``."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frame = frame.f_back
+        elif event != "c_call":
+            return
+        if frame is not None and frame.f_globals.get(
+                "__name__", "").startswith("repro."):
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class _CountingModel:
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def predict(self, x):
+        self.calls += 1
+        return self.model.predict(x)
+
+
+@pytest.fixture(scope="module")
+def trace_labels(replay_flows):
+    return flows_to_trace(replay_flows)
+
+
+@pytest.mark.parametrize("rows", sorted(SINGLE_BATCH_BUDGET))
+def test_single_batch_serve_calls(compiled16, trace_labels, rows):
+    trace, labels = trace_labels
+    runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats")
+    runtime.process_trace(trace[:WARM], labels[:WARM])
+    chunk, chunk_labels = trace[WARM:WARM + rows], labels[WARM:WARM + rows]
+    out = []
+    calls = repro_calls(
+        lambda: out.append(runtime.process_trace(chunk, chunk_labels)))
+    assert len(out[0]) > 0          # the serve must reach the model
+    budget = SINGLE_BATCH_BUDGET[rows]
+    assert calls["call"] <= budget["call"], calls
+    assert calls["c_call"] <= budget["c_call"], calls
+
+
+def test_closed_loop_b32_calls(compiled16, trace_labels):
+    runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats",
+                                        batch_size=32)
+    calls = repro_calls(lambda: runtime.process_trace(*trace_labels))
+    assert calls["call"] <= CLOSED_LOOP_B32_BUDGET["call"], calls
+    assert calls["c_call"] <= CLOSED_LOOP_B32_BUDGET["c_call"], calls
+
+
+@pytest.mark.parametrize("stage_rows", [None, 64])
+@pytest.mark.parametrize("batch_size", [1, 32, 256])
+def test_predict_calls_per_replay(compiled16, trace_labels, monkeypatch,
+                                  stage_rows, batch_size):
+    """The model runs once per model stage, not once per batch."""
+    if stage_rows is not None:
+        monkeypatch.setattr(runtime_module, "MODEL_STAGE_ROWS", stage_rows)
+    model = _CountingModel(compiled16)
+    runtime = WindowedClassifierRuntime(model, feature_mode="stats",
+                                        batch_size=batch_size)
+    ready = len(runtime.process_trace(*trace_labels))
+    assert ready > 0
+    assert model.calls <= math.ceil(
+        ready / runtime_module.MODEL_STAGE_ROWS) + 1
+
+
+def test_predict_peak_bytes_per_row(compiled16):
+    """SumReduce keeps one table's gather alive at a time, so a large model
+    stage costs no more memory per row than a small batch."""
+    rows = 1024
+    x = np.random.default_rng(0).integers(0, 256, size=(rows, 16))
+    compiled16.predict(x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        compiled16.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / rows <= PREDICT_BYTES_PER_ROW

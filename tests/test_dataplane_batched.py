@@ -17,6 +17,7 @@ from repro.core.fuzzy import FuzzyTree
 from repro.dataplane import place_model, TOFINO2, VectorFlowState
 from repro.dataplane.registers import FlowStateLayout, RegisterField
 from repro.errors import PipelineError
+import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.eval.differential import scalar_replay
@@ -102,6 +103,67 @@ class TestWindowedBatched:
         # Plain Python scalars (json / pickle / dict keys), never NumPy ones.
         assert {(type(d.flow_label), type(d.predicted), type(d.ts), type(d.seq))
                 for d in decisions} == {(int, int, float, int)}
+
+
+class _FailOnce:
+    """A model whose first ``predict`` raises, then delegates."""
+
+    def __init__(self, model):
+        self.model, self.failed = model, False
+
+    def predict(self, x):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("injected model failure")
+        return self.model.predict(x)
+
+
+class TestModelStage:
+    """The windowed replay's stateless half: ready rows are staged and the
+    model decides them once per ``MODEL_STAGE_ROWS`` rows and at replay end."""
+
+    @pytest.mark.parametrize("stage_rows", [1, 7, 64])
+    @pytest.mark.parametrize("capacity", [1_000, 5])
+    def test_stage_boundaries_match_scalar(self, compiled16, replay_flows,
+                                           monkeypatch, stage_rows, capacity):
+        """Stage cuts that fall inside a flow's window, at every batch size
+        and under eviction, change no decision and no register."""
+        trace, labels = flows_to_trace(replay_flows)
+        ref_rt = WindowedClassifierRuntime(compiled16, feature_mode="stats",
+                                           capacity=capacity)
+        ref = scalar_replay(ref_rt, trace, labels)
+        assert len(ref) > stage_rows
+        monkeypatch.setattr(runtime_module, "MODEL_STAGE_ROWS", stage_rows)
+        for batch_size in BATCH_SIZES:
+            runtime = WindowedClassifierRuntime(
+                compiled16, feature_mode="stats", capacity=capacity,
+                batch_size=batch_size)
+            assert list(runtime.process_trace(trace, labels)) == ref
+            for name, column in ref_rt.state.columns.items():
+                np.testing.assert_array_equal(
+                    runtime.state.columns[name], column, err_msg=name)
+            assert runtime.state.evictions == ref_rt.state.evictions
+
+    def test_failed_stage_leaks_no_rows_into_next_replay(self, compiled16,
+                                                         replay_flows):
+        """A replay whose model stage raises leaves no staged row behind:
+        the next replay decides exactly what it would after a clean one."""
+        trace, labels = flows_to_trace(replay_flows)
+        half = len(trace) // 2
+        a, b = (trace[:half], labels[:half]), (trace[half:], labels[half:])
+        clean = WindowedClassifierRuntime(compiled16, feature_mode="stats")
+        assert 0 < len(clean.process_trace(*a)) < runtime_module.MODEL_STAGE_ROWS
+        want = clean.process_trace(*b)
+
+        failing = WindowedClassifierRuntime(_FailOnce(compiled16),
+                                            feature_mode="stats")
+        with pytest.raises(RuntimeError, match="injected"):
+            failing.process_trace(*a)
+        got = failing.process_trace(*b)
+        assert len(want) > 0
+        for name, column in want.columns().items():
+            np.testing.assert_array_equal(got.columns()[name], column,
+                                          err_msg=name)
 
 
 class TestTwoStageBatched:
