@@ -38,8 +38,8 @@ def measure_model_throughput(predict: Callable[[np.ndarray], np.ndarray],
     for _ in range(repeats):
         # Measurement harness (Fig. 9d), not a decision path: wall-clock is
         # the quantity being measured, never an input to a decision.
-        start = time.perf_counter()  # reprolint: disable=no-wallclock-in-dataplane
+        start = time.perf_counter()
         predict(x)
-        elapsed = time.perf_counter()  # reprolint: disable=no-wallclock-in-dataplane
+        elapsed = time.perf_counter()
         best = min(best, elapsed - start)
     return len(x) / best if best > 0 else float("inf")

@@ -21,6 +21,7 @@ import pytest
 
 import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+from repro.net import build_scenario
 
 # Single-batch serves (an open-loop chunk, most parallel ring chunks): at
 # most the calls the replay made while it predicted inside every batch.
@@ -30,6 +31,13 @@ SINGLE_BATCH_BUDGET = {10: {"call": 101, "c_call": 137},
 CLOSED_LOOP_B32_BUDGET = {"call": 407, "c_call": 849}
 # tracemalloc peak of CompiledModel.predict per row: measured + 10%.
 PREDICT_BYTES_PER_ROW = 221
+# The whole 6,082-packet hitters_base trace closed loop at the default
+# batch_size (256): 667 call and 1,838 c_call events measured, + 10%.
+HITTERS_BASE_BUDGET = {"call": 733, "c_call": 2021}
+# tracemalloc peak of that replay per packet at capacity 4,096 (so the
+# register banks do not swamp the per-step allocations): 300 B measured,
+# + 10%.
+HITTERS_BASE_BYTES_PER_PACKET = 330
 # Packets that fill every flow's window before a single-batch serve.
 WARM = 400
 
@@ -55,6 +63,20 @@ def repro_calls(fn) -> dict[str, int]:
     return counts
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees ``fn()`` allocate above its start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
 class _CountingModel:
     def __init__(self, model):
         self.model, self.calls = model, 0
@@ -67,6 +89,13 @@ class _CountingModel:
 @pytest.fixture(scope="module")
 def trace_labels(replay_flows):
     return flows_to_trace(replay_flows)
+
+
+@pytest.fixture(scope="module")
+def hitters_base():
+    """The trace and labels of ``perf/``'s ``hitters_base`` workload."""
+    generated = build_scenario("heavy_hitters").generate(seed=0, flows_scale=2)
+    return generated.trace, generated.labels
 
 
 @pytest.mark.parametrize("rows", sorted(SINGLE_BATCH_BUDGET))
@@ -92,6 +121,21 @@ def test_closed_loop_b32_calls(compiled16, trace_labels):
     assert calls["c_call"] <= CLOSED_LOOP_B32_BUDGET["c_call"], calls
 
 
+def test_hitters_base_replay_calls(compiled16, hitters_base):
+    runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats")
+    calls = repro_calls(lambda: runtime.process_trace(*hitters_base))
+    assert calls["call"] <= HITTERS_BASE_BUDGET["call"], calls
+    assert calls["c_call"] <= HITTERS_BASE_BUDGET["c_call"], calls
+
+
+def test_hitters_base_replay_peak_bytes_per_packet(compiled16, hitters_base):
+    trace, labels = hitters_base
+    runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats",
+                                        capacity=4096)
+    peak = traced_peak(lambda: runtime.process_trace(trace, labels))
+    assert peak / len(trace) <= HITTERS_BASE_BYTES_PER_PACKET
+
+
 @pytest.mark.parametrize("stage_rows", [None, 64])
 @pytest.mark.parametrize("batch_size", [1, 32, 256])
 def test_predict_calls_per_replay(compiled16, trace_labels, monkeypatch,
@@ -114,13 +158,5 @@ def test_predict_peak_bytes_per_row(compiled16):
     rows = 1024
     x = np.random.default_rng(0).integers(0, 256, size=(rows, 16))
     compiled16.predict(x)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        compiled16.predict(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / rows <= PREDICT_BYTES_PER_ROW
+    assert traced_peak(lambda: compiled16.predict(x)) / rows \
+        <= PREDICT_BYTES_PER_ROW

@@ -6,7 +6,8 @@ parse, every keyword it passes to ``EngineConfig(...)`` must be an
 literals must construct, every name it imports from ``repro`` must exist,
 and every ``engine.<attr>`` it reads must resolve — so deleting or renaming
 a field, a value, a function or a method cannot leave a documented example
-that no longer runs.
+that no longer runs. The other way round, every ``EngineConfig`` field must
+be named in the architecture doc, so adding one cannot leave it undocumented.
 """
 
 import ast
@@ -137,3 +138,10 @@ def test_documented_literal_configs_construct(source):
 @pytest.mark.parametrize("source", _python_blocks())
 def test_documented_names_resolve(source):
     assert _unresolved_names(ast.parse(source)) == []
+
+
+def test_every_engine_config_field_is_documented():
+    text = (ROOT / "docs/ARCHITECTURE.md").read_text(encoding="utf-8")
+    undocumented = [f.name for f in dataclasses.fields(EngineConfig)
+                    if not re.search(rf"\b{f.name}\b", text)]
+    assert undocumented == []

@@ -7,6 +7,7 @@ Plus: typed config validation, the closed runtime/topology tables and the
 lookup-backend registry, lifecycle semantics, and the merged ServingReport.
 """
 
+import dataclasses
 import pickle
 from types import SimpleNamespace
 
@@ -32,6 +33,61 @@ BACKENDS = ("index", "tcam-pruned")
 BACKEND_IDS = ("index", "tcam")    # "tcam-pruned" is the one TCAM backend
 TWO_STAGE_BACKENDS = ("index",)    # EngineConfig rejects two_stage + TCAM
 BATCH = 32
+
+#: One invalid ``EngineConfig`` per row, with the field its ``ConfigError``
+#: must name. Every field has at least one row (see
+#: ``test_every_field_has_an_invalid_row``).
+INVALID_CONFIGS = [
+    (dict(runtime="nope"), "runtime"),
+    (dict(topology="nope"), "topology"),
+    (dict(lookup_backend="nope"), "lookup_backend"),
+    (dict(feature_mode="nope"), "feature_mode"),
+    (dict(topology="local", n_workers=2), "n_workers"),
+    (dict(n_workers=0, topology="sharded"), "n_workers"),
+    (dict(runtime="Windowed"), "runtime"),
+    (dict(capacity=0), "capacity"),
+    (dict(decision_cache=True), "decision_cache"),    # no bool aliases
+    (dict(batch_size=0), "batch_size"),
+    (dict(batch_size=-1), "batch_size"),
+    (dict(topology="paralel"), "topology"),
+    (dict(n_workers=0, topology="parallel"), "n_workers"),
+    (dict(decision_cache="L1"), "decision_cache"),
+    (dict(admission="tail_drop"), "admission"),
+    (dict(decision_cache="l3"), "decision_cache"),
+    (dict(decision_cache=False), "decision_cache"),
+    (dict(capacity=-1), "capacity"),
+    (dict(lookup_backend="TCAM"), "lookup_backend"),
+    (dict(feature_mode="Stats"), "feature_mode"),
+    (dict(p99_target_ms=-1.0), "p99_target_ms"),
+    (dict(admission="nope"), "admission"),
+    (dict(queue_capacity=0), "queue_capacity"),
+    (dict(p99_target_ms=0.0), "p99_target_ms"),
+    (dict(time_scale=-1.0), "time_scale"),
+    ({"lookup_backend": "tcam"}, "lookup_backend"),    # no full-scan backend
+    (dict(runtime="two_stage", lookup_backend="tcam-pruned"),
+     "lookup_backend"),
+    (dict(admission="aimd", p99_target_ms=float("nan")), "p99_target_ms"),
+    (dict(p99_target_ms=float("inf")), "p99_target_ms"),
+    (dict(time_scale=float("nan")), "time_scale"),
+    (dict(time_scale=float("inf")), "time_scale"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(batch_size=256.0), "batch_size"),
+    (dict(capacity=True), "capacity"),
+    (dict(topology="sharded", n_workers=True), "n_workers"),
+    (dict(queue_capacity="8"), "queue_capacity"),
+    (dict(time_scale="1"), "time_scale"),
+    (dict(p99_target_ms="5"), "p99_target_ms"),
+    (dict(time_scale=True), "time_scale"),
+    (dict(p99_target_ms=True), "p99_target_ms"),
+    (dict(runtime=["x"]), "runtime"),
+    (dict(topology=["x"]), "topology"),
+    (dict(admission=["x"]), "admission"),
+    (dict(decision_cache=["x"]), "decision_cache"),
+    (dict(lookup_backend=["x"]), "lookup_backend"),
+    (dict(feature_mode=["x"]), "feature_mode"),
+    (dict(runtime="two_stage", decision_cache="l1"), "decision_cache"),
+    (dict(runtime="two_stage", decision_cache="l1+l2"), "decision_cache"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -232,63 +288,17 @@ class TestOneDispatcher:
 
 
 class TestEngineConfig:
-    @pytest.mark.parametrize("kwargs,field", [
-        (dict(runtime="nope"), "runtime"),
-        (dict(topology="nope"), "topology"),
-        (dict(lookup_backend="nope"), "lookup_backend"),
-        (dict(feature_mode="nope"), "feature_mode"),
-        (dict(topology="local", n_workers=2), "n_workers"),
-        (dict(n_workers=0, topology="sharded"), "n_workers"),
-        (dict(runtime="Windowed"), "runtime"),
-        (dict(capacity=0), "capacity"),
-        (dict(decision_cache=True), "decision_cache"),    # no bool aliases
-        (dict(batch_size=0), "batch_size"),
-        (dict(batch_size=-1), "batch_size"),
-        (dict(topology="paralel"), "topology"),
-        (dict(n_workers=0, topology="parallel"), "n_workers"),
-        (dict(decision_cache="L1"), "decision_cache"),
-        (dict(admission="tail_drop"), "admission"),
-        (dict(decision_cache="l3"), "decision_cache"),
-        (dict(decision_cache=False), "decision_cache"),
-        (dict(capacity=-1), "capacity"),
-        (dict(lookup_backend="TCAM"), "lookup_backend"),
-        (dict(feature_mode="Stats"), "feature_mode"),
-        (dict(p99_target_ms=-1.0), "p99_target_ms"),
-        (dict(admission="nope"), "admission"),
-        (dict(queue_capacity=0), "queue_capacity"),
-        (dict(p99_target_ms=0.0), "p99_target_ms"),
-        (dict(time_scale=-1.0), "time_scale"),
-        ({"lookup_backend": "tcam"}, "lookup_backend"),    # no full-scan backend
-        (dict(runtime="two_stage", lookup_backend="tcam-pruned"),
-         "lookup_backend"),
-        (dict(admission="aimd", p99_target_ms=float("nan")), "p99_target_ms"),
-        (dict(p99_target_ms=float("inf")), "p99_target_ms"),
-        (dict(time_scale=float("nan")), "time_scale"),
-        (dict(time_scale=float("inf")), "time_scale"),
-        (dict(batch_size=2.5), "batch_size"),
-        (dict(batch_size=256.0), "batch_size"),
-        (dict(capacity=True), "capacity"),
-        (dict(topology="sharded", n_workers=True), "n_workers"),
-        (dict(queue_capacity="8"), "queue_capacity"),
-        (dict(time_scale="1"), "time_scale"),
-        (dict(p99_target_ms="5"), "p99_target_ms"),
-        (dict(time_scale=True), "time_scale"),
-        (dict(p99_target_ms=True), "p99_target_ms"),
-        (dict(runtime=["x"]), "runtime"),
-        (dict(topology=["x"]), "topology"),
-        (dict(admission=["x"]), "admission"),
-        (dict(decision_cache=["x"]), "decision_cache"),
-        (dict(lookup_backend=["x"]), "lookup_backend"),
-        (dict(feature_mode=["x"]), "feature_mode"),
-        (dict(runtime="two_stage", decision_cache="l1"), "decision_cache"),
-        (dict(runtime="two_stage", decision_cache="l1+l2"), "decision_cache"),
-    ])
+    @pytest.mark.parametrize("kwargs,field", INVALID_CONFIGS)
     def test_typed_validation(self, kwargs, field):
         with pytest.raises(ConfigError) as exc:
             EngineConfig(**kwargs)
         assert exc.value.field == field
         assert isinstance(exc.value, PegasusError)
         assert isinstance(exc.value, ValueError)    # old callers still catch
+
+    def test_every_field_has_an_invalid_row(self):
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert fields <= {field for _, field in INVALID_CONFIGS}
 
     def test_frozen(self):
         config = EngineConfig()
