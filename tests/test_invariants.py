@@ -61,13 +61,15 @@ def _dotted(node: ast.AST) -> str | None:
 
 
 @lru_cache(maxsize=None)
-def _scan(rel: str) -> tuple[list[tuple[ast.Call, str]], list[ast.expr]]:
-    """One pass over the file: every ``(call, callee)``, with the callee's
-    first name mapped through the file's imports, and every default
-    argument value."""
+def _scan(rel: str, text: str | None = None
+          ) -> tuple[list[tuple[ast.Call, str]], list[ast.expr]]:
+    """One pass over the file (or over ``text`` standing in for it): every
+    ``(call, callee)``, with the callee's first name mapped through the
+    file's imports, and every default argument value."""
+    if text is None:
+        text = (ROOT / rel).read_text(encoding="utf-8")
     aliases, calls, defaults = {}, [], []
-    tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"), filename=rel)
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(text, filename=rel)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 head = alias.name.split(".")[0]
@@ -87,46 +89,65 @@ def _scan(rel: str) -> tuple[list[tuple[ast.Call, str]], list[ast.expr]]:
             for node, (head, dot, rest) in calls], defaults
 
 
-def test_rng_is_explicit_and_seeded():
+def rng_violations(rel: str, text: str | None = None) -> list[str]:
+    """``path:line: callee()`` for each stdlib ``random`` call, global-state
+    ``numpy.random`` call and argument-less ``default_rng()``."""
     bad = []
-    for rel in FILES:
-        for call, name in _scan(rel)[0]:
-            np_attr = name.split(".")[2] if name.startswith("numpy.random.") \
-                else None
-            if name.startswith("random.") \
-                    or (np_attr is not None and np_attr not in NP_RANDOM_OK) \
-                    or (np_attr == "default_rng"
-                        and not call.args and not call.keywords):
-                bad.append(f"{rel}:{call.lineno}: {name}()")
-    assert bad == []
+    for call, name in _scan(rel, text)[0]:
+        np_attr = name.split(".")[2] if name.startswith("numpy.random.") \
+            else None
+        if name.startswith("random.") \
+                or (np_attr is not None and np_attr not in NP_RANDOM_OK) \
+                or (np_attr == "default_rng"
+                    and not call.args and not call.keywords):
+            bad.append(f"{rel}:{call.lineno}: {name}()")
+    return bad
+
+
+def clock_reads(rel: str, text: str | None = None) -> dict[str, list[int]]:
+    """The lines of each clock read, by callee; empty off decision paths."""
+    reads = defaultdict(list)
+    if rel.startswith(CLOCK_FREE):
+        for call, name in _scan(rel, text)[0]:
+            if name in CLOCK_CALLS:
+                reads[name].append(call.lineno)
+    return dict(reads)
+
+
+def mutable_defaults(rel: str, text: str | None = None) -> list[str]:
+    """``path:line`` of each mutable default argument."""
+    bad = []
+    for default in _scan(rel, text)[1]:
+        callee = _dotted(default.func) \
+            if isinstance(default, ast.Call) else None
+        if isinstance(default, MUTABLE_LITERALS) or (
+                callee and callee.split(".")[-1] in MUTABLE_CALLS):
+            bad.append(f"{rel}:{default.lineno}")
+    return bad
+
+
+def long_lines(rel: str, text: str | None = None) -> list[str]:
+    """``path:line`` of each line over ``LINE_LENGTH``."""
+    if text is None:
+        text = (ROOT / rel).read_text(encoding="utf-8")
+    return [f"{rel}:{i}" for i, line in enumerate(text.splitlines(), 1)
+            if len(line) > LINE_LENGTH]
+
+
+def test_rng_is_explicit_and_seeded():
+    assert [bad for rel in FILES for bad in rng_violations(rel)] == []
 
 
 def test_decision_paths_read_no_clock():
-    reads = defaultdict(list)
-    for rel in FILES:
-        if rel.startswith(CLOCK_FREE):
-            for call, name in _scan(rel)[0]:
-                if name in CLOCK_CALLS:
-                    reads[rel, name].append(call.lineno)
+    reads = {(rel, name): lines for rel in FILES
+             for name, lines in clock_reads(rel).items()}
     counts = {key: len(lines) for key, lines in reads.items()}
-    assert counts == CLOCK_ALLOWED, dict(reads)
+    assert counts == CLOCK_ALLOWED, reads
 
 
 def test_no_mutable_default_arguments():
-    bad = []
-    for rel in FILES:
-        for default in _scan(rel)[1]:
-            callee = _dotted(default.func) \
-                if isinstance(default, ast.Call) else None
-            if isinstance(default, MUTABLE_LITERALS) or (
-                    callee and callee.split(".")[-1] in MUTABLE_CALLS):
-                bad.append(f"{rel}:{default.lineno}")
-    assert bad == []
+    assert [bad for rel in FILES for bad in mutable_defaults(rel)] == []
 
 
 def test_lines_fit_the_ruff_limit():
-    long = [f"{rel}:{i}" for rel in FILES
-            for i, line in enumerate(
-                (ROOT / rel).read_text(encoding="utf-8").splitlines(), 1)
-            if len(line) > LINE_LENGTH]
-    assert long == []
+    assert [bad for rel in FILES for bad in long_lines(rel)] == []
