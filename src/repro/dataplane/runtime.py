@@ -28,9 +28,10 @@ with FIFO eviction at ``capacity``.
     ipd_hist   8 bits x W-1  IPD buckets of the last W-1 packets
                              -> 16 + 8 + 7*8 + 7*8 = 136 bits/flow at W=8
 
-``len_hist`` and ``ipd_hist`` are the two lanes of one ``hist`` bank, a
-``(capacity, 2, W-1)`` uint8 array: a batch gathers, windows and writes back
-both histories at once.
+Each runtime's history fields are the lanes of one ``hist`` bank, a
+``(capacity, L, W-1)`` array (``len_hist`` and ``ipd_hist``, ``L`` = 2; or
+``idx_hist``, ``L`` = 1), so a batch gathers and writes back every lane at
+once.
 
 :class:`TwoStageRuntime` (window ``W``, index width ``idx_bits``)::
 
@@ -49,38 +50,31 @@ state-loss the Figure-7 capacity ablation measures.
 Batched replay
 --------------
 
-``process_flows`` / ``process_trace`` replay a trace in two halves, as the
-switch pipeline splits into stateful register ALUs and stateless tables:
+``process_flows`` / ``process_trace`` replay a trace in the two halves of
+the switch pipeline, one skeleton for both runtimes
+(:class:`_BatchedReplayMixin`):
 
-- a **register step** per NumPy batch (``batch_size`` packets at a time),
-  which must see a flow's packets in order: flow-slot resolution, the
-  window gather and the state write-back;
-- a **model stage** (features, the compiled model —
-  :meth:`CompiledModel.predict` or :meth:`Pipeline.process` — and the
-  decisions), a pure function of the windows it is given. The windowed
-  runtime stages its ready rows' uint8 windows and runs the model once
-  ``MODEL_STAGE_ROWS`` rows wait and at replay end: about twice per
-  closed-loop replay, once per open-loop chunk, not once per batch.
-  :class:`TwoStageRuntime`, and the windowed runtime with a decision cache,
-  still decide inside each batch.
+- a **register step** per NumPy batch (``batch_size`` packets), which must
+  see a flow's packets in order: flow-slot resolution, the IPD bucket (when
+  the layout has ``prev_ts``), the runtime's lanes, the window gather and
+  the write-back;
+- a **model stage**, a pure function of the staged ready rows' windows: the
+  runtime's ``_decide`` (features and the compiled model, or CNN-L's
+  per-slot SumReduce) and the decisions, once ``MODEL_STAGE_ROWS`` rows wait
+  and at replay end — about twice per closed-loop replay, not once per
+  batch. Only the windowed runtime with a decision cache decides in-batch.
 
-What depends on one packet alone (its 64 us timestamp unit, its length
-bucket) is computed once per replay, and each batch slices only the columns
-its step reads, so a batch pays a fixed cost of NumPy calls, not a
-per-column one: one window gather over both history lanes, one write-back,
-and the IPD buckets as one gather from a table of every 16-bit timestamp
-difference. Intra-batch packets of the same flow are handled exactly (each
-packet's window may span stored history and earlier in-batch packets), so
-batched decisions are bit-identical to the per-packet reference path —
-``process_packet``, which :func:`repro.eval.differential.scalar_replay`
-drives over a trace — for every batch size and stage size, a property the
-regression tests assert. Flow slots are resolved once per batch
-(:meth:`VectorFlowState.acquire`), which also hands the batch its per-flow
-grouping; a batch is cut early only when a FIFO eviction would reuse a slot
-that still has unflushed in-batch state. Decisions come back as column
-slices, concatenated into one
-:class:`~repro.dataplane.decisions.DecisionBatch` per replay (a replay of
-one part is not copied); no per-decision object is built.
+Per-packet values (the 64 us timestamp unit, the length bucket) are computed
+once per replay, so a batch pays a fixed cost of NumPy calls: one window
+gather over all lanes, one write-back, and the IPD buckets as one gather
+from a table of every 16-bit timestamp difference. A packet's window may
+span stored history and earlier in-batch packets of its flow, so batched
+decisions are bit-identical to the per-packet reference path
+(``process_packet``, which :func:`repro.eval.differential.scalar_replay`
+drives) for every batch and stage size. A batch is cut early only when a
+FIFO eviction would reuse a slot that still has unflushed in-batch state.
+Decisions are column slices, concatenated into one
+:class:`~repro.dataplane.decisions.DecisionBatch` per replay.
 """
 
 from __future__ import annotations
@@ -106,9 +100,9 @@ from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
 
 TS_MASK = 0xFFFF            # 16-bit timestamp register in 64 us units
 DEFAULT_BATCH_SIZE = 256
-# Ready rows the windowed runtime's model stage buffers before one model
-# call: the model's fixed cost is paid per stage, not per batch, and a
-# stage's working set stays bounded on a long replay.
+# Ready rows a model stage buffers before one model call: the model's fixed
+# cost is paid per stage, not per batch, and a stage's working set stays
+# bounded on a long replay.
 MODEL_STAGE_ROWS = 4096
 
 
@@ -163,24 +157,15 @@ def replay_labels(labels, n: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _emit_decisions(out: _ReplayOutput, labels: np.ndarray,
-                    preds: np.ndarray, ts: np.ndarray, rows: np.ndarray,
-                    base: int) -> None:
-    """Append the decisions of a batch's window-complete rows as columns:
-    ``preds[k]`` belongs to batch row ``rows[k]``, packet ``base + rows[k]``
-    of the trace."""
-    out.append(DecisionBatch(rows + base, labels[rows], preds, ts[rows]))
-
-
 class _ReplayOutput:
     """One replay's decisions in trace order, and its model-stage buffer.
 
-    Runtimes that decide inside the batch (:class:`TwoStageRuntime`, and the
-    windowed runtime with a decision cache) ``append`` finished parts. The
-    windowed runtime otherwise ``stage``s its ready rows' windows; the
-    runtime's ``_model_stage`` decides them in one call once
-    ``MODEL_STAGE_ROWS`` rows wait, and again at replay end. Each replay
-    builds its own, so a replay that raises leaves no staged row behind.
+    A batch ``stage``s its ready rows' windows; the runtime's
+    ``_model_stage`` decides them in one call once ``MODEL_STAGE_ROWS`` rows
+    wait, and again at replay end. A runtime that decides inside the batch
+    (the windowed runtime with a decision cache) ``append``s finished parts
+    instead. Each replay builds its own, so a replay that raises leaves no
+    staged row behind.
     """
 
     __slots__ = ("runtime", "parts", "append", "staged", "rows")
@@ -192,12 +177,12 @@ class _ReplayOutput:
         self.staged: list[tuple] = []
         self.rows = 0
 
-    def stage(self, win: np.ndarray, seq: np.ndarray, labels: np.ndarray,
-              ts: np.ndarray) -> None:
-        """Buffer ready rows: their ``(n, 2, W)`` windows and every
-        decision column except the prediction."""
-        self.staged.append((win, seq, labels, ts))
-        self.rows += len(seq)
+    def stage(self, batch: FlowBatch, rows: np.ndarray, win: np.ndarray,
+              labels: np.ndarray, ts: np.ndarray, base: int) -> None:
+        """Buffer a batch's ready rows ``rows`` (trace packets ``base +
+        rows``): their windows and every decision column but the prediction."""
+        self.staged.append((win, rows + base, labels[rows], ts[rows]))
+        self.rows += len(rows)
         if self.rows >= MODEL_STAGE_ROWS:
             self.append(self.runtime._model_stage(self.staged))
             self.staged = []
@@ -261,13 +246,15 @@ def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
 
 
 class _BatchedReplayMixin:
-    """Shared trace-replay plumbing for the batched runtimes.
+    """The batched runtimes' shared replay: register step and model stage.
 
-    Subclasses provide ``state`` (a :class:`VectorFlowState`), ``window``,
-    ``batch_size``, ``required_columns`` (the per-packet columns their
-    vectorized step consumes), ``process_packet`` (the scalar reference),
+    Subclasses provide ``state`` (a :class:`VectorFlowState` with a
+    ``count`` field, a ``hist`` bank and, for IPD, a ``prev_ts`` field),
+    ``window``, ``batch_size``, ``required_columns`` (the per-packet columns
+    their replay consumes), ``process_packet`` (the scalar reference),
     ``_replay_columns`` (the step's per-packet inputs, derived once per
-    replay) and ``_process_batch`` (the vectorized step).
+    replay), ``_lanes`` (a batch's ``(rows, L)`` register-lane values) and
+    ``_decide`` (classes of ``(n, L, window)`` windows).
     """
 
     required_columns: tuple[str, ...] = ("ts",)
@@ -325,10 +312,9 @@ class _BatchedReplayMixin:
         :meth:`VectorFlowState.acquire` per batch; when the table cuts a
         batch short (an eviction would hit a slot the batch still uses),
         the resolved prefix is processed — its state written back — and the
-        rest of the span resolves in the next call. Each batch appends its
-        decisions, or stages its ready rows for the model, in a
-        :class:`_ReplayOutput` local to this replay; the parts are
-        concatenated once, at the end.
+        rest of the span resolves in the next call. Each batch hands its
+        ready rows to ``_ready_sink`` of a :class:`_ReplayOutput` local to
+        this replay; the parts are concatenated once, at the end.
         """
         n = len(cols["ts"])
         labels = replay_labels(labels, n)
@@ -336,6 +322,7 @@ class _BatchedReplayMixin:
         if b < 1:
             raise ConfigError("batch_size", b, allowed=">= 1")
         out = _ReplayOutput(self)
+        sink = self._ready_sink(out)
         acquire = self.state.acquire
         for start in range(0, n, b):
             stop = min(start + b, n)
@@ -344,7 +331,7 @@ class _BatchedReplayMixin:
                 batch = acquire(key_words[i:stop])
                 j = i + batch.rows
                 self._process_batch(batch, batch_columns(i, j), labels[i:j],
-                                    i, out)
+                                    i, sink)
                 i = j
         return out.decisions()
 
@@ -354,17 +341,60 @@ class _BatchedReplayMixin:
         too large to materialize for the whole trace at once)."""
         return {name: col[start:stop] for name, col in cols.items()}
 
-    def _ipd_step(self, batch: FlowBatch, units: np.ndarray,
-                  prev_idx: np.ndarray, count_i: np.ndarray) -> np.ndarray:
-        """Each packet's IPD bucket, from its previous same-flow timestamp:
-        the batch's previous packet of the flow, else the stored ``prev_ts``
-        (``prev_idx`` -1 gathers a discarded row). 0 for a flow's first
-        packet."""
-        prev_ts = self.state.columns["prev_ts"][:, 0]
-        prev_units = np.where(prev_idx >= 0, units.take(prev_idx),
-                              prev_ts.take(batch.slots).take(batch.rank))
-        return np.where(count_i > 0, _IPD_BUCKET_OF_UNITS.take(
-            (units - prev_units) & TS_MASK), 0)
+    def _ready_sink(self, out: _ReplayOutput):
+        """Where a replay's batches hand their ready rows: the model stage."""
+        return out.stage
+
+    def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
+                       labels: np.ndarray, base: int, sink) -> None:
+        """The stateful half of a replay: acquire's grouping, the register
+        lanes, the window gather and the write-back; ready rows go to
+        ``sink``."""
+        uniq, rank = batch.slots, batch.rank
+        counts, occ, prev_idx, last_idx = _group_structure(batch)
+        columns = self.state.columns
+        hist = self.state.banks["hist"]
+        count = columns["count"][:, 0]
+        cnt0 = count.take(uniq).astype(np.int64)
+        count_i = cnt0.take(rank) + occ
+        ipd = None
+        if "prev_ts" in columns:
+            # IPD bucket from the previous same-flow timestamp: in-batch,
+            # else the stored ``prev_ts`` (``prev_idx`` -1 gathers a
+            # discarded row); 0 for a flow's first packet.
+            units, prev_ts = cols["units"], columns["prev_ts"][:, 0]
+            prev_units = np.where(prev_idx >= 0, units.take(prev_idx),
+                                  prev_ts.take(uniq).take(rank))
+            ipd = np.where(count_i > 0, _IPD_BUCKET_OF_UNITS.take(
+                (units - prev_units) & TS_MASK), 0)
+        win = _gather_windows(hist.take(uniq, axis=0), rank, occ,
+                              self._lanes(cols, ipd), counts, self.window)
+
+        ready_rows = np.nonzero(count_i >= self.window - 1)[0]
+        if len(ready_rows):
+            sink(batch, ready_rows,
+                 win if len(ready_rows) == batch.rows
+                 else win.take(ready_rows, axis=0),
+                 labels, cols["ts"], base)
+
+        hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
+        if ipd is not None:
+            prev_ts[uniq] = units.take(last_idx)
+        count[uniq] = np.minimum(cnt0 + counts, 255)
+
+    def _model_stage(self, staged: list[tuple]) -> DecisionBatch:
+        """The stateless half of a replay: ``_decide`` and the decisions of
+        the staged ready rows, in the order they were staged."""
+        if len(staged) == 1:
+            win, seq, labels, ts = staged[0]
+        else:
+            win, seq, labels, ts = map(np.concatenate, zip(*staged))
+        preds = np.asarray(self._decide(win), dtype=np.int64)
+        return DecisionBatch(seq, labels, preds, ts)
+
+    @property
+    def bits_per_flow(self) -> int:
+        return self.state.layout.bits_per_flow
 
     def _acquire_one(self, packet: Packet) -> tuple[int, bytes]:
         """The scalar path's flow resolution: (slot, flow id) of one packet."""
@@ -403,6 +433,8 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
     required_columns = ("ts", "length")
 
     def __post_init__(self):
+        if self.window < 2:
+            raise ConfigError("window", self.window, allowed=">= 2")
         if self.feature_mode not in ("seq", "stats"):
             raise ConfigError("feature_mode", self.feature_mode,
                               allowed=("seq", "stats"))
@@ -437,10 +469,6 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         if self.lookup_backend == "index":
             return self.model.predict(x)
         return self.model.predict(x, lookup_backend=self.lookup_backend)
-
-    @property
-    def bits_per_flow(self) -> int:
-        return self.state.layout.bits_per_flow
 
     def _features(self, lens: list[int], ipds: list[int]) -> np.ndarray:
         if self.feature_mode == "stats":
@@ -708,54 +736,30 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         return {"ts": ts, "units": _ts_units_array(ts),
                 "len_b": length_bucket_array(cols["length"]).astype(np.uint8)}
 
-    def _model_stage(self, staged: list[tuple]) -> DecisionBatch:
-        """The stateless half of a replay: features, ``predict`` and the
-        decisions of the staged ready rows, in the order they were staged."""
-        if len(staged) == 1:
-            win, seq, labels, ts = staged[0]
-        else:
-            win, seq, labels, ts = map(np.concatenate, zip(*staged))
-        preds = self._model_predict(self._features_batch(win))
-        return DecisionBatch(seq, labels, np.asarray(preds, dtype=np.int64), ts)
-
-    def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
-                       labels: np.ndarray, base: int,
-                       out: _ReplayOutput) -> None:
-        """The stateful half of a replay: acquire's grouping, the window
-        gather and the write-back. Ready rows are staged for the model
-        (decided here only through a decision cache)."""
-        units = cols["units"]
-        uniq, rank = batch.slots, batch.rank
-        counts, occ, prev_idx, last_idx = _group_structure(batch)
-        hist = self.state.banks["hist"]
-        count = self.state.columns["count"][:, 0]
-        cnt0 = count.take(uniq).astype(np.int64)
-        count_i = cnt0.take(rank) + occ
-        vals = np.empty((batch.rows, 2), dtype=np.uint8)
+    def _lanes(self, cols: dict[str, np.ndarray],
+               ipd: np.ndarray) -> np.ndarray:
+        """The batch's (length, IPD) bucket lanes, ``(rows, 2)`` uint8."""
+        vals = np.empty((*ipd.shape, 2), dtype=np.uint8)
         vals[:, 0] = cols["len_b"]
-        vals[:, 1] = self._ipd_step(batch, units, prev_idx, count_i)
-        win = _gather_windows(hist.take(uniq, axis=0), rank, occ, vals, counts,
-                              self.window)
+        vals[:, 1] = ipd
+        return vals
 
-        ready_rows = np.nonzero(count_i >= self.window - 1)[0]
-        if len(ready_rows):
-            ready = (win if len(ready_rows) == batch.rows
-                     else win.take(ready_rows, axis=0))
-            if self.decision_cache is None:
-                out.stage(ready, ready_rows + base, labels[ready_rows],
-                          cols["ts"][ready_rows])
-            else:
-                # The cache key: the length window ++ the IPD window, one
-                # byte per bucket (as the scalar path packs it).
-                preds = self._predict_ready(
-                    batch, ready_rows, ready.reshape(len(ready_rows), -1),
-                    self._features_batch(ready))
-                _emit_decisions(out, labels, preds, cols["ts"], ready_rows,
-                                base)
+    def _decide(self, win: np.ndarray) -> np.ndarray:
+        return self._model_predict(self._features_batch(win))
 
-        hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
-        self.state.columns["prev_ts"][:, 0][uniq] = units.take(last_idx)
-        count[uniq] = np.minimum(cnt0 + counts, 255)
+    def _ready_sink(self, out: _ReplayOutput):
+        """With a decision cache, ready rows are decided inside their batch
+        (the cache must see them in scalar order), not staged."""
+        if self.decision_cache is None:
+            return out.stage
+
+        def decide_in_batch(batch, rows, win, labels, ts, base):
+            # The cache key: the length window ++ the IPD window, one byte
+            # per bucket (as the scalar path packs it).
+            preds = self._predict_ready(batch, rows, win.reshape(len(rows), -1),
+                                        self._features_batch(win))
+            out.append(DecisionBatch(rows + base, labels[rows], preds, ts[rows]))
+        return decide_in_batch
 
 
 @dataclass
@@ -771,12 +775,12 @@ class TwoStageRuntime(_BatchedReplayMixin):
     paper's "Flow Scalability" design that gets CNN-L to 28-72 stateful
     bits per flow (see the module docstring for the register layout).
 
-    Batched replay extracts the whole batch's fuzzy indexes with one
-    ``feature_fn`` / tree evaluation and one SumReduce gather per window
-    slot; ``feature_fn`` must therefore accept (N, raw_bytes) inputs and an
-    optional per-row IPD-bucket array (scalar calls pass a single row).
-    There is no decision cache: the second stage is eight gathers and an
-    argmax, cheaper than any cache probe.
+    Batched replay extracts a batch's fuzzy indexes with one ``feature_fn``
+    / tree evaluation; the model stage decides staged index windows with one
+    SumReduce gather per window slot. ``feature_fn`` must therefore accept
+    (N, raw_bytes) inputs and an optional per-row IPD-bucket array (scalar
+    calls pass a single row). There is no decision cache: the second stage
+    is eight gathers and an argmax, cheaper than any cache probe.
     """
 
     extractor_tree: FuzzyTree
@@ -797,20 +801,19 @@ class TwoStageRuntime(_BatchedReplayMixin):
     required_columns = ("ts", "payload")
 
     def __post_init__(self):
+        if self.window < 2:
+            raise ConfigError("window", self.window, allowed=">= 2")
         if len(self.slot_values) != self.window:
             raise ConfigError(
                 "slot_values", len(self.slot_values),
                 allowed=f"{self.window} tables (one per window slot)")
         fields = [RegisterField("count", 8),
-                  RegisterField("idx_hist", self.idx_bits, count=self.window - 1)]
+                  RegisterField("idx_hist", self.idx_bits,
+                                count=self.window - 1, bank="hist")]
         if self.needs_ipd:
             fields.insert(0, RegisterField("prev_ts", 16))
         self.state = VectorFlowState(FlowStateLayout(fields=fields),
                                      capacity=self.capacity)
-
-    @property
-    def bits_per_flow(self) -> int:
-        return self.state.layout.bits_per_flow
 
     def set_lookup_backend(self, lookup_backend: str) -> None:
         """Only ``"index"``: the extractor tree is served by its tree walk
@@ -819,16 +822,12 @@ class TwoStageRuntime(_BatchedReplayMixin):
             raise ConfigError("lookup_backend", lookup_backend,
                               allowed=("index",))
 
-    def _predict_windows(self, win_idx: np.ndarray) -> np.ndarray:
-        """Decisions for a (N, window) batch of fuzzy-index windows.
-
-        The batched model invocation of this runtime: per-slot SumReduce
-        gathers + final argmax.
-        """
-        win_idx = np.asarray(win_idx, dtype=np.int64)
-        logits = np.zeros((len(win_idx), self.n_classes), dtype=np.int64)
+    def _decide(self, win: np.ndarray) -> np.ndarray:
+        """Classes of ``(n, 1, window)`` fuzzy-index windows: per-slot
+        SumReduce gathers + final argmax."""
+        logits = np.zeros((len(win), self.n_classes), dtype=np.int64)
         for slot_pos in range(self.window):
-            logits += self.slot_values[slot_pos][win_idx[:, slot_pos]]
+            logits += self.slot_values[slot_pos][win[:, 0, slot_pos]]
         return np.argmax(logits, axis=1)
 
     def _extract_index(self, packet: Packet, ipd_bucket: int | None) -> int:
@@ -883,35 +882,13 @@ class TwoStageRuntime(_BatchedReplayMixin):
         batch["payload"] = trace.payload_matrix(self.raw_bytes, start, stop)
         return batch
 
-    def _process_batch(self, batch: FlowBatch, cols: dict[str, np.ndarray],
-                       labels: np.ndarray, base: int,
-                       out: _ReplayOutput) -> None:
-        uniq, rank = batch.slots, batch.rank
-        counts, occ, prev_idx, last_idx = _group_structure(batch)
-        c = self.state.columns
-        cnt0 = c["count"][uniq, 0].astype(np.int64)
-        count_i = cnt0[rank] + occ
-        ipd_b = None
-        if self.needs_ipd:
-            ipd_b = self._ipd_step(batch, cols["units"], prev_idx,
-                                   count_i).astype(np.int64)
-
+    def _lanes(self, cols: dict[str, np.ndarray],
+               ipd: np.ndarray | None) -> np.ndarray:
+        """The batch's clamped fuzzy indexes, ``(rows, 1)``."""
         feats = cols["payload"]
         if self.feature_fn is not None:
-            feats = np.asarray(self.feature_fn(feats, ipd_b))
+            feats = np.asarray(self.feature_fn(
+                feats, None if ipd is None else ipd.astype(np.int64)))
         idx = np.asarray(self.extractor_tree.predict_index(feats),
                          dtype=np.int64)
-        idx = np.minimum(idx, (1 << self.idx_bits) - 1)
-
-        win_idx = _gather_windows(c["idx_hist"][uniq][:, None], rank, occ,
-                                  idx[:, None], counts, self.window)[:, 0]
-
-        ready_rows = np.nonzero(count_i >= self.window - 1)[0]
-        if len(ready_rows):
-            preds = self._predict_windows(win_idx[ready_rows])
-            _emit_decisions(out, labels, preds, cols["ts"], ready_rows, base)
-
-        c["idx_hist"][uniq] = win_idx[last_idx, 1:]
-        if self.needs_ipd:
-            c["prev_ts"][uniq, 0] = cols["units"][last_idx]
-        c["count"][uniq, 0] = np.minimum(cnt0 + counts, 255)
+        return np.minimum(idx, (1 << self.idx_bits) - 1)[:, None]

@@ -175,7 +175,8 @@ class EngineConfig:
     Grouped knobs (each previously validated somewhere different):
 
     - **runtime** — ``runtime`` kind (``"windowed"`` | ``"two_stage"``),
-      ``feature_mode``, per-replica register ``capacity``;
+      ``feature_mode`` (``windowed`` only: ``two_stage`` builds no
+      features), per-replica register ``capacity``;
     - **lookup** — ``lookup_backend`` (registry; ``"index"`` |
       ``"tcam-pruned"`` built in, bit-identical; ``two_stage`` serves
       ``"index"`` only);
@@ -227,10 +228,15 @@ class EngineConfig:
         _check_choice("admission", self.admission, ADMISSION_BUILDERS)
         _check_choice("feature_mode", self.feature_mode, ("seq", "stats"))
         _check_choice("decision_cache", self.decision_cache, CACHE_MODES)
-        if self.runtime == "two_stage" and self.decision_cache != "off":
-            raise ConfigError("decision_cache", self.decision_cache,
-                              allowed=("off",),
-                              reason="two_stage has no decision cache")
+        if self.runtime == "two_stage":
+            if self.decision_cache != "off":
+                raise ConfigError("decision_cache", self.decision_cache,
+                                  allowed=("off",),
+                                  reason="two_stage has no decision cache")
+            if self.feature_mode != "stats":
+                raise ConfigError("feature_mode", self.feature_mode,
+                                  allowed=("stats",),
+                                  reason="two_stage builds no features")
         for name, lo in (("capacity", 1), ("n_workers", 1),
                          ("batch_size", 1), ("queue_capacity", 1)):
             value = getattr(self, name)

@@ -100,6 +100,7 @@ class TestRngDiscipline:
         assert rng_violations(DATAPLANE, unseeded) \
             == [f"{DATAPLANE}:4: numpy.random.default_rng()"]
         assert rng_violations("examples/fake.py", unseeded) != []
+        assert rng_violations("tests/test_fake.py", unseeded) != []
 
     def test_seeded_generators_and_test_files_clean(self):
         assert rng_violations(DATAPLANE, source("""
@@ -111,8 +112,9 @@ class TestRngDiscipline:
             def draw(rng, xs):
                 return rng.permutation(xs)
         """)) == []
-        # Tests may draw unseeded streams: the walk never enters tests/.
-        assert FILES and not any(rel.startswith("tests/") for rel in FILES)
+        # The walk covers the tests and the benchmark harness too: they
+        # draw only seeded streams, like the code they drive.
+        assert {rel.split("/")[0] for rel in FILES} >= {"perf", "tests"}
 
 
 class TestWallclock:

@@ -1,4 +1,4 @@
-"""Host-independent cost budgets of the windowed replay.
+"""Host-independent cost budgets of the batched replay.
 
 Wall-clock gates do not resolve on a small shared host; call counts and
 allocation peaks do. A batch's fixed cost is, to first order, its number of
@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 import repro.dataplane.runtime as runtime_module
-from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
+from repro.dataplane.runtime import (TwoStageRuntime,
+                                     WindowedClassifierRuntime, flows_to_trace)
+from repro.eval.differential import build_two_stage_spec
 from repro.net import build_scenario
 
 # Single-batch serves (an open-loop chunk, most parallel ring chunks): at
@@ -149,6 +151,30 @@ def test_predict_calls_per_replay(compiled16, trace_labels, monkeypatch,
     ready = len(runtime.process_trace(*trace_labels))
     assert ready > 0
     assert model.calls <= math.ceil(
+        ready / runtime_module.MODEL_STAGE_ROWS) + 1
+
+
+class _CountingTable:
+    """A SumReduce slot table that counts its gathers: one per decision
+    call of the two-stage runtime."""
+
+    def __init__(self, table):
+        self.table, self.gathers = table, 0
+
+    def __getitem__(self, idx):
+        self.gathers += 1
+        return self.table[idx]
+
+
+@pytest.mark.parametrize("batch_size", [1, 32, 256])
+def test_two_stage_decide_calls_per_replay(hitters_base, batch_size):
+    """The two-stage runtime's SumReduce runs once per model stage too."""
+    spec = build_two_stage_spec(0)
+    first = spec["slot_values"][0] = _CountingTable(spec["slot_values"][0])
+    runtime = TwoStageRuntime(batch_size=batch_size, **spec)
+    ready = len(runtime.process_trace(*hitters_base))
+    assert ready > 0
+    assert first.gathers <= math.ceil(
         ready / runtime_module.MODEL_STAGE_ROWS) + 1
 
 

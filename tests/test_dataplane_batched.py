@@ -7,6 +7,7 @@ register-capacity eviction churn and when the model is a placed Pipeline
 instead of a bare CompiledModel.
 """
 
+import functools
 import gc
 import tracemalloc
 
@@ -16,11 +17,11 @@ import pytest
 from repro.core.fuzzy import FuzzyTree
 from repro.dataplane import place_model, TOFINO2, VectorFlowState
 from repro.dataplane.registers import FlowStateLayout, RegisterField
-from repro.errors import PipelineError
+from repro.errors import ConfigError, PipelineError
 import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
-from repro.eval.differential import scalar_replay
+from repro.eval.differential import build_two_stage_spec, scalar_replay
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -94,6 +95,13 @@ class TestWindowedBatched:
             pipeline, feature_mode="seq", batch_size=64)
         assert list(runtime.process_flows(replay_flows)) == ref
 
+    def test_window_below_two_is_refused(self, compiled16):
+        """A one-packet window has no stored history for the scalar path to
+        shift into, so the runtime refuses it before any replay."""
+        with pytest.raises(ConfigError) as exc:
+            WindowedClassifierRuntime(compiled16, window=1)
+        assert exc.value.field == "window"
+
     def test_decisions_carry_trace_order(self, compiled16, replay_flows):
         decisions = WindowedClassifierRuntime(
             compiled16, feature_mode="stats").process_flows(replay_flows)
@@ -105,58 +113,69 @@ class TestWindowedBatched:
                 for d in decisions} == {(int, int, float, int)}
 
 
-class _FailOnce:
-    """A model whose first ``predict`` raises, then delegates."""
+def _add_ipd(rows, ipd_bucket):
+    """A refined-feature stage that reads the IPD bucket, so the two-stage
+    replay's ``prev_ts`` register is live."""
+    return np.asarray(rows, dtype=np.float64) \
+        + np.atleast_1d(ipd_bucket)[:, None]
 
-    def __init__(self, model):
-        self.model, self.failed = model, False
 
-    def predict(self, x):
-        if not self.failed:
-            self.failed = True
+def _fail_first_decide(runtime):
+    """Make ``runtime``'s first model stage raise; later ones decide."""
+    decide, failed = runtime._decide, []
+
+    def fail_once(win):
+        if not failed:
+            failed.append(win)
             raise RuntimeError("injected model failure")
-        return self.model.predict(x)
+        return decide(win)
+
+    runtime._decide = fail_once
+    return runtime
 
 
 class TestModelStage:
-    """The windowed replay's stateless half: ready rows are staged and the
-    model decides them once per ``MODEL_STAGE_ROWS`` rows and at replay end."""
+    """The replay's stateless half: ready rows are staged and decided once
+    per ``MODEL_STAGE_ROWS`` rows and at replay end. These tests drive the
+    windowed runtime; :class:`TestTwoStageModelStage` reruns them on the
+    two-stage runtime."""
+
+    @pytest.fixture
+    def make_runtime(self, compiled16):
+        return functools.partial(WindowedClassifierRuntime, compiled16,
+                                 feature_mode="stats")
 
     @pytest.mark.parametrize("stage_rows", [1, 7, 64])
     @pytest.mark.parametrize("capacity", [1_000, 5])
-    def test_stage_boundaries_match_scalar(self, compiled16, replay_flows,
+    def test_stage_boundaries_match_scalar(self, make_runtime, replay_flows,
                                            monkeypatch, stage_rows, capacity):
         """Stage cuts that fall inside a flow's window, at every batch size
         and under eviction, change no decision and no register."""
         trace, labels = flows_to_trace(replay_flows)
-        ref_rt = WindowedClassifierRuntime(compiled16, feature_mode="stats",
-                                           capacity=capacity)
+        ref_rt = make_runtime(capacity=capacity)
         ref = scalar_replay(ref_rt, trace, labels)
         assert len(ref) > stage_rows
         monkeypatch.setattr(runtime_module, "MODEL_STAGE_ROWS", stage_rows)
         for batch_size in BATCH_SIZES:
-            runtime = WindowedClassifierRuntime(
-                compiled16, feature_mode="stats", capacity=capacity,
-                batch_size=batch_size)
+            runtime = make_runtime(capacity=capacity, batch_size=batch_size)
             assert list(runtime.process_trace(trace, labels)) == ref
             for name, column in ref_rt.state.columns.items():
                 np.testing.assert_array_equal(
                     runtime.state.columns[name], column, err_msg=name)
             assert runtime.state.evictions == ref_rt.state.evictions
 
-    def test_failed_stage_leaks_no_rows_into_next_replay(self, compiled16,
+    def test_failed_stage_leaks_no_rows_into_next_replay(self, make_runtime,
                                                          replay_flows):
         """A replay whose model stage raises leaves no staged row behind:
         the next replay decides exactly what it would after a clean one."""
         trace, labels = flows_to_trace(replay_flows)
         half = len(trace) // 2
         a, b = (trace[:half], labels[:half]), (trace[half:], labels[half:])
-        clean = WindowedClassifierRuntime(compiled16, feature_mode="stats")
+        clean = make_runtime()
         assert 0 < len(clean.process_trace(*a)) < runtime_module.MODEL_STAGE_ROWS
         want = clean.process_trace(*b)
 
-        failing = WindowedClassifierRuntime(_FailOnce(compiled16),
-                                            feature_mode="stats")
+        failing = _fail_first_decide(make_runtime())
         with pytest.raises(RuntimeError, match="injected"):
             failing.process_trace(*a)
         got = failing.process_trace(*b)
@@ -164,6 +183,16 @@ class TestModelStage:
         for name, column in want.columns().items():
             np.testing.assert_array_equal(got.columns()[name], column,
                                           err_msg=name)
+
+
+class TestTwoStageModelStage(TestModelStage):
+    """The model-stage tests on the two-stage runtime, with IPD so its
+    ``prev_ts`` register is live."""
+
+    @pytest.fixture
+    def make_runtime(self):
+        return functools.partial(TwoStageRuntime, needs_ipd=True,
+                                 feature_fn=_add_ipd, **build_two_stage_spec(1))
 
 
 class TestTwoStageBatched:
@@ -183,6 +212,12 @@ class TestTwoStageBatched:
             runtime = TwoStageRuntime(tree, slot_values, n_classes=3,
                                       idx_bits=4, batch_size=batch_size)
             assert list(runtime.process_flows(replay_flows)) == ref
+
+    def test_window_below_two_is_refused(self):
+        spec = build_two_stage_spec(0, window=1)
+        with pytest.raises(ConfigError) as exc:
+            TwoStageRuntime(window=1, **spec)
+        assert exc.value.field == "window"
 
     def test_feature_fn_and_ipd_bit_exact(self, replay_flows, slot_values):
         """The refined-feature + IPD path (CNN-L 44-bit variant) stays exact."""

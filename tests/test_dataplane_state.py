@@ -223,7 +223,8 @@ class TestResourceReport:
             p.data *= 0.1
         model.eval_mode()
         x = np.floor(rng.uniform(0, 255, size=(300, 8))).astype(np.int64)
-        compiled = PegasusCompiler(CompilerConfig(refine=False)).compile_sequential(model, x).compiled
+        compiled = PegasusCompiler(CompilerConfig(refine=False)) \
+            .compile_sequential(model, x).compiled
         report = summarize_resources(compiled, _layout(), TOFINO2)
         assert report.stateful_bits_per_flow == 44
         assert 0 < report.sram_fraction < 1

@@ -1,4 +1,5 @@
-"""Source invariants, as plain ``ast`` walks over every shipped Python file.
+"""Source invariants, as plain ``ast`` walks over every Python file of the
+package, its scripts, benchmarks and examples, ``perf/`` and the tests.
 
 The differential and golden walls prove replays reproduce today; these four
 tests catch the line that would break that tomorrow: randomness only through
@@ -18,7 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path.relative_to(ROOT).as_posix()
-               for tree in ("src", "scripts", "benchmarks", "examples")
+               for tree in ("src", "scripts", "benchmarks", "examples",
+                            "perf", "tests")
                for path in (ROOT / tree).rglob("*.py"))
 
 #: ``numpy.random`` names that build an explicit stream rather than draw

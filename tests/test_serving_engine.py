@@ -87,6 +87,7 @@ INVALID_CONFIGS = [
     (dict(feature_mode=["x"]), "feature_mode"),
     (dict(runtime="two_stage", decision_cache="l1"), "decision_cache"),
     (dict(runtime="two_stage", decision_cache="l1+l2"), "decision_cache"),
+    (dict(runtime="two_stage", feature_mode="seq"), "feature_mode"),
 ]
 
 
