@@ -21,8 +21,7 @@ from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 from repro.dataplane.resources import ResourceReport, summarize_resources
-from repro.dataplane.runtime import (DEFAULT_BATCH_SIZE, TwoStageRuntime,
-                                     WindowedClassifierRuntime)
+from repro.dataplane.runtime import TwoStageRuntime, WindowedClassifierRuntime
 from repro.dataplane.throughput import line_rate_pps, measure_model_throughput
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "TwoStageRuntime",
     "PacketDecision",
     "DecisionBatch",
-    "DEFAULT_BATCH_SIZE",
     "line_rate_pps",
     "measure_model_throughput",
 ]

@@ -54,24 +54,28 @@ Batched replay
 the switch pipeline, one skeleton for both runtimes
 (:class:`_BatchedReplayMixin`):
 
-- a **register step** per NumPy batch (``batch_size`` packets), which must
-  see a flow's packets in order: flow-slot resolution, the IPD bucket (when
-  the layout has ``prev_ts``), the runtime's lanes, the window gather and
-  the write-back;
+- a **register step** per NumPy batch, which must see a flow's packets in
+  order: flow-slot resolution, the IPD bucket (when the layout has
+  ``prev_ts``), the runtime's lanes, the window gather and the write-back.
+  A batch spans ``REGISTER_STEP_ROWS`` packets unless the replay (or the
+  runtime's ``batch_size``) names its own span: the switch has no batch,
+  so the span only sets how often the step's fixed cost is paid;
 - a **model stage**, a pure function of the staged ready rows' windows: the
   runtime's ``_decide`` (features and the compiled model, or CNN-L's
-  per-slot SumReduce) and the decisions, once ``MODEL_STAGE_ROWS`` rows wait
-  and at replay end — about twice per closed-loop replay, not once per
-  batch. Only the windowed runtime with a decision cache decides in-batch.
+  per-slot SumReduce) and the decisions, for every ``MODEL_STAGE_ROWS``
+  rows that wait between batches and at replay end — about twice per
+  closed-loop replay, not once per batch. Only the windowed runtime with a
+  decision cache decides in-batch.
 
 Per-packet values (the 64 us timestamp unit, the length bucket) are computed
 once per replay, so a batch pays a fixed cost of NumPy calls: one window
-gather over all lanes, one write-back, and the IPD buckets as one gather
-from a table of every 16-bit timestamp difference. A packet's window may
-span stored history and earlier in-batch packets of its flow, so batched
-decisions are bit-identical to the per-packet reference path
-(``process_packet``, which :func:`repro.eval.differential.scalar_replay`
-drives) for every batch and stage size. A batch is cut early only when a
+table over all lanes (linear in the batch's rows), one write-back, and the
+IPD buckets as one gather from a table of every 16-bit timestamp
+difference. A packet's window may span stored history and earlier in-batch
+packets of its flow, so batched decisions are bit-identical to the
+per-packet reference path (``process_packet``, which
+:func:`repro.eval.differential.scalar_replay` drives) for every batch and
+stage size. A batch is cut early only when a
 FIFO eviction would reuse a slot that still has unflushed in-batch state.
 Decisions are column slices, concatenated into one
 :class:`~repro.dataplane.decisions.DecisionBatch` per replay.
@@ -99,11 +103,18 @@ from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
 
 TS_MASK = 0xFFFF            # 16-bit timestamp register in 64 us units
-DEFAULT_BATCH_SIZE = 256
+# Rows a closed-loop register step resolves and writes back at once, unless
+# a replay names its own span: the step's fixed cost of NumPy calls is paid
+# per span, and the step's working set stays bounded on a long replay.
+REGISTER_STEP_ROWS = 4096
 # Ready rows a model stage buffers before one model call: the model's fixed
 # cost is paid per stage, not per batch, and a stage's working set stays
 # bounded on a long replay.
 MODEL_STAGE_ROWS = 4096
+# Rows one decision-box certificate call covers. Its temporaries cost ~35 KB
+# per row, so a register step's L2 inserts are certified in pieces of this
+# many rows (the certificate is per row, so the pieces change no box).
+CERTIFICATE_ROWS = 128
 
 
 def _ts_units(ts: float) -> int:
@@ -160,12 +171,13 @@ def replay_labels(labels, n: int) -> np.ndarray:
 class _ReplayOutput:
     """One replay's decisions in trace order, and its model-stage buffer.
 
-    A batch ``stage``s its ready rows' windows; the runtime's
-    ``_model_stage`` decides them in one call once ``MODEL_STAGE_ROWS`` rows
-    wait, and again at replay end. A runtime that decides inside the batch
-    (the windowed runtime with a decision cache) ``append``s finished parts
-    instead. Each replay builds its own, so a replay that raises leaves no
-    staged row behind.
+    A batch ``stage``s its ready rows' windows; between batches the replay
+    ``run_stages``, which decides every full stage of exactly
+    ``MODEL_STAGE_ROWS`` rows with one ``_model_stage`` call, and
+    ``decisions`` decides the rest at replay end. A runtime that decides
+    inside the batch (the windowed runtime with a decision cache)
+    ``append``s finished parts instead. Each replay builds its own, so a
+    replay that raises leaves no staged row behind.
     """
 
     __slots__ = ("runtime", "parts", "append", "staged", "rows")
@@ -183,10 +195,26 @@ class _ReplayOutput:
         rows``): their windows and every decision column but the prediction."""
         self.staged.append((win, rows + base, labels[rows], ts[rows]))
         self.rows += len(rows)
-        if self.rows >= MODEL_STAGE_ROWS:
-            self.append(self.runtime._model_stage(self.staged))
-            self.staged = []
-            self.rows = 0
+
+    def run_stages(self) -> None:
+        """Decide staged rows in stages of exactly ``MODEL_STAGE_ROWS``
+        while that many wait, so a stage's working set is bounded whatever
+        the batch size; the staged part that crosses the limit is split."""
+        while self.rows >= MODEL_STAGE_ROWS:
+            self.append(self.runtime._model_stage(self._next_stage()))
+
+    def _next_stage(self) -> list[tuple]:
+        """Take the first ``MODEL_STAGE_ROWS`` staged rows off the buffer."""
+        staged, room, i = self.staged, MODEL_STAGE_ROWS, 0
+        while len(staged[i][1]) < room:
+            room -= len(staged[i][1])
+            i += 1
+        head = tuple(col[:room] for col in staged[i])
+        rest = tuple(col[room:] for col in staged[i])
+        self.staged = [rest, *staged[i + 1:]] if len(rest[1]) else \
+            staged[i + 1:]
+        self.rows -= MODEL_STAGE_ROWS
+        return [*staged[:i], head]
 
     def decisions(self) -> DecisionBatch:
         """Run the last model stage; the replay's one :class:`DecisionBatch`
@@ -200,49 +228,68 @@ class _ReplayOutput:
 def _group_structure(batch: FlowBatch):
     """Per-batch flow grouping: who else in this batch shares my flow.
 
-    Returns ``(counts, occ, prev_idx, last_idx)`` over the batch's flows
-    (``batch.slots`` / ``batch.rank``): ``counts[u]`` packets of flow u are
-    in the batch, ``occ[i]`` is packet i's occurrence number within its
-    flow, ``prev_idx[i]`` is the batch index of the previous same-flow
-    packet (or -1 when the previous packet predates the batch), and
-    ``last_idx[u]`` is the batch index of each flow's final packet (whose
-    post-state is written back).
+    Returns ``(counts, first, occ, pos, prev_idx, last_idx)`` over the
+    batch's flows (``batch.slots`` / ``batch.rank``): ``counts[u]`` packets
+    of flow u are in the batch, ``first[u]`` is where they begin in the
+    batch sorted by flow and ``pos[i]`` is packet i's place in that order,
+    ``occ[i]`` is packet i's occurrence number within its flow,
+    ``prev_idx[i]`` the batch index of the previous same-flow packet (or -1
+    when the previous packet predates the batch), and ``last_idx[u]`` the
+    batch index of each flow's final packet (whose post-state is written
+    back).
     """
     rank, n = batch.rank, batch.rows
     counts = np.bincount(rank, minlength=len(batch.slots))
     order = np.argsort(rank, kind="stable")
     ends = np.cumsum(counts)
-    pos = np.empty(n, dtype=np.int64)        # each packet's place in ``order``
+    first = ends - counts
+    pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
-    occ = pos - (ends - counts).take(rank)
+    occ = pos - first.take(rank)
     prev_idx = np.where(occ > 0, order.take(pos - 1), -1)
     last_idx = order.take(ends - 1)
-    return counts, occ, prev_idx, last_idx
+    return counts, first, occ, pos, prev_idx, last_idx
 
 
-def _gather_windows(hist: np.ndarray, rank: np.ndarray, occ: np.ndarray,
-                    vals: np.ndarray, counts: np.ndarray, window: int) -> np.ndarray:
-    """Effective ``(N, k, window)`` per-packet windows over ``k`` register lanes.
+def _gather_windows(hist: np.ndarray, first: np.ndarray, rank: np.ndarray,
+                    pos: np.ndarray, vals: np.ndarray, window: int,
+                    ready_rows: np.ndarray, last_idx: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The ready rows' windows and every flow's post-batch history.
 
     Packet i's window in lane c is the last ``window`` entries of the
     virtual sequence ``stored_history(flow, c) ++ in-batch values of flow``
-    ending at packet i — positions ``occ[i] .. occ[i]+window-1`` of that
-    sequence. ``hist`` is the ``(n_uniq, k, window-1)`` stored history
-    gathered per unique slot and ``vals`` the ``(N, k)`` in-batch values.
-    Every (flow, lane) sequence is laid out as one row of a flat table in
-    ``hist``'s dtype, so the windows of all lanes are a single 1-D gather.
+    ending at packet i. ``hist`` is the ``(n_uniq, k, window-1)`` stored
+    history gathered per unique slot, ``vals`` the ``(N, k)`` in-batch
+    values in ``hist``'s dtype, and ``first`` / ``pos`` place flows and
+    packets in the batch sorted by flow (:func:`_group_structure`). Returns
+    the ``(n_ready, k, window)`` windows of ``ready_rows`` and the
+    ``(n_uniq, k, window-1)`` history each flow's last packet ``last_idx``
+    leaves behind.
+
+    The flows' sequences are laid end to end in one table of ``n_uniq *
+    (window-1) + N`` cells (a cell holds all ``k`` lanes of one entry), so
+    the working set is linear in rows however long a flow runs in the
+    batch. A flow's stored history and a packet's window are then runs of
+    consecutive cells: two scatters fill the table, and each wanted window
+    is one gather.
     """
     n_uniq, k, hist_cols = hist.shape
-    width = hist_cols + int(counts.max())
-    seq = np.empty((n_uniq, k, width), dtype=hist.dtype)
-    seq[:, :, :hist_cols] = hist
-    flat = seq.reshape(-1)
-    start = rank * (k * width) + occ
-    for lane in range(k):
-        flat[start + (lane * width + hist_cols)] = vals[:, lane]
-    lanes = np.arange(0, k * width, width)[:, None] + np.arange(window)
-    return flat.take(start[:, None] + lanes.reshape(-1)) \
-        .reshape(len(rank), k, window)
+    n = len(rank)
+    cells = n_uniq * hist_cols + n
+    start = rank * hist_cols + pos           # packet i's window, in cells
+    table = np.empty(cells, dtype=f"V{k * hist.itemsize}")
+    table[start + hist_cols] = vals.view(table.dtype)[:, 0]
+
+    # Every run of hist_cols (then window) consecutive cells, as views.
+    runs = np.ndarray(cells - hist_cols + 1, dtype=(hist.dtype, (hist_cols, k)),
+                      buffer=table, strides=table.strides)
+    runs[np.arange(0, n_uniq * hist_cols, hist_cols) + first] = \
+        hist.transpose(0, 2, 1)
+    windows = np.ndarray(cells - window + 1, dtype=(hist.dtype, (window, k)),
+                         buffer=table, strides=table.strides)
+    return (windows[start[ready_rows]].transpose(0, 2, 1),
+            windows[start[last_idx]][:, 1:].transpose(0, 2, 1))
 
 
 class _BatchedReplayMixin:
@@ -253,7 +300,8 @@ class _BatchedReplayMixin:
     ``window``, ``batch_size``, ``required_columns`` (the per-packet columns
     their replay consumes), ``process_packet`` (the scalar reference),
     ``_replay_columns`` (the step's per-packet inputs, derived once per
-    replay), ``_lanes`` (a batch's ``(rows, L)`` register-lane values) and
+    replay), ``_lanes`` (a batch's ``(rows, L)`` register-lane values, in
+    the ``hist`` bank's dtype) and
     ``_decide`` (classes of ``(n, L, window)`` windows).
     """
 
@@ -270,7 +318,8 @@ class _BatchedReplayMixin:
         """Replay a time-ordered trace in fixed ``batch_size`` cuts.
 
         ``labels`` are per-packet ground-truth labels (default -1);
-        ``batch_size`` defaults to the runtime's own. Decisions come back as
+        ``batch_size`` defaults to the runtime's own, and that to
+        ``REGISTER_STEP_ROWS`` (read at call time). Decisions come back as
         one :class:`DecisionBatch` in trace order, ``seq`` the packet's
         trace position.
         """
@@ -308,17 +357,20 @@ class _BatchedReplayMixin:
                 batch_columns) -> DecisionBatch:
         """Shared core of the trace/columnar replay entry points.
 
-        Each ``batch_size`` span is resolved against the flow table with one
+        Each ``batch_size`` span (by default ``REGISTER_STEP_ROWS``) is
+        resolved against the flow table with one
         :meth:`VectorFlowState.acquire` per batch; when the table cuts a
         batch short (an eviction would hit a slot the batch still uses),
         the resolved prefix is processed — its state written back — and the
         rest of the span resolves in the next call. Each batch hands its
         ready rows to ``_ready_sink`` of a :class:`_ReplayOutput` local to
-        this replay; the parts are concatenated once, at the end.
+        this replay, which runs every full model stage between batches;
+        the parts are concatenated once, at the end.
         """
         n = len(cols["ts"])
         labels = replay_labels(labels, n)
-        b = int(self.batch_size if batch_size is None else batch_size)
+        b = self.batch_size if batch_size is None else batch_size
+        b = REGISTER_STEP_ROWS if b is None else int(b)
         if b < 1:
             raise ConfigError("batch_size", b, allowed=">= 1")
         out = _ReplayOutput(self)
@@ -332,6 +384,8 @@ class _BatchedReplayMixin:
                 j = i + batch.rows
                 self._process_batch(batch, batch_columns(i, j), labels[i:j],
                                     i, sink)
+                if out.rows >= MODEL_STAGE_ROWS:
+                    out.run_stages()
                 i = j
         return out.decisions()
 
@@ -351,7 +405,7 @@ class _BatchedReplayMixin:
         lanes, the window gather and the write-back; ready rows go to
         ``sink``."""
         uniq, rank = batch.slots, batch.rank
-        counts, occ, prev_idx, last_idx = _group_structure(batch)
+        counts, first, occ, pos, prev_idx, last_idx = _group_structure(batch)
         columns = self.state.columns
         hist = self.state.banks["hist"]
         count = columns["count"][:, 0]
@@ -367,28 +421,28 @@ class _BatchedReplayMixin:
                                   prev_ts.take(uniq).take(rank))
             ipd = np.where(count_i > 0, _IPD_BUCKET_OF_UNITS.take(
                 (units - prev_units) & TS_MASK), 0)
-        win = _gather_windows(hist.take(uniq, axis=0), rank, occ,
-                              self._lanes(cols, ipd), counts, self.window)
-
         ready_rows = np.nonzero(count_i >= self.window - 1)[0]
+        win, last_hist = _gather_windows(
+            hist.take(uniq, axis=0), first, rank, pos, self._lanes(cols, ipd),
+            self.window, ready_rows, last_idx)
         if len(ready_rows):
-            sink(batch, ready_rows,
-                 win if len(ready_rows) == batch.rows
-                 else win.take(ready_rows, axis=0),
-                 labels, cols["ts"], base)
+            sink(batch, ready_rows, win, labels, cols["ts"], base)
 
-        hist[uniq] = win.take(last_idx, axis=0)[:, :, 1:]
+        hist[uniq] = last_hist
         if ipd is not None:
             prev_ts[uniq] = units.take(last_idx)
         count[uniq] = np.minimum(cnt0 + counts, 255)
 
     def _model_stage(self, staged: list[tuple]) -> DecisionBatch:
         """The stateless half of a replay: ``_decide`` and the decisions of
-        the staged ready rows, in the order they were staged."""
+        the staged ready rows, in the order they were staged. Empties
+        ``staged``, so its parts are freed once joined, before the model
+        runs."""
         if len(staged) == 1:
             win, seq, labels, ts = staged[0]
         else:
             win, seq, labels, ts = map(np.concatenate, zip(*staged))
+        staged.clear()
         preds = np.asarray(self._decide(win), dtype=np.int64)
         return DecisionBatch(seq, labels, preds, ts)
 
@@ -425,7 +479,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
     feature_mode: str = "seq"          # "seq" (interleaved tokens) | "stats"
     window: int = 8
     capacity: int = 1_000_000
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: int | None = None
     decision_cache: object = None
     lookup_backend: str = "index"
     state: VectorFlowState = field(init=False)
@@ -540,9 +594,12 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         the degenerate point box — always sound.
         """
         if isinstance(self.model, CompiledModel):
-            return certified_decision_box(
-                self.model, feats,
-                quantize_shift=self.decision_cache.l2.quantize_shift)
+            shift = self.decision_cache.l2.quantize_shift
+            boxes = [certified_decision_box(self.model,
+                                            feats[a:a + CERTIFICATE_ROWS],
+                                            quantize_shift=shift)
+                     for a in range(0, len(feats), CERTIFICATE_ROWS)]
+            return tuple(np.concatenate(b) for b in zip(*boxes))
         feats = np.asarray(feats, dtype=np.int64)
         return feats.copy(), feats.copy()
 
@@ -795,7 +852,7 @@ class TwoStageRuntime(_BatchedReplayMixin):
     # bucket, when needs_ipd) before the fuzzy tree — the paper's NN feature
     # extraction, itself realized as per-segment tables on the switch.
     feature_fn: object = None
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: int | None = None
     state: VectorFlowState = field(init=False)
 
     required_columns = ("ts", "payload")
@@ -884,11 +941,13 @@ class TwoStageRuntime(_BatchedReplayMixin):
 
     def _lanes(self, cols: dict[str, np.ndarray],
                ipd: np.ndarray | None) -> np.ndarray:
-        """The batch's clamped fuzzy indexes, ``(rows, 1)``."""
+        """The batch's clamped fuzzy indexes, ``(rows, 1)`` in the
+        ``idx_hist`` register's dtype."""
         feats = cols["payload"]
         if self.feature_fn is not None:
             feats = np.asarray(self.feature_fn(
                 feats, None if ipd is None else ipd.astype(np.int64)))
         idx = np.asarray(self.extractor_tree.predict_index(feats),
                          dtype=np.int64)
-        return np.minimum(idx, (1 << self.idx_bits) - 1)[:, None]
+        return np.minimum(idx, (1 << self.idx_bits) - 1).astype(
+            self.state.banks["hist"].dtype)[:, None]

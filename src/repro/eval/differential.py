@@ -15,7 +15,7 @@ tests assert it on one static mix; this harness turns the claim into a
    :class:`EngineCase` of the matrix and compares each decision stream to
    the scalar reference of its runtime kind, plus cross-config *stat
    consistency* (cache counters must agree across every cached config, and
-   flush totals across every config with the same sharding/batch shape).
+   flush totals across every config with the same sharding/step shape).
 2. :func:`fuzz_differential` drives that check from seeded scenario
    mutation — one fixed seed plus N derived random seeds, time-boxed —
    so CI explores a fresh slice of workload space on every run.
@@ -55,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.dataplane import runtime as dataplane_runtime
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
 from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
@@ -90,6 +91,15 @@ class EngineCase:
     @property
     def cached(self) -> bool:
         return self.decision_cache != "off"
+
+    @property
+    def step_rows(self) -> int:
+        """Rows of one register step of this case's closed-loop serve: a
+        ring chunk of ``batch_size`` rows on ``parallel`` (its slots hold at
+        least that many), else ``REGISTER_STEP_ROWS``."""
+        if self.topology == "parallel":
+            return self.batch_size
+        return dataplane_runtime.REGISTER_STEP_ROWS
 
     @property
     def label(self) -> str:
@@ -344,8 +354,8 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
       and the batched two-pass protocol replays the scalar op sequence
       exactly (approximate-hit patterns depend on how flows split across
       replicas, so groups never span different worker counts);
-    - configs with the same runtime kind, sharding shape, and batch size
-      must cut the same spans, hence equal flush totals.
+    - configs with the same runtime kind, sharding shape, and register
+      step must cut the same spans, hence equal flush totals.
     """
     cached = [r for r in rows if r["cache"] is not None]
     for r in cached:
@@ -372,7 +382,7 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
                          f"{ {r['case']: r['cache'] for r in group} }")
     by_shape: dict[tuple, dict[str, int]] = {}
     for r in rows:
-        shape = (r["runtime"], r["n_workers"], r["batch_size"])
+        shape = (r["runtime"], r["n_workers"], r["step"])
         by_shape.setdefault(shape, {})[r["case"]] = r["flushes"]
     for shape, members in by_shape.items():
         if len(set(members.values())) > 1:
@@ -406,7 +416,8 @@ def run_differential(workload: ScenarioTrace, sources: dict | None = None,
         report.rows.append({
             "case": case.label, "runtime": case.runtime,
             "topology": case.topology, "n_workers": case.n_workers,
-            "batch_size": case.batch_size, "cache_mode": case.decision_cache,
+            "batch_size": case.batch_size, "step": case.step_rows,
+            "cache_mode": case.decision_cache,
             "n_decisions": serve.n_decisions,
             "match": div is None,
             "cache": ((cs.hits, cs.approx_hits, cs.misses, cs.evictions)

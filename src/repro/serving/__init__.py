@@ -18,9 +18,10 @@ importable for reference stacks and tests):
 
 - :class:`ShardedDispatcher` — *the* dispatcher: hashes each flow's
   canonical 5-tuple onto one of N independent runtime replicas (flow state
-  never spans shards), replays every shard in fixed ``batch_size`` spans,
-  and merges decisions back into global trace order; its
-  :class:`FlushStats` count those spans. Its replicas live in-process and
+  never spans shards), replays every shard in fixed ``REGISTER_STEP_ROWS``
+  register steps (ring chunks of ``batch_size`` on the parallel
+  transport), and merges decisions back into global trace order; its
+  :class:`FlushStats` count those steps. Its replicas live in-process and
   replay serially, so parallel wall clock is modeled as
   ``max(shard_seconds)``; :class:`ParallelDispatcher` is the same
   dispatcher over persistent ``multiprocessing`` workers fed through

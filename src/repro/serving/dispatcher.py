@@ -20,9 +20,12 @@ unsharded replay whenever per-replica register capacity does not bind
 its own FIFO eviction, so eviction points — like on a real multi-pipe
 switch — may differ from a single giant table.
 
-Every replay cuts each shard into fixed ``batch_size`` spans; where those
-cuts fall never changes a decision (asserted by the serving tests), so
-``flush_stats`` is a pure function of the shard sizes (:func:`flush_counts`).
+Each in-process replica steps its registers in fixed spans of
+:data:`~repro.dataplane.runtime.REGISTER_STEP_ROWS` rows: the switch has no
+batch, so there is no chunk to size (a transport that ships chunks sizes
+them, and replays each as one step). Where the cuts fall never changes a
+decision (asserted by the serving tests), so ``flush_stats`` is a pure
+function of the shard sizes and the step (:func:`flush_counts`).
 
 Usage::
 
@@ -31,7 +34,7 @@ Usage::
     dispatcher = ShardedDispatcher(
         runtime_factory=lambda: WindowedClassifierRuntime(
             compiled, feature_mode="stats"),
-        n_shards=4, batch_size=256)
+        n_shards=4)
     decisions = dispatcher.serve_flows(test_flows)
 """
 
@@ -43,6 +46,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.dataplane import runtime as dataplane_runtime
 from repro.dataplane.decisions import DecisionBatch, alloc_decision_columns
 from repro.dataplane.runtime import flows_to_trace, replay_labels
 from repro.dataplane.schema import DECISION_COLUMNS, WIRE_COLUMNS, wire_dtype
@@ -97,10 +101,10 @@ def shard_hash_columns(cols: dict[str, np.ndarray]) -> np.ndarray:
 
 @dataclass
 class FlushStats:
-    """How many batches one serve flushed, and why."""
+    """How many register steps one serve ran, and why."""
 
-    full: int = 0        # reached batch_size
-    tail: int = 0        # the end of a shard drained a partial batch
+    full: int = 0        # spanned the step's full rows
+    tail: int = 0        # the end of a shard ran a shorter step
 
     @property
     def total(self) -> int:
@@ -112,9 +116,9 @@ class FlushStats:
         self.tail += other.tail
 
 
-def flush_counts(rows: int, batch_size: int) -> FlushStats:
-    """The flushes of fixed ``batch_size`` cuts over ``rows`` packets."""
-    full, rest = divmod(rows, batch_size)
+def flush_counts(rows: int, step: int) -> FlushStats:
+    """The register steps of fixed ``step``-row cuts over ``rows`` packets."""
+    full, rest = divmod(rows, step)
     return FlushStats(full=full, tail=int(rest > 0))
 
 
@@ -127,7 +131,7 @@ class ShardedDispatcher:
     :class:`~repro.dataplane.runtime.TwoStageRuntime`); each replica owns
     its own flow-state registers, and the factory configures everything
     about it (lookup backend, decision cache). Every replica replays its
-    shard in ``batch_size`` spans, whatever its own default.
+    shard in ``REGISTER_STEP_ROWS`` spans, whatever its own default.
 
     Replicas are built by :meth:`start` (every serve calls it), keep their
     state across serves and are discarded by :meth:`close`. They are
@@ -136,7 +140,7 @@ class ShardedDispatcher:
     serve call — the modeled parallel wall clock is ``max(shard_seconds)``;
     :class:`repro.serving.ParallelDispatcher` runs the same split on real
     concurrent workers and *measures* that wall clock instead.
-    ``flush_stats`` counts the last serve's batches over all shards;
+    ``flush_stats`` counts the last serve's register steps over all shards;
     ``cache_stats`` are the replicas' aggregate *lifetime* decision-cache
     counters at its end (a new object whenever they moved: an earlier
     reading never changes).
@@ -144,7 +148,6 @@ class ShardedDispatcher:
 
     runtime_factory: Callable[[], Any]
     n_shards: int = 1
-    batch_size: int = 256
     runtimes: list[Any] = field(init=False, default_factory=list)
     l2_admit: bool = field(init=False, default=True)
     shard_seconds: list[float] = field(init=False, default_factory=list)
@@ -160,9 +163,8 @@ class ShardedDispatcher:
     payload_bytes = None
 
     def __post_init__(self):
-        for name in ("n_shards", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, getattr(self, name), allowed=">= 1")
+        if self.n_shards < 1:
+            raise ConfigError("n_shards", self.n_shards, allowed=">= 1")
 
     def start(self) -> None:
         """Build the replicas; no-op when already running."""
@@ -213,25 +215,32 @@ class ShardedDispatcher:
         labels = replay_labels(labels, len(trace))
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
+        step = self._step_rows()
         if self.n_shards == 1 and self.in_process:
             # Nothing to split: the one replica replays the caller's trace.
             runtime = self.runtimes[0]
             decisions = runtime.process_trace(trace, labels=labels,
-                                              batch_size=self.batch_size)
+                                              batch_size=step)
             self.wall_seconds = time.perf_counter() - started
             self.shard_seconds = [self.wall_seconds]
-            self.flush_stats = flush_counts(len(trace), self.batch_size)
+            self.flush_stats = flush_counts(len(trace), step)
             if getattr(runtime, "decision_cache", None) is not None:
                 self.cache_stats = self._replica_cache_stats()
             return decisions
         sources, members = self._split(trace, labels)
         self.shard_seconds = [0.0] * self.n_shards
         self.flush_stats, self.cache_stats = FlushStats(), CacheStats()
-        decisions = self._execute(trace, sources, members)
+        decisions = self._execute(trace, sources, members, step)
         for member in members:
-            self.flush_stats.merge(flush_counts(len(member), self.batch_size))
+            self.flush_stats.merge(flush_counts(len(member), step))
         self.wall_seconds = time.perf_counter() - started
         return decisions
+
+    def _step_rows(self) -> int:
+        """Rows of one register step: the runtime module's
+        ``REGISTER_STEP_ROWS``, read per serve. A transport that replays
+        each chunk it ships as one step overrides this."""
+        return dataplane_runtime.REGISTER_STEP_ROWS
 
     def _split(self, trace: Trace, labels) -> tuple[dict, list]:
         """The trace as wire columns, and each shard's member positions.
@@ -256,11 +265,12 @@ class ShardedDispatcher:
         return sources, [np.nonzero(shard_ids == s)[0]
                          for s in range(self.n_shards)]
 
-    def _execute(self, trace: Trace, sources: dict, members: list
-                 ) -> DecisionBatch:
-        """Replay the shards on their replicas, here one after another;
-        records ``shard_seconds[s]`` and ``cache_stats`` and returns the
-        decisions in global trace order. The seam a transport overrides.
+    def _execute(self, trace: Trace, sources: dict, members: list,
+                 step: int) -> DecisionBatch:
+        """Replay the shards on their replicas in ``step``-row register
+        steps, here one after another; records ``shard_seconds[s]`` and
+        ``cache_stats`` and returns the decisions in global trace order.
+        The seam a transport overrides.
 
         Each shard's ``seq`` maps through its members to global positions,
         and the columns scatter to those positions — the same merge the
@@ -276,8 +286,7 @@ class ShardedDispatcher:
                 continue
             started = time.perf_counter()
             shard = self.runtimes[s].process_trace(
-                trace.take(member), labels=labels[member],
-                batch_size=self.batch_size)
+                trace.take(member), labels=labels[member], batch_size=step)
             self.shard_seconds[s] = time.perf_counter() - started
             cols = shard.columns()
             DECISION_COLUMNS.validate_columns(

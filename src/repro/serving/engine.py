@@ -180,8 +180,11 @@ class EngineConfig:
     - **lookup** — ``lookup_backend`` (registry; ``"index"`` |
       ``"tcam-pruned"`` built in, bit-identical; ``two_stage`` serves
       ``"index"`` only);
-    - **batching** — ``batch_size``, the fixed span every replay cuts
-      (where the cuts fall never changes a decision);
+    - **chunking** — ``batch_size``, the rows of a chunk where a chunk is
+      a unit of latency: the open-loop drain cap and the ``parallel`` ring
+      chunk. Closed-loop ``local`` / ``sharded`` replays step registers in
+      :data:`~repro.dataplane.runtime.REGISTER_STEP_ROWS` spans whatever it
+      says (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``),
       one cache per replica at the cache classes' default sizes;
       ``windowed`` only (``two_stage`` has no cache);
@@ -286,7 +289,7 @@ def _resolve_config(config: EngineConfig | None, overrides: dict
 def _build_windowed(source, config: EngineConfig):
     return WindowedClassifierRuntime(
         source, feature_mode=config.feature_mode, capacity=config.capacity,
-        batch_size=config.batch_size, decision_cache=config.make_cache())
+        decision_cache=config.make_cache())
 
 
 # Replica knobs the engine owns: they come from EngineConfig, never from a
@@ -315,9 +318,8 @@ def _two_stage_spec(source) -> dict:
 
 
 def _build_two_stage(source, config: EngineConfig):
-    return TwoStageRuntime(
-        capacity=config.capacity, batch_size=config.batch_size,
-        **_two_stage_spec(source))
+    return TwoStageRuntime(capacity=config.capacity,
+                           **_two_stage_spec(source))
 
 
 RUNTIME_BUILDERS = MappingProxyType({
@@ -333,10 +335,10 @@ RUNTIME_BUILDERS = MappingProxyType({
 def _build_in_process(replica_factory, config: EngineConfig,
                       payload_bytes: int | None) -> ShardedDispatcher:
     """``local`` and ``sharded``: ``n_workers`` in-process replicas, replayed
-    serially (one replica replays the trace whole, with no shard split)."""
+    serially (one replica replays the trace whole, with no shard split) in
+    ``REGISTER_STEP_ROWS`` spans: there is no chunk to size."""
     return ShardedDispatcher(runtime_factory=replica_factory,
-                             n_shards=config.n_workers,
-                             batch_size=config.batch_size)
+                             n_shards=config.n_workers)
 
 
 def _build_parallel(replica_factory, config: EngineConfig,
@@ -421,9 +423,7 @@ class _ModelRuntimeFactory:
                                  DEFAULT_PAYLOAD_BYTES)
 
     def __call__(self):
-        rt = self.model.make_runtime(capacity=self.config.capacity)
-        rt.batch_size = self.config.batch_size
-        return rt
+        return self.model.make_runtime(capacity=self.config.capacity)
 
 
 class _ReplicaFactory:
@@ -457,9 +457,10 @@ class ServingReport:
     are started beforehand, so it measures serving, not setup);
     ``shard_seconds`` is the per-replica replay breakdown (one entry for
     ``local``, one per shard/worker otherwise — replay only, excluding IPC).
-    ``flush_stats`` counts this serve's ``batch_size`` spans over all
-    replicas; ``cache_stats`` aggregates the replicas' *lifetime*
-    decision-cache counters. ``decisions`` are columns
+    ``flush_stats`` counts this serve's register steps over all replicas
+    (``REGISTER_STEP_ROWS`` spans, ring chunks on ``parallel``, at least
+    one per open-loop chunk); ``cache_stats`` aggregates the replicas'
+    *lifetime* decision-cache counters. ``decisions`` are columns
     (``decisions.predicted`` etc.); ``list(decisions)`` materialises
     :class:`~repro.dataplane.decisions.PacketDecision` objects.
     """
@@ -674,7 +675,7 @@ class PegasusEngine:
         ``runtime="windowed"`` (default) serves ``model.compiled``;
         ``runtime="two_stage"`` builds each replica through the model's own
         ``make_runtime`` (the CNN-L flow-scalability deployment), with the
-        config's capacity and batch size applied on top.
+        config's capacity applied on top.
         """
         config = _resolve_config(config, overrides)
         compiled = getattr(model, "compiled", None)
@@ -840,7 +841,7 @@ class PegasusEngine:
 
         Each phase is served as its own call against the *same* replicas —
         flow registers and caches carry across phase boundaries exactly as
-        they would in one continuous replay, and batch boundaries never
+        they would in one continuous replay, and step boundaries never
         change decisions — so the concatenated decision stream is
         bit-identical to a single trace serve of the whole workload
         (asserted by the differential harness) while every phase still gets
@@ -882,7 +883,8 @@ class PegasusEngine:
 
         The pump feeds admitted packets in arrival order, the consumer
         drains chunks of at most ``config.batch_size`` through the normal
-        serve path — and because batch boundaries never change decisions,
+        serve path, each one register step per replica it reaches — and
+        because step boundaries never change decisions,
         the concatenated decision stream over the admitted subsequence is
         bit-identical to a closed-loop replay of exactly those packets
         (``verify_open_loop`` in the differential harness asserts this

@@ -23,12 +23,14 @@ replaying later chunks — compute never idles on transfer in either
 direction. ``ring_stalls`` counts the times the driver had chunks ready
 but every slot of some worker's ring was still in flight (backpressure).
 
-The shard split and the flush accounting are the base class's, and each
-shard is cut into the same fixed ``batch_size`` spans, so for any worker
-count, ring depth, or chunk size the decisions (and flush/cache counters)
-are **bit-identical** to ``ShardedDispatcher`` with
-``n_shards == n_workers`` — asserted by ``tests/test_serving_parallel.py``
-and the differential harness (``repro.eval.differential``).
+The shard split and the flush accounting are the base class's. Each shard
+is cut into ring chunks of ``min(batch_size, ring slot)`` rows, and a worker
+replays each chunk as one register step, so ``flush_stats`` counts chunks.
+Cuts never change a decision, so for any worker count, ring depth, or chunk
+size the decisions (and cache counters) are **bit-identical** to
+``ShardedDispatcher`` with ``n_shards == n_workers`` — asserted by
+``tests/test_serving_parallel.py`` and the differential harness
+(``repro.eval.differential``).
 
 Usage::
 
@@ -83,9 +85,9 @@ from repro.serving.rings import (
     write_ingress_chunk,
 )
 
-#: Auto chunk size (``ring_chunk=None``): at least this many rows per slot,
-#: or the batch size when that is larger — so one slot holds at least one
-#: full batch and the descriptor rate stays negligible.
+#: Auto slot size (``ring_chunk=None``): at least this many rows per slot,
+#: or the batch size when that is larger — so one slot holds a whole chunk
+#: and the descriptor rate stays negligible.
 DEFAULT_CHUNK_ROWS = 256
 
 
@@ -95,7 +97,7 @@ def serve_chunk(runtime, spec: RingSpec, ingress, egress,
 
     Runs inside a worker process (also directly callable in-process, which
     the unit tests use). Builds column views over the slot (schema-typed by
-    construction), replays the chunk as one batch span, validates the
+    construction), replays the chunk as one register step, validates the
     replica's decisions against the decision schema — the egress store
     below would silently cast a drifted column — and stores them straight
     into the egress slot. Returns the ``("chunk_ok", slot, n_decisions,
@@ -204,18 +206,12 @@ def worker_main(conn, runtime_factory, ingress_name: str, egress_name: str,
         conn.close()
 
 
-def _chunk_cuts(rows: int, batch_size: int, chunk_rows: int):
-    """Yield ``(a, b)`` chunk bounds over one shard, at most a slot each.
-
-    The shard is cut into ``batch_size`` spans and each span is split to
-    the slot capacity. Batch cuts never change decisions or cache counters
-    (asserted by the serving tests), so slot capacity is pure transport
-    geometry.
-    """
-    for a in range(0, rows, batch_size):
-        b = min(a + batch_size, rows)
-        for s in range(a, b, chunk_rows):
-            yield s, min(s + chunk_rows, b)
+def _chunk_cuts(rows: int, step: int):
+    """Yield ``(a, b)`` chunk bounds over one shard: fixed ``step``-row
+    spans. Cuts never change decisions or cache counters (asserted by the
+    serving tests), so the chunk is pure transport geometry."""
+    for a in range(0, rows, step):
+        yield a, min(a + step, rows)
 
 
 @dataclass
@@ -237,10 +233,12 @@ class ParallelDispatcher(ShardedDispatcher):
     """Serve traces across ``n_workers`` concurrent runtime replicas.
 
     :class:`~repro.serving.ShardedDispatcher` with a process transport:
-    same serve path, flow pinning and driver-side batch spans, but only the
-    lifecycle (rings, workers) and ``_execute`` (the ring pump) are defined
-    here, so ``wall_seconds`` is *measured* concurrent wall clock.
-    ``runtime_factory`` runs inside each worker; ``payload_bytes`` (for
+    same serve path and flow pinning, but only the lifecycle (rings,
+    workers), ``_execute`` (the ring pump) and the step (one ring chunk of
+    ``min(batch_size, ring slot)`` rows) are defined here, so
+    ``wall_seconds`` is *measured* concurrent wall clock.
+    ``runtime_factory`` runs inside each worker; ``batch_size`` is the rows
+    of one chunk, a unit of latency; ``payload_bytes`` (for
     :class:`TwoStageRuntime` replicas) reserves a payload matrix in every
     ingress slot; ``ring_chunk`` caps rows per slot (default:
     ``max(DEFAULT_CHUNK_ROWS, batch_size)``). ``shard_seconds`` and
@@ -255,7 +253,10 @@ class ParallelDispatcher(ShardedDispatcher):
                  ring_chunk: int | None = None):
         if n_workers < 1:
             raise ConfigError("n_workers", n_workers, allowed=">= 1")
-        super().__init__(runtime_factory, n_workers, batch_size)
+        if batch_size < 1:
+            raise ConfigError("batch_size", batch_size, allowed=">= 1")
+        super().__init__(runtime_factory, n_workers)
+        self.batch_size = batch_size
         self.payload_bytes = payload_bytes
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -370,9 +371,14 @@ class ParallelDispatcher(ShardedDispatcher):
             # the memory alive until then, but the /dev/shm name must go.
             segments.close()
 
-    def _execute(self, trace: Trace, sources: dict, members: list
-                 ) -> DecisionBatch:
-        """Pump shard chunks through the rings; merge decision streams.
+    def _step_rows(self) -> int:
+        """Rows of one ring chunk, which a worker replays as one step."""
+        return min(self.batch_size, self._spec.chunk_rows)
+
+    def _execute(self, trace: Trace, sources: dict, members: list,
+                 step: int) -> DecisionBatch:
+        """Pump ``step``-row shard chunks through the rings; merge decision
+        streams.
 
         The pump keeps up to ``ring_depth`` chunks in flight per worker
         and scatters every finished egress slot while later chunks are
@@ -382,8 +388,8 @@ class ParallelDispatcher(ShardedDispatcher):
         """
         states = []
         for w, (conn, member) in enumerate(zip(self._conns, members)):
-            states.append(_WorkerServe(w, conn, member, _chunk_cuts(
-                len(member), self.batch_size, self._spec.chunk_rows)))
+            states.append(_WorkerServe(w, conn, member,
+                                       _chunk_cuts(len(member), step)))
             conn.send(("serve", self.l2_admit))
 
         self.ring_stalls = 0

@@ -164,6 +164,24 @@ class TestModelStage:
                     runtime.state.columns[name], column, err_msg=name)
             assert runtime.state.evictions == ref_rt.state.evictions
 
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_stage_rows_are_a_bound(self, make_runtime, replay_flows,
+                                    monkeypatch, batch_size):
+        """Every model stage but the last decides exactly
+        ``MODEL_STAGE_ROWS`` rows, even when one batch holds more."""
+        monkeypatch.setattr(runtime_module, "MODEL_STAGE_ROWS", 64)
+        runtime = make_runtime(batch_size=batch_size)
+        decide, sizes = runtime._decide, []
+
+        def recording(win):
+            sizes.append(len(win))
+            return decide(win)
+
+        runtime._decide = recording
+        ready = len(runtime.process_trace(*flows_to_trace(replay_flows)))
+        assert ready > 2 * 64 and sum(sizes) == ready
+        assert sizes[:-1] == [64] * (len(sizes) - 1) and 0 < sizes[-1] <= 64
+
     def test_failed_stage_leaks_no_rows_into_next_replay(self, make_runtime,
                                                          replay_flows):
         """A replay whose model stage raises leaves no staged row behind:

@@ -491,11 +491,11 @@ class TestDispatcherBackend:
     def test_sharded_tcam_matches_index(self, compiled16, replay_flows,
                                         cached):
         ref = ShardedDispatcher(
-            runtime_factory=self._factory(compiled16, cached), n_shards=2,
-            batch_size=32).serve_flows(replay_flows)
+            runtime_factory=self._factory(compiled16, cached),
+            n_shards=2).serve_flows(replay_flows)
         got = ShardedDispatcher(
             runtime_factory=self._factory(compiled16, cached, "tcam-pruned"),
-            n_shards=2, batch_size=32).serve_flows(replay_flows)
+            n_shards=2).serve_flows(replay_flows)
         assert list(got) == list(ref)
         assert ref
 
@@ -503,8 +503,8 @@ class TestDispatcherBackend:
         """The engine applies the backend worker-side (the TCAM compile
         runs behind each worker's warm-up ping)."""
         ref = ShardedDispatcher(
-            runtime_factory=self._factory(compiled16, True), n_shards=2,
-            batch_size=32).serve_flows(replay_flows)
+            runtime_factory=self._factory(compiled16, True),
+            n_shards=2).serve_flows(replay_flows)
         with PegasusEngine.from_factory(
                 self._factory(compiled16, True), batch_size=32,
                 lookup_backend="tcam-pruned", topology="parallel",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.dataplane.runtime as runtime_module
 from repro.eval import differential as dfl
 from repro.net import build_scenario, read_trace, scenario_names
 from repro.serving.engine import lookup_backends
@@ -21,6 +22,12 @@ def workload():
 
 
 class TestMatrix:
+    @pytest.fixture(autouse=True)
+    def short_steps(self, monkeypatch):
+        """Local and sharded cases step 48-row spans, so register steps
+        still cut inside these few-hundred-packet traces."""
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", 48)
+
     def test_build_cases_covers_every_axis(self):
         """23 cases, and no axis point the rotation could starve: each kind
         serves exactly its own (backend, cache) pairs, every pair appears
@@ -142,13 +149,13 @@ class TestMatrix:
     def test_stat_notes_flag_inconsistency(self):
         rows = [
             {"case": "a", "runtime": "windowed", "topology": "local",
-             "n_workers": 1, "batch_size": 64, "cache_mode": "l1",
-             "n_decisions": 10, "match": True, "cache": (4, 5, 0, 0),
-             "flushes": 3},
+             "n_workers": 1, "batch_size": 64, "step": 4096,
+             "cache_mode": "l1", "n_decisions": 10, "match": True,
+             "cache": (4, 5, 0, 0), "flushes": 3},
             {"case": "b", "runtime": "windowed", "topology": "sharded",
-             "n_workers": 1, "batch_size": 64, "cache_mode": "l1",
-             "n_decisions": 9, "match": True, "cache": (3, 6, 0, 0),
-             "flushes": 4},
+             "n_workers": 1, "batch_size": 64, "step": 4096,
+             "cache_mode": "l1", "n_decisions": 9, "match": True,
+             "cache": (3, 6, 0, 0), "flushes": 4},
         ]
         notes: list[str] = []
         dfl._check_stats(rows, notes)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.dataplane.decisions import PacketDecision
@@ -21,19 +22,25 @@ from repro.serving.dispatcher import (ShardedDispatcher,   # un-deprecated core
 from repro.serving.parallel import _chunk_cuts
 
 BATCH = 32
+# The register step the flush tests patch in: not BATCH, so an in-process
+# replay that still cut at batch_size would miscount.
+STEP = 16
 
-# name -> (topology, replicas, ring_chunk): every shape a serve can take.
+# name -> (topology, replicas, ring_chunk, rows per step): every shape a
+# serve can take.
 FLUSH_TOPOLOGIES = {
-    "local": ("local", 1, None),
-    "sharded3": ("sharded", 3, None),
-    "parallel2": ("parallel", 2, None),
-    "parallel2-chunk8": ("parallel", 2, 8),     # ring slots < batch_size
+    "local": ("local", 1, None, STEP),
+    "sharded3": ("sharded", 3, None, STEP),
+    "parallel2": ("parallel", 2, None, BATCH),
+    "parallel2-chunk8": ("parallel", 2, 8, 8),  # ring slots < batch_size
 }
 
 
 class TestBatchCuts:
-    """Every replay cuts fixed ``batch_size`` spans, and one rule counts
-    them: ``flush_counts(rows, batch_size)`` per shard."""
+    """Every replay cuts fixed register steps — ``REGISTER_STEP_ROWS`` in
+    process, one ring chunk of ``min(batch_size, slot)`` rows on the
+    parallel transport — and one rule counts them: ``flush_counts(rows,
+    step)`` per shard."""
 
     @pytest.mark.parametrize("rows,batch,full,tail", [
         (100, 32, 3, 1), (30, 10, 3, 0), (5, 10, 0, 1), (0, 8, 0, 0)])
@@ -43,22 +50,26 @@ class TestBatchCuts:
         assert stats.total == -(-rows // batch)
 
     def test_chunks_split_batches_to_ring_slots(self):
-        assert list(_chunk_cuts(100, 32, 256)) == \
+        assert list(_chunk_cuts(100, 32)) == \
             [(0, 32), (32, 64), (64, 96), (96, 100)]
-        chunks = list(_chunk_cuts(100, 32, 8))
+        chunks = list(_chunk_cuts(100, 8))
         assert [i for a, b in chunks for i in range(a, b)] == list(range(100))
-        # A chunk never straddles a batch boundary.
-        assert all(a // 32 == (b - 1) // 32 for a, b in chunks)
         assert max(b - a for a, b in chunks) == 8
+        # A chunk is batch_size rows, or the ring slot when that is smaller.
+        for ring_chunk, step in ((None, BATCH), (8, 8), (64, BATCH)):
+            dispatcher = ParallelDispatcher(lambda: None, batch_size=BATCH,
+                                            ring_chunk=ring_chunk)
+            assert dispatcher._step_rows() == step
 
     @pytest.mark.parametrize("wiring", ["engine", "hand"])
     @pytest.mark.parametrize("shape", list(FLUSH_TOPOLOGIES))
     def test_flush_accounting_is_one_rule(self, compiled16, replay_flows,
-                                          shape, wiring):
+                                          monkeypatch, shape, wiring):
         """Engine-built and hand-wired dispatchers count the same flushes —
-        one per ``batch_size`` span of every shard — and decide exactly
-        what the per-packet reference does."""
-        topology, replicas, ring_chunk = FLUSH_TOPOLOGIES[shape]
+        one per register step of every shard — and decide exactly what the
+        per-packet reference does."""
+        topology, replicas, ring_chunk, step = FLUSH_TOPOLOGIES[shape]
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", STEP)
         trace, labels = flows_to_trace(replay_flows)
         if wiring == "engine":
             config = EngineConfig(feature_mode="stats", batch_size=BATCH,
@@ -81,15 +92,14 @@ class TestBatchCuts:
                 ParallelDispatcher(factory, n_workers=replicas,
                                    batch_size=BATCH, ring_chunk=ring_chunk)
                 if topology == "parallel" else
-                ShardedDispatcher(factory, n_shards=replicas,
-                                  batch_size=BATCH))
+                ShardedDispatcher(factory, n_shards=replicas))
             with dispatcher:
                 decisions = dispatcher.serve_trace(trace, labels=labels)
             flushes = dispatcher.flush_stats
         shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
             % np.uint64(replicas)
         sizes = np.bincount(shard_ids.astype(np.int64), minlength=replicas)
-        assert flushes.total == sum(-(-int(m) // BATCH) for m in sizes)
+        assert flushes.total == sum(-(-int(m) // step) for m in sizes)
         assert flushes.total > replicas
         assert list(decisions) == scalar_reference(compiled16, "windowed",
                                                    trace, labels)
@@ -143,7 +153,7 @@ class TestShardedDispatcher:
         return ShardedDispatcher(
             runtime_factory=lambda: WindowedClassifierRuntime(
                 compiled16, feature_mode="stats"),
-            n_shards=n_shards, batch_size=32)
+            n_shards=n_shards)
 
     def test_sharded_matches_unsharded(self, compiled16, replay_flows):
         """Shard counts that do not divide the 24-flow workload stay exact."""
@@ -184,7 +194,7 @@ class TestShardedDispatcher:
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
-            ShardedDispatcher(runtime_factory=lambda: None, batch_size=0)
+            ParallelDispatcher(runtime_factory=lambda: None, batch_size=0)
 
 
 class TestReplayLabels:
@@ -246,8 +256,7 @@ class TestReplayLabels:
                 return ParallelDispatcher(runtime_factory=factory,
                                           n_workers=2, batch_size=BATCH)
             return ShardedDispatcher(runtime_factory=factory,
-                                     n_shards=int(shape[-1]),
-                                     batch_size=BATCH)
+                                     n_shards=int(shape[-1]))
 
         with make() as dispatcher, make() as fresh:
             with pytest.raises(ConfigError) as exc:

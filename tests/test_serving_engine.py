@@ -15,17 +15,19 @@ import numpy as np
 import pytest
 
 from repro.core.fuzzy import FuzzyTree
+import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime,
                                      flows_to_trace)
 from repro.dataplane.schema import ColumnSchema
 from repro.errors import ConfigError, PegasusError
+from repro.eval.differential import scalar_replay
 from repro.net import build_scenario
 from repro.net.traces import Trace
 from repro.serving import EngineConfig, PegasusEngine, ServingReport
 from repro.serving import engine as engine_mod
 from repro.serving.cache import FlowDecisionCache
-from repro.serving.dispatcher import ShardedDispatcher
+from repro.serving.dispatcher import ShardedDispatcher, shard_hash_columns
 from repro.serving.parallel import ParallelDispatcher
 
 TOPOLOGIES = ("local", "sharded", "parallel")
@@ -144,8 +146,8 @@ def _hand_wired(factory, topology, flows, payload_bytes=None):
         trace, labels = flows_to_trace(flows)
         return factory().process_trace(trace, labels=labels, batch_size=BATCH)
     if topology == "sharded":
-        return ShardedDispatcher(runtime_factory=factory, n_shards=2,
-                                 batch_size=BATCH).serve_flows(flows)
+        return ShardedDispatcher(runtime_factory=factory,
+                                 n_shards=2).serve_flows(flows)
     with ParallelDispatcher(runtime_factory=factory, n_workers=2,
                             batch_size=BATCH,
                             payload_bytes=payload_bytes) as dispatcher:
@@ -231,6 +233,50 @@ class TestConfigMatrixEquivalence:
             engine.serve(cols)
 
 
+class TestRegisterStep:
+    """Closed-loop ``local`` and ``sharded`` serves step registers in
+    ``REGISTER_STEP_ROWS`` spans, whatever ``batch_size`` says. Steps that
+    cut inside flows' windows and under eviction change no decision, no
+    register and no eviction."""
+
+    @pytest.mark.parametrize("step_rows", [1, 7, 64])
+    @pytest.mark.parametrize("capacity", [4096, 5])
+    @pytest.mark.parametrize("topology,n_workers",
+                             [("local", 1), ("sharded", 3)])
+    @pytest.mark.parametrize("runtime", ["windowed", "two_stage"])
+    def test_step_cuts_match_scalar(self, compiled16, two_stage_spec,
+                                    replay_flows, monkeypatch, runtime,
+                                    topology, n_workers, capacity, step_rows):
+        source = compiled16 if runtime == "windowed" else two_stage_spec
+        trace, labels = flows_to_trace(replay_flows)
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", step_rows)
+        config = EngineConfig(runtime=runtime, feature_mode="stats",
+                              capacity=capacity, batch_size=BATCH,
+                              topology=topology, n_workers=n_workers)
+        with PegasusEngine(source=source, config=config) as engine:
+            report = engine.serve(trace, labels=labels)
+            replicas = engine._driver.runtimes
+            # Each replica against the per-packet reference of its shard.
+            shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
+                % np.uint64(n_workers)
+            want, steps, evictions = [], 0, 0
+            for s, replica in enumerate(replicas):
+                members = np.flatnonzero(shard_ids == s)
+                ref = engine._replica_factory()
+                want += scalar_replay(ref, trace.take(members),
+                                      labels[members], members)
+                for name, column in ref.state.columns.items():
+                    np.testing.assert_array_equal(
+                        replica.state.columns[name], column, err_msg=name)
+                assert replica.state.evictions == ref.state.evictions
+                steps += -(-len(members) // step_rows)
+                evictions += ref.state.evictions
+        assert want and list(report.decisions) == sorted(
+            want, key=lambda d: d.seq)
+        assert report.flush_stats.total == steps > len(replicas)
+        assert (evictions > 0) == (capacity == 5)
+
+
 class TestOneDispatcher:
     """``local``, ``sharded`` x1 and ``parallel`` x1 are the same dispatcher
     holding one replica: everything a report carries must agree."""
@@ -238,7 +284,11 @@ class TestOneDispatcher:
     @pytest.mark.parametrize("shape", ["trace", "flows", "columns"])
     @pytest.mark.parametrize("runtime", ["windowed", "two_stage"])
     def test_single_replica_topologies_agree(self, compiled16, two_stage_spec,
-                                             replay_flows, runtime, shape):
+                                             replay_flows, monkeypatch,
+                                             runtime, shape):
+        # In-process replicas step the ring chunk's rows, so every topology
+        # cuts the same spans and counts the same flushes.
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", BATCH)
         source = compiled16 if runtime == "windowed" else two_stage_spec
         trace, labels = flows_to_trace(replay_flows)
         workload, kwargs = {

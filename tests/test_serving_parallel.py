@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.errors import WorkerError
@@ -167,7 +168,7 @@ class TestParallelEquivalence:
         assert scalar_ref
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, cached),
-            n_shards=n_workers, batch_size=32)
+            n_shards=n_workers)
         serial_ref = serial.serve_flows(replay_flows)
         assert list(serial_ref) == scalar_ref  # ample capacity: sharding exact
         with ParallelDispatcher(
@@ -190,7 +191,7 @@ class TestParallelEquivalence:
         parallel decisions still match the serial dispatcher exactly."""
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, cached, capacity=4),
-            n_shards=n_workers, batch_size=32)
+            n_shards=n_workers)
         serial_ref = serial.serve_flows(replay_flows)
         assert sum(rt.state.evictions for rt in serial.runtimes) > 0
         with ParallelDispatcher(
@@ -217,8 +218,7 @@ class TestParallelEquivalence:
         """Workers keep register state between serve calls, exactly like the
         serial dispatcher's long-lived replicas."""
         serial = ShardedDispatcher(
-            runtime_factory=_factory(compiled16, False), n_shards=2,
-            batch_size=32)
+            runtime_factory=_factory(compiled16, False), n_shards=2)
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, False), n_workers=2,
                 batch_size=32) as dispatcher:
@@ -458,8 +458,8 @@ class TestRingEdges:
     """Wraparound, backpressure, and ordering edges of the ring transport.
 
     Tiny rings force every edge: slots are reused many times per serve
-    (wraparound), batch spans overflow the slot capacity (chunk
-    splitting), and with ``ring_depth=1`` the driver provably stalls on a
+    (wraparound), the slot capacity is below ``batch_size`` (the slot sets
+    the chunk), and with ``ring_depth=1`` the driver provably stalls on a
     full ring (backpressure). Decisions — and the flush/cache counters —
     must stay bit-identical to the serial dispatcher through all of it.
     """
@@ -467,10 +467,11 @@ class TestRingEdges:
     @pytest.mark.parametrize("ring_depth,ring_chunk",
                              [(1, 8), (2, 8), (1, 4), (3, 16)])
     def test_tiny_rings_bit_identical(self, compiled16, replay_flows,
-                                      ring_depth, ring_chunk):
+                                      monkeypatch, ring_depth, ring_chunk):
+        # The serial replicas step the workers' chunk rows.
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", ring_chunk)
         serial = ShardedDispatcher(
-            runtime_factory=_factory(compiled16, True), n_shards=2,
-            batch_size=32)
+            runtime_factory=_factory(compiled16, True), n_shards=2)
         ref = serial.serve_flows(replay_flows)
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, True), n_workers=2,
@@ -478,8 +479,8 @@ class TestRingEdges:
                 ring_depth=ring_depth, ring_chunk=ring_chunk) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
             assert list(got) == list(ref)
-            # Chunk splitting is pure transport geometry: the flush
-            # accounting is identical to the serial dispatcher's.
+            # A ring chunk is one register step: the flush accounting is
+            # identical to a serial dispatcher stepping the same spans.
             assert dispatcher.flush_stats.total == serial.flush_stats.total
             assert dispatcher.cache_stats.lookups == \
                 serial.cache_stats.lookups
@@ -517,8 +518,7 @@ class TestRingEdges:
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
         serial = ShardedDispatcher(
-            runtime_factory=_factory(compiled16, False), n_shards=2,
-            batch_size=32)
+            runtime_factory=_factory(compiled16, False), n_shards=2)
         ref = serial.serve_flows(replay_flows)
         dispatcher = ParallelDispatcher(
             runtime_factory=_SpawnFactory(compiled16), n_workers=2,

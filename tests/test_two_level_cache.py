@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.mapping import (certified_decision_box,
                                 decision_box_certified, decision_cell_box)
+import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import WindowedClassifierRuntime
 from repro.errors import ConfigError
 from repro.eval import differential as dfl
@@ -234,6 +235,22 @@ class TestEngineChurnBitIdentity:
         assert len(streams) == 1
         assert list(decisions[0]) == list(decisions[1])
 
+    def test_certificates_in_pieces_match_one_call(self, model,
+                                                   monkeypatch):
+        """A step's L2 inserts are certified ``CERTIFICATE_ROWS`` rows at a
+        time; the pieces give exactly the boxes of one whole-step call."""
+        cache = TwoLevelDecisionCache()
+        runtime = WindowedClassifierRuntime(model, feature_mode="stats",
+                                            decision_cache=cache)
+        feats = np.random.default_rng(0).integers(0, 256, size=(50, 16))
+        want = certified_decision_box(
+            model, feats, quantize_shift=cache.l2.quantize_shift)
+        # Some rows are certified past their cell, so pieces matter.
+        assert (want[0] != decision_cell_box(model, feats)[0]).any()
+        monkeypatch.setattr(runtime_module, "CERTIFICATE_ROWS", 7)
+        for got, expected in zip(runtime._cell_boxes(feats), want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_stat_identity_regression(self, model, workload, reference):
         """exact_hits + approx_hits + misses == lookups, at ample capacity,
         with both hit kinds actually nonzero — the regression pin for the
@@ -298,7 +315,11 @@ class TestReplicaLayout:
 
 class TestL2FaultMutation:
     @pytest.fixture()
-    def fault(self):
+    def fault(self, monkeypatch):
+        # The fault corrupts every third approximate hit on an entry an
+        # earlier register step decided (in-step hits join a pending
+        # entry): 64-row steps give the 475-packet trace enough of them.
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", 64)
         name = dfl.install_l2_fault_backend("index+l2fault-test", period=3)
         yield name
         lookup_backends.unregister(name)

@@ -209,8 +209,7 @@ class TestHotPathCoverage:
                                      monkeypatch):
         trace, labels = flows_to_trace(replay_flows)
         dispatcher = ShardedDispatcher(
-            n_shards=2, runtime_factory=_runtime_factory(compiled16),
-            batch_size=32)
+            n_shards=2, runtime_factory=_runtime_factory(compiled16))
         calls = _count_validations(monkeypatch)
         dispatcher.serve_trace(trace, labels=labels)
         assert any(ctx == "ShardedDispatcher shard split"
@@ -243,7 +242,7 @@ class TestHotPathCoverage:
         if topology == "sharded":
             with pytest.raises(SchemaError, match="predicted"):
                 ShardedDispatcher(
-                    n_shards=2, runtime_factory=factory, batch_size=32
+                    n_shards=2, runtime_factory=factory
                 ).serve_trace(trace, labels=labels)
             return
         with ParallelDispatcher(runtime_factory=factory, n_workers=2,
@@ -317,8 +316,7 @@ class TestDecisionMerge:
                                                          replay_flows):
         trace, labels = flows_to_trace(replay_flows)
         serial = ShardedDispatcher(
-            n_shards=2, runtime_factory=_runtime_factory(compiled16),
-            batch_size=32
+            n_shards=2, runtime_factory=_runtime_factory(compiled16)
         ).serve_trace(trace, labels=labels)
         with ParallelDispatcher(
                 runtime_factory=_runtime_factory(compiled16), n_workers=2,
