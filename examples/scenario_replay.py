@@ -10,7 +10,9 @@ Walks the scenario subsystem end to end:
 3. register a *custom* scenario in one call and serve it,
 4. run the differential harness: replay a scenario through the serving
    matrix (topology x cache x lookup backend x runtime kind) and check
-   every decision stream is bit-identical to the scalar reference.
+   every decision stream is bit-identical to the scalar oracle
+   (`repro.eval.oracle`, a pure-Python per-packet reference that shares no
+   code with the served path).
 
 Run:  python examples/scenario_replay.py
 (`SCENARIO_FLOWS_PER_CLASS` shrinks the training set for CI smoke runs.)

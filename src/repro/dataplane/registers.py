@@ -6,7 +6,7 @@ arrays; the bits consumed per flow bound the number of concurrent flows
 model needs per flow (e.g. CNN-L: a 16-bit previous-packet timestamp plus a
 4-bit fuzzy index for each of 7 stored packets = 44 bits) and accounts for
 SRAM; :class:`VectorFlowState` stores those fields for up to ``capacity``
-flows and enforces their widths.
+flows, each in the narrowest unsigned dtype that holds its width.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class FlowStateLayout:
 
     def sram_fraction(self, n_flows: int, total_sram_bits: int) -> float:
         return self.sram_bits(n_flows) / total_sram_bits
-
-    def field(self, name: str) -> RegisterField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"no register field named {name!r}")
 
 
 def register_dtype(bits: int) -> np.dtype:
@@ -144,10 +138,6 @@ class VectorFlowState:
     def __len__(self) -> int:
         return len(self._slot_of)
 
-    def slot_of(self, words: np.ndarray) -> int | None:
-        """The slot of the flow of one packed key row, or None if untracked."""
-        return self._slot_of.get(flow_ids(words)[0])
-
     def acquire(self, words: np.ndarray) -> FlowBatch:
         """Resolve the flow slots of a batch of packed keys, ``(n, 2)`` uint64.
 
@@ -209,28 +199,3 @@ class VectorFlowState:
             for col in self.columns.values():
                 col[evicted] = 0
         return resolved
-
-    # -- scalar element access (reference path / tests) ----------------------
-
-    def read(self, slot: int, name: str, index: int = 0) -> int:
-        return int(self.columns[name][slot, index])
-
-    def write(self, slot: int, name: str, value: int, index: int = 0) -> None:
-        """Write one field element, enforcing its register width."""
-        reg = self.layout.field(name)
-        if not 0 <= value < (1 << reg.bits):
-            raise PipelineError(
-                f"value {value} does not fit register {name!r} ({reg.bits} bits)")
-        if not 0 <= index < reg.count:
-            raise PipelineError(f"register {name!r} index {index} out of range")
-        self.columns[name][slot, index] = value
-
-    def shift_in(self, slot: int, name: str, value: int) -> None:
-        """Append to a register array row, shifting older entries out."""
-        reg = self.layout.field(name)
-        if not 0 <= value < (1 << reg.bits):
-            raise PipelineError(
-                f"value {value} does not fit register {name!r} ({reg.bits} bits)")
-        row = self.columns[name][slot]
-        row[:-1] = row[1:]
-        row[-1] = value

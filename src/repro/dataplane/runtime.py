@@ -73,10 +73,10 @@ table over all lanes (linear in the batch's rows), one write-back, and the
 IPD buckets as one gather from a table of every 16-bit timestamp
 difference. A packet's window may span stored history and earlier in-batch
 packets of its flow, so batched decisions are bit-identical to the
-per-packet reference path (``process_packet``, which
-:func:`repro.eval.differential.scalar_replay` drives) for every batch and
-stage size. A batch is cut early only when a
-FIFO eviction would reuse a slot that still has unflushed in-batch state.
+per-packet scalar oracle (:class:`repro.eval.oracle.ScalarOracle`, which
+shares no code with this module) for every batch and stage size. A batch is
+cut early only when a FIFO eviction would reuse a slot that still has
+unflushed in-batch state.
 Decisions are column slices, concatenated into one
 :class:`~repro.dataplane.decisions.DecisionBatch` per replay.
 """
@@ -91,12 +91,10 @@ from repro.core.fuzzy import FuzzyTree
 from repro.core.mapping import (CompiledModel, _check_backend,
                                 certified_decision_box)
 from repro.errors import ConfigError
-from repro.net.features import (length_bucket, ipd_bucket, stats_from_buckets,
-                                length_bucket_array, ipd_bucket_array)
+from repro.net.features import length_bucket_array, ipd_bucket_array
 from repro.net.flow import Flow
-from repro.net.packet import Packet
 from repro.net.traces import (KEY_COLUMN_NAMES, TS_UNIT_SECONDS, Trace,
-                              flow_ids, flow_key_words, pack_flow_keys)
+                              flow_ids, pack_flow_keys)
 from repro.dataplane.decisions import DecisionBatch
 from repro.dataplane.schema import WIRE_COLUMNS
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
@@ -117,18 +115,9 @@ MODEL_STAGE_ROWS = 4096
 CERTIFICATE_ROWS = 128
 
 
-def _ts_units(ts: float) -> int:
-    return int(ts / TS_UNIT_SECONDS) & TS_MASK
-
-
 def _ts_units_array(ts: np.ndarray) -> np.ndarray:
     return (np.asarray(ts, dtype=np.float64) / TS_UNIT_SECONDS).astype(np.int64) \
         & TS_MASK
-
-
-def _ipd_bucket_from_units(cur_units: int, prev_units: int) -> int:
-    delta_units = (cur_units - prev_units) & TS_MASK
-    return ipd_bucket(delta_units * TS_UNIT_SECONDS)
 
 
 # The IPD bucket of every 16-bit timestamp difference: the batched step's
@@ -141,7 +130,7 @@ def flows_to_trace(flows: list[Flow]) -> tuple[Trace, np.ndarray]:
     """Interleave labelled flows into one trace with per-packet labels.
 
     The single source of the flows -> (trace, label array) preamble shared
-    by the batched path, the scalar reference path, and the serving
+    by the batched path, the scalar oracle's callers, and the serving
     dispatcher — so label lookup can never diverge between them. A packet
     takes the label of the (last) flow with its canonical 5-tuple.
     """
@@ -298,11 +287,10 @@ class _BatchedReplayMixin:
     Subclasses provide ``state`` (a :class:`VectorFlowState` with a
     ``count`` field, a ``hist`` bank and, for IPD, a ``prev_ts`` field),
     ``window``, ``batch_size``, ``required_columns`` (the per-packet columns
-    their replay consumes), ``process_packet`` (the scalar reference),
-    ``_replay_columns`` (the step's per-packet inputs, derived once per
-    replay), ``_lanes`` (a batch's ``(rows, L)`` register-lane values, in
-    the ``hist`` bank's dtype) and
-    ``_decide`` (classes of ``(n, L, window)`` windows).
+    their replay consumes), ``_replay_columns`` (the step's per-packet
+    inputs, derived once per replay), ``_lanes`` (a batch's ``(rows, L)``
+    register-lane values, in the ``hist`` bank's dtype) and ``_decide``
+    (classes of ``(n, L, window)`` windows).
     """
 
     required_columns: tuple[str, ...] = ("ts",)
@@ -450,12 +438,6 @@ class _BatchedReplayMixin:
     def bits_per_flow(self) -> int:
         return self.state.layout.bits_per_flow
 
-    def _acquire_one(self, packet: Packet) -> tuple[int, bytes]:
-        """The scalar path's flow resolution: (slot, flow id) of one packet."""
-        batch = self.state.acquire(flow_key_words(packet.key))
-        return int(batch.slots[0]), batch.flows[0]
-
-
 @dataclass
 class WindowedClassifierRuntime(_BatchedReplayMixin):
     """Classify every packet once its flow has a full token window.
@@ -524,14 +506,6 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
             return self.model.predict(x)
         return self.model.predict(x, lookup_backend=self.lookup_backend)
 
-    def _features(self, lens: list[int], ipds: list[int]) -> np.ndarray:
-        if self.feature_mode == "stats":
-            return stats_from_buckets(lens, ipds).astype(np.int64)
-        tokens = np.empty(2 * self.window, dtype=np.int64)
-        tokens[0::2] = lens
-        tokens[1::2] = ipds
-        return tokens
-
     def _features_batch(self, win: np.ndarray) -> np.ndarray:
         """int64 model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
         :func:`stats_from_buckets` or the interleaved tokens, per row."""
@@ -547,43 +521,6 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         feats[:, 4:4 + take] = win[:, 0, :take]
         feats[:, 10:10 + take] = win[:, 1, :take]
         return feats
-
-    def process_packet(self, packet: Packet) -> int | None:
-        """Feed one packet; returns its predicted class once its flow has a
-        full window, else None."""
-        slot, key = self._acquire_one(packet)
-        cols = self.state.columns
-        count = int(cols["count"][slot, 0])
-        cur_units = _ts_units(packet.ts)
-        len_b = length_bucket(packet.length)
-        ipd_b = (_ipd_bucket_from_units(cur_units, int(cols["prev_ts"][slot, 0]))
-                 if count else 0)
-
-        pred = None
-        if count >= self.window - 1:
-            lens = [int(v) for v in cols["len_hist"][slot]] + [len_b]
-            ipds = [int(v) for v in cols["ipd_hist"][slot]] + [ipd_b]
-            cache = self.decision_cache
-            if cache is not None:
-                # Same packed layout as the batched path: len window ++ ipd
-                # window, one byte per bucket.
-                ck = (key, np.asarray(lens + ipds, dtype=np.uint8).tobytes())
-                if getattr(cache, "two_level", False):
-                    pred = self._scalar_two_level(
-                        ck, self._features(lens, ipds))
-                else:
-                    pred = cache.get(ck)
-            if pred is None:
-                x = self._features(lens, ipds)[None, :]
-                pred = int(self._model_predict(x)[0])
-                if cache is not None:
-                    cache.put(ck, pred)
-
-        self.state.shift_in(slot, "len_hist", len_b)
-        self.state.shift_in(slot, "ipd_hist", ipd_b)
-        self.state.write(slot, "prev_ts", cur_units)
-        self.state.write(slot, "count", min(count + 1, 255))
-        return None if pred is None else int(pred)
 
     def _cell_boxes(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (lo, hi) boxes on which the decision is provably constant.
@@ -602,36 +539,6 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
             return tuple(np.concatenate(b) for b in zip(*boxes))
         feats = np.asarray(feats, dtype=np.int64)
         return feats.copy(), feats.copy()
-
-    def _scalar_two_level(self, ck, feats: np.ndarray) -> int:
-        """One packet's decision through a two-level cache (scalar path).
-
-        L1 exact probe -> verified L2 probe (hit promotes into L1) -> model
-        + insert at both levels. This is the reference op sequence the
-        batched protocol below reproduces bit-identically.
-        """
-        from repro.serving.cache import _DEC
-
-        cache = self.decision_cache
-        got = cache.exact_get(ck)
-        if got is not None:
-            return int(got)
-        feats = np.asarray(feats, dtype=np.int64)
-        entry = cache.approx_get(feats)
-        if entry is not None:
-            pred = int(entry[_DEC])
-            cache.promote(ck, pred)
-            return pred
-        cache.count_miss()
-        pred = int(np.asarray(self._model_predict(feats[None, :]))[0])
-        if getattr(cache, "l2_admit", True):
-            box_lo, box_hi = self._cell_boxes(feats[None, :])
-            cache.insert(ck, feats, box_lo[0], box_hi[0], pred)
-        else:
-            # L2 gate closed (cold phase): L1-only population, and the box
-            # certificate — the expensive part of an insert — never runs.
-            cache.insert_l1_only(ck, pred)
-        return pred
 
     def _predict_ready(self, batch: FlowBatch, ready_rows: np.ndarray,
                        windows: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -658,11 +565,11 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         row_bytes = windows.shape[1] * windows.dtype.itemsize
         packed = np.ascontiguousarray(windows).tobytes()
         # The cache is driven in ready-row order, replaying exactly the
-        # get/put sequence the scalar path would issue: a miss immediately
+        # get/put sequence of a one-packet step: a miss immediately
         # reserves its slot with a PENDING placeholder (the model's one
         # batched invocation fills the value afterwards), so in-batch window
         # repeats hit — or, when LRU eviction removed the placeholder within
-        # this very flush, miss — precisely when the scalar replay's would.
+        # this very flush, miss — precisely when one-packet steps' would.
         # Keeps hits + misses == lookups and the whole stat/eviction stream
         # bit-identical to per-packet replay, not just the decisions.
         miss_rows: dict[tuple, list[int]] = {}
@@ -688,8 +595,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
                                  dtype=np.int64)
         except BaseException:
             # A failed model invocation must not strand placeholders: a
-            # stale PENDING would later be handed out as a decision (scalar
-            # path) or mistaken for an in-flush repeat (batched path).
+            # stale PENDING would later be mistaken for an in-flush repeat.
             for ck in miss_rows:
                 cache.discard_pending(ck)
             raise
@@ -700,10 +606,10 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
 
     def _predict_ready_two_level(self, keys: list, windows: np.ndarray,
                                  feats: np.ndarray) -> np.ndarray:
-        """Batched replay of the two-level scalar op sequence, in two passes.
+        """Batched replay of the two-level per-packet op sequence, 2 passes.
 
-        Pass 1 walks the ready rows in order, issuing exactly the scalar
-        path's L1 probes and (for L1 misses) its L1 inserts — reserved with
+        Pass 1 walks the ready rows in order, issuing exactly the per-packet
+        L1 probes and (for L1 misses) their L1 inserts — reserved with
         PENDING, since the decision may come from the L2 or the batch's one
         model call. A put's *value* never affects LRU recency or eviction
         choice, so the L1 state stream is bit-identical to per-packet
@@ -712,7 +618,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         entry's model group when the in-flush creator hasn't computed yet);
         double misses reserve a pending L2 entry and form a model group.
         One model invocation covers the group leaders; fills then resolve
-        every reservation — again exactly the scalar insert stream, so
+        every reservation — again exactly the per-packet insert stream, so
         exact/approx/miss counts, eviction counts, and decisions all match
         per-packet replay bit for bit (regression-tested).
         """
@@ -762,7 +668,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
                         else:
                             # L2 gate closed: no reservation, no certificate;
                             # the row still leads its own model group, which
-                            # is exactly what the gated scalar path does.
+                            # is exactly what a gated one-packet step does.
                             cache.skip_l2_insert()
                         miss_groups.setdefault(cks[r], []).append(r)
                 if miss_groups:
@@ -806,13 +712,12 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
 
     def _ready_sink(self, out: _ReplayOutput):
         """With a decision cache, ready rows are decided inside their batch
-        (the cache must see them in scalar order), not staged."""
+        (the cache must see them in packet order), not staged."""
         if self.decision_cache is None:
             return out.stage
 
         def decide_in_batch(batch, rows, win, labels, ts, base):
-            # The cache key: the length window ++ the IPD window, one byte
-            # per bucket (as the scalar path packs it).
+            # The cache key: the length window ++ the IPD window, one byte per bucket.
             preds = self._predict_ready(batch, rows, win.reshape(len(rows), -1),
                                         self._features_batch(win))
             out.append(DecisionBatch(rows + base, labels[rows], preds, ts[rows]))
@@ -835,9 +740,9 @@ class TwoStageRuntime(_BatchedReplayMixin):
     Batched replay extracts a batch's fuzzy indexes with one ``feature_fn``
     / tree evaluation; the model stage decides staged index windows with one
     SumReduce gather per window slot. ``feature_fn`` must therefore accept
-    (N, raw_bytes) inputs and an optional per-row IPD-bucket array (scalar
-    calls pass a single row). There is no decision cache: the second stage
-    is eight gathers and an argmax, cheaper than any cache probe.
+    (N, raw_bytes) inputs and an optional per-row IPD-bucket array (the
+    scalar oracle passes one row and an int). There is no decision cache:
+    the second stage is eight gathers and an argmax, cheaper than a probe.
     """
 
     extractor_tree: FuzzyTree
@@ -886,42 +791,6 @@ class TwoStageRuntime(_BatchedReplayMixin):
         for slot_pos in range(self.window):
             logits += self.slot_values[slot_pos][win[:, 0, slot_pos]]
         return np.argmax(logits, axis=1)
-
-    def _extract_index(self, packet: Packet, ipd_bucket: int | None) -> int:
-        vec = np.zeros(self.raw_bytes, dtype=np.float64)
-        take = min(packet.payload_len, self.raw_bytes)
-        vec[:take] = packet.payload[:take]
-        if self.feature_fn is not None:
-            vec = np.asarray(self.feature_fn(vec[None, :], ipd_bucket))[0]
-        idx = int(self.extractor_tree.predict_index(vec))
-        return min(idx, (1 << self.idx_bits) - 1)
-
-    def process_packet(self, packet: Packet) -> int | None:
-        """Feed one packet; returns its predicted class once its flow has a
-        full window of indexes, else None."""
-        slot, _ = self._acquire_one(packet)
-        cols = self.state.columns
-        count = int(cols["count"][slot, 0])
-        ipd_b = None
-        if self.needs_ipd:
-            cur_units = _ts_units(packet.ts)
-            ipd_b = (_ipd_bucket_from_units(cur_units, int(cols["prev_ts"][slot, 0]))
-                     if count else 0)
-        idx = self._extract_index(packet, ipd_b)
-
-        pred = None
-        if count >= self.window - 1:
-            indexes = [int(v) for v in cols["idx_hist"][slot]] + [idx]
-            logits = np.zeros(self.n_classes, dtype=np.int64)
-            for slot_pos, slot_idx in enumerate(indexes):
-                logits += self.slot_values[slot_pos][slot_idx]
-            pred = int(np.argmax(logits))
-
-        self.state.shift_in(slot, "idx_hist", idx)
-        if self.needs_ipd:
-            self.state.write(slot, "prev_ts", cur_units)
-        self.state.write(slot, "count", min(count + 1, 255))
-        return pred
 
     def _replay_columns(self, cols) -> dict[str, np.ndarray]:
         step = {"ts": np.asarray(cols["ts"], dtype=np.float64)}

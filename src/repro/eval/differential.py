@@ -3,8 +3,8 @@
 The engine's core promise is that every serving configuration —
 topology x cache x lookup backend x runtime kind, at any batch size — emits
 **bit-identical decisions** to the per-packet scalar reference
-(:func:`scalar_replay`, the one loop that drives ``process_packet``). The
-lookup and cache axes are per runtime (:data:`RUNTIME_BACKENDS`,
+(:func:`scalar_replay`: :mod:`repro.eval.oracle`, sharing no served code).
+The lookup and cache axes are per runtime (:data:`RUNTIME_BACKENDS`,
 :data:`RUNTIME_CACHES`): ``windowed`` serves ``index`` and ``tcam-pruned``
 with any cache, ``two_stage`` serves ``index`` with no cache. The unit
 tests assert it on one static mix; this harness turns the claim into a
@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.dataplane import runtime as dataplane_runtime
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
+from repro.eval.oracle import ScalarOracle
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
 from repro.net.traces import Trace, flow_ids, trace_to_bytes, write_trace
 from repro.serving.engine import (EngineConfig, PegasusEngine,
@@ -224,24 +225,11 @@ def default_sources(seed: int = 0) -> dict:
 
 def scalar_replay(replica, trace: Trace, labels: np.ndarray,
                   positions: np.ndarray | None = None) -> list[PacketDecision]:
-    """Drive ``replica.process_packet`` over every packet of ``trace``.
-
-    The per-packet scalar oracle: one packet at a time, no batching. Each
-    packet that gets a prediction yields a :class:`PacketDecision` carrying
-    its label and timestamp; its ``seq`` is the packet's position in
-    ``trace``, or ``positions[i]`` when given (a subsequence replayed at
-    its global positions). The replica's own state and cache (if any)
-    carry over from earlier calls.
-    """
-    seq = np.arange(len(trace)) if positions is None else positions
-    decisions = []
-    for i, packet in enumerate(trace.packets):
-        pred = replica.process_packet(packet)
-        if pred is not None:
-            decisions.append(PacketDecision(
-                flow_label=int(labels[i]), predicted=pred, ts=packet.ts,
-                seq=int(seq[i])))
-    return decisions
+    """Replay ``trace`` one packet at a time through a cold
+    :class:`~repro.eval.oracle.ScalarOracle` of ``replica``'s configuration
+    (see :meth:`~repro.eval.oracle.ScalarOracle.replay`); ``replica`` itself,
+    its registers and its cache are not touched."""
+    return ScalarOracle.of(replica).replay(trace, labels, positions)
 
 
 def scalar_reference(source, runtime_kind: str, trace: Trace,
@@ -251,9 +239,9 @@ def scalar_reference(source, runtime_kind: str, trace: Trace,
     """Per-packet ground-truth replay of a trace (no batching, no cache).
 
     Builds one replica of ``runtime_kind`` from ``source`` through the
-    engine's own replica factory and replays it with
-    :func:`scalar_replay` — the pre-batching reference every matrix point
-    must reproduce bit-for-bit.
+    engine's own replica factory and replays its configuration with
+    :func:`scalar_replay` — the reference every matrix point must reproduce
+    bit-for-bit.
     """
     config = EngineConfig(runtime=runtime_kind, feature_mode=feature_mode,
                           capacity=capacity)

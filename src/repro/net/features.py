@@ -69,8 +69,8 @@ def stats_from_buckets(lens: list[int], ipds: list[int]) -> np.ndarray:
 
     Layout: [max_len, min_len, max_ipd, min_ipd,
              len buckets of first 6 packets, ipd buckets of first 6 gaps].
-    Shared by the offline extractor and the switch runtime so both compute
-    the identical feature vector.
+    The offline extractor's vector; the windowed runtime's batched features
+    and the scalar oracle build the same one from their bucket windows.
     """
     if not lens:
         raise ShapeError("cannot extract features from an empty window")

@@ -113,18 +113,6 @@ def pack_flow_keys(cols: dict[str, np.ndarray]) -> np.ndarray:
     return words
 
 
-def flow_key_words(key: FlowKey) -> np.ndarray:
-    """:func:`pack_flow_keys` of one key: a ``(1, 2)`` uint64 row."""
-    for name, bits, value in zip(KEY_COLUMN_NAMES, KEY_FIELD_BITS, key):
-        if not 0 <= value < (1 << bits):
-            raise TraceFormatError(f"key field {name} {value} outside its "
-                                   f"SPCAP1 range [0, {(1 << bits) - 1}]")
-    c = key.canonical()
-    return np.array([[(c.src_ip << 32) | c.dst_ip,
-                      (c.src_port << 24) | (c.dst_port << 8) | c.proto]],
-                    dtype=np.uint64)
-
-
 def flow_ids(words: np.ndarray) -> list[bytes]:
     """One hashable id per row of packed key words (its 16 raw bytes).
 
@@ -272,7 +260,7 @@ class Trace:
     @property
     def packets(self) -> tuple[Packet, ...]:
         """The packets as objects, built on first access (the per-packet
-        scalar reference path reads them; serving never does)."""
+        scalar oracle reads them; serving never does)."""
         if self._packets is None:
             data = self.payload_data
             object.__setattr__(self, "_packets", tuple(

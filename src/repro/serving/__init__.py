@@ -1,10 +1,10 @@
 """Batched serving layer: shard, cache, and replay traces at scale.
 
-The dataplane runtimes in :mod:`repro.dataplane.runtime` decide one packet
-at a time through ``process_packet`` (the scalar oracle,
-:func:`repro.eval.differential.scalar_replay`); this package is the
-throughput path that drives them in **NumPy batches** across **multiple
-pipeline replicas** — serially simulated or genuinely concurrent.
+The scalar oracle (:mod:`repro.eval.oracle`, run by
+:func:`repro.eval.differential.scalar_replay`) decides one packet at a
+time; this package is the throughput path that drives the dataplane
+runtimes of :mod:`repro.dataplane.runtime` in **NumPy batches** across
+**multiple pipeline replicas** — serially simulated or genuinely concurrent.
 
 The front door is :class:`PegasusEngine` (:mod:`repro.serving.engine`): one
 frozen :class:`EngineConfig` names the runtime kind, lookup backend,

@@ -61,8 +61,8 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-# Placeholder a batched replay inserts at the cache position where the scalar
-# path would have inserted the real decision, before the batch's single model
+# Placeholder a batched replay inserts at the cache position where a
+# one-packet step would insert the real decision, before the batch's single model
 # invocation has produced it. Reserving the slot in row order keeps the LRU
 # recency/eviction sequence — and therefore every subsequent hit/miss count —
 # bit-identical to per-packet replay; ``fill`` swaps in the real decision
@@ -183,7 +183,7 @@ class FlowDecisionCache:
         No stat counting, no recency refresh: the lookup/insert already
         happened (in row order) when the placeholder went in; this only
         supplies the decision value. A placeholder evicted in the meantime
-        stays evicted — exactly what the scalar path's entry would have done.
+        stays evicted — exactly what a one-packet step's entry would have done.
         """
         if key in self._entries:
             self._entries[key] = decision
@@ -303,8 +303,8 @@ class TwoLevelDecisionCache:
     The runtime drives the levels explicitly (``two_level`` marks the
     protocol): :meth:`exact_get` probes L1; on miss :meth:`approx_get`
     probes the L2 with the row's feature vector; only when both miss does
-    the model run, after which :meth:`insert` (scalar) or
-    :meth:`reserve` + :meth:`fill` (batched) populate both levels. An L2 hit
+    the model run, after which :meth:`reserve_l2` + :meth:`fill` populate
+    both levels (:meth:`insert` does both at once). An L2 hit
     is *promoted* into L1, so a flow that keeps repeating the window turns
     its approximate hits into exact ones.
 
@@ -315,7 +315,7 @@ class TwoLevelDecisionCache:
     ``l2_admit`` is the per-phase admission knob: when False the runtime
     keeps probing both levels (hits stay hits) but skips the L2 insert — and
     with it the box-certificate computation — on every miss, populating only
-    the exact L1 via :meth:`insert_l1_only` / :meth:`skip_l2_insert`.
+    the exact L1 (counted by :meth:`skip_l2_insert`).
     Decisions are unaffected either way (cache contents never change a
     decision), so a phase can flip the knob freely; skipped inserts are
     counted in ``stats.l2_skipped``.
@@ -371,20 +371,10 @@ class TwoLevelDecisionCache:
 
     def insert(self, key, feats: np.ndarray, box_lo: np.ndarray,
                box_hi: np.ndarray, decision: int) -> None:
-        """Populate both levels after a model invocation (scalar path)."""
+        """Populate both levels after a model invocation, in one call."""
         self.l1.put(key, decision)
         _, evicted = self.l2.insert(feats, box_lo, box_hi, decision)
         self.stats.evictions += evicted
-
-    def insert_l1_only(self, key, decision: int) -> None:
-        """Scalar-path miss population with the L2 gate closed.
-
-        Keeps the L1 op sequence identical to :meth:`insert` (same ``put``,
-        same recency churn) while skipping the L2 entry — the caller also
-        skipped the box-certificate computation, which is the point.
-        """
-        self.l1.put(key, decision)
-        self.stats.l2_skipped += 1
 
     def skip_l2_insert(self) -> None:
         """Batched-path miss accounting with the L2 gate closed.
@@ -403,10 +393,10 @@ class TwoLevelDecisionCache:
         L2-only on purpose: the batched protocol already reserved the L1
         slot (via :meth:`promote` with PENDING) at the row's pass-1
         position — reserving it again here would refresh its LRU recency
-        and diverge from the scalar op sequence. The L2 entry carries
+        and diverge from the per-packet op sequence. The L2 entry carries
         ``key`` as its group tag, so later same-cell rows of the same flush
         can join this row's model group — exactly the rows that would have
-        hit the real entry under scalar replay.
+        hit the real entry in one-packet steps.
         """
         entry, evicted = self.l2.insert(feats, box_lo, box_hi, PENDING,
                                         group_key=key)

@@ -406,6 +406,21 @@ class TestLeafGrid:
         np.testing.assert_array_equal(          # float input: nothing fused
             layer.forward_int(x.astype(np.float64)), want)
         assert layer.forward_int(x[:0]).shape == (0, layer.out_dim)
+        # One row on each table's largest reachable class-0 entry: its sum
+        # saturates at the top of the format, which no row above reaches.
+        top = np.zeros((1, 10), dtype=np.int64)
+        for t in layer.tables:
+            start, stop = t.segment
+            if t.kind == "exact":
+                top[0, start] = t.exact_lo + int(np.argmax(t.values_int[:, 0]))
+                continue
+            lo, hi = t.leaf_box_arrays()
+            reachable = (lo <= hi).all(axis=1)
+            best = np.argmax(np.where(reachable, t.values_int[:, 0], -10**9))
+            top[0, start:stop] = lo[best]
+        want = _walk_forward(layer, top)
+        assert not sum_reduce or want[0, 0] == fmt.int_max
+        np.testing.assert_array_equal(layer.forward_int(top), want)
         # Tables replaced behind the layer's back are picked up too.
         layer.tables[0] = _grid_table(rng, 2, 8, False, start=0)
         np.testing.assert_array_equal(layer.forward_int(x),

@@ -1,12 +1,14 @@
 """Batched-vs-scalar bit-exactness of the dataplane runtimes.
 
 The contract under test: for any batch size, the batched vectorized replay
-produces the *same decisions in the same order* as the per-packet reference
-path (``process_packet``, driven by ``scalar_replay``) — including under
-register-capacity eviction churn and when the model is a placed Pipeline
-instead of a bare CompiledModel.
+produces the *same decisions in the same order* as the per-packet scalar
+oracle (:class:`repro.eval.oracle.ScalarOracle`, driven by
+``scalar_replay``) — including under register-capacity eviction churn and
+when the model is a placed Pipeline instead of a bare CompiledModel — and
+leaves the registers holding the oracle's per-flow state.
 """
 
+import dataclasses
 import functools
 import gc
 import tracemalloc
@@ -22,53 +24,75 @@ import repro.dataplane.runtime as runtime_module
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.eval.differential import build_two_stage_spec, scalar_replay
+from repro.eval.oracle import ScalarOracle, ipd_bucket
+from repro.net.flow import Flow
+from repro.net.packet import FlowKey, Packet
+from repro.net.traces import Trace, flow_ids
 
 BATCH_SIZES = (1, 7, 256)
+
+
+def _both_directions(flows):
+    """``flows`` with the first flow's every other packet sent in reverse,
+    so one flow arrives under both orientations of its 5-tuple."""
+    first = flows[0]
+    packets = [dataclasses.replace(p, key=p.key.reversed()) if i % 2 else p
+               for i, p in enumerate(first.packets)]
+    return [Flow(key=first.key, packets=packets, label=first.label),
+            *flows[1:]]
 
 
 class TestWindowedBatched:
     @pytest.mark.parametrize("mode", ["seq", "stats"])
     def test_bit_exact_across_batch_sizes(self, compiled16, replay_flows, mode):
+        flows = _both_directions(replay_flows)
+        trace, labels = flows_to_trace(flows)
+        assert len(set(trace.canonical_keys())) < len(set(
+            p.key for p in trace.packets))     # a flow in two orientations
         ref = scalar_replay(WindowedClassifierRuntime(
-            compiled16, feature_mode=mode), *flows_to_trace(replay_flows))
+            compiled16, feature_mode=mode), trace, labels)
         assert ref  # the workload must actually produce decisions
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode=mode, batch_size=batch_size)
-            assert list(runtime.process_flows(replay_flows)) == ref
+            assert list(runtime.process_flows(flows)) == ref
 
     def test_bit_exact_under_eviction(self, compiled16, replay_flows):
-        ref_rt = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", capacity=5)
-        ref = scalar_replay(ref_rt, *flows_to_trace(replay_flows))
-        assert ref_rt.state.evictions > 0
+        oracle = ScalarOracle.of(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats", capacity=5))
+        ref = oracle.replay(*flows_to_trace(replay_flows))
+        assert oracle.evictions > 0
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode="stats", capacity=5,
                 batch_size=batch_size)
             assert list(runtime.process_flows(replay_flows)) == ref
-            assert runtime.state.evictions == ref_rt.state.evictions
+            assert runtime.state.evictions == oracle.evictions
 
     @pytest.mark.parametrize("mode", ["seq", "stats"])
     @pytest.mark.parametrize("capacity", [1_000, 5])
     def test_register_state_matches_scalar(self, compiled16, replay_flows,
-                                           mode, capacity):
-        """Every register and the eviction count end equal to the per-packet
-        replay's, not just the decisions: a bad history write-back would
-        otherwise show only in a later serve."""
-        ref = WindowedClassifierRuntime(compiled16, feature_mode=mode,
-                                        capacity=capacity)
-        scalar_replay(ref, *flows_to_trace(replay_flows))
+                                           registers_match, mode, capacity):
+        """Every live flow's registers, the live-flow set and the eviction
+        count end equal to the oracle's per-flow state, not just the
+        decisions: a bad history write-back, or a reused slot that is not
+        zeroed, would otherwise show only in a later serve."""
+        # A three-packet flow after all the others: under eviction it ends
+        # in a reused slot with its history only partly refilled.
+        first, key = replay_flows[0], FlowKey(9, 9, 9, 9, 17)
+        shift = max(f.packets[-1].ts for f in replay_flows) + 1.0 - first.start_ts
+        late = [dataclasses.replace(p, key=key, ts=p.ts + shift)
+                for p in first.packets[:3]]
+        flows = [*replay_flows, Flow(key=key, packets=late, label=0)]
+        oracle = ScalarOracle.of(WindowedClassifierRuntime(
+            compiled16, feature_mode=mode, capacity=capacity))
+        oracle.replay(*flows_to_trace(flows))
         for batch_size in BATCH_SIZES:
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode=mode, capacity=capacity,
                 batch_size=batch_size)
-            runtime.process_flows(replay_flows)
-            assert runtime.state.columns.keys() == ref.state.columns.keys()
-            for name, column in ref.state.columns.items():
-                np.testing.assert_array_equal(
-                    runtime.state.columns[name], column, err_msg=name)
-            assert runtime.state.evictions == ref.state.evictions
+            runtime.process_flows(flows)
+            registers_match(runtime.state, oracle)
 
     def test_registers_allocated_once(self, compiled16):
         """The history fields are views of one bank: building the runtime
@@ -87,17 +111,21 @@ class TestWindowedBatched:
         assert peak - before <= 1.05 * 17 * capacity
 
     def test_pipeline_model_matches_compiled(self, compiled16, replay_flows):
-        """A placed Pipeline behind the runtime decides like the raw model."""
+        """A placed Pipeline behind the runtime (and behind the oracle, which
+        reads its ``model``) decides like the raw model."""
         pipeline = place_model(compiled16, TOFINO2)
+        trace, labels = flows_to_trace(replay_flows)
         ref = scalar_replay(WindowedClassifierRuntime(
-            compiled16, feature_mode="seq"), *flows_to_trace(replay_flows))
+            compiled16, feature_mode="seq"), trace, labels)
+        assert scalar_replay(WindowedClassifierRuntime(
+            pipeline, feature_mode="seq"), trace, labels) == ref
         runtime = WindowedClassifierRuntime(
             pipeline, feature_mode="seq", batch_size=64)
         assert list(runtime.process_flows(replay_flows)) == ref
 
     def test_window_below_two_is_refused(self, compiled16):
-        """A one-packet window has no stored history for the scalar path to
-        shift into, so the runtime refuses it before any replay."""
+        """A one-packet window has no stored history to shift into, so the
+        runtime refuses it before any replay."""
         with pytest.raises(ConfigError) as exc:
             WindowedClassifierRuntime(compiled16, window=1)
         assert exc.value.field == "window"
@@ -148,21 +176,19 @@ class TestModelStage:
     @pytest.mark.parametrize("stage_rows", [1, 7, 64])
     @pytest.mark.parametrize("capacity", [1_000, 5])
     def test_stage_boundaries_match_scalar(self, make_runtime, replay_flows,
-                                           monkeypatch, stage_rows, capacity):
+                                           registers_match, monkeypatch,
+                                           stage_rows, capacity):
         """Stage cuts that fall inside a flow's window, at every batch size
         and under eviction, change no decision and no register."""
         trace, labels = flows_to_trace(replay_flows)
-        ref_rt = make_runtime(capacity=capacity)
-        ref = scalar_replay(ref_rt, trace, labels)
+        oracle = ScalarOracle.of(make_runtime(capacity=capacity))
+        ref = oracle.replay(trace, labels)
         assert len(ref) > stage_rows
         monkeypatch.setattr(runtime_module, "MODEL_STAGE_ROWS", stage_rows)
         for batch_size in BATCH_SIZES:
             runtime = make_runtime(capacity=capacity, batch_size=batch_size)
             assert list(runtime.process_trace(trace, labels)) == ref
-            for name, column in ref_rt.state.columns.items():
-                np.testing.assert_array_equal(
-                    runtime.state.columns[name], column, err_msg=name)
-            assert runtime.state.evictions == ref_rt.state.evictions
+            registers_match(runtime.state, oracle)
 
     @pytest.mark.parametrize("batch_size", [7, 256])
     def test_stage_rows_are_a_bound(self, make_runtime, replay_flows,
@@ -285,8 +311,8 @@ class TestVectorFlowState:
         bank = state.banks["h"]
         assert bank.shape == (4, 2, 3) and bank.dtype == np.uint8
         assert layout.bits_per_flow == 48
-        state.shift_in(1, "b", 7)
-        state.write(1, "a", 5, index=2)
+        state.columns["b"][1, 2] = 7
+        state.columns["a"][1, 2] = 5
         assert bank[1].tolist() == [[0, 0, 5], [0, 0, 7]]
         with pytest.raises(PipelineError, match="mixes"):
             VectorFlowState(FlowStateLayout(fields=[
@@ -294,42 +320,43 @@ class TestVectorFlowState:
                 RegisterField("b", 8, count=2, bank="h"),
             ]))
 
+    @staticmethod
+    def _words(*ports):
+        """Packed key rows of flows ``1:port -> 2:80``, one per port."""
+        return Trace([Packet(ts=0.0, length=60, key=FlowKey(1, 2, p, 80, 6))
+                      for p in ports]).key_words
+
     def test_fifo_eviction_zeroes_reused_slot(self):
-        from repro.net.packet import FlowKey
-        from repro.net.traces import flow_key_words
         state = VectorFlowState(self._layout(), capacity=2)
-        k1, k2, k3 = (flow_key_words(FlowKey(1, 2, p, 80, 6))
-                      for p in (1000, 1001, 1002))
+        k1, k2, k3 = (self._words(p) for p in (1000, 1001, 1002))
         slot1 = int(state.acquire(k1).slots[0])
-        state.write(slot1, "prev_ts", 1234)
+        state.columns["prev_ts"][slot1] = 1234
+        state.columns["idx_hist"][slot1] = 9
         state.acquire(k2)
         slot3 = int(state.acquire(k3).slots[0])
         assert slot3 == slot1                   # FIFO: k1 was oldest
         assert state.evictions == 1
-        assert state.read(slot3, "prev_ts") == 0   # reused slot starts zeroed
-        assert state.slot_of(k1) is None
+        # The reused slot starts zeroed, every column of it.
+        assert all(not column[slot3].any() for column in state.columns.values())
+        assert flow_ids(k1)[0] not in state._slot_of
 
     def test_acquire_refuses_blocked_victim(self):
         """A batch is cut before an eviction of a slot it already uses."""
-        from repro.net.packet import FlowKey
-        from repro.net.traces import flow_key_words
         state = VectorFlowState(self._layout(), capacity=1)
-        k1 = flow_key_words(FlowKey(1, 2, 1000, 80, 6))
-        k2 = flow_key_words(FlowKey(1, 2, 1001, 80, 6))
+        k1, k2 = self._words(1000), self._words(1001)
         slot1 = int(state.acquire(k1).slots[0])
         batch = state.acquire(np.concatenate([k1, k2]))
         assert batch.rows == 1                  # cut before k2's eviction
         assert batch.slots.tolist() == [slot1]
         assert state.evictions == 0             # refusal must not mutate
-        assert state.slot_of(k1) == slot1
+        assert state._slot_of[flow_ids(k1)[0]] == slot1
         assert state.acquire(k2).rows == 1      # next batch: evicts k1
         assert state.evictions == 1
 
 
 def test_ipd_bucket_table_matches_scalar():
-    """The batched step's IPD bucket table equals the scalar bucketing on
-    every 16-bit timestamp difference."""
-    from repro.dataplane.runtime import (TS_MASK, _IPD_BUCKET_OF_UNITS,
-                                         _ipd_bucket_from_units)
+    """The batched step's IPD bucket table equals the oracle's ``math.log2``
+    bucketing on every 16-bit timestamp difference."""
+    from repro.dataplane.runtime import TS_MASK, _IPD_BUCKET_OF_UNITS
     assert _IPD_BUCKET_OF_UNITS.tolist() == [
-        _ipd_bucket_from_units(units, 0) for units in range(TS_MASK + 1)]
+        ipd_bucket(units) for units in range(TS_MASK + 1)]

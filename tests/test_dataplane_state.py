@@ -8,13 +8,17 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from repro import nn
-from repro.errors import PipelineError
 from repro.core import PegasusCompiler, CompilerConfig
+from repro.core.fuzzy import FuzzyTree
 from repro.dataplane import (
     FlowStateLayout, RegisterField, VectorFlowState,
     summarize_resources, TOFINO2, line_rate_pps, measure_model_throughput,
 )
-from repro.net.traces import flow_ids
+from repro.dataplane.runtime import TwoStageRuntime
+from repro.eval.differential import build_two_stage_spec, scalar_replay
+from repro.eval.oracle import ScalarOracle
+from repro.net.packet import FlowKey, Packet
+from repro.net.traces import TS_UNIT_SECONDS, Trace, flow_ids
 
 
 def _layout():
@@ -35,8 +39,11 @@ class TestFlowStateLayout:
         assert 0.2 < frac < 0.3  # ~22% of 200 Mb
 
     def test_unknown_field(self):
+        """A state holds a column for each declared field and no other."""
+        state = VectorFlowState(_layout(), capacity=2)
+        assert sorted(state.columns) == ["idx_hist", "prev_ts"]
         with pytest.raises(KeyError):
-            _layout().field("nope")
+            state.columns["nope"]
 
 
 class _ReferenceTable:
@@ -167,47 +174,89 @@ class TestFlowSlotTable:
         assert len(table) == len(table._owner) == 5
 
 
+def _wrapping_trace(n_flows=6, n_packets=12, seed=0):
+    """Interleaved flows whose timestamps run past the 16-bit ``prev_ts``
+    register (65,536 units of 64 us, ~4.2 s), with payloads shorter and
+    longer than the 60 raw bytes the two-stage runtime reads."""
+    rng = np.random.default_rng(seed)
+    packets = [
+        Packet(ts=float(ts), length=int(rng.integers(40, 1500)),
+               key=FlowKey(10, 20 + f, 1000 + f, 80, 6),
+               payload=rng.integers(0, 256, size=int(rng.integers(20, 90)),
+                                    dtype=np.uint8))
+        for f in range(n_flows)
+        for ts in np.cumsum(rng.uniform(0.0, 1.5, size=n_packets))]
+    trace = Trace(sorted(packets, key=lambda p: p.ts))
+    assert (trace.ts / TS_UNIT_SECONDS).max() > 0xFFFF
+    return trace
+
+
 class TestRegisterAccess:
-    """Scalar register access by slot (the reference path's accessors)."""
+    """What a replay leaves in the registers, read through ``columns`` and
+    checked against the scalar oracle's per-flow records."""
 
-    def _state(self):
-        state = VectorFlowState(_layout(), capacity=4)
-        return state, int(state.acquire(_words([7])).slots[0])
+    def _replay(self, registers_match, trace=None, capacity=64, **spec):
+        """A two-stage replay with a live ``prev_ts`` register: batched
+        decisions equal the oracle's, and so do the registers."""
+        trace = _wrapping_trace() if trace is None else trace
+        labels = np.zeros(len(trace), dtype=np.int64)
+        runtime = TwoStageRuntime(capacity=capacity, needs_ipd=True,
+                                  **{**build_two_stage_spec(0), **spec})
+        oracle = ScalarOracle.of(runtime)
+        assert list(runtime.process_trace(trace, labels, batch_size=5)) \
+            == oracle.replay(trace, labels)
+        registers_match(runtime.state, oracle)
+        return runtime, oracle
 
-    def test_write_read(self):
-        state, slot = self._state()
-        state.write(slot, "prev_ts", 1234)
-        assert state.read(slot, "prev_ts") == 1234
+    def test_write_read(self, registers_match):
+        runtime, oracle = self._replay(registers_match)
+        columns = runtime.state.columns
+        assert columns["prev_ts"].any() and columns["idx_hist"].any()
+        assert len(oracle.flows) == 6
 
-    def test_width_enforced(self):
-        state, slot = self._state()
-        with pytest.raises(PipelineError):
-            state.write(slot, "idx_hist", 16)  # 4-bit register
-        with pytest.raises(PipelineError):
-            state.write(slot, "prev_ts", 1 << 16)
-        with pytest.raises(PipelineError):
-            state.shift_in(slot, "idx_hist", 16)
+    def test_width_enforced(self, registers_match):
+        """A tree with more leaves than ``idx_bits`` can name is clamped,
+        and ``prev_ts`` wraps: no register exceeds its field width."""
+        rng = np.random.default_rng(4)
+        tree = FuzzyTree.fit(rng.uniform(0, 255, size=(300, 60)), n_leaves=32)
+        assert tree.n_leaves > 1 << 4
+        runtime, oracle = self._replay(registers_match, extractor_tree=tree)
+        for f in runtime.state.layout.fields:
+            assert int(runtime.state.columns[f.name].max()) < 1 << f.bits
+        assert max(max(r.hist[0]) for r in oracle.flows.values()) == 15
 
-    def test_index_bounds(self):
-        state, slot = self._state()
-        with pytest.raises(PipelineError):
-            state.write(slot, "idx_hist", 1, index=7)
+    def test_index_bounds(self, registers_match):
+        """Under eviction every live flow holds a slot below ``capacity``,
+        and each register row holds its field's ``count`` entries."""
+        runtime, oracle = self._replay(registers_match, capacity=3)
+        state = runtime.state
+        assert oracle.evictions > 0 and len(state) == len(oracle.flows) == 3
+        assert sorted(state._slot_of.values()) == [0, 1, 2]
+        for f in state.layout.fields:
+            assert state.columns[f.name].shape == (3, f.count)
+        assert all(len(r.hist[0]) == 7 for r in oracle.flows.values())
 
-    def test_shift_in(self):
-        state, slot = self._state()
-        for v in range(9):
-            state.shift_in(slot, "idx_hist", v)
-        assert state.columns["idx_hist"][slot].tolist() == [2, 3, 4, 5, 6, 7, 8]
+    def test_shift_in(self, registers_match):
+        """After nine packets a flow's index history is its last seven
+        indexes, oldest first."""
+        trace = _wrapping_trace(n_flows=1, n_packets=9)
+        runtime, _ = self._replay(registers_match, trace=trace)
+        indexes = np.minimum(runtime.extractor_tree.predict_index(
+            trace.payload_matrix(60)), 15)
+        assert runtime.state.columns["idx_hist"][0].tolist() \
+            == indexes[2:].tolist()
 
     def test_read_never_changes_state(self):
-        state, slot = self._state()
-        state.acquire(_words([1, 2, 3]))
+        """The oracle reads a runtime's configuration, never its registers:
+        replaying it leaves the runtime's state as it was."""
+        trace = _wrapping_trace()
+        labels = np.zeros(len(trace), dtype=np.int64)
+        runtime = TwoStageRuntime(needs_ipd=True, **build_two_stage_spec(0))
+        runtime.process_trace(trace[:40], labels[:40])
+        state = runtime.state
         before = ({n: c.copy() for n, c in state.columns.items()},
                   dict(state._slot_of), list(state._owner), state.evictions)
-        for s in range(state.capacity):
-            for f in state.layout.fields:
-                for i in range(f.count):
-                    state.read(s, f.name, i)
+        assert scalar_replay(runtime, trace, labels)
         after = ({n: c.copy() for n, c in state.columns.items()},
                  dict(state._slot_of), list(state._owner), state.evictions)
         assert all(np.array_equal(before[0][n], after[0][n])

@@ -420,12 +420,15 @@ class TestRuntimeBackend:
         assert scalar == list(index) == list(tcam)
 
     def test_windowed_scalar_path_uses_backend(self, compiled16, replay_flows):
+        """One-packet steps through the TCAM backend decide as the oracle,
+        which reads the model's arrays whatever backend a replica names."""
+        trace, labels = flows_to_trace(replay_flows)
         ref = scalar_replay(WindowedClassifierRuntime(
-            compiled16, feature_mode="stats"), *flows_to_trace(replay_flows))
-        got = scalar_replay(WindowedClassifierRuntime(
-            compiled16, feature_mode="stats",
-            lookup_backend="tcam-pruned"), *flows_to_trace(replay_flows))
-        assert got == ref
+            compiled16, feature_mode="stats"), trace, labels)
+        tcam = WindowedClassifierRuntime(
+            compiled16, feature_mode="stats", lookup_backend="tcam-pruned")
+        assert scalar_replay(tcam, trace, labels) == ref
+        assert list(tcam.process_trace(trace, labels, batch_size=1)) == ref
 
     def test_set_lookup_backend_validates(self, compiled16):
         runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.dataplane.runtime import WindowedClassifierRuntime, flows_to_trace
 from repro.dataplane.schema import DECISION_COLUMNS
-from repro.eval.differential import scalar_replay
+from repro.eval.oracle import ScalarOracle
 
 FIELDS = ("seq", "flow_label", "predicted", "ts")
 
@@ -77,15 +77,14 @@ class TestDecisionBatchAlgebra:
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_iteration_is_the_scalar_oracle(compiled16, replay_flows, batch_size,
                                         capacity):
-    ref_rt = WindowedClassifierRuntime(compiled16, feature_mode="stats",
-                                       capacity=capacity)
-    ref = scalar_replay(ref_rt, *flows_to_trace(replay_flows))
     runtime = WindowedClassifierRuntime(compiled16, feature_mode="stats",
                                         capacity=capacity,
                                         batch_size=batch_size)
+    oracle = ScalarOracle.of(runtime)
+    ref = oracle.replay(*flows_to_trace(replay_flows))
     got = runtime.process_flows(replay_flows)
     assert isinstance(got, DecisionBatch) and len(got) > 0
     assert list(got) == ref
-    assert runtime.state.evictions == ref_rt.state.evictions
+    assert runtime.state.evictions == oracle.evictions
     if capacity == 4:
         assert runtime.state.evictions > 0

@@ -7,6 +7,7 @@ import pytest
 
 import repro.dataplane.runtime as runtime_module
 from repro.eval import differential as dfl
+from repro.eval.oracle import ScalarOracle
 from repro.net import build_scenario, read_trace, scenario_names
 from repro.serving.engine import lookup_backends
 
@@ -178,8 +179,9 @@ class TestScalarReference:
 
     def test_scalar_replay_positions_and_carried_state(self, sources,
                                                        workload):
-        """``positions`` relabels ``seq`` only; a second call continues from
-        the replica's state, exactly like one call over the whole trace."""
+        """``positions`` relabels ``seq`` only; a second ``replay`` of one
+        oracle continues from its state, exactly like one call over the
+        whole trace."""
         from repro.serving import PegasusEngine
         trace, labels = workload.trace, workload.labels
         whole = dfl.scalar_reference(sources["two_stage"], "two_stage",
@@ -192,10 +194,11 @@ class TestScalarReference:
         replica = PegasusEngine(
             source=sources["two_stage"], runtime="two_stage",
             capacity=dfl.DEFAULT_CAPACITY)._replica_factory()
+        oracle = ScalarOracle.of(replica)
         half = len(trace) // 2
-        first = dfl.scalar_replay(replica, trace[:half], labels[:half])
-        rest = dfl.scalar_replay(replica, trace[half:], labels[half:],
-                                 positions=np.arange(half, len(trace)))
+        first = oracle.replay(trace[:half], labels[:half])
+        rest = oracle.replay(trace[half:], labels[half:],
+                             positions=np.arange(half, len(trace)))
         assert first + rest == whole
 
     def test_two_stage_spec_deterministic(self):

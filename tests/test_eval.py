@@ -10,9 +10,11 @@ from repro.eval.metrics import (
 from repro.eval.reporting import render_table
 from repro.eval.runner import run_table2, run_table5
 from repro.dataplane.runtime import WindowedClassifierRuntime
+from repro.eval.oracle import ScalarOracle
 from repro.models import build_model
 from repro.net import make_dataset
 from repro.net.features import dataset_views
+from repro.net.traces import Trace
 
 
 class TestConfusion:
@@ -111,9 +113,12 @@ class TestWindowedRuntime:
         model.train(views)
         model.compile_dataplane(views)
         runtime = WindowedClassifierRuntime(model.compiled, feature_mode="stats")
-        for pkt in flow.packets[:7]:
-            assert runtime.process_packet(pkt) is None
-        assert runtime.process_packet(flow.packets[7]) is not None
+        trace = Trace(flow.packets[:8])
+        labels = np.zeros(8, dtype=np.int64)
+        ref = ScalarOracle.of(runtime).replay(trace, labels)
+        # The eighth packet completes the window; the seven before it wait.
+        assert [d.seq for d in ref] == [7]
+        assert list(runtime.process_trace(trace, labels)) == ref
 
     def test_bits_per_flow(self):
         ds = make_dataset("peerrush", flows_per_class=2, seed=0)

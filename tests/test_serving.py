@@ -410,19 +410,22 @@ class TestFlowDecisionCache:
         assert cache.stats.hit_rate > 0.8
 
     def test_scalar_and_batched_share_cache_layout(self, compiled16):
-        """Scalar replay primes the cache; batched replay hits it."""
+        """A replay in one-packet steps primes the cache; a replay in
+        16-packet steps hits it, and both decide as the oracle."""
         trace = constant_rate_flow(n_packets=40)
+        labels = np.full(len(trace), -1)
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), trace, labels)
         cache = FlowDecisionCache(capacity=64)
-        scalar_rt = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", decision_cache=cache)
-        ref = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
+        primed = WindowedClassifierRuntime(
+            compiled16, feature_mode="stats", batch_size=1,
+            decision_cache=cache).process_trace(trace, labels)
         primed_misses = cache.stats.misses
         batched_rt = WindowedClassifierRuntime(
             compiled16, feature_mode="stats", batch_size=16,
             decision_cache=cache)
-        got = batched_rt.process_trace(trace)
-        assert [(d.predicted, d.ts) for d in got] == \
-            [(d.predicted, d.ts) for d in ref]
+        got = batched_rt.process_trace(trace, labels)
+        assert list(primed) == list(got) == ref
         assert cache.stats.misses == primed_misses   # zero new misses
 
     def test_failed_model_invocation_leaves_no_pending(self, compiled16):
@@ -449,21 +452,15 @@ class TestFlowDecisionCache:
         with pytest.raises(RuntimeError, match="transient"):
             flaky.process_trace(trace)
         assert not any(v is PENDING for v in cache._entries.values())
-        # The same (now-clean) cache serves a fresh replica correctly, on
-        # both the batched and the scalar path.
-        ref = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats",
-            batch_size=16).process_trace(trace)
-        got = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", batch_size=16,
-            decision_cache=cache).process_trace(trace)
-        assert [(d.predicted, d.ts) for d in got] == \
-            [(d.predicted, d.ts) for d in ref]
-        scalar_rt = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", decision_cache=cache)
-        scal = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
-        assert [(d.predicted, d.ts) for d in scal] == \
-            [(d.predicted, d.ts) for d in ref]
+        # The same (now-clean) cache serves fresh replicas correctly, in
+        # 16-packet and in one-packet steps: both decide as the oracle.
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), trace, np.full(len(trace), -1))
+        for batch_size in (16, 1):
+            got = WindowedClassifierRuntime(
+                compiled16, feature_mode="stats", batch_size=batch_size,
+                decision_cache=cache).process_trace(trace)
+            assert list(got) == ref, batch_size
 
     def test_fill_resolves_only_live_entries(self):
         from repro.serving.cache import PENDING
@@ -483,18 +480,21 @@ class TestFlowDecisionCache:
             self, compiled16, capacity, batch_size):
         """In-batch window dedup and LRU eviction in the same flush must not
         drift the counters: hits + misses == lookups, and the whole
-        hit/miss/evict stream equals per-packet replay's exactly."""
+        hit/miss/evict stream equals that of one-packet steps (where each
+        step holds one ready row, so the cache sees the per-packet order)."""
         packets = []
         for port, ipd in ((40000, 0.001), (40001, 0.00064), (40002, 0.0017)):
             packets.extend(constant_rate_flow(n_packets=50, port=port,
                                               ipd=ipd).packets)
         packets.sort(key=lambda p: p.ts)
         trace = Trace(packets)
+        ref = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), trace, np.full(len(trace), -1))
 
         scalar_cache = FlowDecisionCache(capacity=capacity)
-        scalar_rt = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", decision_cache=scalar_cache)
-        ref = scalar_replay(scalar_rt, trace, np.full(len(trace), -1))
+        WindowedClassifierRuntime(
+            compiled16, feature_mode="stats", batch_size=1,
+            decision_cache=scalar_cache).process_trace(trace)
 
         batched_cache = FlowDecisionCache(capacity=capacity)
         batched_rt = WindowedClassifierRuntime(
@@ -502,8 +502,7 @@ class TestFlowDecisionCache:
             decision_cache=batched_cache)
         got = batched_rt.process_trace(trace)
 
-        assert [(d.predicted, d.ts) for d in got] == \
-            [(d.predicted, d.ts) for d in ref]
+        assert list(got) == ref
         assert batched_cache.stats.hits + batched_cache.stats.misses \
             == batched_cache.stats.lookups == len(got)
         assert (batched_cache.stats.hits, batched_cache.stats.misses,
@@ -562,18 +561,21 @@ class TestCacheDegenerateCapacities:
     def test_zipf_replay_bit_identical_and_stats_faithful(
             self, compiled16, zipf_workload, capacity, batch_size):
         """At capacity 1 and 2, batched replay (PENDING placeholders evicted
-        within their own flush) must still match per-packet replay decision-
-        for-decision and counter-for-counter on a Zipf-skewed workload."""
+        within their own flush) must still match the oracle decision for
+        decision, and one-packet steps counter for counter, on a
+        Zipf-skewed workload."""
         trace, labels = zipf_workload.trace, zipf_workload.labels
 
         ref = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
             batch_size=batch_size).process_trace(trace, labels=labels)
+        scal = scalar_replay(WindowedClassifierRuntime(
+            compiled16, feature_mode="stats"), trace, labels)
 
         scalar_cache = FlowDecisionCache(capacity=capacity)
-        scalar_rt = WindowedClassifierRuntime(
-            compiled16, feature_mode="stats", decision_cache=scalar_cache)
-        scal = scalar_replay(scalar_rt, trace, labels)
+        WindowedClassifierRuntime(
+            compiled16, feature_mode="stats", batch_size=1,
+            decision_cache=scalar_cache).process_trace(trace, labels=labels)
 
         batched_cache = FlowDecisionCache(capacity=capacity)
         got = WindowedClassifierRuntime(

@@ -21,7 +21,7 @@ from repro.dataplane.runtime import (TwoStageRuntime,
                                      flows_to_trace)
 from repro.dataplane.schema import ColumnSchema
 from repro.errors import ConfigError, PegasusError
-from repro.eval.differential import scalar_replay
+from repro.eval.oracle import ScalarOracle
 from repro.net import build_scenario
 from repro.net.traces import Trace
 from repro.serving import EngineConfig, PegasusEngine, ServingReport
@@ -245,8 +245,9 @@ class TestRegisterStep:
                              [("local", 1), ("sharded", 3)])
     @pytest.mark.parametrize("runtime", ["windowed", "two_stage"])
     def test_step_cuts_match_scalar(self, compiled16, two_stage_spec,
-                                    replay_flows, monkeypatch, runtime,
-                                    topology, n_workers, capacity, step_rows):
+                                    replay_flows, registers_match,
+                                    monkeypatch, runtime, topology, n_workers,
+                                    capacity, step_rows):
         source = compiled16 if runtime == "windowed" else two_stage_spec
         trace, labels = flows_to_trace(replay_flows)
         monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", step_rows)
@@ -256,21 +257,18 @@ class TestRegisterStep:
         with PegasusEngine(source=source, config=config) as engine:
             report = engine.serve(trace, labels=labels)
             replicas = engine._driver.runtimes
-            # Each replica against the per-packet reference of its shard.
+            # Each replica against the scalar oracle of its shard.
             shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
                 % np.uint64(n_workers)
             want, steps, evictions = [], 0, 0
             for s, replica in enumerate(replicas):
                 members = np.flatnonzero(shard_ids == s)
-                ref = engine._replica_factory()
-                want += scalar_replay(ref, trace.take(members),
-                                      labels[members], members)
-                for name, column in ref.state.columns.items():
-                    np.testing.assert_array_equal(
-                        replica.state.columns[name], column, err_msg=name)
-                assert replica.state.evictions == ref.state.evictions
+                oracle = ScalarOracle.of(engine._replica_factory())
+                want += oracle.replay(trace.take(members), labels[members],
+                                      members)
+                registers_match(replica.state, oracle)
                 steps += -(-len(members) // step_rows)
-                evictions += ref.state.evictions
+                evictions += oracle.evictions
         assert want and list(report.decisions) == sorted(
             want, key=lambda d: d.seq)
         assert report.flush_stats.total == steps > len(replicas)
