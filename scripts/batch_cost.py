@@ -29,9 +29,9 @@ import sys
 import time
 from pathlib import Path
 
-# As in perf/run.py: no transparent huge pages for the 16 MiB of flow
-# registers, whose availability differs from run to run. Set before NumPy
-# is imported.
+# As in perf/run.py: no transparent huge pages for NumPy's large
+# allocations, whose availability differs from run to run (the flow
+# registers opt out on their own mapping). Set before NumPy is imported.
 os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 ROOT = Path(__file__).resolve().parent.parent
 for entry in (str(ROOT / "src"), str(ROOT)):

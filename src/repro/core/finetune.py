@@ -33,7 +33,8 @@ def refine_values_least_squares(layer: LookupLayer, calib_int: np.ndarray,
     With the fuzzy assignment of every calibration input fixed, the layer
     output is linear in the stored values, so the values minimizing
     ``||sum_s V_s[idx_s(x)] - target(x)||^2`` solve a ridge-regularized
-    least-squares system. Values are updated in place (re-quantized).
+    least-squares system. Values are replaced (re-quantized) through
+    :meth:`SegmentTable.set_values`.
     """
     if not layer.sum_reduce:
         raise CompilationError("least-squares refinement expects a SumReduce layer")
@@ -61,7 +62,7 @@ def refine_values_least_squares(layer: LookupLayer, calib_int: np.ndarray,
 
     fmt = layer.out_format
     for table, start, stop in zip(layer.tables, offsets, offsets[1:]):
-        table.values_int = fmt.quantize(solution[start:stop])
+        table.set_values(fmt.quantize(solution[start:stop]))
 
 
 def _leaf_paths(tree: FuzzyTree) -> list[list[tuple[int, bool]]]:
@@ -170,5 +171,5 @@ class SoftTreeFineTuner:
 
         # Write back quantized values; recompute hard centroids' results.
         for table in self.layer.tables:
-            table.values_int = fmt.quantize(values[id(table)])
+            table.set_values(fmt.quantize(values[id(table)]))
         return losses

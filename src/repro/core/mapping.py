@@ -41,6 +41,15 @@ def _check_backend(lookup_backend: str) -> None:
                           allowed=LOOKUP_BACKENDS)
 
 
+def _signed_dtype(lo: int, hi: int) -> np.dtype:
+    """Narrowest signed integer dtype that holds every integer in [lo, hi]."""
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @dataclass
 class MaterializeConfig:
     """Knobs for table construction."""
@@ -57,7 +66,9 @@ class SegmentTable:
 
     segment: tuple[int, int]
     kind: str                    # "exact" | "fuzzy"
-    values_int: np.ndarray       # (n_entries, out_dim) stored results
+    # (n_entries, out_dim) stored results, in the narrowest signed dtype of
+    # ``out_format`` (int8 for 8-bit activations); see :meth:`set_values`.
+    values_int: np.ndarray
     out_format: QFormat
     in_bits: int                 # key width per input unit
     in_signed: bool = False      # signed keys use excess-K TCAM encoding
@@ -77,7 +88,23 @@ class SegmentTable:
                                      compare=False)
 
     def __post_init__(self):
+        self.set_values(self.values_int)
         self._refresh_grid()
+
+    def set_values(self, values: np.ndarray) -> None:
+        """Store new result vectors in the narrowest signed dtype of
+        ``out_format`` (the fine-tuners' only way in, next to
+        :meth:`set_thresholds`). Values outside the format are refused: the
+        switch could not hold them, and the narrow cast would wrap them."""
+        values = np.asarray(values)
+        fmt = self.out_format
+        if values.size and (values.min() < fmt.int_min
+                            or values.max() > fmt.int_max):
+            raise CompilationError(
+                f"table values span [{values.min()}, {values.max()}], outside "
+                f"the {fmt.total_bits}-bit output format "
+                f"[{fmt.int_min}, {fmt.int_max}]")
+        self.values_int = values.astype(_signed_dtype(fmt.int_min, fmt.int_max))
 
     def _refresh_grid(self) -> None:
         self._grid = None
@@ -100,9 +127,14 @@ class SegmentTable:
         """Table lookup for a batch of integer segment inputs (N, d)."""
         _check_backend(lookup_backend)
         if self.kind == "exact":
-            # Direct-indexed SRAM on the hardware under every backend.
-            idx = np.clip(x_seg[:, 0] - self.exact_lo, 0, self.n_entries - 1)
-            return self.values_int.take(idx.astype(np.int64), axis=0)
+            # Direct-indexed SRAM on the hardware under every backend. The
+            # shift is widened: a narrow key minus exact_lo can leave its dtype.
+            x = x_seg[:, 0]
+            idx = np.clip(np.subtract(x, self.exact_lo,
+                                      dtype=np.promote_types(x.dtype, np.int64)),
+                          0, self.n_entries - 1)
+            return self.values_int.take(idx.astype(np.int64, copy=False),
+                                        axis=0)
         assert self.tree is not None
         if lookup_backend == "tcam-pruned":
             idx = self.tcam_indices(x_seg, pruned=True)
@@ -212,15 +244,29 @@ class SegmentTable:
 
 @dataclass(frozen=True)
 class _GridPlan:
-    """The leaf grids of one layer's tables, fused into one gather.
+    """One layer's dtypes and the leaf grids of its tables, fused into one
+    gather.
 
-    ``cols``/``lo``/``hi``/``weights`` are ``(d_max, n_fused)``: entry
-    ``[p, k]`` describes dimension ``p`` of fused table ``k`` (tables of
-    fewer dimensions are padded with weight 0). A fused table's leaf is
-    ``leaf_of[sum_p clip(x[cols[p, k]]) * weights[p, k] + offsets[k]]`` —
-    its own packed key, shifted to its grid's place in ``leaf_of``.
+    ``cols`` is ``(d_max, n_fused)`` and ``lo``/``hi``/``weights`` are
+    ``(d_max, n_fused, 1)``: entry ``[p, k]`` describes dimension ``p`` of
+    fused table ``k`` (tables of fewer dimensions are padded with weight 0).
+    A fused table's leaf is ``leaf_of[sum_p clip(x[:, cols[p, k]]) *
+    weights[p, k] + offsets[k]]`` — its own packed key, shifted to its
+    grid's place in ``leaf_of``.
+
+    Every dtype is fixed here, so no call chooses one per table: keys are
+    packed in ``key_dtype`` (int32 when every fused cell's key fits —
+    clamped inputs times their stride never leave their own grid), and the
+    SumReduce adds in ``acc_dtype``, which holds the sum of every table's
+    extreme values (``total_bits + ceil(log2 k)`` bits for ``k`` signed
+    tables: int16 for eight 8-bit tables). ``values`` holds each fused
+    table's ``values_int`` in ``acc_dtype``, so its gathers add without a
+    cast.
     """
 
+    tables: tuple               # the layer's tables at build
+    sources: tuple              # per layer table: its ``values_int`` at build
+    values: tuple               # per layer table: those in acc_dtype, or None
     grids: tuple                # per layer table: its ``_grid`` at build
     positions: tuple            # per fused table: its place in the layer
     cols: np.ndarray
@@ -229,48 +275,72 @@ class _GridPlan:
     weights: np.ndarray
     offsets: np.ndarray
     leaf_of: np.ndarray | None  # None: no table of the layer has a grid
+    key_dtype: np.dtype
+    acc_dtype: np.dtype
 
     @classmethod
     def build(cls, tables: list[SegmentTable]) -> "_GridPlan":
         fused = [t for t in tables if t._grid is not None]
         widths = [t.segment[1] - t.segment[0] for t in fused]
-        shape = (max(widths, default=0), len(fused))
-        cols, lo, hi, weights = (np.zeros(shape, dtype=np.int64)
-                                 for _ in range(4))
-        offsets = np.zeros(len(fused), dtype=np.int64)
-        cells = 0
+        cells = sum(len(t._grid) for t in fused)
+        key_dtype = np.dtype(np.int32 if cells <= np.iinfo(np.int32).max
+                             else np.int64)
+        shape = (max(widths, default=0), len(fused), 1)
+        cols = np.zeros(shape[:2], dtype=np.int64)
+        lo, hi, weights = (np.zeros(shape, dtype=key_dtype) for _ in range(3))
+        offsets = np.zeros(shape[1:], dtype=key_dtype)
+        start = 0
         for k, (t, d) in enumerate(zip(fused, widths)):
             cols[:, k] = t.segment[0]
             cols[:d, k] = np.arange(*t.segment)
             lo[:d, k], hi[:d, k] = key_domain(t.in_bits, t.in_signed)
-            weights[:d, k] = 1 << (t.in_bits * np.arange(d - 1, -1, -1))
-            offsets[k] = cells - (lo[:, k] * weights[:, k]).sum()
-            cells += len(t._grid)
+            weights[:d, k, 0] = 1 << (t.in_bits * np.arange(d - 1, -1, -1))
+            offsets[k] = start - (lo[:, k].astype(np.int64)
+                                  * weights[:, k]).sum()
+            start += len(t._grid)
+        acc_dtype = _signed_dtype(sum(t.out_format.int_min for t in tables),
+                                 sum(t.out_format.int_max for t in tables))
         return cls(
+            tables=tuple(tables),
+            sources=tuple(t.values_int for t in tables),
+            values=tuple(None if t._grid is None
+                         else t.values_int.astype(acc_dtype) for t in tables),
             grids=tuple(t._grid for t in tables),
             positions=tuple(k for k, t in enumerate(tables)
                             if t._grid is not None),
             cols=cols, lo=lo, hi=hi, weights=weights, offsets=offsets,
-            leaf_of=np.concatenate([t._grid for t in fused]) if fused else None)
+            leaf_of=np.concatenate([t._grid for t in fused]) if fused else None,
+            key_dtype=key_dtype, acc_dtype=acc_dtype)
 
     def stale(self, tables: list[SegmentTable]) -> bool:
-        """A table was added, replaced or got new thresholds since build."""
-        return (len(tables) != len(self.grids)
-                or any(t._grid is not g for t, g in zip(tables, self.grids)))
+        """A table was added or replaced, or got new thresholds or values
+        (:meth:`SegmentTable.set_thresholds` / :meth:`~SegmentTable.set_values`)
+        since build."""
+        return (len(tables) != len(self.tables)
+                or any(t is not s or t._grid is not g or t.values_int is not v
+                       for t, s, g, v in zip(tables, self.tables, self.grids,
+                                             self.sources)))
 
     def leaves(self, x: np.ndarray) -> list[np.ndarray | None]:
         """Per layer table, the fuzzy indices of an integer-typed ``(N, d)``
         batch — None for a table without a grid.
 
-        Keys are packed one dimension at a time, so the working set is one
-        ``(N, n_fused)`` key array and one dimension's clamped inputs.
+        Keys are packed one dimension at a time into an ``(n_fused, N)``
+        array, whose rows are the tables' leaves after one gather; the
+        working set is that array and one dimension's gathered columns. Keys
+        are packed in ``key_dtype`` when the input is narrower, else in
+        int64, so the clamp always sees the input's own values: it widens
+        narrow columns as it clamps them and clamps int64 ones in place.
         """
         if self.leaf_of is None:
             return [None] * len(self.grids)
-        x = x.astype(np.int64, copy=False)
+        work = self.key_dtype if x.dtype.itemsize < self.key_dtype.itemsize \
+            else np.dtype(np.int64)
+        by_column = x.T
         for p in range(len(self.cols)):
-            xp = x.take(self.cols[p], axis=1)
-            np.maximum(xp, self.lo[p], out=xp)
+            xp = by_column[self.cols[p]]
+            xp = np.maximum(xp, self.lo[p], dtype=work,
+                            out=xp if xp.dtype == work else None)
             np.minimum(xp, self.hi[p], out=xp)
             xp *= self.weights[p]
             if p:
@@ -279,7 +349,7 @@ class _GridPlan:
                 xp += self.offsets
                 keys = xp
         leaves = [None] * len(self.grids)
-        for k, leaf in zip(self.positions, self.leaf_of.take(keys.T)):
+        for k, leaf in zip(self.positions, self.leaf_of.take(keys)):
             leaves[k] = leaf
         return leaves
 
@@ -314,12 +384,14 @@ class LookupLayer:
         indexed by the layer's one fused gather (:class:`_GridPlan`); the
         rest — exact tables, fuzzy tables that still traverse, the TCAM
         backend, non-integer inputs — go through :meth:`SegmentTable.lookup`.
+        Outputs keep the tables' narrow dtype; a SumReduce returns the
+        plan's accumulator dtype.
         """
         x_int = np.asarray(x_int)
+        if self._plan.stale(self.tables):
+            self._plan = _GridPlan.build(self.tables)
         leaves = [None] * len(self.tables)
         if lookup_backend == "index" and np.can_cast(x_int.dtype, np.int64):
-            if self._plan.stale(self.tables):
-                self._plan = _GridPlan.build(self.tables)
             leaves = self._plan.leaves(x_int)
         if not self.sum_reduce:
             return np.concatenate(
@@ -330,14 +402,14 @@ class LookupLayer:
         # SumReduce table by table: each gather is fresh, and the previous
         # one is dropped before the next, so one is alive at a time.
         acc = None
-        for t, leaf in zip(self.tables, leaves):
+        for t, leaf, values in zip(self.tables, leaves, self._plan.values):
             if leaf is None:
                 out = t.lookup(x_int[:, t.segment[0]:t.segment[1]],
                                lookup_backend=lookup_backend)
             else:
-                out = t.values_int.take(leaf, axis=0)
+                out = values.take(leaf, axis=0)
             if acc is None:
-                acc = out.astype(np.int64, copy=False)
+                acc = out.astype(self._plan.acc_dtype, copy=False)
             else:
                 acc += out
             del out
@@ -374,7 +446,7 @@ class CompiledModel:
 
     def forward_int(self, x_int: np.ndarray,
                     lookup_backend: str = "index") -> np.ndarray:
-        """Integer forward pass over a batch of any size.
+        """Integer forward pass over a batch of any size, as int64.
 
         Every op is a table gather or a saturating integer add, so results
         are *batch-size invariant*: evaluating N rows at once is bit-equal
@@ -389,8 +461,19 @@ class CompiledModel:
         two are bit-identical for every integer input (asserted by
         ``tests/test_dataplane_tcam.py``).
         """
+        return self._forward(x_int, lookup_backend).astype(np.int64,
+                                                            copy=False)
+
+    def _forward(self, x_int: np.ndarray, lookup_backend: str) -> np.ndarray:
+        """:meth:`forward_int` in the last layer's own narrow dtype.
+
+        Integer input keeps its dtype (each layer widens it where it packs
+        or shifts keys); anything else is cast to int64 first.
+        """
         _check_backend(lookup_backend)
-        x = np.asarray(x_int, dtype=np.int64)
+        x = np.asarray(x_int)
+        if x.dtype.kind not in "biu":
+            x = x.astype(np.int64)
         if x.ndim == 1:
             x = x[None, :]
         if x.ndim != 2:
@@ -407,14 +490,12 @@ class CompiledModel:
     def predict_scores(self, x_int: np.ndarray,
                        lookup_backend: str = "index") -> np.ndarray:
         """Dequantized final-layer scores."""
-        return self.out_format.dequantize(
-            self.forward_int(x_int, lookup_backend=lookup_backend))
+        return self.out_format.dequantize(self._forward(x_int, lookup_backend))
 
     def predict(self, x_int: np.ndarray,
                 lookup_backend: str = "index") -> np.ndarray:
         """Argmax class decision, as the switch's final compare tree does."""
-        return np.argmax(self.forward_int(x_int, lookup_backend=lookup_backend),
-                         axis=1)
+        return np.argmax(self._forward(x_int, lookup_backend), axis=1)
 
     @property
     def num_lookup_rounds(self) -> int:
@@ -485,7 +566,9 @@ def _table_output_bounds(table: SegmentTable, lo: np.ndarray,
     such rows as uncertifiable rather than trust the sentinel values.
     """
     n = len(lo)
-    vals = table.values_int
+    # Widened first: the int64 sentinels below must not be cast into the
+    # table's narrow dtype (NumPy would wrap them without an error).
+    vals = table.values_int.astype(np.int64)
     if table.kind == "exact":
         # Direct-indexed SRAM: keys clip into [0, n_entries): a box maps to
         # a contiguous index range, bounded by a min/max over the slice.

@@ -6,11 +6,14 @@ arrays; the bits consumed per flow bound the number of concurrent flows
 model needs per flow (e.g. CNN-L: a 16-bit previous-packet timestamp plus a
 4-bit fuzzy index for each of 7 stored packets = 44 bits) and accounts for
 SRAM; :class:`VectorFlowState` stores those fields for up to ``capacity``
-flows, each in the narrowest unsigned dtype that holds its width.
+flows, each in the narrowest unsigned dtype that holds its width, all on one
+demand-zero anonymous mapping.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,15 +86,33 @@ class FlowBatch(NamedTuple):
     flows: list
 
 
+def _demand_zero_bytes(nbytes: int) -> np.ndarray:
+    """``nbytes`` of zeroed uint8 on one private anonymous mapping.
+
+    The kernel hands out its pages zeroed on first touch, so building the
+    registers costs no memset and untouched slots no resident memory. Huge
+    pages are refused on this mapping only: one touched byte would otherwise
+    fault in (and zero) 2 MiB.
+    """
+    buf = mmap.mmap(-1, max(nbytes, 1),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.uint8, count=nbytes)
+
+
 class VectorFlowState:
     """Columnar per-flow register storage for the batched runtimes.
 
-    Each :class:`RegisterField` becomes one preallocated 2-D NumPy array of
-    shape ``(capacity, field.count)`` in the narrowest unsigned dtype that
-    holds the field width, so a whole batch gathers/scatters its per-flow
-    state with fancy indexing. The ``k`` fields of one bank share one
+    Each :class:`RegisterField` becomes one 2-D NumPy array of shape
+    ``(capacity, field.count)`` in the narrowest unsigned dtype that holds
+    the field width, so a whole batch gathers/scatters its per-flow state
+    with fancy indexing. The ``k`` fields of one bank share one
     ``(capacity, k, count)`` array, ``banks[bank]``; their ``columns`` are
-    views of it. Flows map to *slots* (row indices) through an
+    views of it. All of them are views of one demand-zero mapping of
+    exactly their bytes (:func:`_demand_zero_bytes`), so a new state costs
+    no memset and touches only the pages its flows write. Flows map to
+    *slots* (row indices) through an
     exact-match table keyed by the packed canonical 5-tuple
     (:func:`repro.net.traces.flow_ids`); it holds one entry per live flow
     plus one owner reference per slot up to the slot high-water mark, so its
@@ -120,20 +141,35 @@ class VectorFlowState:
         for f in layout.fields:
             if f.bank is not None:
                 banked.setdefault(f.bank, []).append(f)
-                continue
-            self.columns[f.name] = np.zeros((capacity, f.count),
-                                            dtype=register_dtype(f.bits))
+        # One array per unbanked field, then one per bank: (shape, dtype).
+        specs = [((capacity, f.count), register_dtype(f.bits))
+                 for f in layout.fields if f.bank is None]
         for bank, members in banked.items():
             shapes = {(f.bits, f.count) for f in members}
             if len(shapes) > 1:
                 raise PipelineError(
                     f"register bank {bank!r} mixes field shapes {sorted(shapes)}")
             bits, count = shapes.pop()
-            array = np.zeros((capacity, len(members), count),
-                             dtype=register_dtype(bits))
+            specs.append(((capacity, len(members), count), register_dtype(bits)))
+        # Widest dtype first: every offset is then a multiple of each later
+        # itemsize (all powers of two), so the views need no padding.
+        order = sorted(range(len(specs)), key=lambda i: -specs[i][1].itemsize)
+        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in specs]
+        raw = _demand_zero_bytes(sum(sizes))
+        self._arrays: list[np.ndarray] = [None] * len(specs)
+        offset = 0
+        for i in order:
+            shape, dtype = specs[i]
+            self._arrays[i] = raw[offset:offset + sizes[i]].view(dtype).reshape(shape)
+            offset += sizes[i]
+        arrays = iter(self._arrays)
+        for f in layout.fields:
+            if f.bank is None:
+                self.columns[f.name] = next(arrays)
+        for bank, members in banked.items():
+            self.banks[bank] = next(arrays)
             for i, f in enumerate(members):
-                self.columns[f.name] = array[:, i, :]
-            self.banks[bank] = array
+                self.columns[f.name] = self.banks[bank][:, i, :]
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -196,6 +232,6 @@ class VectorFlowState:
         self._allocations = k
         if evicted:
             self.evictions += len(evicted)
-            for col in self.columns.values():
-                col[evicted] = 0
+            for array in self._arrays:
+                array[evicted] = 0
         return resolved

@@ -96,6 +96,7 @@ from repro.net.flow import Flow
 from repro.net.traces import (KEY_COLUMN_NAMES, TS_UNIT_SECONDS, Trace,
                               flow_ids, pack_flow_keys)
 from repro.dataplane.decisions import DecisionBatch
+from repro.dataplane.pipeline import Pipeline
 from repro.dataplane.schema import WIRE_COLUMNS
 from repro.dataplane.registers import (FlowBatch, FlowStateLayout,
                                        RegisterField, VectorFlowState)
@@ -465,6 +466,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
     decision_cache: object = None
     lookup_backend: str = "index"
     state: VectorFlowState = field(init=False)
+    _feature_dtype: type = field(init=False, repr=False)
 
     required_columns = ("ts", "length")
 
@@ -475,6 +477,11 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
             raise ConfigError("feature_mode", self.feature_mode,
                               allowed=("seq", "stats"))
         self.set_lookup_backend(self.lookup_backend)
+        # Features are uint8 bucket values, and a compiled model (bare or
+        # placed) widens keys itself where it packs or shifts them, so its
+        # features stay uint8; any other model gets int64.
+        self._feature_dtype = (np.uint8 if isinstance(
+            self.model, (CompiledModel, Pipeline)) else np.int64)
         hist = self.window - 1
         layout = FlowStateLayout(fields=[
             RegisterField("prev_ts", 16),
@@ -507,13 +514,15 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         return self.model.predict(x, lookup_backend=self.lookup_backend)
 
     def _features_batch(self, win: np.ndarray) -> np.ndarray:
-        """int64 model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
-        :func:`stats_from_buckets` or the interleaved tokens, per row."""
+        """Model inputs of ``(N, 2, W)`` (length, IPD) bucket windows:
+        :func:`stats_from_buckets` or the interleaved tokens, per row, in
+        the narrowest dtype the model takes (``_feature_dtype``)."""
         n, _, w = win.shape
+        dtype = self._feature_dtype
         if self.feature_mode == "seq":
-            return win.transpose(0, 2, 1).reshape(n, 2 * w).astype(np.int64)
+            return win.transpose(0, 2, 1).reshape(n, 2 * w).astype(dtype)
         take = min(6, w)
-        feats = (np.empty if take == 6 else np.zeros)((n, 16), dtype=np.int64)
+        feats = (np.empty if take == 6 else np.zeros)((n, 16), dtype=dtype)
         # Reduce over a leading axis: NumPy is slow along a short last one.
         by_position = np.ascontiguousarray(win.transpose(2, 0, 1))
         feats[:, 0:4:2] = by_position.max(axis=0)
@@ -548,7 +557,7 @@ class WindowedClassifierRuntime(_BatchedReplayMixin):
         cache), ``ready_rows`` the batch indices of the window-complete
         packets, ``windows`` their ``(n_ready, 2W)`` packed window contents
         (each row, as bytes, is the cache's *window index*) and ``feats``
-        their int64 model inputs. The model runs on misses only —
+        their model inputs. The model runs on misses only —
         bit-identical to running it on every row, because the model's
         decision is a pure function of the window. The two-level protocol
         probes its L2 with ``feats`` too.

@@ -67,7 +67,8 @@ class _Model:
         tree = None if table.kind == "exact" else _tree(table.tree)
         return (*table.segment, table.exact_lo, table.values_int.tolist(), tree)
 
-    def decide(self, x: list) -> int:
+    def forward(self, x: list) -> list:
+        """The last layer's integer outputs for one input row."""
         for sum_reduce, fmt, tables in self.layers:
             rows = []
             for start, stop, exact_lo, values, tree in tables:
@@ -79,7 +80,11 @@ class _Model:
                 x = [min(max(sum(col), fmt.int_min), fmt.int_max) for col in zip(*rows)]
             else:
                 x = [v for row in rows for v in row]
-        return x.index(max(x))
+        return x
+
+    def decide(self, x: list) -> int:
+        scores = self.forward(x)
+        return scores.index(max(scores))
 
 
 class FlowRecord:

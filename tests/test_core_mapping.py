@@ -1,5 +1,6 @@
 """Tests for table materialization and the integer-domain compiled model."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -11,9 +12,12 @@ from repro.core import (
     Affine, MapStep, PrimitiveProgram, SumReduceStep,
     MaterializeConfig, materialize, even_partition, fuse_basic, lower_sequential,
     refine_values_least_squares, SoftTreeFineTuner,
+    CompilerConfig, PegasusCompiler,
 )
 from repro.core.fuzzy import FuzzyTree, key_domain
-from repro.core.mapping import LookupLayer, SegmentTable
+from repro.core.mapping import (CompiledModel, LookupLayer, SegmentTable,
+                                certified_decision_box)
+from repro.eval.oracle import _Model
 from repro.utils.fixed_point import QFormat
 
 
@@ -227,7 +231,9 @@ def _walk_forward(layer, x):
             for t in layer.tables]
     if not layer.sum_reduce:
         return np.concatenate(outs, axis=1)
-    return np.clip(sum(outs), layer.out_format.int_min, layer.out_format.int_max)
+    # Python-int-wide sum: the tables store narrow values.
+    return np.clip(sum(o.astype(np.int64) for o in outs),
+                   layer.out_format.int_min, layer.out_format.int_max)
 
 
 class TestLeafGrid:
@@ -438,3 +444,123 @@ class TestLeafGrid:
         x = _probes(np.random.default_rng(15), 0, 255, 8)
         np.testing.assert_array_equal(back.forward_int(x), model.forward_int(x))
         np.testing.assert_array_equal(back.predict(x), model.predict(x))
+
+
+def _corner_model(rng):
+    """Two SumReduce layers whose every table entry is its format's int_min
+    or int_max: grid tables over signed and unsigned 4- and 8-bit keys
+    (five 65,536-cell grids, so keys need more than 16 bits), a table that
+    walks its tree and an exact table over signed keys. Nine tables sum to
+    12 bits before the 8-bit saturation."""
+    fmt = QFormat(8, 0, signed=True)
+
+    def exact(start, out_dim):
+        return SegmentTable(segment=(start, start + 1), kind="exact",
+                            values_int=np.zeros((256, out_dim), dtype=np.int64),
+                            out_format=fmt, in_bits=8, in_signed=True,
+                            exact_lo=-128)
+
+    first = [_grid_table(rng, 2, 8, False, start=0, out_dim=4),
+             _grid_table(rng, 2, 8, False, start=2, out_dim=4),
+             _grid_table(rng, 1, 8, True, start=4, out_dim=4),
+             _grid_table(rng, 2, 4, True, start=5, out_dim=4),
+             _grid_table(rng, 3, 8, False, start=7, out_dim=4),    # walks
+             exact(10, 4),
+             _grid_table(rng, 2, 8, False, start=11, out_dim=4),
+             _grid_table(rng, 2, 8, True, start=13, out_dim=4),
+             _grid_table(rng, 1, 8, False, start=15, out_dim=4)]
+    second = [_grid_table(rng, 2, 8, True, start=0),
+              exact(2, 3),
+              _grid_table(rng, 1, 8, True, start=3)]
+    for t in first + second:
+        t.set_values(np.where(rng.random(t.values_int.shape) < 0.5,
+                              fmt.int_min, fmt.int_max))
+    return CompiledModel(input_dim=16, layers=[
+        LookupLayer(tables=first, sum_reduce=True, out_format=fmt),
+        LookupLayer(tables=second, sum_reduce=True, out_format=fmt)])
+
+
+class TestNarrowIntegers:
+    """Values, keys and sums in narrow dtypes must equal Python-int math."""
+
+    def test_dtypes_fixed_at_build(self, compiled16):
+        layer = compiled16.layers[0]
+        assert {t.values_int.dtype for t in layer.tables} == {np.dtype(np.int8)}
+        assert layer._plan.key_dtype == np.int32
+        assert layer._plan.acc_dtype == np.int16     # 8 tables: 8 + 3 bits
+
+    def test_set_values_refuses_values_outside_the_format(self, compiled16):
+        table = copy.deepcopy(compiled16.layers[0].tables[0])
+        with pytest.raises(CompilationError):
+            table.set_values(np.full(table.values_int.shape, 128))
+        table.set_values(np.full(table.values_int.shape, -128))
+        assert table.values_int.dtype == np.int8
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_worst_case_sums_and_keys_match_the_oracle(self, dtype):
+        """Every table returns an extreme and every input sits at a corner
+        of its key domain: the accumulator, the key packing and the
+        in-place ufuncs (which wrap silently under same-kind casting) must
+        agree with the oracle's Python ints."""
+        rng = np.random.default_rng(21)
+        model = _corner_model(rng)
+        assert model.layers[0]._plan.acc_dtype == np.int16
+        lo, hi = np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64)
+        for t in model.layers[0].tables:
+            start, stop = t.segment
+            lo[start:stop], hi[start:stop] = key_domain(t.in_bits, t.in_signed)
+        corner = rng.random((600, 16)) < 0.5
+        x = np.vstack([lo, hi, np.where(corner, lo, hi)]).astype(dtype)
+        oracle = _Model(model)
+        want = np.array([oracle.forward(row) for row in x.tolist()])
+        got = model.forward_int(x)
+        np.testing.assert_array_equal(got, want)
+        assert {-128, 127} <= set(got.ravel().tolist())
+        np.testing.assert_array_equal(
+            model.predict(x), [oracle.decide(row) for row in x.tolist()])
+
+    def test_certificates_of_narrow_values_equal_int64(self, compiled16):
+        """The bound sentinels are int64: with narrow values they must not
+        be cast into the values' dtype (which would wrap them)."""
+        wide = copy.deepcopy(compiled16)
+        for layer in wide.layers:
+            for t in layer.tables:
+                t.values_int = t.values_int.astype(np.int64)
+        x = np.random.default_rng(5).integers(0, 256, size=(300, 16))
+        certified = 0
+        for shift in (1, 2, 3, 4):
+            lo, hi = certified_decision_box(compiled16, x, quantize_shift=shift)
+            want_lo, want_hi = certified_decision_box(wide, x,
+                                                      quantize_shift=shift)
+            np.testing.assert_array_equal(lo, want_lo)
+            np.testing.assert_array_equal(hi, want_hi)
+            certified += int((hi - lo == (1 << shift) - 1).all(axis=1).sum())
+        assert certified > 0
+
+    def test_fine_tune_after_compile_reaches_predict(self):
+        """A model that has already predicted (its layer plans built and
+        used) is fine-tuned; the next ``predict`` serves the new values and
+        thresholds, as the oracle built after the fine-tune does."""
+        rng = np.random.default_rng(4)
+        net = nn.Sequential(nn.Linear(16, 3, rng=0))    # one SumReduce layer
+        net.eval_mode()
+        calib = rng.integers(0, 256, size=(400, 16))
+        model = PegasusCompiler(CompilerConfig(refine=False)) \
+            .compile_sequential(net, calib).compiled
+        rows = rng.integers(0, 256, size=(300, 16))
+        before = model.predict(rows)
+        layer = model.layers[0]
+        targets = rng.normal(size=(len(calib), layer.out_dim)) \
+            * layer.out_format.real_max / 2
+        refine_values_least_squares(layer, calib, targets)   # values only
+        after = model.predict(rows)
+        assert (after != before).any()
+        assert after.tolist() == [_Model(model).decide(row)
+                                  for row in rows.tolist()]
+        thresholds = [t.tree.threshold.copy() for t in layer.tables]
+        SoftTreeFineTuner(layer, lr_thresholds=0.5).fit(
+            calib, targets, epochs=3, tune_thresholds=True)
+        assert any(not np.array_equal(t.tree.threshold, old)
+                   for t, old in zip(layer.tables, thresholds))
+        assert model.predict(rows).tolist() == [_Model(model).decide(row)
+                                                for row in rows.tolist()]

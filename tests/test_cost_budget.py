@@ -26,26 +26,28 @@ from repro.eval.differential import build_two_stage_spec
 from repro.net import build_scenario
 
 # Single-batch serves (an open-loop chunk, most parallel ring chunks): at
-# most the call + c_call events they made before closed-loop replays stepped
-# registers in REGISTER_STEP_ROWS spans (85 + 127 and 86 + 135), so the
-# larger step adds no per-chunk work.
-SINGLE_BATCH_BUDGET = {10: 212, 32: 221}
-# The whole trace closed loop at batch 32: 358 call and 703 c_call events
+# most the call + c_call events they make with narrow integers through the
+# model stage (84 + 121 and 85 + 128, three fewer than before it, when
+# closed-loop replays began stepping registers in REGISTER_STEP_ROWS spans),
+# so neither change adds per-chunk work.
+SINGLE_BATCH_BUDGET = {10: 205, 32: 213}
+# The whole trace closed loop at batch 32: 358 call and 700 c_call events
 # measured, + 10%.
-CLOSED_LOOP_B32_BUDGET = {"call": 394, "c_call": 773}
-# tracemalloc peak of CompiledModel.predict per row: measured + 10%.
-PREDICT_BYTES_PER_ROW = 221
+CLOSED_LOOP_B32_BUDGET = {"call": 394, "c_call": 770}
+# tracemalloc peak of CompiledModel.predict per row, on int64 inputs (a
+# compiled model's runtime feeds it uint8, 138 B): 194 B measured, + 10%.
+PREDICT_BYTES_PER_ROW = 214
 # The whole 6,082-packet hitters_base trace closed loop in the default
-# REGISTER_STEP_ROWS steps: 171 call and 789 c_call events measured, + 10%.
-HITTERS_BASE_BUDGET = {"call": 188, "c_call": 868}
-# tracemalloc peak of that replay per packet at capacity 4,096 (so the
-# register banks do not swamp the per-step allocations): 274 B measured,
-# + 10%.
-HITTERS_BASE_BYTES_PER_PACKET = 301
+# REGISTER_STEP_ROWS steps: 171 call and 783 c_call events measured, + 10%.
+HITTERS_BASE_BUDGET = {"call": 188, "c_call": 861}
+# tracemalloc peak of that replay per packet at capacity 4,096: 155 B
+# measured, + 10%. The registers live on an anonymous mapping tracemalloc
+# does not see, so this is the per-step allocations alone.
+HITTERS_BASE_BYTES_PER_PACKET = 171
 # tracemalloc peak per packet of 1,000 flow_churn packets (mostly mice, so
-# the register step, not the model, sets it) at capacity 2,048: 293 B
-# measured at 256-row steps, + 10%. A 4,096-row step must not cost more.
-MICE_BYTES_PER_PACKET = 322
+# the register step, not the model, sets it) at capacity 2,048: 157 B
+# measured, + 10%.
+MICE_BYTES_PER_PACKET = 173
 # Packets that fill every flow's window before a single-batch serve.
 WARM = 400
 

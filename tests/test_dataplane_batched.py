@@ -10,8 +10,6 @@ leaves the registers holding the oracle's per-flow state.
 
 import dataclasses
 import functools
-import gc
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,20 +93,50 @@ class TestWindowedBatched:
             registers_match(runtime.state, oracle)
 
     def test_registers_allocated_once(self, compiled16):
-        """The history fields are views of one bank: building the runtime
-        allocates its 17 B per flow once, not a second copy beside it."""
+        """Every column and bank is a view of one buffer of exactly 17 B per
+        flow: no field gets a second copy beside the bank, and no two arrays
+        overlap. (The buffer is an anonymous mapping, which tracemalloc does
+        not see, so the check is on the views themselves.)"""
         capacity = 1 << 16
-        gc.collect()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            runtime = WindowedClassifierRuntime(compiled16, capacity=capacity)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        runtime = WindowedClassifierRuntime(compiled16, capacity=capacity)
+        state = runtime.state
         assert runtime.bits_per_flow == 136
-        assert peak - before <= 1.05 * 17 * capacity
+
+        def root(array):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            return array
+
+        buffers = {id(root(a)): root(a) for a in
+                   [*state.columns.values(), *state.banks.values()]}
+        assert len(buffers) == 1
+        (buffer,) = buffers.values()
+        assert buffer.nbytes == 17 * capacity
+        arrays = [state.columns["prev_ts"], state.columns["count"],
+                  state.banks["hist"]]
+        assert sum(a.nbytes for a in arrays) == buffer.nbytes
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_features_narrow_only_for_compiled_models(self, compiled16):
+        """A compiled model, bare or placed, takes its features as the
+        windows' uint8 (it widens keys itself); any other model keeps the
+        int64 inputs of the decision interface. The values are the same."""
+        win = np.random.default_rng(0).integers(
+            0, 40, size=(5, 2, 8)).astype(np.uint8)
+
+        class Wrapped:
+            predict = staticmethod(compiled16.predict)
+
+        for mode in ("seq", "stats"):
+            want = WindowedClassifierRuntime(
+                Wrapped(), feature_mode=mode)._features_batch(win)
+            assert want.dtype == np.int64
+            for model in (compiled16, place_model(compiled16, TOFINO2)):
+                got = WindowedClassifierRuntime(
+                    model, feature_mode=mode)._features_batch(win)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, want)
 
     def test_pipeline_model_matches_compiled(self, compiled16, replay_flows):
         """A placed Pipeline behind the runtime (and behind the oracle, which

@@ -97,7 +97,7 @@ def test_model_walk_matches_compiled_predict():
     assert {t.kind for t in model.layers[0].tables} == {"exact"}
     for layer in model.layers:          # values that vary the decision
         for table in layer.tables:
-            table.values_int = rng.integers(-40, 40, size=table.values_int.shape)
+            table.set_values(rng.integers(-40, 40, size=table.values_int.shape))
     rows = rng.integers(-60, 320, size=(600, 16))
     want = model.predict(rows)
     assert len(set(want.tolist())) == 3
