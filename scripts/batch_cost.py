@@ -15,8 +15,9 @@ caches runs slower than the fit predicts::
 The model and the traffic come from ``perf/`` (``harness.train_model`` and
 ``workloads``), read-only, so the numbers describe the benchmark's own
 trace. Serves are closed loop, whatever the workload's mode; a ``parallel``
-workload steps its ring chunks instead, so only in-process workloads are
-offered.
+workload steps registers in worker processes, which see the constant only
+as it was when they started (and not at all under ``spawn``), so only
+in-process workloads are offered.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The switch emits a decision as a few PHV fields, not as an object. The
 serving path keeps that shape: every batched runtime, the dispatchers, the
-shared-memory rings and ``ServingReport`` pass decisions as a
+shared-memory segments and ``ServingReport`` pass decisions as a
 :class:`DecisionBatch` — four aligned columns (``seq``, ``flow_label``,
 ``predicted``, ``ts``) in the dtypes :data:`~repro.dataplane.schema.
 DECISION_COLUMNS` declares. Per-decision :class:`PacketDecision` objects

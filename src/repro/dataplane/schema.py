@@ -2,7 +2,7 @@
 
 Every array that crosses a worker process boundary — shard payloads going
 out, decision streams coming back — must have a known dtype and rank, or
-the ``multiprocessing.shared_memory`` ring buffers of
+the ``multiprocessing.shared_memory`` segments of
 ``repro.serving.rings`` silently corrupt or fall back to re-pickling. This
 module is the single source of truth for that format:
 
@@ -16,7 +16,7 @@ module is the single source of truth for that format:
 where a drifted column would otherwise be cast or corrupted in place —
 ``Trace.to_columns``/``from_columns``, both dispatchers' shard splits, and
 the decision merges (each replica's decisions before they are cast into
-the merged columns or an egress ring slot). Drift raises
+the merged columns or an egress segment). Drift raises
 :class:`~repro.errors.SchemaError`.
 
 Producers name their dtypes through :func:`wire_dtype` /
@@ -146,10 +146,11 @@ DECISION_COLUMNS = ColumnSchema("decision", {
 })
 
 
-# Ring slot layout (repro.serving.rings): one ingress slot is these wire
-# columns laid out back to back (payload last, only when configured), one
-# egress slot the decision columns in this order. RingSpec derives every
-# byte offset from these plus the dtypes.
+# Shared-segment layout (repro.serving.rings): a shard's block of the
+# ingress segment is these wire columns laid out back to back (payload last,
+# only when configured), its block of the egress segment the decision
+# columns in this order. Every byte offset derives from these plus the
+# dtypes and the block's (offset, rows).
 INGRESS_RING_ORDER = ("ts", "length", "src_ip", "dst_ip", "src_port",
                       "dst_port", "proto", "labels")
 EGRESS_RING_ORDER = ("seq", "flow_label", "predicted", "ts")

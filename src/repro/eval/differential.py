@@ -1,7 +1,7 @@
 """Differential replay: fuzz the whole serving matrix with scenario workloads.
 
 The engine's core promise is that every serving configuration —
-topology x cache x lookup backend x runtime kind, at any batch size — emits
+topology x cache x lookup backend x runtime kind, at any register step — emits
 **bit-identical decisions** to the per-packet scalar reference
 (:func:`scalar_replay`: :mod:`repro.eval.oracle`, sharing no served code).
 The lookup and cache axes are per runtime (:data:`RUNTIME_BACKENDS`,
@@ -15,7 +15,8 @@ tests assert it on one static mix; this harness turns the claim into a
    :class:`EngineCase` of the matrix and compares each decision stream to
    the scalar reference of its runtime kind, plus cross-config *stat
    consistency* (cache counters must agree across every cached config, and
-   flush totals across every config with the same sharding/step shape).
+   flush totals across every config with the same runtime and replica
+   count).
 2. :func:`fuzz_differential` drives that check from seeded scenario
    mutation — one fixed seed plus N derived random seeds, time-boxed —
    so CI explores a fresh slice of workload space on every run.
@@ -55,7 +56,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dataplane import runtime as dataplane_runtime
 from repro.dataplane.decisions import DecisionBatch, PacketDecision
 from repro.eval.oracle import ScalarOracle
 from repro.net.scenarios import ScenarioTrace, build_scenario, scenario_names
@@ -94,15 +94,6 @@ class EngineCase:
         return self.decision_cache != "off"
 
     @property
-    def step_rows(self) -> int:
-        """Rows of one register step of this case's closed-loop serve: a
-        ring chunk of ``batch_size`` rows on ``parallel`` (its slots hold at
-        least that many), else ``REGISTER_STEP_ROWS``."""
-        if self.topology == "parallel":
-            return self.batch_size
-        return dataplane_runtime.REGISTER_STEP_ROWS
-
-    @property
     def label(self) -> str:
         return (f"{self.runtime}/{self.topology}{self.n_workers}/"
                 f"{self.lookup_backend}/{self.decision_cache}/"
@@ -119,7 +110,6 @@ class EngineCase:
 def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
                 worker_counts: tuple[int, ...] = (1, 2),
                 caches: tuple[str, ...] = ("off", "l1", "l1+l2"),
-                batch_sizes: tuple[int, ...] = (64,),
                 include_parallel: bool = True) -> list[EngineCase]:
     """The full matrix: every topology x cache x backend x runtime point,
     each runtime over the (backend, cache) pairs it serves
@@ -133,24 +123,23 @@ def build_cases(runtimes: tuple[str, ...] = RUNTIME_KINDS,
     serves it on both.
     """
     cases = []
-    for kind, batch in itertools.product(runtimes, batch_sizes):
+    for kind in runtimes:
         combos = [(backend, cached) for backend, cached in itertools.product(
             RUNTIME_BACKENDS[kind], RUNTIME_CACHES[kind]) if cached in caches]
         for backend, cached in combos:
-            cases.append(EngineCase(kind, "local", 1, backend, cached, batch))
+            cases.append(EngineCase(kind, "local", 1, backend, cached))
         # Rotate (backend, cache) pairs across the scaled-out topologies:
         # offset by one per worker count so sharded and parallel between
         # them cover every pair at every requested scale over the rotation.
         for i, n in enumerate(worker_counts):
             for j in range(0, len(combos), 2):
                 backend, cached = combos[(i + j) % len(combos)]
-                cases.append(EngineCase(kind, "sharded", n, backend, cached,
-                                        batch))
+                cases.append(EngineCase(kind, "sharded", n, backend, cached))
             if include_parallel:
                 for j in range(1, max(len(combos), 2), 2):
                     backend, cached = combos[(i + j) % len(combos)]
                     cases.append(EngineCase(kind, "parallel", n, backend,
-                                            cached, batch))
+                                            cached))
     return cases
 
 
@@ -342,8 +331,11 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
       and the batched two-pass protocol replays the scalar op sequence
       exactly (approximate-hit patterns depend on how flows split across
       replicas, so groups never span different worker counts);
-    - configs with the same runtime kind, sharding shape, and register
-      step must cut the same spans, hence equal flush totals.
+    - every replica of every topology steps registers in
+      ``REGISTER_STEP_ROWS`` spans and the shard split is one hash, so
+      configs with the same runtime kind and replica count (``local``,
+      ``sharded`` and ``parallel`` alike) cut the same spans, hence equal
+      flush totals.
     """
     cached = [r for r in rows if r["cache"] is not None]
     for r in cached:
@@ -370,7 +362,7 @@ def _check_stats(rows: list[dict], notes: list[str]) -> None:
                          f"{ {r['case']: r['cache'] for r in group} }")
     by_shape: dict[tuple, dict[str, int]] = {}
     for r in rows:
-        shape = (r["runtime"], r["n_workers"], r["step"])
+        shape = (r["runtime"], r["n_workers"])
         by_shape.setdefault(shape, {})[r["case"]] = r["flushes"]
     for shape, members in by_shape.items():
         if len(set(members.values())) > 1:
@@ -404,7 +396,7 @@ def run_differential(workload: ScenarioTrace, sources: dict | None = None,
         report.rows.append({
             "case": case.label, "runtime": case.runtime,
             "topology": case.topology, "n_workers": case.n_workers,
-            "batch_size": case.batch_size, "step": case.step_rows,
+            "batch_size": case.batch_size,
             "cache_mode": case.decision_cache,
             "n_decisions": serve.n_decisions,
             "match": div is None,

@@ -19,16 +19,16 @@ importable for reference stacks and tests):
 - :class:`ShardedDispatcher` — *the* dispatcher: hashes each flow's
   canonical 5-tuple onto one of N independent runtime replicas (flow state
   never spans shards), replays every shard in fixed ``REGISTER_STEP_ROWS``
-  register steps (ring chunks of ``batch_size`` on the parallel
-  transport), and merges decisions back into global trace order; its
-  :class:`FlushStats` count those steps. Its replicas live in-process and
-  replay serially, so parallel wall clock is modeled as
-  ``max(shard_seconds)``; :class:`ParallelDispatcher` is the same
-  dispatcher over persistent ``multiprocessing`` workers fed through
-  preallocated shared-memory ring buffers (:mod:`repro.serving.rings` —
-  only fixed-size chunk descriptors cross the worker pipes), where
-  ``wall_seconds`` is *measured*. The engine applies the configured lookup
-  backend (``"tcam-pruned"`` serves windowed replicas through the
+  register steps on every topology, and merges decisions back into global
+  trace order; its :class:`FlushStats` count those steps. Its replicas
+  live in-process and replay serially, so parallel wall clock is modeled
+  as ``max(shard_seconds)``; :class:`ParallelDispatcher` is the same
+  dispatcher over persistent ``multiprocessing`` workers, each handed its
+  whole shard per serve through two shared-memory segments
+  (:mod:`repro.serving.rings` — only one descriptor and one reply per
+  worker cross the pipes), where ``wall_seconds`` is *measured*. The
+  engine applies the configured lookup backend (``"tcam-pruned"`` serves
+  windowed replicas through the
   hardware-faithful prioritized-TCAM path of :mod:`repro.dataplane.tcam`)
   to every replica it builds — bit-identical decisions either way.
 - :class:`FlowDecisionCache` — a per-replica LRU of
@@ -63,8 +63,8 @@ End-to-end example (train → compile → serve)::
     model.train(views)
     model.compile_dataplane(views)
 
-    config = EngineConfig(feature_mode="stats", batch_size=256,
-                          topology="sharded", n_workers=4)
+    config = EngineConfig(feature_mode="stats", topology="sharded",
+                          n_workers=4)
     with PegasusEngine.from_model(model, config) as engine:
         report = engine.serve(test)            # ServingReport
     decisions = report.decisions               # DecisionBatch, trace order

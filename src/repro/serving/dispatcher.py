@@ -11,8 +11,8 @@ Every serve is the same steps, written once in :class:`ShardedDispatcher`:
 wire columns (validated) -> shard split -> ``_execute`` -> stats.
 ``_execute`` is the seam a transport plugs into: here it replays the shards
 serially on in-process replicas; :class:`repro.serving.ParallelDispatcher`
-overrides it (and the lifecycle) to pump the same shards through
-shared-memory rings to worker processes.
+overrides it (and the lifecycle) to hand the same shards to worker
+processes through shared memory, one hand-off per worker per serve.
 
 Because flows never span shards, sharded decisions are bit-identical to an
 unsharded replay whenever per-replica register capacity does not bind
@@ -20,12 +20,12 @@ unsharded replay whenever per-replica register capacity does not bind
 its own FIFO eviction, so eviction points — like on a real multi-pipe
 switch — may differ from a single giant table.
 
-Each in-process replica steps its registers in fixed spans of
-:data:`~repro.dataplane.runtime.REGISTER_STEP_ROWS` rows: the switch has no
-batch, so there is no chunk to size (a transport that ships chunks sizes
-them, and replays each as one step). Where the cuts fall never changes a
-decision (asserted by the serving tests), so ``flush_stats`` is a pure
-function of the shard sizes and the step (:func:`flush_counts`).
+Every replica, in-process or in a worker, steps its registers in fixed
+spans of :data:`~repro.dataplane.runtime.REGISTER_STEP_ROWS` rows: the
+switch has no batch, so there is no chunk to size. Where the cuts fall
+never changes a decision (asserted by the serving tests), so
+``flush_stats`` is a pure function of the shard sizes and the step
+(:func:`flush_counts`).
 
 Usage::
 
@@ -215,7 +215,7 @@ class ShardedDispatcher:
         labels = replay_labels(labels, len(trace))
         self.start()    # replica build / worker fork lands outside the clock
         started = time.perf_counter()
-        step = self._step_rows()
+        step = dataplane_runtime.REGISTER_STEP_ROWS     # read per serve
         if self.n_shards == 1 and self.in_process:
             # Nothing to split: the one replica replays the caller's trace.
             runtime = self.runtimes[0]
@@ -235,12 +235,6 @@ class ShardedDispatcher:
             self.flush_stats.merge(flush_counts(len(member), step))
         self.wall_seconds = time.perf_counter() - started
         return decisions
-
-    def _step_rows(self) -> int:
-        """Rows of one register step: the runtime module's
-        ``REGISTER_STEP_ROWS``, read per serve. A transport that replays
-        each chunk it ships as one step overrides this."""
-        return dataplane_runtime.REGISTER_STEP_ROWS
 
     def _split(self, trace: Trace, labels) -> tuple[dict, list]:
         """The trace as wire columns, and each shard's member positions.
@@ -274,7 +268,7 @@ class ShardedDispatcher:
 
         Each shard's ``seq`` maps through its members to global positions,
         and the columns scatter to those positions — the same merge the
-        ring driver runs on egress slots. The scatter casts, so each
+        parallel driver runs on each worker's egress range. The scatter casts, so each
         shard's decisions are validated against the decision schema first:
         a replica whose decision dtype drifted raises a ``SchemaError``
         instead of being silently cast."""

@@ -35,8 +35,8 @@ End-to-end usage::
 
     from repro.serving import EngineConfig, PegasusEngine
 
-    config = EngineConfig(feature_mode="stats", batch_size=256,
-                          decision_cache="l1", lookup_backend="tcam-pruned",
+    config = EngineConfig(feature_mode="stats", decision_cache="l1",
+                          lookup_backend="tcam-pruned",
                           topology="parallel", n_workers=4)
     with PegasusEngine.from_compiled(compiled, config) as eng:
         report = eng.serve(test_flows)
@@ -180,9 +180,9 @@ class EngineConfig:
     - **lookup** — ``lookup_backend`` (registry; ``"index"`` |
       ``"tcam-pruned"`` built in, bit-identical; ``two_stage`` serves
       ``"index"`` only);
-    - **chunking** — ``batch_size``, the rows of a chunk where a chunk is
-      a unit of latency: the open-loop drain cap and the ``parallel`` ring
-      chunk. Closed-loop ``local`` / ``sharded`` replays step registers in
+    - **chunking** — ``batch_size``, the open-loop drain cap: the most
+      admitted packets one ``serve(mode="open")`` chunk serves. Closed-loop
+      replays on every topology step registers in
       :data:`~repro.dataplane.runtime.REGISTER_STEP_ROWS` spans whatever it
       says (where the cuts fall never changes a decision);
     - **cache** — ``decision_cache`` mode (``"off" | "l1" | "l1+l2"``),
@@ -190,8 +190,8 @@ class EngineConfig:
       ``windowed`` only (``two_stage`` has no cache);
     - **topology** — ``local`` (one replica, in-process), ``sharded``
       (N replicas replayed serially, modeled parallel wall clock) or
-      ``parallel`` (N persistent worker processes fed through
-      shared-memory rings, measured wall clock), with ``n_workers``
+      ``parallel`` (N persistent worker processes, each handed its whole
+      shard through shared memory, measured wall clock), with ``n_workers``
       replicas;
     - **open loop** — ``admission`` policy (``"none"`` | ``"tail-drop"`` |
       ``"aimd"``), ingress ``queue_capacity``, the ``p99_target_ms``
@@ -343,10 +343,10 @@ def _build_in_process(replica_factory, config: EngineConfig,
 
 def _build_parallel(replica_factory, config: EngineConfig,
                     payload_bytes: int | None) -> ParallelDispatcher:
-    """``parallel``: ``n_workers`` persistent worker processes over rings."""
+    """``parallel``: ``n_workers`` persistent worker processes over shared
+    memory."""
     return ParallelDispatcher(runtime_factory=replica_factory,
                               n_workers=config.n_workers,
-                              batch_size=config.batch_size,
                               payload_bytes=payload_bytes)
 
 
@@ -458,8 +458,8 @@ class ServingReport:
     ``shard_seconds`` is the per-replica replay breakdown (one entry for
     ``local``, one per shard/worker otherwise — replay only, excluding IPC).
     ``flush_stats`` counts this serve's register steps over all replicas
-    (``REGISTER_STEP_ROWS`` spans, ring chunks on ``parallel``, at least
-    one per open-loop chunk); ``cache_stats`` aggregates the replicas'
+    (``REGISTER_STEP_ROWS`` spans on every topology, at least one per
+    open-loop chunk); ``cache_stats`` aggregates the replicas'
     *lifetime* decision-cache counters. ``decisions`` are columns
     (``decisions.predicted`` etc.); ``list(decisions)`` materialises
     :class:`~repro.dataplane.decisions.PacketDecision` objects.

@@ -25,7 +25,7 @@ from repro.dataplane.runtime import (TwoStageRuntime,
 from repro.eval.differential import build_two_stage_spec
 from repro.net import build_scenario
 
-# Single-batch serves (an open-loop chunk, most parallel ring chunks): at
+# Single-batch serves (an open-loop chunk, a small parallel shard): at
 # most the call + c_call events they make with narrow integers through the
 # model stage (84 + 121 and 85 + 128, three fewer than before it, when
 # closed-loop replays began stepping registers in REGISTER_STEP_ROWS spans),
@@ -37,6 +37,11 @@ CLOSED_LOOP_B32_BUDGET = {"call": 394, "c_call": 770}
 # tracemalloc peak of CompiledModel.predict per row, on int64 inputs (a
 # compiled model's runtime feeds it uint8, 138 B): 194 B measured, + 10%.
 PREDICT_BYTES_PER_ROW = 214
+# About 60 B/row of that is a per-call NumPy casting buffer, so the per-row
+# peak falls as the batch grows (144 B at 4,096 rows, 136 B at 16,384). What
+# a row costs on top of a batch, (peak(16,384) - peak(4,096)) / 12,288:
+# 133 B measured, + 10%.
+PREDICT_MARGINAL_BYTES_PER_ROW = 146
 # The whole 6,082-packet hitters_base trace closed loop in the default
 # REGISTER_STEP_ROWS steps: 171 call and 783 c_call events measured, + 10%.
 HITTERS_BASE_BUDGET = {"call": 188, "c_call": 861}
@@ -196,8 +201,13 @@ def test_two_stage_decide_calls_per_replay(hitters_base, batch_size):
 def test_predict_peak_bytes_per_row(compiled16):
     """SumReduce keeps one table's gather alive at a time, so a large model
     stage costs no more memory per row than a small batch."""
-    rows = 1024
-    x = np.random.default_rng(0).integers(0, 256, size=(rows, 16))
-    compiled16.predict(x)
-    assert traced_peak(lambda: compiled16.predict(x)) / rows \
-        <= PREDICT_BYTES_PER_ROW
+    peaks = {}
+    for rows in (1024, runtime_module.MODEL_STAGE_ROWS, 4096, 16384):
+        x = np.random.default_rng(0).integers(0, 256, size=(rows, 16))
+        compiled16.predict(x)
+        peaks[rows] = traced_peak(lambda: compiled16.predict(x))
+    assert peaks[1024] / 1024 <= PREDICT_BYTES_PER_ROW
+    stage = runtime_module.MODEL_STAGE_ROWS
+    assert peaks[stage] / stage <= peaks[1024] / 1024
+    assert (peaks[16384] - peaks[4096]) / (16384 - 4096) \
+        <= PREDICT_MARGINAL_BYTES_PER_ROW

@@ -150,11 +150,11 @@ class TestMatrix:
     def test_stat_notes_flag_inconsistency(self):
         rows = [
             {"case": "a", "runtime": "windowed", "topology": "local",
-             "n_workers": 1, "batch_size": 64, "step": 4096,
+             "n_workers": 1, "batch_size": 64,
              "cache_mode": "l1", "n_decisions": 10, "match": True,
              "cache": (4, 5, 0, 0), "flushes": 3},
             {"case": "b", "runtime": "windowed", "topology": "sharded",
-             "n_workers": 1, "batch_size": 64, "step": 4096,
+             "n_workers": 1, "batch_size": 64,
              "cache_mode": "l1", "n_decisions": 9, "match": True,
              "cache": (3, 6, 0, 0), "flushes": 4},
         ]
@@ -164,6 +164,23 @@ class TestMatrix:
         assert any("disagree" in n for n in notes)             # exact 4 vs 3
         assert any("counters diverge" in n for n in notes)     # same layout
         assert any("flush totals" in n for n in notes)
+
+    def test_flush_totals_keyed_by_replica_count(self):
+        """``sharded`` and ``parallel`` at one worker count step the same
+        spans, so their flush totals must agree; different counts may not."""
+        def row(case, topology, n_workers, flushes):
+            return {"case": case, "runtime": "windowed",
+                    "topology": topology, "n_workers": n_workers,
+                    "cache": None, "flushes": flushes}
+
+        notes: list[str] = []
+        dfl._check_stats([row("s2", "sharded", 2, 5),
+                          row("p2", "parallel", 2, 6)], notes)
+        assert notes and "('windowed', 2)" in notes[0]
+        notes = []
+        dfl._check_stats([row("s1", "local", 1, 3),
+                          row("p2", "parallel", 2, 4)], notes)
+        assert notes == []
 
 
 class TestScalarReference:

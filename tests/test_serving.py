@@ -19,28 +19,25 @@ from repro.serving import (EngineConfig, FlowDecisionCache,
                            shard_hash_columns)
 from repro.serving.dispatcher import (ShardedDispatcher,   # un-deprecated core
                                       flush_counts)
-from repro.serving.parallel import _chunk_cuts
 
 BATCH = 32
-# The register step the flush tests patch in: not BATCH, so an in-process
-# replay that still cut at batch_size would miscount.
+# The register step the flush tests patch in: not BATCH, so a replay that
+# still cut at batch_size would miscount.
 STEP = 16
 
-# name -> (topology, replicas, ring_chunk, rows per step): every shape a
-# serve can take.
+# name -> (topology, replicas): every shape a serve can take.
 FLUSH_TOPOLOGIES = {
-    "local": ("local", 1, None, STEP),
-    "sharded3": ("sharded", 3, None, STEP),
-    "parallel2": ("parallel", 2, None, BATCH),
-    "parallel2-chunk8": ("parallel", 2, 8, 8),  # ring slots < batch_size
+    "local": ("local", 1),
+    "sharded3": ("sharded", 3),
+    "parallel1": ("parallel", 1),
+    "parallel2": ("parallel", 2),
 }
 
 
 class TestBatchCuts:
-    """Every replay cuts fixed register steps — ``REGISTER_STEP_ROWS`` in
-    process, one ring chunk of ``min(batch_size, slot)`` rows on the
-    parallel transport — and one rule counts them: ``flush_counts(rows,
-    step)`` per shard."""
+    """Every replay, in process or in a worker, cuts fixed
+    ``REGISTER_STEP_ROWS`` register steps, and one rule counts them:
+    ``flush_counts(rows, step)`` per shard."""
 
     @pytest.mark.parametrize("rows,batch,full,tail", [
         (100, 32, 3, 1), (30, 10, 3, 0), (5, 10, 0, 1), (0, 8, 0, 0)])
@@ -49,18 +46,6 @@ class TestBatchCuts:
         assert (stats.full, stats.tail) == (full, tail)
         assert stats.total == -(-rows // batch)
 
-    def test_chunks_split_batches_to_ring_slots(self):
-        assert list(_chunk_cuts(100, 32)) == \
-            [(0, 32), (32, 64), (64, 96), (96, 100)]
-        chunks = list(_chunk_cuts(100, 8))
-        assert [i for a, b in chunks for i in range(a, b)] == list(range(100))
-        assert max(b - a for a, b in chunks) == 8
-        # A chunk is batch_size rows, or the ring slot when that is smaller.
-        for ring_chunk, step in ((None, BATCH), (8, 8), (64, BATCH)):
-            dispatcher = ParallelDispatcher(lambda: None, batch_size=BATCH,
-                                            ring_chunk=ring_chunk)
-            assert dispatcher._step_rows() == step
-
     @pytest.mark.parametrize("wiring", ["engine", "hand"])
     @pytest.mark.parametrize("shape", list(FLUSH_TOPOLOGIES))
     def test_flush_accounting_is_one_rule(self, compiled16, replay_flows,
@@ -68,19 +53,13 @@ class TestBatchCuts:
         """Engine-built and hand-wired dispatchers count the same flushes —
         one per register step of every shard — and decide exactly what the
         per-packet reference does."""
-        topology, replicas, ring_chunk, step = FLUSH_TOPOLOGIES[shape]
+        topology, replicas = FLUSH_TOPOLOGIES[shape]
         monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", STEP)
         trace, labels = flows_to_trace(replay_flows)
         if wiring == "engine":
             config = EngineConfig(feature_mode="stats", batch_size=BATCH,
                                   topology=topology, n_workers=replicas)
             engine = PegasusEngine.from_compiled(compiled16, config)
-            if ring_chunk is not None:
-                # Ring geometry is a dispatcher parameter, not a config
-                # field: serve the engine's replicas over smaller slots.
-                engine._driver = ParallelDispatcher(
-                    engine._replica_factory, n_workers=replicas,
-                    batch_size=BATCH, ring_chunk=ring_chunk)
             with engine:
                 report = engine.serve(trace, labels=labels)
             decisions, flushes = report.decisions, report.flush_stats
@@ -89,8 +68,7 @@ class TestBatchCuts:
                 return WindowedClassifierRuntime(compiled16,
                                                  feature_mode="stats")
             dispatcher = (
-                ParallelDispatcher(factory, n_workers=replicas,
-                                   batch_size=BATCH, ring_chunk=ring_chunk)
+                ParallelDispatcher(factory, n_workers=replicas)
                 if topology == "parallel" else
                 ShardedDispatcher(factory, n_shards=replicas))
             with dispatcher:
@@ -99,7 +77,7 @@ class TestBatchCuts:
         shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
             % np.uint64(replicas)
         sizes = np.bincount(shard_ids.astype(np.int64), minlength=replicas)
-        assert flushes.total == sum(-(-int(m) // step) for m in sizes)
+        assert flushes.total == sum(-(-int(m) // STEP) for m in sizes)
         assert flushes.total > replicas
         assert list(decisions) == scalar_reference(compiled16, "windowed",
                                                    trace, labels)
@@ -107,8 +85,9 @@ class TestBatchCuts:
 
 class TestNoDecisionObjectsOnServePath:
     """The serve path hands decisions on as columns: no runtime replay,
-    dispatcher merge, ring or engine step builds a ``PacketDecision`` — in
-    this process or in a forked worker. Reading the report builds them."""
+    dispatcher merge, worker hand-off or engine step builds a
+    ``PacketDecision`` — in this process or in a forked worker. Reading the
+    report builds them."""
 
     @pytest.fixture
     def init_calls(self, monkeypatch):
@@ -193,8 +172,12 @@ class TestShardedDispatcher:
             ShardedDispatcher(runtime_factory=lambda: None, n_shards=0)
 
     def test_invalid_batch_size(self):
+        """``batch_size`` is the engine's open-loop drain cap, validated by
+        the config; no dispatcher takes one."""
         with pytest.raises(ValueError, match="batch_size"):
-            ParallelDispatcher(runtime_factory=lambda: None, batch_size=0)
+            EngineConfig(batch_size=0)
+        with pytest.raises(TypeError, match="batch_size"):
+            ParallelDispatcher(runtime_factory=lambda: None, batch_size=32)
 
 
 class TestReplayLabels:
@@ -254,7 +237,7 @@ class TestReplayLabels:
                     compiled16, feature_mode="stats", capacity=4096)
             if shape == "parallel2":
                 return ParallelDispatcher(runtime_factory=factory,
-                                          n_workers=2, batch_size=BATCH)
+                                          n_workers=2)
             return ShardedDispatcher(runtime_factory=factory,
                                      n_shards=int(shape[-1]))
 

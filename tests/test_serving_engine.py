@@ -149,7 +149,6 @@ def _hand_wired(factory, topology, flows, payload_bytes=None):
         return ShardedDispatcher(runtime_factory=factory,
                                  n_shards=2).serve_flows(flows)
     with ParallelDispatcher(runtime_factory=factory, n_workers=2,
-                            batch_size=BATCH,
                             payload_bytes=payload_bytes) as dispatcher:
         return dispatcher.serve_flows(flows)
 
@@ -284,8 +283,9 @@ class TestOneDispatcher:
     def test_single_replica_topologies_agree(self, compiled16, two_stage_spec,
                                              replay_flows, monkeypatch,
                                              runtime, shape):
-        # In-process replicas step the ring chunk's rows, so every topology
-        # cuts the same spans and counts the same flushes.
+        # Every replica, in process or in a worker forked after this patch,
+        # steps these rows, so every topology cuts the same spans and counts
+        # the same flushes.
         monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", BATCH)
         source = compiled16 if runtime == "windowed" else two_stage_spec
         trace, labels = flows_to_trace(replay_flows)

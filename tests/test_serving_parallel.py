@@ -3,14 +3,16 @@
 The contract: :class:`ParallelDispatcher` decisions are bit-identical to
 :class:`ShardedDispatcher` with the same shard count — and, when register
 capacity does not bind, to unsharded per-packet replay — for any worker
-count, ring depth, or chunk size, with or without the flow-decision cache,
-including under register-eviction churn; and no shared-memory segment ever
-outlives its dispatcher, whatever the close/crash path.
+count, register step, or segment size, with or without the flow-decision
+cache, including under register-eviction churn; and no shared-memory
+segment ever outlives its dispatcher, whatever the close/crash path.
 """
 
 import gc
 import multiprocessing
 import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from repro.eval.differential import scalar_replay
 from repro.net.traces import Trace, canonicalize_key_columns
 from repro.serving import FlowDecisionCache, shard_hash, shard_hash_columns
 from repro.serving.dispatcher import ShardedDispatcher
+import repro.serving.parallel as parallel_module
 from repro.serving.parallel import (ParallelDispatcher, serve_chunk,
                                     worker_main)
-from repro.serving.rings import (RingSegments, RingSpec, attach_ring,
+from repro.serving.rings import (RingSegments, attach_ring,
                                  write_ingress_chunk)
 
 WORKER_COUNTS = (1, 2, 4)
@@ -64,6 +67,20 @@ def _leaked_segments(names):
     return leaked
 
 
+def _record_segment_names(monkeypatch):
+    """Every segment name the dispatchers create from here on (a list that
+    fills as they are made)."""
+    names = []
+
+    class Recorded(RingSegments):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            names.extend(self.names)
+
+    monkeypatch.setattr(parallel_module, "RingSegments", Recorded)
+    return names
+
+
 def _shm_listing():
     """Current /dev/shm segment names (None off Linux-like platforms)."""
     try:
@@ -73,7 +90,7 @@ def _shm_listing():
 
 
 def _trace_sources(trace, labels):
-    """Full-trace source columns, as the driver pump builds them."""
+    """Full-trace source columns, as the driver's shard split builds them."""
     cols = trace.packet_columns()
     return {"ts": cols["ts"], "length": cols["length"],
             **trace.canonical_key_columns(),
@@ -173,8 +190,7 @@ class TestParallelEquivalence:
         assert list(serial_ref) == scalar_ref  # ample capacity: sharding exact
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, cached),
-                n_workers=n_workers,
-                batch_size=32) as dispatcher:
+                n_workers=n_workers) as dispatcher:
             got = dispatcher.serve_flows(replay_flows)
         assert list(got) == list(serial_ref)
         if cached:
@@ -196,8 +212,7 @@ class TestParallelEquivalence:
         assert sum(rt.state.evictions for rt in serial.runtimes) > 0
         with ParallelDispatcher(
                 runtime_factory=_factory(compiled16, cached, capacity=4),
-                n_workers=n_workers,
-                batch_size=32) as dispatcher:
+                n_workers=n_workers) as dispatcher:
             assert list(dispatcher.serve_flows(replay_flows)) == \
                 list(serial_ref)
 
@@ -208,8 +223,7 @@ class TestParallelEquivalence:
             with ParallelDispatcher(
                     runtime_factory=_factory(compiled16, cached,
                                              capacity=capacity),
-                    n_workers=2,
-                    batch_size=32) as dispatcher:
+                    n_workers=2) as dispatcher:
                 return dispatcher.serve_flows(replay_flows)
         assert list(serve(True)) == list(serve(False))
 
@@ -220,8 +234,7 @@ class TestParallelEquivalence:
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, False), n_shards=2)
         with ParallelDispatcher(
-                runtime_factory=_factory(compiled16, False), n_workers=2,
-                batch_size=32) as dispatcher:
+                runtime_factory=_factory(compiled16, False), n_workers=2) as dispatcher:
             first = dispatcher.serve_flows(replay_flows)
             second = dispatcher.serve_flows(replay_flows)
         assert list(first) == list(serial.serve_flows(replay_flows))
@@ -233,8 +246,7 @@ class TestParallelEquivalence:
 class TestParallelDispatcherMechanics:
     def test_telemetry_populated(self, compiled16, replay_flows):
         with ParallelDispatcher(
-                runtime_factory=_factory(compiled16, True), n_workers=3,
-                batch_size=32) as dispatcher:
+                runtime_factory=_factory(compiled16, True), n_workers=3) as dispatcher:
             decisions = dispatcher.serve_flows(replay_flows)
             assert decisions
             assert dispatcher.wall_seconds > 0
@@ -267,45 +279,49 @@ class TestParallelDispatcherMechanics:
             ParallelDispatcher(runtime_factory=lambda: None, n_workers=0)
 
     def test_serve_chunk_in_process(self, compiled16, replay_flows):
-        """The worker-side chunk replay, driven without a process."""
+        """The worker-side shard replay, driven without a process: a shard
+        at a nonzero offset of a segment pair reads only its own ingress
+        range and writes only the front of its own egress range."""
         trace, labels = flows_to_trace(replay_flows)
         ref = WindowedClassifierRuntime(
             compiled16, feature_mode="stats",
             batch_size=32).process_trace(trace, labels=labels)
-        n = len(trace)
-        spec = RingSpec(depth=2, chunk_rows=n)
-        segments = RingSegments(1, spec)
+        n, offset = len(trace), 5
+        segments = RingSegments(offset + n + 3)
         try:
-            views = spec.ingress_views(segments.ingress[0].buf, 1, n)
-            write_ingress_chunk(views, _trace_sources(trace, labels),
-                                np.arange(n))
+            write_ingress_chunk(segments.ingress_views(offset, n),
+                                _trace_sources(trace, labels), np.arange(n))
+            segments.egress_views(0, offset + n + 3)["seq"][:] = -7
             runtime = WindowedClassifierRuntime(
                 compiled16, feature_mode="stats", batch_size=32,
                 decision_cache=FlowDecisionCache(1024))
-            op, slot, produced, seconds = serve_chunk(
-                runtime, spec, segments.ingress[0], segments.egress[0], 1, n)
-            assert (op, slot) == ("chunk_ok", 1)
+            produced, seconds = serve_chunk(
+                runtime, segments.layout, segments.ingress, segments.egress,
+                offset, n)
             assert produced == len(ref)
             assert seconds > 0
-            out = spec.egress_views(segments.egress[0].buf, 1, produced)
-            assert out["seq"].tolist() == [d.seq for d in ref]
-            assert out["predicted"].tolist() == [d.predicted for d in ref]
+            out = {name: col[:produced].tolist() for name, col
+                   in segments.egress_views(offset, n).items()}
+            assert out["seq"] == [d.seq for d in ref]
+            assert out["predicted"] == [d.predicted for d in ref]
             assert runtime.decision_cache.stats.lookups == len(ref)
+            # Nothing outside the shard's egress block was written.
+            assert (segments.egress_views(0, offset)["seq"] == -7).all()
         finally:
             segments.close()
-        assert _leaked_segments(segments.segment_names) == []
+        assert _leaked_segments(list(segments.names)) == []
 
     def test_worker_main_in_process(self, compiled16, replay_flows):
         """The worker loop against a scripted in-process connection.
 
-        The second chunk descriptor names a slot past the ring depth — the
-        worker must ack it with ``chunk_err`` and keep serving (the loop
-        survives per-chunk failures so the driver can drain the ring).
+        One reply per serve. The second serve names a range past the end of
+        the segments — the worker must reply with the error and keep
+        serving (the loop survives a failed serve), and the third serve,
+        over a replaced segment pair, re-attaches by the new names.
         """
         trace, labels = flows_to_trace(replay_flows)
         n = len(trace)
-        spec = RingSpec(depth=2, chunk_rows=n)
-        segments = RingSegments(1, spec)
+        first, second = RingSegments(n), RingSegments(2 * n)
 
         class FakeConn:
             def __init__(self, inbox):
@@ -317,32 +333,38 @@ class TestParallelDispatcherMechanics:
                 return self.inbox.pop(0)
 
             def send(self, msg):
-                self.sent.append(msg)
+                self.sent.append(pickle.loads(pickle.dumps(msg)))  # a pipe
 
             def close(self):
                 self.closed = True
 
         try:
-            views = spec.ingress_views(segments.ingress[0].buf, 0, n)
-            write_ingress_chunk(views, _trace_sources(trace, labels),
-                                np.arange(n))
-            ingress_name, egress_name = segments.names(0)
-            conn = FakeConn([("warm",), ("serve", True),
-                             ("chunk", 0, n), ("chunk", 5, n),
-                             ("end",), None])
-            worker_main(conn, _factory(compiled16, False), ingress_name,
-                        egress_name, spec)
+            for segments, offset in ((first, 0), (second, n)):
+                write_ingress_chunk(segments.ingress_views(offset, n),
+                                    _trace_sources(trace, labels),
+                                    np.arange(n))
+            conn = FakeConn([("warm",), ("serve", first.names, 0, n, True),
+                             ("serve", first.names, n, n, True),
+                             ("serve", second.names, n, n, False), None])
+            worker_main(conn, _factory(compiled16, True))
             assert conn.closed
-            warm, chunk_ok, chunk_err, done = conn.sent
+            warm, ok, failed, again = conn.sent
             assert warm == ("ok", None)
-            assert chunk_ok[:2] == ("chunk_ok", 0) and chunk_ok[2] > 0
-            assert chunk_err[:2] == ("chunk_err", 5)
-            assert "ring slot 5 out of range" in chunk_err[2]
-            assert done[0] == "done" and done[1]["error"] is None
-            assert done[1]["seconds"] > 0
+            assert ok[0] == "done" and ok[1]["error"] is None
+            assert ok[1]["n"] > 0 and ok[1]["seconds"] > 0
+            assert ok[1]["cache_stats"].lookups == ok[1]["n"]
+            assert failed[0] == "done" and failed[1]["n"] == 0
+            assert "buffer is smaller than requested" in failed[1]["error"]
+            assert again[1]["error"] is None and again[1]["n"] > 0
+            # The replica kept its registers: the replay of the same
+            # packets decides more of them warm.
+            assert again[1]["n"] > ok[1]["n"]
+            assert second.egress_views(n, n)["seq"][:again[1]["n"]].min() \
+                == 0
         finally:
-            segments.close()
-        assert _leaked_segments(segments.segment_names) == []
+            first.close()
+            second.close()
+        assert _leaked_segments(list(first.names + second.names)) == []
 
     def test_worker_failure_surfaces_in_parent(self, compiled16, replay_flows):
         def broken_factory():
@@ -373,12 +395,14 @@ class TestCloseLifecycle:
         dispatcher.close()
         assert not dispatcher.started
 
-    def test_close_unlinks_segments(self, compiled16):
+    def test_close_unlinks_segments(self, compiled16, replay_flows):
         dispatcher = ParallelDispatcher(
             runtime_factory=_factory(compiled16, False), n_workers=2)
         dispatcher.start()
+        assert dispatcher.segment_names == []      # the first serve makes them
+        dispatcher.serve_flows(replay_flows)
         names = dispatcher.segment_names
-        assert len(names) == 4                     # ingress + egress per worker
+        assert len(names) == 2                     # one ingress, one egress
         assert _leaked_segments(names) == names    # live while started
         dispatcher.close()
         assert dispatcher.segment_names == []
@@ -402,51 +426,66 @@ class TestCloseLifecycle:
         if before is not None:
             assert after - before == set()         # no segment survived
 
-    def test_exit_during_in_flight_error(self, replay_flows):
+    def test_exit_during_in_flight_error(self, replay_flows, monkeypatch):
         """__exit__'s close runs while a serve error is propagating.
 
         ``object()`` builds fine (so the warm ping — and therefore
         ``__enter__`` — succeeds; the match below excludes the warm-ping
-        wording to prove it) but cannot replay a chunk, so the failure
+        wording to prove it) but cannot replay a shard, so the failure
         happens inside the ``with`` body and close() runs from ``__exit__``
         with the RuntimeError in flight.
         """
         dispatcher = ParallelDispatcher(runtime_factory=lambda: object(),
                                         n_workers=2)
-        names = []
+        names = _record_segment_names(monkeypatch)
         with pytest.raises(RuntimeError, match=r"worker 0 failed:(?!.*build)"):
             with dispatcher:
                 assert dispatcher.started             # __enter__ succeeded
-                names = dispatcher.segment_names
                 dispatcher.serve_flows(replay_flows)  # replica can't serve
         assert not dispatcher.started
-        assert names and _leaked_segments(names) == []
+        assert len(names) == 2 and _leaked_segments(names) == []
         dispatcher.close()
 
     def test_close_with_dead_worker(self, compiled16, replay_flows):
-        """A worker killed out from under us must not break close()."""
+        """A worker killed out from under us fails the next serve with a
+        typed error, and must not break close()."""
         dispatcher = ParallelDispatcher(
             runtime_factory=_factory(compiled16, False), n_workers=2)
-        dispatcher.start()
+        cold = dispatcher.serve_flows(replay_flows)
         first_names = dispatcher.segment_names
         dispatcher._workers[0].terminate()
         dispatcher._workers[0].join()
+        with pytest.raises(WorkerError, match="died mid-serve") as exc:
+            dispatcher.serve_flows(replay_flows)
+        assert exc.value.workers == (0,)
+        assert not dispatcher.started              # the serve closed the fleet
         dispatcher.close()
-        assert not dispatcher.started
         assert _leaked_segments(first_names) == []
         # And the dispatcher is still restartable with a cold fleet
         # (fresh segments, also unlinked on the next close).
-        assert dispatcher.serve_flows(replay_flows)
+        assert list(dispatcher.serve_flows(replay_flows)) == list(cold)
         second_names = dispatcher.segment_names
         dispatcher.close()
         assert _leaked_segments(second_names) == []
 
-    def test_gc_backstop_unlinks_segments(self, compiled16):
+    def test_close_under_a_live_view_keeps_it_mapped(self):
+        """A failing serve closes its segments while a traceback still holds
+        views of them: the names go, the memory stays mapped until the last
+        view dies (a view that did not pin it would segfault on read)."""
+        segments = RingSegments(8)
+        view = segments.ingress_views(2, 4)["ts"]
+        view[:] = 1.5
+        segments.close()
+        assert _leaked_segments(list(segments.names)) == []
+        assert view.sum() == 6.0
+        del view
+
+    def test_gc_backstop_unlinks_segments(self, compiled16, replay_flows):
         """A dispatcher dropped without close() must not leak segments:
         the ``weakref.finalize`` backstop unlinks on garbage collection."""
         dispatcher = ParallelDispatcher(
             runtime_factory=_factory(compiled16, False), n_workers=2)
-        dispatcher.start()
+        dispatcher.serve_flows(replay_flows)
         names = dispatcher.segment_names
         assert _leaked_segments(names) == names
         del dispatcher
@@ -454,63 +493,111 @@ class TestCloseLifecycle:
         assert _leaked_segments(names) == []
 
 
-class TestRingEdges:
-    """Wraparound, backpressure, and ordering edges of the ring transport.
+class _SlowRuntime(WindowedClassifierRuntime):
+    """A replica that stalls its replay in the process named by
+    ``slow_pid`` (shared with the forked workers)."""
 
-    Tiny rings force every edge: slots are reused many times per serve
-    (wraparound), the slot capacity is below ``batch_size`` (the slot sets
-    the chunk), and with ``ring_depth=1`` the driver provably stalls on a
-    full ring (backpressure). Decisions — and the flush/cache counters —
-    must stay bit-identical to the serial dispatcher through all of it.
+    slow_pid = None
+
+    def process_columns(self, *args, **kwargs):
+        if os.getpid() == self.slow_pid.value:
+            time.sleep(0.3)
+        return super().process_columns(*args, **kwargs)
+
+
+class TestRingEdges:
+    """Edges of the one-hand-off transport over the shared segments.
+
+    A tiny first serve sizes the segments, so a later serve must replace
+    them (and the workers re-attach by the new names) while a smaller one
+    reuses them; replies arrive in whatever order the workers finish.
+    Decisions — and the flush/cache counters — must stay bit-identical to
+    the serial dispatcher through all of it.
     """
 
-    @pytest.mark.parametrize("ring_depth,ring_chunk",
-                             [(1, 8), (2, 8), (1, 4), (3, 16)])
+    @pytest.mark.parametrize("n_workers,first_rows",
+                             [(1, 4), (1, 8), (2, 8), (3, 16)])
     def test_tiny_rings_bit_identical(self, compiled16, replay_flows,
-                                      monkeypatch, ring_depth, ring_chunk):
-        # The serial replicas step the workers' chunk rows.
-        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", ring_chunk)
+                                      n_workers, first_rows):
+        trace, labels = flows_to_trace(replay_flows)
+        head = np.arange(first_rows)
+        serves = [(trace.take(head), labels[head]), (trace, labels),
+                  (trace.take(head), labels[head])]
         serial = ShardedDispatcher(
-            runtime_factory=_factory(compiled16, True), n_shards=2)
-        ref = serial.serve_flows(replay_flows)
+            runtime_factory=_factory(compiled16, True), n_shards=n_workers)
         with ParallelDispatcher(
-                runtime_factory=_factory(compiled16, True), n_workers=2,
-                batch_size=32,
-                ring_depth=ring_depth, ring_chunk=ring_chunk) as dispatcher:
-            got = dispatcher.serve_flows(replay_flows)
-            assert list(got) == list(ref)
-            # A ring chunk is one register step: the flush accounting is
-            # identical to a serial dispatcher stepping the same spans.
-            assert dispatcher.flush_stats.total == serial.flush_stats.total
-            assert dispatcher.cache_stats.lookups == \
-                serial.cache_stats.lookups
-            if ring_depth == 1:
-                # One slot per worker and several chunks per shard: the
-                # driver must have waited on a full ring at least once.
-                assert dispatcher.ring_stalls > 0
+                runtime_factory=_factory(compiled16, True),
+                n_workers=n_workers) as dispatcher:
+            names = []
+            for serve_trace, serve_labels in serves:
+                ref = serial.serve_trace(serve_trace, labels=serve_labels)
+                got = dispatcher.serve_trace(serve_trace, labels=serve_labels)
+                assert list(got) == list(ref)
+                assert dispatcher.flush_stats.total == \
+                    serial.flush_stats.total
+                assert dispatcher.cache_stats.lookups == \
+                    serial.cache_stats.lookups
+                names.append(dispatcher.segment_names)
+        # Replaced once to fit the whole trace, then reused for the tail.
+        assert names[0] != names[1] == names[2]
 
-    def test_unscheduled_fixed_strides(self, compiled16, replay_flows):
-        """At the default batch size, shards chunk by ring-slot strides."""
+    def test_unscheduled_fixed_strides(self, compiled16, replay_flows,
+                                       monkeypatch):
+        """Workers step registers in ``REGISTER_STEP_ROWS`` spans like the
+        in-process replicas, whatever the replica's own batch size: one
+        rule counts the flushes of both."""
+        monkeypatch.setattr(runtime_module, "REGISTER_STEP_ROWS", 8)
+        trace, labels = flows_to_trace(replay_flows)
         serial = ShardedDispatcher(
             runtime_factory=_factory(compiled16, False), n_shards=2)
-        ref = serial.serve_flows(replay_flows)
+        ref = serial.serve_trace(trace, labels=labels)
         with ParallelDispatcher(
-                runtime_factory=_factory(compiled16, False), n_workers=2,
-                ring_depth=2, ring_chunk=8) as dispatcher:
-            assert list(dispatcher.serve_flows(replay_flows)) == list(ref)
+                runtime_factory=_factory(compiled16, False),
+                n_workers=2) as dispatcher:
+            got = dispatcher.serve_trace(trace, labels=labels)
+        assert list(got) == list(ref)
+        sizes = np.bincount((shard_hash_columns(trace.canonical_key_columns())
+                             % np.uint64(2)).astype(np.int64), minlength=2)
+        assert dispatcher.flush_stats.total == serial.flush_stats.total == \
+            sum(-(-int(m) // 8) for m in sizes)
 
     def test_out_of_order_completion_merges_in_order(self, compiled16,
-                                                     replay_flows):
-        """Four workers drain at different speeds; egress chunks land in
-        arbitrary arrival order — the merge still yields global order."""
-        with ParallelDispatcher(
-                runtime_factory=_factory(compiled16, True), n_workers=4,
-                batch_size=8,
-                ring_depth=2, ring_chunk=8) as dispatcher:
-            decisions = dispatcher.serve_trace(Trace.from_flows(replay_flows))
-        assert decisions
+                                                     replay_flows,
+                                                     monkeypatch):
+        """Worker 0 is slowed, so its reply arrives last; the merge still
+        yields the serial dispatcher's decisions in global trace order."""
+        slow_pid = multiprocessing.Value("i", 0)
+
+        def build():
+            runtime = _SlowRuntime(compiled16, feature_mode="stats",
+                                   decision_cache=FlowDecisionCache(4096))
+            runtime.slow_pid = slow_pid
+            return runtime
+
+        merged_shards = []
+        scatter = parallel_module.scatter_decision_chunk
+
+        def recording_scatter(merged, valid, gseq, views, rows):
+            merged_shards.append(gseq.copy())
+            scatter(merged, valid, gseq, views, rows)
+
+        monkeypatch.setattr(parallel_module, "scatter_decision_chunk",
+                            recording_scatter)
+        trace, labels = flows_to_trace(replay_flows)
+        ref = ShardedDispatcher(runtime_factory=_factory(compiled16, True),
+                                n_shards=4).serve_trace(trace, labels=labels)
+        with ParallelDispatcher(runtime_factory=build,
+                                n_workers=4) as dispatcher:
+            slow_pid.value = dispatcher._workers[0].pid
+            decisions = dispatcher.serve_trace(trace, labels=labels)
+        assert list(decisions) == list(ref)
         seqs = [d.seq for d in decisions]
         assert seqs == sorted(seqs)
+        shard_ids = shard_hash_columns(trace.canonical_key_columns()) \
+            % np.uint64(4)
+        assert len(merged_shards) == 4
+        assert (shard_ids[merged_shards[-1]] == 0).all()   # worker 0 last
+        assert not (shard_ids[merged_shards[0]] == 0).any()
 
     def test_spawn_start_method_smoke(self, compiled16, replay_flows):
         """The shm path is start-method agnostic: segments travel by name,
@@ -522,8 +609,7 @@ class TestRingEdges:
         ref = serial.serve_flows(replay_flows)
         dispatcher = ParallelDispatcher(
             runtime_factory=_SpawnFactory(compiled16), n_workers=2,
-            batch_size=32,
-            start_method="spawn", ring_depth=2, ring_chunk=16)
+            start_method="spawn")
         with dispatcher:
             got = dispatcher.serve_flows(replay_flows)
             names = dispatcher.segment_names
@@ -531,9 +617,8 @@ class TestRingEdges:
         assert _leaked_segments(names) == []
 
     def test_differential_ring_geometries(self, compiled16):
-        """Tiny-ring parallel serving of a scenario (depth 1 / chunk 8 and
-        depth 2 / chunk 16) is bit-identical to the per-packet scalar
-        reference."""
+        """A scenario served over one, two and three shard ranges per
+        segment is bit-identical to the per-packet scalar reference."""
         from repro.eval.differential import DEFAULT_CAPACITY, scalar_reference
         from repro.net import build_scenario
 
@@ -542,12 +627,92 @@ class TestRingEdges:
         ref = scalar_reference(compiled16, "windowed", workload.trace,
                                workload.labels)
         assert ref
-        for ring_depth, ring_chunk in ((1, 8), (2, 16)):
+        for n_workers in (1, 2, 3):
             with ParallelDispatcher(
                     runtime_factory=_factory(compiled16, True,
                                              capacity=DEFAULT_CAPACITY),
-                    n_workers=2, batch_size=64, ring_depth=ring_depth,
-                    ring_chunk=ring_chunk) as dispatcher:
+                    n_workers=n_workers) as dispatcher:
                 got = dispatcher.serve_trace(workload.trace,
                                              labels=workload.labels)
-            assert list(got) == ref, (ring_depth, ring_chunk)
+            assert list(got) == ref, n_workers
+
+
+class TestMidServeFailure:
+    """A driver-side error after the first hand-off leaves replies
+    outstanding: the serve must close the fleet, raise the original error,
+    leave no segment behind, and the next serve must decide exactly like a
+    cold dispatcher's first."""
+
+    @pytest.mark.parametrize("step", ["scatter_decision_chunk",
+                                      "write_ingress_chunk"])
+    def test_error_on_second_shard_closes_fleet(self, compiled16,
+                                                replay_flows, monkeypatch,
+                                                step):
+        calls = []
+        original = getattr(parallel_module, step)
+
+        def second_call_raises(*args):
+            calls.append(step)
+            if len(calls) == 2:
+                raise RuntimeError(f"injected {step} failure")
+            return original(*args)
+
+        with ParallelDispatcher(runtime_factory=_factory(compiled16, True),
+                                n_workers=2) as cold:
+            want = cold.serve_flows(replay_flows)
+        names = _record_segment_names(monkeypatch)
+        monkeypatch.setattr(parallel_module, step, second_call_raises)
+        dispatcher = ParallelDispatcher(
+            runtime_factory=_factory(compiled16, True), n_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="injected") as exc:
+                dispatcher.serve_flows(replay_flows)
+            assert not isinstance(exc.value, WorkerError)
+            assert not dispatcher.started
+            assert len(names) == 2 and _leaked_segments(names) == []
+            got = dispatcher.serve_flows(replay_flows)   # third call passes
+            assert len(names) == 4
+        finally:
+            dispatcher.close()
+        assert list(got) == list(want)
+        assert _leaked_segments(names) == []
+
+
+_FRESH_PROCESS_SERVE = """
+import numpy as np
+from repro.errors import WorkerError
+from repro.net.traces import Trace
+from repro.serving import ParallelDispatcher
+
+n = 16
+cols = {"ts": np.arange(n, dtype=np.float64), "length": np.full(n, 60),
+        "src_ip": np.arange(n), "dst_ip": np.full(n, 7),
+        "src_port": np.full(n, 80), "dst_port": np.full(n, 443),
+        "proto": np.full(n, 6)}
+dispatcher = ParallelDispatcher(runtime_factory=object, n_workers=2,
+                                start_method="fork")
+try:
+    dispatcher.serve_trace(Trace.from_columns(cols))
+except WorkerError:
+    pass                    # the replica cannot replay; the attach happened
+dispatcher.close()
+"""
+
+
+def test_first_fleet_of_a_process_leaves_no_tracker_registration():
+    """A fresh process forks its workers before its first serve creates the
+    segments, so each worker starts a ``resource_tracker`` of its own on
+    its first attach; a registration left there is "leaked" (and unlinked)
+    by that tracker when the worker exits."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_SERVE],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert "leaked shared_memory" not in done.stderr, done.stderr

@@ -222,8 +222,8 @@ class TestHotPathCoverage:
         trace, labels = flows_to_trace(replay_flows)
         calls = _count_validations(monkeypatch)
         with ParallelDispatcher(
-                runtime_factory=_runtime_factory(compiled16), n_workers=2,
-                batch_size=32) as dispatcher:
+                runtime_factory=_runtime_factory(compiled16),
+                n_workers=2) as dispatcher:
             dispatcher.serve_trace(trace, labels=labels)
         split_calls = [ctx for name, ctx in calls
                        if name == "wire" and "shard split" in ctx]
@@ -245,8 +245,8 @@ class TestHotPathCoverage:
                     n_shards=2, runtime_factory=factory
                 ).serve_trace(trace, labels=labels)
             return
-        with ParallelDispatcher(runtime_factory=factory, n_workers=2,
-                                batch_size=32) as dispatcher:
+        with ParallelDispatcher(runtime_factory=factory,
+                                n_workers=2) as dispatcher:
             with pytest.raises(WorkerError, match="predicted"):
                 dispatcher.serve_trace(trace, labels=labels)
 
@@ -301,8 +301,9 @@ class TestDecisionMerge:
         assert merged["flow_label"][3] == 42
 
     def test_egress_slot_tail_is_ignored(self):
-        """Only the first ``rows`` entries of an egress slot are scattered —
-        stale data past the chunk's decision count never leaks through."""
+        """Only the first ``rows`` entries of a shard's egress range are
+        scattered — stale data past its decision count (a worker decides
+        fewer packets than its range holds) never leaks through."""
         merged, valid = _empty_merge(4)
         views = {"flow_label": np.array([7, 99], dtype=np.int64),
                  "predicted": np.array([2, 99], dtype=np.int64),
@@ -319,8 +320,8 @@ class TestDecisionMerge:
             n_shards=2, runtime_factory=_runtime_factory(compiled16)
         ).serve_trace(trace, labels=labels)
         with ParallelDispatcher(
-                runtime_factory=_runtime_factory(compiled16), n_workers=2,
-                batch_size=32) as dispatcher:
+                runtime_factory=_runtime_factory(compiled16),
+                n_workers=2) as dispatcher:
             par = dispatcher.serve_trace(trace, labels=labels)
         assert [(d.seq, d.flow_label, d.predicted, d.ts) for d in par] == \
             [(d.seq, d.flow_label, d.predicted, d.ts) for d in serial]
