@@ -21,6 +21,7 @@ from the three arrays on construction and on :meth:`FuzzyTree.set_thresholds`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -31,50 +32,54 @@ from repro.errors import ShapeError
 from repro.core.crc import range_to_prefixes
 
 
+# One feature block's prefix sums stay within this many float64 cells.
+_BLOCK_CELLS = 1 << 20
+
+
 def _best_split(x: np.ndarray) -> tuple[float, int, float] | None:
     """Best (sse_reduction, feature, threshold) for one cluster, or None.
 
-    Vectorized over every feature: sort the values, use prefix sums of the
-    vectors and their squared norms to evaluate the SSE of every candidate
-    split in O(n d) per feature.
+    One pass scores every feature: one column-wise stable argsort, then
+    prefix sums of the rows and of their squared norms in each feature's
+    order give the SSE on both sides of every candidate cut, in blocks of
+    features whose prefix sums stay within ``_BLOCK_CELLS`` cells. A cut
+    after sorted position i needs ``v[i] < v[i + 1]``. The first largest
+    gain wins, in (feature, cut) order; a gain of at most 1e-12 is no split.
     """
     n, d = x.shape
     if n < 2:
         return None
+    order = np.argsort(x, axis=0, kind="stable")
+    vs = x[order, np.arange(d)].T                               # (d, n)
+    valid = vs[:, :-1] < vs[:, 1:]
     sq = (x ** 2).sum(axis=1)
     total_sse = float(sq.sum() - (x.sum(axis=0) ** 2).sum() / n)
-    best: tuple[float, int, float] | None = None
-    for f in range(d):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order]
-        vs = xs[:, f]
-        # Candidate split after position i requires vs[i] < vs[i+1].
-        valid = vs[:-1] < vs[1:]
-        if not valid.any():
+    best = (1e-12, -1, 0)                       # a split must gain more
+    step = max(1, _BLOCK_CELLS // (n * d))
+    for lo in range(0, d, step):
+        feat, cut = np.nonzero(valid[lo:lo + step])
+        if not len(cut):
             continue
-        csum = np.cumsum(xs, axis=0)
-        csq = np.cumsum(sq[order])
-        idx = np.nonzero(valid)[0]
-        n_left = idx + 1
-        n_right = n - n_left
-        left_sq = csq[idx]
-        left_sum = csum[idx]
-        right_sq = csq[-1] - left_sq
-        right_sum = csum[-1] - left_sum
-        sse_left = left_sq - (left_sum ** 2).sum(axis=1) / n_left
-        sse_right = right_sq - (right_sum ** 2).sum(axis=1) / n_right
+        block = order[:, lo:lo + step].T
+        csum = x[block]                                         # (b, n, d)
+        np.cumsum(csum, axis=1, out=csum)                       # in place: one copy
+        csq = np.cumsum(sq[block], axis=1)
+        left_sum, left_sq = csum[feat, cut], csq[feat, cut]
+        right_sum = csum[feat, -1] - left_sum
+        n_left = cut + 1
+        sse_left = left_sq - np.square(left_sum, out=left_sum).sum(axis=1) / n_left
+        sse_right = ((csq[feat, -1] - left_sq)
+                     - np.square(right_sum, out=right_sum).sum(axis=1) / (n - n_left))
         reduction = total_sse - (sse_left + sse_right)
         k = int(np.argmax(reduction))
-        red = float(reduction[k])
-        if red <= 1e-12:
-            continue
-        # Integer-friendly threshold: midpoint floored, satisfied as "<= t".
-        threshold = float(np.floor((vs[idx[k]] + vs[idx[k] + 1]) / 2.0))
-        if threshold < vs[idx[k]]:
-            threshold = float(vs[idx[k]])
-        if best is None or red > best[0]:
-            best = (red, f, threshold)
-    return best
+        if reduction[k] > best[0]:
+            best = (float(reduction[k]), lo + int(feat[k]), int(cut[k]))
+    gain, f, k = best
+    if f < 0:
+        return None
+    # Integer-friendly threshold: midpoint floored, satisfied as "<= t".
+    threshold = float(np.floor((vs[f, k] + vs[f, k + 1]) / 2.0))
+    return gain, f, max(threshold, float(vs[f, k]))
 
 
 Split = tuple[float, int, float]      # (gain, feature, threshold)
@@ -92,11 +97,24 @@ def grow_tree(x: np.ndarray, max_leaves: int, min_rows: int,
     """Best-first growth: split the leaf with the largest gain until
     ``max_leaves`` (or no leaf of ``min_rows`` rows has a helpful split).
 
-    ``best_split(rows)`` scores one leaf's member rows. Returns the per-leaf
-    member rows and the ``(feature, threshold, child)`` node arrays.
+    ``best_split(rows)`` scores one leaf's member rows; a leaf of fewer than
+    ``min_rows`` rows is never scored. The frontier is a heap keyed
+    ``(-gain, -slot)``, so among equal gains the highest slot splits first.
+    A slot is re-scored only after its entry is popped, so it holds at most
+    one entry and none goes stale. Returns the per-leaf member rows and the
+    ``(feature, threshold, child)`` node arrays.
     """
     members: list[np.ndarray] = [np.arange(len(x))]
-    splits: list[Split | None] = [best_split(members[0])]
+    frontier: list[tuple[float, int, int, float]] = []
+
+    def score(slot: int) -> None:
+        rows = members[slot]
+        split = best_split(rows) if len(rows) >= min_rows else None
+        if split is not None:
+            gain, f, t = split
+            heapq.heappush(frontier, (-gain, -slot, f, t))
+
+    score(0)
     feature: list[int] = []
     threshold: list[float] = []
     # Two entries per internal node; a leaf is held as ~slot until the node
@@ -105,25 +123,20 @@ def grow_tree(x: np.ndarray, max_leaves: int, min_rows: int,
     child: list[int] = []
     points_at: dict[int, int] = {}
 
-    while len(members) < max_leaves:
-        candidates = [(s[0], i) for i, s in enumerate(splits)
-                      if s is not None and len(members[i]) >= min_rows]
-        if not candidates:
-            break
-        _, leaf = max(candidates)
-        _, f, t = splits[leaf]
+    while len(members) < max_leaves and frontier:
+        _, neg_slot, f, t = heapq.heappop(frontier)
+        leaf = -neg_slot
         rows = members[leaf]
         mask = x[rows, f] <= t
         left_rows, right_rows = rows[mask], rows[~mask]
         if len(left_rows) == 0 or len(right_rows) == 0:
-            splits[leaf] = None
             continue
         # Left child reuses the slot; right child gets a fresh slot.
         right_slot = len(members)
         members[leaf] = left_rows
         members.append(right_rows)
-        splits[leaf] = best_split(left_rows)
-        splits.append(best_split(right_rows))
+        score(leaf)
+        score(right_slot)
         if leaf in points_at:
             child[points_at[leaf]] = len(feature)
         feature.append(f)

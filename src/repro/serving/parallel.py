@@ -118,7 +118,8 @@ def _detach(segments: list) -> None:
 
 
 def worker_main(conn, runtime_factory, payload_cols: int = 0) -> None:
-    """Persistent worker loop: one replica, one serve per message, until EOF.
+    """Persistent worker loop: one replica, one serve per message, until EOF
+    or the driver's death.
 
     The replica is built on the warm ping so construction cost lands in the
     worker and a broken factory surfaces immediately. Replica state (flow
@@ -142,8 +143,15 @@ def worker_main(conn, runtime_factory, payload_cols: int = 0) -> None:
     layout = ingress_layout(payload_cols)
     inherited = tracker_inherited()  # before an attach can start one
     names, segments = None, []
+    # A forked worker holds copies of its own pipe's parent end (and of every
+    # earlier worker's), so the driver's death never reaches recv() as EOF.
+    # Its sentinel does: the last worker wakes at once, and each exit frees
+    # the copies an earlier worker's sentinel waits on.
+    driver = multiprocessing.parent_process()
     try:
         while True:
+            if driver is not None and conn not in _wait_ready([conn, driver.sentinel]):
+                break  # the driver died without a shutdown message
             msg = conn.recv()
             if msg is None:
                 break

@@ -79,13 +79,29 @@ def block_views(layout, buf, offset: int, rows: int) -> dict:
     return views
 
 
+# Segments whose close() met a live view (a failed serve's traceback can
+# hold one): held so the SharedMemory object is not collected under the view
+# (its __del__ would retry close() and print the BufferError), and closed by
+# the first later _unlink_segments call that finds the view gone.
+_HELD: list = []
+
+
+def _closed(shm) -> bool:
+    try:
+        shm.close()
+    except BufferError:
+        return False
+    except OSError:  # pragma: no cover - already closed
+        pass
+    return True
+
+
 def _unlink_segments(segments: list) -> None:
     """Close + unlink every segment, tolerating any prior cleanup."""
+    _HELD[:] = [shm for shm in _HELD if not _closed(shm)]
     for shm in segments:
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover - exported view
-            pass
+        if not _closed(shm):
+            _HELD.append(shm)
         try:
             shm.unlink()
         except FileNotFoundError:

@@ -1,10 +1,14 @@
 """Tests for the fuzzy-matching clustering tree."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.tree import DecisionTree, _best_gini_split
 from repro.errors import ShapeError
+from repro.core import fuzzy
 from repro.core.fuzzy import FuzzyTree, _best_split
 
 
@@ -320,3 +324,159 @@ class TestArrayTraversal:
         assert hi[:, 0].tolist() == [255, 5, 20]
         assert tree.predict_index(np.array([[5.0, 0], [6, 0], [21, 0]])).tolist() \
             == [1, 2, 0]
+
+
+# -- bit-identity against the per-feature fit --------------------------------
+
+def _reference_best_split(x):
+    """The per-feature scoring loop: one argsort and one (n, d) prefix sum
+    per feature, the strict ``>`` rule across features."""
+    n, d = x.shape
+    if n < 2:
+        return None
+    sq = (x ** 2).sum(axis=1)
+    total_sse = float(sq.sum() - (x.sum(axis=0) ** 2).sum() / n)
+    best = None
+    for f in range(d):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order]
+        vs = xs[:, f]
+        valid = vs[:-1] < vs[1:]
+        if not valid.any():
+            continue
+        csum = np.cumsum(xs, axis=0)
+        csq = np.cumsum(sq[order])
+        idx = np.nonzero(valid)[0]
+        n_left = idx + 1
+        n_right = n - n_left
+        left_sq = csq[idx]
+        left_sum = csum[idx]
+        right_sq = csq[-1] - left_sq
+        right_sum = csum[-1] - left_sum
+        sse_left = left_sq - (left_sum ** 2).sum(axis=1) / n_left
+        sse_right = right_sq - (right_sum ** 2).sum(axis=1) / n_right
+        reduction = total_sse - (sse_left + sse_right)
+        k = int(np.argmax(reduction))
+        red = float(reduction[k])
+        if red <= 1e-12:
+            continue
+        threshold = float(np.floor((vs[idx[k]] + vs[idx[k] + 1]) / 2.0))
+        if threshold < vs[idx[k]]:
+            threshold = float(vs[idx[k]])
+        if best is None or red > best[0]:
+            best = (red, f, threshold)
+    return best
+
+
+def _reference_grow(x, max_leaves, min_rows, best_split):
+    """Linear-scan growth: every split takes ``max((gain, slot))`` over the
+    whole frontier."""
+    members = [np.arange(len(x))]
+    splits = [best_split(members[0])]
+    feature, threshold, child, points_at = [], [], [], {}
+    while len(members) < max_leaves:
+        candidates = [(s[0], i) for i, s in enumerate(splits)
+                      if s is not None and len(members[i]) >= min_rows]
+        if not candidates:
+            break
+        _, leaf = max(candidates)
+        _, f, t = splits[leaf]
+        rows = members[leaf]
+        mask = x[rows, f] <= t
+        left_rows, right_rows = rows[mask], rows[~mask]
+        if len(left_rows) == 0 or len(right_rows) == 0:
+            splits[leaf] = None
+            continue
+        right_slot = len(members)
+        members[leaf] = left_rows
+        members.append(right_rows)
+        splits[leaf] = best_split(left_rows)
+        splits.append(best_split(right_rows))
+        if leaf in points_at:
+            child[points_at[leaf]] = len(feature)
+        feature.append(f)
+        threshold.append(t)
+        points_at[leaf] = len(child)
+        points_at[right_slot] = len(child) + 1
+        child += [~leaf, ~right_slot]
+    n_internal, n_leaves = len(feature), len(members)
+    links = np.asarray(child, dtype=np.int64)
+    return (members,
+            np.concatenate([np.asarray(feature, dtype=np.int64),
+                            np.zeros(n_leaves, dtype=np.int64)]),
+            np.concatenate([np.asarray(threshold, dtype=np.float64),
+                            np.full(n_leaves, np.inf)]),
+            np.concatenate([np.where(links < 0, n_internal + ~links, links),
+                            np.repeat(np.arange(n_internal, n_internal + n_leaves), 2)]))
+
+
+def _fit_data(rng, kind, n, d):
+    """Integer data with heavy ties, duplicated rows and a duplicated
+    column (exact gain ties between features), or uniform floats."""
+    if kind == "floats":
+        return rng.uniform(-50, 50, size=(n, d))
+    x = np.floor(rng.uniform(0, 6 if kind == "ties" else 256, size=(n, d)))
+    x[n // 2:] = x[:n - n // 2]                         # duplicated rows
+    if d > 1:
+        x[:, -1] = x[:, 0]                              # duplicated column
+    return x
+
+
+def _assert_same_fit(x, n_leaves, min_cluster):
+    members, feature, threshold, child = _reference_grow(
+        x, n_leaves, 2 * min_cluster, lambda rows: _reference_best_split(x[rows]))
+    tree = FuzzyTree.fit(x, n_leaves, min_cluster=min_cluster)
+    np.testing.assert_array_equal(tree.feature, feature)
+    np.testing.assert_array_equal(tree.threshold, threshold)
+    np.testing.assert_array_equal(tree.child, child)
+    np.testing.assert_array_equal(
+        tree.centroids, np.stack([x[m].mean(axis=0) for m in members]))
+
+
+class TestFitBitIdentity:
+    """The one-pass scoring and the heap frontier grow exactly the trees of
+    the per-feature loop and the linear frontier scan: equal arrays, not
+    close ones."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(st.sampled_from(["ties", "ints", "floats"]), st.sampled_from([1, 2, 16, 60]),
+           st.integers(2, 120), st.sampled_from([1, 3]), st.integers(0, 2**16),
+           st.booleans())
+    def test_fit_matches_per_feature_reference(self, kind, d, n_leaves, min_cluster,
+                                               seed, narrow_blocks):
+        """``narrow_blocks`` scores a few features per block, so the first
+        feature of the largest gain must win across blocks too."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 100))
+        x = _fit_data(rng, kind, n, d)
+        cells = n * d * max(1, d // 5) if narrow_blocks else fuzzy._BLOCK_CELLS
+        with mock.patch.object(fuzzy, "_BLOCK_CELLS", cells):
+            _assert_same_fit(x, n_leaves, min_cluster)
+
+    def test_wider_than_one_block(self):
+        """(4,500, 60) takes 20 blocks of 3 features at the shipped block
+        size; column 59 repeats column 0, so their gains tie exactly."""
+        rng = np.random.default_rng(0)
+        x = _fit_data(rng, "ints", 4500, 60)
+        assert 4500 * 60 * 3 <= fuzzy._BLOCK_CELLS < 4500 * 60 * 4
+        want = _reference_best_split(x)
+        assert _best_split(x) == want
+        x[:, 1:59] = 0.0                    # only the tied pair can split
+        assert _best_split(x) == _reference_best_split(x)
+        assert _best_split(x)[1] == 0
+
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(st.integers(0, 2**16), st.sampled_from([15, 63, 1023]), st.sampled_from([1, 2, 5]))
+    def test_decision_tree_matches_linear_frontier(self, seed, max_nodes, min_leaf):
+        rng = np.random.default_rng(seed)
+        x = _fit_data(rng, "ties", 200, 4)
+        y = rng.integers(0, 3, size=200)
+        members, feature, threshold, child = _reference_grow(
+            x, (max_nodes + 1) // 2, 2 * min_leaf,
+            lambda rows: _best_gini_split(x[rows], y[rows], 3))
+        tree = DecisionTree(max_nodes=max_nodes, min_leaf=min_leaf).fit(x, y)
+        np.testing.assert_array_equal(tree.feature, feature)
+        np.testing.assert_array_equal(tree.threshold, threshold)
+        np.testing.assert_array_equal(tree.child, child)
+        np.testing.assert_array_equal(
+            tree.leaf_classes, [np.bincount(y[m], minlength=3).argmax() for m in members])

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.dataplane.runtime as runtime_module
+from repro.core import fuzzy
 from repro.dataplane.runtime import (TwoStageRuntime,
                                      WindowedClassifierRuntime, flows_to_trace)
 from repro.eval.differential import build_two_stage_spec
@@ -55,6 +56,11 @@ HITTERS_BASE_BYTES_PER_PACKET = 171
 MICE_BYTES_PER_PACKET = 173
 # Packets that fill every flow's window before a single-batch serve.
 WARM = 400
+# tracemalloc peak of a FuzzyTree fit, by (shape, leaves, min_cluster): the
+# perf model's 16-dim table and the shape of CNN-L's extractor fit. Both are
+# the root cluster's one-block prefix sums: 1,743,115 and 5,156,150 B
+# measured, + 10% (the per-feature loop peaked at 306,314 and 1,769,489 B).
+FIT_PEAK_BYTES = {((370, 16), 256, 1): 1_918_000, ((6000, 8), 16, 4): 5_672_000}
 
 
 def repro_calls(fn) -> dict[str, int]:
@@ -211,3 +217,36 @@ def test_predict_peak_bytes_per_row(compiled16):
     assert peaks[stage] / stage <= peaks[1024] / 1024
     assert (peaks[16384] - peaks[4096]) / (16384 - 4096) \
         <= PREDICT_MARGINAL_BYTES_PER_ROW
+
+
+def _fit_rows(shape):
+    return np.floor(np.random.default_rng(0).uniform(0, 128, size=shape))
+
+
+def test_fit_sorts_once_per_scored_cluster(monkeypatch):
+    """A cluster of two or more rows is scored with one argsort over all of
+    its features (the per-feature loop paid one per feature: 16 here)."""
+    x = _fit_rows((370, 16))
+    best_split, argsort = fuzzy._best_split, np.argsort
+    scored, sorts = [], []
+
+    def scoring(rows):
+        scored.append(len(rows))
+        return best_split(rows)
+
+    def sorting(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzy, "_best_split", scoring)
+    monkeypatch.setattr(np, "argsort", sorting)
+    tree = fuzzy.FuzzyTree.fit(x, n_leaves=256)
+    assert tree.n_leaves == 256
+    assert len(sorts) == sum(n >= 2 for n in scored) > 256
+
+
+@pytest.mark.parametrize("shape, n_leaves, min_cluster", list(FIT_PEAK_BYTES))
+def test_fit_peak_bytes(shape, n_leaves, min_cluster):
+    x = _fit_rows(shape)
+    peak = traced_peak(lambda: fuzzy.FuzzyTree.fit(x, n_leaves, min_cluster))
+    assert peak <= FIT_PEAK_BYTES[shape, n_leaves, min_cluster]

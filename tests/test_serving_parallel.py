@@ -12,7 +12,11 @@ import gc
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.net.traces import Trace, canonicalize_key_columns
 from repro.serving import FlowDecisionCache, shard_hash, shard_hash_columns
 from repro.serving.dispatcher import ShardedDispatcher
 import repro.serving.parallel as parallel_module
+import repro.serving.rings as rings_module
 from repro.serving.parallel import (ParallelDispatcher, serve_chunk,
                                     worker_main)
 from repro.serving.rings import (RingSegments, attach_ring,
@@ -52,6 +57,16 @@ class _SpawnFactory:
     def __call__(self):
         return WindowedClassifierRuntime(self.compiled, feature_mode="stats",
                                          batch_size=32)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie waiting for its reaper
+    has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _leaked_segments(names):
@@ -491,6 +506,59 @@ class TestCloseLifecycle:
         del dispatcher
         gc.collect()
         assert _leaked_segments(names) == []
+
+    def test_collecting_a_segment_under_a_live_view_is_quiet(self, monkeypatch):
+        """The segment object outlives a view that pinned its close, so
+        collecting it raises no ``BufferError`` from ``SharedMemory.__del__``;
+        the next close releases it once the view is gone."""
+        raised = []
+        monkeypatch.setattr(sys, "unraisablehook", raised.append)
+        segments = RingSegments(8)
+        names = list(segments.names)
+        view = segments.ingress_views(0, 8)["ts"]
+        segments.close()
+        del segments
+        gc.collect()
+        view[:] = 2.0
+        assert view.sum() == 16.0
+        del view
+        RingSegments(1).close()
+        gc.collect()
+        assert raised == []
+        assert rings_module._HELD == []
+        assert _leaked_segments(names) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_workers_exit_when_the_driver_dies(self):
+        """A driver killed without close() (os._exit, as after SIGKILL)
+        leaves no orphaned worker: each wakes on the driver's death even
+        though later workers hold its pipe's parent end."""
+        src = Path(parallel_module.__file__).resolve().parents[2]
+        script = ("import os\n"
+                  "from repro.serving.parallel import ParallelDispatcher\n"
+                  "d = ParallelDispatcher(runtime_factory=dict, n_workers=2)\n"
+                  "d.start()\n"
+                  "print(*[p.pid for p in d._workers], flush=True)\n"
+                  "os._exit(0)\n")
+        driver = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stdin=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": str(src)})
+        pids = []
+        try:
+            assert driver.wait(timeout=60) == 0
+            pids = [int(pid) for pid in driver.stdout.readline().split()]
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if driver.poll() is None:
+                driver.kill()
+            driver.stdout.close()
 
 
 class _SlowRuntime(WindowedClassifierRuntime):
